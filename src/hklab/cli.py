@@ -306,7 +306,6 @@ def _run_meyer(ctx, p):
         ctx["space"].ball(0, ctx["space"].diameter / 2.0).member_idx
     return semi_mod.meyer_check(ctx["form"], form_near, far, ctx["space"],
                                 D, float(p.get("t", 0.5)),
-                                quadrature_steps=int(p.get("quadrature_steps", 16)),
                                 tol=float(p.get("tolerance", 1e-6)))
 
 
@@ -410,7 +409,7 @@ CHECKS: dict[str, dict[str, Any]] = {
         "fn": _run_meyer,
         "measures": "jump-interchange comparison between a Dirichlet kernel and its truncation",
         "params": {"rho": "float>0", "domain": "list[int]", "t": "float>0",
-                   "quadrature_steps": "int", "tolerance": "float"}},
+                   "tolerance": "float"}},
     "cross_jump_exponent": {
         "fn": _run_cross_jump,
         "measures": "corner-to-corner long-jump mass scaling exponent",

@@ -117,10 +117,20 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
 
 
 def part_on(form: SpectralForm, D) -> SpectralForm:
-    """Dirichlet part on D: principal submatrix of the ambient generator."""
+    """Dirichlet part on D: principal submatrix of the ambient generator.
+
+    ``D`` must be a nonempty 1-D list of distinct atom indices in 0..N-1.
+    """
     D = np.asarray(D, dtype=int)
+    if D.ndim != 1:
+        raise ParameterError("domain must be a 1-D list of atom indices")
     if D.size == 0:
         raise ParameterError("domain must be nonempty")
+    n = form.space.n_points
+    if D.min() < 0 or D.max() >= n:
+        raise ParameterError(f"domain indices must lie in 0..{n - 1}")
+    if np.unique(D).size != D.size:
+        raise ParameterError("domain indices must be distinct")
     if form.is_part:
         raise ParameterError("take parts of the full-space form")
     LD = form.L[np.ix_(D, D)]

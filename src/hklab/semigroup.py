@@ -1,9 +1,8 @@
 """Heat kernels by spectral calculus and the semigroup-level checkers.
 
-Everything here works with exact spectral semigroups; composite Simpson
-quadrature of the jump-interchange integral in :func:`meyer_check` is the
-only approximation, and it is driven to a requested tolerance by step
-halving.
+Everything here is exact spectral calculus, the jump-interchange integral in
+:func:`meyer_check` included: it is evaluated in closed form in the
+eigenbases, so no numerical approximation remains.
 
 A convention note that matters for the comparison inequalities: with the
 ordered-pair generator (L f)(x) = 2 sum_y (f(x)-f(y)) j(x,y) mu(y), the jump
@@ -323,16 +322,22 @@ def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
 # Jump-interchange (Meyer-type) comparison
 # ---------------------------------------------------------------------------
 
-def _simpson_matrix(integrand, t: float, steps: int) -> np.ndarray:
-    if steps % 2:
-        steps += 1
-    s = np.linspace(0.0, t, steps + 1)
-    vals = [integrand(float(si)) for si in s]
-    coef = np.ones(steps + 1)
-    coef[1:-1:2] = 4.0
-    coef[2:-1:2] = 2.0
-    h = t / steps
-    return (h / 3.0) * sum(c * v for c, v in zip(coef, vals))
+def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,
+                          S: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t P^a_s W S P^b_{t-s} ds in closed form (Van Loan, IEEE TAC 1978).
+
+    In the eigenbases the integrand is diagonal in time, so the integral is
+    Psi_a [(Psi_a^T W S Psi_b) o G] Psi_b^T with the divided differences
+    G_ij = int_0^t exp(-s a_i - (t-s) b_j) ds, which is t exp(-t a_i) where
+    the eigenvalues coincide.
+    """
+    a, b = part_a.eigvals[:, None], part_b.eigvals[None, :]
+    gap = np.abs(a - b)
+    frac = np.full(gap.shape, t)
+    np.divide(-np.expm1(-t * gap), gap, out=frac, where=gap > 0)
+    G = np.exp(-t * np.minimum(a, b)) * frac
+    M = part_a.psi.T @ (part_a.weights[:, None] * S) @ part_b.psi
+    return part_a.psi @ (M * G) @ part_b.psi.T
 
 
 def _kill_form(form_full: SpectralForm, form_near: SpectralForm,
@@ -347,8 +352,7 @@ def _kill_form(form_full: SpectralForm, form_near: SpectralForm,
 
 def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
                 kernel_far: JumpKernel, space: FiniteMMSpace,
-                D, t: float, quadrature_steps: int = 16,
-                tol: float = 1e-6, max_steps: int = 4096) -> ConditionReport:
+                D, t: float, tol: float = 1e-6) -> ConditionReport:
     """Jump-interchange comparison between a Dirichlet kernel and its truncation.
 
     With I(t) the interchange integral built from the truncated kernel and
@@ -359,11 +363,11 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
         lower:    p_D >= 2 I_kill                   (entrywise),
         identity: p_D = p_kill + 2 I_kill           (entrywise),
 
-    each up to the achieved quadrature tolerance.  The single-coefficient
-    variants upper1/lower1 (I in place of 2I, and p_D >= I) are reported for
-    reference but not asserted; they fail already on the two-point space.
-    When the far kernel vanishes the identity collapses to p_D = p^(rho)_D
-    exactly.
+    each up to ``tol``.  Both integrals are evaluated in closed form.  The
+    single-coefficient variants upper1/lower1 (I in place of 2I, and p_D >= I)
+    are reported for reference but not asserted; they fail already on the
+    two-point space.  When the far kernel vanishes both integrals vanish and
+    the identity collapses to p_D = p^(rho)_D.
     """
     if t <= 0:
         raise ParameterError("comparison time must be positive")
@@ -372,47 +376,14 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
     part_near = part_on(form_near, D)
     part_kill = _kill_form(form_full, form_near, D, space)
 
-    w_D = space.weights[D]
     jfar_D = kernel_far.block(D, D)
     np.fill_diagonal(jfar_D, 0.0)
+    smoother = jfar_D * space.weights[D][None, :]
     p_t = part_full.heat_kernel(t)
     p_near_t = part_near.heat_kernel(t)
     p_kill_t = part_kill.heat_kernel(t)
-
-    smoother = jfar_D * w_D[None, :]
-
-    def integrand_near(s: float) -> np.ndarray:
-        return (part_near.heat_kernel(s) * w_D[None, :]) @ smoother @ part_full.heat_kernel(t - s)
-
-    def integrand_kill(s: float) -> np.ndarray:
-        return (part_kill.heat_kernel(s) * w_D[None, :]) @ smoother @ part_full.heat_kernel(t - s)
-
-    def integrate(integrand) -> tuple[np.ndarray, float, int]:
-        # step halving with the Richardson error estimate |S_2m - S_m| / 15;
-        # the extrapolated sum gains one more order
-        steps = max(4, quadrature_steps)
-        prev = _simpson_matrix(integrand, t, steps)
-        while steps < max_steps:
-            steps *= 2
-            cur = _simpson_matrix(integrand, t, steps)
-            diff = cur - prev
-            resid = float(np.abs(diff).max()) / 15.0
-            prev = cur
-            if resid <= tol / 2.0:
-                return cur + diff / 15.0, resid, steps
-        return prev, float("inf"), steps
-
-    if np.abs(jfar_D).max() == 0.0 and np.abs(far_tail_profile(form_full, form_near)[D]).max() == 0.0:
-        i_near = np.zeros_like(p_t)
-        i_kill = np.zeros_like(p_t)
-        resid_near = resid_kill = 0.0
-        steps_used = 0
-    else:
-        i_near, resid_near, steps_used = integrate(integrand_near)
-        i_kill, resid_kill, _ = integrate(integrand_kill)
-
-    inconclusive = not (math.isfinite(resid_near) and math.isfinite(resid_kill))
-    tol_total = tol
+    i_near = _interchange_integral(part_near, part_full, smoother, t)
+    i_kill = _interchange_integral(part_kill, part_full, smoother, t)
 
     upper_margin = float((p_near_t + 2.0 * i_near - p_t).min())
     lower_margin = float((p_t - 2.0 * i_kill).min())
@@ -420,27 +391,22 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
     upper1_margin = float((p_near_t + i_near - p_t).min())
     lower1_margin = float((p_t - i_near).min())
 
-    passed = None if inconclusive else bool(
-        upper_margin >= -tol_total
-        and lower_margin >= -tol_total
-        and identity_resid <= tol_total)
-    report = ConditionReport(
+    passed = bool(upper_margin >= -tol
+                  and lower_margin >= -tol
+                  and identity_resid <= tol)
+    return ConditionReport(
         condition="meyer",
         params={"t": t, "rho": kernel_far.meta.get("truncation", {}).get("rho"),
-                "quadrature_steps": steps_used, "tol": tol},
+                "tol": tol},
         best_constant=identity_resid,
         witness={"upper_margin": upper_margin, "lower_margin": lower_margin,
                  "identity_residual": identity_resid,
-                 "upper1_margin": upper1_margin, "lower1_margin": lower1_margin,
-                 "quadrature_residual": max(resid_near, resid_kill)},
+                 "upper1_margin": upper1_margin, "lower1_margin": lower1_margin},
         passed=passed,
         series=[{"t": t, "upper_margin": upper_margin, "lower_margin": lower_margin,
                  "identity_residual": identity_resid,
                  "upper1_margin": upper1_margin, "lower1_margin": lower1_margin}],
     )
-    if inconclusive:
-        report.note("quadrature budget exhausted before reaching tolerance")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from hklab import cli
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SMOKE_CONFIG = {
     "space": {"kind": "two_point"},
     "scale": {"kind": "constant", "beta": 1.0, "T0": "inf"},
@@ -67,6 +68,23 @@ def test_run_inapplicable_check_exit_2_with_path(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "checks[0]" in err and "cross_jump_exponent" in err
+
+
+@pytest.mark.parametrize("domain", [[0, 0, 1], [999]])
+def test_run_bad_meyer_domain_exit_2_with_path(tmp_path, capsys, domain):
+    cfg = dict(SMOKE_CONFIG)
+    cfg["checks"] = [{"name": "meyer_check", "mode": "pass",
+                      "params": {"domain": domain}}]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "checks[0]" in err and "domain" in err
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_committed_config_runs(tmp_path, config):
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_run_point_cap_exit_3(tmp_path):

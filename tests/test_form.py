@@ -351,3 +351,9 @@ def test_part_empty_domain_rejected(two_point):
     _, _, form = two_point
     with pytest.raises(ParameterError):
         hk.part_on(form, [])
+
+
+def test_part_negative_index_rejected(two_point):
+    _, _, form = two_point
+    with pytest.raises(ParameterError):
+        hk.part_on(form, [-1, 0])

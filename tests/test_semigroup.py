@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError
-from hklab.semigroup import far_tail_profile
+from hklab.semigroup import _interchange_integral, far_tail_profile
 
 
 def test_two_point_heat_kernel_closed_form(two_point):
@@ -242,6 +243,32 @@ def test_meyer_lower_below_upper_reconstruction(cantor6):
     rep = hk.meyer_check(form, form_near, far, space, D, 0.4)
     # lower reconstruction <= p_D <= upper reconstruction
     assert rep.witness["lower_margin"] + rep.witness["upper_margin"] >= -2e-6
+
+
+def test_meyer_interchange_matches_van_loan_block_exponential():
+    # int_0^t e^{-s A} S e^{-(t-s) B} ds is the upper-right block of
+    # expm(t [[-A, S], [0, -B]]) (Van Loan 1978); kernels carry 1/mu(y)
+    space = hk.build_cantor_product(1 / 3, 1, 7)          # 128 atoms
+    field = hk.constant_field(space, 0.8, T0=1.0)
+    kern = hk.build_cantor_axis_kernel(space, field)
+    form = hk.assemble(space, kern)
+    near, far = hk.truncate(kern, 1 / 8)
+    form_near = hk.assemble(space, near)
+    D = space.ball(0, 0.5).member_idx
+    part_near, part_full = hk.part_on(form_near, D), hk.part_on(form, D)
+    w = space.weights[D]
+    jfar = far.block(D, D)
+    np.fill_diagonal(jfar, 0.0)
+    S = jfar * w[None, :]
+    n = D.size
+    gen = np.zeros((2 * n, 2 * n))
+    gen[:n, :n], gen[:n, n:], gen[n:, n:] = -part_near.L, S, -part_full.L
+    for t in (0.2, 0.5, 1.0):
+        oracle = scipy.linalg.expm(t * gen)[:n, n:] / w[None, :]
+        closed = _interchange_integral(part_near, part_full, S, t)
+        assert np.abs(closed - oracle).max() <= 1e-12 * np.abs(oracle).max(), t
+        rep = hk.meyer_check(form, form_near, far, space, D, t)
+        assert rep.witness["identity_residual"] <= 1e-12, (t, rep.witness)
 
 
 def test_se_from_lre_chain_margins(cantor6):
