@@ -56,42 +56,77 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _convert(convert, value, path: str):
+    """``convert(value)``, or a SchemaError at ``path`` when the value has the wrong type."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(path, f"invalid value {value!r}: {exc}") from exc
+
+
+def _field(cfg: dict, key: str, path: str, convert, default=None):
+    """Converted ``cfg[key]``; a missing field is required unless a default is given."""
+    value = cfg[key] if key in cfg else (
+        _require(cfg, key, path) if default is None else default)
+    return _convert(convert, value, f"{path}.{key}")
+
+
+def _float_array(value):
+    return np.asarray(value, dtype=float)
+
+
 def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
     kind = _require(cfg, "kind", "space")
-    cap = int(cfg.get("point_cap", space_mod.DEFAULT_POINT_CAP))
+    cap = _field(cfg, "point_cap", "space", int, space_mod.DEFAULT_POINT_CAP)
     if kind == "cantor":
         return space_mod.build_cantor_product(
-            _require(cfg, "xi", "space"), int(_require(cfg, "n", "space")),
-            int(_require(cfg, "level", "space")), point_cap=cap)
+            _field(cfg, "xi", "space", space_mod._as_fraction),
+            _field(cfg, "n", "space", int), _field(cfg, "level", "space", int),
+            point_cap=cap)
     if kind == "grid":
-        return space_mod.build_grid(int(_require(cfg, "d", "space")),
-                                    int(_require(cfg, "side", "space")), point_cap=cap)
+        return space_mod.build_grid(_field(cfg, "d", "space", int),
+                                    _field(cfg, "side", "space", int), point_cap=cap)
     if kind == "two_point":
-        return space_mod.build_two_point(float(cfg.get("gap", 1.0)),
-                                         tuple(cfg.get("weights", (0.5, 0.5))))
+        return space_mod.build_two_point(_field(cfg, "gap", "space", float, 1.0),
+                                         _field(cfg, "weights", "space", _float_array,
+                                                (0.5, 0.5)))
     if kind == "custom":
-        return space_mod.build_custom(_require(cfg, "coords", "space"),
-                                      _require(cfg, "weights", "space"),
-                                      metric_matrix=cfg.get("metric_matrix"))
+        metric = cfg.get("metric_matrix")
+        return space_mod.build_custom(
+            _field(cfg, "coords", "space", _float_array),
+            _field(cfg, "weights", "space", _float_array),
+            metric_matrix=(None if metric is None else
+                           _field(cfg, "metric_matrix", "space", _float_array)))
     raise SchemaError("space.kind", f"unknown space kind {kind!r}")
+
+
+def _center(value):
+    """An anchor center: an atom id, or an ambient coordinate list."""
+    return tuple(float(c) for c in value) if isinstance(value, list) else int(value)
 
 
 def build_scale(cfg: dict, space: space_mod.FiniteMMSpace) -> scale_mod.ScaleField:
     kind = _require(cfg, "kind", "scale")
     T0 = cfg.get("T0")
-    T0 = math.inf if T0 in (None, "inf") else float(T0)
+    T0 = math.inf if T0 in (None, "inf") else _field(cfg, "T0", "scale", float)
     if kind == "constant":
-        return scale_mod.constant_field(space, float(_require(cfg, "beta", "scale")), T0=T0)
+        return scale_mod.constant_field(space, _field(cfg, "beta", "scale", float), T0=T0)
     if kind == "balls":
-        anchors = [(a["center"], float(a["radius"]), float(a["value"]))
-                   for a in _require(cfg, "anchors", "scale")]
+        anchors = []
+        for i, a in enumerate(_require(cfg, "anchors", "scale")):
+            path = f"scale.anchors[{i}]"
+            if not isinstance(a, dict):
+                raise SchemaError(path, "must be an object with center, radius and value")
+            anchors.append((_field(a, "center", path, _center),
+                            _field(a, "radius", path, float),
+                            _field(a, "value", path, float)))
         return scale_mod.field_from_balls(space, anchors,
-                                          float(_require(cfg, "beta1", "scale")),
-                                          float(_require(cfg, "beta2", "scale")), T0=T0)
+                                          _field(cfg, "beta1", "scale", float),
+                                          _field(cfg, "beta2", "scale", float), T0=T0)
     if kind == "table":
-        return scale_mod.field_from_table(space, _require(cfg, "values", "scale"),
-                                          float(_require(cfg, "beta1", "scale")),
-                                          float(_require(cfg, "beta2", "scale")), T0=T0,
+        return scale_mod.field_from_table(space, _field(cfg, "values", "scale", _float_array),
+                                          _field(cfg, "beta1", "scale", float),
+                                          _field(cfg, "beta2", "scale", float), T0=T0,
                                           lipschitz=bool(cfg.get("lipschitz", False)))
     raise SchemaError("scale.kind", f"unknown scale kind {kind!r}")
 
@@ -102,21 +137,21 @@ def build_kernel(cfg: dict, space: space_mod.FiniteMMSpace,
     if kind == "cantor_axis":
         kern = kernel_mod.build_cantor_axis_kernel(space, scale)
     elif kind == "stable_like":
-        kern = kernel_mod.build_stable_like_kernel(space, scale,
-                                                   float(cfg.get("lower_constant", 1.0)))
+        kern = kernel_mod.build_stable_like_kernel(
+            space, scale, _field(cfg, "lower_constant", "kernel", float, 1.0))
     elif kind == "cylindrical":
         kern = kernel_mod.build_cylindrical_kernel(space, scale)
     elif kind == "nearest_neighbor":
-        kern = kernel_mod.build_nearest_neighbor_kernel(space, float(cfg.get("value", 1.0)))
+        kern = kernel_mod.build_nearest_neighbor_kernel(
+            space, _field(cfg, "value", "kernel", float, 1.0))
     elif kind == "uniform":
-        kern = kernel_mod.build_uniform_kernel(space, float(cfg.get("value", 1.0)))
+        kern = kernel_mod.build_uniform_kernel(space, _field(cfg, "value", "kernel", float, 1.0))
     elif kind == "zero":
         kern = kernel_mod.build_zero_kernel(space)
     else:
         raise SchemaError("kernel.kind", f"unknown kernel kind {kind!r}")
-    rho = cfg.get("rho")
-    if rho is not None:
-        kern = kernel_mod.truncate(kern, float(rho))[0]
+    if cfg.get("rho") is not None:
+        kern = kernel_mod.truncate(kern, _field(cfg, "rho", "kernel", float))[0]
     return kern
 
 
@@ -124,15 +159,26 @@ def build_kernel(cfg: dict, space: space_mod.FiniteMMSpace,
 # Check registry
 # ---------------------------------------------------------------------------
 
+def _float_list(value, name: str) -> np.ndarray:
+    """A check parameter that must be a flat list of numbers, as an array."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be a list of numbers, got {value!r}") from exc
+    if arr.ndim != 1:
+        raise ParameterError(f"{name} must be a flat list of numbers, got {value!r}")
+    return arr
+
+
 def _default_radius_grid(space, check_cfg):
     if check_cfg.get("radius_grid"):
-        return np.asarray(check_cfg["radius_grid"], dtype=float)
+        return _float_list(check_cfg["radius_grid"], "radius_grid")
     return space_mod.dyadic_radius_grid(space)
 
 
 def _default_time_grid(ctx, check_cfg):
     if check_cfg.get("time_grid"):
-        return np.asarray(check_cfg["time_grid"], dtype=float)
+        return _float_list(check_cfg["time_grid"], "time_grid")
     return semi_mod.default_time_grid(ctx["form"])
 
 
@@ -142,7 +188,8 @@ def _ball_sample(ctx, check_cfg, n_centers=4):
     if radii is None:
         grid = space_mod.dyadic_radius_grid(space)
         radii = grid[-3:] if grid.size >= 3 else grid
-    return form_mod.sample_balls(space, n_centers, [float(r) for r in radii], ctx["rng"])
+    return form_mod.sample_balls(space, n_centers, _float_list(radii, "ball_radii").tolist(),
+                                 ctx["rng"])
 
 
 def _run_scale_axioms(ctx, p):
@@ -447,7 +494,7 @@ def _validate_config(cfg: dict) -> None:
 
 def run_config(cfg: dict, out_dir: Path, seed: int | None = None) -> int:
     _validate_config(cfg)
-    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+    seed = _convert(int, cfg.get("seed", 0), "seed") if seed is None else int(seed)
     rng = np.random.default_rng(seed)
     space = build_space(cfg["space"])
     scale = build_scale(cfg["scale"], space)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .kernel import JumpKernel
 from .report import ConditionReport
-from .scale import ScaleField, phi, phi_inverse
+from .scale import ScaleField, phi, phi_inverse, phi_vec
 from .space import FiniteMMSpace
 
 
@@ -104,6 +104,8 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     """Assemble the generator of the pure-jump form for the whole space."""
     jmat = kernel.matrix()
     scale_ref = np.abs(jmat).max()
+    if not np.isfinite(scale_ref):                     # max propagates NaN
+        raise ParameterError("kernel has non-finite values (NaN or inf)")
     if not np.allclose(jmat, jmat.T, atol=1e-10 * max(scale_ref, 1.0)):
         raise ParameterError("kernel must be symmetric")
     jmat = 0.5 * (jmat + jmat.T)
@@ -231,7 +233,7 @@ def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         cut = build_cutoff(space, x0, R, r)
         diff2 = (cut[:, None] - cut[None, :]) ** 2
         energy_per_point = (diff2 * jmat * w[None, :]).sum(axis=1)
-        phis = np.array([phi(scale, x, r) for x in range(space.n_points)])
+        phis = phi_vec(scale, np.arange(space.n_points), r)
         vals = energy_per_point * phis
         x = int(np.argmax(vals))
         series.append({"x0": x0, "R": R, "r": r, "c": float(vals[x]), "x": x})

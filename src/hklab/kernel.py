@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError
 from .report import ConditionReport
-from .scale import ScaleField, phi, phi_inverse, phi_inverse_vec, phi_vec
+from .scale import ScaleField, phi_inverse_vec, phi_vec
 from .space import DENSE_MATRIX_CAP, FiniteMMSpace
 
 _AXIS_TOL = 1e-12
@@ -65,9 +65,7 @@ def _masked_kernel(kernel: JumpKernel, keep_near: bool, rho: float) -> JumpKerne
 
     def block_fn(rows, cols):
         vals = kernel.block(rows, cols)
-        d = np.empty_like(vals)
-        for a, x in enumerate(rows):
-            d[a] = space.dist_from(int(x))[cols]
+        d = space.dist_block(rows, cols)
         mask = d < rho if keep_near else d >= rho
         return np.where(mask, vals, 0.0)
 
@@ -243,8 +241,39 @@ def tail_mass(kernel: JumpKernel, space: FiniteMMSpace, x: int, r: float) -> flo
     return float(vals @ space.weights[far])
 
 
+def _tail_masses(kernel: JumpKernel, space: FiniteMMSpace, radii,
+                 q: float = 1.0) -> np.ndarray:
+    """sum of j(x,y)^q mu(y) over d(x,y) >= r, shape (len(radii), n_points).
+
+    One kernel block and one distance block per row chunk serve every radius.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if np.any(radii <= 0):
+        raise ParameterError("tail radius must be positive")
+    all_idx = np.arange(space.n_points)
+    tails = np.empty((radii.size, space.n_points))
+    for rows in space._row_chunks():
+        vals = kernel.block(rows, all_idx)
+        if q != 1.0:
+            vals = vals ** q
+        d = space.dist_block(rows)
+        for k, r in enumerate(radii):
+            tails[k, rows] = np.where(d >= r, vals, 0.0) @ space.weights
+    return tails
+
+
 def tail_mass_all(kernel: JumpKernel, space: FiniteMMSpace, r: float) -> np.ndarray:
-    return np.array([tail_mass(kernel, space, x, r) for x in range(space.n_points)])
+    """tail_mass(x, r) for every atom x."""
+    return _tail_masses(kernel, space, [r])[0]
+
+
+def _first_max(vals: np.ndarray, ids: np.ndarray) -> tuple[float, int | None]:
+    """Largest positive entry and the first id attaining it; (0.0, None) if none."""
+    vals = np.where(vals > 0, vals, 0.0)
+    if vals.size == 0 or vals.max() == 0.0:
+        return 0.0, None
+    k = int(np.argmax(vals))
+    return float(vals[k]), int(ids[k])
 
 
 def tj_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
@@ -256,8 +285,7 @@ def tj_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
     best = 0.0
     witness: dict[str, Any] = {"x": None, "r": None}
     series = []
-    for r in radii:
-        tails = tail_mass_all(kernel, space, float(r))
+    for r, tails in zip(radii, _tail_masses(kernel, space, radii)):
         vals = tails * phi_vec(scale, np.arange(space.n_points), float(r))
         x = int(np.argmax(vals))
         series.append({"r": float(r), "C_at_r": float(vals[x]), "x": x})
@@ -290,22 +318,14 @@ def tjq_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
     radii = np.asarray(radius_grid, dtype=float)
     if np.any(radii <= 0) or np.any(radii > space.diameter):
         raise ParameterError("radius grid must lie in (0, diameter]")
+    all_idx = np.arange(space.n_points)
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
-    for r in radii:
-        worst_at_r = 0.0
-        arg = None
-        for x in range(space.n_points):
-            far = np.flatnonzero(space.dist_from(x) >= r)
-            if far.size == 0:
-                continue
-            vals = kernel.block(np.array([x]), far)[0]
-            lq = float((vals ** q) @ space.weights[far]) ** (1.0 / q)
-            v = space.volume(x, float(r))
-            c = lq * v ** ((q - 1.0) / q) * phi(scale, x, float(r))
-            if c > worst_at_r:
-                worst_at_r, arg = c, x
+    for r, tails in zip(radii, _tail_masses(kernel, space, radii, q)):
+        c = (tails ** (1.0 / q) * space.volumes_at(float(r)) ** ((q - 1.0) / q)
+             * phi_vec(scale, all_idx, float(r)))
+        worst_at_r, arg = _first_max(c, all_idx)
         series.append({"r": float(r), "C_at_r": worst_at_r, "x": arg})
         if worst_at_r > best:
             best = worst_at_r
@@ -325,37 +345,30 @@ def ij_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
     phi^-1(x, R) and 2 phi^-1(x, R), and forms
     Q = LHS * R * sqrt(V(x, phi^-1(x, r))).  Reports the best constant C
     making Q <= C (R/r)^gamma, and the exponent fitted from log max_x Q
-    against log(R/r).
+    against log(R/r).  ``x_sample`` lists atom ids (default: every atom).
     """
     pairs = [(float(r), float(R)) for r, R in rR_pairs]
     if any(r <= 0 or r > R for r, R in pairs):
         raise ParameterError("need 0 < r <= R for every pair")
-    xs = np.arange(space.n_points) if x_sample is None else np.asarray(x_sample)
     all_idx = np.arange(space.n_points)
+    xs = all_idx if x_sample is None else space._check_indices(x_sample)
+    vols = {r: space.volumes_at(phi_inverse_vec(scale, all_idx, r)) for r, _ in pairs}
+    dens = {r: space.weights / np.sqrt(v) for r, v in vols.items()}
+    inner = [phi_inverse_vec(scale, xs, big_r) for _, big_r in pairs]
+    q_vals = np.empty((len(pairs), xs.size))
+    for pos in space._row_chunks(np.arange(xs.size)):
+        rows = xs[pos]
+        vals = kernel.block(rows, all_idx)
+        d = space.dist_block(rows)
+        for p, (r, _) in enumerate(pairs):
+            r1 = inner[p][pos, None]
+            q_vals[p, pos] = np.where((d >= r1) & (d < 2 * r1), vals, 0.0) @ dens[r]
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
     fit_pts: dict[float, float] = {}
-    vol_cache: dict[float, np.ndarray] = {}
-    for r, big_r in pairs:
-        if r not in vol_cache:
-            inv_radii = phi_inverse_vec(scale, all_idx, r)
-            vol_cache[r] = np.array([space.volume(int(y), float(inv_radii[y]))
-                                     for y in all_idx])
-        vols_r = vol_cache[r]
-        q_max = 0.0
-        arg = None
-        for x in xs:
-            r1 = phi_inverse(scale, int(x), big_r)
-            d = space.dist_from(int(x))
-            ann = np.flatnonzero((d >= r1) & (d < 2 * r1))
-            if ann.size == 0:
-                continue
-            vals = kernel.block(np.array([int(x)]), ann)[0]
-            lhs = float((vals * space.weights[ann] / np.sqrt(vols_r[ann])).sum())
-            q_val = lhs * big_r * math.sqrt(vols_r[int(x)])
-            if q_val > q_max:
-                q_max, arg = q_val, int(x)
+    for (r, big_r), q_row in zip(pairs, q_vals):
+        q_max, arg = _first_max(q_row * big_r * np.sqrt(vols[r][xs]), xs)
         ratio = big_r / r
         series.append({"r": r, "R": big_r, "Q_max": q_max, "x": arg})
         if q_max > 0:
@@ -400,8 +413,5 @@ def cross_jump_mass(kernel: JumpKernel, space: FiniteMMSpace, r: float,
     if near0.size == 0 or near1.size == 0:
         return 0.0
     vals = kernel.block(near0, near1)
-    dist = np.empty_like(vals)
-    for a, z in enumerate(near0):
-        dist[a] = space.dist_from(int(z))[near1]
-    vals = np.where(dist >= 0.25, vals, 0.0)
+    vals = np.where(space.dist_block(near0, near1) >= 0.25, vals, 0.0)
     return float(space.weights[near0] @ vals @ space.weights[near1])

@@ -127,12 +127,12 @@ def field_from_balls(space: FiniteMMSpace, anchors, beta1: float, beta2: float,
             d_center = space.dist_from(int(center))
         else:
             d_center = space.dist_from_coord(center)
-        members = d_center < radius
-        if not members.any():
+        members = np.flatnonzero(d_center < radius)
+        if not members.size:
             raise ParameterError("anchor ball contains no atoms")
         dist_to_ball = np.full(n, np.inf)
-        for i in np.flatnonzero(members):
-            dist_to_ball = np.minimum(dist_to_ball, space.dist_from(i))
+        for rows in space._row_chunks(members):
+            dist_to_ball = np.minimum(dist_to_ball, space.dist_block(rows).min(axis=0))
         envelopes.append(float(value) + dist_to_ball)
         values.append(float(value))
     beta = np.clip(np.min(envelopes, axis=0), min(values), max(values))
@@ -169,7 +169,7 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
     else:
         pair_idx = rng.choice(n, size=pair_sample, replace=False)
 
-    dist = np.array([space.dist_from(i)[pair_idx] for i in pair_idx])
+    dist = space.dist_block(pair_idx, pair_idx)
     c1 = 1.0
     c1_witness: dict[str, Any] = {}
     for r in radii:
@@ -214,10 +214,8 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
     )
     ok = all(map(math.isfinite, (c1, c2, c_off)))
     if scale.lipschitz:
-        gap = 0.0
-        for ii, i in enumerate(pair_idx):
-            db = np.abs(scale.beta_values[pair_idx] - scale.beta_values[i])
-            gap = max(gap, float((db - dist[ii]).max()))
+        beta = scale.beta_values[pair_idx]
+        gap = max(0.0, float((np.abs(beta[None, :] - beta[:, None]) - dist).max()))
         report.witness["lipschitz_excess"] = gap
         if gap > 1e-9:
             ok = False

@@ -30,7 +30,7 @@ from .errors import ParameterError
 from .form import SpectralForm, _spectral_data, part_on
 from .kernel import JumpKernel
 from .report import ConditionReport
-from .scale import ScaleField, phi, phi_inverse
+from .scale import ScaleField, phi, phi_inverse_vec
 from .space import FiniteMMSpace
 
 
@@ -193,7 +193,7 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
             continue
         p = form.heat_kernel(t)
         diag = np.diag(p)
-        vols = np.array([space.volume(x, phi_inverse(scale, x, t)) for x in range(n)])
+        vols = space.volumes_at(phi_inverse_vec(scale, np.arange(n), t))
         vals = diag * vols
         x = int(np.argmax(vals))
         series.append({"t": t, "C_at_t": float(vals[x]), "x": x,

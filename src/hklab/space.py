@@ -5,6 +5,11 @@ A :class:`FiniteMMSpace` is a finite set of atoms with coordinates, a metric
 strictly positive weights.  Builders produce Cantor-set products, uniform
 grids on the unit cube, the two-point oracle space, and custom spaces.  Ball
 queries use strict inequality (open balls).
+
+All atom-to-atom distances come from :meth:`FiniteMMSpace.dist_block`.
+Whole-space passes walk the atoms in row chunks whose distance block holds
+at most ``_CHUNK_ELEMENTS`` entries, so one code path serves every size and
+no N x N distance matrix is kept.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ DEFAULT_POINT_CAP = 4096
 # Dense all-pairs work (distance matrices, eigensolves) is O(N^2)..O(N^3);
 # anything above this must stay on the lazy per-point path.
 DENSE_MATRIX_CAP = 8192
+
+# Entries in one row chunk of a whole-space distance pass: a 256-atom space
+# is a single chunk, a 16384-atom space makes chunks of four rows.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -56,6 +65,10 @@ class FiniteMMSpace:
             if self.metric_matrix is None:
                 raise ParameterError("explicit metric requires metric_matrix")
             self.metric_matrix = np.asarray(self.metric_matrix, dtype=float)
+            if self.metric_matrix.shape != (self.n_points,) * 2:
+                raise ParameterError("metric_matrix must be n_points x n_points")
+        if self.weights.shape != (self.n_points,):
+            raise ParameterError("need one weight per point")
 
     @property
     def n_points(self) -> int:
@@ -78,51 +91,86 @@ class FiniteMMSpace:
             return float(self.metric_matrix[i, k])
         return float(np.max(np.abs(self.coords[i] - self.coords[k])))
 
+    def dist_block(self, rows, cols=None) -> np.ndarray:
+        """Distances from the atoms ``rows`` to ``cols`` (default: all atoms).
+
+        The one place that evaluates the metric between atoms.  The sup
+        metric is a running maximum over the axes, which gives the same
+        values as a reduction over a trailing axis of length n_axes and is
+        much faster.
+        """
+        rows = self._check_indices(rows)
+        if cols is not None:
+            cols = self._check_indices(cols)
+        if self.metric_kind == "explicit":
+            return self.metric_matrix[rows] if cols is None else \
+                self.metric_matrix[np.ix_(rows, cols)]
+        a = self.coords[rows]
+        b = self.coords if cols is None else self.coords[cols]
+        out = np.abs(a[:, None, 0] - b[None, :, 0])
+        for k in range(1, self.n_axes):
+            np.maximum(out, np.abs(a[:, None, k] - b[None, :, k]), out=out)
+        return out
+
     def dist_from(self, i: int) -> np.ndarray:
         """Distances from point ``i`` to every point, shape (n_points,)."""
-        self._check_index(i)
-        if self.metric_kind == "explicit":
-            return self.metric_matrix[i].copy()
-        return np.max(np.abs(self.coords - self.coords[i]), axis=1)
+        return self.dist_block([int(i)])[0]
 
     def dist_from_coord(self, coord) -> np.ndarray:
         """Sup-metric distances from an ambient coordinate (need not be an atom)."""
         if self.metric_kind != "sup":
             raise ParameterError("ambient coordinates require the sup metric")
         coord = np.asarray(coord, dtype=float)
+        if coord.shape != (self.n_axes,):
+            raise ParameterError(f"ambient coordinates need {self.n_axes} entries")
         return np.max(np.abs(self.coords - coord), axis=1)
 
     def pairwise(self) -> np.ndarray:
         """Full distance matrix; refuses above the dense-matrix cap."""
         if self.n_points > DENSE_MATRIX_CAP:
             raise PointCapExceeded(self.n_points, DENSE_MATRIX_CAP)
-        if self.metric_kind == "explicit":
-            return self.metric_matrix.copy()
-        diff = np.abs(self.coords[:, None, :] - self.coords[None, :, :])
-        return diff.max(axis=2)
+        return self.dist_block(np.arange(self.n_points))
 
     def ball(self, x: int, r: float) -> "BallQuery":
         if r <= 0:
             raise ParameterError("ball radius must be positive")
-        self._check_index(x)
-        member = np.flatnonzero(self.dist_from(x) < r)
+        member = np.flatnonzero(self.dist_block([int(x)])[0] < r)
         return BallQuery(center=x, radius=float(r), member_idx=member,
                          volume=float(self.weights[member].sum()))
 
     def volume(self, x: int, r: float) -> float:
         return self.ball(x, r).volume
 
-    def volumes(self, x: int, radii) -> np.ndarray:
-        """Ball volumes at several radii around ``x`` in one sorted sweep."""
-        dist = self.dist_from(x)
-        order = np.argsort(dist, kind="stable")
-        cumw = np.concatenate([[0.0], np.cumsum(self.weights[order])])
-        idx = np.searchsorted(dist[order], np.asarray(radii, dtype=float), side="left")
-        return cumw[idx]
+    def volumes_at(self, radii) -> np.ndarray:
+        """V(x, radii[x]) for every atom x (open balls); a scalar radius is broadcast."""
+        radii = np.asarray(radii, dtype=float)
+        if radii.ndim > 1 or (radii.ndim == 1 and radii.size != self.n_points):
+            raise ParameterError("need one radius per point or a single radius")
+        if np.any(radii <= 0):
+            raise ParameterError("ball radius must be positive")
+        radii = np.broadcast_to(radii, (self.n_points,))
+        vols = np.empty(self.n_points)
+        for rows in self._row_chunks():
+            inside = self.dist_block(rows) < radii[rows, None]
+            vols[rows] = np.where(inside, self.weights, 0.0).sum(axis=1)
+        return vols
 
-    def _check_index(self, i: int) -> None:
-        if not (0 <= int(i) < self.n_points):
-            raise ParameterError(f"unknown point id {i}")
+    def _row_chunks(self, rows=None):
+        """Consecutive pieces of ``rows`` (default: all atoms) whose distance
+        block against every atom holds at most ``_CHUNK_ELEMENTS`` entries."""
+        rows = np.arange(self.n_points) if rows is None else rows
+        step = max(1, _CHUNK_ELEMENTS // max(self.n_points, 1))
+        for start in range(0, len(rows), step):
+            yield rows[start:start + step]
+
+    def _check_indices(self, idx) -> np.ndarray:
+        """``idx`` as a 1-D integer array of atom ids in 0..n_points-1."""
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+            raise ParameterError("point ids must be a 1-D list of integers")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_points):
+            raise ParameterError(f"point ids must lie in 0..{self.n_points - 1}")
+        return idx.astype(int, copy=False)
 
 
 @dataclass
@@ -229,6 +277,11 @@ def build_two_point(gap: float = 1.0, weights=(0.5, 0.5)) -> FiniteMMSpace:
 
 def build_custom(coords, weights, metric_matrix=None, diameter: float | None = None,
                  meta: dict | None = None) -> FiniteMMSpace:
+    """Space from explicit coordinates (sup metric) or an explicit distance matrix.
+
+    Distinct atoms at distance zero are rejected: balls and cutoffs would
+    merge them without a word.
+    """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim == 1:
         coords = coords[:, None]
@@ -237,9 +290,16 @@ def build_custom(coords, weights, metric_matrix=None, diameter: float | None = N
                           diameter=0.0, metric_kind=kind,
                           metric_matrix=metric_matrix,
                           meta={"kind": "custom", **(meta or {})})
-    if diameter is None:
-        diameter = float(space.pairwise().max()) if space.n_points > 1 else 0.0
-    space.diameter = float(diameter)
+    widest = 0.0
+    for rows in space._row_chunks():
+        d = space.dist_block(rows)
+        widest = max(widest, float(d.max()))
+        d[np.arange(rows.size), rows] = np.inf
+        a, k = np.unravel_index(np.argmin(d), d.shape)
+        if not d[a, k] > 0:
+            raise ParameterError(f"atoms {int(rows[a])} and {int(k)} are at distance "
+                                 f"{float(d[a, k])!r}; distinct atoms must not coincide")
+    space.diameter = widest if diameter is None else float(diameter)
     return space
 
 
@@ -261,15 +321,10 @@ def _check_radius_grid(space: FiniteMMSpace, radius_grid) -> np.ndarray:
 
 
 def _per_point_slopes(space: FiniteMMSpace, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    log_r = np.log(radii)
-    slopes = np.empty(space.n_points)
-    vols = np.empty((space.n_points, radii.size))
-    for x in range(space.n_points):
-        v = space.volumes(x, radii)
-        if np.any(v <= 0):
-            raise ParameterError("a radius captured zero points; refine the grid")
-        vols[x] = v
-        slopes[x] = np.polyfit(log_r, np.log(v), 1)[0]
+    vols = np.column_stack([space.volumes_at(r) for r in radii])     # (x, r)
+    if np.any(vols <= 0):
+        raise ParameterError("a radius captured zero points; refine the grid")
+    slopes = np.polyfit(np.log(radii), np.log(vols).T, 1)[0]
     return slopes, vols
 
 

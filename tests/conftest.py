@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hklab as hk
+import hklab.space as space_mod
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -55,6 +56,15 @@ def random_setup(seed: int, max_points: int = 400):
         kern = hk.build_stable_like_kernel(space, scale)
     assert space.n_points <= max_points
     return space, scale, kern
+
+
+@pytest.fixture(params=[None, 1000], ids=["one_chunk", "small_chunks"])
+def chunk_budget(request, monkeypatch):
+    """Run a test at the default row-chunk budget and at one that splits
+    every whole-space distance pass into ragged chunks of a few rows."""
+    if request.param is not None:
+        monkeypatch.setattr(space_mod, "_CHUNK_ELEMENTS", request.param)
+    return request.param
 
 
 @pytest.fixture

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hklab import cli
 
@@ -151,3 +158,70 @@ def test_console_script_entry_point(tmp_path):
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert "tj_check" in res.stdout
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_kernel_value_exit_2(tmp_path, capsys, value):
+    # JSON NaN/Infinity parse, so the kernel itself must refuse them
+    cfg = dict(SMOKE_CONFIG, kernel={"kind": "uniform", "value": value})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "symmetric" not in err
+
+
+CANTOR_CFG = {"space": {"kind": "cantor", "xi": 1 / 3, "n": 1, "level": 3},
+              "scale": {"kind": "constant", "beta": 0.8, "T0": 1.0},
+              "kernel": {"kind": "uniform", "value": 1.0},
+              "checks": [{"name": "conservativeness_check", "mode": "pass"}]}
+GRID_CFG = dict(CANTOR_CFG, space={"kind": "grid", "d": 1, "side": 4},
+                kernel={"kind": "stable_like", "lower_constant": 1.0})
+BALLS_CFG = dict(CANTOR_CFG, scale={"kind": "balls", "beta1": 1.0, "beta2": 1.2,
+                                    "anchors": [{"center": 0, "radius": 0.5, "value": 1.2}]})
+TWO_POINT_CFG = dict(CANTOR_CFG, space={"kind": "two_point", "gap": 1.0})
+SCALAR_FIELDS = [
+    (CANTOR_CFG, "space", "xi"), (CANTOR_CFG, "space", "n"), (CANTOR_CFG, "space", "level"),
+    (CANTOR_CFG, "space", "point_cap"), (CANTOR_CFG, "scale", "beta"),
+    (CANTOR_CFG, "kernel", "value"), (GRID_CFG, "space", "d"), (GRID_CFG, "space", "side"),
+    (GRID_CFG, "kernel", "lower_constant"), (BALLS_CFG, "scale", "beta1"),
+    (BALLS_CFG, "scale", "beta2"), (TWO_POINT_CFG, "space", "gap"),
+]
+
+
+def _not_a_number(text):
+    for convert in (float, Fraction):
+        try:
+            convert(text)
+            return False
+        except (ValueError, ZeroDivisionError):
+            pass
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(SCALAR_FIELDS),
+       bad=st.one_of(st.text(max_size=8).filter(_not_a_number),
+                     st.lists(st.integers(), max_size=3), st.none()))
+def test_malformed_config_scalar_exits_2_with_path(case, bad):
+    base, section, key = case
+    cfg = copy.deepcopy(base)
+    cfg[section][key] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code == 2
+    assert f"{section}.{key}" in err.getvalue()
+
+
+@pytest.mark.parametrize("name,grid_key", [("te_check", "time_grid"),
+                                           ("vd_fit", "radius_grid"),
+                                           ("cs_check", "ball_radii")])
+def test_malformed_check_grid_exits_2_with_path(tmp_path, capsys, name, grid_key):
+    cfg = dict(CANTOR_CFG, checks=[{"name": name, "mode": "pass", grid_key: [0.1, "x"]}])
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "checks[0]" in err and grid_key in err

@@ -7,6 +7,7 @@ import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError, UnsupportedKernelError
 from hklab.kernel import scale_kernel, tail_mass_all
+from hklab.scale import phi_inverse_vec
 
 ALPHA_THIRD = math.log(2) / math.log(3)
 
@@ -247,3 +248,77 @@ def test_kernel_coo_roundtrip(cantor6):
     entries = hk.kernel.kernel_to_coo_json(kern)
     back = hk.kernel.kernel_from_coo_json(space, entries)
     assert np.allclose(back.matrix(), kern.matrix())
+
+
+# ---------------------------------------------------------------------------
+# Chunked checkers against the per-atom loops they replaced
+# ---------------------------------------------------------------------------
+
+def brute_force_ij_q(kernel, space, scale, pairs, xs):
+    """Q(x) for every pair and sampled x, by the per-atom loop ij_check used to run."""
+    all_idx = np.arange(space.n_points)
+    q = np.zeros((len(pairs), len(xs)))
+    for p, (r, big_r) in enumerate(pairs):
+        inv_radii = phi_inverse_vec(scale, all_idx, r)
+        vols_r = np.array([space.volume(int(y), float(inv_radii[y])) for y in all_idx])
+        for a, x in enumerate(xs):
+            r1 = hk.phi_inverse(scale, int(x), big_r)
+            d = space.dist_from(int(x))
+            ann = np.flatnonzero((d >= r1) & (d < 2 * r1))
+            if ann.size == 0:
+                continue
+            vals = kernel.block(np.array([int(x)]), ann)[0]
+            lhs = float((vals * space.weights[ann] / np.sqrt(vols_r[ann])).sum())
+            q[p, a] = lhs * big_r * math.sqrt(vols_r[int(x)])
+    return q
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tail_mass_all_matches_per_point(seed, chunk_budget):
+    space, _, kern = random_setup(seed)
+    for r in (0.05, 0.3, 0.7):
+        want = [hk.tail_mass(kern, space, x, r) for x in range(space.n_points)]
+        assert np.allclose(tail_mass_all(kern, space, r), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ij_matches_per_atom_loop(seed, chunk_budget):
+    space, scale, kern = random_setup(seed)
+    grid = [2.0**-k for k in range(1, 5)]
+    pairs = [(r, R) for r in grid for R in grid if r <= R]
+    xs = np.arange(space.n_points)[::-2]
+    rep = hk.ij_check(kern, space, scale, 0.5, pairs, x_sample=xs)
+    q = brute_force_ij_q(kern, space, scale, pairs, xs)
+    for p, row in enumerate(rep.series):
+        assert row["Q_max"] == pytest.approx(q[p].max(), rel=1e-12, abs=0)
+        if row["x"] is not None:       # the witness attains the maximum
+            a = int(np.flatnonzero(xs == row["x"])[0])
+            assert q[p, a] == pytest.approx(q[p].max(), rel=1e-12, abs=0)
+    want = max(q[p].max() * (r / R) ** 0.5 for p, (r, R) in enumerate(pairs))
+    assert rep.best_constant == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_tjq_matches_per_atom_loop(chunk_budget):
+    space, scale, kern = random_setup(4)
+    radii = [0.05, 0.2, 0.5]
+    rep = hk.tjq_check(kern, space, scale, 2.0, radii)
+    for row, r in zip(rep.series, radii):
+        c = [math.sqrt(float(kern.block([x], np.arange(space.n_points))[0] ** 2
+                             @ (space.weights * (space.dist_from(x) >= r))))
+             * math.sqrt(space.volume(x, r)) * hk.phi(scale, x, r)
+             for x in range(space.n_points)]
+        assert row["C_at_r"] == pytest.approx(max(c), rel=1e-12, abs=0)
+
+
+def test_ij_rejects_negative_sample_id(cantor6):
+    # fancy indexing would wrap -1 to the last atom
+    space, scale, kern = cantor6
+    with pytest.raises(ParameterError):
+        hk.ij_check(kern, space, scale, 0.0, [(0.1, 0.2)], x_sample=[0, -1])
+
+
+@pytest.mark.parametrize("bad", [[0, 64], [[0, 1]], [0.5]])
+def test_ij_rejects_malformed_sample(cantor6, bad):
+    space, scale, kern = cantor6
+    with pytest.raises(ParameterError):
+        hk.ij_check(kern, space, scale, 0.0, [(0.1, 0.2)], x_sample=bad)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hklab as hk
+from conftest import random_setup
 from hklab.errors import ParameterError
 
 
@@ -142,3 +143,20 @@ def test_field_from_balls_plateaus():
     d = sp.pairwise()
     gap = np.abs(field.beta_values[:, None] - field.beta_values[None, :]) - d
     assert gap.max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_field_from_balls_matches_brute_force_minimum(seed, chunk_budget):
+    space, _, _ = random_setup(seed)
+    anchors = [(0, 0.3, 1.4), (space.n_points - 1, 0.2, 0.9),
+               (tuple(space.coords[space.n_points // 2] + 0.01), 0.25, 1.1)]
+    field = hk.field_from_balls(space, anchors, beta1=0.9, beta2=1.4)
+    envelopes = []
+    for center, radius, value in anchors:
+        d_center = (space.dist_from(center) if np.ndim(center) == 0
+                    else space.dist_from_coord(center))
+        members = np.flatnonzero(d_center < radius)
+        dist_to_ball = np.min([space.dist_from(m) for m in members], axis=0)
+        envelopes.append(value + dist_to_ball)
+    want = np.clip(np.min(envelopes, axis=0), 0.9, 1.4)
+    assert np.array_equal(field.beta_values, want)

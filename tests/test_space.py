@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hklab as hk
+from conftest import random_setup
 from hklab.errors import ParameterError, PointCapExceeded
 
 ALPHA_THIRD = math.log(2) / math.log(3)
@@ -191,3 +192,78 @@ def test_explicit_metric_space():
     back = hk.space_from_json(hk.space_to_json(sp))
     assert back.metric_kind == "explicit"
     assert np.allclose(back.metric_matrix, m)
+
+
+# ---------------------------------------------------------------------------
+# Distance layer against the per-point reference paths
+# ---------------------------------------------------------------------------
+
+def explicit_copy(space):
+    return hk.build_custom(space.coords, space.weights, metric_matrix=space.pairwise())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dist_block_matches_dist_from_rows(seed):
+    space, _, _ = random_setup(seed)
+    for sp in (space, explicit_copy(space)):
+        n = sp.n_points
+        rows = np.arange(n)
+        stacked = np.array([sp.dist_from(x) for x in rows])
+        # the per-row formulas the layer replaced
+        if sp.metric_kind == "sup":
+            per_row = [np.max(np.abs(sp.coords - sp.coords[x]), axis=1) for x in rows]
+        else:
+            per_row = [sp.metric_matrix[x] for x in rows]
+        assert np.array_equal(stacked, np.array(per_row))
+        assert np.array_equal(sp.dist_block(rows), stacked)
+        assert np.array_equal(sp.pairwise(), stacked)
+        sub_r, sub_c = rows[::3], rows[n // 2::2]
+        assert np.array_equal(sp.dist_block(sub_r, sub_c), stacked[np.ix_(sub_r, sub_c)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_volumes_at_matches_volume(seed, chunk_budget):
+    space, _, _ = random_setup(seed)
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(0.01, space.diameter, size=space.n_points)
+    got = space.volumes_at(radii)
+    want = np.array([space.volume(x, radii[x]) for x in range(space.n_points)])
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    assert np.allclose(space.volumes_at(0.2),
+                       [space.volume(x, 0.2) for x in range(space.n_points)],
+                       rtol=1e-12, atol=0)
+    if space.meta["kind"] == "cantor":
+        assert np.array_equal(got, want)     # dyadic weights sum exactly
+
+
+def test_volumes_at_rejects_bad_radii():
+    sp = hk.build_cantor_product(1 / 3, 1, 3)
+    with pytest.raises(ParameterError):
+        sp.volumes_at(0.0)
+    with pytest.raises(ParameterError):
+        sp.volumes_at([0.1, 0.2])
+
+
+def test_dist_from_coord_rejects_wrong_length():
+    # a 3-entry center used to broadcast silently against a 1-axis space
+    for n in (1, 2):
+        sp = hk.build_cantor_product(1 / 3, n, 2)
+        with pytest.raises(ParameterError):
+            sp.dist_from_coord([0.1, 0.2, 0.3])
+
+
+def test_dist_block_rejects_bad_ids():
+    sp = hk.build_cantor_product(1 / 3, 1, 3)
+    for bad in ([-1], [sp.n_points], [[0, 1]], [0.5]):
+        with pytest.raises(ParameterError):
+            sp.dist_block(bad)
+
+
+def test_build_custom_rejects_coincident_atoms():
+    with pytest.raises(ParameterError, match="atoms 0 and 2"):
+        hk.build_custom([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], np.full(3, 1 / 3))
+    m = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ParameterError, match="distance 0.0"):
+        hk.build_custom(np.arange(3.0), np.full(3, 1 / 3), metric_matrix=m)
+    sp = hk.build_custom([[0.0, 0.0], [0.25, 1.0], [0.5, 0.0]], np.full(3, 1 / 3))
+    assert sp.diameter == 1.0
