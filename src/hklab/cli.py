@@ -170,6 +170,15 @@ def _float_list(value, name: str) -> np.ndarray:
     return arr
 
 
+def _float_param(p: dict, key: str, default) -> float:
+    """Check parameter ``key`` (``default`` when absent) as a float."""
+    value = p.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{key} must be a number, got {value!r}") from exc
+
+
 def _default_radius_grid(space, check_cfg):
     if check_cfg.get("radius_grid"):
         return _float_list(check_cfg["radius_grid"], "radius_grid")
@@ -234,7 +243,7 @@ def _run_tj(ctx, p):
 
 def _run_tjq(ctx, p):
     return kernel_mod.tjq_check(ctx["kernel"], ctx["space"], ctx["scale"],
-                                float(p.get("q", 2.0)),
+                                _float_param(p, "q", 2.0),
                                 _default_radius_grid(ctx["space"], p),
                                 threshold=p.get("threshold"))
 
@@ -243,12 +252,12 @@ def _run_ij(ctx, p):
     grid = _default_radius_grid(ctx["space"], p)
     pairs = p.get("pairs") or [(float(r), float(R)) for r in grid for R in grid if r <= R]
     return kernel_mod.ij_check(ctx["kernel"], ctx["space"], ctx["scale"],
-                               float(p.get("gamma", 0.0)), pairs)
+                               _float_param(p, "gamma", 0.0), pairs)
 
 
 def _run_lre(ctx, p):
     return form_mod.lre_check(ctx["form"], ctx["space"], ctx["scale"],
-                              float(p.get("kappa", 1.0)), _ball_sample(ctx, p))
+                              _float_param(p, "kappa", 1.0), _ball_sample(ctx, p))
 
 
 def _run_cs(ctx, p):
@@ -265,9 +274,9 @@ def _run_capacity(ctx, p):
 def _run_fk(ctx, p):
     return form_mod.fk_family_check(ctx["form"], ctx["space"], ctx["scale"],
                                     p.get("variant", "FK"),
-                                    {"nu": p.get("nu", 0.5), "b": p.get("b", 1.0),
-                                     "Cprime": p.get("Cprime", 1.0),
-                                     "delta": p.get("delta", 0.5)},
+                                    {"nu": _float_param(p, "nu", 0.5), "b": _float_param(p, "b", 1.0),
+                                     "Cprime": _float_param(p, "Cprime", 1.0),
+                                     "delta": _float_param(p, "delta", 0.5)},
                                     _ball_sample(ctx, p),
                                     subset_strategy=p.get("subset_strategy", "mixed"),
                                     rng=ctx["rng"])
@@ -275,7 +284,7 @@ def _run_fk(ctx, p):
 
 def _run_nash(ctx, p):
     return form_mod.nash_check(ctx["form"], ctx["space"], ctx["scale"],
-                               {"nu": p.get("nu", 0.5), "b": p.get("b", 1.0)},
+                               {"nu": _float_param(p, "nu", 0.5), "b": _float_param(p, "b", 1.0)},
                                _ball_sample(ctx, p),
                                test_family=p.get("test_family", "mixed"),
                                rng=ctx["rng"])
@@ -283,8 +292,8 @@ def _run_nash(ctx, p):
 
 def _run_fk_nash(ctx, p):
     return form_mod.fk_nash_consistency(ctx["form"], ctx["space"], ctx["scale"],
-                                        float(p.get("nu", 0.5)), float(p.get("b", 1.0)),
-                                        float(p.get("Cprime", 1.0)),
+                                        _float_param(p, "nu", 0.5), _float_param(p, "b", 1.0),
+                                        _float_param(p, "Cprime", 1.0),
                                         _ball_sample(ctx, p), rng=ctx["rng"])
 
 
@@ -296,25 +305,25 @@ def _run_se(ctx, p):
 
 def _run_se_from_lre(ctx, p):
     return semi_mod.se_from_lre_chain(ctx["form"], ctx["space"], ctx["scale"],
-                                      float(p.get("kappa", 1.0)), _ball_sample(ctx, p))
+                                      _float_param(p, "kappa", 1.0), _ball_sample(ctx, p))
 
 
 def _run_te(ctx, p):
     return semi_mod.te_check(ctx["form"], ctx["space"], ctx["scale"],
-                             float(p.get("T0", ctx["scale"].T0)),
+                             _float_param(p, "T0", ctx["scale"].T0),
                              _ball_sample(ctx, p), _default_time_grid(ctx, p))
 
 
 def _run_due(ctx, p):
     return semi_mod.due_check(ctx["form"], ctx["space"], ctx["scale"],
-                              float(p.get("T0", 1.0)), _default_time_grid(ctx, p),
-                              k=float(p.get("k", 1.0)), rng=ctx["rng"])
+                              _float_param(p, "T0", 1.0), _default_time_grid(ctx, p),
+                              k=_float_param(p, "k", 1.0), rng=ctx["rng"])
 
 
 def _run_conservativeness(ctx, p):
     return semi_mod.conservativeness_check(ctx["form"],
                                            p.get("time_grid", (0.01, 0.1, 1.0, 10.0)),
-                                           tol=float(p.get("tolerance", 1e-9)))
+                                           tol=_float_param(p, "tolerance", 1e-9))
 
 
 def _run_invariants(ctx, p):
@@ -328,7 +337,7 @@ def _near_far_forms(ctx, rho):
 
 
 def _run_truncation_l2(ctx, p):
-    rho = float(p.get("rho", ctx["space"].diameter / 4.0))
+    rho = _float_param(p, "rho", ctx["space"].diameter / 4.0)
     form_near, _ = _near_far_forms(ctx, rho)
     rep = semi_mod.truncation_l2_check(ctx["form"], form_near, ctx["space"])
     rep.params["rho"] = rho
@@ -336,7 +345,7 @@ def _run_truncation_l2(ctx, p):
 
 
 def _run_truncation_semigroup(ctx, p):
-    rho = float(p.get("rho", ctx["space"].diameter / 4.0))
+    rho = _float_param(p, "rho", ctx["space"].diameter / 4.0)
     form_near, _ = _near_far_forms(ctx, rho)
     f = np.asarray(p["f"], dtype=float) if "f" in p else np.ones(ctx["space"].n_points)
     rep = semi_mod.truncation_semigroup_check(ctx["form"], form_near, ctx["space"], f,
@@ -346,21 +355,21 @@ def _run_truncation_semigroup(ctx, p):
 
 
 def _run_meyer(ctx, p):
-    rho = float(p.get("rho", ctx["space"].diameter / 4.0))
+    rho = _float_param(p, "rho", ctx["space"].diameter / 4.0)
     near, far = kernel_mod.truncate(ctx["kernel"], rho)
     form_near = form_mod.assemble(ctx["space"], near)
     D = np.asarray(p["domain"], dtype=int) if "domain" in p else \
         ctx["space"].ball(0, ctx["space"].diameter / 2.0).member_idx
     return semi_mod.meyer_check(ctx["form"], form_near, far, ctx["space"],
-                                D, float(p.get("t", 0.5)),
-                                tol=float(p.get("tolerance", 1e-6)))
+                                D, _float_param(p, "t", 0.5),
+                                tol=_float_param(p, "tolerance", 1e-6))
 
 
 def _run_cross_jump(ctx, p):
     radii = p.get("radii", [2.0 ** (-k) for k in range(2, 8)])
     return cx.cross_jump_exponent_fit(ctx["kernel"], ctx["space"],
                                       sorted(float(r) for r in radii),
-                                      eta=float(p.get("eta", 0.5)))
+                                      eta=_float_param(p, "eta", 0.5))
 
 
 CHECKS: dict[str, dict[str, Any]] = {

@@ -69,11 +69,17 @@ class SpectralForm:
             interior += 2.0 * float(((f**2)[:, None] * jout * w[:, None] * wout[None, :]).sum())
         return interior
 
-    def apply_semigroup(self, t: float, f) -> np.ndarray:
-        """P_t f on the domain by spectral calculus."""
+    def apply_semigroup(self, t, f) -> np.ndarray:
+        """P_t f on the domain by spectral calculus.
+
+        ``t`` may be a sequence of times: the eigen-coefficients of ``f`` are
+        then computed once, and row k of the result is P_{t[k]} f.
+        """
         f = np.asarray(f, dtype=float)
         coef = self.psi.T @ (f * self.weights)
-        return self.psi @ (np.exp(-t * self.eigvals) * coef)
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.array([self.psi @ (np.exp(-s * self.eigvals) * coef) for s in times])
+        return out if np.ndim(t) else out[0]
 
     def heat_kernel(self, t: float) -> np.ndarray:
         """Kernel values p(t, x, y) on domain x domain."""
@@ -93,27 +99,55 @@ class SpectralForm:
 
 def _spectral_data(L: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sqrt_w = np.sqrt(w)
-    sym = (L * sqrt_w[:, None]) / sqrt_w[None, :]
-    sym = 0.5 * (sym + sym.T)
-    eigvals, vecs = np.linalg.eigh(sym)
-    psi = vecs / sqrt_w[:, None]
+    sym = L * sqrt_w[:, None]
+    sym /= sqrt_w[None, :]
+    sym += sym.T                                       # numpy buffers the overlap
+    sym *= 0.5
+    eigvals, psi = np.linalg.eigh(sym)
+    psi /= sqrt_w[:, None]
     return eigvals, psi
 
 
-def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
-    """Assemble the generator of the pure-jump form for the whole space."""
-    jmat = kernel.matrix()
-    scale_ref = np.abs(jmat).max()
-    if not np.isfinite(scale_ref):                     # max propagates NaN
+def _symmetric_kernel_matrix(space: FiniteMMSpace, jmat: np.ndarray) -> np.ndarray:
+    """``jmat`` itself when it is exactly symmetric, else 0.5 * (jmat + jmat.T).
+
+    Refuses non-finite values and asymmetry beyond rounding (``np.allclose``
+    with atol 1e-10 * max(max |J|, 1)), testing one row chunk at a time.
+    """
+    scale_ref = np.maximum(jmat.max(), -jmat.min())    # max |J|; propagates NaN
+    if not np.isfinite(scale_ref):
         raise ParameterError("kernel has non-finite values (NaN or inf)")
-    if not np.allclose(jmat, jmat.T, atol=1e-10 * max(scale_ref, 1.0)):
-        raise ParameterError("kernel must be symmetric")
-    jmat = 0.5 * (jmat + jmat.T)
-    w = space.weights
-    L = -2.0 * jmat * w[None, :]
+    atol = 1e-10 * max(scale_ref, 1.0)
+    exact = True
+    for rows in space._row_chunks():
+        part = slice(rows[0], rows[-1] + 1)
+        block, mirror = jmat[part], jmat[:, part].T
+        # bitwise, so that signed zeros count as different too; equal finite
+        # blocks pass np.allclose, so it runs only after the first difference
+        if exact and np.array_equal(block.view(np.uint64), mirror.view(np.uint64)):
+            continue
+        exact = False
+        if not np.allclose(block, mirror, atol=atol):
+            raise ParameterError("kernel must be symmetric")
+    if exact:
+        return jmat                                    # 0.5 * (J + J.T) == J bit for bit
+    sym = jmat + jmat.T
+    sym *= 0.5
+    return sym
+
+
+def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
+    """Assemble the generator of the pure-jump form for the whole space.
+
+    The form's ``jmat`` is the kernel's cached, read-only matrix itself
+    whenever that is exactly symmetric.
+    """
+    jmat = _symmetric_kernel_matrix(space, kernel.matrix())
+    L = jmat * -2.0
+    L *= space.weights[None, :]
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
-    eigvals, psi = _spectral_data(L, w)
+    eigvals, psi = _spectral_data(L, space.weights)
     return SpectralForm(space=space, jmat=jmat, domain=np.arange(space.n_points),
                         L=L, eigvals=eigvals, psi=psi)
 
@@ -123,6 +157,21 @@ def part_on(form: SpectralForm, D) -> SpectralForm:
 
     ``D`` must be a nonempty 1-D list of distinct atom indices in 0..N-1.
     """
+    D, LD = _part_generator(form, D)
+    eigvals, psi = _spectral_data(LD, form.space.weights[D])
+    return SpectralForm(space=form.space, jmat=form.jmat, domain=D,
+                        L=LD, eigvals=eigvals, psi=psi)
+
+
+def _part_energy(form: SpectralForm, D, f) -> float:
+    """``part_on(form, D).energy(f)``, the same floats, without the part's eigensolve."""
+    D, LD = _part_generator(form, D)
+    f = np.asarray(f, dtype=float)
+    return float((LD @ f) @ (f * form.space.weights[D]))
+
+
+def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
+    """The checked domain ``D`` and the principal submatrix L_D of the generator."""
     D = np.asarray(D, dtype=int)
     if D.ndim != 1:
         raise ParameterError("domain must be a 1-D list of atom indices")
@@ -135,10 +184,7 @@ def part_on(form: SpectralForm, D) -> SpectralForm:
         raise ParameterError("domain indices must be distinct")
     if form.is_part:
         raise ParameterError("take parts of the full-space form")
-    LD = form.L[np.ix_(D, D)]
-    eigvals, psi = _spectral_data(LD, form.space.weights[D])
-    return SpectralForm(space=form.space, jmat=form.jmat, domain=D,
-                        L=LD, eigvals=eigvals, psi=psi)
+    return D, form.L[np.ix_(D, D)]
 
 
 def lambda1(form: SpectralForm, D=None) -> float:
@@ -392,8 +438,7 @@ def nash_witness_constant(form: SpectralForm, space: FiniteMMSpace, scale: Scale
     """Witness constant of the ball Nash display for one test function."""
     phival = phi(scale, x0, r)
     damping = min(1.0, scale.T0 / phival) if not math.isinf(scale.T0) else 1.0
-    part = part_on(form, D)
-    energy = part.energy(f_on_D)
+    energy = _part_energy(form, D, f_on_D)
     l1, l2sq = _nash_norms(space, f_on_D, D)
     v = space.volume(x0, r)
     denom = phival * (energy + l2sq / phival) * l1 ** (2 * nu)

@@ -48,14 +48,22 @@ class JumpKernel:
         return out.reshape(rows.size, cols.size)
 
     def matrix(self) -> np.ndarray:
-        """Dense intensity matrix; cached, refused above the dense cap."""
+        """Dense intensity matrix; cached, read-only, refused above the dense cap.
+
+        Filled one row chunk at a time, so the block function's temporaries
+        stay at chunk size.  Read-only because ``assemble`` hands this same
+        array to the form as its ``jmat``.
+        """
         if self._matrix is None:
             n = self.space.n_points
             if n > DENSE_MATRIX_CAP:
                 raise PointCapExceeded(n, DENSE_MATRIX_CAP)
             idx = np.arange(n)
-            m = self.block(idx, idx)
+            m = np.empty((n, n))
+            for rows in self.space._row_chunks():
+                m[rows] = self.block(rows, idx)
             np.fill_diagonal(m, 0.0)
+            m.flags.writeable = False
             self._matrix = m
         return self._matrix
 
@@ -112,13 +120,23 @@ def _axis_aligned_block(space: FiniteMMSpace, beta_values: np.ndarray,
     coords = space.coords
 
     def block_fn(rows, cols):
-        diff = np.abs(coords[rows][:, None, :] - coords[cols][None, :, :])
-        moved = (diff > _AXIS_TOL).sum(axis=2)
-        axis_dist = diff.max(axis=2)
-        bmin = np.minimum(beta_values[rows][:, None], beta_values[cols][None, :])
+        # one axis at a time and in place, so no temporary is larger than
+        # the block: |x - y| along the moved axis, the number of moved axes
+        a, b = coords[rows], coords[cols]
+        vals = np.abs(a[:, None, 0] - b[None, :, 0])
+        moved = (vals > _AXIS_TOL).astype(np.uint8)
+        for k in range(1, coords.shape[1]):
+            diff = np.abs(a[:, None, k] - b[None, :, k])
+            moved += diff > _AXIS_TOL
+            np.maximum(vals, diff, out=vals)
+        expo = np.minimum(beta_values[rows][:, None], beta_values[cols][None, :])
+        expo += alpha_axis
+        np.negative(expo, out=expo)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = axis_dist ** (-(alpha_axis + bmin)) * off_axis_factor
-        return np.where(moved == 1, vals, 0.0)
+            np.power(vals, expo, out=vals)
+        vals *= off_axis_factor
+        vals[moved != 1] = 0.0
+        return vals
 
     return block_fn
 

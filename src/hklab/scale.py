@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import ParameterError
 from .report import ConditionReport
@@ -237,6 +236,10 @@ def induced_quasi_metric(scale: ScaleField, space: FiniteMMSpace,
     comparability constant is max over pairs of
     max(dstar^beta_star / phi(x,d), phi(x,d) / dstar^beta_star).
     """
+    # imported here: no other code needs scipy, and loading it costs more
+    # start-up time than everything else in the package
+    from scipy.sparse.csgraph import shortest_path
+
     if beta_star is None:
         beta_star = scale.beta2
     if beta_star <= 0:

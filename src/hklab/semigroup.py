@@ -154,8 +154,8 @@ def te_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         outside = np.ones(space.n_points)
         outside[ball.member_idx] = 0.0
         denom = min(phi(scale, x0, r), T0)
-        for t in time_grid:
-            hit = form.apply_semigroup(float(t), outside)
+        hits = form.apply_semigroup(time_grid, outside)
+        for t, hit in zip(time_grid, hits):
             c = float(hit[quarter].max()) * denom / float(t)
             series.append({"x0": x0, "r": r, "t": float(t), "C": c})
             if c > best:

@@ -6,10 +6,11 @@ strictly positive weights.  Builders produce Cantor-set products, uniform
 grids on the unit cube, the two-point oracle space, and custom spaces.  Ball
 queries use strict inequality (open balls).
 
-All atom-to-atom distances come from :meth:`FiniteMMSpace.dist_block`.
-Whole-space passes walk the atoms in row chunks whose distance block holds
-at most ``_CHUNK_ELEMENTS`` entries, so one code path serves every size and
-no N x N distance matrix is kept.
+All atom-to-atom distances come from ``FiniteMMSpace._dist_pairs``, blocks
+of them through :meth:`FiniteMMSpace.dist_block`.  Whole-space passes walk
+the atoms in row chunks whose distance block holds at most
+``_CHUNK_ELEMENTS`` entries, so one code path serves every size and no
+N x N distance matrix is kept.
 """
 
 from __future__ import annotations
@@ -34,6 +35,18 @@ DENSE_MATRIX_CAP = 8192
 # Entries in one row chunk of a whole-space distance pass: a 256-atom space
 # is a single chunk, a 16384-atom space makes chunks of four rows.
 _CHUNK_ELEMENTS = 1 << 16
+
+
+def _sup_metric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max_k |a[..., k] - b[..., k]| for coordinate arrays broadcast against each other.
+
+    A running maximum over the axes: the same values as
+    ``np.abs(a - b).max(axis=-1)``, without its (..., n_axes) temporary.
+    """
+    out = np.abs(a[..., 0] - b[..., 0])
+    for k in range(1, a.shape[-1]):
+        np.maximum(out, np.abs(a[..., k] - b[..., k]), out=out)
+    return out
 
 
 @dataclass
@@ -87,30 +100,27 @@ class FiniteMMSpace:
         return list(range(self.n_points))
 
     def dist(self, i: int, k: int) -> float:
-        if self.metric_kind == "explicit":
-            return float(self.metric_matrix[i, k])
-        return float(np.max(np.abs(self.coords[i] - self.coords[k])))
+        return float(self._dist_pairs(np.array([i]), np.array([k]))[0])
 
     def dist_block(self, rows, cols=None) -> np.ndarray:
-        """Distances from the atoms ``rows`` to ``cols`` (default: all atoms).
-
-        The one place that evaluates the metric between atoms.  The sup
-        metric is a running maximum over the axes, which gives the same
-        values as a reduction over a trailing axis of length n_axes and is
-        much faster.
-        """
+        """Distances from the atoms ``rows`` to ``cols`` (default: all atoms)."""
         rows = self._check_indices(rows)
-        if cols is not None:
+        if cols is None:
+            if self.metric_kind == "explicit":
+                return self.metric_matrix[rows]
+            cols = np.arange(self.n_points)
+        else:
             cols = self._check_indices(cols)
+        return self._dist_pairs(rows[:, None], cols[None, :])
+
+    def _dist_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """d(a, b) for atom-id arrays broadcast against each other, unchecked.
+
+        The one place that evaluates the metric between atoms.
+        """
         if self.metric_kind == "explicit":
-            return self.metric_matrix[rows] if cols is None else \
-                self.metric_matrix[np.ix_(rows, cols)]
-        a = self.coords[rows]
-        b = self.coords if cols is None else self.coords[cols]
-        out = np.abs(a[:, None, 0] - b[None, :, 0])
-        for k in range(1, self.n_axes):
-            np.maximum(out, np.abs(a[:, None, k] - b[None, :, k]), out=out)
-        return out
+            return self.metric_matrix[a, b]
+        return _sup_metric(self.coords[a], self.coords[b])
 
     def dist_from(self, i: int) -> np.ndarray:
         """Distances from point ``i`` to every point, shape (n_points,)."""
@@ -123,7 +133,7 @@ class FiniteMMSpace:
         coord = np.asarray(coord, dtype=float)
         if coord.shape != (self.n_axes,):
             raise ParameterError(f"ambient coordinates need {self.n_axes} entries")
-        return np.max(np.abs(self.coords - coord), axis=1)
+        return _sup_metric(self.coords, coord)
 
     def pairwise(self) -> np.ndarray:
         """Full distance matrix; refuses above the dense-matrix cap."""
@@ -391,12 +401,10 @@ def metric_axioms_ok(space: FiniteMMSpace, rng: np.random.Generator | None = Non
                 return False
         return True
     rng = rng or np.random.default_rng(0)
-    idx = rng.integers(0, n, size=(n_samples, 3))
-    for i, j, k in idx:
-        dij, djk, dik = space.dist(i, j), space.dist(j, k), space.dist(i, k)
-        if dik > dij + djk + tol or abs(dij - space.dist(j, i)) > tol:
-            return False
-    return True
+    i, j, k = rng.integers(0, n, size=(n_samples, 3)).T
+    dij, djk, dik = space._dist_pairs(i, j), space._dist_pairs(j, k), space._dist_pairs(i, k)
+    broken = (dik > dij + djk + tol) | (np.abs(dij - space._dist_pairs(j, i)) > tol)
+    return not broken.any()
 
 
 # ---------------------------------------------------------------------------

@@ -225,3 +225,30 @@ def test_malformed_check_grid_exits_2_with_path(tmp_path, capsys, name, grid_key
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "checks[0]" in err and grid_key in err
+
+
+# one check that reads each scalar check parameter
+CHECK_OF_PARAM = {"gamma": "ij_check", "q": "tjq_check", "kappa": "lre_check",
+                  "nu": "fk_nash_consistency", "b": "fk_nash_consistency",
+                  "Cprime": "fk_nash_consistency", "delta": "fk_family_check",
+                  "rho": "truncation_l2_check", "t": "meyer_check",
+                  "eta": "cross_jump_exponent", "T0": "te_check", "k": "due_check",
+                  "tolerance": "conservativeness_check"}
+
+
+@pytest.mark.parametrize("bad", ["abc", [1.0], None], ids=["string", "list", "null"])
+@pytest.mark.parametrize("key", sorted(CHECK_OF_PARAM))
+def test_malformed_check_param_exits_2_naming_key(tmp_path, capsys, key, bad):
+    check = {"name": CHECK_OF_PARAM[key], "mode": "pass", "params": {key: bad}}
+    path = write_config(tmp_path, dict(CANTOR_CFG, checks=[check]))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "checks[0]" in err and f"{key} must be a number" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this one has imported scipy through the tests
+    code = "import sys, hklab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert res.stdout.strip() == "[]"

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hklab as hk
+from conftest import random_setup
 from hklab.errors import ParameterError
+from hklab.form import _part_energy
 
 
 def energy_oracle(space, kern, f):
@@ -357,3 +359,79 @@ def test_part_negative_index_rejected(two_point):
     _, _, form = two_point
     with pytest.raises(ParameterError):
         hk.part_on(form, [-1, 0])
+
+
+def _dense_kernel(space, m):
+    return hk.JumpKernel(space, lambda rows, cols: m[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("rounding", [0.0, 1e-14], ids=["exact", "rounding_first"])
+def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
+    sp = hk.build_grid(1, 64)
+    m = np.ones((64, 64))
+    m[0, 1] += rounding             # within tolerance, in the first chunk
+    m[63, 61] = 1.5                 # both atoms in the last chunk of the small budget
+    with pytest.raises(ParameterError, match="symmetric"):
+        hk.assemble(sp, _dense_kernel(sp, m))
+
+
+def test_assemble_reuses_exactly_symmetric_kernel_matrix(chunk_budget):
+    space, _, kern = random_setup(1)
+    form = hk.assemble(space, kern)
+    assert form.jmat is kern.matrix()
+    with pytest.raises(ValueError, match="read-only"):
+        form.jmat[0, 1] = 1.0
+
+
+def test_assemble_matches_reference_formulas(chunk_budget):
+    # the generator as written before the in-place rewrite, on a kernel that
+    # is symmetric only up to rounding, so it is symmetrized
+    sp = hk.build_grid(1, 40)
+    rng = np.random.default_rng(5)
+    m = rng.uniform(0.0, 1.0, size=(40, 40))
+    m = m + m.T
+    m[3, 7] *= 1 + 1e-14
+    form = hk.assemble(sp, _dense_kernel(sp, m))
+    jmat = m.copy()
+    np.fill_diagonal(jmat, 0.0)
+    jmat = 0.5 * (jmat + jmat.T)
+    L = -2.0 * jmat * sp.weights[None, :]
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    assert np.array_equal(form.jmat, jmat) and form.jmat[3, 7] == form.jmat[7, 3]
+    assert np.array_equal(form.L, L)
+    sqrt_w = np.sqrt(sp.weights)
+    sym = (L * sqrt_w[:, None]) / sqrt_w[None, :]
+    eigvals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    assert np.allclose(form.eigvals, eigvals, rtol=1e-12, atol=1e-12)
+
+
+def test_assemble_signed_zero_is_not_exact_symmetry():
+    sp = hk.build_grid(1, 3)
+    m = np.ones((3, 3))
+    m[0, 1], m[1, 0] = 0.0, -0.0
+    kern = _dense_kernel(sp, m)
+    form = hk.assemble(sp, kern)
+    assert form.jmat is not kern.matrix()
+    assert not np.signbit(form.jmat[0, 1]) and not np.signbit(form.jmat[1, 0])
+
+
+def test_part_energy_equals_part_on_energy(cantor6):
+    space, scale, kern = cantor6
+    form = hk.assemble(space, kern)
+    rng = np.random.default_rng(2)
+    for x0, r in [(0, 0.5), (17, 0.2), (40, 1.0)]:
+        D = space.ball(x0, r).member_idx
+        f = rng.normal(size=D.size)
+        assert _part_energy(form, D, f) == hk.part_on(form, D).energy(f)
+        v = space.volume(x0, r)
+        phival = hk.phi(scale, x0, r)
+        l1, l2sq = float(np.abs(f) @ space.weights[D]), float(f**2 @ space.weights[D])
+        energy = hk.part_on(form, D).energy(f)
+        damping = min(1.0, scale.T0 / phival)
+        expected = (l2sq ** 2.2 * v**1.2 * damping
+                    / (phival * (energy + l2sq / phival) * l1 ** 2.4))
+        got = hk.form.nash_witness_constant(form, space, scale, x0, r, 1.2, 1.0, f, D)
+        assert got == pytest.approx(expected, rel=1e-14)
+    with pytest.raises(ParameterError):
+        _part_energy(form, [-1, 0], [1.0, 1.0])

@@ -322,3 +322,53 @@ def test_ij_rejects_malformed_sample(cantor6, bad):
     space, scale, kern = cantor6
     with pytest.raises(ParameterError):
         hk.ij_check(kern, space, scale, 0.0, [(0.1, 0.2)], x_sample=bad)
+
+
+def _kernels_for_matrix_test():
+    cantor = hk.build_cantor_product(1 / 3, 2, 3)
+    ramp = hk.field_from_table(cantor, np.linspace(0.6, 1.2, cantor.n_points), 0.6, 1.2)
+    axis = hk.build_cantor_axis_kernel(cantor, ramp)
+    grid = hk.build_grid(2, 7)
+    stable = hk.build_stable_like_kernel(grid, hk.constant_field(grid, 1.1))
+    ones = hk.JumpKernel(grid, lambda rows, cols: np.ones((rows.size, cols.size)))
+    return [axis, hk.truncate(axis, 0.3)[0], hk.truncate(axis, 0.3)[1], stable,
+            hk.build_uniform_kernel(grid, 2.5), ones]
+
+
+def test_matrix_equals_single_block(chunk_budget):
+    for kern in _kernels_for_matrix_test():
+        idx = np.arange(kern.space.n_points)
+        ref = kern.block(idx, idx)
+        np.fill_diagonal(ref, 0.0)
+        assert np.array_equal(kern.matrix().view(np.uint64), ref.view(np.uint64))
+
+
+def axis_aligned_reference(space, beta_values, alpha_axis, off_axis_factor):
+    # the block formula over an (N, N, n_axes) difference array, as first written
+    c = space.coords
+    diff = np.abs(c[:, None, :] - c[None, :, :])
+    moved = (diff > 1e-12).sum(axis=2)
+    bmin = np.minimum(beta_values[:, None], beta_values[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = diff.max(axis=2) ** (-(alpha_axis + bmin)) * off_axis_factor
+    return np.where(moved == 1, vals, 0.0)
+
+
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+def test_axis_aligned_block_equals_reference(n_axes):
+    rng = np.random.default_rng(n_axes)
+    cantor = hk.build_cantor_product(1 / 3, n_axes, 6 // n_axes)
+    grid = hk.build_grid(n_axes, 30 // n_axes ** 2)
+    for sp in (cantor, grid):
+        field = hk.field_from_table(sp, rng.uniform(0.5, 1.5, sp.n_points), 0.5, 1.5)
+        if sp is cantor:
+            kern = hk.build_cantor_axis_kernel(sp, field)
+            alpha, factor = kern.meta["alpha"], float(sp.meta["axis_atoms"]) ** (n_axes - 1)
+        else:
+            kern = hk.build_cylindrical_kernel(sp, field)
+            alpha, factor = 1.0, float(sp.meta["side"]) ** (n_axes - 1)
+        idx = np.arange(sp.n_points)
+        ref = axis_aligned_reference(sp, field.beta_values, alpha, factor)
+        assert np.array_equal(kern.block(idx, idx).view(np.uint64), ref.view(np.uint64))
+        rows = rng.permutation(sp.n_points)[:9]
+        assert np.array_equal(kern.block(rows, idx[::-1]), ref[np.ix_(rows, idx[::-1])])

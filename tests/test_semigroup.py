@@ -319,3 +319,15 @@ def test_recursion_limit_homogeneous_in_q(q, kappa, a, b):
 def test_recursion_rejects_bad_contraction():
     with pytest.raises(ParameterError):
         hk.recursion_limit(1.0, 1.0, 0.5, 0.0)
+
+
+def test_apply_semigroup_time_sequence_matches_single_times(cantor6):
+    space, _, kern = cantor6
+    form = hk.assemble(space, kern)
+    f = np.random.default_rng(4).normal(size=space.n_points)
+    times = [0.01, 0.3, 2.0]
+    rows = form.apply_semigroup(times, f)
+    assert rows.shape == (3, space.n_points)
+    for t, row in zip(times, rows):
+        assert np.array_equal(row, form.apply_semigroup(t, f))
+    assert form.apply_semigroup(np.array([]), f).shape[0] == 0

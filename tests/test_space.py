@@ -267,3 +267,46 @@ def test_build_custom_rejects_coincident_atoms():
         hk.build_custom(np.arange(3.0), np.full(3, 1 / 3), metric_matrix=m)
     sp = hk.build_custom([[0.0, 0.0], [0.25, 1.0], [0.5, 0.0]], np.full(3, 1 / 3))
     assert sp.diameter == 1.0
+
+
+def triple_scan_loop(space, rng, n_samples, tol=1e-12):
+    # the per-triple scan the vectorized pass replaced, with its own metric
+    def dist(i, k):
+        if space.metric_kind == "explicit":
+            return float(space.metric_matrix[i, k])
+        return float(np.max(np.abs(space.coords[i] - space.coords[k])))
+    for i, j, k in rng.integers(0, space.n_points, size=(n_samples, 3)):
+        dij, djk, dik = dist(i, j), dist(j, k), dist(i, k)
+        if dik > dij + djk + tol or abs(dij - dist(j, i)) > tol:
+            return False
+    return True
+
+
+def test_sampled_metric_scan_matches_triple_loop():
+    cantor = hk.build_cantor_product(1 / 3, 2, 4)
+    assert cantor.n_points == 256
+    d = cantor.pairwise()
+    hub = d.copy()                          # atom 3 within 1e-3 of every atom
+    hub[3, :] = hub[:, 3] = 1e-3
+    hub[3, 3] = 0.0
+    lopsided = d + np.triu(np.full(d.shape, 1e-6), k=1)
+    cases = [(cantor, 20_000, True), (explicit_copy(cantor), 20_000, True),
+             (hk.build_custom(cantor.coords, cantor.weights, metric_matrix=hub),
+              200_000, False),
+             (hk.build_custom(cantor.coords, cantor.weights, metric_matrix=lopsided),
+              200_000, False)]
+    for sp, n_samples, verdict in cases:
+        for seed in range(2):
+            loop = triple_scan_loop(sp, np.random.default_rng(seed), n_samples)
+            assert loop is verdict
+            assert hk.metric_axioms_ok(sp, np.random.default_rng(seed), n_samples) is loop
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dist_matches_dist_block(seed):
+    space, _, _ = random_setup(seed)
+    for sp in (space, explicit_copy(space)):
+        ids = np.arange(0, sp.n_points, 7)
+        block = sp.dist_block(ids, ids)
+        assert all(sp.dist(int(a), int(b)) == block[p, q]
+                   for p, a in enumerate(ids) for q, b in enumerate(ids))
