@@ -157,69 +157,136 @@ def build_kernel(cfg: dict, space: space_mod.FiniteMMSpace,
 
 # ---------------------------------------------------------------------------
 # Check registry
+#
+# CHECKS[name]["params"] maps every key a check reads to (converter, default).
+# run_config converts each key a config sets before it builds anything; a key
+# left out, or set to a value its converter maps to None, takes the default:
+# a value, or a function of (ctx, the params resolved so far).  The docstring
+# of a converter names the type it accepts, that of a default function the
+# value it derives; list-checks and the error messages print them.  "fn" only
+# wires ctx and the resolved params into the checker.
 # ---------------------------------------------------------------------------
 
-def _float_list(value, name: str) -> np.ndarray:
-    """A check parameter that must be a flat list of numbers, as an array."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be a list of numbers, got {value!r}") from exc
-    if arr.ndim != 1:
-        raise ParameterError(f"{name} must be a flat list of numbers, got {value!r}")
-    return arr
+def _number(value) -> float:
+    """a number"""
+    return float(value)
 
 
-def _float_param(p: dict, key: str, default) -> float:
-    """Check parameter ``key`` (``default`` when absent) as a float."""
-    value = p.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"{key} must be a number, got {value!r}") from exc
+def _number_or_null(value) -> float | None:
+    """a number or null"""
+    return None if value is None else float(value)
 
 
-def _default_radius_grid(space, check_cfg):
-    if check_cfg.get("radius_grid"):
-        return _float_list(check_cfg["radius_grid"], "radius_grid")
-    return space_mod.dyadic_radius_grid(space)
+def _numbers(value) -> np.ndarray:
+    """a flat list of numbers"""
+    if np.ndim(value) != 1:
+        raise ValueError("not a flat list")
+    return np.array([float(v) for v in value])
 
 
-def _default_time_grid(ctx, check_cfg):
-    if check_cfg.get("time_grid"):
-        return _float_list(check_cfg["time_grid"], "time_grid")
-    return semi_mod.default_time_grid(ctx["form"])
+def _grid(value) -> np.ndarray | None:
+    """a flat list of numbers ([] for the default)"""
+    grid = _numbers(value)
+    return grid if grid.size else None
 
 
-def _ball_sample(ctx, check_cfg, n_centers=4):
-    space = ctx["space"]
-    radii = check_cfg.get("ball_radii")
-    if radii is None:
-        grid = space_mod.dyadic_radius_grid(space)
-        radii = grid[-3:] if grid.size >= 3 else grid
-    return form_mod.sample_balls(space, n_centers, _float_list(radii, "ball_radii").tolist(),
-                                 ctx["rng"])
+def _atom_ids(value) -> np.ndarray:
+    """a flat list of atom indices"""
+    ids = _numbers(value)
+    if not all(i.is_integer() for i in ids.tolist()):
+        raise ValueError("not whole numbers")
+    return ids.astype(int)
 
 
-def _run_scale_axioms(ctx, p):
-    return scale_mod.verify_scale_axioms(ctx["scale"], ctx["space"],
-                                         _default_radius_grid(ctx["space"], p),
-                                         rng=ctx["rng"])
+def _pairs(value) -> list[tuple[float, float]] | None:
+    """a list of [r, R] pairs ([] for the default)"""
+    if np.shape(value) == (0,):
+        return None
+    if np.ndim(value) != 2 or np.shape(value)[1] != 2:
+        raise ValueError("not a list of pairs")
+    return [(float(r), float(R)) for r, R in value]
+
+
+def _choice(*options: str):
+    def convert(value) -> str:
+        if value not in options:
+            raise ValueError("not an option")
+        return value
+    convert.__doc__ = "one of " + "|".join(options)
+    return convert
+
+
+def _derived(doc: str, default):
+    """``default(ctx, params)``, labelled ``doc`` in list-checks."""
+    default.__doc__ = doc
+    return default
+
+
+def _grid_pairs(ctx, p):
+    """every pair r <= R of radius_grid"""
+    grid = p["radius_grid"]
+    return [(float(r), float(R)) for r in grid for R in grid if r <= R]
+
+
+_RADIUS_GRID = {"radius_grid": (_grid, _derived(
+    "the dyadic radius grid of the space",
+    lambda ctx, p: space_mod.dyadic_radius_grid(ctx["space"])))}
+_BALL_RADII = {"ball_radii": (_numbers, _derived(
+    "the three largest radii of the dyadic grid",
+    lambda ctx, p: space_mod.dyadic_radius_grid(ctx["space"])[-3:]))}
+_TIME_GRID = {"time_grid": (_grid, _derived(
+    "9 log-spaced times over [1e-3, 10] relaxation times of the form",
+    lambda ctx, p: semi_mod.default_time_grid(ctx["form"])))}
+_RHO = {"rho": (_number, _derived("a quarter of the diameter",
+                                  lambda ctx, p: ctx["space"].diameter / 4.0))}
+_FK_PARAMS = {"nu": (_number, 0.5), "b": (_number, 1.0), "Cprime": (_number, 1.0)}
+_HOISTED = ("radius_grid", "time_grid", "tolerance", "ball_radii")
+
+
+def _set_params(i: int, check: dict) -> dict:
+    """The declared params that check ``i`` sets (hoisted keys included), converted."""
+    raw = check.get("params", {})
+    if not isinstance(raw, dict):
+        raise SchemaError(f"checks[{i}].params", "must be an object")
+    raw = {**raw, **{key: check[key] for key in _HOISTED if key in check}}
+    values = {}
+    for key, (convert, _) in CHECKS[check["name"]]["params"].items():
+        if key in raw:
+            try:
+                values[key] = convert(raw[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"checks[{i}]", f"{key} must be {convert.__doc__}, "
+                                                  f"got {raw[key]!r}") from exc
+    return values
+
+
+def _resolve_params(spec: dict, values: dict, ctx: dict) -> dict:
+    """``values`` with every unset or None param replaced by its default."""
+    p: dict[str, Any] = {}
+    for key, (_, default) in spec.items():
+        value = values.get(key)
+        if value is None:
+            value = default(ctx, p) if callable(default) else default
+        p[key] = value
+    return p
+
+
+def _balls(ctx, p):
+    """Balls of every radius in ball_radii around 4 random centers."""
+    return form_mod.sample_balls(ctx["space"], 4, p["ball_radii"], ctx["rng"])
 
 
 def _run_quasi_metric(ctx, p):
-    dstar, comp = scale_mod.induced_quasi_metric(ctx["scale"], ctx["space"],
-                                                 p.get("beta_star"))
+    dstar, comp = scale_mod.induced_quasi_metric(ctx["scale"], ctx["space"], p["beta_star"])
     return ConditionReport(condition="quasi_metric",
-                           params={"beta_star": p.get("beta_star")},
+                           params={"beta_star": p["beta_star"]},
                            best_constant=comp, witness={"comparability": comp},
                            passed=math.isfinite(comp),
                            series=[{"comparability": comp}])
 
 
 def _run_vd_fit(ctx, p):
-    alpha_hat, ratio = space_mod.fit_vd_exponent(ctx["space"],
-                                                 _default_radius_grid(ctx["space"], p))
+    alpha_hat, ratio = space_mod.fit_vd_exponent(ctx["space"], p["radius_grid"])
     return ConditionReport(condition="vd_fit", params={},
                            best_constant=alpha_hat,
                            witness={"alpha_hat": alpha_hat, "max_ratio": ratio},
@@ -228,107 +295,10 @@ def _run_vd_fit(ctx, p):
 
 
 def _run_rvd_fit(ctx, p):
-    alpha0 = space_mod.fit_rvd_exponent(ctx["space"],
-                                        _default_radius_grid(ctx["space"], p))
+    alpha0 = space_mod.fit_rvd_exponent(ctx["space"], p["radius_grid"])
     return ConditionReport(condition="rvd_fit", params={}, best_constant=alpha0,
                            witness={"alpha0_hat": alpha0}, passed=None,
                            series=[{"alpha0_hat": alpha0}])
-
-
-def _run_tj(ctx, p):
-    return kernel_mod.tj_check(ctx["kernel"], ctx["space"], ctx["scale"],
-                               _default_radius_grid(ctx["space"], p),
-                               threshold=p.get("threshold"))
-
-
-def _run_tjq(ctx, p):
-    return kernel_mod.tjq_check(ctx["kernel"], ctx["space"], ctx["scale"],
-                                _float_param(p, "q", 2.0),
-                                _default_radius_grid(ctx["space"], p),
-                                threshold=p.get("threshold"))
-
-
-def _run_ij(ctx, p):
-    grid = _default_radius_grid(ctx["space"], p)
-    pairs = p.get("pairs") or [(float(r), float(R)) for r in grid for R in grid if r <= R]
-    return kernel_mod.ij_check(ctx["kernel"], ctx["space"], ctx["scale"],
-                               _float_param(p, "gamma", 0.0), pairs)
-
-
-def _run_lre(ctx, p):
-    return form_mod.lre_check(ctx["form"], ctx["space"], ctx["scale"],
-                              _float_param(p, "kappa", 1.0), _ball_sample(ctx, p))
-
-
-def _run_cs(ctx, p):
-    triples = [(x0, r / 2.0, r / 4.0) for x0, r in _ball_sample(ctx, p)]
-    return form_mod.cs_check(ctx["form"], ctx["space"], ctx["scale"],
-                             ctx["kernel"], triples)
-
-
-def _run_capacity(ctx, p):
-    return form_mod.capacity_check(ctx["form"], ctx["space"], ctx["scale"],
-                                   ctx["kernel"], _ball_sample(ctx, p))
-
-
-def _run_fk(ctx, p):
-    return form_mod.fk_family_check(ctx["form"], ctx["space"], ctx["scale"],
-                                    p.get("variant", "FK"),
-                                    {"nu": _float_param(p, "nu", 0.5), "b": _float_param(p, "b", 1.0),
-                                     "Cprime": _float_param(p, "Cprime", 1.0),
-                                     "delta": _float_param(p, "delta", 0.5)},
-                                    _ball_sample(ctx, p),
-                                    subset_strategy=p.get("subset_strategy", "mixed"),
-                                    rng=ctx["rng"])
-
-
-def _run_nash(ctx, p):
-    return form_mod.nash_check(ctx["form"], ctx["space"], ctx["scale"],
-                               {"nu": _float_param(p, "nu", 0.5), "b": _float_param(p, "b", 1.0)},
-                               _ball_sample(ctx, p),
-                               test_family=p.get("test_family", "mixed"),
-                               rng=ctx["rng"])
-
-
-def _run_fk_nash(ctx, p):
-    return form_mod.fk_nash_consistency(ctx["form"], ctx["space"], ctx["scale"],
-                                        _float_param(p, "nu", 0.5), _float_param(p, "b", 1.0),
-                                        _float_param(p, "Cprime", 1.0),
-                                        _ball_sample(ctx, p), rng=ctx["rng"])
-
-
-def _run_se(ctx, p):
-    return semi_mod.se_check(ctx["form"], ctx["space"], ctx["scale"],
-                             _ball_sample(ctx, p),
-                             a0_grid=p.get("a0_grid", (0.125, 0.25, 0.5)))
-
-
-def _run_se_from_lre(ctx, p):
-    return semi_mod.se_from_lre_chain(ctx["form"], ctx["space"], ctx["scale"],
-                                      _float_param(p, "kappa", 1.0), _ball_sample(ctx, p))
-
-
-def _run_te(ctx, p):
-    return semi_mod.te_check(ctx["form"], ctx["space"], ctx["scale"],
-                             _float_param(p, "T0", ctx["scale"].T0),
-                             _ball_sample(ctx, p), _default_time_grid(ctx, p))
-
-
-def _run_due(ctx, p):
-    return semi_mod.due_check(ctx["form"], ctx["space"], ctx["scale"],
-                              _float_param(p, "T0", 1.0), _default_time_grid(ctx, p),
-                              k=_float_param(p, "k", 1.0), rng=ctx["rng"])
-
-
-def _run_conservativeness(ctx, p):
-    return semi_mod.conservativeness_check(ctx["form"],
-                                           p.get("time_grid", (0.01, 0.1, 1.0, 10.0)),
-                                           tol=_float_param(p, "tolerance", 1e-9))
-
-
-def _run_invariants(ctx, p):
-    return semi_mod.heat_kernel_invariants(ctx["form"],
-                                           times=p.get("times", (0.01, 0.1, 1.0, 10.0)))
 
 
 def _near_far_forms(ctx, rho):
@@ -337,139 +307,155 @@ def _near_far_forms(ctx, rho):
 
 
 def _run_truncation_l2(ctx, p):
-    rho = _float_param(p, "rho", ctx["space"].diameter / 4.0)
-    form_near, _ = _near_far_forms(ctx, rho)
+    form_near, _ = _near_far_forms(ctx, p["rho"])
     rep = semi_mod.truncation_l2_check(ctx["form"], form_near, ctx["space"])
-    rep.params["rho"] = rho
+    rep.params["rho"] = p["rho"]
     return rep
 
 
 def _run_truncation_semigroup(ctx, p):
-    rho = _float_param(p, "rho", ctx["space"].diameter / 4.0)
-    form_near, _ = _near_far_forms(ctx, rho)
-    f = np.asarray(p["f"], dtype=float) if "f" in p else np.ones(ctx["space"].n_points)
-    rep = semi_mod.truncation_semigroup_check(ctx["form"], form_near, ctx["space"], f,
-                                              _default_time_grid(ctx, p))
-    rep.params["rho"] = rho
+    form_near, _ = _near_far_forms(ctx, p["rho"])
+    rep = semi_mod.truncation_semigroup_check(ctx["form"], form_near, ctx["space"], p["f"],
+                                              p["time_grid"])
+    rep.params["rho"] = p["rho"]
     return rep
-
-
-def _run_meyer(ctx, p):
-    rho = _float_param(p, "rho", ctx["space"].diameter / 4.0)
-    near, far = kernel_mod.truncate(ctx["kernel"], rho)
-    form_near = form_mod.assemble(ctx["space"], near)
-    D = np.asarray(p["domain"], dtype=int) if "domain" in p else \
-        ctx["space"].ball(0, ctx["space"].diameter / 2.0).member_idx
-    return semi_mod.meyer_check(ctx["form"], form_near, far, ctx["space"],
-                                D, _float_param(p, "t", 0.5),
-                                tol=_float_param(p, "tolerance", 1e-6))
-
-
-def _run_cross_jump(ctx, p):
-    radii = p.get("radii", [2.0 ** (-k) for k in range(2, 8)])
-    return cx.cross_jump_exponent_fit(ctx["kernel"], ctx["space"],
-                                      sorted(float(r) for r in radii),
-                                      eta=_float_param(p, "eta", 0.5))
 
 
 CHECKS: dict[str, dict[str, Any]] = {
     "scale_axioms": {
-        "fn": _run_scale_axioms,
+        "fn": lambda ctx, p: scale_mod.verify_scale_axioms(
+            ctx["scale"], ctx["space"], p["radius_grid"], rng=ctx["rng"]),
         "measures": "order-field constants: phi(y,r) <= C1 phi(x,r) for r >= d(x,y); "
                     "(R/r)^b1 / C2 <= phi(x,R)/phi(x,r) <= C2 (R/r)^b2",
-        "params": {"radius_grid": "list[float]"}},
+        "params": _RADIUS_GRID},
     "quasi_metric": {
         "fn": _run_quasi_metric,
         "measures": "comparability of the shortest-chain metric power with phi(x, d(x,y))",
-        "params": {"beta_star": "float|None"}},
+        "params": {"beta_star": (_number_or_null, None)}},
     "vd_fit": {
         "fn": _run_vd_fit,
         "measures": "volume-growth exponent: slope of log V(x,r) against log r",
-        "params": {"radius_grid": "list[float]"}},
+        "params": _RADIUS_GRID},
     "rvd_fit": {
         "fn": _run_rvd_fit,
         "measures": "reverse volume-growth exponent: smallest per-point slope",
-        "params": {"radius_grid": "list[float]"}},
+        "params": _RADIUS_GRID},
     "tj_check": {
-        "fn": _run_tj,
+        "fn": lambda ctx, p: kernel_mod.tj_check(
+            ctx["kernel"], ctx["space"], ctx["scale"], p["radius_grid"],
+            threshold=p["threshold"]),
         "measures": "jump tail bound: sum_{d(x,y)>=r} j(x,y) mu(y) <= C / phi(x,r)",
-        "params": {"radius_grid": "list[float]", "threshold": "float|None"}},
+        "params": {**_RADIUS_GRID, "threshold": (_number_or_null, None)}},
     "tjq_check": {
-        "fn": _run_tjq,
+        "fn": lambda ctx, p: kernel_mod.tjq_check(
+            ctx["kernel"], ctx["space"], ctx["scale"], p["q"], p["radius_grid"],
+            threshold=p["threshold"]),
         "measures": "L^q jump tail: (sum_{d>=r} j^q mu)^(1/q) <= C / (V(x,r)^((q-1)/q) phi(x,r))",
-        "params": {"q": "float>=1", "radius_grid": "list[float]"}},
+        "params": {"q": (_number, 2.0), **_RADIUS_GRID, "threshold": (_number_or_null, None)}},
     "ij_check": {
-        "fn": _run_ij,
+        "fn": lambda ctx, p: kernel_mod.ij_check(
+            ctx["kernel"], ctx["space"], ctx["scale"], p["gamma"], p["pairs"]),
         "measures": "annulus jump mass weighted by 1/sqrt(V(y, .)) <= C (R/r)^gamma / (R sqrt(V(x, .)))",
-        "params": {"gamma": "float>=0", "pairs": "list[(r,R)]"}},
+        "params": {"gamma": (_number, 0.0), **_RADIUS_GRID, "pairs": (_pairs, _grid_pairs)}},
     "lre_check": {
-        "fn": _run_lre,
+        "fn": lambda ctx, p: form_mod.lre_check(
+            ctx["form"], ctx["space"], ctx["scale"], p["kappa"], _balls(ctx, p)),
         "measures": "resolvent floor: min over the quarter ball of (L_B + kappa/phi)^-1 1_B >= c1 phi",
-        "params": {"kappa": "float>0", "ball_radii": "list[float]"}},
+        "params": {"kappa": (_number, 1.0), **_BALL_RADII}},
     "cs_check": {
-        "fn": _run_cs,
+        "fn": lambda ctx, p: form_mod.cs_check(
+            ctx["form"], ctx["space"], ctx["scale"], ctx["kernel"],
+            [(x0, r / 2.0, r / 4.0) for x0, r in _balls(ctx, p)]),
         "measures": "cutoff energy density: sum_y (cut(x)-cut(y))^2 j mu <= c / phi(x,r)",
-        "params": {"ball_radii": "list[float]"}},
+        "params": _BALL_RADII},
     "capacity_check": {
-        "fn": _run_capacity,
+        "fn": lambda ctx, p: form_mod.capacity_check(
+            ctx["form"], ctx["space"], ctx["scale"], ctx["kernel"], _balls(ctx, p)),
         "measures": "cutoff capacity: E(cut,cut) <= C V(x0,r) / phi(x0,r)",
-        "params": {"ball_radii": "list[float]"}},
+        "params": _BALL_RADII},
     "fk_family_check": {
-        "fn": _run_fk,
+        "fn": lambda ctx, p: form_mod.fk_family_check(
+            ctx["form"], ctx["space"], ctx["scale"], p["variant"], p, _balls(ctx, p),
+            subset_strategy=p["subset_strategy"], rng=ctx["rng"]),
         "measures": "first Dirichlet eigenvalue vs volume ratio: "
                     "lambda_1(D) >= C/phi [damping^b (V/mu(D))^nu - C']",
-        "params": {"variant": "FK|WFK|GFK", "nu": "float>0", "b": "float>=0",
-                   "Cprime": "float", "subset_strategy": "subballs|ground_superlevel|random|mixed"}},
+        "params": {"variant": (_choice("FK", "WFK", "GFK"), "FK"), **_FK_PARAMS,
+                   "delta": (_number, 0.5), "subset_strategy": (_choice(
+                       "subballs", "ground_superlevel", "random", "mixed"), "mixed"),
+                   **_BALL_RADII}},
     "nash_check": {
-        "fn": _run_nash,
+        "fn": lambda ctx, p: form_mod.nash_check(
+            ctx["form"], ctx["space"], ctx["scale"], p, _balls(ctx, p),
+            test_family=p["test_family"], rng=ctx["rng"]),
         "measures": "ball Nash display: ||f||_2^(2+2nu) <= C phi/V^nu damping^-b "
                     "[E(f,f) + ||f||_2^2/phi] ||f||_1^(2nu)",
-        "params": {"nu": "float>0", "b": "float>=0", "test_family": "eigen|indicator|random|mixed"}},
+        "params": {"nu": (_number, 0.5), "b": (_number, 1.0),
+                   "test_family": (_choice("eigen", "indicator", "random", "mixed"), "mixed"),
+                   **_BALL_RADII}},
     "fk_nash_consistency": {
-        "fn": _run_fk_nash,
+        "fn": lambda ctx, p: form_mod.fk_nash_consistency(
+            ctx["form"], ctx["space"], ctx["scale"], p["nu"], p["b"], p["Cprime"],
+            _balls(ctx, p), rng=ctx["rng"]),
         "measures": "two-way algebra between the eigenvalue and Nash constants",
-        "params": {"nu": "float>0", "b": "float>=0", "Cprime": "float"}},
+        "params": {**_FK_PARAMS, **_BALL_RADII}},
     "se_check": {
-        "fn": _run_se,
+        "fn": lambda ctx, p: semi_mod.se_check(
+            ctx["form"], ctx["space"], ctx["scale"], _balls(ctx, p), a0_grid=p["a0_grid"]),
         "measures": "survival floor: quarter-ball min of P^B_t 1_B >= eps0 for t <= a0 phi",
-        "params": {"a0_grid": "list[float]", "ball_radii": "list[float]"}},
+        "params": {"a0_grid": (_numbers, (0.125, 0.25, 0.5)), **_BALL_RADII}},
     "se_from_lre": {
-        "fn": _run_se_from_lre,
+        "fn": lambda ctx, p: semi_mod.se_from_lre_chain(
+            ctx["form"], ctx["space"], ctx["scale"], p["kappa"], _balls(ctx, p)),
         "measures": "survival from resolvent: min P^B_t 1_B >= (min u - t)/max u",
-        "params": {"kappa": "float>0"}},
+        "params": {"kappa": (_number, 1.0), **_BALL_RADII}},
     "te_check": {
-        "fn": _run_te,
+        "fn": lambda ctx, p: semi_mod.te_check(
+            ctx["form"], ctx["space"], ctx["scale"], p["T0"], _balls(ctx, p), p["time_grid"]),
         "measures": "tail estimate: quarter-ball max of P_t 1_{B^c} <= C t/(phi ^ T0)",
-        "params": {"T0": "float", "time_grid": "list[float]"}},
+        "params": {"T0": (_number, _derived("the T0 of the order field",
+                                            lambda ctx, p: ctx["scale"].T0)),
+                   **_BALL_RADII, **_TIME_GRID}},
     "due_check": {
-        "fn": _run_due,
+        "fn": lambda ctx, p: semi_mod.due_check(
+            ctx["form"], ctx["space"], ctx["scale"], p["T0"], p["time_grid"], k=p["k"],
+            rng=ctx["rng"]),
         "measures": "diagonal bound: p(t,x,x) V(x, phi^-1(x,t)) <= C for t < k T0",
-        "params": {"T0": "float", "k": "float", "time_grid": "list[float]"}},
+        "params": {"T0": (_number, 1.0), **_TIME_GRID, "k": (_number, 1.0)}},
     "conservativeness_check": {
-        "fn": _run_conservativeness,
+        "fn": lambda ctx, p: semi_mod.conservativeness_check(
+            ctx["form"], p["time_grid"], tol=p["tolerance"]),
         "measures": "mass conservation: max |P_t 1 - 1| <= tol",
-        "params": {"time_grid": "list[float]", "tolerance": "float"}},
+        "params": {"time_grid": (_numbers, (0.01, 0.1, 1.0, 10.0)),
+                   "tolerance": (_number, 1e-9)}},
     "heat_kernel_invariants": {
-        "fn": _run_invariants,
+        "fn": lambda ctx, p: semi_mod.heat_kernel_invariants(ctx["form"], times=p["times"]),
         "measures": "symmetry, stochasticity, semigroup property, nonnegativity, t=0 identity",
-        "params": {"times": "list[float]"}},
+        "params": {"times": (_numbers, (0.01, 0.1, 1.0, 10.0))}},
     "truncation_l2_check": {
         "fn": _run_truncation_l2,
         "measures": "removed-energy bound: largest eigenvalue of (L - L_near) <= 4 max_x far-tail(x)",
-        "params": {"rho": "float>0"}},
+        "params": _RHO},
     "truncation_semigroup_check": {
         "fn": _run_truncation_semigroup,
         "measures": "semigroup truncation bound: |P_t f - P^(rho)_t f| <= 2 t ||f|| max far-tail",
-        "params": {"rho": "float>0", "f": "list[float]"}},
+        "params": {**_RHO, "f": (_numbers, _derived(
+            "1 at every atom", lambda ctx, p: np.ones(ctx["space"].n_points))),
+            **_TIME_GRID}},
     "meyer_check": {
-        "fn": _run_meyer,
+        "fn": lambda ctx, p: semi_mod.meyer_check(
+            ctx["form"], *_near_far_forms(ctx, p["rho"]), ctx["space"], p["domain"], p["t"],
+            tol=p["tolerance"]),
         "measures": "jump-interchange comparison between a Dirichlet kernel and its truncation",
-        "params": {"rho": "float>0", "domain": "list[int]", "t": "float>0",
-                   "tolerance": "float"}},
+        "params": {**_RHO, "domain": (_atom_ids, _derived(
+            "the atoms of the ball B(0, diameter/2)",
+            lambda ctx, p: ctx["space"].ball(0, ctx["space"].diameter / 2.0).member_idx)),
+            "t": (_number, 0.5), "tolerance": (_number, 1e-6)}},
     "cross_jump_exponent": {
-        "fn": _run_cross_jump,
+        "fn": lambda ctx, p: cx.cross_jump_exponent_fit(
+            ctx["kernel"], ctx["space"], sorted(p["radii"]), eta=p["eta"]),
         "measures": "corner-to-corner long-jump mass scaling exponent",
-        "params": {"radii": "list[float]", "eta": "float>0"}},
+        "params": {"radii": (_numbers, [2.0 ** (-k) for k in range(2, 8)]),
+                   "eta": (_number, 0.5)}},
 }
 
 
@@ -479,14 +465,17 @@ def list_checks(file=None) -> None:
         entry = CHECKS[name]
         print(f"{name}", file=file)
         print(f"  measures: {entry['measures']}", file=file)
-        print(f"  params:   {json.dumps(entry['params'], sort_keys=True)}", file=file)
+        for key, (convert, default) in entry["params"].items():
+            shown = default.__doc__ if callable(default) else json.dumps(default)
+            print(f"  param {key}: {convert.__doc__}; default {shown}", file=file)
 
 
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
 
-def _validate_config(cfg: dict) -> None:
+def _validate_config(cfg: dict) -> list[dict]:
+    """Check the config's structure; return the converted params each check sets."""
     for key in ("space", "scale", "kernel", "checks"):
         if key not in cfg:
             raise SchemaError(key, "missing required section")
@@ -499,10 +488,11 @@ def _validate_config(cfg: dict) -> None:
             raise SchemaError(f"checks[{i}].name", f"unknown check {check['name']!r}")
         if check.get("mode", "pass") not in ("pass", "diagnostic"):
             raise SchemaError(f"checks[{i}].mode", "must be 'pass' or 'diagnostic'")
+    return [_set_params(i, check) for i, check in enumerate(cfg["checks"])]
 
 
 def run_config(cfg: dict, out_dir: Path, seed: int | None = None) -> int:
-    _validate_config(cfg)
+    set_params = _validate_config(cfg)
     seed = _convert(int, cfg.get("seed", 0), "seed") if seed is None else int(seed)
     rng = np.random.default_rng(seed)
     space = build_space(cfg["space"])
@@ -515,14 +505,11 @@ def run_config(cfg: dict, out_dir: Path, seed: int | None = None) -> int:
     formats = cfg.get("output", {}).get("formats", ["json", "csv"])
     summary_checks = []
     all_pass = True
-    for i, check in enumerate(cfg["checks"]):
+    for i, (check, values) in enumerate(zip(cfg["checks"], set_params)):
         name = check["name"]
-        params = dict(check.get("params", {}))
-        for grid_key in ("radius_grid", "time_grid", "tolerance", "ball_radii"):
-            if grid_key in check:
-                params[grid_key] = check[grid_key]
         try:
-            report = CHECKS[name]["fn"](ctx, params)
+            report = CHECKS[name]["fn"](ctx, _resolve_params(CHECKS[name]["params"],
+                                                             values, ctx))
         except (ParameterError, UnsupportedKernelError) as exc:
             raise SchemaError(f"checks[{i}]", f"{name} cannot run here: {exc}") from exc
         mode = check.get("mode", "pass")

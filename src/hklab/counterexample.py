@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .kernel import JumpKernel, build_cantor_axis_kernel, cross_jump_mass
 from .report import ConditionReport
-from .scale import ScaleField, field_from_balls
+from .scale import ScaleField, constant_field, field_from_balls
 from .space import FiniteMMSpace, cantor_volume_exponent
 
 IDENTITY_TOL = 1e-12
@@ -178,8 +178,7 @@ REGIME_NOTE = (
 
 
 def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
-                             time_grid, form=None,
-                             control_form=None) -> dict[str, Any]:
+                             time_grid, form=None) -> dict[str, Any]:
     """Corner-to-corner profile r(t) = p(t, x0, y0) * t^((1+1/beta2) n' alpha / 2).
 
     Probes are the atoms nearest the two corners.  A growing r(t) as t -> 0
@@ -225,10 +224,8 @@ def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
         report["series"].append({"t": float(t), "p": float(p[probe0, probe1]),
                                  "r": r_val})
 
-    if control_form is None:
-        from .scale import constant_field
-        control_field = constant_field(space, config.beta1, T0=1.0)
-        control_form = assemble(space, build_cantor_axis_kernel(space, control_field))
+    control_field = constant_field(space, config.beta1, T0=1.0)
+    control_form = assemble(space, build_cantor_axis_kernel(space, control_field))
     control_rate = n_desk * config.alpha_xi / config.beta1
     for t in times:
         p = control_form.heat_kernel(float(t))

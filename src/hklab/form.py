@@ -53,22 +53,6 @@ class SpectralForm:
         f = np.asarray(f, dtype=float)
         return float((self.L @ f) @ (f * self.weights))
 
-    def energy_double_sum(self, f) -> float:
-        """Independent ordered-pair double sum, restricted to the domain."""
-        f = np.asarray(f, dtype=float)
-        jd = self.jmat[np.ix_(self.domain, self.domain)]
-        w = self.weights
-        diff = f[:, None] - f[None, :]
-        interior = float((diff**2 * jd * w[:, None] * w[None, :]).sum())
-        # jumps leaving the domain act on f extended by zero
-        all_idx = np.arange(self.space.n_points)
-        outside = np.setdiff1d(all_idx, self.domain, assume_unique=False)
-        if outside.size:
-            jout = self.jmat[np.ix_(self.domain, outside)]
-            wout = self.space.weights[outside]
-            interior += 2.0 * float(((f**2)[:, None] * jout * w[:, None] * wout[None, :]).sum())
-        return interior
-
     def apply_semigroup(self, t, f) -> np.ndarray:
         """P_t f on the domain by spectral calculus.
 
@@ -294,12 +278,14 @@ def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
 def capacity_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                    kernel: JumpKernel, ball_sample) -> ConditionReport:
     """Cutoff capacity constant: E(cut,cut) <= C V(x0,r)/phi(x0,r) per ball."""
+    if form.is_part:
+        raise ParameterError("capacity uses the full-space form")
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
     for x0, r in ball_sample:
         cut = build_cutoff(space, x0, r / 2.0, r / 4.0)
-        e = form.energy_double_sum(cut) if form.is_part else form.energy(cut)
+        e = form.energy(cut)
         v = space.volume(x0, r)
         c = float(e * phi(scale, x0, r) / v)
         series.append({"x0": x0, "r": r, "C": c, "energy": float(e)})
@@ -349,6 +335,11 @@ def _subsets_for_ball(form: SpectralForm, space: FiniteMMSpace, ball_members: np
     return uniq
 
 
+def _damping(scale: ScaleField, phival: float) -> float:
+    """min(1, T0 / phi), which is 1 when T0 is infinite."""
+    return min(1.0, scale.T0 / phival)
+
+
 def _fk_bracket(variant: str, ratio_pow: float, damping: float, b: float,
                 Cprime: float) -> float:
     if variant == "FK":
@@ -392,7 +383,7 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         if ball.member_idx.size == 0:
             continue
         phival = phi(scale, x0, r)
-        damping = min(1.0, scale.T0 / phival) if not math.isinf(scale.T0) else 1.0
+        damping = _damping(scale, phival)
         subsets = _subsets_for_ball(form, space, ball.member_idx, x0, r,
                                     subset_strategy, rng)
         if extra_subsets:
@@ -437,7 +428,7 @@ def nash_witness_constant(form: SpectralForm, space: FiniteMMSpace, scale: Scale
                           f_on_D: np.ndarray, D: np.ndarray) -> float:
     """Witness constant of the ball Nash display for one test function."""
     phival = phi(scale, x0, r)
-    damping = min(1.0, scale.T0 / phival) if not math.isinf(scale.T0) else 1.0
+    damping = _damping(scale, phival)
     energy = _part_energy(form, D, f_on_D)
     l1, l2sq = _nash_norms(space, f_on_D, D)
     v = space.volume(x0, r)
@@ -449,9 +440,7 @@ def nash_witness_constant(form: SpectralForm, space: FiniteMMSpace, scale: Scale
 
 def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                params: dict, ball_sample, test_family: str = "mixed",
-               rng: np.random.Generator | None = None,
-               extra_functions: dict[tuple[int, float], list[np.ndarray]] | None = None,
-               ) -> ConditionReport:
+               rng: np.random.Generator | None = None) -> ConditionReport:
     """Ball Nash-inequality sweep over a documented test family.
 
     The family per ball: low Dirichlet eigenfunctions of the ball part,
@@ -484,8 +473,6 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         if test_family in ("random", "mixed"):
             for k in range(3):
                 family.append((f"sign{k}", rng.choice([-1.0, 1.0], size=D.size)))
-        if extra_functions:
-            family.extend(("extra", f) for f in extra_functions.get((x0, r), []))
         w = space.weights[D]
         for name, f in family:
             norm = math.sqrt(float(f**2 @ w))
@@ -592,7 +579,7 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     backward_margin = math.inf
     for (x0, r), subs in asserted_subsets.items():
         phival = phi(scale, x0, r)
-        damping = min(1.0, scale.T0 / phival) if not math.isinf(scale.T0) else 1.0
+        damping = _damping(scale, phival)
         v = space.volume(x0, r)
         for D in subs:
             mu_D = float(space.weights[D].sum())

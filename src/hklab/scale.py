@@ -22,6 +22,7 @@ from .report import ConditionReport
 from .space import FiniteMMSpace
 
 QUASI_METRIC_POINT_CAP = 512
+_AXIOM_PAIR_SAMPLE = 512                # points whose pairs verify_scale_axioms scans
 
 
 @dataclass
@@ -145,7 +146,6 @@ def field_from_balls(space: FiniteMMSpace, anchors, beta1: float, beta2: float,
 # ---------------------------------------------------------------------------
 
 def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
-                        pair_sample: int = 512,
                         rng: np.random.Generator | None = None) -> ConditionReport:
     """Best constants for the scale-function axioms on a radius grid.
 
@@ -163,10 +163,10 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
         raise ParameterError("radii must stay within (0, diameter]")
     n = space.n_points
     rng = rng or np.random.default_rng(0)
-    if n <= pair_sample:
+    if n <= _AXIOM_PAIR_SAMPLE:
         pair_idx = np.arange(n)
     else:
-        pair_idx = rng.choice(n, size=pair_sample, replace=False)
+        pair_idx = rng.choice(n, size=_AXIOM_PAIR_SAMPLE, replace=False)
 
     dist = space.dist_block(pair_idx, pair_idx)
     c1 = 1.0

@@ -33,6 +33,10 @@ from .report import ConditionReport
 from .scale import ScaleField, phi, phi_inverse_vec
 from .space import FiniteMMSpace
 
+_SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
+_DUE_PAIR_SAMPLE = 64                    # off-diagonal pairs per time in due_check
+_SE_FROM_LRE_T_FRACS = (0.25, 0.5, 1.0)  # se_from_lre times, in halves of the resolvent minimum
+
 
 def heat_kernel(form: SpectralForm, t: float) -> np.ndarray:
     """Kernel matrix p(t, x, y) on the form's domain."""
@@ -50,8 +54,7 @@ def default_time_grid(form: SpectralForm, n: int = 9) -> np.ndarray:
 # Invariant suite
 # ---------------------------------------------------------------------------
 
-def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0),
-                           ck_tol: float = 1e-8) -> ConditionReport:
+def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> ConditionReport:
     """Symmetry, sub-Markov/stochasticity, semigroup property, nonnegativity, t=0."""
     w = form.weights
     residuals: dict[str, float] = {"symmetry": 0.0, "mass": 0.0,
@@ -73,7 +76,7 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0),
                                               float(np.abs(p - comp).max()))
     ok = (residuals["symmetry"] <= 1e-10
           and residuals["mass"] <= 1e-10
-          and residuals["chapman_kolmogorov"] <= ck_tol
+          and residuals["chapman_kolmogorov"] <= 1e-8
           and residuals["negativity"] <= 1e-10
           and residuals["t0_identity"] <= 1e-8 * float((1.0 / w).max()))
     return ConditionReport(condition="heat_kernel_invariants",
@@ -93,8 +96,7 @@ def survival(part: SpectralForm, t: float) -> np.ndarray:
 
 
 def se_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-             ball_sample, a0_grid=(0.125, 0.25, 0.5), times_per_a0: int = 3,
-             ) -> ConditionReport:
+             ball_sample, a0_grid=(0.125, 0.25, 0.5)) -> ConditionReport:
     """Survival floor on quarter balls.
 
     For each candidate a0, eps0(a0) is the smallest quarter-ball minimum of
@@ -118,7 +120,7 @@ def se_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         eps0 = math.inf
         for x0, r, part, quarter_mask in balls:
             horizon = a0 * phi(scale, x0, r)
-            for frac in np.linspace(1.0 / times_per_a0, 1.0, times_per_a0):
+            for frac in np.linspace(1.0 / _SE_TIMES_PER_A0, 1.0, _SE_TIMES_PER_A0):
                 surv = survival(part, frac * horizon)
                 eps0 = min(eps0, float(surv[quarter_mask].min()))
         curve.append({"a0": float(a0), "eps0": (None if eps0 is math.inf else eps0)})
@@ -171,7 +173,6 @@ def te_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
 
 def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
               T0: float, time_grid, k: float = 1.0,
-              pair_sample: int = 64,
               rng: np.random.Generator | None = None) -> ConditionReport:
     """On-diagonal constant C = max of p(t,x,x) V(x, phi^-1(x,t)) for t < k T0.
 
@@ -202,7 +203,7 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         if vals[x] > best:
             best = float(vals[x])
             witness = {"x": x, "t": t}
-        xs = rng.integers(0, n, size=min(pair_sample, n * n))
+        xs = rng.integers(0, n, size=min(_DUE_PAIR_SAMPLE, n * n))
         ys = rng.integers(0, n, size=xs.size)
         cs_resid = max(cs_resid, float(
             (p[xs, ys] - np.sqrt(np.maximum(diag[xs] * diag[ys], 0.0))).max()))
@@ -283,6 +284,8 @@ def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
     constant.
     """
     f = np.asarray(f, dtype=float)
+    if f.shape != (form_full.domain.size,):
+        raise ParameterError("f must have one value per atom")
     if np.any(f < 0):
         raise ParameterError("the comparison needs a nonnegative function")
     fmax = float(f.max(initial=0.0))
@@ -414,8 +417,7 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
 # ---------------------------------------------------------------------------
 
 def se_from_lre_chain(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                      kappa: float, ball_sample,
-                      t_fracs=(0.25, 0.5, 1.0)) -> ConditionReport:
+                      kappa: float, ball_sample) -> ConditionReport:
     """Resolvent-derived survival floor.
 
     On each sampled ball with resolvent u = (L_B + kappa/phi)^-1 1_B, the
@@ -442,7 +444,7 @@ def se_from_lre_chain(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFiel
         u = part.resolvent(lam, np.ones(ball.member_idx.size))
         u_min = float(u[quarter_mask].min())
         u_max = float(u.max())
-        for frac in t_fracs:
+        for frac in _SE_FROM_LRE_T_FRACS:
             t = frac * u_min / 2.0
             surv = survival(part, t)
             margin = float(surv[quarter_mask].min() - (u_min - t) / u_max)

@@ -252,3 +252,80 @@ def test_cli_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert res.stdout.strip() == "[]"
+
+
+def _wrong_types(convert):
+    """A string, a list of strings, and null unless the param may be null."""
+    return ["abc", ["abc"]] + ([] if convert is cli._number_or_null else [None])
+
+
+# every param every check declares, so that a param added later is covered too
+DECLARED_PARAMS = [(name, key, bad) for name, entry in sorted(cli.CHECKS.items())
+                   for key, (convert, _) in entry["params"].items()
+                   for bad in _wrong_types(convert)]
+
+
+def _run_exit_code_and_err(tmp_path, capsys, checks):
+    path = write_config(tmp_path, dict(CANTOR_CFG, checks=checks))
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,key,bad", DECLARED_PARAMS,
+                         ids=[f"{n}-{k}-{type(b).__name__}" for n, k, b in DECLARED_PARAMS])
+def test_every_declared_param_rejects_wrong_type(tmp_path, capsys, name, key, bad):
+    checks = [{"name": "conservativeness_check", "mode": "pass"},
+              {"name": name, "mode": "pass", "params": {key: bad}}]
+    code, err = _run_exit_code_and_err(tmp_path, capsys, checks)
+    assert code == 2
+    assert f"checks[1]: {key} must be" in err
+    assert not (tmp_path / "o").exists()          # refused before anything ran
+
+
+@pytest.mark.parametrize("name,key,bad", [
+    ("fk_family_check", "variant", "bogus"), ("fk_family_check", "subset_strategy", "bogus"),
+    ("nash_check", "test_family", "bogus"), ("meyer_check", "domain", [0.5]),
+    ("ij_check", "pairs", [[0.25, 0.5, 1.0]]), ("te_check", "time_grid", [[0.1, 0.2]]),
+    ("truncation_semigroup_check", "f", [1.0, 1.0])])
+def test_invalid_param_value_exits_2_naming_key(tmp_path, capsys, name, key, bad):
+    code, err = _run_exit_code_and_err(
+        tmp_path, capsys, [{"name": name, "mode": "pass", "params": {key: bad}}])
+    assert code == 2
+    assert "checks[0]" in err and key in err
+
+
+def test_check_params_must_be_an_object(tmp_path, capsys):
+    code, err = _run_exit_code_and_err(
+        tmp_path, capsys, [{"name": "vd_fit", "mode": "pass", "params": [0.5]}])
+    assert code == 2 and "checks[0].params" in err
+
+
+@pytest.mark.parametrize("name,key", [("te_check", "time_grid"), ("vd_fit", "radius_grid"),
+                                      ("ij_check", "pairs")])
+def test_empty_grid_means_the_default(tmp_path, name, key):
+    outputs = []
+    for params in ({}, {key: []}):
+        cfg = dict(CANTOR_CFG, checks=[{"name": name, "mode": "pass", "params": params}])
+        out = tmp_path / str(len(outputs))
+        assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)]) in (0, 1)
+        outputs.append((out / f"report_{name}.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_list_checks_prints_every_declared_param(capsys):
+    assert cli.main(["list-checks"]) == 0
+    blocks = {}
+    for line in capsys.readouterr().out.splitlines():
+        if not line.startswith(" "):
+            name = line
+            blocks[name] = []
+        elif line.startswith("  param "):
+            blocks[name].append(line[len("  param "):].split(":")[0])
+    assert blocks == {name: list(entry["params"]) for name, entry in cli.CHECKS.items()}
+    for name in ("fk_family_check", "nash_check", "fk_nash_consistency", "se_from_lre",
+                 "te_check"):
+        assert "ball_radii" in blocks[name]
+    assert "delta" in blocks["fk_family_check"] and "threshold" in blocks["tjq_check"]
+    assert "radius_grid" in blocks["ij_check"]
+    assert "time_grid" in blocks["truncation_semigroup_check"]

@@ -233,6 +233,13 @@ def test_capacity_check_cases(two_point, cantor6):
     assert math.isfinite(rep6.best_constant) and rep6.best_constant > 0
 
 
+def test_capacity_refuses_a_dirichlet_part(cantor6):
+    space, scale, kern = cantor6
+    part = hk.part_on(hk.assemble(space, kern), space.ball(0, 0.4).member_idx)
+    with pytest.raises(ParameterError, match="full-space"):
+        hk.capacity_check(part, space, scale, kern, [(0, 0.25)])
+
+
 def test_capacity_stable_across_levels():
     vals = []
     for lvl in (5, 6):

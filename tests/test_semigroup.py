@@ -43,6 +43,27 @@ def test_survival_nonincreasing(cantor6):
     assert np.all(np.diff(vals, axis=0) <= 1e-12)
 
 
+def test_cantor_product_is_kronecker_sum_of_axes():
+    # with a constant field the cantor_axis kernel's off-axis factor m^(n-1)
+    # cancels the weights m^-n, so L is the Kronecker sum of the 1-axis
+    # generators: p_t factorizes and the spectrum is the sum set
+    def form_of(n):
+        space = hk.build_cantor_product(1 / 3, n, 5)
+        scale = hk.constant_field(space, 0.8, T0=1.0)
+        return hk.assemble(space, hk.build_cantor_axis_kernel(space, scale))
+
+    line, square = form_of(1), form_of(2)
+    assert square.domain.size == 1024
+    for t in (0.01, 0.1, 1.0):
+        p1 = line.heat_kernel(t)
+        oracle = np.kron(p1, p1)
+        err = np.abs(square.heat_kernel(t) - oracle).max() / np.abs(oracle).max()
+        assert err <= 1e-11, (t, err)
+    sums = np.sort((line.eigvals[:, None] + line.eigvals[None, :]).ravel())
+    err = np.abs(square.eigvals - sums).max() / np.abs(sums).max()
+    assert err <= 1e-11, err
+
+
 def test_invariant_suite_on_assembled_forms():
     for seed in (0, 1, 3):
         space, _, kern = random_setup(seed)
