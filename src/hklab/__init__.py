@@ -29,7 +29,6 @@ from .form import (
     lre_check,
     nash_check,
     part_on,
-    resolvent,
     sample_balls,
 )
 from .kernel import (
@@ -62,7 +61,6 @@ from .semigroup import (
     conservativeness_check,
     due_check,
     f_profile,
-    heat_kernel,
     heat_kernel_invariants,
     meyer_check,
     recursion_limit,

@@ -50,6 +50,12 @@ class SchemaError(Exception):
 # Builders from config
 # ---------------------------------------------------------------------------
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, "must be an object")
+    return value
+
+
 def _require(cfg: dict, key: str, path: str):
     if key not in cfg:
         raise SchemaError(f"{path}.{key}", "missing required field")
@@ -113,7 +119,7 @@ def build_scale(cfg: dict, space: space_mod.FiniteMMSpace) -> scale_mod.ScaleFie
         return scale_mod.constant_field(space, _field(cfg, "beta", "scale", float), T0=T0)
     if kind == "balls":
         anchors = []
-        for i, a in enumerate(_require(cfg, "anchors", "scale")):
+        for i, a in enumerate(_field(cfg, "anchors", "scale", list)):
             path = f"scale.anchors[{i}]"
             if not isinstance(a, dict):
                 raise SchemaError(path, "must be an object with center, radius and value")
@@ -169,24 +175,40 @@ def build_kernel(cfg: dict, space: space_mod.FiniteMMSpace,
 
 def _number(value) -> float:
     """a number"""
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
+def _positive(value) -> float:
+    """a number > 0"""
+    x = _number(value)
+    if not x > 0:
+        raise ValueError("not positive")
+    return x
 
 
 def _number_or_null(value) -> float | None:
     """a number or null"""
-    return None if value is None else float(value)
+    return None if value is None else _number(value)
 
 
-def _numbers(value) -> np.ndarray:
+def _numbers(value, convert=_number) -> np.ndarray:
     """a flat list of numbers"""
     if np.ndim(value) != 1:
         raise ValueError("not a flat list")
-    return np.array([float(v) for v in value])
+    return np.array([convert(v) for v in value])
+
+
+def _positives(value) -> np.ndarray:
+    """a flat list of numbers > 0"""
+    return _numbers(value, _positive)
 
 
 def _grid(value) -> np.ndarray | None:
-    """a flat list of numbers ([] for the default)"""
-    grid = _numbers(value)
+    """a flat list of numbers > 0 ([] for the default)"""
+    grid = _positives(value)
     return grid if grid.size else None
 
 
@@ -199,12 +221,12 @@ def _atom_ids(value) -> np.ndarray:
 
 
 def _pairs(value) -> list[tuple[float, float]] | None:
-    """a list of [r, R] pairs ([] for the default)"""
+    """a list of [r, R] pairs of numbers > 0 ([] for the default)"""
     if np.shape(value) == (0,):
         return None
     if np.ndim(value) != 2 or np.shape(value)[1] != 2:
         raise ValueError("not a list of pairs")
-    return [(float(r), float(R)) for r, R in value]
+    return [(_positive(r), _positive(R)) for r, R in value]
 
 
 def _choice(*options: str):
@@ -231,13 +253,13 @@ def _grid_pairs(ctx, p):
 _RADIUS_GRID = {"radius_grid": (_grid, _derived(
     "the dyadic radius grid of the space",
     lambda ctx, p: space_mod.dyadic_radius_grid(ctx["space"])))}
-_BALL_RADII = {"ball_radii": (_numbers, _derived(
+_BALL_RADII = {"ball_radii": (_positives, _derived(
     "the three largest radii of the dyadic grid",
     lambda ctx, p: space_mod.dyadic_radius_grid(ctx["space"])[-3:]))}
 _TIME_GRID = {"time_grid": (_grid, _derived(
     "9 log-spaced times over [1e-3, 10] relaxation times of the form",
     lambda ctx, p: semi_mod.default_time_grid(ctx["form"])))}
-_RHO = {"rho": (_number, _derived("a quarter of the diameter",
+_RHO = {"rho": (_positive, _derived("a quarter of the diameter",
                                   lambda ctx, p: ctx["space"].diameter / 4.0))}
 _FK_PARAMS = {"nu": (_number, 0.5), "b": (_number, 1.0), "Cprime": (_number, 1.0)}
 _HOISTED = ("radius_grid", "time_grid", "tolerance", "ball_radii")
@@ -302,21 +324,24 @@ def _run_rvd_fit(ctx, p):
 
 
 def _near_far_forms(ctx, rho):
-    near, far = kernel_mod.truncate(ctx["kernel"], rho)
-    return form_mod.assemble(ctx["space"], near), far
+    """The near form and the far kernel of the truncation at ``rho``, built once per run."""
+    built = ctx.setdefault("near_far", {})
+    if rho not in built:
+        near, far = kernel_mod.truncate(ctx["kernel"], rho)
+        built[rho] = (form_mod.assemble(ctx["space"], near), far)
+    return built[rho]
 
 
 def _run_truncation_l2(ctx, p):
-    form_near, _ = _near_far_forms(ctx, p["rho"])
-    rep = semi_mod.truncation_l2_check(ctx["form"], form_near, ctx["space"])
+    rep = semi_mod.truncation_l2_check(ctx["form"], _near_far_forms(ctx, p["rho"])[0],
+                                       ctx["space"])
     rep.params["rho"] = p["rho"]
     return rep
 
 
 def _run_truncation_semigroup(ctx, p):
-    form_near, _ = _near_far_forms(ctx, p["rho"])
-    rep = semi_mod.truncation_semigroup_check(ctx["form"], form_near, ctx["space"], p["f"],
-                                              p["time_grid"])
+    rep = semi_mod.truncation_semigroup_check(ctx["form"], _near_far_forms(ctx, p["rho"])[0],
+                                              ctx["space"], p["f"], p["time_grid"])
     rep.params["rho"] = p["rho"]
     return rep
 
@@ -375,8 +400,9 @@ CHECKS: dict[str, dict[str, Any]] = {
         "params": _BALL_RADII},
     "fk_family_check": {
         "fn": lambda ctx, p: form_mod.fk_family_check(
-            ctx["form"], ctx["space"], ctx["scale"], p["variant"], p, _balls(ctx, p),
-            subset_strategy=p["subset_strategy"], rng=ctx["rng"]),
+            ctx["form"], ctx["space"], ctx["scale"], p["variant"], p["nu"], p["b"],
+            p["Cprime"], p["delta"], _balls(ctx, p), subset_strategy=p["subset_strategy"],
+            rng=ctx["rng"]),
         "measures": "first Dirichlet eigenvalue vs volume ratio: "
                     "lambda_1(D) >= C/phi [damping^b (V/mu(D))^nu - C']",
         "params": {"variant": (_choice("FK", "WFK", "GFK"), "FK"), **_FK_PARAMS,
@@ -385,7 +411,7 @@ CHECKS: dict[str, dict[str, Any]] = {
                    **_BALL_RADII}},
     "nash_check": {
         "fn": lambda ctx, p: form_mod.nash_check(
-            ctx["form"], ctx["space"], ctx["scale"], p, _balls(ctx, p),
+            ctx["form"], ctx["space"], ctx["scale"], p["nu"], p["b"], _balls(ctx, p),
             test_family=p["test_family"], rng=ctx["rng"]),
         "measures": "ball Nash display: ||f||_2^(2+2nu) <= C phi/V^nu damping^-b "
                     "[E(f,f) + ||f||_2^2/phi] ||f||_1^(2nu)",
@@ -402,7 +428,7 @@ CHECKS: dict[str, dict[str, Any]] = {
         "fn": lambda ctx, p: semi_mod.se_check(
             ctx["form"], ctx["space"], ctx["scale"], _balls(ctx, p), a0_grid=p["a0_grid"]),
         "measures": "survival floor: quarter-ball min of P^B_t 1_B >= eps0 for t <= a0 phi",
-        "params": {"a0_grid": (_numbers, (0.125, 0.25, 0.5)), **_BALL_RADII}},
+        "params": {"a0_grid": (_positives, (0.125, 0.25, 0.5)), **_BALL_RADII}},
     "se_from_lre": {
         "fn": lambda ctx, p: semi_mod.se_from_lre_chain(
             ctx["form"], ctx["space"], ctx["scale"], p["kappa"], _balls(ctx, p)),
@@ -412,7 +438,7 @@ CHECKS: dict[str, dict[str, Any]] = {
         "fn": lambda ctx, p: semi_mod.te_check(
             ctx["form"], ctx["space"], ctx["scale"], p["T0"], _balls(ctx, p), p["time_grid"]),
         "measures": "tail estimate: quarter-ball max of P_t 1_{B^c} <= C t/(phi ^ T0)",
-        "params": {"T0": (_number, _derived("the T0 of the order field",
+        "params": {"T0": (_positive, _derived("the T0 of the order field",
                                             lambda ctx, p: ctx["scale"].T0)),
                    **_BALL_RADII, **_TIME_GRID}},
     "due_check": {
@@ -420,17 +446,17 @@ CHECKS: dict[str, dict[str, Any]] = {
             ctx["form"], ctx["space"], ctx["scale"], p["T0"], p["time_grid"], k=p["k"],
             rng=ctx["rng"]),
         "measures": "diagonal bound: p(t,x,x) V(x, phi^-1(x,t)) <= C for t < k T0",
-        "params": {"T0": (_number, 1.0), **_TIME_GRID, "k": (_number, 1.0)}},
+        "params": {"T0": (_positive, 1.0), **_TIME_GRID, "k": (_number, 1.0)}},
     "conservativeness_check": {
         "fn": lambda ctx, p: semi_mod.conservativeness_check(
             ctx["form"], p["time_grid"], tol=p["tolerance"]),
         "measures": "mass conservation: max |P_t 1 - 1| <= tol",
-        "params": {"time_grid": (_numbers, (0.01, 0.1, 1.0, 10.0)),
+        "params": {"time_grid": (_positives, (0.01, 0.1, 1.0, 10.0)),
                    "tolerance": (_number, 1e-9)}},
     "heat_kernel_invariants": {
         "fn": lambda ctx, p: semi_mod.heat_kernel_invariants(ctx["form"], times=p["times"]),
         "measures": "symmetry, stochasticity, semigroup property, nonnegativity, t=0 identity",
-        "params": {"times": (_numbers, (0.01, 0.1, 1.0, 10.0))}},
+        "params": {"times": (_positives, (0.01, 0.1, 1.0, 10.0))}},
     "truncation_l2_check": {
         "fn": _run_truncation_l2,
         "measures": "removed-energy bound: largest eigenvalue of (L - L_near) <= 4 max_x far-tail(x)",
@@ -449,12 +475,12 @@ CHECKS: dict[str, dict[str, Any]] = {
         "params": {**_RHO, "domain": (_atom_ids, _derived(
             "the atoms of the ball B(0, diameter/2)",
             lambda ctx, p: ctx["space"].ball(0, ctx["space"].diameter / 2.0).member_idx)),
-            "t": (_number, 0.5), "tolerance": (_number, 1e-6)}},
+            "t": (_positive, 0.5), "tolerance": (_number, 1e-6)}},
     "cross_jump_exponent": {
         "fn": lambda ctx, p: cx.cross_jump_exponent_fit(
             ctx["kernel"], ctx["space"], sorted(p["radii"]), eta=p["eta"]),
         "measures": "corner-to-corner long-jump mass scaling exponent",
-        "params": {"radii": (_numbers, [2.0 ** (-k) for k in range(2, 8)]),
+        "params": {"radii": (_positives, [2.0 ** (-k) for k in range(2, 8)]),
                    "eta": (_number, 0.5)}},
 }
 
@@ -474,35 +500,56 @@ def list_checks(file=None) -> None:
 # run
 # ---------------------------------------------------------------------------
 
-def _validate_config(cfg: dict) -> list[dict]:
+def _validate_config(cfg) -> list[dict]:
     """Check the config's structure; return the converted params each check sets."""
+    _object(cfg, "config")
     for key in ("space", "scale", "kernel", "checks"):
         if key not in cfg:
             raise SchemaError(key, "missing required section")
+        if key != "checks":
+            _object(cfg[key], key)
     if not isinstance(cfg["checks"], list):
         raise SchemaError("checks", "must be a list")
     for i, check in enumerate(cfg["checks"]):
+        _object(check, f"checks[{i}]")
         if "name" not in check:
             raise SchemaError(f"checks[{i}].name", "missing required field")
-        if check["name"] not in CHECKS:
+        if not isinstance(check["name"], str) or check["name"] not in CHECKS:
             raise SchemaError(f"checks[{i}].name", f"unknown check {check['name']!r}")
         if check.get("mode", "pass") not in ("pass", "diagnostic"):
             raise SchemaError(f"checks[{i}].mode", "must be 'pass' or 'diagnostic'")
+    output = _object(cfg.get("output", {}), "output")
+    formats = output.get("formats", [])
+    if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)):
+        raise SchemaError("output.formats", "must be a list of format names")
+    if not isinstance(output.get("dir", ""), str):
+        raise SchemaError("output.dir", "must be a string")
     return [_set_params(i, check) for i, check in enumerate(cfg["checks"])]
 
 
-def run_config(cfg: dict, out_dir: Path, seed: int | None = None) -> int:
+def _build(path: str, build, *args):
+    """``build(*args)``; a builder's refusal becomes a SchemaError at ``path``."""
+    try:
+        return build(*args)
+    except (ParameterError, UnsupportedKernelError) as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) -> int:
+    """Run ``cfg``; ``out_dir`` defaults to the config's output.dir, else hk_out."""
     set_params = _validate_config(cfg)
-    seed = _convert(int, cfg.get("seed", 0), "seed") if seed is None else int(seed)
-    rng = np.random.default_rng(seed)
-    space = build_space(cfg["space"])
-    scale = build_scale(cfg["scale"], space)
-    kern = build_kernel(cfg["kernel"], space, scale)
-    form = form_mod.assemble(space, kern)
+    seed = _convert(int, cfg.get("seed", 0) if seed is None else seed, "seed")
+    rng = _convert(np.random.default_rng, seed, "seed")
+    space = _build("space", build_space, cfg["space"])
+    scale = _build("scale", build_scale, cfg["scale"], space)
+    kern = _build("kernel", build_kernel, cfg["kernel"], space, scale)
+    form = _build("kernel", form_mod.assemble, space, kern)
     ctx = {"space": space, "scale": scale, "kernel": kern, "form": form, "rng": rng}
 
+    output = cfg.get("output", {})
+    out_dir = out_dir or Path(output.get("dir", "hk_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    formats = cfg.get("output", {}).get("formats", ["json", "csv"])
+    formats = output.get("formats", ["json", "csv"])
     summary_checks = []
     all_pass = True
     for i, (check, values) in enumerate(zip(cfg["checks"], set_params)):
@@ -557,8 +604,7 @@ def counterexample_report(epsilon: float, level: int, axes: int,
         "ij": kernel_mod.ij_check(kern, space, field, config.gamma,
                                   [(r, R) for r in grid for R in grid if r <= R]),
         "wfk": form_mod.fk_family_check(form, space, field, "WFK",
-                                        {"nu": 1.0 / (axes * config.alpha_xi),
-                                         "b": 1.0, "Cprime": 1.0},
+                                        1.0 / (axes * config.alpha_xi), 1.0, 1.0, 0.5,
                                         balls, rng=rng),
     }
     times = np.logspace(-4.5, 0.5, 11)
@@ -617,8 +663,7 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return EXIT_SCHEMA
-            out_dir = Path(args.out) if args.out else Path(cfg.get("output", {}).get("dir", "hk_out"))
-            return run_config(cfg, out_dir, seed=args.seed)
+            return run_config(cfg, Path(args.out) if args.out else None, seed=args.seed)
         if args.command == "counterexample":
             return counterexample_report(args.epsilon, args.levels, args.axes,
                                          Path(args.out))

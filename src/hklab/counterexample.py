@@ -217,22 +217,15 @@ def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
     if form is None:
         field = build_counterexample_field(config, space)
         form = assemble(space, build_cantor_axis_kernel(space, field))
-    rate = (1.0 + 1.0 / config.beta2) * n_desk * config.alpha_xi / 2.0
-    for t in times:
-        p = form.heat_kernel(float(t))
-        r_val = float(p[probe0, probe1]) * float(t) ** rate
-        report["series"].append({"t": float(t), "p": float(p[probe0, probe1]),
-                                 "r": r_val})
-
     control_field = constant_field(space, config.beta1, T0=1.0)
-    control_form = assemble(space, build_cantor_axis_kernel(space, control_field))
-    control_rate = n_desk * config.alpha_xi / config.beta1
-    for t in times:
-        p = control_form.heat_kernel(float(t))
-        r_val = float(p[probe0, probe1]) * float(t) ** control_rate
-        report["control_series"].append({"t": float(t),
-                                         "p": float(p[probe0, probe1]),
-                                         "r": r_val})
+    profiles = (
+        ("series", form, (1.0 + 1.0 / config.beta2) * n_desk * config.alpha_xi / 2.0),
+        ("control_series", assemble(space, build_cantor_axis_kernel(space, control_field)),
+         n_desk * config.alpha_xi / config.beta1))
+    for key, profile_form, rate in profiles:
+        for t in times:
+            p = float(profile_form.heat_kernel(float(t))[probe0, probe1])
+            report[key].append({"t": float(t), "p": p, "r": p * float(t) ** rate})
 
     positive = [(row["t"], row["r"]) for row in report["series"] if row["r"] > 0]
     if decades >= 4.0 and len(positive) >= 4:

@@ -8,7 +8,7 @@ class ParameterError(ValueError):
 class PointCapExceeded(RuntimeError):
     """A builder would produce more points than the configured cap allows."""
 
-    def __init__(self, requested: int, cap: int):
+    def __init__(self, requested: int | str, cap: int):
         self.requested = requested
         self.cap = cap
         super().__init__(

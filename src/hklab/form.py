@@ -63,7 +63,7 @@ class SpectralForm:
         coef = self.psi.T @ (f * self.weights)
         times = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.array([self.psi @ (np.exp(-s * self.eigvals) * coef) for s in times])
-        return out if np.ndim(t) else out[0]
+        return out.reshape(times.size, self.domain.size) if np.ndim(t) else out[0]
 
     def heat_kernel(self, t: float) -> np.ndarray:
         """Kernel values p(t, x, y) on domain x domain."""
@@ -177,11 +177,6 @@ def lambda1(form: SpectralForm, D=None) -> float:
     return float(part.eigvals[0])
 
 
-def resolvent(form: SpectralForm, D, lam: float, f) -> np.ndarray:
-    """Solve (L_D + lam) u = f on the part over D."""
-    return part_on(form, D).resolvent(lam, f)
-
-
 def build_cutoff(space: FiniteMMSpace, x0: int, R: float, r: float) -> np.ndarray:
     """Profile cutoff: 1 on B(x0,R), 0 outside B(x0,R+r), slope 1/r between."""
     if R <= 0 or r <= 0:
@@ -191,7 +186,7 @@ def build_cutoff(space: FiniteMMSpace, x0: int, R: float, r: float) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Ball sampling helper
+# Ball sampling helpers
 # ---------------------------------------------------------------------------
 
 def sample_balls(space: FiniteMMSpace, n_centers: int, radii: Iterable[float],
@@ -199,6 +194,22 @@ def sample_balls(space: FiniteMMSpace, n_centers: int, radii: Iterable[float],
     centers = rng.choice(space.n_points, size=min(n_centers, space.n_points),
                          replace=False)
     return [(int(c), float(r)) for c in centers for r in radii]
+
+
+def _quarter_balls(space: FiniteMMSpace, scale: ScaleField, ball_sample):
+    """The sampled balls with phi(x0, r) < T0 and a nonempty quarter ball B(x0, r/4),
+    as (x0, r, ball members, quarter-ball mask on them), and how many had an empty one."""
+    balls, skipped = [], 0
+    for x0, r in ball_sample:
+        if phi(scale, x0, r) >= scale.T0:
+            continue
+        members = space.ball(x0, r).member_idx
+        quarter_mask = space.dist_from(x0)[members] < r / 4.0
+        if quarter_mask.any():
+            balls.append((x0, r, members, quarter_mask))
+        else:
+            skipped += 1
+    return balls, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +229,12 @@ def lre_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     worst = math.inf
     witness: dict[str, Any] = {}
     series = []
-    skipped = 0
-    for x0, r in ball_sample:
-        if phi(scale, x0, r) >= scale.T0:
-            continue
-        ball = space.ball(x0, r)
-        quarter = np.flatnonzero(space.dist_from(x0)[ball.member_idx] < r / 4.0)
-        if quarter.size == 0:
-            skipped += 1
-            continue
-        part = part_on(form, ball.member_idx)
+    balls, skipped = _quarter_balls(space, scale, ball_sample)
+    for x0, r, members, quarter_mask in balls:
+        part = part_on(form, members)
         lam = kappa / phi(scale, x0, r)
-        u = part.resolvent(lam, np.ones(ball.member_idx.size))
-        c1 = float(u[quarter].min() / phi(scale, x0, r))
+        u = part.resolvent(lam, np.ones(members.size))
+        c1 = float(u[quarter_mask].min() / phi(scale, x0, r))
         series.append({"x0": x0, "r": r, "c1": c1})
         if c1 < worst:
             worst = c1
@@ -240,7 +244,7 @@ def lre_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                              witness=witness, series=series)
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
-    if np.abs(form.L).max() == 0.0:
+    if not form.jmat.any():
         report.note("degenerate zero kernel: the resolvent is the constant 1/lambda")
     report.passed = bool(series) and worst > 0
     return report
@@ -352,8 +356,8 @@ def _fk_bracket(variant: str, ratio_pow: float, damping: float, b: float,
 
 
 def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                    variant: str, params: dict, ball_sample,
-                    subset_strategy: str = "mixed",
+                    variant: str, nu: float, b: float, Cprime: float, delta: float,
+                    ball_sample, subset_strategy: str = "mixed",
                     rng: np.random.Generator | None = None,
                     extra_subsets: dict[tuple[int, float], list[np.ndarray]] | None = None,
                     ) -> ConditionReport:
@@ -365,12 +369,8 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     smallest witness, i.e. the largest C for which the inequality holds on
     every sample.  Subsets whose bracket is nonpositive satisfy the display
     trivially and are skipped.  Reports never claim more than the sampled
-    family.
+    family.  FK and WFK skip radii r >= phi^-1(x0, delta * T0).
     """
-    nu = float(params["nu"])
-    b = float(params.get("b", 1.0))
-    Cprime = float(params.get("Cprime", 1.0))
-    delta = float(params.get("delta", 0.5))
     rng = rng or np.random.default_rng(0)
     best = math.inf
     witness: dict[str, Any] = {}
@@ -439,7 +439,7 @@ def nash_witness_constant(form: SpectralForm, space: FiniteMMSpace, scale: Scale
 
 
 def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-               params: dict, ball_sample, test_family: str = "mixed",
+               nu: float, b: float, ball_sample, test_family: str = "mixed",
                rng: np.random.Generator | None = None) -> ConditionReport:
     """Ball Nash-inequality sweep over a documented test family.
 
@@ -448,8 +448,6 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     supported in the ball.  The reported best constant is the largest
     witness, i.e. the smallest C for which the display holds on the family.
     """
-    nu = float(params["nu"])
-    b = float(params.get("b", 1.0))
     rng = rng or np.random.default_rng(0)
     best = 0.0
     witness: dict[str, Any] = {}
@@ -553,8 +551,7 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
         sweep_subsets[(x0, r)] = [s for f in funcs
                                   if (s := _superlevel_subset(space, D_ball, f)) is not None]
 
-    gfk = fk_family_check(form, space, scale, "GFK",
-                          {"nu": nu, "b": b, "Cprime": Cprime},
+    gfk = fk_family_check(form, space, scale, "GFK", nu, b, Cprime, 0.5,  # GFK reads no delta
                           balls, subset_strategy="mixed", rng=rng,
                           extra_subsets=sweep_subsets)
     c_g = gfk.best_constant

@@ -220,6 +220,13 @@ def cantor_volume_exponent(xi: float) -> float:
     return math.log(2.0) / math.log(2.0 / (1.0 - float(xi)))
 
 
+def _point_count(base: int, power: int, point_cap: int) -> int:
+    """base^power, refused above ``point_cap``; a power of 64 or more is refused unformed."""
+    if power >= 64 or base**power > point_cap:
+        raise PointCapExceeded(base**power if power < 64 else f"{base}^{power}", point_cap)
+    return base**power
+
+
 def build_cantor_product(xi, n: int, level: int,
                          point_cap: int = DEFAULT_POINT_CAP) -> FiniteMMSpace:
     """n-fold product of a level-``level`` middle-``xi`` Cantor approximation.
@@ -235,9 +242,7 @@ def build_cantor_product(xi, n: int, level: int,
         raise ParameterError("level must be in 1..16")
     if n < 1:
         raise ParameterError("n must be a positive integer")
-    n_points = 2 ** (n * level)
-    if n_points > point_cap:
-        raise PointCapExceeded(n_points, point_cap)
+    n_points = _point_count(2, n * level, point_cap)
     axis = [float(e) for e in cantor_axis_endpoints(xi_frac, level)]
     coords = np.array(list(itertools.product(axis, repeat=n)), dtype=float)
     weights = np.full(n_points, 1.0 / n_points)
@@ -262,9 +267,7 @@ def build_grid(d: int, side: int, point_cap: int = DEFAULT_POINT_CAP) -> FiniteM
         raise ParameterError("side must be at least 2")
     if d < 1:
         raise ParameterError("d must be a positive integer")
-    n_points = side ** d
-    if n_points > point_cap:
-        raise PointCapExceeded(n_points, point_cap)
+    n_points = _point_count(side, d, point_cap)
     axis = np.linspace(0.0, 1.0, side)
     coords = np.array(list(itertools.product(axis, repeat=d)), dtype=float)
     weights = np.full(n_points, 1.0 / n_points)

@@ -2,11 +2,13 @@ import contextlib
 import copy
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -254,15 +256,37 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-def _wrong_types(convert):
-    """A string, a list of strings, and null unless the param may be null."""
-    return ["abc", ["abc"]] + ([] if convert is cli._number_or_null else [None])
+# the params that hold a radius, a time or an a0: each must be positive
+POSITIVE_KEYS = {"radius_grid", "ball_radii", "pairs", "radii", "rho",
+                 "time_grid", "times", "T0", "t", "a0_grid"}
+
+
+def _bad_values(key, convert):
+    """(label, value) pairs: a string, a list of strings, null unless the param
+    may be null; for a numeric param also NaN, and -1 for a positive one, each
+    in the shape the param takes (a number, a flat list, a list of pairs)."""
+    bad = [(type(v).__name__, v)
+           for v in ["abc", ["abc"]] + ([] if convert is cli._number_or_null else [None])]
+    doc = convert.__doc__
+    if doc.startswith("one of"):
+        return bad
+    shape = ((lambda x: [[x, 0.5]]) if "pairs" in doc else
+             (lambda x: [x]) if "list" in doc else (lambda x: x))
+    bad.append(("nan", shape(float("nan"))))
+    if key in POSITIVE_KEYS:
+        bad.append(("negative", shape(-1.0)))
+    return bad
 
 
 # every param every check declares, so that a param added later is covered too
-DECLARED_PARAMS = [(name, key, bad) for name, entry in sorted(cli.CHECKS.items())
+DECLARED_PARAMS = [(name, key, label, bad) for name, entry in sorted(cli.CHECKS.items())
                    for key, (convert, _) in entry["params"].items()
-                   for bad in _wrong_types(convert)]
+                   for label, bad in _bad_values(key, convert)]
+
+
+def test_positive_keys_are_declared():
+    declared = {key for entry in cli.CHECKS.values() for key in entry["params"]}
+    assert POSITIVE_KEYS <= declared
 
 
 def _run_exit_code_and_err(tmp_path, capsys, checks):
@@ -271,9 +295,9 @@ def _run_exit_code_and_err(tmp_path, capsys, checks):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name,key,bad", DECLARED_PARAMS,
-                         ids=[f"{n}-{k}-{type(b).__name__}" for n, k, b in DECLARED_PARAMS])
-def test_every_declared_param_rejects_wrong_type(tmp_path, capsys, name, key, bad):
+@pytest.mark.parametrize("name,key,label,bad", DECLARED_PARAMS,
+                         ids=[f"{n}-{k}-{label}" for n, k, label, _ in DECLARED_PARAMS])
+def test_every_declared_param_rejects_wrong_type(tmp_path, capsys, name, key, label, bad):
     checks = [{"name": "conservativeness_check", "mode": "pass"},
               {"name": name, "mode": "pass", "params": {key: bad}}]
     code, err = _run_exit_code_and_err(tmp_path, capsys, checks)
@@ -329,3 +353,129 @@ def test_list_checks_prints_every_declared_param(capsys):
     assert "delta" in blocks["fk_family_check"] and "threshold" in blocks["tjq_check"]
     assert "radius_grid" in blocks["ij_check"]
     assert "time_grid" in blocks["truncation_semigroup_check"]
+
+
+def test_truncation_checks_share_one_near_form(tmp_path, capsys, monkeypatch):
+    # the full form, then one near form at the default rho for all three checks
+    calls = []
+    assemble = cli.form_mod.assemble
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli.form_mod, "assemble", counting_assemble)
+    checks = [{"name": name, "mode": "pass"} for name in
+              ("truncation_l2_check", "truncation_semigroup_check", "meyer_check")]
+    code, _ = _run_exit_code_and_err(tmp_path, capsys, checks)
+    assert code == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("edit,path", [
+    (lambda c: None, "config"), (lambda c: {**c, "space": 5}, "space"),
+    (lambda c: {**c, "checks": [5]}, "checks[0]"),
+    (lambda c: {**c, "checks": [{"name": ["tj_check"]}]}, "checks[0].name"),
+    (lambda c: {**c, "output": [1]}, "output"),
+    (lambda c: {**c, "output": {"formats": 5}}, "output.formats"),
+    (lambda c: {**c, "output": {"dir": 5}}, "output.dir"),
+    (lambda c: {**c, "scale": {**BALLS_CFG["scale"], "anchors": 3}}, "scale.anchors"),
+    (lambda c: {**c, "seed": -1}, "seed"),
+    (lambda c: {**c, "space": {**c["space"], "level": 0}}, "space"),
+    (lambda c: {**c, "space": {**c["space"], "n": 10**30}}, None),
+    (lambda c: {**c, "kernel": {"kind": "stable_like"}}, "kernel")],
+    ids=["root", "section", "check", "name", "output", "formats", "dir", "anchors", "seed",
+         "builder", "huge_n", "kernel_builder"])
+def test_malformed_config_structure_exits_with_path(tmp_path, capsys, edit, path):
+    # a huge product is refused by the point cap (exit 3) before its size is formed
+    config = write_config(tmp_path, edit(copy.deepcopy(CANTOR_CFG)))
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if path is None:
+        assert code == 3 and "point cap exceeded" in err
+    else:
+        assert code == 2 and f"config schema violation at {path}:" in err
+
+
+# ---------------------------------------------------------------------------
+# Whole-config fuzzing: sections nested, keys dropped and types mixed at once
+# ---------------------------------------------------------------------------
+
+FUZZ_BASE = {
+    "space": {"kind": "cantor", "xi": 1 / 3, "n": 1, "level": 2},
+    "scale": {"kind": "constant", "beta": 0.8, "T0": 1.0},
+    "kernel": {"kind": "uniform", "value": 1.0},
+    "checks": [{"name": "tj_check", "mode": "diagnostic", "params": {"radius_grid": [0.25]}},
+               {"name": "se_check", "mode": "pass", "params": {"a0_grid": [0.5]}},
+               {"name": "conservativeness_check", "time_grid": [0.1]}],
+    "output": {"formats": ["json"]},
+    "seed": 1,
+}
+FUZZ_WORDS = ["space", "scale", "kernel", "checks", "params", "name", "mode", "kind",
+              "pass", "diagnostic", "cantor", "grid", "two_point", "custom", "constant",
+              "balls", "table", "uniform", "zero", "stable_like", "json", "csv",
+              "inf", "seed", "output", "formats", "dir", *sorted(cli.CHECKS),
+              *sorted({key for entry in cli.CHECKS.values() for key in entry["params"]})]
+FUZZ_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.sampled_from(FUZZ_WORDS),
+              st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(FUZZ_WORDS), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(cfg, data):
+    """One random edit of ``cfg``: drop, replace or nest the value at a random
+    path, or add a key to the object at a random path."""
+    path = data.draw(st.sampled_from(list(_paths(cfg))))
+    action = data.draw(st.sampled_from(["drop", "replace", "nest", "add"]))
+    if action == "add":
+        target = cfg
+        for key in path:
+            target = target[key]
+        if isinstance(target, dict):
+            target[data.draw(st.sampled_from(FUZZ_WORDS))] = data.draw(FUZZ_VALUES)
+        return cfg
+    if not path:
+        return data.draw(FUZZ_VALUES) if action == "replace" else cfg
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if action == "drop":
+        del parent[key]
+    elif action == "replace":
+        parent[key] = data.draw(FUZZ_VALUES)
+    else:
+        parent[key] = data.draw(st.sampled_from([[parent[key]], {"params": parent[key]},
+                                                 {data.draw(st.sampled_from(FUZZ_WORDS)):
+                                                  parent[key]}]))
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_cleanly(data):
+    cfg = copy.deepcopy(FUZZ_BASE)
+    for _ in range(data.draw(st.integers(1, 4))):
+        cfg = _mutate(cfg, data)
+    # a small point cap keeps every space the edits can reach cheap to assemble
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli.space_mod, "DEFAULT_POINT_CAP", 64):
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert "config schema violation at " in err.getvalue(), err.getvalue()

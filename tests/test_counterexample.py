@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -140,11 +141,32 @@ def test_desk_scale_conditions_all_finite():
     cs = hk.cs_check(form, sp, field, kern, [(x0, r / 2, r / 4) for x0, r in balls])
     assert math.isfinite(cs.best_constant)
     n_desk = sp.meta["n_axes"]
-    wfk = hk.fk_family_check(form, sp, field, "WFK",
-                             {"nu": 1.0 / (n_desk * cfg.alpha_xi), "b": 1.0,
-                              "Cprime": 1.0}, balls, rng=rng)
+    wfk = hk.fk_family_check(form, sp, field, "WFK", 1.0 / (n_desk * cfg.alpha_xi), 1.0,
+                             1.0, 0.5, balls, rng=rng)
     assert wfk.passed and wfk.best_constant > 0
     pairs = [(r, R) for r in grid for R in grid if r <= R]
     ij = hk.ij_check(kern, sp, field, cfg.gamma, pairs)
     assert math.isfinite(ij.best_constant)
     assert ij.witness["gamma_hat"] <= cfg.gamma + 0.25
+
+
+def test_diagnostic_profile_matches_per_form_loops():
+    # the profile and its control as two separate per-time loops, the way the
+    # diagnostic computed them before it walked both forms in one loop
+    cfg = hk.synthesize_config(4.0, level=3)
+    sp = hk.build_cantor_product(cfg.xi, 2, 3)
+    form = hk.assemble(sp, hk.build_cantor_axis_kernel(sp, hk.build_counterexample_field(cfg, sp)))
+    control = hk.assemble(sp, hk.build_cantor_axis_kernel(
+        sp, hk.constant_field(sp, cfg.beta1, T0=1.0)))
+    times = np.logspace(-4.5, 0.5, 11)
+    rep = hk.due_violation_diagnostic(cfg, sp, times, form=form)
+    x0 = int(np.argmin(sp.dist_from_coord(sp.meta["corner_zero"])))
+    y0 = int(np.argmin(sp.dist_from_coord(sp.meta["corner_e1"])))
+    for key, f, rate in (("series", form, (1.0 + 1.0 / cfg.beta2) * 2 * cfg.alpha_xi / 2.0),
+                         ("control_series", control, 2 * cfg.alpha_xi / cfg.beta1)):
+        expected = []
+        for t in times:
+            p = f.heat_kernel(float(t))
+            expected.append({"t": float(t), "p": float(p[x0, y0]),
+                             "r": float(p[x0, y0]) * float(t) ** rate})
+        assert json.dumps(rep[key]) == json.dumps(expected)

@@ -256,7 +256,7 @@ def test_fk_ball_itself_reduces_to_lambda_phi(cantor6):
     space, scale, kern = cantor6
     form = hk.assemble(space, kern)
     x0, r = 0, 0.25
-    rep = hk.fk_family_check(form, space, scale, "FK", {"nu": 0.5},
+    rep = hk.fk_family_check(form, space, scale, "FK", 0.5, 1.0, 1.0, 0.5,
                              [(x0, r)], subset_strategy="subballs")
     ball = space.ball(x0, r)
     direct = hk.lambda1(form, ball.member_idx) * hk.phi(scale, x0, r)
@@ -268,7 +268,7 @@ def test_fk_two_point_closed_form(two_point):
     space, _, form = two_point
     field = hk.constant_field(space, 1.0)
     nu = 0.7
-    rep = hk.fk_family_check(form, space, field, "FK", {"nu": nu}, [(0, 2.0)],
+    rep = hk.fk_family_check(form, space, field, "FK", nu, 1.0, 1.0, 0.5, [(0, 2.0)],
                              subset_strategy="subballs")
     # subset {atom 0} inside the whole-space ball: lambda1 = 1, V/mu(D) = 2
     expected = 1.0 * hk.phi(field, 0, 2.0) / 2.0**nu
@@ -289,8 +289,8 @@ def test_gfk_with_derived_exponent_finite(cantor6):
     b = (1 + nu) * alpha_hat / scale.beta1
     rng = np.random.default_rng(0)
     balls = hk.sample_balls(space, 3, [0.2, 0.45], rng)
-    rep = hk.fk_family_check(form, space, scale, "GFK",
-                             {"nu": nu, "b": b, "Cprime": 1.0}, balls, rng=rng)
+    rep = hk.fk_family_check(form, space, scale, "GFK", nu, b, 1.0, 0.5, balls,
+                             rng=rng)
     assert rep.passed
     assert math.isfinite(rep.best_constant) and rep.best_constant > 0
 
@@ -318,7 +318,7 @@ def test_nash_zero_kernel_finite():
     sp = hk.build_grid(1, 12)
     field = hk.constant_field(sp, 1.0, T0=1.0)
     form = hk.assemble(sp, hk.build_zero_kernel(sp))
-    rep = hk.nash_check(form, sp, field, {"nu": 0.5}, [(0, 0.6)])
+    rep = hk.nash_check(form, sp, field, 0.5, 1.0, [(0, 0.6)])
     assert math.isfinite(rep.best_constant) and rep.best_constant > 0
 
 
@@ -350,8 +350,7 @@ def test_fk_passes_where_due_confirmed():
     radii = np.sort(2.0 ** -np.arange(2, 6, dtype=float))
     alpha_hat, _ = hk.fit_vd_exponent(sp, radii)
     rng = np.random.default_rng(2)
-    rep = hk.fk_family_check(form, sp, field, "FK",
-                             {"nu": field.beta1 / alpha_hat},
+    rep = hk.fk_family_check(form, sp, field, "FK", field.beta1 / alpha_hat, 1.0, 1.0, 0.5,
                              hk.sample_balls(sp, 3, [0.2, 0.4], rng), rng=rng)
     assert rep.passed and rep.best_constant > 0
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError
-from hklab.semigroup import _interchange_integral, far_tail_profile
+from hklab.semigroup import (_SE_FROM_LRE_T_FRACS, _SE_TIMES_PER_A0, default_time_grid,
+                              _interchange_integral, far_tail_profile)
 
 
 def test_two_point_heat_kernel_closed_form(two_point):
@@ -352,3 +354,139 @@ def test_apply_semigroup_time_sequence_matches_single_times(cantor6):
     for t, row in zip(times, rows):
         assert np.array_equal(row, form.apply_semigroup(t, f))
     assert form.apply_semigroup(np.array([]), f).shape[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The per-time loops the checkers ran before they made one semigroup call per
+# time grid.  They stay here as references: the checkers must reproduce them
+# bit for bit (compared through float repr, which also tells -0.0 from 0.0).
+# ---------------------------------------------------------------------------
+
+def _bits(value) -> str:
+    return json.dumps(value)
+
+
+@pytest.fixture
+def cantor_2x3():
+    space = hk.build_cantor_product(1 / 3, 2, 3)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    kern = hk.build_cantor_axis_kernel(space, scale)
+    form = hk.assemble(space, kern)
+    balls = hk.sample_balls(space, 4, hk.dyadic_radius_grid(space)[-3:],
+                            np.random.default_rng(3))
+    return space, scale, kern, form, balls
+
+
+def _quarter_ball_parts(form, space, scale, ball_sample):
+    for x0, r in ball_sample:
+        if hk.phi(scale, x0, r) >= scale.T0:
+            continue
+        ball = space.ball(x0, r)
+        quarter_mask = space.dist_from(x0)[ball.member_idx] < r / 4.0
+        if quarter_mask.any():
+            yield x0, r, hk.part_on(form, ball.member_idx), quarter_mask
+
+
+def _ones_per_time(part, t):
+    return part.apply_semigroup(t, np.ones(part.domain.size))
+
+
+def _conservativeness_per_time(form, time_grid):
+    worst = 0.0
+    for t in time_grid:
+        worst = max(worst, float(np.abs(_ones_per_time(form, float(t)) - 1.0).max()))
+    return worst
+
+
+def _se_curve_per_time(form, space, scale, ball_sample, a0_grid):
+    balls = list(_quarter_ball_parts(form, space, scale, ball_sample))
+    curve = []
+    for a0 in a0_grid:
+        eps0 = math.inf
+        for x0, r, part, quarter_mask in balls:
+            horizon = a0 * hk.phi(scale, x0, r)
+            for frac in np.linspace(1.0 / _SE_TIMES_PER_A0, 1.0, _SE_TIMES_PER_A0):
+                surv = _ones_per_time(part, frac * horizon)
+                eps0 = min(eps0, float(surv[quarter_mask].min()))
+        curve.append({"a0": float(a0), "eps0": (None if eps0 is math.inf else eps0)})
+    return curve
+
+
+def _se_from_lre_series_per_time(form, space, scale, kappa, ball_sample):
+    series = []
+    for x0, r, part, quarter_mask in _quarter_ball_parts(form, space, scale, ball_sample):
+        u = part.resolvent(kappa / hk.phi(scale, x0, r), np.ones(part.domain.size))
+        u_min, u_max = float(u[quarter_mask].min()), float(u.max())
+        for frac in _SE_FROM_LRE_T_FRACS:
+            t = frac * u_min / 2.0
+            surv = _ones_per_time(part, t)
+            series.append({"x0": x0, "r": r, "t": t,
+                           "margin": float(surv[quarter_mask].min() - (u_min - t) / u_max)})
+    return series
+
+
+def _truncation_series_per_time(form_full, form_near, f, time_grid, form_near_wider=None):
+    tail = float((0.5 * np.diag(form_full.L - form_near.L)).max())
+    fmax = float(f.max(initial=0.0))
+    series = []
+    for t in time_grid:
+        t = float(t)
+        diff = float(np.abs(form_full.apply_semigroup(t, f)
+                            - form_near.apply_semigroup(t, f)).max())
+        bound = 2.0 * t * fmax * tail
+        series.append({"t": t, "diff": diff, "bound": bound, "margin": bound - diff})
+    if form_near_wider is not None:
+        tail_gap = float((0.5 * np.diag(form_full.L - form_near.L)
+                          - 0.5 * np.diag(form_full.L - form_near_wider.L)).max())
+        for t in time_grid:
+            t = float(t)
+            diff = float(np.abs(form_near_wider.apply_semigroup(t, f)
+                                - form_near.apply_semigroup(t, f)).max())
+            series.append({"t": t, "nested_diff": diff,
+                           "margin": 2.0 * t * fmax * tail_gap - diff})
+    return tail, series
+
+
+def test_conservativeness_matches_per_time_loop(cantor_2x3):
+    space, _, _, form, _ = cantor_2x3
+    part = hk.part_on(form, space.ball(0, 0.4).member_idx)
+    for f, grid in ((form, (0.01, 0.1, 1.0, 10.0)), (form, default_time_grid(form)),
+                    (part, [0.05, 0.5, 5.0]), (part, [])):
+        worst = _conservativeness_per_time(f, grid)
+        rep = hk.conservativeness_check(f, grid)
+        assert _bits(rep.best_constant) == _bits(worst)
+        assert _bits(rep.witness) == _bits({"max_defect": worst})
+
+
+def test_se_check_matches_per_time_loop(cantor_2x3):
+    space, scale, _, form, balls = cantor_2x3
+    for a0_grid in ((0.125, 0.25, 0.5), np.array([0.3, 1.7]), ()):
+        rep = hk.se_check(form, space, scale, balls, a0_grid=a0_grid)
+        curve = _se_curve_per_time(form, space, scale, balls, a0_grid)
+        assert all(row["eps0"] is not None for row in curve)
+        assert len(curve) == len(a0_grid) and _bits(rep.series) == _bits(curve)
+
+
+def test_se_from_lre_chain_matches_per_time_loop(cantor_2x3):
+    space, scale, _, form, balls = cantor_2x3
+    for kappa in (1.0, 0.25):
+        rep = hk.se_from_lre_chain(form, space, scale, kappa, balls)
+        series = _se_from_lre_series_per_time(form, space, scale, kappa, balls)
+        assert series and _bits(rep.series) == _bits(series)
+        assert _bits(rep.best_constant) == _bits(min(row["margin"] for row in series))
+
+
+def test_truncation_semigroup_matches_per_time_loop(cantor_2x3):
+    space, _, kern, form, _ = cantor_2x3
+    form_near = hk.assemble(space, hk.truncate(kern, 0.125)[0])
+    form_wider = hk.assemble(space, hk.truncate(kern, 0.5)[0])
+    assert np.array_equal(far_tail_profile(form, form_near),
+                          0.5 * np.diag(form.L - form_near.L))
+    f = (space.dist_from(0) < 0.25) + 0.5 * space.weights * space.n_points
+    for grid in (default_time_grid(form), [0.5, 0.01], []):
+        for wider in (None, form_wider):
+            rep = hk.truncation_semigroup_check(form, form_near, space, f, grid,
+                                                form_near_wider=wider)
+            tail, series = _truncation_series_per_time(form, form_near, f, grid, wider)
+            assert _bits(rep.series) == _bits(series)
+            assert _bits(rep.witness["far_tail"]) == _bits(tail)
