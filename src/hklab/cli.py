@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_SCHEMA = 2
 EXIT_POINT_CAP = 3
+OUTPUT_FORMATS = ("json", "csv", "plotdata")
 
 
 class SchemaError(Exception):
@@ -66,7 +67,7 @@ def _convert(convert, value, path: str):
     """``convert(value)``, or a SchemaError at ``path`` when the value has the wrong type."""
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise SchemaError(path, f"invalid value {value!r}: {exc}") from exc
 
 
@@ -83,15 +84,15 @@ def _float_array(value):
 
 def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
     kind = _require(cfg, "kind", "space")
-    cap = _field(cfg, "point_cap", "space", int, space_mod.DEFAULT_POINT_CAP)
+    cap = _field(cfg, "point_cap", "space", _whole, space_mod.DEFAULT_POINT_CAP)
     if kind == "cantor":
         return space_mod.build_cantor_product(
             _field(cfg, "xi", "space", space_mod._as_fraction),
-            _field(cfg, "n", "space", int), _field(cfg, "level", "space", int),
+            _field(cfg, "n", "space", _whole), _field(cfg, "level", "space", _whole),
             point_cap=cap)
     if kind == "grid":
-        return space_mod.build_grid(_field(cfg, "d", "space", int),
-                                    _field(cfg, "side", "space", int), point_cap=cap)
+        return space_mod.build_grid(_field(cfg, "d", "space", _whole),
+                                    _field(cfg, "side", "space", _whole), point_cap=cap)
     if kind == "two_point":
         return space_mod.build_two_point(_field(cfg, "gap", "space", float, 1.0),
                                          _field(cfg, "weights", "space", _float_array,
@@ -189,6 +190,14 @@ def _positive(value) -> float:
     return x
 
 
+def _whole(value) -> int:
+    """a whole number"""
+    x = value if isinstance(value, int) else _number(value)
+    if isinstance(value, bool) or x != int(x):
+        raise ValueError("not a whole number")
+    return int(x)
+
+
 def _number_or_null(value) -> float | None:
     """a number or null"""
     return None if value is None else _number(value)
@@ -214,10 +223,7 @@ def _grid(value) -> np.ndarray | None:
 
 def _atom_ids(value) -> np.ndarray:
     """a flat list of atom indices"""
-    ids = _numbers(value)
-    if not all(i.is_integer() for i in ids.tolist()):
-        raise ValueError("not whole numbers")
-    return ids.astype(int)
+    return _numbers(value, _whole).astype(int)
 
 
 def _pairs(value) -> list[tuple[float, float]] | None:
@@ -520,8 +526,12 @@ def _validate_config(cfg) -> list[dict]:
             raise SchemaError(f"checks[{i}].mode", "must be 'pass' or 'diagnostic'")
     output = _object(cfg.get("output", {}), "output")
     formats = output.get("formats", [])
-    if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)):
+    if not isinstance(formats, list):
         raise SchemaError("output.formats", "must be a list of format names")
+    for name in formats:
+        if name not in OUTPUT_FORMATS:
+            raise SchemaError("output.formats", f"unknown format {name!r}, not one of "
+                                                f"{', '.join(OUTPUT_FORMATS)}")
     if not isinstance(output.get("dir", ""), str):
         raise SchemaError("output.dir", "must be a string")
     return [_set_params(i, check) for i, check in enumerate(cfg["checks"])]
@@ -538,7 +548,7 @@ def _build(path: str, build, *args):
 def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) -> int:
     """Run ``cfg``; ``out_dir`` defaults to the config's output.dir, else hk_out."""
     set_params = _validate_config(cfg)
-    seed = _convert(int, cfg.get("seed", 0) if seed is None else seed, "seed")
+    seed = _convert(_whole, cfg.get("seed", 0) if seed is None else seed, "seed")
     rng = _convert(np.random.default_rng, seed, "seed")
     space = _build("space", build_space, cfg["space"])
     scale = _build("scale", build_scale, cfg["scale"], space)

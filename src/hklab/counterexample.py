@@ -224,7 +224,7 @@ def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
          n_desk * config.alpha_xi / config.beta1))
     for key, profile_form, rate in profiles:
         for t in times:
-            p = float(profile_form.heat_kernel(float(t))[probe0, probe1])
+            p = float(profile_form.heat_kernel_entries(float(t), [probe0], [probe1])[0])
             report[key].append({"t": float(t), "p": p, "r": p * float(t) ** rate})
 
     positive = [(row["t"], row["r"]) for row in report["series"] if row["r"] > 0]

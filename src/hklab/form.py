@@ -8,6 +8,9 @@ so that <L f, f>_mu equals the double sum over ordered pairs
 sum_{x,y} (f(x)-f(y))^2 j(x,y) mu(x) mu(y).  Dirichlet parts are principal
 submatrices of L: the diagonal keeps the jumps that leave the domain, which
 act as killing.
+
+Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
+checkers ask a :class:`SpectralForm` for entries and this module for parts.
 """
 
 from __future__ import annotations
@@ -72,6 +75,13 @@ class SpectralForm:
         decay = np.exp(-t * self.eigvals)
         return (self.psi * decay) @ self.psi.T
 
+    def heat_kernel_entries(self, t: float, xs, ys) -> np.ndarray:
+        """p(t, xs[k], ys[k]) for each k from rows of psi, in O(len(xs) N), no N x N kernel."""
+        if t < 0:
+            raise ParameterError("time must be nonnegative")
+        rows = self.psi[np.asarray(xs, dtype=int)] * np.exp(-t * self.eigvals)
+        return np.einsum("ij,ij->i", rows, self.psi[np.asarray(ys, dtype=int)])
+
     def resolvent(self, lam: float, f) -> np.ndarray:
         """Solve (L + lam) u = f on the domain."""
         if lam <= 0:
@@ -81,15 +91,23 @@ class SpectralForm:
         return self.psi @ (coef / (self.eigvals + lam))
 
 
-def _spectral_data(L: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sqrt_w = np.sqrt(w)
+def _symmetrized(L: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
+    """The symmetric matrix W^(1/2) L W^(-1/2), symmetrized against rounding."""
     sym = L * sqrt_w[:, None]
     sym /= sqrt_w[None, :]
     sym += sym.T                                       # numpy buffers the overlap
     sym *= 0.5
-    eigvals, psi = np.linalg.eigh(sym)
+    return sym
+
+
+def _form(space: FiniteMMSpace, jmat: np.ndarray, domain: np.ndarray,
+          L: np.ndarray) -> SpectralForm:
+    """The form with generator ``L`` on ``domain``, diagonalized by one ``eigh``."""
+    sqrt_w = np.sqrt(space.weights[domain])
+    eigvals, psi = np.linalg.eigh(_symmetrized(L, sqrt_w))
     psi /= sqrt_w[:, None]
-    return eigvals, psi
+    return SpectralForm(space=space, jmat=jmat, domain=domain, L=L,
+                        eigvals=eigvals, psi=psi)
 
 
 def _symmetric_kernel_matrix(space: FiniteMMSpace, jmat: np.ndarray) -> np.ndarray:
@@ -131,9 +149,7 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     L *= space.weights[None, :]
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
-    eigvals, psi = _spectral_data(L, space.weights)
-    return SpectralForm(space=space, jmat=jmat, domain=np.arange(space.n_points),
-                        L=L, eigvals=eigvals, psi=psi)
+    return _form(space, jmat, np.arange(space.n_points), L)
 
 
 def part_on(form: SpectralForm, D) -> SpectralForm:
@@ -142,9 +158,7 @@ def part_on(form: SpectralForm, D) -> SpectralForm:
     ``D`` must be a nonempty 1-D list of distinct atom indices in 0..N-1.
     """
     D, LD = _part_generator(form, D)
-    eigvals, psi = _spectral_data(LD, form.space.weights[D])
-    return SpectralForm(space=form.space, jmat=form.jmat, domain=D,
-                        L=LD, eigvals=eigvals, psi=psi)
+    return _form(form.space, form.jmat, D, LD)
 
 
 def _part_energy(form: SpectralForm, D, f) -> float:
@@ -175,6 +189,49 @@ def lambda1(form: SpectralForm, D=None) -> float:
     """Bottom eigenvalue of the Dirichlet part (the Rayleigh-quotient infimum)."""
     part = form if D is None else part_on(form, D)
     return float(part.eigvals[0])
+
+
+def default_time_grid(form: SpectralForm) -> np.ndarray:
+    """Nine log-spaced times over [1e-3, 10] times the full form's relaxation time."""
+    lam = form.eigvals[form.eigvals > 1e-12]
+    relax = 1.0 / lam[0] if lam.size else 1.0
+    return relax * np.logspace(-3, 1, 9)
+
+
+def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.ndarray:
+    """tail(x) = sum over far atoms of j(x,w) mu(w), from the generator diagonals."""
+    return 0.5 * (np.diag(form_full.L) - np.diag(form_near.L))
+
+
+def removed_top_eigenvalue(form_full: SpectralForm, form_near: SpectralForm) -> float:
+    """Largest eigenvalue of the removed generator L_full - L_near, without eigenvectors."""
+    sqrt_w = np.sqrt(form_full.weights)
+    return float(np.linalg.eigvalsh(_symmetrized(form_full.L - form_near.L, sqrt_w))[-1])
+
+
+def killed_part(form_full: SpectralForm, form_near: SpectralForm, D) -> SpectralForm:
+    """Near part on D plus the killing potential 2*tail from the removed jumps."""
+    D, LD = _part_generator(form_near, D)
+    tail = far_tail_profile(form_full, form_near)
+    return _form(form_near.space, form_near.jmat, D, LD + 2.0 * np.diag(tail[D]))
+
+
+def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,
+                          S: np.ndarray, t: float) -> np.ndarray:
+    """int_0^t P^a_s W S P^b_{t-s} ds in closed form (Van Loan, IEEE TAC 1978).
+
+    In the eigenbases the integrand is diagonal in time, so the integral is
+    Psi_a [(Psi_a^T W S Psi_b) o G] Psi_b^T with the divided differences
+    G_ij = int_0^t exp(-s a_i - (t-s) b_j) ds, which is t exp(-t a_i) where
+    the eigenvalues coincide.
+    """
+    a, b = part_a.eigvals[:, None], part_b.eigvals[None, :]
+    gap = np.abs(a - b)
+    frac = np.full(gap.shape, t)
+    np.divide(-np.expm1(-t * gap), gap, out=frac, where=gap > 0)
+    G = np.exp(-t * np.minimum(a, b)) * frac
+    M = part_a.psi.T @ (part_a.weights[:, None] * S) @ part_b.psi
+    return part_a.psi @ (M * G) @ part_b.psi.T
 
 
 def build_cutoff(space: FiniteMMSpace, x0: int, R: float, r: float) -> np.ndarray:

@@ -90,16 +90,20 @@ def truncate(kernel: JumpKernel, rho: float) -> tuple[JumpKernel, JumpKernel]:
     return _masked_kernel(kernel, True, rho), _masked_kernel(kernel, False, rho)
 
 
-def scale_kernel(kernel: JumpKernel, factor: float) -> JumpKernel:
-    def block_fn(rows, cols):
-        return factor * kernel.block(rows, cols)
-    return JumpKernel(kernel.space, block_fn, kernel.support_pattern, kernel.rho,
-                      {**kernel.meta, "scaled_by": factor})
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
+
+def _dense_kernel(space: FiniteMMSpace, m: np.ndarray, support_pattern: str,
+                  meta: dict[str, Any]) -> JumpKernel:
+    """Kernel owning ``m``: diagonal zeroed, read-only, both its blocks and its ``matrix()``."""
+    np.fill_diagonal(m, 0.0)
+    m.flags.writeable = False
+    kern = JumpKernel(space, lambda rows, cols: m[np.ix_(rows, cols)], support_pattern,
+                      meta=meta)
+    kern._matrix = m
+    return kern
+
 
 def build_zero_kernel(space: FiniteMMSpace) -> JumpKernel:
     def block_fn(rows, cols):
@@ -179,10 +183,8 @@ def build_stable_like_kernel(space: FiniteMMSpace, scale: ScaleField,
     """
     if space.meta.get("kind") != "grid":
         raise ParameterError("stable-like kernel needs a grid space")
+    dist = space.pairwise()                            # refuses above the dense cap
     n = space.n_points
-    if n > DENSE_MATRIX_CAP:
-        raise PointCapExceeded(n, DENSE_MATRIX_CAP)
-    dist = space.pairwise()
     raw = np.zeros((n, n))
     for x in range(n):
         row = dist[x]
@@ -195,32 +197,20 @@ def build_stable_like_kernel(space: FiniteMMSpace, scale: ScaleField,
             raw[x] = lower_constant / (vol * phi_row)
     raw[~np.isfinite(raw)] = 0.0
     np.fill_diagonal(raw, 0.0)
-    jmat = 0.5 * (raw + raw.T)
-
-    def block_fn(rows, cols):
-        return jmat[np.ix_(rows, cols)]
-
-    return JumpKernel(space, block_fn, "full",
-                      meta={"kind": "stable_like", "lower_constant": lower_constant})
+    return _dense_kernel(space, 0.5 * (raw + raw.T), "full",
+                         {"kind": "stable_like", "lower_constant": lower_constant})
 
 
 def build_nearest_neighbor_kernel(space: FiniteMMSpace, value: float = 1.0) -> JumpKernel:
     """Jump surrogate for a local form: jumps only at the minimal atom spacing."""
-    n = space.n_points
-    if n > DENSE_MATRIX_CAP:
-        raise PointCapExceeded(n, DENSE_MATRIX_CAP)
-    dist = space.pairwise()
+    dist = space.pairwise()                            # refuses above the dense cap
     positive = dist[dist > 0]
     if positive.size == 0:
         raise ParameterError("space has fewer than two distinct points")
     h = float(positive.min())
     jmat = np.where((dist > 0) & (dist <= h * (1 + 1e-9)), value / h**2, 0.0)
-
-    def block_fn(rows, cols):
-        return jmat[np.ix_(rows, cols)]
-
-    return JumpKernel(space, block_fn, "nearest_neighbor",
-                      meta={"kind": "nearest_neighbor", "spacing": h})
+    return _dense_kernel(space, jmat, "nearest_neighbor",
+                         {"kind": "nearest_neighbor", "spacing": h})
 
 
 def kernel_to_coo_json(kernel: JumpKernel) -> list[dict[str, Any]]:
@@ -237,11 +227,7 @@ def kernel_from_coo_json(space: FiniteMMSpace, entries) -> JumpKernel:
     for e in entries:
         m[e["i"], e["j"]] = e["value"]
         m[e["j"], e["i"]] = e["value"]
-
-    def block_fn(rows, cols):
-        return m[np.ix_(rows, cols)]
-
-    return JumpKernel(space, block_fn, "full", meta={"kind": "coo"})
+    return _dense_kernel(space, m, "full", {"kind": "coo"})
 
 
 # ---------------------------------------------------------------------------

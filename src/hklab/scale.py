@@ -49,9 +49,6 @@ class ScaleField:
         if lo < self.beta1 - 1e-12 or hi > self.beta2 + 1e-12:
             raise ParameterError("beta values must lie in [beta1, beta2]")
 
-    def beta_of(self, x: int) -> float:
-        return float(self.beta_values[x])
-
 
 def phi(scale: ScaleField, x: int, r: float) -> float:
     if r <= 0:

@@ -1,6 +1,7 @@
-"""Heat kernels by spectral calculus and the semigroup-level checkers.
+"""The semigroup-level checkers.
 
-Everything here is exact spectral calculus, the jump-interchange integral in
+They read heat-kernel entries, semigroups and parts through the spectral
+operations of :mod:`hklab.form`, the jump-interchange integral of
 :func:`meyer_check` included: it is evaluated in closed form in the
 eigenbases, so no numerical approximation remains.
 
@@ -27,7 +28,8 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError
-from .form import SpectralForm, _quarter_balls, _spectral_data, part_on
+from .form import (SpectralForm, _interchange_integral, _quarter_balls, default_time_grid,
+                   far_tail_profile, killed_part, part_on, removed_top_eigenvalue)
 from .kernel import JumpKernel
 from .report import ConditionReport
 from .scale import ScaleField, phi, phi_inverse_vec
@@ -36,13 +38,6 @@ from .space import FiniteMMSpace
 _SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
 _DUE_PAIR_SAMPLE = 64                    # off-diagonal pairs per time in due_check
 _SE_FROM_LRE_T_FRACS = (0.25, 0.5, 1.0)  # se_from_lre times, in halves of the resolvent minimum
-
-
-def default_time_grid(form: SpectralForm) -> np.ndarray:
-    """Nine log-spaced times over [1e-3, 10] times the full form's relaxation time."""
-    lam = form.eigvals[form.eigvals > 1e-12]
-    relax = 1.0 / lam[0] if lam.size else 1.0
-    return relax * np.logspace(-3, 1, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +173,7 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         t = float(t)
         if not (t < k * T0):
             continue
-        p = form.heat_kernel(t)
-        diag = np.diag(p)
+        diag = form.heat_kernel_entries(t, np.arange(n), np.arange(n))
         vols = space.volumes_at(phi_inverse_vec(scale, np.arange(n), t))
         vals = diag * vols
         x = int(np.argmax(vals))
@@ -191,8 +185,8 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
             witness = {"x": x, "t": t}
         xs = rng.integers(0, n, size=min(_DUE_PAIR_SAMPLE, n * n))
         ys = rng.integers(0, n, size=xs.size)
-        cs_resid = max(cs_resid, float(
-            (p[xs, ys] - np.sqrt(np.maximum(diag[xs] * diag[ys], 0.0))).max()))
+        cs_resid = max(cs_resid, float((form.heat_kernel_entries(t, xs, ys)
+                                        - np.sqrt(np.maximum(diag[xs] * diag[ys], 0.0))).max()))
     report = ConditionReport(condition="due", params={"T0": T0, "k": k},
                              best_constant=best,
                              witness={**witness, "sqrt_product_residual": cs_resid},
@@ -218,19 +212,13 @@ def conservativeness_check(form: SpectralForm, time_grid=(0.01, 0.1, 1.0, 10.0),
 # Truncation comparisons
 # ---------------------------------------------------------------------------
 
-def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.ndarray:
-    """tail(x) = sum over far atoms of j(x,w) mu(w), from the generator diagonals."""
-    return 0.5 * (np.diag(form_full.L) - np.diag(form_near.L))
-
-
 def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm,
                         space: FiniteMMSpace) -> ConditionReport:
     """Largest eigenvalue of the removed generator against four times the far tail.
 
     The far tail comes from the generator diagonals, which is exact.
     """
-    eigvals, _ = _spectral_data(form_full.L - form_near.L, space.weights)
-    sup_eig = float(eigvals[-1])
+    sup_eig = removed_top_eigenvalue(form_full, form_near)
     tail = far_tail_profile(form_full, form_near)
     bound = 4.0 * float(tail.max())
     margin = bound - sup_eig
@@ -295,34 +283,6 @@ def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
 # Jump-interchange (Meyer-type) comparison
 # ---------------------------------------------------------------------------
 
-def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,
-                          S: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t P^a_s W S P^b_{t-s} ds in closed form (Van Loan, IEEE TAC 1978).
-
-    In the eigenbases the integrand is diagonal in time, so the integral is
-    Psi_a [(Psi_a^T W S Psi_b) o G] Psi_b^T with the divided differences
-    G_ij = int_0^t exp(-s a_i - (t-s) b_j) ds, which is t exp(-t a_i) where
-    the eigenvalues coincide.
-    """
-    a, b = part_a.eigvals[:, None], part_b.eigvals[None, :]
-    gap = np.abs(a - b)
-    frac = np.full(gap.shape, t)
-    np.divide(-np.expm1(-t * gap), gap, out=frac, where=gap > 0)
-    G = np.exp(-t * np.minimum(a, b)) * frac
-    M = part_a.psi.T @ (part_a.weights[:, None] * S) @ part_b.psi
-    return part_a.psi @ (M * G) @ part_b.psi.T
-
-
-def _kill_form(form_full: SpectralForm, form_near: SpectralForm,
-               D: np.ndarray, space: FiniteMMSpace) -> SpectralForm:
-    """Near part on D plus the killing potential 2*tail from removed jumps."""
-    tail = far_tail_profile(form_full, form_near)
-    L_kill = form_near.L[np.ix_(D, D)] + 2.0 * np.diag(tail[D])
-    eigvals, psi = _spectral_data(L_kill, space.weights[D])
-    return SpectralForm(space=space, jmat=form_near.jmat, domain=D,
-                        L=L_kill, eigvals=eigvals, psi=psi)
-
-
 def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
                 kernel_far: JumpKernel, space: FiniteMMSpace,
                 D, t: float, tol: float = 1e-6) -> ConditionReport:
@@ -347,7 +307,7 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
     D = np.asarray(D, dtype=int)
     part_full = part_on(form_full, D)
     part_near = part_on(form_near, D)
-    part_kill = _kill_form(form_full, form_near, D, space)
+    part_kill = killed_part(form_full, form_near, D)
 
     jfar_D = kernel_far.block(D, D)
     np.fill_diagonal(jfar_D, 0.0)

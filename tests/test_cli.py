@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hklab import cli
@@ -204,6 +204,15 @@ def _not_a_number(text):
 @given(case=st.sampled_from(SCALAR_FIELDS),
        bad=st.one_of(st.text(max_size=8).filter(_not_a_number),
                      st.lists(st.integers(), max_size=3), st.none()))
+@example(case=SCALAR_FIELDS[0], bad="1/0")
+@example(case=SCALAR_FIELDS[0], bad="0/0")
+# whole-number fields refuse fractions and booleans instead of truncating them
+@example(case=SCALAR_FIELDS[1], bad=1.5)
+@example(case=SCALAR_FIELDS[2], bad=2.7)
+@example(case=SCALAR_FIELDS[2], bad=True)
+@example(case=SCALAR_FIELDS[3], bad=100.5)
+@example(case=SCALAR_FIELDS[6], bad=True)
+@example(case=SCALAR_FIELDS[7], bad=4.5)
 def test_malformed_config_scalar_exits_2_with_path(case, bad):
     base, section, key = case
     cfg = copy.deepcopy(base)
@@ -381,11 +390,14 @@ def test_truncation_checks_share_one_near_form(tmp_path, capsys, monkeypatch):
     (lambda c: {**c, "output": {"dir": 5}}, "output.dir"),
     (lambda c: {**c, "scale": {**BALLS_CFG["scale"], "anchors": 3}}, "scale.anchors"),
     (lambda c: {**c, "seed": -1}, "seed"),
+    (lambda c: {**c, "seed": 1.9}, "seed"), (lambda c: {**c, "seed": True}, "seed"),
+    (lambda c: {**c, "output": {"formats": ["json", "jsn"]}}, "output.formats"),
     (lambda c: {**c, "space": {**c["space"], "level": 0}}, "space"),
     (lambda c: {**c, "space": {**c["space"], "n": 10**30}}, None),
     (lambda c: {**c, "kernel": {"kind": "stable_like"}}, "kernel")],
     ids=["root", "section", "check", "name", "output", "formats", "dir", "anchors", "seed",
-         "builder", "huge_n", "kernel_builder"])
+         "fractional_seed", "boolean_seed", "unknown_format", "builder", "huge_n",
+         "kernel_builder"])
 def test_malformed_config_structure_exits_with_path(tmp_path, capsys, edit, path):
     # a huge product is refused by the point cap (exit 3) before its size is formed
     config = write_config(tmp_path, edit(copy.deepcopy(CANTOR_CFG)))

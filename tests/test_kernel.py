@@ -6,7 +6,7 @@ import pytest
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError, UnsupportedKernelError
-from hklab.kernel import scale_kernel, tail_mass_all
+from hklab.kernel import tail_mass_all
 from hklab.scale import phi_inverse_vec
 
 ALPHA_THIRD = math.log(2) / math.log(3)
@@ -120,7 +120,9 @@ def test_tj_zero_kernel_and_scaling(cantor6):
     zero = hk.build_zero_kernel(space)
     assert hk.tj_check(zero, space, scale, grid).best_constant == 0.0
     base = hk.tj_check(kern, space, scale, grid).best_constant
-    scaled = hk.tj_check(scale_kernel(kern, 3.5), space, scale, grid).best_constant
+    scaled_kern = hk.JumpKernel(space, lambda rows, cols: 3.5 * kern.block(rows, cols),
+                                kern.support_pattern, kern.rho)
+    scaled = hk.tj_check(scaled_kern, space, scale, grid).best_constant
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
 

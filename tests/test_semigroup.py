@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError
-from hklab.semigroup import (_SE_FROM_LRE_T_FRACS, _SE_TIMES_PER_A0, default_time_grid,
-                              _interchange_integral, far_tail_profile)
+from hklab.form import _interchange_integral, default_time_grid, far_tail_profile
+from hklab.semigroup import _SE_FROM_LRE_T_FRACS, _SE_TIMES_PER_A0
 
 
 def test_two_point_heat_kernel_closed_form(two_point):
@@ -20,6 +20,22 @@ def test_two_point_heat_kernel_closed_form(two_point):
         p = form.heat_kernel(t)
         assert p[0, 0] == pytest.approx(1 + math.exp(-2 * t), abs=1e-12)
         assert p[0, 1] == pytest.approx(1 - math.exp(-2 * t), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_heat_kernel_entries_match_full_kernel(seed):
+    space, _, kern = random_setup(seed)
+    form = hk.assemble(space, kern)
+    part = hk.part_on(form, space.ball(0, space.diameter / 2.0).member_idx)
+    rng = np.random.default_rng(seed)
+    for f in (form, part):
+        n = f.domain.size
+        xs = np.concatenate([np.arange(n), rng.integers(0, n, size=64)])
+        ys = np.concatenate([np.arange(n), rng.integers(0, n, size=64)])
+        for t in (0.0, 0.01, 0.5):
+            p = f.heat_kernel(t)
+            bound = 1e-14 * np.sqrt(np.diag(p)[xs] * np.diag(p)[ys])
+            assert np.all(np.abs(f.heat_kernel_entries(t, xs, ys) - p[xs, ys]) <= bound), t
 
 
 def test_heat_kernel_t0_and_equilibrium(two_point):
@@ -168,6 +184,18 @@ def test_truncation_l2_two_point_sharp(two_point):
     assert rep.witness["sup_eigenvalue"] == pytest.approx(2.0, abs=1e-12)
     assert rep.witness["bound"] == pytest.approx(2.0, abs=1e-12)
     assert rep.witness["margin"] >= -1e-9
+
+
+def test_truncation_l2_top_eigenvalue_matches_eigh(cantor6):
+    space, _, kern = cantor6
+    form = hk.assemble(space, kern)
+    sqrt_w = np.sqrt(space.weights)
+    for rho in (0.05, 0.25):
+        form_near = hk.assemble(space, hk.truncate(kern, rho)[0])
+        sym = sqrt_w[:, None] * (form.L - form_near.L) / sqrt_w[None, :]
+        top = np.linalg.eigh(0.5 * (sym + sym.T))[0][-1]
+        rep = hk.truncation_l2_check(form, form_near, space)
+        assert top > 0 and abs(rep.best_constant - top) <= 1e-13 * top
 
 
 def test_truncation_l2_rho_beyond_diameter(cantor6):
