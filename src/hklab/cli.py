@@ -79,7 +79,10 @@ def _field(cfg: dict, key: str, path: str, convert, default=None):
 
 
 def _float_array(value):
-    return np.asarray(value, dtype=float)
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("not finite")
+    return arr
 
 
 def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
@@ -94,22 +97,35 @@ def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
         return space_mod.build_grid(_field(cfg, "d", "space", _whole),
                                     _field(cfg, "side", "space", _whole), point_cap=cap)
     if kind == "two_point":
-        return space_mod.build_two_point(_field(cfg, "gap", "space", float, 1.0),
+        return space_mod.build_two_point(_field(cfg, "gap", "space", _number, 1.0),
                                          _field(cfg, "weights", "space", _float_array,
                                                 (0.5, 0.5)))
     if kind == "custom":
         metric = cfg.get("metric_matrix")
-        return space_mod.build_custom(
+        space = space_mod.build_custom(
             _field(cfg, "coords", "space", _float_array),
             _field(cfg, "weights", "space", _float_array),
             metric_matrix=(None if metric is None else
                            _field(cfg, "metric_matrix", "space", _float_array)))
+        d = space.metric_matrix
+        if d is not None and not (np.all(np.diag(d) == 0) and np.array_equal(d, d.T)
+                                  and space_mod.metric_axioms_ok(space)):
+            raise SchemaError("space.metric_matrix", "not a metric: needs a zero diagonal, "
+                                                     "symmetry and the triangle inequality")
+        return space
     raise SchemaError("space.kind", f"unknown space kind {kind!r}")
 
 
 def _center(value):
     """An anchor center: an atom id, or an ambient coordinate list."""
-    return tuple(float(c) for c in value) if isinstance(value, list) else int(value)
+    return tuple(_number(c) for c in value) if isinstance(value, list) else _whole(value)
+
+
+def _bool(value) -> bool:
+    """true or false"""
+    if not isinstance(value, bool):
+        raise ValueError("not true or false")
+    return value
 
 
 def build_scale(cfg: dict, space: space_mod.FiniteMMSpace) -> scale_mod.ScaleField:
@@ -134,7 +150,8 @@ def build_scale(cfg: dict, space: space_mod.FiniteMMSpace) -> scale_mod.ScaleFie
         return scale_mod.field_from_table(space, _field(cfg, "values", "scale", _float_array),
                                           _field(cfg, "beta1", "scale", float),
                                           _field(cfg, "beta2", "scale", float), T0=T0,
-                                          lipschitz=bool(cfg.get("lipschitz", False)))
+                                          lipschitz=_field(cfg, "lipschitz", "scale", _bool,
+                                                           False))
     raise SchemaError("scale.kind", f"unknown scale kind {kind!r}")
 
 
@@ -339,15 +356,14 @@ def _near_far_forms(ctx, rho):
 
 
 def _run_truncation_l2(ctx, p):
-    rep = semi_mod.truncation_l2_check(ctx["form"], _near_far_forms(ctx, p["rho"])[0],
-                                       ctx["space"])
+    rep = semi_mod.truncation_l2_check(ctx["form"], _near_far_forms(ctx, p["rho"])[0])
     rep.params["rho"] = p["rho"]
     return rep
 
 
 def _run_truncation_semigroup(ctx, p):
     rep = semi_mod.truncation_semigroup_check(ctx["form"], _near_far_forms(ctx, p["rho"])[0],
-                                              ctx["space"], p["f"], p["time_grid"])
+                                              p["f"], p["time_grid"])
     rep.params["rho"] = p["rho"]
     return rep
 
@@ -395,13 +411,13 @@ CHECKS: dict[str, dict[str, Any]] = {
         "params": {"kappa": (_number, 1.0), **_BALL_RADII}},
     "cs_check": {
         "fn": lambda ctx, p: form_mod.cs_check(
-            ctx["form"], ctx["space"], ctx["scale"], ctx["kernel"],
+            ctx["form"], ctx["space"], ctx["scale"],
             [(x0, r / 2.0, r / 4.0) for x0, r in _balls(ctx, p)]),
         "measures": "cutoff energy density: sum_y (cut(x)-cut(y))^2 j mu <= c / phi(x,r)",
         "params": _BALL_RADII},
     "capacity_check": {
         "fn": lambda ctx, p: form_mod.capacity_check(
-            ctx["form"], ctx["space"], ctx["scale"], ctx["kernel"], _balls(ctx, p)),
+            ctx["form"], ctx["space"], ctx["scale"], _balls(ctx, p)),
         "measures": "cutoff capacity: E(cut,cut) <= C V(x0,r) / phi(x0,r)",
         "params": _BALL_RADII},
     "fk_family_check": {
@@ -610,7 +626,7 @@ def counterexample_report(epsilon: float, level: int, axes: int,
     reports = {
         "tj": kernel_mod.tj_check(kern, space, field, grid),
         "cs": form_mod.cs_check(form, space, field,
-                                kern, [(x0, r / 2.0, r / 4.0) for x0, r in balls]),
+                                [(x0, r / 2.0, r / 4.0) for x0, r in balls]),
         "ij": kernel_mod.ij_check(kern, space, field, config.gamma,
                                   [(r, R) for r in grid for R in grid if r <= R]),
         "wfk": form_mod.fk_family_check(form, space, field, "WFK",

@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .kernel import JumpKernel
 from .report import ConditionReport
 from .scale import ScaleField, phi, phi_inverse, phi_vec
-from .space import FiniteMMSpace
+from .space import BallQuery, FiniteMMSpace
 
 
 @dataclass
@@ -260,8 +260,9 @@ def _quarter_balls(space: FiniteMMSpace, scale: ScaleField, ball_sample):
     for x0, r in ball_sample:
         if phi(scale, x0, r) >= scale.T0:
             continue
-        members = space.ball(x0, r).member_idx
-        quarter_mask = space.dist_from(x0)[members] < r / 4.0
+        ball = space.ball(x0, r)
+        members = ball.member_idx
+        quarter_mask = ball.dist[members] < r / 4.0
         if quarter_mask.any():
             balls.append((x0, r, members, quarter_mask))
         else:
@@ -308,7 +309,7 @@ def lre_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
 
 
 def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-             kernel: JumpKernel, ball_sample) -> ConditionReport:
+             ball_sample) -> ConditionReport:
     """Pointwise cutoff-energy constant.
 
     For each sampled (x0, R, r) builds the profile cutoff and reports the
@@ -337,7 +338,7 @@ def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
 
 
 def capacity_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                   kernel: JumpKernel, ball_sample) -> ConditionReport:
+                   ball_sample) -> ConditionReport:
     """Cutoff capacity constant: E(cut,cut) <= C V(x0,r)/phi(x0,r) per ball."""
     if form.is_part:
         raise ParameterError("capacity uses the full-space form")
@@ -364,36 +365,24 @@ def _ball_cap_radius(scale: ScaleField, x0: int, delta: float) -> float:
     return phi_inverse(scale, x0, delta * scale.T0)
 
 
-def _subsets_for_ball(form: SpectralForm, space: FiniteMMSpace, ball_members: np.ndarray,
-                      x0: int, r: float, strategy: str,
+def _subsets_for_ball(form: SpectralForm, ball: BallQuery, strategy: str,
                       rng: np.random.Generator) -> list[np.ndarray]:
+    ball_members = ball.member_idx
     subsets: list[np.ndarray] = [ball_members]
     if strategy in ("subballs", "mixed"):
-        for frac in (0.25, 0.5):
-            sub = space.ball(x0, r * frac).member_idx
-            if sub.size:
-                subsets.append(sub)
+        subsets += [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
     if strategy in ("ground_superlevel", "mixed"):
         part = part_on(form, ball_members)
         ground = np.abs(part.psi[:, 0])
         for dens in (0.25, 0.5, 0.75):
-            a = np.quantile(ground, 1.0 - dens)
-            sel = ball_members[ground > a]
-            if sel.size:
-                subsets.append(sel)
+            subsets.append(ball_members[ground > np.quantile(ground, 1.0 - dens)])
     if strategy in ("random", "mixed"):
         for dens in (0.25, 0.5, 0.75):
             k = max(1, int(round(dens * ball_members.size)))
             subsets.append(rng.choice(ball_members, size=k, replace=False))
-    # dedupe
-    seen = set()
-    uniq = []
-    for s in subsets:
-        key = tuple(sorted(int(i) for i in s))
-        if key and key not in seen:
-            seen.add(key)
-            uniq.append(np.asarray(sorted(key), dtype=int))
-    return uniq
+    # sorted, without repeats or empty sets, in order of first appearance
+    uniq = dict.fromkeys(tuple(sorted(int(i) for i in s)) for s in subsets)
+    return [np.asarray(key, dtype=int) for key in uniq if key]
 
 
 def _damping(scale: ScaleField, phival: float) -> float:
@@ -437,17 +426,12 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         if variant in ("FK", "WFK") and r >= _ball_cap_radius(scale, x0, delta):
             continue
         ball = space.ball(x0, r)
-        if ball.member_idx.size == 0:
-            continue
         phival = phi(scale, x0, r)
         damping = _damping(scale, phival)
-        subsets = _subsets_for_ball(form, space, ball.member_idx, x0, r,
-                                    subset_strategy, rng)
+        subsets = _subsets_for_ball(form, ball, subset_strategy, rng)
         if extra_subsets:
             subsets.extend(extra_subsets.get((x0, r), []))
         for D in subsets:
-            if D.size == 0:
-                continue
             mu_D = float(space.weights[D].sum())
             ratio_pow = (ball.volume / mu_D) ** nu
             bracket = _fk_bracket(variant, ratio_pow, damping, b, Cprime)
@@ -473,26 +457,19 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     return report
 
 
-def _nash_norms(space: FiniteMMSpace, f: np.ndarray, D: np.ndarray) -> tuple[float, float]:
-    w = space.weights[D]
-    l1 = float(np.abs(f) @ w)
-    l2sq = float(f**2 @ w)
-    return l1, l2sq
-
-
 def nash_witness_constant(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                          x0: int, r: float, nu: float, b: float,
+                          ball: BallQuery, nu: float, b: float,
                           f_on_D: np.ndarray, D: np.ndarray) -> float:
-    """Witness constant of the ball Nash display for one test function."""
-    phival = phi(scale, x0, r)
+    """Witness constant of the ball Nash display for one test function on ``ball``."""
+    phival = phi(scale, ball.center, ball.radius)
     damping = _damping(scale, phival)
     energy = _part_energy(form, D, f_on_D)
-    l1, l2sq = _nash_norms(space, f_on_D, D)
-    v = space.volume(x0, r)
+    w = space.weights[D]
+    l1, l2sq = float(np.abs(f_on_D) @ w), float(f_on_D**2 @ w)
     denom = phival * (energy + l2sq / phival) * l1 ** (2 * nu)
     if denom == 0:
         return 0.0
-    return l2sq ** (1 + nu) * v**nu * damping**b / denom
+    return l2sq ** (1 + nu) * ball.volume**nu * damping**b / denom
 
 
 def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
@@ -512,8 +489,6 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     for x0, r in ball_sample:
         ball = space.ball(x0, r)
         D = ball.member_idx
-        if D.size == 0:
-            continue
         family: list[tuple[str, np.ndarray]] = []
         if test_family in ("eigen", "mixed"):
             part = part_on(form, D)
@@ -521,10 +496,7 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                 family.append((f"eig{k}", part.psi[:, k]))
         if test_family in ("indicator", "mixed"):
             for frac in (0.25, 0.5, 1.0):
-                sub = space.ball(x0, r * frac).member_idx
-                mask = np.isin(D, sub).astype(float)
-                if mask.any():
-                    family.append((f"indicator{frac}", mask))
+                family.append((f"indicator{frac}", (ball.dist[D] < r * frac).astype(float)))
         if test_family in ("random", "mixed"):
             for k in range(3):
                 family.append((f"sign{k}", rng.choice([-1.0, 1.0], size=D.size)))
@@ -534,7 +506,7 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
             if norm == 0:
                 continue
             f = f / norm
-            c = nash_witness_constant(form, space, scale, x0, r, nu, b, f, D)
+            c = nash_witness_constant(form, space, scale, ball, nu, b, f, D)
             series.append({"x0": x0, "r": r, "family": name, "C": c})
             if c > best:
                 best = c
@@ -582,13 +554,12 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     rng = rng or np.random.default_rng(0)
     balls = list(ball_sample)
 
-    funcs_by_ball: dict[tuple[int, float], list[np.ndarray]] = {}
-    asserted_subsets: dict[tuple[int, float], list[np.ndarray]] = {}
+    # (x0, r) -> (ball, its Nash functions, [(asserted subset, its lambda_1)])
+    per_ball: dict[tuple[int, float], tuple[BallQuery, list, list]] = {}
     sweep_subsets: dict[tuple[int, float], list[np.ndarray]] = {}
     for x0, r in balls:
-        D_ball = space.ball(x0, r).member_idx
-        if D_ball.size == 0:
-            continue
+        ball = space.ball(x0, r)
+        D_ball = ball.member_idx
         part = part_on(form, D_ball)
         base = [part.psi[:, k] for k in range(min(2, D_ball.size))]
         base.append(rng.choice([-1.0, 1.0], size=D_ball.size))
@@ -596,15 +567,16 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
         subs = [s for f in base
                 if (s := _superlevel_subset(space, D_ball, f)) is not None]
         # ground states of the asserted subsets, extended by zero to the ball
-        grounds = []
+        grounds, asserted = [], []
         for D in subs:
             sub_part = part_on(form, D)
             g = np.zeros(D_ball.size)
             g[np.searchsorted(D_ball, D)] = sub_part.psi[:, 0]
             grounds.append(g)
+            asserted.append((D, float(sub_part.eigvals[0])))
+        asserted.append((D_ball, float(part.eigvals[0])))
         funcs = base + grounds
-        funcs_by_ball[(x0, r)] = funcs
-        asserted_subsets[(x0, r)] = subs + [D_ball]
+        per_ball[(x0, r)] = (ball, funcs, asserted)
         sweep_subsets[(x0, r)] = [s for f in funcs
                                   if (s := _superlevel_subset(space, D_ball, f)) is not None]
 
@@ -614,11 +586,10 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     c_g = gfk.best_constant
 
     c_n = 0.0
-    for (x0, r), funcs in funcs_by_ball.items():
-        D_ball = space.ball(x0, r).member_idx
+    for ball, funcs, _ in per_ball.values():
         for f in funcs:
-            c_n = max(c_n, nash_witness_constant(form, space, scale, x0, r,
-                                                 nu, b, f, D_ball))
+            c_n = max(c_n, nash_witness_constant(form, space, scale, ball, nu, b, f,
+                                                 ball.member_idx))
 
     if c_g is None or c_g <= 0 or c_n <= 0:
         return ConditionReport(condition="fk_nash_consistency",
@@ -631,14 +602,12 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     forward_margin = float(forward_bound - c_n)
 
     backward_margin = math.inf
-    for (x0, r), subs in asserted_subsets.items():
-        phival = phi(scale, x0, r)
+    for ball, _, asserted in per_ball.values():
+        phival = phi(scale, ball.center, ball.radius)
         damping = _damping(scale, phival)
-        v = space.volume(x0, r)
-        for D in subs:
+        for D, lam in asserted:
             mu_D = float(space.weights[D].sum())
-            lam = lambda1(form, D)
-            rhs = (damping**b * (v / mu_D) ** nu - c_n) / c_n
+            rhs = (damping**b * (ball.volume / mu_D) ** nu - c_n) / c_n
             backward_margin = min(backward_margin, float(lam * phival - rhs))
 
     passed = forward_margin >= -1e-9 and backward_margin >= -1e-9

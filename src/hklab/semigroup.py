@@ -130,12 +130,11 @@ def te_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     skipped = 0
     for x0, r in ball_sample:
         ball = space.ball(x0, r)
-        quarter = np.flatnonzero(space.dist_from(x0) < r / 4.0)
+        quarter = ball.within(r / 4.0)
         if quarter.size == 0:
             skipped += 1
             continue
-        outside = np.ones(space.n_points)
-        outside[ball.member_idx] = 0.0
+        outside = (ball.dist >= r).astype(float)
         denom = min(phi(scale, x0, r), T0)
         hits = form.apply_semigroup(time_grid, outside)
         for t, hit in zip(time_grid, hits):
@@ -212,8 +211,7 @@ def conservativeness_check(form: SpectralForm, time_grid=(0.01, 0.1, 1.0, 10.0),
 # Truncation comparisons
 # ---------------------------------------------------------------------------
 
-def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm,
-                        space: FiniteMMSpace) -> ConditionReport:
+def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm) -> ConditionReport:
     """Largest eigenvalue of the removed generator against four times the far tail.
 
     The far tail comes from the generator diagonals, which is exact.
@@ -231,8 +229,7 @@ def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm,
     )
 
 
-def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
-                               space: FiniteMMSpace, f, time_grid,
+def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm, f, time_grid,
                                form_near_wider: SpectralForm | None = None,
                                ) -> ConditionReport:
     """Semigroup truncation bound |P_t f - P^(rho)_t f| <= 2 t ||f||_inf J(rho).

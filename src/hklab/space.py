@@ -70,6 +70,8 @@ class FiniteMMSpace:
         if self.coords.ndim == 1:
             self.coords = self.coords[:, None]
         self.weights = np.asarray(self.weights, dtype=float)
+        if not (np.isfinite(self.coords).all() and np.isfinite(self.weights).all()):
+            raise ParameterError("coordinates and weights must be finite")
         if np.any(self.weights <= 0):
             raise ParameterError("all weights must be strictly positive")
         if self.metric_kind not in ("sup", "explicit"):
@@ -144,9 +146,10 @@ class FiniteMMSpace:
     def ball(self, x: int, r: float) -> "BallQuery":
         if r <= 0:
             raise ParameterError("ball radius must be positive")
-        member = np.flatnonzero(self.dist_block([int(x)])[0] < r)
+        dist = self.dist_block([int(x)])[0]
+        member = np.flatnonzero(dist < r)
         return BallQuery(center=x, radius=float(r), member_idx=member,
-                         volume=float(self.weights[member].sum()))
+                         volume=float(self.weights[member].sum()), dist=dist)
 
     def volume(self, x: int, r: float) -> float:
         return self.ball(x, r).volume
@@ -185,10 +188,21 @@ class FiniteMMSpace:
 
 @dataclass
 class BallQuery:
+    """The open ball B(center, radius) and the distance row it was cut from.
+
+    ``dist[y]`` is d(center, y) for every atom y, so sub-balls and quarter
+    balls around the same center come from :meth:`within` without a new pass.
+    """
+
     center: int
     radius: float
     member_idx: np.ndarray
     volume: float
+    dist: np.ndarray
+
+    def within(self, radius: float) -> np.ndarray:
+        """Atoms y with d(center, y) < radius, ascending."""
+        return np.flatnonzero(self.dist < radius)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_criterion_05_truncation_l2_bound():
         for frac in (0.125, 0.25, 0.5):
             rho = frac * space.diameter
             form_near = hk.assemble(space, hk.truncate(kern, rho)[0])
-            rep = hk.truncation_l2_check(form, form_near, space)
+            rep = hk.truncation_l2_check(form, form_near)
             assert rep.witness["margin"] >= -1e-9, (seed, frac, rep.witness)
     _announce(5, "truncated-energy eigenvalue bound on 10 configs x 3 radii")
 
@@ -109,7 +109,7 @@ def test_criterion_06_truncation_semigroup_bound():
         form_near = hk.assemble(space, hk.truncate(kern, rho)[0])
         form_wider = hk.assemble(space, hk.truncate(kern, rho_wide)[0])
         f = (space.dist_from(0) < space.diameter / 4.0).astype(float)
-        rep = hk.truncation_semigroup_check(form, form_near, space, f, times,
+        rep = hk.truncation_semigroup_check(form, form_near, f, times,
                                             form_near_wider=form_wider)
         assert rep.witness["worst_margin"] >= -1e-9, (seed, rep.witness)
         assert rep.witness["nested_margin"] >= -1e-9, (seed, rep.witness)

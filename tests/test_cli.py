@@ -181,6 +181,15 @@ GRID_CFG = dict(CANTOR_CFG, space={"kind": "grid", "d": 1, "side": 4},
 BALLS_CFG = dict(CANTOR_CFG, scale={"kind": "balls", "beta1": 1.0, "beta2": 1.2,
                                     "anchors": [{"center": 0, "radius": 0.5, "value": 1.2}]})
 TWO_POINT_CFG = dict(CANTOR_CFG, space={"kind": "two_point", "gap": 1.0})
+
+
+def custom_space(metric, coords=((0.0,), (1.0,), (2.0,))):
+    return {"kind": "custom", "coords": [list(c) for c in coords],
+            "weights": [1.0 / len(coords)] * len(coords), "metric_matrix": metric}
+
+
+def anchored_at(center):
+    return {**BALLS_CFG["scale"], "anchors": [{"center": center, "radius": 0.5, "value": 1.2}]}
 SCALAR_FIELDS = [
     (CANTOR_CFG, "space", "xi"), (CANTOR_CFG, "space", "n"), (CANTOR_CFG, "space", "level"),
     (CANTOR_CFG, "space", "point_cap"), (CANTOR_CFG, "scale", "beta"),
@@ -394,12 +403,32 @@ def test_truncation_checks_share_one_near_form(tmp_path, capsys, monkeypatch):
     (lambda c: {**c, "output": {"formats": ["json", "jsn"]}}, "output.formats"),
     (lambda c: {**c, "space": {**c["space"], "level": 0}}, "space"),
     (lambda c: {**c, "space": {**c["space"], "n": 10**30}}, None),
-    (lambda c: {**c, "kernel": {"kind": "stable_like"}}, "kernel")],
+    (lambda c: {**c, "kernel": {"kind": "stable_like"}}, "kernel"),
+    (lambda c: {**c, "space": {"kind": "two_point", "weights": [math.nan, 0.5]}},
+     "space.weights"),
+    (lambda c: {**c, "space": {"kind": "two_point", "weights": [math.inf, 0.5]}},
+     "space.weights"),
+    (lambda c: {**c, "space": custom_space(None, ((0.0,), (math.inf,)))}, "space.coords"),
+    (lambda c: {**c, "space": custom_space([[0.5, 1.0], [3.0, 0.5]], ((0.0,), (1.0,)))},
+     "space.metric_matrix"),
+    (lambda c: {**c, "space": custom_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])},
+     "space.metric_matrix"),
+    (lambda c: {**c, "space": custom_space([[0, 1, 2], [1, 0, math.inf], [2, math.inf, 0]])},
+     "space.metric_matrix"),
+    (lambda c: {**c, "scale": anchored_at(2.7)}, "scale.anchors[0].center"),
+    (lambda c: {**c, "scale": anchored_at(True)}, "scale.anchors[0].center"),
+    (lambda c: {**c, "scale": anchored_at([math.nan])}, "scale.anchors[0].center"),
+    (lambda c: {**c, "scale": {"kind": "table", "values": [1.0] * 8, "beta1": 1.0,
+                               "beta2": 1.2, "lipschitz": "no"}}, "scale.lipschitz")],
     ids=["root", "section", "check", "name", "output", "formats", "dir", "anchors", "seed",
          "fractional_seed", "boolean_seed", "unknown_format", "builder", "huge_n",
-         "kernel_builder"])
+         "kernel_builder", "nan_weight", "infinite_weight", "infinite_coord",
+         "asymmetric_metric", "triangle_metric", "infinite_metric", "fractional_center",
+         "boolean_center", "nan_center_coord", "string_lipschitz"])
 def test_malformed_config_structure_exits_with_path(tmp_path, capsys, edit, path):
-    # a huge product is refused by the point cap (exit 3) before its size is formed
+    # a huge product is refused by the point cap (exit 3) before its size is formed;
+    # what is not a metric measure space, or not a whole atom id or a JSON boolean,
+    # is refused at its path instead of running
     config = write_config(tmp_path, edit(copy.deepcopy(CANTOR_CFG)))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err

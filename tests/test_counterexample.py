@@ -137,7 +137,7 @@ def test_desk_scale_conditions_all_finite():
 
     tj = hk.tj_check(kern, sp, field, grid)
     assert math.isfinite(tj.best_constant) and tj.best_constant > 0
-    cs = hk.cs_check(form, sp, field, kern, [(x0, r / 2, r / 4) for x0, r in balls])
+    cs = hk.cs_check(form, sp, field, [(x0, r / 2, r / 4) for x0, r in balls])
     assert math.isfinite(cs.best_constant)
     n_desk = sp.meta["n_axes"]
     wfk = hk.fk_family_check(form, sp, field, "WFK", 1.0 / (n_desk * cfg.alpha_xi), 1.0,

@@ -208,12 +208,12 @@ def test_cs_check_edge_cases(cantor6):
     form = hk.assemble(space, kern)
     zero = hk.build_zero_kernel(space)
     zform = hk.assemble(space, zero)
-    rep = hk.cs_check(zform, space, scale, zero, [(0, 0.2, 0.1)])
+    rep = hk.cs_check(zform, space, scale, [(0, 0.2, 0.1)])
     assert rep.best_constant == 0.0
     # cutoff identically 1: plateau covers the space
-    rep_one = hk.cs_check(form, space, scale, kern, [(0, 2.0, 0.5)])
+    rep_one = hk.cs_check(form, space, scale, [(0, 2.0, 0.5)])
     assert rep_one.best_constant == 0.0
-    rep_real = hk.cs_check(form, space, scale, kern,
+    rep_real = hk.cs_check(form, space, scale,
                            [(0, 0.125, 0.125), (9, 0.25, 0.125)])
     assert math.isfinite(rep_real.best_constant) and rep_real.best_constant > 0
 
@@ -221,15 +221,15 @@ def test_cs_check_edge_cases(cantor6):
 def test_capacity_check_cases(two_point, cantor6):
     space2, kern2, form2 = two_point
     field2 = hk.constant_field(space2, 1.0)
-    rep = hk.capacity_check(form2, space2, field2, kern2, [(0, 3.0)])
+    rep = hk.capacity_check(form2, space2, field2, [(0, 3.0)])
     assert rep.best_constant == pytest.approx(0.0, abs=1e-14)   # cutoff constant 1
 
     space, scale, kern = cantor6
     zform = hk.assemble(space, hk.build_zero_kernel(space))
-    assert hk.capacity_check(zform, space, scale, hk.build_zero_kernel(space),
+    assert hk.capacity_check(zform, space, scale,
                              [(0, 0.3)]).best_constant == 0.0
     form = hk.assemble(space, kern)
-    rep6 = hk.capacity_check(form, space, scale, kern, [(0, 0.25), (13, 0.25)])
+    rep6 = hk.capacity_check(form, space, scale, [(0, 0.25), (13, 0.25)])
     assert math.isfinite(rep6.best_constant) and rep6.best_constant > 0
 
 
@@ -237,7 +237,7 @@ def test_capacity_refuses_a_dirichlet_part(cantor6):
     space, scale, kern = cantor6
     part = hk.part_on(hk.assemble(space, kern), space.ball(0, 0.4).member_idx)
     with pytest.raises(ParameterError, match="full-space"):
-        hk.capacity_check(part, space, scale, kern, [(0, 0.25)])
+        hk.capacity_check(part, space, scale, [(0, 0.25)])
 
 
 def test_capacity_stable_across_levels():
@@ -247,7 +247,7 @@ def test_capacity_stable_across_levels():
         field = hk.constant_field(sp, 0.8, T0=1.0)
         kern = hk.build_cantor_axis_kernel(sp, field)
         form = hk.assemble(sp, kern)
-        rep = hk.capacity_check(form, sp, field, kern, [(0, 0.25)])
+        rep = hk.capacity_check(form, sp, field, [(0, 0.25)])
         vals.append(rep.best_constant)
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.25
 
@@ -310,7 +310,8 @@ def test_nash_single_atom_closed_form(cantor6):
     l1 = math.sqrt(space.weights[y])
     expected = (1.0 * space.volume(x0, r) ** nu * damping
                 / (phival * (part.energy(f) + 1.0 / phival) * l1 ** (2 * nu)))
-    got = hk.form.nash_witness_constant(form, space, scale, x0, r, nu, 1.0, f, D)
+    got = hk.form.nash_witness_constant(form, space, scale, space.ball(x0, r), nu, 1.0,
+                                            f, D)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -337,6 +338,20 @@ def test_fk_nash_consistency_two_configs():
         rep = hk.fk_nash_consistency(form, sp, field, nu=0.6, b=1.0,
                                      Cprime=1.0, ball_sample=balls, rng=rng)
         assert rep.passed, rep.witness
+
+
+def test_fk_nash_consistency_reuses_its_parts(monkeypatch):
+    # the backward chain reads lambda_1 from the parts the first pass solved
+    sp = hk.build_cantor_product(1 / 3, 2, 3)
+    field = hk.constant_field(sp, 0.8, T0=1.0)
+    form = hk.assemble(sp, hk.build_cantor_axis_kernel(sp, field))
+    part_on, calls = hk.form.part_on, []
+    monkeypatch.setattr(hk.form, "part_on", lambda f, D: calls.append(D) or part_on(f, D))
+    rep = hk.fk_nash_consistency(form, sp, field, nu=0.6, b=1.0, Cprime=1.0,
+                                 ball_sample=[(0, 0.25), (27, 0.5)],
+                                 rng=np.random.default_rng(3))
+    assert rep.passed
+    assert len(calls) == 35             # 43 when the backward chain re-solved 8 parts
 
 
 def test_fk_passes_where_due_confirmed():
@@ -437,7 +452,8 @@ def test_part_energy_equals_part_on_energy(cantor6):
         damping = min(1.0, scale.T0 / phival)
         expected = (l2sq ** 2.2 * v**1.2 * damping
                     / (phival * (energy + l2sq / phival) * l1 ** 2.4))
-        got = hk.form.nash_witness_constant(form, space, scale, x0, r, 1.2, 1.0, f, D)
+        got = hk.form.nash_witness_constant(form, space, scale, space.ball(x0, r), 1.2,
+                                                1.0, f, D)
         assert got == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ParameterError):
         _part_energy(form, [-1, 0], [1.0, 1.0])

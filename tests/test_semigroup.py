@@ -180,7 +180,7 @@ def test_truncation_l2_two_point_sharp(two_point):
     space, kern, form = two_point
     near, _ = hk.truncate(kern, 0.5)
     form_near = hk.assemble(space, near)
-    rep = hk.truncation_l2_check(form, form_near, space)
+    rep = hk.truncation_l2_check(form, form_near)
     assert rep.witness["sup_eigenvalue"] == pytest.approx(2.0, abs=1e-12)
     assert rep.witness["bound"] == pytest.approx(2.0, abs=1e-12)
     assert rep.witness["margin"] >= -1e-9
@@ -194,7 +194,7 @@ def test_truncation_l2_top_eigenvalue_matches_eigh(cantor6):
         form_near = hk.assemble(space, hk.truncate(kern, rho)[0])
         sym = sqrt_w[:, None] * (form.L - form_near.L) / sqrt_w[None, :]
         top = np.linalg.eigh(0.5 * (sym + sym.T))[0][-1]
-        rep = hk.truncation_l2_check(form, form_near, space)
+        rep = hk.truncation_l2_check(form, form_near)
         assert top > 0 and abs(rep.best_constant - top) <= 1e-13 * top
 
 
@@ -203,7 +203,7 @@ def test_truncation_l2_rho_beyond_diameter(cantor6):
     form = hk.assemble(space, kern)
     near, _ = hk.truncate(kern, 2.0)
     form_near = hk.assemble(space, near)
-    rep = hk.truncation_l2_check(form, form_near, space)
+    rep = hk.truncation_l2_check(form, form_near)
     assert rep.witness["sup_eigenvalue"] == pytest.approx(0.0, abs=1e-10)
     assert rep.witness["bound"] == pytest.approx(0.0, abs=1e-12)
 
@@ -212,7 +212,7 @@ def test_truncation_semigroup_zero_function(cantor6):
     space, _, kern = cantor6
     form = hk.assemble(space, kern)
     form_near = hk.assemble(space, hk.truncate(kern, 0.2)[0])
-    rep = hk.truncation_semigroup_check(form, form_near, space,
+    rep = hk.truncation_semigroup_check(form, form_near,
                                         np.zeros(space.n_points), [0.1, 1.0])
     assert all(row["diff"] == 0.0 and row["bound"] == 0.0
                for row in rep.series if "diff" in row)
@@ -223,7 +223,7 @@ def test_truncation_semigroup_rho_beyond_diameter(cantor6):
     form = hk.assemble(space, kern)
     form_near = hk.assemble(space, hk.truncate(kern, 2.0)[0])
     f = (space.dist_from(0) < 0.25).astype(float)
-    rep = hk.truncation_semigroup_check(form, form_near, space, f, [0.1, 1.0])
+    rep = hk.truncation_semigroup_check(form, form_near, f, [0.1, 1.0])
     assert all(row["diff"] <= 1e-12 for row in rep.series if "diff" in row)
     assert rep.witness["far_tail"] == 0.0
 
@@ -235,7 +235,7 @@ def test_truncation_semigroup_indicator(cantor6):
     form_wider = hk.assemble(space, hk.truncate(kern, 0.25)[0])
     f = (space.dist_from(0) < 0.25).astype(float)
     times = np.logspace(-2, 0.5, 7)
-    rep = hk.truncation_semigroup_check(form, form_near, space, f, times,
+    rep = hk.truncation_semigroup_check(form, form_near, f, times,
                                         form_near_wider=form_wider)
     assert rep.passed
     assert rep.witness["worst_margin"] >= -1e-9
@@ -246,7 +246,7 @@ def test_truncation_semigroup_rejects_signed_function(two_point):
     space, kern, form = two_point
     form_near = hk.assemble(space, hk.truncate(kern, 0.5)[0])
     with pytest.raises(ParameterError):
-        hk.truncation_semigroup_check(form, form_near, space,
+        hk.truncation_semigroup_check(form, form_near,
                                       np.array([1.0, -1.0]), [0.1])
 
 
@@ -513,7 +513,7 @@ def test_truncation_semigroup_matches_per_time_loop(cantor_2x3):
     f = (space.dist_from(0) < 0.25) + 0.5 * space.weights * space.n_points
     for grid in (default_time_grid(form), [0.5, 0.01], []):
         for wider in (None, form_wider):
-            rep = hk.truncation_semigroup_check(form, form_near, space, f, grid,
+            rep = hk.truncation_semigroup_check(form, form_near, f, grid,
                                                 form_near_wider=wider)
             tail, series = _truncation_series_per_time(form, form_near, f, grid, wider)
             assert _bits(rep.series) == _bits(series)

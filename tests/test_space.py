@@ -105,6 +105,15 @@ def test_ball_cantor_strict_inequality():
     assert sorted(ball.member_idx.tolist()) == sorted(members)
     assert ball.volume == pytest.approx(0.5)
     assert coords[1] == pytest.approx(2 / 9)
+    # the ball record against the distance layer, on both metric paths
+    prod = hk.build_cantor_product(1 / 3, 2, 2)
+    for space in (prod, explicit_copy(prod)):
+        for x, r in ((0, 0.3), (5, 0.5), (9, 0.05), (15, 1.5)):
+            ball, d = space.ball(x, r), space.dist_from(x)
+            assert ball.member_idx.tolist() == np.flatnonzero(d < r).tolist()
+            assert ball.volume == pytest.approx(space.volumes_at(r)[x], rel=1e-14)
+            for s in (r / 4, r / 2, r):
+                assert ball.within(s).tolist() == np.flatnonzero(d < s).tolist()
 
 
 def test_ball_unknown_point():
@@ -267,6 +276,10 @@ def test_build_custom_rejects_coincident_atoms():
         hk.build_custom(np.arange(3.0), np.full(3, 1 / 3), metric_matrix=m)
     sp = hk.build_custom([[0.0, 0.0], [0.25, 1.0], [0.5, 0.0]], np.full(3, 1 / 3))
     assert sp.diameter == 1.0
+    # nor non-finite coordinates or weights
+    for coords, weights in (([[0.0], [np.inf]], [0.5, 0.5]), ([[0.0], [1.0]], [np.nan, 0.5])):
+        with pytest.raises(ParameterError, match="finite"):
+            hk.build_custom(coords, weights)
 
 
 def triple_scan_loop(space, rng, n_samples, tol=1e-12):
