@@ -9,6 +9,10 @@ sum_{x,y} (f(x)-f(y))^2 j(x,y) mu(x) mu(y).  Dirichlet parts are principal
 submatrices of L: the diagonal keeps the jumps that leave the domain, which
 act as killing.
 
+A full form keeps the kernel matrix ``jmat``, the generator diagonal and the
+spectral data, but no dense L: off the diagonal L is -2 J W, so every reader
+derives what it needs from ``jmat`` and ``diag``.
+
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries and this module for parts.
 """
@@ -16,7 +20,7 @@ checkers ask a :class:`SpectralForm` for entries and this module for parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 import numpy as np
@@ -32,16 +36,28 @@ from .space import BallQuery, FiniteMMSpace
 class SpectralForm:
     """Assembled generator restricted to a domain, with spectral data.
 
-    ``domain`` indexes the ambient space; ``eigvals`` are ascending and the
-    eigenfunction columns of ``psi`` are mu-orthonormal on the domain.
+    ``domain`` indexes the ambient space; ``diag`` is the generator's
+    diagonal on it; ``eigvals`` are ascending and the eigenfunction columns
+    of ``psi`` are mu-orthonormal on the domain.  A Dirichlet part keeps its
+    small dense generator; the full form builds its own on the first read of
+    ``L``.
     """
 
     space: FiniteMMSpace
     jmat: np.ndarray
     domain: np.ndarray
-    L: np.ndarray
+    diag: np.ndarray
     eigvals: np.ndarray
     psi: np.ndarray
+    _L: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def L(self) -> np.ndarray:
+        """The generator on the domain, as a dense matrix."""
+        if self._L is None:
+            self._L = _kernel_generator(self.jmat, self.space.weights[None, :])
+            np.fill_diagonal(self._L, self.diag)
+        return self._L
 
     @property
     def weights(self) -> np.ndarray:
@@ -100,14 +116,65 @@ def _symmetrized(L: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
     return sym
 
 
+def _kernel_generator(jmat: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
+    """-2 J times ``w_cols``.  With J and w[None, :] this is L = -2 J W off
+    the diagonal; with the rows J[part] and w[part, None] it is, J being
+    symmetric, the columns L[:, part] transposed."""
+    out = jmat * -2.0
+    out *= w_cols
+    return out
+
+
+def _symmetric_generator(space: FiniteMMSpace, jmat: np.ndarray, diag: np.ndarray | None = None,
+                         minus: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``_symmetrized(L, sqrt(w))`` and the diagonal of L, one row chunk at a time.
+
+    L is the generator of the exactly symmetric ``jmat``, less that of
+    ``minus`` when given, with diagonal ``diag``, or minus its off-diagonal
+    row sums when ``diag`` is None.  Each chunk forms its rows of L and its
+    columns with the floating-point operations of the dense formula, so the
+    result equals it bit for bit, and no N x N array but the result is made.
+    """
+    w = space.weights
+    sqrt_w = np.sqrt(w)
+    n = space.n_points
+    sym = np.empty((n, n))
+    diag = np.empty(n) if diag is None else diag
+    for rows in space._row_chunks():
+        part = slice(rows[0], rows[-1] + 1)
+        on_diag = (np.arange(rows.size), rows)
+        row = _kernel_generator(jmat[part], w[None, :])
+        col = _kernel_generator(jmat[part], w[rows, None])
+        if minus is not None:
+            row -= _kernel_generator(minus[part], w[None, :])
+            col -= _kernel_generator(minus[part], w[rows, None])
+        else:
+            row[on_diag] = 0.0
+            diag[part] = -row.sum(axis=1)
+        row[on_diag] = col[on_diag] = diag[part]
+        row *= sqrt_w[rows, None]
+        row /= sqrt_w[None, :]
+        col *= sqrt_w[None, :]
+        col /= sqrt_w[rows, None]
+        row += col
+        row *= 0.5
+        sym[part] = row
+    return sym, diag
+
+
 def _form(space: FiniteMMSpace, jmat: np.ndarray, domain: np.ndarray,
-          L: np.ndarray) -> SpectralForm:
-    """The form with generator ``L`` on ``domain``, diagonalized by one ``eigh``."""
-    sqrt_w = np.sqrt(space.weights[domain])
-    eigvals, psi = np.linalg.eigh(_symmetrized(L, sqrt_w))
-    psi /= sqrt_w[:, None]
-    return SpectralForm(space=space, jmat=jmat, domain=domain, L=L,
-                        eigvals=eigvals, psi=psi)
+          sym: np.ndarray, diag: np.ndarray, L: np.ndarray | None = None) -> SpectralForm:
+    """The form on ``domain`` whose symmetrized generator is ``sym``, diagonalized by one ``eigh``."""
+    eigvals, psi = np.linalg.eigh(sym)
+    psi /= np.sqrt(space.weights[domain])[:, None]
+    return SpectralForm(space=space, jmat=jmat, domain=domain, diag=diag,
+                        eigvals=eigvals, psi=psi, _L=L)
+
+
+def _part_form(form: SpectralForm, D: np.ndarray, LD: np.ndarray) -> SpectralForm:
+    """The part on ``D`` with the small dense generator ``LD``, which it keeps."""
+    return _form(form.space, form.jmat, D, _symmetrized(LD, np.sqrt(form.space.weights[D])),
+                 LD.diagonal(), LD)
 
 
 def _symmetric_kernel_matrix(space: FiniteMMSpace, jmat: np.ndarray) -> np.ndarray:
@@ -142,14 +209,11 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     """Assemble the generator of the pure-jump form for the whole space.
 
     The form's ``jmat`` is the kernel's cached, read-only matrix itself
-    whenever that is exactly symmetric.
+    whenever that is exactly symmetric.  No dense generator is formed.
     """
     jmat = _symmetric_kernel_matrix(space, kernel.matrix())
-    L = jmat * -2.0
-    L *= space.weights[None, :]
-    np.fill_diagonal(L, 0.0)
-    np.fill_diagonal(L, -L.sum(axis=1))
-    return _form(space, jmat, np.arange(space.n_points), L)
+    sym, diag = _symmetric_generator(space, jmat)
+    return _form(space, jmat, np.arange(space.n_points), sym, diag)
 
 
 def part_on(form: SpectralForm, D) -> SpectralForm:
@@ -158,7 +222,7 @@ def part_on(form: SpectralForm, D) -> SpectralForm:
     ``D`` must be a nonempty 1-D list of distinct atom indices in 0..N-1.
     """
     D, LD = _part_generator(form, D)
-    return _form(form.space, form.jmat, D, LD)
+    return _part_form(form, D, LD)
 
 
 def _part_energy(form: SpectralForm, D, f) -> float:
@@ -169,7 +233,8 @@ def _part_energy(form: SpectralForm, D, f) -> float:
 
 
 def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
-    """The checked domain ``D`` and the principal submatrix L_D of the generator."""
+    """The checked domain ``D`` and the principal submatrix L_D of the generator,
+    from the kernel and the generator diagonal."""
     D = np.asarray(D, dtype=int)
     if D.ndim != 1:
         raise ParameterError("domain must be a 1-D list of atom indices")
@@ -182,7 +247,9 @@ def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("domain indices must be distinct")
     if form.is_part:
         raise ParameterError("take parts of the full-space form")
-    return D, form.L[np.ix_(D, D)]
+    LD = _kernel_generator(form.jmat[np.ix_(D, D)], form.space.weights[D][None, :])
+    np.fill_diagonal(LD, form.diag[D])
+    return D, LD
 
 
 def lambda1(form: SpectralForm, D=None) -> float:
@@ -200,20 +267,21 @@ def default_time_grid(form: SpectralForm) -> np.ndarray:
 
 def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.ndarray:
     """tail(x) = sum over far atoms of j(x,w) mu(w), from the generator diagonals."""
-    return 0.5 * (np.diag(form_full.L) - np.diag(form_near.L))
+    return 0.5 * (form_full.diag - form_near.diag)
 
 
 def removed_top_eigenvalue(form_full: SpectralForm, form_near: SpectralForm) -> float:
     """Largest eigenvalue of the removed generator L_full - L_near, without eigenvectors."""
-    sqrt_w = np.sqrt(form_full.weights)
-    return float(np.linalg.eigvalsh(_symmetrized(form_full.L - form_near.L, sqrt_w))[-1])
+    sym, _ = _symmetric_generator(form_full.space, form_full.jmat,
+                                  form_full.diag - form_near.diag, minus=form_near.jmat)
+    return float(np.linalg.eigvalsh(sym)[-1])
 
 
 def killed_part(form_full: SpectralForm, form_near: SpectralForm, D) -> SpectralForm:
     """Near part on D plus the killing potential 2*tail from the removed jumps."""
     D, LD = _part_generator(form_near, D)
     tail = far_tail_profile(form_full, form_near)
-    return _form(form_near.space, form_near.jmat, D, LD + 2.0 * np.diag(tail[D]))
+    return _part_form(form_near, D, LD + 2.0 * np.diag(tail[D]))
 
 
 def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,
@@ -366,13 +434,17 @@ def _ball_cap_radius(scale: ScaleField, x0: int, delta: float) -> float:
 
 
 def _subsets_for_ball(form: SpectralForm, ball: BallQuery, strategy: str,
-                      rng: np.random.Generator) -> list[np.ndarray]:
+                      rng: np.random.Generator) -> tuple[list[np.ndarray], float | None]:
+    """The strategy's subsets of the ball, unsorted and possibly repeated, and
+    lambda_1 of the ball part when the strategy solved it for its ground state."""
     ball_members = ball.member_idx
     subsets: list[np.ndarray] = [ball_members]
+    lam_ball = None
     if strategy in ("subballs", "mixed"):
         subsets += [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
     if strategy in ("ground_superlevel", "mixed"):
         part = part_on(form, ball_members)
+        lam_ball = float(part.eigvals[0])
         ground = np.abs(part.psi[:, 0])
         for dens in (0.25, 0.5, 0.75):
             subsets.append(ball_members[ground > np.quantile(ground, 1.0 - dens)])
@@ -380,9 +452,7 @@ def _subsets_for_ball(form: SpectralForm, ball: BallQuery, strategy: str,
         for dens in (0.25, 0.5, 0.75):
             k = max(1, int(round(dens * ball_members.size)))
             subsets.append(rng.choice(ball_members, size=k, replace=False))
-    # sorted, without repeats or empty sets, in order of first appearance
-    uniq = dict.fromkeys(tuple(sorted(int(i) for i in s)) for s in subsets)
-    return [np.asarray(key, dtype=int) for key in uniq if key]
+    return subsets, lam_ball
 
 
 def _damping(scale: ScaleField, phival: float) -> float:
@@ -406,6 +476,7 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                     ball_sample, subset_strategy: str = "mixed",
                     rng: np.random.Generator | None = None,
                     extra_subsets: dict[tuple[int, float], list[np.ndarray]] | None = None,
+                    known_lambda1: dict[bytes, float] | None = None,
                     ) -> ConditionReport:
     """Faber-Krahn family sweep.
 
@@ -416,8 +487,14 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     every sample.  Subsets whose bracket is nonpositive satisfy the display
     trivially and are skipped.  Reports never claim more than the sampled
     family.  FK and WFK skip radii r >= phi^-1(x0, delta * T0).
+
+    ``extra_subsets`` adds subsets per sampled ball; a subset that repeats
+    one of its ball is swept once.  ``known_lambda1`` maps ``D.tobytes()``
+    of sorted subsets whose lambda_1 the caller has solved to that value, so
+    the sweep solves each distinct subset at most once.
     """
     rng = rng or np.random.default_rng(0)
+    lambda1_of = dict(known_lambda1 or {})
     best = math.inf
     witness: dict[str, Any] = {}
     series = []
@@ -428,17 +505,24 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         ball = space.ball(x0, r)
         phival = phi(scale, x0, r)
         damping = _damping(scale, phival)
-        subsets = _subsets_for_ball(form, ball, subset_strategy, rng)
+        subsets, lam_ball = _subsets_for_ball(form, ball, subset_strategy, rng)
+        if lam_ball is not None:
+            lambda1_of[ball.member_idx.tobytes()] = lam_ball
         if extra_subsets:
             subsets.extend(extra_subsets.get((x0, r), []))
-        for D in subsets:
+        # sorted, without repeats or empty sets, in order of first appearance
+        uniq = dict.fromkeys(tuple(sorted(int(i) for i in s)) for s in subsets)
+        for D in (np.asarray(key, dtype=int) for key in uniq if key):
             mu_D = float(space.weights[D].sum())
             ratio_pow = (ball.volume / mu_D) ** nu
             bracket = _fk_bracket(variant, ratio_pow, damping, b, Cprime)
             if bracket <= 0:
                 trivial += 1
                 continue
-            lam = lambda1(form, D)
+            key = D.tobytes()
+            if key not in lambda1_of:
+                lambda1_of[key] = lambda1(form, D)
+            lam = lambda1_of[key]
             c = lam * phival / bracket
             series.append({"x0": x0, "r": r, "size_D": int(D.size),
                            "lambda1": lam, "C": c})
@@ -557,6 +641,7 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     # (x0, r) -> (ball, its Nash functions, [(asserted subset, its lambda_1)])
     per_ball: dict[tuple[int, float], tuple[BallQuery, list, list]] = {}
     sweep_subsets: dict[tuple[int, float], list[np.ndarray]] = {}
+    known_lambda1: dict[bytes, float] = {}
     for x0, r in balls:
         ball = space.ball(x0, r)
         D_ball = ball.member_idx
@@ -564,17 +649,21 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
         base = [part.psi[:, k] for k in range(min(2, D_ball.size))]
         base.append(rng.choice([-1.0, 1.0], size=D_ball.size))
 
-        subs = [s for f in base
-                if (s := _superlevel_subset(space, D_ball, f)) is not None]
+        # distinct super-level sets; a repeat adds no Nash function or bound,
+        # and the ball itself is asserted below from its part
+        subs = {s.tobytes(): s for f in base
+                if (s := _superlevel_subset(space, D_ball, f)) is not None}
+        subs.pop(D_ball.tobytes(), None)
         # ground states of the asserted subsets, extended by zero to the ball
         grounds, asserted = [], []
-        for D in subs:
+        for D in subs.values():
             sub_part = part_on(form, D)
             g = np.zeros(D_ball.size)
             g[np.searchsorted(D_ball, D)] = sub_part.psi[:, 0]
             grounds.append(g)
             asserted.append((D, float(sub_part.eigvals[0])))
         asserted.append((D_ball, float(part.eigvals[0])))
+        known_lambda1.update((D.tobytes(), lam) for D, lam in asserted)
         funcs = base + grounds
         per_ball[(x0, r)] = (ball, funcs, asserted)
         sweep_subsets[(x0, r)] = [s for f in funcs
@@ -582,7 +671,7 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
 
     gfk = fk_family_check(form, space, scale, "GFK", nu, b, Cprime, 0.5,  # GFK reads no delta
                           balls, subset_strategy="mixed", rng=rng,
-                          extra_subsets=sweep_subsets)
+                          extra_subsets=sweep_subsets, known_lambda1=known_lambda1)
     c_g = gfk.best_constant
 
     c_n = 0.0

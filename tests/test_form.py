@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError
-from hklab.form import _part_energy
+from hklab.form import (_part_energy, _part_generator, far_tail_profile, killed_part,
+                        removed_top_eigenvalue)
 
 
 def energy_oracle(space, kern, f):
@@ -341,7 +343,8 @@ def test_fk_nash_consistency_two_configs():
 
 
 def test_fk_nash_consistency_reuses_its_parts(monkeypatch):
-    # the backward chain reads lambda_1 from the parts the first pass solved
+    # the backward chain reads lambda_1 from the parts the first pass solved,
+    # and the GFK sweep looks up the lambda_1 it or the first pass has solved
     sp = hk.build_cantor_product(1 / 3, 2, 3)
     field = hk.constant_field(sp, 0.8, T0=1.0)
     form = hk.assemble(sp, hk.build_cantor_axis_kernel(sp, field))
@@ -351,7 +354,11 @@ def test_fk_nash_consistency_reuses_its_parts(monkeypatch):
                                  ball_sample=[(0, 0.25), (27, 0.5)],
                                  rng=np.random.default_rng(3))
     assert rep.passed
-    assert len(calls) == 35             # 43 when the backward chain re-solved 8 parts
+    # 43 when the backward chain re-solved 8 parts, 35 when the GFK sweep
+    # re-solved 9 and 26 when a super-level set equal to the ball re-solved
+    # it; what repeats is each ball part, solved again for its ground state
+    assert len(calls) == 24
+    assert len({np.asarray(D).tobytes() for D in calls}) == 22
 
 
 def test_fk_passes_where_due_confirmed():
@@ -425,6 +432,102 @@ def test_assemble_matches_reference_formulas(chunk_budget):
     sym = (L * sqrt_w[:, None]) / sqrt_w[None, :]
     eigvals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
     assert np.allclose(form.eigvals, eigvals, rtol=1e-12, atol=1e-12)
+
+
+def _dense_generator(space, jmat):
+    # the dense formula, the reference for the chunked builder
+    L = jmat * -2.0
+    L *= space.weights[None, :]
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return L
+
+
+def _dense_spectrum(L, weights):
+    # the dense symmetrization W^(1/2) L W^(-1/2), its eigh and the rescaled psi
+    sqrt_w = np.sqrt(weights)
+    sym = L * sqrt_w[:, None]
+    sym /= sqrt_w[None, :]
+    sym += sym.T
+    sym *= 0.5
+    eigvals, psi = np.linalg.eigh(sym)
+    psi /= sqrt_w[:, None]
+    return eigvals, psi, sym
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _generator_case(case):
+    """A space, a kernel and a truncation radius: non-uniform weights, a
+    Cantor product, and a kernel symmetric only up to rounding."""
+    if case == "custom":
+        space, _, kern = random_setup(3)
+        return space, kern, float(np.median(space.dist_from(0)))
+    if case == "cantor":
+        space = hk.build_cantor_product(1 / 3, 2, 3)
+        return space, hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8)), 0.125
+    rng = np.random.default_rng(8)
+    n = 45
+    w = rng.uniform(0.5, 2.0, size=n)
+    space = hk.build_custom(rng.uniform(0.0, 1.0, size=(n, 2)), w / w.sum())
+    m = rng.uniform(0.0, 1.0, size=(n, n))
+    m = m + m.T
+    m[3, 7] *= 1 + 1e-14
+    return space, _dense_kernel(space, m), float(np.median(space.dist_from(0)))
+
+
+@pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
+def test_chunked_generator_matches_dense_reference(chunk_budget, case):
+    space, kern, rho = _generator_case(case)
+    form = hk.assemble(space, kern)
+    near = hk.assemble(space, hk.truncate(kern, rho)[0])
+    if case == "rounding":
+        assert form.jmat is not kern.matrix()          # the symmetrized copy
+    w = space.weights
+    L, L_near = _dense_generator(space, form.jmat), _dense_generator(space, near.jmat)
+    for f, ref in ((form, L), (near, L_near)):
+        eigvals, psi, _ = _dense_spectrum(ref, w)
+        assert _same_bits(f.eigvals, eigvals) and _same_bits(f.psi, psi)
+        assert _same_bits(f.diag, np.diag(ref))
+        assert _same_bits(f.L, ref)
+    D = np.random.default_rng(1).permutation(space.n_points)[: space.n_points // 2]
+    assert _same_bits(_part_generator(form, D)[1], L[np.ix_(D, D)])
+    part = hk.part_on(form, D)
+    eigvals, psi, _ = _dense_spectrum(L[np.ix_(D, D)], w[D])
+    assert _same_bits(part.eigvals, eigvals) and _same_bits(part.psi, psi)
+    tail = 0.5 * (np.diag(L) - np.diag(L_near))
+    assert tail.max() > 0
+    assert _same_bits(far_tail_profile(form, near), tail)
+    killed = killed_part(form, near, D)
+    LD = L_near[np.ix_(D, D)] + 2.0 * np.diag(tail[D])
+    eigvals, psi, _ = _dense_spectrum(LD, w[D])
+    assert _same_bits(killed.L, LD)
+    assert _same_bits(killed.eigvals, eigvals) and _same_bits(killed.psi, psi)
+    top = np.linalg.eigvalsh(_dense_spectrum(L - L_near, w)[2])[-1]
+    assert _same_bits(removed_top_eigenvalue(form, near), top)
+
+
+def test_assemble_keeps_no_dense_generator():
+    # 512 atoms.  tracemalloc sees numpy's arrays, not the LAPACK workspace
+    # or the copy of its input that eigh makes in untraced buffers.
+    space = hk.build_cantor_product(1 / 3, 1, 9)
+    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    kern.matrix()
+    square = space.n_points**2 * 8
+    tracemalloc.start()
+    try:
+        form = hk.assemble(space, kern)
+        held, peak = tracemalloc.get_traced_memory()
+        assert form.L is form.L                        # built once, on the first read
+        held_with_L = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * square                        # 3.04 when L was kept
+    assert held <= 1.1 * square                        # psi; 2.00 with L
+    assert held_with_L >= held + square
 
 
 def test_assemble_signed_zero_is_not_exact_symmetry():

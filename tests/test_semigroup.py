@@ -11,6 +11,7 @@ import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError
 from hklab.form import _interchange_integral, default_time_grid, far_tail_profile
+from hklab.scale import phi_inverse_vec
 from hklab.semigroup import _SE_FROM_LRE_T_FRACS, _SE_TIMES_PER_A0
 
 
@@ -162,6 +163,22 @@ def test_due_plotdata_columns(cantor6):
     rep = hk.due_check(form, space, scale, 1.0, [0.02, 0.1, 0.5])
     for row in rep.series:
         assert {"t", "p_diag", "due_bound", "ratio"} <= set(row)
+
+
+def test_due_witness_is_the_smallest_atom_of_a_tie():
+    # mirror atoms of the Cantor product tie in exact arithmetic; the
+    # reported atom must not depend on how p(t, x, x) was rounded
+    space = hk.build_cantor_product(1 / 3, 2, 4)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    form = hk.assemble(space, hk.build_cantor_axis_kernel(space, scale))
+    rep = hk.due_check(form, space, scale, 1.0, default_time_grid(form))
+    ids = np.arange(space.n_points)
+    for row in rep.series:
+        t = row["t"]
+        vals = np.diag(form.heat_kernel(t)) * space.volumes_at(phi_inverse_vec(scale, ids, t))
+        ties = np.flatnonzero(vals >= vals.max() * (1 - 1e-12))
+        assert ties.size > 1 and row["x"] == ties[0]
+    assert rep.witness["x"] == max(rep.series, key=lambda row: row["C_at_t"])["x"]
 
 
 def test_conservativeness_modes(cantor6):
