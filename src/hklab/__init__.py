@@ -60,7 +60,6 @@ from .scale import (
 from .semigroup import (
     conservativeness_check,
     due_check,
-    f_profile,
     heat_kernel_invariants,
     meyer_check,
     recursion_limit,
@@ -83,8 +82,6 @@ from .space import (
     fit_rvd_exponent,
     fit_vd_exponent,
     metric_axioms_ok,
-    space_from_json,
-    space_to_json,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,9 +9,11 @@ sum_{x,y} (f(x)-f(y))^2 j(x,y) mu(x) mu(y).  Dirichlet parts are principal
 submatrices of L: the diagonal keeps the jumps that leave the domain, which
 act as killing.
 
-A full form keeps the kernel matrix ``jmat``, the generator diagonal and the
-spectral data, but no dense L: off the diagonal L is -2 J W, so every reader
-derives what it needs from ``jmat`` and ``diag``.
+A full form keeps the generator diagonal and the spectral data, but no
+dense L and, until something reads it, no kernel matrix: ``assemble`` builds
+the symmetrized generator straight from kernel blocks, one row chunk at a
+time, and ``jmat`` is built on its first read.  Off the diagonal L is
+-2 J W, so every reader derives what it needs from ``jmat`` and ``diag``.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries and this module for parts.
@@ -20,7 +22,7 @@ checkers ask a :class:`SpectralForm` for entries and this module for parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 import numpy as np
@@ -38,18 +40,38 @@ class SpectralForm:
 
     ``domain`` indexes the ambient space; ``diag`` is the generator's
     diagonal on it; ``eigvals`` are ascending and the eigenfunction columns
-    of ``psi`` are mu-orthonormal on the domain.  A Dirichlet part keeps its
+    of ``psi`` are mu-orthonormal on the domain.  ``jmat_nonzeros`` counts
+    the off-diagonal nonzeros of the kernel matrix, found while assembling.
+
+    ``jmat``, the symmetric kernel matrix on the whole space, is built on its
+    first read: it is ``kernel.matrix()`` itself when ``kernel_symmetric``
+    (that matrix is exactly symmetric), else 0.5 * (J + J.T).  A Dirichlet
+    part shares the kernel and the ``jmat`` of its full form and keeps its
     small dense generator; the full form builds its own on the first read of
-    ``L``.
+    ``L``, which only tests do.
     """
 
     space: FiniteMMSpace
-    jmat: np.ndarray
+    kernel: JumpKernel
     domain: np.ndarray
     diag: np.ndarray
     eigvals: np.ndarray
     psi: np.ndarray
+    jmat_nonzeros: int
+    kernel_symmetric: bool
+    _jmat: np.ndarray | None = field(default=None, repr=False)
     _L: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def jmat(self) -> np.ndarray:
+        """The symmetric kernel matrix on the whole space, built on the first read."""
+        if self._jmat is None:
+            jmat = self.kernel.matrix()
+            if not self.kernel_symmetric:
+                jmat = jmat + jmat.T
+                jmat *= 0.5
+            self._jmat = jmat
+        return self._jmat
 
     @property
     def L(self) -> np.ndarray:
@@ -68,21 +90,36 @@ class SpectralForm:
         return self.domain.size != self.space.n_points
 
     def energy(self, f) -> float:
-        """Quadratic form <L f, f>_mu on the domain."""
+        """Quadratic form <L f, f>_mu on the domain.
+
+        A part multiplies by its small L_D; the full form forms L f one row
+        chunk of L at a time, from ``jmat`` and ``diag``.
+        """
         f = np.asarray(f, dtype=float)
-        return float((self.L @ f) @ (f * self.weights))
+        if self.is_part:
+            Lf = self.L @ f
+        else:
+            Lf = np.empty_like(f)
+            for rows in self.space._row_chunks():
+                part = slice(rows[0], rows[-1] + 1)
+                row = _kernel_generator(self.jmat[part], self.space.weights[None, :])
+                row[np.arange(rows.size), rows] = self.diag[part]
+                Lf[part] = row @ f
+        return float(Lf @ (f * self.weights))
 
     def apply_semigroup(self, t, f) -> np.ndarray:
         """P_t f on the domain by spectral calculus.
 
         ``t`` may be a sequence of times: the eigen-coefficients of ``f`` are
-        then computed once, and row k of the result is P_{t[k]} f.
+        then computed once, and row k of the result is P_{t[k]} f.  ``f`` may
+        hold one function per column; each result then does too.
         """
         f = np.asarray(f, dtype=float)
-        coef = self.psi.T @ (f * self.weights)
+        per_atom = (slice(None),) + (None,) * (f.ndim - 1)   # a vector along f's first axis
+        coef = self.psi.T @ (f * self.weights[per_atom])
         times = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self.psi @ (np.exp(-s * self.eigvals) * coef) for s in times])
-        return out.reshape(times.size, self.domain.size) if np.ndim(t) else out[0]
+        out = np.array([self.psi @ (np.exp(-s * self.eigvals)[per_atom] * coef) for s in times])
+        return out.reshape(times.size, *f.shape) if np.ndim(t) else out[0]
 
     def heat_kernel(self, t: float) -> np.ndarray:
         """Kernel values p(t, x, y) on domain x domain."""
@@ -125,15 +162,17 @@ def _kernel_generator(jmat: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetric_generator(space: FiniteMMSpace, jmat: np.ndarray, diag: np.ndarray | None = None,
-                         minus: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_generator(space: FiniteMMSpace, jrows, diag: np.ndarray | None = None,
+                         minus=None) -> tuple[np.ndarray, np.ndarray]:
     """``_symmetrized(L, sqrt(w))`` and the diagonal of L, one row chunk at a time.
 
-    L is the generator of the exactly symmetric ``jmat``, less that of
-    ``minus`` when given, with diagonal ``diag``, or minus its off-diagonal
-    row sums when ``diag`` is None.  Each chunk forms its rows of L and its
-    columns with the floating-point operations of the dense formula, so the
-    result equals it bit for bit, and no N x N array but the result is made.
+    ``jrows(rows)`` returns the rows ``rows`` (consecutive atoms) of an
+    exactly symmetric kernel matrix J.  L is the generator of J, less that of
+    ``minus`` (rows of another such matrix) when given, with diagonal
+    ``diag``, or minus its off-diagonal row sums when ``diag`` is None.  Each
+    chunk forms its rows of L and its columns with the floating-point
+    operations of the dense formula, so the result equals it bit for bit,
+    and no N x N array but the result is made.
     """
     w = space.weights
     sqrt_w = np.sqrt(w)
@@ -143,11 +182,13 @@ def _symmetric_generator(space: FiniteMMSpace, jmat: np.ndarray, diag: np.ndarra
     for rows in space._row_chunks():
         part = slice(rows[0], rows[-1] + 1)
         on_diag = (np.arange(rows.size), rows)
-        row = _kernel_generator(jmat[part], w[None, :])
-        col = _kernel_generator(jmat[part], w[rows, None])
+        j = jrows(rows)
+        row = _kernel_generator(j, w[None, :])
+        col = _kernel_generator(j, w[rows, None])
         if minus is not None:
-            row -= _kernel_generator(minus[part], w[None, :])
-            col -= _kernel_generator(minus[part], w[rows, None])
+            j = minus(rows)
+            row -= _kernel_generator(j, w[None, :])
+            col -= _kernel_generator(j, w[rows, None])
         else:
             row[on_diag] = 0.0
             diag[part] = -row.sum(axis=1)
@@ -159,61 +200,103 @@ def _symmetric_generator(space: FiniteMMSpace, jmat: np.ndarray, diag: np.ndarra
         row += col
         row *= 0.5
         sym[part] = row
+        del j, row, col             # before the next chunk is evaluated
     return sym, diag
 
 
-def _form(space: FiniteMMSpace, jmat: np.ndarray, domain: np.ndarray,
-          sym: np.ndarray, diag: np.ndarray, L: np.ndarray | None = None) -> SpectralForm:
-    """The form on ``domain`` whose symmetrized generator is ``sym``, diagonalized by one ``eigh``."""
+def _matrix_rows(m: np.ndarray):
+    """``jrows`` for ``_symmetric_generator`` from a dense matrix, without copies."""
+    return lambda rows: m[rows[0]:rows[-1] + 1]
+
+
+def _spectrum(sym: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the symmetrized generator ``sym`` and the
+    mu-orthonormal eigenfunctions, by the one ``eigh`` that every form makes."""
     eigvals, psi = np.linalg.eigh(sym)
-    psi /= np.sqrt(space.weights[domain])[:, None]
-    return SpectralForm(space=space, jmat=jmat, domain=domain, diag=diag,
-                        eigvals=eigvals, psi=psi, _L=L)
+    psi /= np.sqrt(weights)[:, None]
+    return eigvals, psi
 
 
 def _part_form(form: SpectralForm, D: np.ndarray, LD: np.ndarray) -> SpectralForm:
     """The part on ``D`` with the small dense generator ``LD``, which it keeps."""
-    return _form(form.space, form.jmat, D, _symmetrized(LD, np.sqrt(form.space.weights[D])),
-                 LD.diagonal(), LD)
+    w = form.space.weights[D]
+    eigvals, psi = _spectrum(_symmetrized(LD, np.sqrt(w)), w)
+    return replace(form, domain=D, diag=LD.diagonal(), eigvals=eigvals, psi=psi, _L=LD)
 
 
-def _symmetric_kernel_matrix(space: FiniteMMSpace, jmat: np.ndarray) -> np.ndarray:
-    """``jmat`` itself when it is exactly symmetric, else 0.5 * (jmat + jmat.T).
+class _KernelRows:
+    """``jrows`` for ``_symmetric_generator`` straight from ``kernel.block``.
 
-    Refuses non-finite values and asymmetry beyond rounding (``np.allclose``
-    with atol 1e-10 * max(max |J|, 1)), testing one row chunk at a time.
+    Each call evaluates the kernel on the rows and on the columns of the
+    chunk, zeroes their diagonal entries as ``kernel.matrix()`` does, and
+    returns the rows of 0.5 * (J + J.T), which are the rows of J itself where
+    they equal their mirror bit for bit.  On the way it refuses non-finite
+    values, counts the off-diagonal nonzeros and keeps the chunks that differ
+    from their mirror by more than the tolerance of the largest |J| seen so
+    far; :meth:`check` decides on those once the largest |J| is known.
     """
-    scale_ref = np.maximum(jmat.max(), -jmat.min())    # max |J|; propagates NaN
-    if not np.isfinite(scale_ref):
-        raise ParameterError("kernel has non-finite values (NaN or inf)")
-    atol = 1e-10 * max(scale_ref, 1.0)
-    exact = True
-    for rows in space._row_chunks():
-        part = slice(rows[0], rows[-1] + 1)
-        block, mirror = jmat[part], jmat[:, part].T
-        # bitwise, so that signed zeros count as different too; equal finite
-        # blocks pass np.allclose, so it runs only after the first difference
-        if exact and np.array_equal(block.view(np.uint64), mirror.view(np.uint64)):
-            continue
-        exact = False
-        if not np.allclose(block, mirror, atol=atol):
-            raise ParameterError("kernel must be symmetric")
-    if exact:
-        return jmat                                    # 0.5 * (J + J.T) == J bit for bit
-    sym = jmat + jmat.T
-    sym *= 0.5
-    return sym
+
+    def __init__(self, kernel: JumpKernel):
+        self.kernel = kernel
+        self.atoms = np.arange(kernel.space.n_points)
+        self.symmetric = True          # every chunk so far equals its mirror bit for bit
+        self.nonzeros = 0
+        self._top = 0.0                # max |J| so far
+        self._suspect: list[np.ndarray] = []
+
+    def _blocks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        block = self.kernel.block(rows, self.atoms)
+        mirror = self.kernel.block(self.atoms, rows).T
+        on_diag = (np.arange(rows.size), rows)
+        block[on_diag] = mirror[on_diag] = 0.0
+        return block, mirror
+
+    def _atol(self) -> float:
+        return 1e-10 * max(self._top, 1.0)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        block, mirror = self._blocks(rows)
+        top = np.maximum(block.max(), -block.min())   # propagates NaN
+        if not np.isfinite(top):
+            raise ParameterError("kernel has non-finite values (NaN or inf)")
+        self._top = max(self._top, float(top))
+        # bitwise, so that signed zeros count as different too
+        if not np.array_equal(block.view(np.uint64), mirror.view(np.uint64)):
+            self.symmetric = False
+            if not np.allclose(block, mirror, atol=self._atol()):
+                self._suspect.append(rows)
+            block += mirror
+            block *= 0.5
+        self.nonzeros += int(np.count_nonzero(block))
+        return block
+
+    def check(self) -> None:
+        """Refuse asymmetry beyond rounding: ``np.allclose(J, J.T)`` with atol
+        1e-10 * max(max |J|, 1) fails.  A chunk within the tolerance of the
+        max |J| so far is within the final one, so only the others are
+        evaluated again."""
+        atol = self._atol()
+        for rows in self._suspect:
+            if not np.allclose(*self._blocks(rows), atol=atol):
+                raise ParameterError("kernel must be symmetric")
 
 
 def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     """Assemble the generator of the pure-jump form for the whole space.
 
-    The form's ``jmat`` is the kernel's cached, read-only matrix itself
-    whenever that is exactly symmetric.  No dense generator is formed.
+    The symmetrized generator is built from kernel blocks one row chunk at a
+    time, so neither a dense generator nor the kernel matrix is alive during
+    the eigensolve.  The form's ``jmat`` is built on its first read, and is
+    the kernel's cached, read-only matrix itself whenever that is exactly
+    symmetric.
     """
-    jmat = _symmetric_kernel_matrix(space, kernel.matrix())
-    sym, diag = _symmetric_generator(space, jmat)
-    return _form(space, jmat, np.arange(space.n_points), sym, diag)
+    jrows = _KernelRows(kernel)
+    sym, diag = _symmetric_generator(space, jrows)
+    jrows.check()
+    eigvals, psi = _spectrum(sym, space.weights)
+    return SpectralForm(space=space, kernel=kernel, domain=np.arange(space.n_points),
+                        diag=diag, eigvals=eigvals, psi=psi,
+                        jmat_nonzeros=jrows.nonzeros, kernel_symmetric=jrows.symmetric)
 
 
 def part_on(form: SpectralForm, D) -> SpectralForm:
@@ -272,8 +355,9 @@ def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.nda
 
 def removed_top_eigenvalue(form_full: SpectralForm, form_near: SpectralForm) -> float:
     """Largest eigenvalue of the removed generator L_full - L_near, without eigenvectors."""
-    sym, _ = _symmetric_generator(form_full.space, form_full.jmat,
-                                  form_full.diag - form_near.diag, minus=form_near.jmat)
+    sym, _ = _symmetric_generator(form_full.space, _matrix_rows(form_full.jmat),
+                                  form_full.diag - form_near.diag,
+                                  minus=_matrix_rows(form_near.jmat))
     return float(np.linalg.eigvalsh(sym)[-1])
 
 
@@ -370,7 +454,7 @@ def lre_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                              witness=witness, series=series)
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
-    if not form.jmat.any():
+    if form.jmat_nonzeros == 0:
         report.note("degenerate zero kernel: the resolvent is the constant 1/lambda")
     report.passed = bool(series) and worst > 0
     return report

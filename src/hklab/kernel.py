@@ -42,6 +42,7 @@ class JumpKernel:
         return float(self.block(np.array([x]), np.array([y]))[0, 0])
 
     def block(self, rows, cols) -> np.ndarray:
+        """j on rows x cols; a new array on every call, which the caller may overwrite."""
         rows = np.atleast_1d(np.asarray(rows, dtype=int))
         cols = np.atleast_1d(np.asarray(cols, dtype=int))
         out = np.asarray(self._block_fn(rows, cols), dtype=float)
@@ -51,8 +52,9 @@ class JumpKernel:
         """Dense intensity matrix; cached, read-only, refused above the dense cap.
 
         Filled one row chunk at a time, so the block function's temporaries
-        stay at chunk size.  Read-only because ``assemble`` hands this same
-        array to the form as its ``jmat``.
+        stay at chunk size.  Read-only because an assembled form's ``jmat``
+        is this same array, built on its first read, when it is exactly
+        symmetric.  ``assemble`` itself reads blocks only.
         """
         if self._matrix is None:
             n = self.space.n_points
@@ -213,23 +215,6 @@ def build_nearest_neighbor_kernel(space: FiniteMMSpace, value: float = 1.0) -> J
                          {"kind": "nearest_neighbor", "spacing": h})
 
 
-def kernel_to_coo_json(kernel: JumpKernel) -> list[dict[str, Any]]:
-    """Coordinate-list dump {i, j, value}; the symmetric half i < j only."""
-    m = kernel.matrix()
-    i_idx, j_idx = np.nonzero(np.triu(m, k=1))
-    return [{"i": int(i), "j": int(j), "value": float(m[i, j])}
-            for i, j in zip(i_idx, j_idx)]
-
-
-def kernel_from_coo_json(space: FiniteMMSpace, entries) -> JumpKernel:
-    n = space.n_points
-    m = np.zeros((n, n))
-    for e in entries:
-        m[e["i"], e["j"]] = e["value"]
-        m[e["j"], e["i"]] = e["value"]
-    return _dense_kernel(space, m, "full", {"kind": "coo"})
-
-
 # ---------------------------------------------------------------------------
 # Tail quantities and checks
 # ---------------------------------------------------------------------------
@@ -264,11 +249,6 @@ def _tail_masses(kernel: JumpKernel, space: FiniteMMSpace, radii,
         for k, r in enumerate(radii):
             tails[k, rows] = np.where(d >= r, vals, 0.0) @ space.weights
     return tails
-
-
-def tail_mass_all(kernel: JumpKernel, space: FiniteMMSpace, r: float) -> np.ndarray:
-    """tail_mass(x, r) for every atom x."""
-    return _tail_masses(kernel, space, [r])[0]
 
 
 def _first_max(vals: np.ndarray, ids: np.ndarray) -> tuple[float, int | None]:

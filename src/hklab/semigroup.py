@@ -121,12 +121,14 @@ def se_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
 
 def te_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
              T0: float, ball_sample, time_grid) -> ConditionReport:
-    """Best C with quarter-ball max of P_t 1_{B^c} <= C t / (phi(x0,r) ^ T0)."""
+    """Best C with quarter-ball max of P_t 1_{B^c} <= C t / (phi(x0,r) ^ T0).
+
+    The outside indicators of all usable balls are the columns of one
+    matrix, so the semigroup acts on them in one product per time.
+    """
     if form.is_part:
         raise ParameterError("tail estimate uses the full-space semigroup")
-    best = 0.0
-    witness: dict[str, Any] = {}
-    series = []
+    balls, outside = [], []
     skipped = 0
     for x0, r in ball_sample:
         ball = space.ball(x0, r)
@@ -134,10 +136,15 @@ def te_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         if quarter.size == 0:
             skipped += 1
             continue
-        outside = (ball.dist >= r).astype(float)
-        denom = min(phi(scale, x0, r), T0)
-        hits = form.apply_semigroup(time_grid, outside)
-        for t, hit in zip(time_grid, hits):
+        balls.append((x0, r, quarter, min(phi(scale, x0, r), T0)))
+        outside.append(ball.dist >= r)
+    outside = np.array(outside, dtype=float).reshape(len(balls), space.n_points).T
+    hits = form.apply_semigroup(time_grid, outside)
+    best = 0.0
+    witness: dict[str, Any] = {}
+    series = []
+    for k, (x0, r, quarter, denom) in enumerate(balls):
+        for t, hit in zip(time_grid, hits[:, :, k]):
             c = float(hit[quarter].max()) * denom / float(t)
             series.append({"x0": x0, "r": r, "t": float(t), "C": c})
             if c > best:
@@ -391,19 +398,8 @@ def se_from_lre_chain(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFiel
 
 
 # ---------------------------------------------------------------------------
-# Reference profile and the self-improvement recursion
+# The self-improvement recursion
 # ---------------------------------------------------------------------------
-
-def f_profile(space: FiniteMMSpace, scale_beta: float, nu: float, x: int,
-              rho: float, t: float) -> float:
-    """Reference on-diagonal profile rho^(b/nu) / (V(x,rho) (t^b)^(1/nu)) (1 + t/rho^b)."""
-    if rho <= 0 or t <= 0:
-        raise ParameterError("need positive rho and t")
-    v = space.volume(x, rho)
-    rb = rho ** scale_beta
-    return float(rho ** (scale_beta / nu) / (v * min(t, rb) ** (1.0 / nu))
-                 * (1.0 + t / rb))
-
 
 def recursion_limit(q: float, a: float, b: float, p0: float = 0.0,
                     tol: float = 1e-12, max_iter: int = 10**5) -> float:

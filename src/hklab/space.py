@@ -16,7 +16,6 @@ N x N distance matrix is kept.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -422,34 +421,3 @@ def metric_axioms_ok(space: FiniteMMSpace, rng: np.random.Generator | None = Non
     dij, djk, dik = space._dist_pairs(i, j), space._dist_pairs(j, k), space._dist_pairs(i, k)
     broken = (dik > dij + djk + tol) | (np.abs(dij - space._dist_pairs(j, i)) > tol)
     return not broken.any()
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-# ---------------------------------------------------------------------------
-
-def space_to_json(space: FiniteMMSpace) -> str:
-    doc = {
-        "points": space.points,
-        "coords": space.coords.tolist(),
-        "weights": space.weights.tolist(),
-        "metric": space.metric_kind,
-        "diameter": space.diameter,
-        "meta": {k: v for k, v in space.meta.items() if not isinstance(v, np.ndarray)},
-    }
-    if space.metric_kind == "explicit":
-        doc["metric_matrix"] = space.metric_matrix.tolist()
-    return json.dumps(doc, sort_keys=True)
-
-
-def space_from_json(text: str) -> FiniteMMSpace:
-    doc = json.loads(text)
-    return FiniteMMSpace(
-        coords=np.asarray(doc["coords"], dtype=float),
-        weights=np.asarray(doc["weights"], dtype=float),
-        diameter=float(doc["diameter"]),
-        metric_kind=doc["metric"],
-        metric_matrix=(np.asarray(doc["metric_matrix"], dtype=float)
-                       if doc.get("metric_matrix") is not None else None),
-        meta=doc.get("meta", {}),
-    )

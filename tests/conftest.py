@@ -46,9 +46,8 @@ def random_setup(seed: int, max_points: int = 400):
         jmat = rng.uniform(0.0, 2.0, size=(n, n))
         jmat = 0.5 * (jmat + jmat.T)
         np.fill_diagonal(jmat, 0.0)
-        kern = hk.kernel.kernel_from_coo_json(
-            space, [{"i": i, "j": j, "value": float(jmat[i, j])}
-                    for i in range(n) for j in range(i + 1, n) if jmat[i, j] > 1.0])
+        kern = hk.kernel._dense_kernel(space, np.where(jmat > 1.0, jmat, 0.0), "full",
+                                       {"kind": "dense"})
     else:
         side = int(rng.integers(16, 64))
         space = hk.build_grid(1, side)

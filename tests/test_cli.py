@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,9 +15,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hklab
 from hklab import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def child_env():
+    """The environment with the directory this hklab was imported from first
+    on PYTHONPATH, so that a child interpreter imports the same package."""
+    src = str(Path(hklab.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
 SMOKE_CONFIG = {
     "space": {"kind": "two_point"},
     "scale": {"kind": "constant", "beta": 1.0, "T0": "inf"},
@@ -157,7 +168,7 @@ def test_counterexample_report_bundle(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     res = subprocess.run([sys.executable, "-m", "hklab.cli", "list-checks"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
     assert "tj_check" in res.stdout
 
@@ -270,7 +281,7 @@ def test_cli_import_loads_no_scipy():
     # a fresh interpreter: this one has imported scipy through the tests
     code = "import sys, hklab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=child_env())
     assert res.stdout.strip() == "[]"
 
 

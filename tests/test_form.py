@@ -560,3 +560,58 @@ def test_part_energy_equals_part_on_energy(cantor6):
         assert got == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ParameterError):
         _part_energy(form, [-1, 0], [1.0, 1.0])
+
+
+def test_assemble_never_builds_the_kernel_matrix():
+    # 1024 atoms, whose kernel matrix was never built; tracemalloc sees
+    # numpy's arrays, not the LAPACK workspace or eigh's copy of its input
+    space = hk.build_cantor_product(1 / 3, 1, 10)
+    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    square = space.n_points**2 * 8
+    tracemalloc.start()
+    try:
+        form = hk.assemble(space, kern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kern._matrix is None
+    assert peak <= 2.3 * square                        # 3.01 with the kernel matrix
+    assert form.jmat is kern.matrix()
+    assert form.jmat_nonzeros == np.count_nonzero(form.jmat)
+
+
+@pytest.mark.parametrize("gap,big", [(1e-8, 1e3), (1e-8, 1.0), (1e-6, 1e3)],
+                         ids=["within_final_tolerance", "no_large_entry", "beyond"])
+def test_assemble_decides_symmetry_with_the_global_tolerance(chunk_budget, gap, big):
+    # an inexact pair in the first chunk, beyond the tolerance of the first
+    # chunk's max |J|; the largest |J| comes in the last chunk
+    sp = hk.build_grid(1, 64)
+    m = np.ones((64, 64))
+    np.fill_diagonal(m, 0.0)
+    m[0, 1], m[1, 0] = 0.0, gap
+    m[63, 61] = m[61, 63] = big
+    accept = np.allclose(m, m.T, atol=1e-10 * max(np.abs(m).max(), 1.0))
+    if accept:
+        form = hk.assemble(sp, _dense_kernel(sp, m))
+        assert not form.kernel_symmetric
+        assert np.array_equal(form.jmat, 0.5 * (m + m.T))
+    else:
+        with pytest.raises(ParameterError, match="symmetric"):
+            hk.assemble(sp, _dense_kernel(sp, m))
+    assert accept == (gap == 1e-8 and big == 1e3)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_jmat_nonzeros_counts_the_symmetric_kernel(seed, chunk_budget):
+    space, _, kern = random_setup(seed)
+    form = hk.assemble(space, kern)
+    assert form.jmat_nonzeros == np.count_nonzero(form.jmat)
+    assert hk.part_on(form, [0, 1]).jmat_nonzeros == form.jmat_nonzeros
+
+
+def test_full_form_energy_is_chunked_L(chunk_budget):
+    space, _, kern = random_setup(3)
+    form = hk.assemble(space, kern)
+    w = space.weights
+    for f in np.random.default_rng(6).normal(size=(4, space.n_points)):
+        assert form.energy(f) == pytest.approx(float((form.L @ f) @ (f * w)), rel=1e-13)

@@ -6,7 +6,7 @@ import pytest
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError, UnsupportedKernelError
-from hklab.kernel import tail_mass_all
+from hklab.kernel import _tail_masses
 from hklab.scale import phi_inverse_vec
 
 ALPHA_THIRD = math.log(2) / math.log(3)
@@ -111,7 +111,7 @@ def test_tail_mass_edge_cases():
 def test_tail_of_near_part_vanishes_at_rho(cantor6):
     space, scale, kern = cantor6
     near, _ = hk.truncate(kern, 0.25)
-    assert np.abs(tail_mass_all(near, space, 0.25)).max() == 0.0
+    assert np.abs(_tail_masses(near, space, [0.25])).max() == 0.0
 
 
 def test_tj_zero_kernel_and_scaling(cantor6):
@@ -245,13 +245,6 @@ def test_cylindrical_kernel_axis_pattern():
     assert np.allclose(m, m.T)
 
 
-def test_kernel_coo_roundtrip(cantor6):
-    space, _, kern = cantor6
-    entries = hk.kernel.kernel_to_coo_json(kern)
-    back = hk.kernel.kernel_from_coo_json(space, entries)
-    assert np.allclose(back.matrix(), kern.matrix())
-
-
 # ---------------------------------------------------------------------------
 # Chunked checkers against the per-atom loops they replaced
 # ---------------------------------------------------------------------------
@@ -280,7 +273,7 @@ def test_tail_mass_all_matches_per_point(seed, chunk_budget):
     space, _, kern = random_setup(seed)
     for r in (0.05, 0.3, 0.7):
         want = [hk.tail_mass(kern, space, x, r) for x in range(space.n_points)]
-        assert np.allclose(tail_mass_all(kern, space, r), want, rtol=1e-12, atol=0)
+        assert np.allclose(_tail_masses(kern, space, [r])[0], want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -145,6 +145,57 @@ def test_te_small_time_slope_matches_tail_sum(cantor6):
     assert np.allclose(slope[probes], direct, rtol=5e-3)
 
 
+def _te_per_ball(form, space, scale, T0, ball_sample, time_grid):
+    """te_check's series as it was computed, one apply_semigroup call per ball."""
+    series = []
+    for x0, r in ball_sample:
+        ball = space.ball(x0, r)
+        quarter = ball.within(r / 4.0)
+        if quarter.size == 0:
+            continue
+        hits = form.apply_semigroup(time_grid, (ball.dist >= r).astype(float))
+        for t, hit in zip(time_grid, hits):
+            c = float(hit[quarter].max()) * min(hk.phi(scale, x0, r), T0) / float(t)
+            series.append({"x0": x0, "r": r, "t": float(t), "C": c})
+    return series
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_te_batched_matches_per_ball_reference(seed):
+    space, scale, kern = random_setup(seed)
+    form = hk.assemble(space, kern)
+    rng = np.random.default_rng(seed)
+    balls = hk.sample_balls(space, 4, [0.05, 0.2, 0.6], rng)
+    times = list(default_time_grid(form))
+    rep = hk.te_check(form, space, scale, 1.0, balls, times)
+    ref = _te_per_ball(form, space, scale, 1.0, balls, times)
+    assert ref
+    assert [{k: v for k, v in row.items() if k != "C"} for row in rep.series] == \
+        [{k: v for k, v in row.items() if k != "C"} for row in ref]
+    got, want = np.array([row["C"] for row in rep.series]), np.array([row["C"] for row in ref])
+    assert np.allclose(got, want, rtol=1e-10, atol=0)
+    assert rep.best_constant == pytest.approx(want.max(), rel=1e-10, abs=0)
+
+
+def test_apply_semigroup_columns_and_vectors(cantor6):
+    space, _, kern = cantor6
+    form = hk.assemble(space, kern)
+    F = np.random.default_rng(7).normal(size=(space.n_points, 3))
+    times = [0.01, 0.3, 2.0]
+    rows = form.apply_semigroup(times, F)
+    assert rows.shape == (3, space.n_points, 3)
+    for t, row in zip(times, rows):
+        for k in range(3):
+            f = F[:, k]
+            single = form.apply_semigroup(t, f)
+            # the 1-D expression, bit for bit
+            coef = form.psi.T @ (f * form.weights)
+            assert np.array_equal(single, form.psi @ (np.exp(-t * form.eigvals) * coef))
+            assert np.allclose(row[:, k], single, rtol=1e-12, atol=1e-14)
+    assert form.apply_semigroup(0.3, F).shape == F.shape
+    assert form.apply_semigroup([], F).shape == (0, *F.shape)
+
+
 def test_due_two_point_bounded(two_point):
     space, _, form = two_point
     field = hk.constant_field(space, 1.0)
@@ -347,24 +398,6 @@ def test_se_from_lre_chain_margins(cantor6):
     rep = hk.se_from_lre_chain(form, space, scale, 1.0, balls)
     assert rep.passed
     assert rep.witness["worst_margin"] >= -1e-9
-
-
-def test_f_profile_arithmetic():
-    sp = hk.build_two_point()
-    # t = rho^beta collapses the profile to 2 / V(x, rho)
-    v = sp.volume(0, 0.5)
-    beta, nu = 1.3, 0.7
-    rho = 0.5
-    assert hk.f_profile(sp, beta, nu, 0, rho, rho**beta) == pytest.approx(
-        2.0 / v, rel=1e-12)
-    # explicit small case: nu=1, beta=1, rho=1 (V = total mass 1), t = 1/2
-    sp_wide = hk.build_two_point(gap=0.5)
-    assert sp_wide.volume(0, 1.0) == 1.0
-    assert hk.f_profile(sp_wide, 1.0, 1.0, 0, 1.0, 0.5) == pytest.approx(3.0, abs=1e-12)
-    # large-time growth is linear
-    r1 = hk.f_profile(sp, beta, nu, 0, rho, 50.0)
-    r2 = hk.f_profile(sp, beta, nu, 0, rho, 100.0)
-    assert r2 / r1 == pytest.approx(2.0, rel=0.02)
 
 
 def test_recursion_limit_fixed_point():

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -182,25 +181,12 @@ def test_vd_dominates_rvd_on_builders():
         assert alpha_hat >= hk.fit_rvd_exponent(sp, radii) - 1e-12
 
 
-def test_space_json_roundtrip():
-    sp = hk.build_cantor_product(1 / 3, 1, 3)
-    doc = hk.space_to_json(sp)
-    parsed = json.loads(doc)
-    assert set(parsed) >= {"points", "coords", "weights", "metric", "diameter"}
-    back = hk.space_from_json(doc)
-    assert np.allclose(back.coords, sp.coords)
-    assert np.allclose(back.weights, sp.weights)
-    assert back.metric_kind == "sup"
-
-
 def test_explicit_metric_space():
     m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     sp = hk.build_custom(np.zeros((3, 1)), np.full(3, 1 / 3), metric_matrix=m)
     assert sp.dist(0, 2) == 2.0
     assert hk.metric_axioms_ok(sp)
-    back = hk.space_from_json(hk.space_to_json(sp))
-    assert back.metric_kind == "explicit"
-    assert np.allclose(back.metric_matrix, m)
+    assert sp.metric_kind == "explicit"
 
 
 # ---------------------------------------------------------------------------
