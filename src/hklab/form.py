@@ -27,11 +27,11 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, PointCapExceeded
 from .kernel import JumpKernel
 from .report import ConditionReport
 from .scale import ScaleField, phi, phi_inverse, phi_vec
-from .space import BallQuery, FiniteMMSpace
+from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace
 
 
 @dataclass
@@ -228,12 +228,13 @@ class _KernelRows:
     """``jrows`` for ``_symmetric_generator`` straight from ``kernel.block``.
 
     Each call evaluates the kernel on the rows and on the columns of the
-    chunk, zeroes their diagonal entries as ``kernel.matrix()`` does, and
-    returns the rows of 0.5 * (J + J.T), which are the rows of J itself where
-    they equal their mirror bit for bit.  On the way it refuses non-finite
-    values, counts the off-diagonal nonzeros and keeps the chunks that differ
-    from their mirror by more than the tolerance of the largest |J| seen so
-    far; :meth:`check` decides on those once the largest |J| is known.
+    chunk (on the rows only, when the chunk holds every row), zeroes their
+    diagonal entries as ``kernel.matrix()`` does, and returns the rows of
+    0.5 * (J + J.T), which are the rows of J itself where they equal their
+    mirror bit for bit.  On the way it refuses non-finite values, counts the
+    off-diagonal nonzeros and keeps the chunks that differ from their mirror
+    by more than the tolerance of the largest |J| seen so far; :meth:`check`
+    decides on those once the largest |J| is known.
     """
 
     def __init__(self, kernel: JumpKernel):
@@ -246,7 +247,10 @@ class _KernelRows:
 
     def _blocks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         block = self.kernel.block(rows, self.atoms)
-        mirror = self.kernel.block(self.atoms, rows).T
+        if rows.size == self.atoms.size:   # one chunk holds all of J: the mirror is J.T
+            mirror = block.T
+        else:
+            mirror = self.kernel.block(self.atoms, rows).T
         on_diag = (np.arange(rows.size), rows)
         block[on_diag] = mirror[on_diag] = 0.0
         return block, mirror
@@ -288,8 +292,11 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     time, so neither a dense generator nor the kernel matrix is alive during
     the eigensolve.  The form's ``jmat`` is built on its first read, and is
     the kernel's cached, read-only matrix itself whenever that is exactly
-    symmetric.
+    symmetric.  Refused above the dense cap, where the dense eigensolve
+    would not fit.
     """
+    if space.n_points > DENSE_MATRIX_CAP:
+        raise PointCapExceeded(space.n_points, DENSE_MATRIX_CAP)
     jrows = _KernelRows(kernel)
     sym, diag = _symmetric_generator(space, jrows)
     jrows.check()

@@ -42,10 +42,17 @@ class JumpKernel:
         return float(self.block(np.array([x]), np.array([y]))[0, 0])
 
     def block(self, rows, cols) -> np.ndarray:
-        """j on rows x cols; a new array on every call, which the caller may overwrite."""
+        """j on rows x cols; a new array on every call, which the caller may overwrite.
+
+        What the block function returns is copied unless it is a writeable
+        array owning its data, so a view of the caller's own matrix, or a
+        read-only or broadcast array, is never written through.
+        """
         rows = np.atleast_1d(np.asarray(rows, dtype=int))
         cols = np.atleast_1d(np.asarray(cols, dtype=int))
         out = np.asarray(self._block_fn(rows, cols), dtype=float)
+        if not (out.flags.owndata and out.flags.writeable):
+            out = out.copy()
         return out.reshape(rows.size, cols.size)
 
     def matrix(self) -> np.ndarray:

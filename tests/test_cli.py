@@ -114,6 +114,17 @@ def test_run_point_cap_exit_3(tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("kind", ["uniform", "zero", "cantor_axis"])
+def test_run_above_dense_cap_exit_3(tmp_path, capsys, kind):
+    # a raised point_cap admits the space, but not its dense eigensolve
+    cfg = dict(SMOKE_CONFIG, kernel={"kind": kind},
+               space={"kind": "cantor", "xi": 1 / 3, "n": 1, "level": 14,
+                      "point_cap": 1 << 14})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "point cap exceeded" in capsys.readouterr().err
+
+
 def test_run_deterministic_outputs(tmp_path):
     path = write_config(tmp_path, SMOKE_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hklab as hk
 from conftest import random_setup
-from hklab.errors import ParameterError
+from hklab.errors import ParameterError, PointCapExceeded
 from hklab.form import (_part_energy, _part_generator, far_tail_profile, killed_part,
                         removed_top_eigenvalue)
 
@@ -615,3 +615,15 @@ def test_full_form_energy_is_chunked_L(chunk_budget):
     w = space.weights
     for f in np.random.default_rng(6).normal(size=(4, space.n_points)):
         assert form.energy(f) == pytest.approx(float((form.L @ f) @ (f * w)), rel=1e-13)
+
+
+@pytest.mark.parametrize("build", [hk.build_uniform_kernel, hk.build_zero_kernel],
+                         ids=["uniform", "zero"])
+def test_assemble_refuses_above_the_dense_cap(build):
+    # lazy kernels, which read no distance matrix: the dense eigensolve is
+    # what the cap refuses, before any N x N array is made
+    space = hk.build_cantor_product(1 / 3, 1, 14, point_cap=1 << 14)
+    kern = build(space)
+    with pytest.raises(PointCapExceeded):
+        hk.assemble(space, kern)
+    assert kern._matrix is None

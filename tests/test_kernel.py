@@ -367,3 +367,31 @@ def test_axis_aligned_block_equals_reference(n_axes):
         assert np.array_equal(kern.block(idx, idx).view(np.uint64), ref.view(np.uint64))
         rows = rng.permutation(sp.n_points)[:9]
         assert np.array_equal(kern.block(rows, idx[::-1]), ref[np.ix_(rows, idx[::-1])])
+
+
+def test_block_never_writes_through_what_the_block_function_returns(chunk_budget):
+    # views of the caller's matrix (with a nonzero diagonal, which the
+    # assembly zeroes) and read-only broadcast arrays are copied
+    sp = hk.build_grid(1, 16)
+    user = np.random.default_rng(2).random((16, 16))
+    user = user + user.T
+    kept = user.copy()
+
+    def view_fn(rows, cols):
+        return user[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+
+    view_kern = hk.JumpKernel(sp, view_fn)
+    assert np.shares_memory(view_fn(np.arange(16), np.arange(16)), user)
+    form = hk.assemble(sp, view_kern)
+    assert np.array_equal(user, kept)
+    expected = hk.assemble(sp, hk.JumpKernel(sp, lambda r, c: kept[np.ix_(r, c)]))
+    assert np.array_equal(form.eigvals, expected.eigvals)
+    block = view_kern.block(np.arange(4), np.arange(16))
+    block[:] = -1.0
+    assert np.array_equal(user, kept)
+
+    const = hk.JumpKernel(sp, lambda r, c: np.broadcast_to(2.0, (r.size, c.size)))
+    block = const.block(np.arange(16), np.arange(16))
+    assert block.flags.writeable and np.all(block == 2.0)
+    uniform = hk.assemble(sp, hk.build_uniform_kernel(sp, 2.0))
+    assert np.array_equal(hk.assemble(sp, const).eigvals, uniform.eigvals)
