@@ -14,6 +14,9 @@ dense L and, until something reads it, no kernel matrix: ``assemble`` builds
 the symmetrized generator straight from kernel blocks, one row chunk at a
 time, and ``jmat`` is built on its first read.  Off the diagonal L is
 -2 J W, so every reader derives what it needs from ``jmat`` and ``diag``.
+When the generator commutes with the central reflection of the space, the
+whole-space eigensolve runs on its even and odd halves instead; Dirichlet
+parts are always solved whole.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries and this module for parts.
@@ -211,7 +214,7 @@ def _matrix_rows(m: np.ndarray):
 
 def _spectrum(sym: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the symmetrized generator ``sym`` and the
-    mu-orthonormal eigenfunctions, by the one ``eigh`` that every form makes."""
+    mu-orthonormal eigenfunctions, by one ``eigh``."""
     eigvals, psi = np.linalg.eigh(sym)
     psi /= np.sqrt(weights)[:, None]
     return eigvals, psi
@@ -222,6 +225,16 @@ def _part_form(form: SpectralForm, D: np.ndarray, LD: np.ndarray) -> SpectralFor
     w = form.space.weights[D]
     eigvals, psi = _spectrum(_symmetrized(LD, np.sqrt(w)), w)
     return replace(form, domain=D, diag=LD.diagonal(), eigvals=eigvals, psi=psi, _L=LD)
+
+
+# Relative tolerance of the two symmetry tests: J against J.T, and the
+# symmetrized generator against its central reflection.
+_SYMMETRY_RTOL = 1e-10
+
+
+def _symmetry_atol(top: float) -> float:
+    """Absolute tolerance of a symmetry test on a matrix whose largest |entry| is ``top``."""
+    return _SYMMETRY_RTOL * max(top, 1.0)
 
 
 class _KernelRows:
@@ -256,7 +269,7 @@ class _KernelRows:
         return block, mirror
 
     def _atol(self) -> float:
-        return 1e-10 * max(self._top, 1.0)
+        return _symmetry_atol(self._top)
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         block, mirror = self._blocks(rows)
@@ -285,22 +298,126 @@ class _KernelRows:
                 raise ParameterError("kernel must be symmetric")
 
 
+def _reflection_pairs(space: FiniteMMSpace) -> tuple[np.ndarray, np.ndarray] | None:
+    """Atoms ``A`` and their mirror images ``B`` under the central reflection.
+
+    The reflection maps x to c - x, with c_k the smallest plus the largest
+    coordinate on axis k.  It reverses the lexicographic order of the atoms,
+    so it pairs the k-th atom in that order with the k-th from the end.
+    None unless the metric is the sup metric, which the reflection
+    preserves, and every atom has a partner other than itself: N is even
+    and every pair sums to c within rounding.
+    """
+    n = space.n_points
+    if space.metric_kind != "sup" or n == 0 or n % 2:
+        return None
+    coords = space.coords
+    order = np.lexsort(coords.T[::-1])                 # first axis first
+    A, B = order[: n // 2], order[::-1][: n // 2]
+    centre = coords.min(axis=0) + coords.max(axis=0)
+    if np.abs(coords[A] + coords[B] - centre).max() > _symmetry_atol(np.abs(coords).max()):
+        return None
+    return A, B
+
+
+def _exceeds(diff: np.ndarray, atol: float) -> bool:
+    """max |diff| > atol, without an |diff| temporary."""
+    return max(float(diff.max()), -float(diff.min())) > atol
+
+
+def _reflection_blocks(space: FiniteMMSpace, sym: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
+    """``(A, B, [even, odd])`` when the symmetric matrix ``sym`` commutes with
+    the central reflection P of the space, else None.
+
+    With A one atom of each mirror pair and B = P[A], ``sym`` is
+    P-invariant when its quarter blocks satisfy S_AA = S_BB and S_AB = S_BA,
+    each within ``_symmetry_atol(max |sym|)``.  In the basis
+    (e_A +- e_B) / sqrt(2) it is then the direct sum of the even block
+    (S_AA + S_BB + S_AB + S_BA) / 2 and the odd block
+    (S_AA + S_BB - S_AB - S_BA) / 2.  The quarter blocks are gathered one
+    row chunk at a time, so the test and the split make no N x N temporary.
+    """
+    pairs = _reflection_pairs(space)
+    if pairs is None:
+        return None
+    A, B = pairs
+    h = A.size
+    atol = _symmetry_atol(max(float(sym.max()), -float(sym.min())))
+    even, odd = np.empty((h, h)), np.empty((h, h))
+    for rows in space._row_chunks(np.arange(h)):
+        part = slice(rows[0], rows[-1] + 1)
+        a, b = A[part, None], B[part, None]
+        # S_AA against S_BB, then S_AB against S_BA; each difference is kept
+        # in this chunk of ``even`` or ``odd`` until the sums replace it
+        same = sym[a, A]
+        mirror = sym[b, B]
+        if _exceeds(np.subtract(same, mirror, out=even[part]), atol):
+            return None
+        same += mirror
+        cross = sym[a, B]
+        mirror = sym[b, A]
+        if _exceeds(np.subtract(cross, mirror, out=odd[part]), atol):
+            return None
+        cross += mirror
+        del mirror
+        np.add(same, cross, out=even[part])
+        np.subtract(same, cross, out=odd[part])
+    even *= 0.5
+    odd *= 0.5
+    return A, B, [even, odd]
+
+
+def _split_spectrum(A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray],
+                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_spectrum`` of the matrix that ``_reflection_blocks`` split into
+    ``blocks``, from one ``eigh`` per block.
+
+    The eigenvalues are merged ascending by a stable sort, so an even
+    eigenvalue comes before an equal odd one; an even eigenvector v becomes
+    (v on A, v on B) / sqrt(2), an odd one (v on A, -v on B) / sqrt(2).  Each
+    block is taken out of ``blocks`` and freed once it is solved.
+    """
+    n = weights.size
+    even_vals, even_vecs = np.linalg.eigh(blocks.pop(0))
+    odd_vals, odd_vecs = np.linalg.eigh(blocks.pop(0))
+    eigvals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(eigvals, kind="stable")
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)
+    even_cols, odd_cols = column[:A.size], column[A.size:]
+    psi = np.empty((n, n))
+    psi[np.ix_(A, even_cols)] = even_vecs
+    psi[np.ix_(B, even_cols)] = even_vecs
+    psi[np.ix_(A, odd_cols)] = odd_vecs
+    np.negative(odd_vecs, out=odd_vecs)
+    psi[np.ix_(B, odd_cols)] = odd_vecs
+    psi /= np.sqrt(2.0 * weights)[:, None]
+    return eigvals[order], psi
+
+
 def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     """Assemble the generator of the pure-jump form for the whole space.
 
     The symmetrized generator is built from kernel blocks one row chunk at a
     time, so neither a dense generator nor the kernel matrix is alive during
-    the eigensolve.  The form's ``jmat`` is built on its first read, and is
-    the kernel's cached, read-only matrix itself whenever that is exactly
-    symmetric.  Refused above the dense cap, where the dense eigensolve
-    would not fit.
+    the eigensolve, which is split into two half-size ones when the
+    generator commutes with the central reflection of the space.  The
+    form's ``jmat`` is built on its first read, and is the kernel's cached,
+    read-only matrix itself whenever that is exactly symmetric.  Refused
+    above the dense cap, where the dense eigensolve would not fit.
     """
     if space.n_points > DENSE_MATRIX_CAP:
         raise PointCapExceeded(space.n_points, DENSE_MATRIX_CAP)
     jrows = _KernelRows(kernel)
     sym, diag = _symmetric_generator(space, jrows)
     jrows.check()
-    eigvals, psi = _spectrum(sym, space.weights)
+    split = _reflection_blocks(space, sym)
+    if split is None:
+        eigvals, psi = _spectrum(sym, space.weights)
+    else:
+        del sym                         # only the half-size blocks reach the eigensolve
+        eigvals, psi = _split_spectrum(*split, space.weights)
     return SpectralForm(space=space, kernel=kernel, domain=np.arange(space.n_points),
                         diag=diag, eigvals=eigvals, psi=psi,
                         jmat_nonzeros=jrows.nonzeros, kernel_symmetric=jrows.symmetric)
@@ -349,8 +466,15 @@ def lambda1(form: SpectralForm, D=None) -> float:
 
 
 def default_time_grid(form: SpectralForm) -> np.ndarray:
-    """Nine log-spaced times over [1e-3, 10] times the full form's relaxation time."""
-    lam = form.eigvals[form.eigvals > 1e-12]
+    """Nine log-spaced times over [1e-3, 10] times the full form's relaxation time.
+
+    The relaxation time is 1 / the smallest eigenvalue above N eps max |lambda|:
+    the eigensolver leaves a zero eigenvalue anywhere within about
+    eps max |lambda| of 0, so a fixed cut would take it for the spectral gap
+    once max |lambda| is large enough.
+    """
+    lam = form.eigvals
+    lam = lam[lam > lam.size * np.finfo(float).eps * np.abs(lam).max()]
     relax = 1.0 / lam[0] if lam.size else 1.0
     return relax * np.logspace(-3, 1, 9)
 
@@ -365,7 +489,12 @@ def removed_top_eigenvalue(form_full: SpectralForm, form_near: SpectralForm) -> 
     sym, _ = _symmetric_generator(form_full.space, _matrix_rows(form_full.jmat),
                                   form_full.diag - form_near.diag,
                                   minus=_matrix_rows(form_near.jmat))
-    return float(np.linalg.eigvalsh(sym)[-1])
+    split = _reflection_blocks(form_full.space, sym)
+    if split is None:
+        return float(np.linalg.eigvalsh(sym)[-1])
+    del sym
+    _, _, blocks = split
+    return float(max(np.linalg.eigvalsh(block)[-1] for block in blocks))
 
 
 def killed_part(form_full: SpectralForm, form_near: SpectralForm, D) -> SpectralForm:

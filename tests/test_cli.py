@@ -155,6 +155,23 @@ def test_diagnostic_mode_never_fails_run(tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("level", [9, 10])
+def test_te_check_time_grid_skips_the_rounded_zero_eigenvalue(tmp_path, level):
+    # A dense eigh leaves the zero eigenvalue anywhere within about
+    # eps max |lambda| of 0 (3e-12 at level 10), its sign and size depending
+    # on the BLAS build and thread count.  Above the old fixed cut of 1e-12 it
+    # was taken for the spectral gap, which scaled the default time grid to
+    # t ~ 1e8 and te_check to ~1e-9.
+    cfg = {"space": {"kind": "cantor", "xi": 1 / 3, "n": 1, "level": level},
+           "scale": {"kind": "constant", "beta": 0.8, "T0": 1.0},
+           "kernel": {"kind": "cantor_axis"},
+           "checks": [{"name": "te_check", "mode": "diagnostic"}], "seed": 0}
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"][0]["best_constant"] == pytest.approx(1.67, rel=0.01)
+
+
 def test_list_checks_catalog(capsys):
     assert cli.main(["list-checks"]) == 0
     first = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError, PointCapExceeded
-from hklab.form import (_part_energy, _part_generator, far_tail_profile, killed_part,
-                        removed_top_eigenvalue)
+from hklab.form import (_part_energy, _part_generator, _reflection_blocks, far_tail_profile,
+                        killed_part, removed_top_eigenvalue)
 
 
 def energy_oracle(space, kern, f):
@@ -479,8 +480,28 @@ def _generator_case(case):
     return space, _dense_kernel(space, m), float(np.median(space.dist_from(0)))
 
 
+def _assert_matches_spectrum(form, eigvals, psi, sym):
+    """``form``'s spectrum against the dense ``eigvals``, ``psi`` of ``sym``, within rounding."""
+    w = form.weights
+    top = np.abs(eigvals).max()
+    assert np.abs(form.eigvals - eigvals).max() <= 1e-12 * top
+    gram = form.psi.T @ (form.psi * w[:, None])
+    assert np.abs(gram - np.eye(w.size)).max() <= 1e-13
+    q = form.psi * np.sqrt(w)[:, None]                 # orthonormal eigenvectors of sym
+    assert np.abs(sym @ q - q * form.eigvals).max() <= 1e-11 * top
+    f = np.random.default_rng(3).normal(size=w.size)
+    for t in (1e-3 / top, 0.1, 1.0):
+        want = psi @ (np.exp(-t * eigvals) * (psi.T @ (f * w)))
+        assert np.abs(form.apply_semigroup(t, f) - want).max() <= 1e-11 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
 def test_chunked_generator_matches_dense_reference(chunk_budget, case):
+    # Everything before the eigensolve matches the dense formula bit for bit.
+    # The Cantor product is symmetric under its central reflection, so its
+    # whole-space forms are solved as two half-size blocks and match the
+    # dense spectrum within rounding; the other two cases have no such
+    # symmetry and take the one dense eigh, bit for bit.
     space, kern, rho = _generator_case(case)
     form = hk.assemble(space, kern)
     near = hk.assemble(space, hk.truncate(kern, rho)[0])
@@ -489,8 +510,12 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     w = space.weights
     L, L_near = _dense_generator(space, form.jmat), _dense_generator(space, near.jmat)
     for f, ref in ((form, L), (near, L_near)):
-        eigvals, psi, _ = _dense_spectrum(ref, w)
-        assert _same_bits(f.eigvals, eigvals) and _same_bits(f.psi, psi)
+        eigvals, psi, sym = _dense_spectrum(ref, w)
+        assert (_reflection_blocks(space, sym) is not None) == (case == "cantor")
+        if case == "cantor":
+            _assert_matches_spectrum(f, eigvals, psi, sym)
+        else:
+            assert _same_bits(f.eigvals, eigvals) and _same_bits(f.psi, psi)
         assert _same_bits(f.diag, np.diag(ref))
         assert _same_bits(f.L, ref)
     D = np.random.default_rng(1).permutation(space.n_points)[: space.n_points // 2]
@@ -507,7 +532,96 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     assert _same_bits(killed.L, LD)
     assert _same_bits(killed.eigvals, eigvals) and _same_bits(killed.psi, psi)
     top = np.linalg.eigvalsh(_dense_spectrum(L - L_near, w)[2])[-1]
-    assert _same_bits(removed_top_eigenvalue(form, near), top)
+    if case == "cantor":
+        assert abs(removed_top_eigenvalue(form, near) - top) <= 1e-12 * abs(top)
+    else:
+        assert _same_bits(removed_top_eigenvalue(form, near), top)
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shapes of the matrices passed to ``np.linalg.eigh``, in call order."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
+def test_reflection_symmetric_form_is_solved_in_two_halves(eigh_shapes):
+    space = hk.build_cantor_product(1 / 3, 1, 10)
+    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    hk.assemble(space, kern)
+    assert eigh_shapes == [(512, 512), (512, 512)]
+
+
+def _mirror_case(case):
+    """A space and kernel for the reflection gate: the Cantor kernel it takes,
+    and four that it must refuse."""
+    if case == "two_plateau_field":
+        space = hk.build_cantor_product(1 / 3, 2, 3)
+        field = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3),
+                                              space)
+        return space, hk.build_cantor_axis_kernel(space, field)
+    if case == "odd_grid":                             # the centre atom is its own mirror
+        space = hk.build_grid(1, 33)
+        return space, hk.build_stable_like_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    cantor = hk.build_cantor_product(1 / 3, 1, 6)
+    m = hk.build_cantor_axis_kernel(cantor, hk.constant_field(cantor, 0.8)).matrix().copy()
+    if case == "explicit_metric":
+        space = hk.build_custom(cantor.coords, cantor.weights, metric_matrix=cantor.pairwise())
+        return space, _dense_kernel(space, m)
+    if case == "mirror_pair_off_by_1e-6":
+        # (30, 5) against its mirror (33, 58); pair row 30 is in the last small chunk
+        m[30, 5] *= 1 + 1e-6
+        m[5, 30] = m[30, 5]
+    return cantor, _dense_kernel(cantor, m)
+
+
+@pytest.mark.parametrize("case", ["cantor", "two_plateau_field", "odd_grid",
+                                  "explicit_metric", "mirror_pair_off_by_1e-6"])
+def test_reflection_gate(chunk_budget, eigh_shapes, case):
+    # a refused split leaves the one dense eigh, bit for bit
+    space, kern = _mirror_case(case)
+    form = hk.assemble(space, kern)
+    n = space.n_points
+    assert eigh_shapes == ([(n // 2, n // 2)] * 2 if case == "cantor" else [(n, n)])
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, form.jmat), space.weights)
+    if case == "cantor":
+        _assert_matches_spectrum(form, eigvals, psi, sym)
+    else:
+        assert _same_bits(form.eigvals, eigvals) and _same_bits(form.psi, psi)
+
+
+def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
+    # two mirror-image components {0, 1} and {2, 3} of a 4-atom line: the
+    # even and the odd block are equal, so each eigenvalue is an exact tie
+    # of an even and an odd eigenvector
+    space = hk.build_grid(1, 4)
+    m = np.zeros((4, 4))
+    m[0, 1] = m[1, 0] = m[2, 3] = m[3, 2] = 1.0
+    form = hk.assemble(space, _dense_kernel(space, m))
+    assert eigh_shapes == [(2, 2), (2, 2)]
+    assert form.eigvals[0] == form.eigvals[1] and form.eigvals[2] == form.eigvals[3]
+    mirror = form.psi[::-1]                            # row x holds the mirror atom of x
+    assert np.array_equal(mirror[:, [0, 2]], form.psi[:, [0, 2]])
+    assert np.array_equal(mirror[:, [1, 3]], -form.psi[:, [1, 3]])
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, form.jmat), space.weights)
+    _assert_matches_spectrum(form, eigvals, psi, sym)
+
+
+def test_default_time_grid_cuts_zero_at_the_rounding_floor():
+    # a zero eigenvalue of 3e-12 is rounding at max |lambda| = 3.4e4
+    # (eps max |lambda| = 7.5e-12), not the spectral gap
+    form = SimpleNamespace(eigvals=np.array([3e-12, 3.9, 120.0, 3.4e4]))
+    assert np.array_equal(hk.form.default_time_grid(form),
+                          (1.0 / 3.9) * np.logspace(-3, 1, 9))
+    form = SimpleNamespace(eigvals=np.zeros(4))         # zero kernel: no gap at all
+    assert np.array_equal(hk.form.default_time_grid(form), np.logspace(-3, 1, 9))
 
 
 def test_assemble_keeps_no_dense_generator():
