@@ -289,13 +289,20 @@ _HOISTED = ("radius_grid", "time_grid", "tolerance", "ball_radii")
 
 
 def _set_params(i: int, check: dict) -> dict:
-    """The declared params that check ``i`` sets (hoisted keys included), converted."""
+    """Check ``i``'s params (hoisted keys included), converted; an undeclared key is refused."""
     raw = check.get("params", {})
     if not isinstance(raw, dict):
         raise SchemaError(f"checks[{i}].params", "must be an object")
+    spec = CHECKS[check["name"]]["params"]
+    known = {"name", "mode", "params", *(key for key in _HOISTED if key in spec)}
+    unknown = [f"params.{key}" for key in raw if key not in spec]
+    unknown += [key for key in check if key not in known]
+    if unknown:
+        raise SchemaError(f"checks[{i}].{unknown[0]}", f"{check['name']} declares no such "
+                                                       f"key; its params are {', '.join(spec)}")
     raw = {**raw, **{key: check[key] for key in _HOISTED if key in check}}
     values = {}
-    for key, (convert, _) in CHECKS[check["name"]]["params"].items():
+    for key, (convert, _) in spec.items():
         if key in raw:
             try:
                 values[key] = convert(raw[key])
@@ -355,17 +362,13 @@ def _near_far_forms(ctx, rho):
     return built[rho]
 
 
-def _run_truncation_l2(ctx, p):
-    rep = semi_mod.truncation_l2_check(ctx["form"], _near_far_forms(ctx, p["rho"])[0])
-    rep.params["rho"] = p["rho"]
-    return rep
-
-
-def _run_truncation_semigroup(ctx, p):
-    rep = semi_mod.truncation_semigroup_check(ctx["form"], _near_far_forms(ctx, p["rho"])[0],
-                                              p["f"], p["time_grid"])
-    rep.params["rho"] = p["rho"]
-    return rep
+def _truncated(check):
+    """Run ``check(ctx, p, near form, far kernel)`` at ``rho``, which the report records."""
+    def run(ctx, p):
+        rep = check(ctx, p, *_near_far_forms(ctx, p["rho"]))
+        rep.params["rho"] = p["rho"]
+        return rep
+    return run
 
 
 CHECKS: dict[str, dict[str, Any]] = {
@@ -474,17 +477,19 @@ CHECKS: dict[str, dict[str, Any]] = {
             ctx["form"], p["time_grid"], tol=p["tolerance"]),
         "measures": "mass conservation: max |P_t 1 - 1| <= tol",
         "params": {"time_grid": (_positives, (0.01, 0.1, 1.0, 10.0)),
-                   "tolerance": (_number, 1e-9)}},
+                   "tolerance": (_positive, 1e-9)}},
     "heat_kernel_invariants": {
         "fn": lambda ctx, p: semi_mod.heat_kernel_invariants(ctx["form"], times=p["times"]),
         "measures": "symmetry, stochasticity, semigroup property, nonnegativity, t=0 identity",
         "params": {"times": (_positives, (0.01, 0.1, 1.0, 10.0))}},
     "truncation_l2_check": {
-        "fn": _run_truncation_l2,
+        "fn": _truncated(lambda ctx, p, near, far: semi_mod.truncation_l2_check(
+            ctx["form"], near, far)),
         "measures": "removed-energy bound: largest eigenvalue of (L - L_near) <= 4 max_x far-tail(x)",
         "params": _RHO},
     "truncation_semigroup_check": {
-        "fn": _run_truncation_semigroup,
+        "fn": _truncated(lambda ctx, p, near, far: semi_mod.truncation_semigroup_check(
+            ctx["form"], near, p["f"], p["time_grid"])),
         "measures": "semigroup truncation bound: |P_t f - P^(rho)_t f| <= 2 t ||f|| max far-tail",
         "params": {**_RHO, "f": (_numbers, _derived(
             "1 at every atom", lambda ctx, p: np.ones(ctx["space"].n_points))),
@@ -497,7 +502,7 @@ CHECKS: dict[str, dict[str, Any]] = {
         "params": {**_RHO, "domain": (_atom_ids, _derived(
             "the atoms of the ball B(0, diameter/2)",
             lambda ctx, p: ctx["space"].ball(0, ctx["space"].diameter / 2.0).member_idx)),
-            "t": (_positive, 0.5), "tolerance": (_number, 1e-6)}},
+            "t": (_positive, 0.5), "tolerance": (_positive, 1e-6)}},
     "cross_jump_exponent": {
         "fn": lambda ctx, p: cx.cross_jump_exponent_fit(
             ctx["kernel"], ctx["space"], sorted(p["radii"]), eta=p["eta"]),

@@ -10,13 +10,12 @@ submatrices of L: the diagonal keeps the jumps that leave the domain, which
 act as killing.
 
 A full form keeps the generator diagonal and the spectral data, but no
-dense L and, until something reads it, no kernel matrix: ``assemble`` builds
-the symmetrized generator straight from kernel blocks, one row chunk at a
-time, and ``jmat`` is built on its first read.  Off the diagonal L is
--2 J W, so every reader derives what it needs from ``jmat`` and ``diag``.
-When the generator commutes with the central reflection of the space, the
-whole-space eigensolve runs on its even and odd halves instead; Dirichlet
-parts are always solved whole.
+dense L and no kernel matrix: J is read as a measure on blocks of atoms,
+each reader taking the block it needs of 0.5 (J + J.T) from
+``_symmetric_block``, one row chunk or one D x D part at a time; off the
+diagonal L is -2 J W.  When the generator commutes with the central
+reflection of the space, the whole-space eigensolve runs on its even and
+odd halves instead; Dirichlet parts are always solved whole.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries and this module for parts.
@@ -44,14 +43,12 @@ class SpectralForm:
     ``domain`` indexes the ambient space; ``diag`` is the generator's
     diagonal on it; ``eigvals`` are ascending and the eigenfunction columns
     of ``psi`` are mu-orthonormal on the domain.  ``jmat_nonzeros`` counts
-    the off-diagonal nonzeros of the kernel matrix, found while assembling.
+    the off-diagonal nonzeros of the symmetric kernel, found while assembling.
 
-    ``jmat``, the symmetric kernel matrix on the whole space, is built on its
-    first read: it is ``kernel.matrix()`` itself when ``kernel_symmetric``
-    (that matrix is exactly symmetric), else 0.5 * (J + J.T).  A Dirichlet
-    part shares the kernel and the ``jmat`` of its full form and keeps its
-    small dense generator; the full form builds its own on the first read of
-    ``L``, which only tests do.
+    ``kernel_symmetric`` says that J equals J.T bit for bit, so that its
+    blocks need no mirror.  A Dirichlet part shares the kernel of its full
+    form and keeps its small dense generator; the full form builds its own on
+    the first read of ``L``, which only tests do.
     """
 
     space: FiniteMMSpace
@@ -62,25 +59,18 @@ class SpectralForm:
     psi: np.ndarray
     jmat_nonzeros: int
     kernel_symmetric: bool
-    _jmat: np.ndarray | None = field(default=None, repr=False)
     _L: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def jmat(self) -> np.ndarray:
-        """The symmetric kernel matrix on the whole space, built on the first read."""
-        if self._jmat is None:
-            jmat = self.kernel.matrix()
-            if not self.kernel_symmetric:
-                jmat = jmat + jmat.T
-                jmat *= 0.5
-            self._jmat = jmat
-        return self._jmat
+    def jblock(self, rows, cols=None) -> np.ndarray:
+        """The rows x cols block (all columns by default) of 0.5 (J + J.T)."""
+        return _symmetric_block(self.kernel, self.kernel_symmetric, rows, cols)
 
     @property
     def L(self) -> np.ndarray:
         """The generator on the domain, as a dense matrix."""
         if self._L is None:
-            self._L = _kernel_generator(self.jmat, self.space.weights[None, :])
+            atoms = np.arange(self.space.n_points)
+            self._L = _kernel_generator(self.jblock(atoms, atoms), self.space.weights[None, :])
             np.fill_diagonal(self._L, self.diag)
         return self._L
 
@@ -92,23 +82,26 @@ class SpectralForm:
     def is_part(self) -> bool:
         return self.domain.size != self.space.n_points
 
-    def energy(self, f) -> float:
-        """Quadratic form <L f, f>_mu on the domain.
+    def energy(self, f):
+        """Quadratic form <L f, f>_mu on the domain, one value per row of a 2-D ``f``.
 
         A part multiplies by its small L_D; the full form forms L f one row
-        chunk of L at a time, from ``jmat`` and ``diag``.
+        chunk of L at a time, one kernel block per chunk serving every row.
         """
         f = np.asarray(f, dtype=float)
+        fs = np.atleast_2d(f)
         if self.is_part:
-            Lf = self.L @ f
+            Lf = np.array([self.L @ g for g in fs])
         else:
-            Lf = np.empty_like(f)
+            Lf = np.empty_like(fs)
             for rows in self.space._row_chunks():
                 part = slice(rows[0], rows[-1] + 1)
-                row = _kernel_generator(self.jmat[part], self.space.weights[None, :])
+                row = _kernel_generator(self.jblock(rows), self.space.weights[None, :])
                 row[np.arange(rows.size), rows] = self.diag[part]
-                Lf[part] = row @ f
-        return float(Lf @ (f * self.weights))
+                for k, g in enumerate(fs):
+                    Lf[k, part] = row @ g
+        values = np.array([Lg @ (g * self.weights) for Lg, g in zip(Lf, fs)])
+        return float(values[0]) if f.ndim == 1 else values
 
     def apply_semigroup(self, t, f) -> np.ndarray:
         """P_t f on the domain by spectral calculus.
@@ -156,45 +149,37 @@ def _symmetrized(L: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _kernel_generator(jmat: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
-    """-2 J times ``w_cols``.  With J and w[None, :] this is L = -2 J W off
-    the diagonal; with the rows J[part] and w[part, None] it is, J being
-    symmetric, the columns L[:, part] transposed."""
-    out = jmat * -2.0
+def _kernel_generator(j: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
+    """-2 J times ``w_cols``.  With a block J[rows, cols] and w[None, cols] this
+    is the block of L = -2 J W off the diagonal; with the rows J[part] and
+    w[part, None] it is, J being symmetric, the columns L[:, part] transposed."""
+    out = j * -2.0
     out *= w_cols
     return out
 
 
-def _symmetric_generator(space: FiniteMMSpace, jrows, diag: np.ndarray | None = None,
-                         minus=None) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_generator(space: FiniteMMSpace, jrows) -> tuple[np.ndarray, np.ndarray]:
     """``_symmetrized(L, sqrt(w))`` and the diagonal of L, one row chunk at a time.
 
     ``jrows(rows)`` returns the rows ``rows`` (consecutive atoms) of an
-    exactly symmetric kernel matrix J.  L is the generator of J, less that of
-    ``minus`` (rows of another such matrix) when given, with diagonal
-    ``diag``, or minus its off-diagonal row sums when ``diag`` is None.  Each
-    chunk forms its rows of L and its columns with the floating-point
-    operations of the dense formula, so the result equals it bit for bit,
-    and no N x N array but the result is made.
+    exactly symmetric kernel matrix J, and L is its generator, whose diagonal
+    is minus its off-diagonal row sums.  Each chunk forms its rows of L and
+    its columns with the floating-point operations of the dense formula, so
+    the result equals it bit for bit, and no N x N array but the result is made.
     """
     w = space.weights
     sqrt_w = np.sqrt(w)
     n = space.n_points
     sym = np.empty((n, n))
-    diag = np.empty(n) if diag is None else diag
+    diag = np.empty(n)
     for rows in space._row_chunks():
         part = slice(rows[0], rows[-1] + 1)
         on_diag = (np.arange(rows.size), rows)
         j = jrows(rows)
         row = _kernel_generator(j, w[None, :])
         col = _kernel_generator(j, w[rows, None])
-        if minus is not None:
-            j = minus(rows)
-            row -= _kernel_generator(j, w[None, :])
-            col -= _kernel_generator(j, w[rows, None])
-        else:
-            row[on_diag] = 0.0
-            diag[part] = -row.sum(axis=1)
+        row[on_diag] = 0.0
+        diag[part] = -row.sum(axis=1)
         row[on_diag] = col[on_diag] = diag[part]
         row *= sqrt_w[rows, None]
         row /= sqrt_w[None, :]
@@ -205,11 +190,6 @@ def _symmetric_generator(space: FiniteMMSpace, jrows, diag: np.ndarray | None = 
         sym[part] = row
         del j, row, col             # before the next chunk is evaluated
     return sym, diag
-
-
-def _matrix_rows(m: np.ndarray):
-    """``jrows`` for ``_symmetric_generator`` from a dense matrix, without copies."""
-    return lambda rows: m[rows[0]:rows[-1] + 1]
 
 
 def _spectrum(sym: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,12 +217,27 @@ def _symmetry_atol(top: float) -> float:
     return _SYMMETRY_RTOL * max(top, 1.0)
 
 
+def _symmetric_block(kernel: JumpKernel, symmetric: bool, rows, cols=None) -> np.ndarray:
+    """The rows x cols block (all columns by default) of 0.5 (J + J.T), zero on the
+    diagonal: the one way a form reads its kernel.  ``symmetric`` says J equals
+    J.T bit for bit, so J's own block is that block; else it is averaged with
+    its mirror, its own transpose when ``rows`` equals ``cols``."""
+    cols = np.arange(kernel.space.n_points) if cols is None else cols
+    rows, cols = (np.atleast_1d(np.asarray(a, dtype=int)) for a in (rows, cols))
+    block = kernel.block(rows, cols)
+    if not symmetric:
+        block += block.T if np.array_equal(rows, cols) else kernel.block(cols, rows).T
+        block *= 0.5
+    block[rows[:, None] == cols[None, :]] = 0.0
+    return block
+
+
 class _KernelRows:
     """``jrows`` for ``_symmetric_generator`` straight from ``kernel.block``.
 
     Each call evaluates the kernel on the rows and on the columns of the
     chunk (on the rows only, when the chunk holds every row), zeroes their
-    diagonal entries as ``kernel.matrix()`` does, and returns the rows of
+    diagonal entries, and returns the rows of
     0.5 * (J + J.T), which are the rows of J itself where they equal their
     mirror bit for bit.  On the way it refuses non-finite values, counts the
     off-diagonal nonzeros and keeps the chunks that differ from their mirror
@@ -402,9 +397,7 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     The symmetrized generator is built from kernel blocks one row chunk at a
     time, so neither a dense generator nor the kernel matrix is alive during
     the eigensolve, which is split into two half-size ones when the
-    generator commutes with the central reflection of the space.  The
-    form's ``jmat`` is built on its first read, and is the kernel's cached,
-    read-only matrix itself whenever that is exactly symmetric.  Refused
+    generator commutes with the central reflection of the space.  Refused
     above the dense cap, where the dense eigensolve would not fit.
     """
     if space.n_points > DENSE_MATRIX_CAP:
@@ -432,16 +425,9 @@ def part_on(form: SpectralForm, D) -> SpectralForm:
     return _part_form(form, D, LD)
 
 
-def _part_energy(form: SpectralForm, D, f) -> float:
-    """``part_on(form, D).energy(f)``, the same floats, without the part's eigensolve."""
-    D, LD = _part_generator(form, D)
-    f = np.asarray(f, dtype=float)
-    return float((LD @ f) @ (f * form.space.weights[D]))
-
-
 def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
     """The checked domain ``D`` and the principal submatrix L_D of the generator,
-    from the kernel and the generator diagonal."""
+    from the D x D kernel block and the generator diagonal."""
     D = np.asarray(D, dtype=int)
     if D.ndim != 1:
         raise ParameterError("domain must be a 1-D list of atom indices")
@@ -454,7 +440,7 @@ def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("domain indices must be distinct")
     if form.is_part:
         raise ParameterError("take parts of the full-space form")
-    LD = _kernel_generator(form.jmat[np.ix_(D, D)], form.space.weights[D][None, :])
+    LD = _kernel_generator(form.jblock(D, D), form.space.weights[D][None, :])
     np.fill_diagonal(LD, form.diag[D])
     return D, LD
 
@@ -484,11 +470,13 @@ def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.nda
     return 0.5 * (form_full.diag - form_near.diag)
 
 
-def removed_top_eigenvalue(form_full: SpectralForm, form_near: SpectralForm) -> float:
-    """Largest eigenvalue of the removed generator L_full - L_near, without eigenvectors."""
-    sym, _ = _symmetric_generator(form_full.space, _matrix_rows(form_full.jmat),
-                                  form_full.diag - form_near.diag,
-                                  minus=_matrix_rows(form_near.jmat))
+def removed_top_eigenvalue(form_full: SpectralForm, form_near: SpectralForm,
+                           kernel_far: JumpKernel) -> float:
+    """Largest eigenvalue of the removed generator L_full - L_near, without
+    eigenvectors: the generator of the far kernel J - J_near, in row chunks."""
+    symmetric = form_full.kernel_symmetric and form_near.kernel_symmetric
+    sym, _ = _symmetric_generator(form_full.space,
+                                  lambda rows: _symmetric_block(kernel_far, symmetric, rows))
     split = _reflection_blocks(form_full.space, sym)
     if split is None:
         return float(np.linalg.eigvalsh(sym)[-1])
@@ -602,19 +590,23 @@ def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
 
     For each sampled (x0, R, r) builds the profile cutoff and reports the
     best c with sup_x sum_y (cut(x)-cut(y))^2 j(x,y) mu(y) <= c / phi(x, r).
-    ``ball_sample`` yields (x0, R, r) triples.
+    ``ball_sample`` yields (x0, R, r) triples; one kernel block per row
+    chunk serves every cutoff.
     """
-    jmat = form.jmat
-    w = space.weights
+    ball_sample = list(ball_sample)
+    atoms = np.arange(space.n_points)
+    cuts = [build_cutoff(space, x0, R, r) for x0, R, r in ball_sample]
+    energy_per_point = np.empty((len(cuts), space.n_points))
+    for rows in space._row_chunks():
+        j = form.jblock(rows)
+        for k, cut in enumerate(cuts):
+            diff2 = (cut[rows, None] - cut[None, :]) ** 2
+            energy_per_point[k, rows] = (diff2 * j * space.weights[None, :]).sum(axis=1)
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
-    for x0, R, r in ball_sample:
-        cut = build_cutoff(space, x0, R, r)
-        diff2 = (cut[:, None] - cut[None, :]) ** 2
-        energy_per_point = (diff2 * jmat * w[None, :]).sum(axis=1)
-        phis = phi_vec(scale, np.arange(space.n_points), r)
-        vals = energy_per_point * phis
+    for (x0, R, r), energy in zip(ball_sample, energy_per_point):
+        vals = energy * phi_vec(scale, atoms, r)
         x = int(np.argmax(vals))
         series.append({"x0": x0, "R": R, "r": r, "c": float(vals[x]), "x": x})
         if vals[x] > best:
@@ -627,18 +619,20 @@ def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
 
 def capacity_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                    ball_sample) -> ConditionReport:
-    """Cutoff capacity constant: E(cut,cut) <= C V(x0,r)/phi(x0,r) per ball."""
+    """Cutoff capacity constant: E(cut,cut) <= C V(x0,r)/phi(x0,r) per ball,
+    the energies of all the cutoffs from one pass over the kernel."""
     if form.is_part:
         raise ParameterError("capacity uses the full-space form")
+    ball_sample = list(ball_sample)
+    cuts = [build_cutoff(space, x0, r / 2.0, r / 4.0) for x0, r in ball_sample]
+    energies = form.energy(np.reshape(cuts, (-1, space.n_points)))
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
-    for x0, r in ball_sample:
-        cut = build_cutoff(space, x0, r / 2.0, r / 4.0)
-        e = form.energy(cut)
+    for (x0, r), e in zip(ball_sample, map(float, energies)):
         v = space.volume(x0, r)
         c = float(e * phi(scale, x0, r) / v)
-        series.append({"x0": x0, "r": r, "C": c, "energy": float(e)})
+        series.append({"x0": x0, "r": r, "C": c, "energy": e})
         if c > best:
             best = c
             witness = {"x0": x0, "r": r}
@@ -761,14 +755,14 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     return report
 
 
-def nash_witness_constant(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                          ball: BallQuery, nu: float, b: float,
-                          f_on_D: np.ndarray, D: np.ndarray) -> float:
-    """Witness constant of the ball Nash display for one test function on ``ball``."""
+def nash_witness_constant(space: FiniteMMSpace, scale: ScaleField, ball: BallQuery,
+                          nu: float, b: float, f_on_D: np.ndarray, LD: np.ndarray) -> float:
+    """Witness constant of the ball Nash display for one test function on ``ball``,
+    its energy (L_D f) . (f w) from ``LD``, the generator of the ball part."""
     phival = phi(scale, ball.center, ball.radius)
     damping = _damping(scale, phival)
-    energy = _part_energy(form, D, f_on_D)
-    w = space.weights[D]
+    w = space.weights[ball.member_idx]
+    energy = float((LD @ f_on_D) @ (f_on_D * w))
     l1, l2sq = float(np.abs(f_on_D) @ w), float(f_on_D**2 @ w)
     denom = phival * (energy + l2sq / phival) * l1 ** (2 * nu)
     if denom == 0:
@@ -796,21 +790,22 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         family: list[tuple[str, np.ndarray]] = []
         if test_family in ("eigen", "mixed"):
             part = part_on(form, D)
-            for k in range(min(3, D.size)):
-                family.append((f"eig{k}", part.psi[:, k]))
+            LD = part.L                                  # the ball part's generator, once per ball
+            family += [(f"eig{k}", part.psi[:, k]) for k in range(min(3, D.size))]
+        else:
+            LD = _part_generator(form, D)[1]
         if test_family in ("indicator", "mixed"):
-            for frac in (0.25, 0.5, 1.0):
-                family.append((f"indicator{frac}", (ball.dist[D] < r * frac).astype(float)))
+            family += [(f"indicator{frac}", (ball.dist[D] < r * frac).astype(float))
+                       for frac in (0.25, 0.5, 1.0)]
         if test_family in ("random", "mixed"):
-            for k in range(3):
-                family.append((f"sign{k}", rng.choice([-1.0, 1.0], size=D.size)))
+            family += [(f"sign{k}", rng.choice([-1.0, 1.0], size=D.size)) for k in range(3)]
         w = space.weights[D]
         for name, f in family:
             norm = math.sqrt(float(f**2 @ w))
             if norm == 0:
                 continue
             f = f / norm
-            c = nash_witness_constant(form, space, scale, ball, nu, b, f, D)
+            c = nash_witness_constant(space, scale, ball, nu, b, f, LD)
             series.append({"x0": x0, "r": r, "family": name, "C": c})
             if c > best:
                 best = c
@@ -858,8 +853,8 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     rng = rng or np.random.default_rng(0)
     balls = list(ball_sample)
 
-    # (x0, r) -> (ball, its Nash functions, [(asserted subset, its lambda_1)])
-    per_ball: dict[tuple[int, float], tuple[BallQuery, list, list]] = {}
+    # (x0, r) -> (ball, its largest Nash witness, [(asserted subset, its lambda_1)])
+    per_ball: dict[tuple[int, float], tuple[BallQuery, float, list]] = {}
     sweep_subsets: dict[tuple[int, float], list[np.ndarray]] = {}
     known_lambda1: dict[bytes, float] = {}
     for x0, r in balls:
@@ -885,7 +880,8 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
         asserted.append((D_ball, float(part.eigvals[0])))
         known_lambda1.update((D.tobytes(), lam) for D, lam in asserted)
         funcs = base + grounds
-        per_ball[(x0, r)] = (ball, funcs, asserted)
+        nash = max(nash_witness_constant(space, scale, ball, nu, b, f, part.L) for f in funcs)
+        per_ball[(x0, r)] = (ball, nash, asserted)
         sweep_subsets[(x0, r)] = [s for f in funcs
                                   if (s := _superlevel_subset(space, D_ball, f)) is not None]
 
@@ -894,11 +890,7 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
                           extra_subsets=sweep_subsets, known_lambda1=known_lambda1)
     c_g = gfk.best_constant
 
-    c_n = 0.0
-    for ball, funcs, _ in per_ball.values():
-        for f in funcs:
-            c_n = max(c_n, nash_witness_constant(form, space, scale, ball, nu, b, f,
-                                                 ball.member_idx))
+    c_n = max([0.0] + [nash for _, nash, _ in per_ball.values()])
 
     if c_g is None or c_g <= 0 or c_n <= 0:
         return ConditionReport(condition="fk_nash_consistency",

@@ -59,9 +59,8 @@ class JumpKernel:
         """Dense intensity matrix; cached, read-only, refused above the dense cap.
 
         Filled one row chunk at a time, so the block function's temporaries
-        stay at chunk size.  Read-only because an assembled form's ``jmat``
-        is this same array, built on its first read, when it is exactly
-        symmetric.  ``assemble`` itself reads blocks only.
+        stay at chunk size; read-only because every caller shares it.  Forms
+        read blocks only, so this is the tests' oracle of those blocks.
         """
         if self._matrix is None:
             n = self.space.n_points
@@ -188,11 +187,13 @@ def build_stable_like_kernel(space: FiniteMMSpace, scale: ScaleField,
     """Variable-order stable-like density on a grid.
 
     j(x,y) = lower_constant / (V(x, |x-y|) * phi(x, |x-y|)), symmetrized by
-    arithmetic averaging.  Materialized densely at build time.
+    arithmetic averaging, with |x-y| in whole grid steps, so that atoms at the
+    same distance tie however their coordinates round.  Materialized densely.
     """
     if space.meta.get("kind") != "grid":
         raise ParameterError("stable-like kernel needs a grid space")
-    dist = space.pairwise()                            # refuses above the dense cap
+    per_unit = space.meta["side"] - 1                  # grid steps in a unit of length
+    dist = np.rint(space.pairwise() * per_unit)        # in steps; refuses above the dense cap
     n = space.n_points
     raw = np.zeros((n, n))
     for x in range(n):
@@ -200,9 +201,9 @@ def build_stable_like_kernel(space: FiniteMMSpace, scale: ScaleField,
         order = np.argsort(row, kind="stable")
         cumw = np.concatenate([[0.0], np.cumsum(space.weights[order])])
         vol = cumw[np.searchsorted(row[order], row, side="left")]
+        r = row / per_unit
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi_row = np.where(row <= 1.0, row ** scale.beta_values[x],
-                               row ** scale.beta1)
+            phi_row = np.where(r <= 1.0, r ** scale.beta_values[x], r ** scale.beta1)
             raw[x] = lower_constant / (vol * phi_row)
     raw[~np.isfinite(raw)] = 0.0
     np.fill_diagonal(raw, 0.0)
@@ -217,8 +218,8 @@ def build_nearest_neighbor_kernel(space: FiniteMMSpace, value: float = 1.0) -> J
     if positive.size == 0:
         raise ParameterError("space has fewer than two distinct points")
     h = float(positive.min())
-    jmat = np.where((dist > 0) & (dist <= h * (1 + 1e-9)), value / h**2, 0.0)
-    return _dense_kernel(space, jmat, "nearest_neighbor",
+    m = np.where((dist > 0) & (dist <= h * (1 + 1e-9)), value / h**2, 0.0)
+    return _dense_kernel(space, m, "nearest_neighbor",
                          {"kind": "nearest_neighbor", "spacing": h})
 
 

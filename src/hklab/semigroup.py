@@ -229,12 +229,14 @@ def conservativeness_check(form: SpectralForm, time_grid=(0.01, 0.1, 1.0, 10.0),
 # Truncation comparisons
 # ---------------------------------------------------------------------------
 
-def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm) -> ConditionReport:
+def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm,
+                        kernel_far: JumpKernel) -> ConditionReport:
     """Largest eigenvalue of the removed generator against four times the far tail.
 
-    The far tail comes from the generator diagonals, which is exact.
+    The removed generator is that of ``kernel_far``, the jumps the near form
+    drops; the far tail comes from the generator diagonals, which is exact.
     """
-    sup_eig = removed_top_eigenvalue(form_full, form_near)
+    sup_eig = removed_top_eigenvalue(form_full, form_near, kernel_far)
     tail = far_tail_profile(form_full, form_near)
     bound = 4.0 * float(tail.max())
     margin = bound - sup_eig

@@ -135,13 +135,31 @@ def test_run_deterministic_outputs(tmp_path):
         assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_sweep_checks_never_build_the_kernel_matrix(tmp_path, monkeypatch):
+    # every check of the benchmark sweep, on a 64-atom product: forms read
+    # the kernel in blocks, so a kernel matrix that refuses to be built
+    # changes nothing
+    sweep = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "sweep_256.json"
+    cfg = dict(json.loads(sweep.read_text()),
+               space={"kind": "cantor", "xi": 1 / 3, "n": 2, "level": 3})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+
+    def refuse(self):
+        raise AssertionError("kernel.matrix() called")
+
+    monkeypatch.setattr(hklab.kernel.JumpKernel, "matrix", refuse)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "summary.json").read_bytes()
+            == (tmp_path / "b" / "summary.json").read_bytes())
+
+
 def test_failing_pass_mode_check_fails_run(tmp_path):
     cfg = dict(SMOKE_CONFIG)
-    # a Dirichlet part is not conservative; emulate by checking a tolerance
-    # that an honest run cannot meet on the truncated generator bound
+    # the two-point space has a positive jump tail, so a tail threshold of 0
+    # is a pass-mode check that an honest run cannot meet
     cfg["checks"] = [
-        {"name": "conservativeness_check", "mode": "pass",
-         "params": {"tolerance": -1.0}}]
+        {"name": "tj_check", "mode": "pass", "params": {"threshold": 0.0}}]
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
@@ -149,8 +167,7 @@ def test_failing_pass_mode_check_fails_run(tmp_path):
 def test_diagnostic_mode_never_fails_run(tmp_path):
     cfg = dict(SMOKE_CONFIG)
     cfg["checks"] = [
-        {"name": "conservativeness_check", "mode": "diagnostic",
-         "params": {"tolerance": -1.0}}]
+        {"name": "tj_check", "mode": "diagnostic", "params": {"threshold": 0.0}}]
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
@@ -313,9 +330,9 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-# the params that hold a radius, a time or an a0: each must be positive
+# the params that hold a radius, a time, an a0 or a tolerance: each must be positive
 POSITIVE_KEYS = {"radius_grid", "ball_radii", "pairs", "radii", "rho",
-                 "time_grid", "times", "T0", "t", "a0_grid"}
+                 "time_grid", "times", "T0", "t", "a0_grid", "tolerance"}
 
 
 def _bad_values(key, convert):
@@ -458,12 +475,19 @@ def test_truncation_checks_share_one_near_form(tmp_path, capsys, monkeypatch):
     (lambda c: {**c, "scale": anchored_at(True)}, "scale.anchors[0].center"),
     (lambda c: {**c, "scale": anchored_at([math.nan])}, "scale.anchors[0].center"),
     (lambda c: {**c, "scale": {"kind": "table", "values": [1.0] * 8, "beta1": 1.0,
-                               "beta2": 1.2, "lipschitz": "no"}}, "scale.lipschitz")],
+                               "beta2": 1.2, "lipschitz": "no"}}, "scale.lipschitz"),
+    (lambda c: {**c, "checks": [{"name": "lre_check", "params": {"kapa": 2.0}}]},
+     "checks[0].params.kapa"),
+    (lambda c: {**c, "checks": [{"name": "heat_kernel_invariants", "tims": [1.0]}]},
+     "checks[0].tims"),
+    (lambda c: {**c, "checks": [{"name": "heat_kernel_invariants", "time_grid": [1.0]}]},
+     "checks[0].time_grid")],
     ids=["root", "section", "check", "name", "output", "formats", "dir", "anchors", "seed",
          "fractional_seed", "boolean_seed", "unknown_format", "builder", "huge_n",
          "kernel_builder", "nan_weight", "infinite_weight", "infinite_coord",
          "asymmetric_metric", "triangle_metric", "infinite_metric", "fractional_center",
-         "boolean_center", "nan_center_coord", "string_lipschitz"])
+         "boolean_center", "nan_center_coord", "string_lipschitz", "unknown_param",
+         "unknown_check_key", "undeclared_hoisted_key"])
 def test_malformed_config_structure_exits_with_path(tmp_path, capsys, edit, path):
     # a huge product is refused by the point cap (exit 3) before its size is formed;
     # what is not a metric measure space, or not a whole atom id or a JSON boolean,

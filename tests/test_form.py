@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError, PointCapExceeded
-from hklab.form import (_part_energy, _part_generator, _reflection_blocks, far_tail_profile,
-                        killed_part, removed_top_eigenvalue)
+from hklab.form import (_part_generator, _reflection_blocks, far_tail_profile, killed_part,
+                        removed_top_eigenvalue)
+
+
+def _jmat(form):
+    # test oracle: the symmetric kernel matrix 0.5 (J + J.T) that a form reads
+    # in blocks, from the kernel's dense matrix
+    m = form.kernel.matrix()
+    return m if form.kernel_symmetric else 0.5 * (m + m.T)
 
 
 def energy_oracle(space, kern, f):
@@ -313,8 +320,7 @@ def test_nash_single_atom_closed_form(cantor6):
     l1 = math.sqrt(space.weights[y])
     expected = (1.0 * space.volume(x0, r) ** nu * damping
                 / (phival * (part.energy(f) + 1.0 / phival) * l1 ** (2 * nu)))
-    got = hk.form.nash_witness_constant(form, space, scale, space.ball(x0, r), nu, 1.0,
-                                            f, D)
+    got = hk.form.nash_witness_constant(space, scale, space.ball(x0, r), nu, 1.0, f, part.L)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -404,14 +410,6 @@ def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
         hk.assemble(sp, _dense_kernel(sp, m))
 
 
-def test_assemble_reuses_exactly_symmetric_kernel_matrix(chunk_budget):
-    space, _, kern = random_setup(1)
-    form = hk.assemble(space, kern)
-    assert form.jmat is kern.matrix()
-    with pytest.raises(ValueError, match="read-only"):
-        form.jmat[0, 1] = 1.0
-
-
 def test_assemble_matches_reference_formulas(chunk_budget):
     # the generator as written before the in-place rewrite, on a kernel that
     # is symmetric only up to rounding, so it is symmetrized
@@ -427,7 +425,9 @@ def test_assemble_matches_reference_formulas(chunk_budget):
     L = -2.0 * jmat * sp.weights[None, :]
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
-    assert np.array_equal(form.jmat, jmat) and form.jmat[3, 7] == form.jmat[7, 3]
+    atoms = np.arange(40)
+    assert np.array_equal(form.jblock(atoms, atoms), jmat) and jmat[3, 7] == jmat[7, 3]
+    assert np.array_equal(form.jblock([3, 7], atoms), jmat[[3, 7]])
     assert np.array_equal(form.L, L)
     sqrt_w = np.sqrt(sp.weights)
     sym = (L * sqrt_w[:, None]) / sqrt_w[None, :]
@@ -505,10 +505,9 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     space, kern, rho = _generator_case(case)
     form = hk.assemble(space, kern)
     near = hk.assemble(space, hk.truncate(kern, rho)[0])
-    if case == "rounding":
-        assert form.jmat is not kern.matrix()          # the symmetrized copy
+    assert form.kernel_symmetric == (case != "rounding")   # else read symmetrized
     w = space.weights
-    L, L_near = _dense_generator(space, form.jmat), _dense_generator(space, near.jmat)
+    L, L_near = _dense_generator(space, _jmat(form)), _dense_generator(space, _jmat(near))
     for f, ref in ((form, L), (near, L_near)):
         eigvals, psi, sym = _dense_spectrum(ref, w)
         assert (_reflection_blocks(space, sym) is not None) == (case == "cantor")
@@ -531,11 +530,18 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     eigvals, psi, _ = _dense_spectrum(LD, w[D])
     assert _same_bits(killed.L, LD)
     assert _same_bits(killed.eigvals, eigvals) and _same_bits(killed.psi, psi)
+    # the removed generator L - L_near is the generator of the far kernel,
+    # within rounding: its diagonal is its own row sums, and its zeros are
+    # -0.0 where L - L_near has +0.0; bit for bit, it is the far kernel's
+    # dense generator
+    far = hk.truncate(kern, rho)[1]
+    removed = removed_top_eigenvalue(form, near, far)
     top = np.linalg.eigvalsh(_dense_spectrum(L - L_near, w)[2])[-1]
-    if case == "cantor":
-        assert abs(removed_top_eigenvalue(form, near) - top) <= 1e-12 * abs(top)
-    else:
-        assert _same_bits(removed_top_eigenvalue(form, near), top)
+    assert abs(removed - top) <= 1e-12 * abs(top)
+    if case != "cantor":
+        jfar = far.matrix() if form.kernel_symmetric else 0.5 * (far.matrix() + far.matrix().T)
+        L_far = _dense_generator(space, jfar)
+        assert _same_bits(removed, np.linalg.eigvalsh(_dense_spectrum(L_far, w)[2])[-1])
 
 
 @pytest.fixture
@@ -560,15 +566,16 @@ def test_reflection_symmetric_form_is_solved_in_two_halves(eigh_shapes):
 
 
 def _mirror_case(case):
-    """A space and kernel for the reflection gate: the Cantor kernel it takes,
-    and four that it must refuse."""
+    """A space and kernel for the reflection gate: the Cantor kernel and the
+    stable-like kernel on an even-sided grid, which it takes, and four that it
+    must refuse."""
     if case == "two_plateau_field":
         space = hk.build_cantor_product(1 / 3, 2, 3)
         field = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3),
                                               space)
         return space, hk.build_cantor_axis_kernel(space, field)
-    if case == "odd_grid":                             # the centre atom is its own mirror
-        space = hk.build_grid(1, 33)
+    if case in ("odd_grid", "even_grid"):              # odd: the centre is its own mirror
+        space = hk.build_grid(1, 33 if case == "odd_grid" else 32)
         return space, hk.build_stable_like_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
     cantor = hk.build_cantor_product(1 / 3, 1, 6)
     m = hk.build_cantor_axis_kernel(cantor, hk.constant_field(cantor, 0.8)).matrix().copy()
@@ -583,15 +590,16 @@ def _mirror_case(case):
 
 
 @pytest.mark.parametrize("case", ["cantor", "two_plateau_field", "odd_grid",
-                                  "explicit_metric", "mirror_pair_off_by_1e-6"])
+                                  "explicit_metric", "mirror_pair_off_by_1e-6", "even_grid"])
 def test_reflection_gate(chunk_budget, eigh_shapes, case):
     # a refused split leaves the one dense eigh, bit for bit
     space, kern = _mirror_case(case)
     form = hk.assemble(space, kern)
     n = space.n_points
-    assert eigh_shapes == ([(n // 2, n // 2)] * 2 if case == "cantor" else [(n, n)])
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, form.jmat), space.weights)
-    if case == "cantor":
+    split = case in ("cantor", "even_grid")
+    assert eigh_shapes == ([(n // 2, n // 2)] * 2 if split else [(n, n)])
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), space.weights)
+    if split:
         _assert_matches_spectrum(form, eigvals, psi, sym)
     else:
         assert _same_bits(form.eigvals, eigvals) and _same_bits(form.psi, psi)
@@ -610,7 +618,7 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
     mirror = form.psi[::-1]                            # row x holds the mirror atom of x
     assert np.array_equal(mirror[:, [0, 2]], form.psi[:, [0, 2]])
     assert np.array_equal(mirror[:, [1, 3]], -form.psi[:, [1, 3]])
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, form.jmat), space.weights)
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), space.weights)
     _assert_matches_spectrum(form, eigvals, psi, sym)
 
 
@@ -650,18 +658,22 @@ def test_assemble_signed_zero_is_not_exact_symmetry():
     m[0, 1], m[1, 0] = 0.0, -0.0
     kern = _dense_kernel(sp, m)
     form = hk.assemble(sp, kern)
-    assert form.jmat is not kern.matrix()
-    assert not np.signbit(form.jmat[0, 1]) and not np.signbit(form.jmat[1, 0])
+    assert not form.kernel_symmetric
+    j = form.jblock([0, 1], [0, 1])
+    assert not np.signbit(j[0, 1]) and not np.signbit(j[1, 0])
 
 
 def test_part_energy_equals_part_on_energy(cantor6):
+    # the Nash witness reads the energy from the ball part's generator L_D,
+    # built once per ball, with the floats of the part's own energy
     space, scale, kern = cantor6
     form = hk.assemble(space, kern)
     rng = np.random.default_rng(2)
     for x0, r in [(0, 0.5), (17, 0.2), (40, 1.0)]:
         D = space.ball(x0, r).member_idx
         f = rng.normal(size=D.size)
-        assert _part_energy(form, D, f) == hk.part_on(form, D).energy(f)
+        _, LD = _part_generator(form, D)
+        assert float((LD @ f) @ (f * space.weights[D])) == hk.part_on(form, D).energy(f)
         v = space.volume(x0, r)
         phival = hk.phi(scale, x0, r)
         l1, l2sq = float(np.abs(f) @ space.weights[D]), float(f**2 @ space.weights[D])
@@ -669,11 +681,10 @@ def test_part_energy_equals_part_on_energy(cantor6):
         damping = min(1.0, scale.T0 / phival)
         expected = (l2sq ** 2.2 * v**1.2 * damping
                     / (phival * (energy + l2sq / phival) * l1 ** 2.4))
-        got = hk.form.nash_witness_constant(form, space, scale, space.ball(x0, r), 1.2,
-                                                1.0, f, D)
+        got = hk.form.nash_witness_constant(space, scale, space.ball(x0, r), 1.2, 1.0, f, LD)
         assert got == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ParameterError):
-        _part_energy(form, [-1, 0], [1.0, 1.0])
+        _part_generator(form, [-1, 0])
 
 
 def test_assemble_never_builds_the_kernel_matrix():
@@ -690,8 +701,8 @@ def test_assemble_never_builds_the_kernel_matrix():
         tracemalloc.stop()
     assert kern._matrix is None
     assert peak <= 2.3 * square                        # 3.01 with the kernel matrix
-    assert form.jmat is kern.matrix()
-    assert form.jmat_nonzeros == np.count_nonzero(form.jmat)
+    assert form.kernel_symmetric
+    assert form.jmat_nonzeros == np.count_nonzero(kern.matrix())
 
 
 @pytest.mark.parametrize("gap,big", [(1e-8, 1e3), (1e-8, 1.0), (1e-6, 1e3)],
@@ -708,7 +719,8 @@ def test_assemble_decides_symmetry_with_the_global_tolerance(chunk_budget, gap, 
     if accept:
         form = hk.assemble(sp, _dense_kernel(sp, m))
         assert not form.kernel_symmetric
-        assert np.array_equal(form.jmat, 0.5 * (m + m.T))
+        atoms = np.arange(64)
+        assert np.array_equal(form.jblock(atoms, atoms), 0.5 * (m + m.T))
     else:
         with pytest.raises(ParameterError, match="symmetric"):
             hk.assemble(sp, _dense_kernel(sp, m))
@@ -719,7 +731,7 @@ def test_assemble_decides_symmetry_with_the_global_tolerance(chunk_budget, gap, 
 def test_jmat_nonzeros_counts_the_symmetric_kernel(seed, chunk_budget):
     space, _, kern = random_setup(seed)
     form = hk.assemble(space, kern)
-    assert form.jmat_nonzeros == np.count_nonzero(form.jmat)
+    assert form.jmat_nonzeros == np.count_nonzero(_jmat(form))
     assert hk.part_on(form, [0, 1]).jmat_nonzeros == form.jmat_nonzeros
 
 
@@ -727,8 +739,30 @@ def test_full_form_energy_is_chunked_L(chunk_budget):
     space, _, kern = random_setup(3)
     form = hk.assemble(space, kern)
     w = space.weights
-    for f in np.random.default_rng(6).normal(size=(4, space.n_points)):
+    fs = np.random.default_rng(6).normal(size=(4, space.n_points))
+    for f in fs:
         assert form.energy(f) == pytest.approx(float((form.L @ f) @ (f * w)), rel=1e-13)
+    # several functions in one pass: the floats of one call per function
+    assert _same_bits(form.energy(fs), [form.energy(f) for f in fs])
+    part = hk.part_on(form, np.arange(0, space.n_points, 2))
+    gs = fs[:, ::2].copy()
+    assert _same_bits(part.energy(gs), [part.energy(g) for g in gs])
+
+
+@pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
+def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
+    # the dense formula on the oracle matrix, bit for bit, for every cutoff
+    space, kern, _ = _generator_case(case)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    form = hk.assemble(space, kern)
+    sample = [(x0, R, R / 2.0) for x0 in (0, 5) for R in (0.1, 0.3)]
+    rep = hk.cs_check(form, space, scale, sample)
+    jmat, w = _jmat(form), space.weights
+    for (x0, R, r), row in zip(sample, rep.series):
+        cut = hk.build_cutoff(space, x0, R, r)
+        vals = ((cut[:, None] - cut[None, :]) ** 2 * jmat * w[None, :]).sum(axis=1)
+        vals *= hk.scale.phi_vec(scale, np.arange(space.n_points), r)
+        assert row["x"] == int(np.argmax(vals)) and _same_bits(row["c"], vals.max())
 
 
 @pytest.mark.parametrize("build", [hk.build_uniform_kernel, hk.build_zero_kernel],

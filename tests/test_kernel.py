@@ -65,6 +65,20 @@ def test_stable_like_two_point_grid():
     assert kern.j(0, 0) == 0.0
 
 
+@pytest.mark.parametrize("d,side", [(1, 16), (2, 6)])
+def test_stable_like_ties_atoms_at_equal_distance(d, side):
+    # volumes and phi are read in whole grid steps, so atoms at the same
+    # distance tie exactly however their coordinates round: on the 16-atom
+    # line j(2, 3) was half of j(2, 1), and the kernel was not symmetric
+    # under the central reflection, which reverses the order of the atoms
+    sp = hk.build_grid(d, side)
+    kern = hk.build_stable_like_kernel(sp, hk.constant_field(sp, 0.8, T0=1.0))
+    if d == 1:
+        assert kern.j(2, 3) == kern.j(2, 1) and kern.j(3, 4) == kern.j(3, 2)
+    m = kern.matrix()
+    assert np.array_equal(m, m[::-1, ::-1])
+
+
 def test_stable_like_distance_doubling_ratio():
     sp = hk.build_grid(1, 32)
     field = hk.constant_field(sp, 1.0)

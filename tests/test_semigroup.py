@@ -246,9 +246,9 @@ def test_conservativeness_modes(cantor6):
 
 def test_truncation_l2_two_point_sharp(two_point):
     space, kern, form = two_point
-    near, _ = hk.truncate(kern, 0.5)
+    near, far = hk.truncate(kern, 0.5)
     form_near = hk.assemble(space, near)
-    rep = hk.truncation_l2_check(form, form_near)
+    rep = hk.truncation_l2_check(form, form_near, far)
     assert rep.witness["sup_eigenvalue"] == pytest.approx(2.0, abs=1e-12)
     assert rep.witness["bound"] == pytest.approx(2.0, abs=1e-12)
     assert rep.witness["margin"] >= -1e-9
@@ -259,19 +259,20 @@ def test_truncation_l2_top_eigenvalue_matches_eigh(cantor6):
     form = hk.assemble(space, kern)
     sqrt_w = np.sqrt(space.weights)
     for rho in (0.05, 0.25):
-        form_near = hk.assemble(space, hk.truncate(kern, rho)[0])
+        near, far = hk.truncate(kern, rho)
+        form_near = hk.assemble(space, near)
         sym = sqrt_w[:, None] * (form.L - form_near.L) / sqrt_w[None, :]
         top = np.linalg.eigh(0.5 * (sym + sym.T))[0][-1]
-        rep = hk.truncation_l2_check(form, form_near)
+        rep = hk.truncation_l2_check(form, form_near, far)
         assert top > 0 and abs(rep.best_constant - top) <= 1e-13 * top
 
 
 def test_truncation_l2_rho_beyond_diameter(cantor6):
     space, _, kern = cantor6
     form = hk.assemble(space, kern)
-    near, _ = hk.truncate(kern, 2.0)
+    near, far = hk.truncate(kern, 2.0)
     form_near = hk.assemble(space, near)
-    rep = hk.truncation_l2_check(form, form_near)
+    rep = hk.truncation_l2_check(form, form_near, far)
     assert rep.witness["sup_eigenvalue"] == pytest.approx(0.0, abs=1e-10)
     assert rep.witness["bound"] == pytest.approx(0.0, abs=1e-12)
 
