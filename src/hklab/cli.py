@@ -285,22 +285,19 @@ _TIME_GRID = {"time_grid": (_grid, _derived(
 _RHO = {"rho": (_positive, _derived("a quarter of the diameter",
                                   lambda ctx, p: ctx["space"].diameter / 4.0))}
 _FK_PARAMS = {"nu": (_number, 0.5), "b": (_number, 1.0), "Cprime": (_number, 1.0)}
-_HOISTED = ("radius_grid", "time_grid", "tolerance", "ball_radii")
 
 
 def _set_params(i: int, check: dict) -> dict:
-    """Check ``i``'s params (hoisted keys included), converted; an undeclared key is refused."""
+    """Check ``i``'s params, converted; an undeclared key is refused."""
     raw = check.get("params", {})
     if not isinstance(raw, dict):
         raise SchemaError(f"checks[{i}].params", "must be an object")
     spec = CHECKS[check["name"]]["params"]
-    known = {"name", "mode", "params", *(key for key in _HOISTED if key in spec)}
     unknown = [f"params.{key}" for key in raw if key not in spec]
-    unknown += [key for key in check if key not in known]
+    unknown += [key for key in check if key not in ("name", "mode", "params")]
     if unknown:
         raise SchemaError(f"checks[{i}].{unknown[0]}", f"{check['name']} declares no such "
                                                        f"key; its params are {', '.join(spec)}")
-    raw = {**raw, **{key: check[key] for key in _HOISTED if key in check}}
     values = {}
     for key, (convert, _) in spec.items():
         if key in raw:
@@ -426,23 +423,18 @@ CHECKS: dict[str, dict[str, Any]] = {
     "fk_family_check": {
         "fn": lambda ctx, p: form_mod.fk_family_check(
             ctx["form"], ctx["space"], ctx["scale"], p["variant"], p["nu"], p["b"],
-            p["Cprime"], p["delta"], _balls(ctx, p), subset_strategy=p["subset_strategy"],
-            rng=ctx["rng"]),
+            p["Cprime"], p["delta"], _balls(ctx, p), rng=ctx["rng"]),
         "measures": "first Dirichlet eigenvalue vs volume ratio: "
                     "lambda_1(D) >= C/phi [damping^b (V/mu(D))^nu - C']",
         "params": {"variant": (_choice("FK", "WFK", "GFK"), "FK"), **_FK_PARAMS,
-                   "delta": (_number, 0.5), "subset_strategy": (_choice(
-                       "subballs", "ground_superlevel", "random", "mixed"), "mixed"),
-                   **_BALL_RADII}},
+                   "delta": (_number, 0.5), **_BALL_RADII}},
     "nash_check": {
         "fn": lambda ctx, p: form_mod.nash_check(
             ctx["form"], ctx["space"], ctx["scale"], p["nu"], p["b"], _balls(ctx, p),
-            test_family=p["test_family"], rng=ctx["rng"]),
+            rng=ctx["rng"]),
         "measures": "ball Nash display: ||f||_2^(2+2nu) <= C phi/V^nu damping^-b "
                     "[E(f,f) + ||f||_2^2/phi] ||f||_1^(2nu)",
-        "params": {"nu": (_number, 0.5), "b": (_number, 1.0),
-                   "test_family": (_choice("eigen", "indicator", "random", "mixed"), "mixed"),
-                   **_BALL_RADII}},
+        "params": {"nu": (_number, 0.5), "b": (_number, 1.0), **_BALL_RADII}},
     "fk_nash_consistency": {
         "fn": lambda ctx, p: form_mod.fk_nash_consistency(
             ctx["form"], ctx["space"], ctx["scale"], p["nu"], p["b"], p["Cprime"],
@@ -473,11 +465,9 @@ CHECKS: dict[str, dict[str, Any]] = {
         "measures": "diagonal bound: p(t,x,x) V(x, phi^-1(x,t)) <= C for t < k T0",
         "params": {"T0": (_positive, 1.0), **_TIME_GRID, "k": (_number, 1.0)}},
     "conservativeness_check": {
-        "fn": lambda ctx, p: semi_mod.conservativeness_check(
-            ctx["form"], p["time_grid"], tol=p["tolerance"]),
-        "measures": "mass conservation: max |P_t 1 - 1| <= tol",
-        "params": {"time_grid": (_positives, (0.01, 0.1, 1.0, 10.0)),
-                   "tolerance": (_positive, 1e-9)}},
+        "fn": lambda ctx, p: semi_mod.conservativeness_check(ctx["form"], p["time_grid"]),
+        "measures": "mass conservation: max |P_t 1 - 1| <= 1e-9",
+        "params": {"time_grid": (_positives, (0.01, 0.1, 1.0, 10.0))}},
     "heat_kernel_invariants": {
         "fn": lambda ctx, p: semi_mod.heat_kernel_invariants(ctx["form"], times=p["times"]),
         "measures": "symmetry, stochasticity, semigroup property, nonnegativity, t=0 identity",
@@ -496,13 +486,12 @@ CHECKS: dict[str, dict[str, Any]] = {
             **_TIME_GRID}},
     "meyer_check": {
         "fn": lambda ctx, p: semi_mod.meyer_check(
-            ctx["form"], *_near_far_forms(ctx, p["rho"]), ctx["space"], p["domain"], p["t"],
-            tol=p["tolerance"]),
+            ctx["form"], *_near_far_forms(ctx, p["rho"]), ctx["space"], p["domain"], p["t"]),
         "measures": "jump-interchange comparison between a Dirichlet kernel and its truncation",
         "params": {**_RHO, "domain": (_atom_ids, _derived(
             "the atoms of the ball B(0, diameter/2)",
             lambda ctx, p: ctx["space"].ball(0, ctx["space"].diameter / 2.0).member_idx)),
-            "t": (_positive, 0.5), "tolerance": (_positive, 1e-6)}},
+            "t": (_positive, 0.5)}},
     "cross_jump_exponent": {
         "fn": lambda ctx, p: cx.cross_jump_exponent_fit(
             ctx["kernel"], ctx["space"], sorted(p["radii"]), eta=p["eta"]),
@@ -618,9 +607,11 @@ def counterexample_report(epsilon: float, level: int, axes: int,
     config = cx.synthesize_config(epsilon, xi=None, level=level)
     exponents = cx.exponent_report(config)
 
-    cap = 2 ** (axes * level)
-    space = space_mod.build_cantor_product(config.xi, axes, level,
-                                           point_cap=max(cap, space_mod.DEFAULT_POINT_CAP))
+    try:
+        space = space_mod.build_cantor_product(config.xi, axes, level,
+                                               point_cap=space_mod.DENSE_MATRIX_CAP)
+    except PointCapExceeded as exc:     # the form is assembled: no cap but the dense one holds
+        raise PointCapExceeded(exc.requested, exc.cap, dense=True) from None
     field = cx.build_counterexample_field(config, space)
     kern = kernel_mod.build_cantor_axis_kernel(space, field)
     form = form_mod.assemble(space, kern)

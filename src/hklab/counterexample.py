@@ -92,8 +92,8 @@ def synthesize_config(epsilon: float, xi=None, level: int = 5) -> Counterexample
     xi (for instance 1/3) is accepted if admissible.  n is the smallest
     number of axes meeting both smallness conditions.
     """
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ParameterError("epsilon must be a finite positive number")
     if xi is None:
         xi_frac = _default_xi(epsilon)
     else:

@@ -6,12 +6,15 @@ class ParameterError(ValueError):
 
 
 class PointCapExceeded(RuntimeError):
-    """A builder would produce more points than the configured cap allows."""
+    """A builder would produce more points than the configured cap allows, or
+    (``dense``) dense work was asked for above the fixed dense-matrix cap."""
 
-    def __init__(self, requested: int | str, cap: int):
+    def __init__(self, requested: int | str, cap: int, dense: bool = False):
         self.requested = requested
         self.cap = cap
         super().__init__(
+            f"dense work on {requested} points exceeds the fixed dense-matrix cap of "
+            f"{cap} points, which no point_cap lifts" if dense else
             f"builder needs {requested} points but the cap is {cap}; "
             f"pass point_cap={requested} to allow it"
         )

@@ -44,6 +44,8 @@ class SpectralForm:
     diagonal on it; ``eigvals`` are ascending and the eigenfunction columns
     of ``psi`` are mu-orthonormal on the domain.  ``jmat_nonzeros`` counts
     the off-diagonal nonzeros of the symmetric kernel, found while assembling.
+    ``_lambda1`` maps the bytes of each domain a part was solved on to the
+    part's lambda_1; a part starts with an empty one and never fills it.
 
     ``kernel_symmetric`` says that J equals J.T bit for bit, so that its
     blocks need no mirror.  A Dirichlet part shares the kernel of its full
@@ -60,6 +62,7 @@ class SpectralForm:
     jmat_nonzeros: int
     kernel_symmetric: bool
     _L: np.ndarray | None = field(default=None, repr=False)
+    _lambda1: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
 
     def jblock(self, rows, cols=None) -> np.ndarray:
         """The rows x cols block (all columns by default) of 0.5 (J + J.T)."""
@@ -401,7 +404,7 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     above the dense cap, where the dense eigensolve would not fit.
     """
     if space.n_points > DENSE_MATRIX_CAP:
-        raise PointCapExceeded(space.n_points, DENSE_MATRIX_CAP)
+        raise PointCapExceeded(space.n_points, DENSE_MATRIX_CAP, dense=True)
     jrows = _KernelRows(kernel)
     sym, diag = _symmetric_generator(space, jrows)
     jrows.check()
@@ -420,14 +423,16 @@ def part_on(form: SpectralForm, D) -> SpectralForm:
     """Dirichlet part on D: principal submatrix of the ambient generator.
 
     ``D`` must be a nonempty 1-D list of distinct atom indices in 0..N-1.
+    The part's lambda_1 is recorded in the form, for :func:`lambda1`.
     """
     D, LD = _part_generator(form, D)
-    return _part_form(form, D, LD)
+    part = _part_form(form, D, LD)
+    form._lambda1[D.tobytes()] = float(part.eigvals[0])
+    return part
 
 
-def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
-    """The checked domain ``D`` and the principal submatrix L_D of the generator,
-    from the D x D kernel block and the generator diagonal."""
+def _checked_domain(form: SpectralForm, D) -> np.ndarray:
+    """``D`` as an integer array, refused unless it can index a part of ``form``."""
     D = np.asarray(D, dtype=int)
     if D.ndim != 1:
         raise ParameterError("domain must be a 1-D list of atom indices")
@@ -440,15 +445,27 @@ def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("domain indices must be distinct")
     if form.is_part:
         raise ParameterError("take parts of the full-space form")
+    return D
+
+
+def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
+    """The checked domain ``D`` and the principal submatrix L_D of the generator,
+    from the D x D kernel block and the generator diagonal."""
+    D = _checked_domain(form, D)
     LD = _kernel_generator(form.jblock(D, D), form.space.weights[D][None, :])
     np.fill_diagonal(LD, form.diag[D])
     return D, LD
 
 
 def lambda1(form: SpectralForm, D=None) -> float:
-    """Bottom eigenvalue of the Dirichlet part (the Rayleigh-quotient infimum)."""
-    part = form if D is None else part_on(form, D)
-    return float(part.eigvals[0])
+    """Bottom eigenvalue of the Dirichlet part (the Rayleigh-quotient infimum).
+
+    A domain that :func:`part_on` has solved is looked up, not solved again.
+    """
+    if D is None:
+        return float(form.eigvals[0])
+    lam = form._lambda1.get(_checked_domain(form, D).tobytes())
+    return lam if lam is not None else float(part_on(form, D).eigvals[0])
 
 
 def default_time_grid(form: SpectralForm) -> np.ndarray:
@@ -647,26 +664,20 @@ def _ball_cap_radius(scale: ScaleField, x0: int, delta: float) -> float:
     return phi_inverse(scale, x0, delta * scale.T0)
 
 
-def _subsets_for_ball(form: SpectralForm, ball: BallQuery, strategy: str,
-                      rng: np.random.Generator) -> tuple[list[np.ndarray], float | None]:
-    """The strategy's subsets of the ball, unsorted and possibly repeated, and
-    lambda_1 of the ball part when the strategy solved it for its ground state."""
+def _subsets_for_ball(form: SpectralForm, ball: BallQuery,
+                      rng: np.random.Generator) -> list[np.ndarray]:
+    """The FK family of the ball, unsorted and possibly repeated: the ball, its
+    quarter and half sub-balls, three super-level sets of the ball part's
+    ground state and three random subsets."""
     ball_members = ball.member_idx
-    subsets: list[np.ndarray] = [ball_members]
-    lam_ball = None
-    if strategy in ("subballs", "mixed"):
-        subsets += [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
-    if strategy in ("ground_superlevel", "mixed"):
-        part = part_on(form, ball_members)
-        lam_ball = float(part.eigvals[0])
-        ground = np.abs(part.psi[:, 0])
-        for dens in (0.25, 0.5, 0.75):
-            subsets.append(ball_members[ground > np.quantile(ground, 1.0 - dens)])
-    if strategy in ("random", "mixed"):
-        for dens in (0.25, 0.5, 0.75):
-            k = max(1, int(round(dens * ball_members.size)))
-            subsets.append(rng.choice(ball_members, size=k, replace=False))
-    return subsets, lam_ball
+    subsets = [ball_members] + [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
+    ground = np.abs(part_on(form, ball_members).psi[:, 0])
+    for dens in (0.25, 0.5, 0.75):
+        subsets.append(ball_members[ground > np.quantile(ground, 1.0 - dens)])
+    for dens in (0.25, 0.5, 0.75):
+        k = max(1, int(round(dens * ball_members.size)))
+        subsets.append(rng.choice(ball_members, size=k, replace=False))
+    return subsets
 
 
 def _damping(scale: ScaleField, phival: float) -> float:
@@ -687,14 +698,12 @@ def _fk_bracket(variant: str, ratio_pow: float, damping: float, b: float,
 
 def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                     variant: str, nu: float, b: float, Cprime: float, delta: float,
-                    ball_sample, subset_strategy: str = "mixed",
-                    rng: np.random.Generator | None = None,
+                    ball_sample, rng: np.random.Generator | None = None,
                     extra_subsets: dict[tuple[int, float], list[np.ndarray]] | None = None,
-                    known_lambda1: dict[bytes, float] | None = None,
                     ) -> ConditionReport:
     """Faber-Krahn family sweep.
 
-    For each sampled ball B(x0, r) and subset D drawn by the strategy, the
+    For each sampled ball B(x0, r) and subset D of its family, the
     witness constant is lambda_1(D) * phi(x0,r) / bracket where the bracket is
     the variant's volume-ratio term; the reported best constant is the
     smallest witness, i.e. the largest C for which the inequality holds on
@@ -703,12 +712,10 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     family.  FK and WFK skip radii r >= phi^-1(x0, delta * T0).
 
     ``extra_subsets`` adds subsets per sampled ball; a subset that repeats
-    one of its ball is swept once.  ``known_lambda1`` maps ``D.tobytes()``
-    of sorted subsets whose lambda_1 the caller has solved to that value, so
-    the sweep solves each distinct subset at most once.
+    one of its ball is swept once.  lambda_1 comes from :func:`lambda1`, so
+    a subset some part was solved on is not solved again.
     """
     rng = rng or np.random.default_rng(0)
-    lambda1_of = dict(known_lambda1 or {})
     best = math.inf
     witness: dict[str, Any] = {}
     series = []
@@ -719,9 +726,7 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         ball = space.ball(x0, r)
         phival = phi(scale, x0, r)
         damping = _damping(scale, phival)
-        subsets, lam_ball = _subsets_for_ball(form, ball, subset_strategy, rng)
-        if lam_ball is not None:
-            lambda1_of[ball.member_idx.tobytes()] = lam_ball
+        subsets = _subsets_for_ball(form, ball, rng)
         if extra_subsets:
             subsets.extend(extra_subsets.get((x0, r), []))
         # sorted, without repeats or empty sets, in order of first appearance
@@ -733,10 +738,7 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
             if bracket <= 0:
                 trivial += 1
                 continue
-            key = D.tobytes()
-            if key not in lambda1_of:
-                lambda1_of[key] = lambda1(form, D)
-            lam = lambda1_of[key]
+            lam = lambda1(form, D)
             c = lam * phival / bracket
             series.append({"x0": x0, "r": r, "size_D": int(D.size),
                            "lambda1": lam, "C": c})
@@ -746,7 +748,7 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     report = ConditionReport(
         condition=f"fk_{variant.lower()}",
         params={"variant": variant, "nu": nu, "b": b, "Cprime": Cprime,
-                "delta": delta, "subset_strategy": subset_strategy},
+                "delta": delta, "subset_strategy": "mixed"},
         best_constant=(None if best is math.inf else best),
         witness=witness, series=series)
     if trivial:
@@ -771,7 +773,7 @@ def nash_witness_constant(space: FiniteMMSpace, scale: ScaleField, ball: BallQue
 
 
 def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-               nu: float, b: float, ball_sample, test_family: str = "mixed",
+               nu: float, b: float, ball_sample,
                rng: np.random.Generator | None = None) -> ConditionReport:
     """Ball Nash-inequality sweep over a documented test family.
 
@@ -787,31 +789,24 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     for x0, r in ball_sample:
         ball = space.ball(x0, r)
         D = ball.member_idx
-        family: list[tuple[str, np.ndarray]] = []
-        if test_family in ("eigen", "mixed"):
-            part = part_on(form, D)
-            LD = part.L                                  # the ball part's generator, once per ball
-            family += [(f"eig{k}", part.psi[:, k]) for k in range(min(3, D.size))]
-        else:
-            LD = _part_generator(form, D)[1]
-        if test_family in ("indicator", "mixed"):
-            family += [(f"indicator{frac}", (ball.dist[D] < r * frac).astype(float))
-                       for frac in (0.25, 0.5, 1.0)]
-        if test_family in ("random", "mixed"):
-            family += [(f"sign{k}", rng.choice([-1.0, 1.0], size=D.size)) for k in range(3)]
+        part = part_on(form, D)
+        family = [(f"eig{k}", part.psi[:, k]) for k in range(min(3, D.size))]
+        family += [(f"indicator{frac}", (ball.dist[D] < r * frac).astype(float))
+                   for frac in (0.25, 0.5, 1.0)]
+        family += [(f"sign{k}", rng.choice([-1.0, 1.0], size=D.size)) for k in range(3)]
         w = space.weights[D]
         for name, f in family:
             norm = math.sqrt(float(f**2 @ w))
             if norm == 0:
                 continue
             f = f / norm
-            c = nash_witness_constant(space, scale, ball, nu, b, f, LD)
+            c = nash_witness_constant(space, scale, ball, nu, b, f, part.L)
             series.append({"x0": x0, "r": r, "family": name, "C": c})
             if c > best:
                 best = c
                 witness = {"x0": x0, "r": r, "family": name}
     return ConditionReport(condition="nash",
-                           params={"nu": nu, "b": b, "family": test_family},
+                           params={"nu": nu, "b": b, "family": "mixed"},
                            best_constant=best, witness=witness,
                            passed=math.isfinite(best) and best > 0, series=series)
 
@@ -856,7 +851,6 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     # (x0, r) -> (ball, its largest Nash witness, [(asserted subset, its lambda_1)])
     per_ball: dict[tuple[int, float], tuple[BallQuery, float, list]] = {}
     sweep_subsets: dict[tuple[int, float], list[np.ndarray]] = {}
-    known_lambda1: dict[bytes, float] = {}
     for x0, r in balls:
         ball = space.ball(x0, r)
         D_ball = ball.member_idx
@@ -878,7 +872,6 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
             grounds.append(g)
             asserted.append((D, float(sub_part.eigvals[0])))
         asserted.append((D_ball, float(part.eigvals[0])))
-        known_lambda1.update((D.tobytes(), lam) for D, lam in asserted)
         funcs = base + grounds
         nash = max(nash_witness_constant(space, scale, ball, nu, b, f, part.L) for f in funcs)
         per_ball[(x0, r)] = (ball, nash, asserted)
@@ -886,8 +879,7 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
                                   if (s := _superlevel_subset(space, D_ball, f)) is not None]
 
     gfk = fk_family_check(form, space, scale, "GFK", nu, b, Cprime, 0.5,  # GFK reads no delta
-                          balls, subset_strategy="mixed", rng=rng,
-                          extra_subsets=sweep_subsets, known_lambda1=known_lambda1)
+                          balls, rng=rng, extra_subsets=sweep_subsets)
     c_g = gfk.best_constant
 
     c_n = max([0.0] + [nash for _, nash, _ in per_ball.values()])

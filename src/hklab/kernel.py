@@ -27,14 +27,12 @@ class JumpKernel:
     def __init__(self, space: FiniteMMSpace,
                  block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  support_pattern: str = "full",
-                 rho: float | None = None,
                  meta: dict[str, Any] | None = None):
         if support_pattern not in ("full", "axis_aligned", "nearest_neighbor"):
             raise ParameterError(f"unknown support pattern {support_pattern!r}")
         self.space = space
         self._block_fn = block_fn
         self.support_pattern = support_pattern
-        self.rho = rho
         self.meta = meta or {}
         self._matrix: np.ndarray | None = None
 
@@ -65,7 +63,7 @@ class JumpKernel:
         if self._matrix is None:
             n = self.space.n_points
             if n > DENSE_MATRIX_CAP:
-                raise PointCapExceeded(n, DENSE_MATRIX_CAP)
+                raise PointCapExceeded(n, DENSE_MATRIX_CAP, dense=True)
             idx = np.arange(n)
             m = np.empty((n, n))
             for rows in self.space._row_chunks():
@@ -87,8 +85,7 @@ def _masked_kernel(kernel: JumpKernel, keep_near: bool, rho: float) -> JumpKerne
 
     meta = dict(kernel.meta)
     meta["truncation"] = {"rho": float(rho), "part": "near" if keep_near else "far"}
-    return JumpKernel(space, block_fn, support_pattern=kernel.support_pattern,
-                      rho=float(rho) if keep_near else kernel.rho, meta=meta)
+    return JumpKernel(space, block_fn, support_pattern=kernel.support_pattern, meta=meta)
 
 
 def truncate(kernel: JumpKernel, rho: float) -> tuple[JumpKernel, JumpKernel]:

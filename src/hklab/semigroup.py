@@ -38,6 +38,8 @@ from .space import FiniteMMSpace
 _SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
 _DUE_PAIR_SAMPLE = 64                    # off-diagonal pairs per time in due_check
 _SE_FROM_LRE_T_FRACS = (0.25, 0.5, 1.0)  # se_from_lre times, in halves of the resolvent minimum
+_CONSERVATION_TOL = 1e-9                 # pass tolerance of conservativeness_check
+_MEYER_TOL = 1e-6                        # pass tolerance of each meyer_check comparison
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +214,16 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     return report
 
 
-def conservativeness_check(form: SpectralForm, time_grid=(0.01, 0.1, 1.0, 10.0),
-                           tol: float = 1e-9) -> ConditionReport:
-    """max_t max_x |P_t 1 - 1| over the grid; Dirichlet parts are expected to fail."""
+def conservativeness_check(form: SpectralForm, time_grid=(0.01, 0.1, 1.0, 10.0)
+                           ) -> ConditionReport:
+    """max_t max_x |P_t 1 - 1| over the grid, passing up to ``_CONSERVATION_TOL``;
+    Dirichlet parts are expected to fail."""
     worst = float(np.abs(survival(form, time_grid) - 1.0).max(initial=0.0))
     report = ConditionReport(condition="conservativeness", params={},
                              best_constant=worst, witness={"max_defect": worst},
-                             passed=worst <= tol,
+                             passed=worst <= _CONSERVATION_TOL,
                              series=[{"max_defect": worst}])
-    if form.is_part and worst > tol:
+    if form.is_part and worst > _CONSERVATION_TOL:
         report.note("mass loss is expected: this is a Dirichlet part with killing")
     return report
 
@@ -302,7 +305,7 @@ def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
 
 def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
                 kernel_far: JumpKernel, space: FiniteMMSpace,
-                D, t: float, tol: float = 1e-6) -> ConditionReport:
+                D, t: float) -> ConditionReport:
     """Jump-interchange comparison between a Dirichlet kernel and its truncation.
 
     With I(t) the interchange integral built from the truncated kernel and
@@ -313,7 +316,7 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
         lower:    p_D >= 2 I_kill                   (entrywise),
         identity: p_D = p_kill + 2 I_kill           (entrywise),
 
-    each up to ``tol``.  Both integrals are evaluated in closed form.  The
+    each up to ``_MEYER_TOL``.  Both integrals are evaluated in closed form.  The
     single-coefficient variants upper1/lower1 (I in place of 2I, and p_D >= I)
     are reported for reference but not asserted; they fail already on the
     two-point space.  When the far kernel vanishes both integrals vanish and
@@ -341,13 +344,13 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
     upper1_margin = float((p_near_t + i_near - p_t).min())
     lower1_margin = float((p_t - i_near).min())
 
-    passed = bool(upper_margin >= -tol
-                  and lower_margin >= -tol
-                  and identity_resid <= tol)
+    passed = bool(upper_margin >= -_MEYER_TOL
+                  and lower_margin >= -_MEYER_TOL
+                  and identity_resid <= _MEYER_TOL)
     return ConditionReport(
         condition="meyer",
         params={"t": t, "rho": kernel_far.meta.get("truncation", {}).get("rho"),
-                "tol": tol},
+                "tol": _MEYER_TOL},
         best_constant=identity_resid,
         witness={"upper_margin": upper_margin, "lower_margin": lower_margin,
                  "identity_residual": identity_resid,

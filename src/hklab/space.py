@@ -96,10 +96,6 @@ class FiniteMMSpace:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    @property
-    def points(self) -> list[int]:
-        return list(range(self.n_points))
-
     def dist(self, i: int, k: int) -> float:
         return float(self._dist_pairs(np.array([i]), np.array([k]))[0])
 
@@ -139,7 +135,7 @@ class FiniteMMSpace:
     def pairwise(self) -> np.ndarray:
         """Full distance matrix; refuses above the dense-matrix cap."""
         if self.n_points > DENSE_MATRIX_CAP:
-            raise PointCapExceeded(self.n_points, DENSE_MATRIX_CAP)
+            raise PointCapExceeded(self.n_points, DENSE_MATRIX_CAP, dense=True)
         return self.dist_block(np.arange(self.n_points))
 
     def ball(self, x: int, r: float) -> "BallQuery":

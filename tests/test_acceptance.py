@@ -130,8 +130,7 @@ def test_criterion_07_meyer_comparison():
                space.ball(mid, 0.4).member_idx]
     for D in domains:
         for t in (0.2, 0.5, 1.0):
-            rep = hk.meyer_check(form, form_near, far, space, D, t,
-                                 tol=1e-6)
+            rep = hk.meyer_check(form, form_near, far, space, D, t)
             assert rep.passed, (t, rep.witness)
             assert rep.witness["upper_margin"] >= -1e-6
             assert rep.witness["lower_margin"] >= -1e-6

@@ -116,13 +116,16 @@ def test_run_point_cap_exit_3(tmp_path):
 
 @pytest.mark.parametrize("kind", ["uniform", "zero", "cantor_axis"])
 def test_run_above_dense_cap_exit_3(tmp_path, capsys, kind):
-    # a raised point_cap admits the space, but not its dense eigensolve
+    # a raised point_cap admits the space, but not its dense eigensolve; no
+    # point_cap lifts the dense cap, so the message does not suggest one
     cfg = dict(SMOKE_CONFIG, kernel={"kind": kind},
                space={"kind": "cantor", "xi": 1 / 3, "n": 1, "level": 14,
                       "point_cap": 1 << 14})
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    assert "point cap exceeded" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "point cap exceeded" in err and "pass point_cap" not in err
+    assert "16384 points exceeds the fixed dense-matrix cap of 8192 points" in err
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -211,6 +214,23 @@ def test_counterexample_report_bundle(tmp_path):
     assert profile.splitlines()[0] == "t,p,r"
 
 
+@pytest.mark.parametrize("args,code,message", [
+    (["--epsilon", "nan"], 2, "epsilon must be a finite positive number"),
+    (["--epsilon", "inf"], 2, "epsilon must be a finite positive number"),
+    (["--epsilon", "4", "--levels", "8", "--axes", "2"], 3,
+     "dense work on 65536 points exceeds the fixed dense-matrix cap of 8192")],
+    ids=["nan_epsilon", "infinite_epsilon", "above_dense_cap"])
+def test_counterexample_report_refuses_at_the_boundary(tmp_path, args, code, message):
+    # in a child with a timeout, so that a refusal that never comes fails the test
+    out = tmp_path / "cx"
+    res = subprocess.run([sys.executable, "-m", "hklab.cli", "counterexample", "report",
+                          *args, "--out", str(out)],
+                         capture_output=True, text=True, env=child_env(), timeout=30)
+    assert res.returncode == code
+    assert message in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_console_script_entry_point(tmp_path):
     res = subprocess.run([sys.executable, "-m", "hklab.cli", "list-checks"],
                          capture_output=True, text=True, env=child_env())
@@ -296,7 +316,8 @@ def test_malformed_config_scalar_exits_2_with_path(case, bad):
                                            ("vd_fit", "radius_grid"),
                                            ("cs_check", "ball_radii")])
 def test_malformed_check_grid_exits_2_with_path(tmp_path, capsys, name, grid_key):
-    cfg = dict(CANTOR_CFG, checks=[{"name": name, "mode": "pass", grid_key: [0.1, "x"]}])
+    cfg = dict(CANTOR_CFG, checks=[{"name": name, "mode": "pass",
+                                    "params": {grid_key: [0.1, "x"]}}])
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -308,8 +329,7 @@ CHECK_OF_PARAM = {"gamma": "ij_check", "q": "tjq_check", "kappa": "lre_check",
                   "nu": "fk_nash_consistency", "b": "fk_nash_consistency",
                   "Cprime": "fk_nash_consistency", "delta": "fk_family_check",
                   "rho": "truncation_l2_check", "t": "meyer_check",
-                  "eta": "cross_jump_exponent", "T0": "te_check", "k": "due_check",
-                  "tolerance": "conservativeness_check"}
+                  "eta": "cross_jump_exponent", "T0": "te_check", "k": "due_check"}
 
 
 @pytest.mark.parametrize("bad", ["abc", [1.0], None], ids=["string", "list", "null"])
@@ -330,9 +350,9 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-# the params that hold a radius, a time, an a0 or a tolerance: each must be positive
+# the params that hold a radius, a time or an a0: each must be positive
 POSITIVE_KEYS = {"radius_grid", "ball_radii", "pairs", "radii", "rho",
-                 "time_grid", "times", "T0", "t", "a0_grid", "tolerance"}
+                 "time_grid", "times", "T0", "t", "a0_grid"}
 
 
 def _bad_values(key, convert):
@@ -511,7 +531,7 @@ FUZZ_BASE = {
     "kernel": {"kind": "uniform", "value": 1.0},
     "checks": [{"name": "tj_check", "mode": "diagnostic", "params": {"radius_grid": [0.25]}},
                {"name": "se_check", "mode": "pass", "params": {"a0_grid": [0.5]}},
-               {"name": "conservativeness_check", "time_grid": [0.1]}],
+               {"name": "conservativeness_check", "params": {"time_grid": [0.1]}}],
     "output": {"formats": ["json"]},
     "seed": 1,
 }

@@ -267,7 +267,7 @@ def test_fk_ball_itself_reduces_to_lambda_phi(cantor6):
     form = hk.assemble(space, kern)
     x0, r = 0, 0.25
     rep = hk.fk_family_check(form, space, scale, "FK", 0.5, 1.0, 1.0, 0.5,
-                             [(x0, r)], subset_strategy="subballs")
+                             [(x0, r)])
     ball = space.ball(x0, r)
     direct = hk.lambda1(form, ball.member_idx) * hk.phi(scale, x0, r)
     whole_rows = [row for row in rep.series if row["size_D"] == ball.member_idx.size]
@@ -278,8 +278,7 @@ def test_fk_two_point_closed_form(two_point):
     space, _, form = two_point
     field = hk.constant_field(space, 1.0)
     nu = 0.7
-    rep = hk.fk_family_check(form, space, field, "FK", nu, 1.0, 1.0, 0.5, [(0, 2.0)],
-                             subset_strategy="subballs")
+    rep = hk.fk_family_check(form, space, field, "FK", nu, 1.0, 1.0, 0.5, [(0, 2.0)])
     # subset {atom 0} inside the whole-space ball: lambda1 = 1, V/mu(D) = 2
     expected = 1.0 * hk.phi(field, 0, 2.0) / 2.0**nu
     singles = [row["C"] for row in rep.series if row["size_D"] == 1]
@@ -382,6 +381,28 @@ def test_fk_passes_where_due_confirmed():
     rep = hk.fk_family_check(form, sp, field, "FK", field.beta1 / alpha_hat, 1.0, 1.0, 0.5,
                              hk.sample_balls(sp, 3, [0.2, 0.4], rng), rng=rng)
     assert rep.passed and rep.best_constant > 0
+
+
+def test_lambda1_reads_the_parts_part_on_solved(cantor6, monkeypatch):
+    space, _, kern = cantor6
+    form = hk.assemble(space, kern)
+    near = hk.assemble(space, hk.truncate(kern, 0.25)[0])
+    D = space.ball(0, 0.25).member_idx
+    part = hk.part_on(form, D)
+    assert part._lambda1 == {} and list(form._lambda1) == [D.tobytes()]
+    killed_part(form, near, D)
+    assert near._lambda1 == {} and list(form._lambda1) == [D.tobytes()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert _same_bits(hk.lambda1(form, list(D)), part.eigvals[0])
+    # the domain is checked before it is looked up
+    with pytest.raises(ParameterError):
+        hk.lambda1(form, [D])
+    with pytest.raises(ParameterError):
+        hk.lambda1(part, D)
 
 
 def test_part_empty_domain_rejected(two_point):
@@ -775,3 +796,14 @@ def test_assemble_refuses_above_the_dense_cap(build):
     with pytest.raises(PointCapExceeded):
         hk.assemble(space, kern)
     assert kern._matrix is None
+
+
+def test_dense_refusals_name_the_fixed_cap():
+    # no point_cap lifts the dense cap, so the refusals do not suggest one
+    space = hk.build_cantor_product(1 / 3, 1, 14, point_cap=1 << 14)
+    kern = hk.build_zero_kernel(space)
+    for refused in (lambda: hk.assemble(space, kern), kern.matrix, space.pairwise):
+        with pytest.raises(PointCapExceeded) as exc:
+            refused()
+        assert "dense-matrix cap of 8192" in str(exc.value)
+        assert "point_cap=" not in str(exc.value)

@@ -135,7 +135,7 @@ def test_tj_zero_kernel_and_scaling(cantor6):
     assert hk.tj_check(zero, space, scale, grid).best_constant == 0.0
     base = hk.tj_check(kern, space, scale, grid).best_constant
     scaled_kern = hk.JumpKernel(space, lambda rows, cols: 3.5 * kern.block(rows, cols),
-                                kern.support_pattern, kern.rho)
+                                kern.support_pattern)
     scaled = hk.tj_check(scaled_kern, space, scale, grid).best_constant
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
