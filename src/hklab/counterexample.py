@@ -66,22 +66,47 @@ class CounterexampleConfig:
             raise ParameterError("(1-nu) gamma < 1 + nu + eps fails")
 
 
+# The highest dyadic rung 1 - 2^-k that double precision holds: 1 - 2^-54
+# rounds to 1, where the volume exponent divides by zero.
+_TOP_DYADIC_RUNG = 53
+
+
 def _default_xi(epsilon: float) -> Fraction:
     # ladder 1 - 2^-k has volume exponent 1/(k+1); smallest admissible rung
     # maximizes the exponent under the epsilon/2 cap and so minimizes n
-    k = max(1, math.ceil(2.0 / epsilon - 1.0))
-    while 1.0 / (k + 1) > epsilon / 2.0:
+    k = max(1, math.ceil(min(2.0 / epsilon - 1.0, _TOP_DYADIC_RUNG + 1)))
+    while k <= _TOP_DYADIC_RUNG and 1.0 / (k + 1) > epsilon / 2.0:
         k += 1
+    if k > _TOP_DYADIC_RUNG:
+        raise ParameterError(
+            f"epsilon={epsilon!r} needs the Cantor rung xi = 1 - 2^-k with k > "
+            f"{_TOP_DYADIC_RUNG}, which is 1 in double precision; the default xi "
+            f"needs epsilon >= 2/{_TOP_DYADIC_RUNG + 1}")
     return Fraction(2**k - 1, 2**k)
 
 
 def _minimal_axes(epsilon: float, alpha: float) -> int:
-    n = 2
-    while True:
+    """The smallest n >= 2 with 2(1+eps)/(n alpha) < 1/2 and
+    (1 + eps/2)(1 - 2(1+eps)/(n alpha)) > 1.
+
+    The two conditions say n > 4(1+eps)/alpha and
+    n > 2(1+eps)(2+eps)/(alpha eps); the larger bound is where the search
+    starts, and the two tests, in floating point, decide within a step or two.
+    """
+    def holds(n: int) -> bool:
         frac = 2.0 * (1.0 + epsilon) / (n * alpha)
-        if frac < 0.5 and (1.0 + epsilon / 2.0) * (1.0 - frac) > 1.0:
-            return n
+        return frac < 0.5 and (1.0 + epsilon / 2.0) * (1.0 - frac) > 1.0
+
+    bound = max(4.0 * (1.0 + epsilon) / alpha,
+                2.0 * (1.0 + epsilon) * (2.0 + epsilon) / (alpha * epsilon))
+    if not bound < 2.0**52:             # n must count exactly in double precision
+        raise ParameterError(f"epsilon={epsilon!r} needs more than 2^52 product axes")
+    n = max(2, math.floor(bound))
+    while n > 2 and holds(n - 1):
+        n -= 1
+    while not holds(n):
         n += 1
+    return n
 
 
 def synthesize_config(epsilon: float, xi=None, level: int = 5) -> CounterexampleConfig:

@@ -15,7 +15,9 @@ each reader taking the block it needs of 0.5 (J + J.T) from
 ``_symmetric_block``, one row chunk or one D x D part at a time; off the
 diagonal L is -2 J W.  When the generator commutes with the central
 reflection of the space, the whole-space eigensolve runs on its even and
-odd halves instead; Dirichlet parts are always solved whole.
+odd halves instead, and the form keeps the two half eigenbases, not the
+N x N ``psi``: its semigroup, resolvent, heat kernel and kernel entries are
+computed on the N/2 blocks.  Dirichlet parts are always solved whole.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries and this module for parts.
@@ -47,6 +49,13 @@ class SpectralForm:
     ``_lambda1`` maps the bytes of each domain a part was solved on to the
     part's lambda_1; a part starts with an empty one and never fills it.
 
+    A full form that commutes with the central reflection keeps its
+    eigenbasis as the two half-size blocks of ``_halves`` and no ``psi``:
+    its semigroup, resolvent, heat kernel and kernel entries are computed
+    from the blocks, and ``psi`` is laid out from them on the first read,
+    which only tests do.
+    Every other form keeps its dense ``psi``.
+
     ``kernel_symmetric`` says that J equals J.T bit for bit, so that its
     blocks need no mirror.  A Dirichlet part shares the kernel of its full
     form and keeps its small dense generator; the full form builds its own on
@@ -58,15 +67,23 @@ class SpectralForm:
     domain: np.ndarray
     diag: np.ndarray
     eigvals: np.ndarray
-    psi: np.ndarray
     jmat_nonzeros: int
     kernel_symmetric: bool
+    _psi: np.ndarray | None = field(default=None, repr=False)
+    _halves: _HalfSpectrum | None = field(default=None, repr=False)
     _L: np.ndarray | None = field(default=None, repr=False)
     _lambda1: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
 
     def jblock(self, rows, cols=None) -> np.ndarray:
         """The rows x cols block (all columns by default) of 0.5 (J + J.T)."""
         return _symmetric_block(self.kernel, self.kernel_symmetric, rows, cols)
+
+    @property
+    def psi(self) -> np.ndarray:
+        """The mu-orthonormal eigenfunctions, one column per eigenvalue."""
+        if self._psi is None:
+            self._psi = self._halves.rows(np.arange(self.domain.size), self.weights)
+        return self._psi
 
     @property
     def L(self) -> np.ndarray:
@@ -106,6 +123,19 @@ class SpectralForm:
         values = np.array([Lg @ (g * self.weights) for Lg, g in zip(Lf, fs)])
         return float(values[0]) if f.ndim == 1 else values
 
+    def _calculus(self, f, gains, scale=np.multiply) -> list[np.ndarray]:
+        """psi scale(coef, g(eigvals)) for each ``g`` in ``gains``, with coef =
+        psi.T W f the eigen-coefficients of ``f``, computed once.  ``f`` may
+        hold one function per column; each result then does too."""
+        f = np.asarray(f, dtype=float)
+        per_atom = (slice(None),) + (None,) * (f.ndim - 1)   # a vector along f's first axis
+        filters = [lambda vals, coef, g=g: scale(coef, g(vals)[per_atom]) for g in gains]
+        if self._halves is None:
+            coef = self.psi.T @ (f * self.weights[per_atom])
+            return [self.psi @ h(self.eigvals, coef) for h in filters]
+        sqrt_w = np.sqrt(self.weights)[per_atom]
+        return [u / sqrt_w for u in self._halves.calculus(f * sqrt_w, filters)]
+
     def apply_semigroup(self, t, f) -> np.ndarray:
         """P_t f on the domain by spectral calculus.
 
@@ -113,34 +143,50 @@ class SpectralForm:
         then computed once, and row k of the result is P_{t[k]} f.  ``f`` may
         hold one function per column; each result then does too.
         """
-        f = np.asarray(f, dtype=float)
-        per_atom = (slice(None),) + (None,) * (f.ndim - 1)   # a vector along f's first axis
-        coef = self.psi.T @ (f * self.weights[per_atom])
         times = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self.psi @ (np.exp(-s * self.eigvals)[per_atom] * coef) for s in times])
-        return out.reshape(times.size, *f.shape) if np.ndim(t) else out[0]
+        out = np.array(self._calculus(f, [lambda vals, s=s: np.exp(-s * vals) for s in times]))
+        return out.reshape(times.size, *np.shape(f)) if np.ndim(t) else out[0]
 
     def heat_kernel(self, t: float) -> np.ndarray:
         """Kernel values p(t, x, y) on domain x domain."""
         if t < 0:
             raise ParameterError("time must be nonnegative")
+        if self._halves is not None:
+            return self._halves.heat_kernel(t, self.weights)
         decay = np.exp(-t * self.eigvals)
         return (self.psi * decay) @ self.psi.T
 
     def heat_kernel_entries(self, t: float, xs, ys) -> np.ndarray:
-        """p(t, xs[k], ys[k]) for each k from rows of psi, in O(len(xs) N), no N x N kernel."""
+        """p(t, xs[k], ys[k]) for each k from rows of psi, in O(len(xs) N), no N x N kernel.
+
+        The rows are gathered one chunk of ``xs`` at a time, once when ``ys``
+        equals ``xs``; a split form takes that diagonal from its two blocks.
+        """
         if t < 0:
             raise ParameterError("time must be nonnegative")
-        rows = self.psi[np.asarray(xs, dtype=int)] * np.exp(-t * self.eigvals)
-        return np.einsum("ij,ij->i", rows, self.psi[np.asarray(ys, dtype=int)])
+        xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
+        same = np.array_equal(xs, ys)
+        if same and self._halves is not None:
+            return self._halves.diagonal(t, xs, self.weights)
+        decay = np.exp(-t * self.eigvals)
+        out = np.empty(xs.size)
+        for part in self.space._row_chunks(np.arange(xs.size)):
+            rows = self._psi_rows(xs[part])
+            other = rows if same else self._psi_rows(ys[part])
+            out[part] = np.einsum("ij,ij->i", rows * decay, other)
+        return out
+
+    def _psi_rows(self, atoms: np.ndarray) -> np.ndarray:
+        """A new array holding the rows ``atoms`` of ``psi``."""
+        if self._halves is None:
+            return self.psi[atoms]
+        return self._halves.rows(atoms, self.weights)
 
     def resolvent(self, lam: float, f) -> np.ndarray:
         """Solve (L + lam) u = f on the domain."""
         if lam <= 0:
             raise ParameterError("resolvent parameter must be positive")
-        f = np.asarray(f, dtype=float)
-        coef = self.psi.T @ (f * self.weights)
-        return self.psi @ (coef / (self.eigvals + lam))
+        return self._calculus(f, [lambda vals: vals + lam], np.divide)[0]
 
 
 def _symmetrized(L: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
@@ -207,7 +253,8 @@ def _part_form(form: SpectralForm, D: np.ndarray, LD: np.ndarray) -> SpectralFor
     """The part on ``D`` with the small dense generator ``LD``, which it keeps."""
     w = form.space.weights[D]
     eigvals, psi = _spectrum(_symmetrized(LD, np.sqrt(w)), w)
-    return replace(form, domain=D, diag=LD.diagonal(), eigvals=eigvals, psi=psi, _L=LD)
+    return replace(form, domain=D, diag=LD.diagonal(), eigvals=eigvals, _psi=psi,
+                   _halves=None, _L=LD)
 
 
 # Relative tolerance of the two symmetry tests: J against J.T, and the
@@ -366,32 +413,88 @@ def _reflection_blocks(space: FiniteMMSpace, sym: np.ndarray
     return A, B, [even, odd]
 
 
-def _split_spectrum(A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray],
-                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_spectrum`` of the matrix that ``_reflection_blocks`` split into
-    ``blocks``, from one ``eigh`` per block.
+class _HalfSpectrum:
+    """The eigenbasis of a matrix that ``_reflection_blocks`` split, kept as
+    one ``eigh`` per block: ``even_vals``, ``even_vecs``, ``odd_vals``, ``odd_vecs``.
 
-    The eigenvalues are merged ascending by a stable sort, so an even
-    eigenvalue comes before an equal odd one; an even eigenvector v becomes
-    (v on A, v on B) / sqrt(2), an odd one (v on A, -v on B) / sqrt(2).  Each
-    block is taken out of ``blocks`` and freed once it is solved.
+    With ``A[k]`` and ``B[k]`` the k-th mirror pair, an even eigenvector v
+    of the whole matrix is (v on A, v on B) / sqrt(2) and an odd one
+    (v on A, -v on B) / sqrt(2).  ``eigvals`` merges the blocks' eigenvalues
+    ascending by a stable sort, so an even eigenvalue comes before an equal
+    odd one; ``even_cols`` and ``odd_cols`` are where each block's
+    eigenvectors land in that order.  Each block is taken out of ``blocks``
+    and freed once it is solved.
     """
-    n = weights.size
-    even_vals, even_vecs = np.linalg.eigh(blocks.pop(0))
-    odd_vals, odd_vecs = np.linalg.eigh(blocks.pop(0))
-    eigvals = np.concatenate([even_vals, odd_vals])
-    order = np.argsort(eigvals, kind="stable")
-    column = np.empty(n, dtype=int)
-    column[order] = np.arange(n)
-    even_cols, odd_cols = column[:A.size], column[A.size:]
-    psi = np.empty((n, n))
-    psi[np.ix_(A, even_cols)] = even_vecs
-    psi[np.ix_(B, even_cols)] = even_vecs
-    psi[np.ix_(A, odd_cols)] = odd_vecs
-    np.negative(odd_vecs, out=odd_vecs)
-    psi[np.ix_(B, odd_cols)] = odd_vecs
-    psi /= np.sqrt(2.0 * weights)[:, None]
-    return eigvals[order], psi
+
+    def __init__(self, A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray]):
+        self.A, self.B = A, B
+        self.even_vals, self.even_vecs = np.linalg.eigh(blocks.pop(0))
+        self.odd_vals, self.odd_vecs = np.linalg.eigh(blocks.pop(0))
+        eigvals = np.concatenate([self.even_vals, self.odd_vals])
+        order = np.argsort(eigvals, kind="stable")
+        self.eigvals = eigvals[order]
+        n = eigvals.size
+        column = np.empty(n, dtype=int)
+        column[order] = np.arange(n)
+        self.even_cols, self.odd_cols = column[:A.size], column[A.size:]
+        self.pair = np.empty(n, dtype=int)                 # atom -> its pair's row in the blocks
+        self.pair[A] = self.pair[B] = np.arange(A.size)
+        self.sign = np.ones(n)                              # an odd eigenvector's: -1 on B
+        self.sign[B] = -1.0
+
+    def rows(self, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Rows ``atoms`` of the mu-orthonormal eigenfunctions on weights ``weights``:
+        the unit eigenvectors laid out in ``eigvals`` order, divided by sqrt(2 w)."""
+        pair = self.pair[atoms]
+        out = np.empty((atoms.size, self.pair.size))
+        out[:, self.even_cols] = self.even_vecs[pair]
+        out[:, self.odd_cols] = self.odd_vecs[pair] * self.sign[atoms, None]
+        out /= np.sqrt(2.0 * weights[atoms])[:, None]
+        return out
+
+    def diagonal(self, t: float, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """p(t, x, x) for x in ``atoms``: |v|^2 against the decay over the pair
+        rows of both blocks, divided by 2 w, with no row of psi laid out."""
+        pairs, where = np.unique(self.pair[atoms], return_inverse=True)
+        total = np.zeros(pairs.size)
+        for vals, vecs in ((self.even_vals, self.even_vecs), (self.odd_vals, self.odd_vecs)):
+            rows = vecs[pairs]
+            total += np.einsum("ij,ij->i", rows * np.exp(-t * vals), rows)
+        return total[where] / (2.0 * weights[atoms])
+
+    def calculus(self, g: np.ndarray, filters) -> list[np.ndarray]:
+        """Q h(eigvals) Q.T g for each ``h`` in ``filters``, Q the unit eigenvectors:
+        ``g`` folds into its even part g_A + g_B and its odd part g_A - g_B, each
+        block acts on its own, and the two unfold onto A and B."""
+        a, b = g[self.A], g[self.B]
+        even = self.even_vecs.T @ (a + b)
+        odd = self.odd_vecs.T @ (a - b)
+        results = []
+        for h in filters:
+            u = self.even_vecs @ h(self.even_vals, even)
+            v = self.odd_vecs @ h(self.odd_vals, odd)
+            unfolded = np.empty_like(g)
+            unfolded[self.A] = u + v
+            unfolded[self.B] = u - v
+            unfolded *= 0.5
+            results.append(unfolded)
+        return results
+
+    def heat_kernel(self, t: float, weights: np.ndarray) -> np.ndarray:
+        """p(t, x, y) from the even and odd kernels K = V exp(-t vals) V.T."""
+        even = (self.even_vecs * np.exp(-t * self.even_vals)) @ self.even_vecs.T
+        odd = (self.odd_vecs * np.exp(-t * self.odd_vals)) @ self.odd_vecs.T
+        A, B = self.A, self.B
+        p = np.empty((weights.size, weights.size))
+        p[np.ix_(A, B)] = p[np.ix_(B, A)] = even - odd
+        even += odd
+        del odd
+        p[np.ix_(A, A)] = p[np.ix_(B, B)] = even
+        del even
+        scale = np.sqrt(2.0 * weights)
+        p /= scale[:, None]
+        p /= scale[None, :]
+        return p
 
 
 def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
@@ -411,12 +514,14 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     split = _reflection_blocks(space, sym)
     if split is None:
         eigvals, psi = _spectrum(sym, space.weights)
+        halves = None
     else:
         del sym                         # only the half-size blocks reach the eigensolve
-        eigvals, psi = _split_spectrum(*split, space.weights)
+        halves = _HalfSpectrum(*split)
+        eigvals, psi = halves.eigvals, None
     return SpectralForm(space=space, kernel=kernel, domain=np.arange(space.n_points),
-                        diag=diag, eigvals=eigvals, psi=psi,
-                        jmat_nonzeros=jrows.nonzeros, kernel_symmetric=jrows.symmetric)
+                        diag=diag, eigvals=eigvals, jmat_nonzeros=jrows.nonzeros,
+                        kernel_symmetric=jrows.symmetric, _psi=psi, _halves=halves)
 
 
 def part_on(form: SpectralForm, D) -> SpectralForm:

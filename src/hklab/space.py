@@ -253,6 +253,9 @@ def build_cantor_product(xi, n: int, level: int,
         raise ParameterError("n must be a positive integer")
     n_points = _point_count(2, n * level, point_cap)
     axis = [float(e) for e in cantor_axis_endpoints(xi_frac, level)]
+    if any(b <= a for a, b in zip(axis, axis[1:])):
+        raise ParameterError(f"xi={xi_frac} at level {level} puts distinct atoms at "
+                             "one double-precision coordinate")
     coords = np.array(list(itertools.product(axis, repeat=n)), dtype=float)
     weights = np.full(n_points, 1.0 / n_points)
     meta = {

@@ -218,8 +218,15 @@ def test_counterexample_report_bundle(tmp_path):
     (["--epsilon", "nan"], 2, "epsilon must be a finite positive number"),
     (["--epsilon", "inf"], 2, "epsilon must be a finite positive number"),
     (["--epsilon", "4", "--levels", "8", "--axes", "2"], 3,
-     "dense work on 65536 points exceeds the fixed dense-matrix cap of 8192")],
-    ids=["nan_epsilon", "infinite_epsilon", "above_dense_cap"])
+     "dense work on 65536 points exceeds the fixed dense-matrix cap of 8192"),
+    *[(["--epsilon", eps, "--levels", "2", "--axes", "1"], 2,
+       "k > 53, which is 1 in double precision") for eps in ("0.03", "1e-4", "1e-6")],
+    (["--epsilon", "1e308", "--levels", "3"], 2, "needs more than 2^52 product axes"),
+    (["--epsilon", "0.05", "--levels", "3", "--axes", "1"], 2,
+     "puts distinct atoms at one double-precision coordinate")],
+    ids=["nan_epsilon", "infinite_epsilon", "above_dense_cap", "rung_past_double_3e-2",
+         "rung_past_double_1e-4", "rung_past_double_1e-6", "axes_overflow",
+         "coincident_cantor_atoms"])
 def test_counterexample_report_refuses_at_the_boundary(tmp_path, args, code, message):
     # in a child with a timeout, so that a refusal that never comes fails the test
     out = tmp_path / "cx"
@@ -229,6 +236,18 @@ def test_counterexample_report_refuses_at_the_boundary(tmp_path, args, code, mes
     assert res.returncode == code
     assert message in res.stderr and "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_counterexample_report_finds_a_large_axis_count_at_once(tmp_path):
+    # n is about 8e9 at epsilon 1e9: taken from the closed-form bound, not
+    # counted up to, so the report is written within the timeout
+    out = tmp_path / "cx"
+    res = subprocess.run([sys.executable, "-m", "hklab.cli", "counterexample", "report",
+                          "--epsilon", "1e9", "--levels", "3", "--out", str(out)],
+                         capture_output=True, text=True, env=child_env(), timeout=30)
+    assert res.returncode == 0, res.stderr
+    config = json.loads((out / "counterexample_report.json").read_text())["config"]
+    assert config["n"] > 8e9
 
 
 def test_console_script_entry_point(tmp_path):

@@ -50,6 +50,25 @@ def test_minimal_axes_grow_as_epsilon_shrinks():
         assert cfg.n > 4 * (1 + eps) / cfg.alpha_xi
 
 
+@pytest.mark.parametrize("eps", [2 / 53, 0.04, 0.5, 1.0, 4.0, 1e3, 1e6])
+def test_minimal_axes_is_the_first_n_meeting_both_conditions(eps):
+    cfg = hk.synthesize_config(eps)
+
+    def holds(n):
+        frac = 2.0 * (1.0 + eps) / (n * cfg.alpha_xi)
+        return frac < 0.5 and (1.0 + eps / 2.0) * (1.0 - frac) > 1.0
+
+    assert holds(cfg.n) and not holds(cfg.n - 1)
+
+
+def test_default_xi_stops_at_the_last_dyadic_rung_of_double_precision():
+    # 1 - 2^-53 is the last rung below 1.0; epsilon = 2/54 takes it
+    assert hk.synthesize_config(2 / 54).xi == Fraction(2**53 - 1, 2**53)
+    for eps in (0.03, 1e-4, 1e-6, 5e-324):
+        with pytest.raises(ParameterError, match="k > 53"):
+            hk.synthesize_config(eps)
+
+
 def test_gap_equals_closed_form_to_1e12():
     for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
         cfg = hk.synthesize_config(eps)

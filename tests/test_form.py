@@ -643,6 +643,97 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
     _assert_matches_spectrum(form, eigvals, psi, sym)
 
 
+def _merged_layout(space, sym):
+    """The oracle of a split form's lazy ``psi``: the two blocks' eigenvectors
+    laid out in merged eigenvalue order, as the whole-space psi was written
+    when split forms kept it."""
+    A, B, blocks = _reflection_blocks(space, sym)
+    n = space.n_points
+    even_vals, even_vecs = np.linalg.eigh(blocks[0])
+    odd_vals, odd_vecs = np.linalg.eigh(blocks[1])
+    eigvals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(eigvals, kind="stable")
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)
+    even_cols, odd_cols = column[:A.size], column[A.size:]
+    psi = np.empty((n, n))
+    psi[np.ix_(A, even_cols)] = even_vecs
+    psi[np.ix_(B, even_cols)] = even_vecs
+    psi[np.ix_(A, odd_cols)] = odd_vecs
+    psi[np.ix_(B, odd_cols)] = -odd_vecs
+    psi /= np.sqrt(2.0 * space.weights)[:, None]
+    return eigvals[order], psi
+
+
+def _split_case(case):
+    if case == "cantor":
+        space = hk.build_cantor_product(1 / 3, 1, 7)
+        return space, hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    if case == "cantor_product":
+        space = hk.build_cantor_product(1 / 3, 2, 3)
+        return space, hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    space = hk.build_grid(1, 32)
+    return space, hk.build_stable_like_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+
+
+@pytest.mark.parametrize("case", ["cantor", "cantor_product", "even_grid"])
+def test_split_form_spectral_operations_match_the_dense_spectrum(case):
+    # a split form keeps its two half eigenbases and computes on them; every
+    # operation agrees with the one dense eigh within 1e-12 relative
+    space, kern = _split_case(case)
+    form = hk.assemble(space, kern)
+    assert form._halves is not None and form._psi is None
+    n, w = space.n_points, space.weights
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), w)
+
+    def close(got, want, scale=None):
+        # relative to the largest |value|, of the whole kernel for its entries
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * (scale or np.abs(want).max())
+
+    rng = np.random.default_rng(5)
+    f, F = rng.normal(size=n), rng.normal(size=(n, 3))
+    coef, coefs = psi.T @ (f * w), psi.T @ (F * w[:, None])
+    times = [1e-3 / np.abs(eigvals).max(), 0.1, 1.0]
+    for t in times:
+        decay = np.exp(-t * eigvals)
+        close(form.apply_semigroup(t, f), psi @ (decay * coef))
+        p = (psi * decay) @ psi.T
+        close(form.heat_kernel(t), p)
+        xs, ys = rng.integers(0, n, size=40), rng.integers(0, n, size=40)
+        close(form.heat_kernel_entries(t, xs, ys), p[xs, ys], np.abs(p).max())
+        close(form.heat_kernel_entries(t, np.arange(n), np.arange(n)), np.diag(p))
+    close(form.apply_semigroup(times, F),
+          np.array([psi @ (np.exp(-t * eigvals)[:, None] * coefs) for t in times]))
+    close(form.apply_semigroup(times[1], F), psi @ (np.exp(-times[1] * eigvals)[:, None] * coefs))
+    assert form.apply_semigroup([], F).shape == (0, n, 3)
+    assert form.apply_semigroup([], f).shape == (0, n)
+    close(form.resolvent(2.0, f), psi @ (coef / (eigvals + 2.0)))
+    assert form._psi is None                           # no operation laid out psi
+    merged_vals, merged_psi = _merged_layout(space, sym)
+    assert _same_bits(form.eigvals, merged_vals)
+    assert _same_bits(form.psi, merged_psi)
+    assert _same_bits(form.heat_kernel_entries(0.1, xs, ys),
+                      np.einsum("ij,ij->i", merged_psi[xs] * np.exp(-0.1 * form.eigvals),
+                                merged_psi[ys]))
+
+
+def test_diagonal_entries_gather_their_rows_once(monkeypatch):
+    # on a form that keeps psi, the diagonal p(t, x, x) reads each row of
+    # psi once, with the result of the expression that gathers xs and ys apart
+    space = hk.build_grid(1, 33)
+    form = hk.assemble(space, hk.build_stable_like_kernel(
+        space, hk.constant_field(space, 0.8, T0=1.0)))
+    xs = np.arange(space.n_points)
+    want = np.einsum("ij,ij->i", form.psi[xs] * np.exp(-0.2 * form.eigvals), form.psi[xs])
+    gathered = []
+    rows = hk.SpectralForm._psi_rows
+    monkeypatch.setattr(hk.SpectralForm, "_psi_rows",
+                        lambda self, atoms: gathered.append(atoms.size) or rows(self, atoms))
+    assert _same_bits(form.heat_kernel_entries(0.2, xs, xs), want)
+    assert sum(gathered) == xs.size
+
+
 def test_default_time_grid_cuts_zero_at_the_rounding_floor():
     # a zero eigenvalue of 3e-12 is rounding at max |lambda| = 3.4e4
     # (eps max |lambda| = 7.5e-12), not the spectral gap
@@ -669,8 +760,35 @@ def test_assemble_keeps_no_dense_generator():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * square                        # 3.04 when L was kept
-    assert held <= 1.1 * square                        # psi; 2.00 with L
+    assert held <= 0.6 * square                        # the two half eigenbases; 2.00 with psi and L
     assert held_with_L >= held + square
+    assert form._psi is None
+
+
+def test_checks_on_a_split_form_allocate_no_square_array():
+    # 1024 atoms; tracemalloc sees numpy's arrays.  The semigroup and the
+    # diagonal run on the two half eigenbases, and the sampled entries lay
+    # out their rows of psi one chunk at a time, so no N x N float64 array
+    # is made, nor psi laid out
+    space = hk.build_cantor_product(1 / 3, 1, 10)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    form = hk.assemble(space, hk.build_cantor_axis_kernel(space, scale))
+    times = hk.form.default_time_grid(form)
+    balls = hk.sample_balls(space, 8, hk.dyadic_radius_grid(space)[-3:],
+                            np.random.default_rng(0))
+    square = space.n_points**2 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        reports = [hk.conservativeness_check(form, times),
+                   hk.te_check(form, space, scale, 1.0, balls, times),
+                   hk.due_check(form, space, scale, 1.0, times)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < square
+    assert form._psi is None
+    assert reports[0].passed and reports[1].series and reports[2].series
 
 
 def test_assemble_signed_zero_is_not_exact_symmetry():

@@ -58,6 +58,12 @@ def test_cantor_rejects_bad_parameters():
     with pytest.raises(PointCapExceeded) as exc:
         hk.build_cantor_product(1 / 3, 2, 7)
     assert exc.value.requested == 2**14
+    # at xi = 1 - 2^-39, level 3, the last two atoms 1 - 2^-80 and 1 - 2^-120
+    # both round to 1.0
+    xi = Fraction(2**39 - 1, 2**39)
+    assert hk.build_cantor_product(xi, 1, 2).n_points == 4
+    with pytest.raises(ParameterError, match="one double-precision coordinate"):
+        hk.build_cantor_product(xi, 1, 3)
 
 
 def test_grid_examples():
