@@ -55,9 +55,11 @@ class CounterexampleConfig:
             raise ParameterError("beta2 must equal (1 - 2(1+eps)/(n alpha))^-1 in (1,2)")
         if self.beta1 != 1.0:
             raise ParameterError("beta1 is fixed at 1")
+        # relative to 1 + eps, as in exponent_report: the two products of
+        # size n alpha / 2 round at that scale
         identity = n * alpha / 2.0 - n * alpha / (2.0 * self.beta2)
-        if abs(identity - (1.0 + eps)) > IDENTITY_TOL:
-            raise ParameterError("order-gap identity violated beyond 1e-12")
+        if abs(identity - (1.0 + eps)) > IDENTITY_TOL * (1.0 + eps):
+            raise ParameterError("order-gap identity violated beyond 1e-12 relative")
         if abs(self.gamma - (1.0 + eps)) > IDENTITY_TOL:
             raise ParameterError("gamma must equal 1 + epsilon")
         if abs(self.nu - 1.0 / (n * alpha)) > IDENTITY_TOL:

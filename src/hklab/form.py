@@ -16,11 +16,13 @@ each reader taking the block it needs of 0.5 (J + J.T) from
 diagonal L is -2 J W.  When the generator commutes with the central
 reflection of the space, the whole-space eigensolve runs on its even and
 odd halves instead, and the form keeps the two half eigenbases, not the
-N x N ``psi``: its semigroup, resolvent, heat kernel and kernel entries are
-computed on the N/2 blocks.  Dirichlet parts are always solved whole.
+N x N ``psi``: its semigroup, resolvent and kernel entries are computed on
+the N/2 blocks.  Dirichlet parts are always solved whole.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
-checkers ask a :class:`SpectralForm` for entries and this module for parts.
+checkers ask a :class:`SpectralForm` for entries, for its eigenbasis
+factors (:class:`KernelFactors`, which stream the kernel in row panels)
+and this module for parts.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ class SpectralForm:
 
     A full form that commutes with the central reflection keeps its
     eigenbasis as the two half-size blocks of ``_halves`` and no ``psi``:
-    its semigroup, resolvent, heat kernel and kernel entries are computed
+    its semigroup, resolvent, kernel entries and kernel factors are computed
     from the blocks, and ``psi`` is laid out from them on the first read,
-    which only tests do.
+    which only tests and ``heat_kernel`` do.
     Every other form keeps its dense ``psi``.
 
     ``kernel_symmetric`` says that J equals J.T bit for bit, so that its
@@ -148,13 +150,28 @@ class SpectralForm:
         return out.reshape(times.size, *np.shape(f)) if np.ndim(t) else out[0]
 
     def heat_kernel(self, t: float) -> np.ndarray:
-        """Kernel values p(t, x, y) on domain x domain."""
+        """Kernel values p(t, x, y) on domain x domain, from ``psi``.
+
+        A run calls it only on the Dirichlet parts of ``meyer_check``; on a
+        split form it lays out ``psi``, as the tests do.
+        """
         if t < 0:
             raise ParameterError("time must be nonnegative")
-        if self._halves is not None:
-            return self._halves.heat_kernel(t, self.weights)
         decay = np.exp(-t * self.eigvals)
         return (self.psi * decay) @ self.psi.T
+
+    def kernel_factors(self) -> KernelFactors:
+        """The heat kernel as products of the form's own eigenbasis factors:
+        ``psi`` with the weights, or the two half eigenbases of a split form."""
+        if self._halves is None:
+            atoms = np.arange(self.domain.size)
+            return KernelFactors([(self.eigvals, self.psi)], self.weights,
+                                 [(atoms, atoms, ())], None)
+        h = self._halves
+        return KernelFactors([(h.even_vals, h.even_vecs), (h.odd_vals, h.odd_vecs)], None,
+                             [(h.A, h.A, (1,)), (h.A, h.B, (-1,)),
+                              (h.B, h.A, (-1,)), (h.B, h.B, (1,))],
+                             np.sqrt(2.0 * self.weights))
 
     def heat_kernel_entries(self, t: float, xs, ys) -> np.ndarray:
         """p(t, xs[k], ys[k]) for each k from rows of psi, in O(len(xs) N), no N x N kernel.
@@ -455,7 +472,7 @@ class _HalfSpectrum:
     def diagonal(self, t: float, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """p(t, x, x) for x in ``atoms``: |v|^2 against the decay over the pair
         rows of both blocks, divided by 2 w, with no row of psi laid out."""
-        pairs, where = np.unique(self.pair[atoms], return_inverse=True)
+        pairs, where = _unique_inverse(self.pair[atoms])
         total = np.zeros(pairs.size)
         for vals, vecs in ((self.even_vals, self.even_vecs), (self.odd_vals, self.odd_vecs)):
             rows = vecs[pairs]
@@ -480,21 +497,108 @@ class _HalfSpectrum:
             results.append(unfolded)
         return results
 
-    def heat_kernel(self, t: float, weights: np.ndarray) -> np.ndarray:
-        """p(t, x, y) from the even and odd kernels K = V exp(-t vals) V.T."""
-        even = (self.even_vecs * np.exp(-t * self.even_vals)) @ self.even_vecs.T
-        odd = (self.odd_vecs * np.exp(-t * self.odd_vals)) @ self.odd_vecs.T
-        A, B = self.A, self.B
-        p = np.empty((weights.size, weights.size))
-        p[np.ix_(A, B)] = p[np.ix_(B, A)] = even - odd
-        even += odd
-        del odd
-        p[np.ix_(A, A)] = p[np.ix_(B, B)] = even
-        del even
-        scale = np.sqrt(2.0 * weights)
-        p /= scale[:, None]
-        p /= scale[None, :]
-        return p
+
+def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for 1-D integer ``keys``, by a
+    stable argsort: numpy's own loads ``numpy.ma`` on its first call."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    inverse = np.empty(keys.size, dtype=int)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
+def _flush_subnormal(a: np.ndarray) -> np.ndarray:
+    """``a`` with its subnormal entries set to zero, in place.  A decay near
+    underflow makes them, and a matrix product runs up to 30 times slower on
+    them; none moves a sum of N products by more than N times the smallest
+    normal double."""
+    a[np.abs(a) < np.finfo(float).tiny] = 0.0
+    return a
+
+
+# Rows per panel of a streamed kernel, in basis rows: a sixteenth of the
+# atoms, so that the dozen panels alive at a time stay well under one N x N
+# array, but at least the first bound, below which the per-panel overhead
+# dominates, and at most the second, beyond which the GEMMs run no faster.
+_PANEL_ROWS = (64, 256)
+
+
+@dataclass(frozen=True)
+class KernelFactors:
+    """A form's heat kernel as products of its eigenbasis factors, for a
+    reader that streams it one row panel of the bases at a time and never
+    holds an N x N array.
+
+    Each basis ``(vals, vecs)`` gives K_b(t) = vecs exp(-t vals) vecs.T, its
+    columns orthonormal against the weights ``metric`` (the unit weights
+    when it is None).  On each quadrant ``(X, Y, signs)`` of atoms,
+    p(t)[X, Y] is K_0(t) plus or minus, as ``signs`` says, each further
+    K_b(t), divided by scale[X] and scale[Y] unless ``scale`` is None.  An
+    unsplit form or a part is one quadrant of one basis, ``psi`` with the
+    weights w; a split form is its even and odd unit eigenbases on the four
+    quadrants of the mirror pairs (A, B), with scale sqrt(2 w), so its rows
+    are never laid out N wide.
+    """
+
+    bases: list[tuple[np.ndarray, np.ndarray]]
+    metric: np.ndarray | None
+    quadrants: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]]
+    scale: np.ndarray | None
+
+    def panels(self):
+        """Consecutive row panels of the bases."""
+        m = self.bases[0][1].shape[0]
+        low, high = _PANEL_ROWS
+        step = min(max(m * len(self.bases) // 16, low), high)
+        for start in range(0, m, step):
+            yield np.arange(start, min(start + step, m))
+
+    def rows(self, panel: np.ndarray, t: float, mirrored: bool = False) -> list[np.ndarray]:
+        """K_b(t)[panel] = (vecs[panel] exp(-t vals)) vecs.T for each basis b.
+
+        ``mirrored`` forms them as K_b(t)[:, panel].T instead, from
+        (vecs exp(-t vals)) vecs[panel].T: the decay sits on the other factor,
+        which is scaled one panel at a time, never whole.
+        """
+        out = []
+        for vals, vecs in self.bases:
+            decay = np.exp(-t * vals)
+            rows = vecs[panel]
+            if mirrored:
+                out.append(np.concatenate([rows @ _flush_subnormal(vecs[cols] * decay).T
+                                           for cols in self.panels()], axis=1))
+            else:
+                rows *= decay
+                out.append(_flush_subnormal(rows) @ vecs.T)
+        return out
+
+    def composed(self, panel: np.ndarray, t: float) -> list[np.ndarray]:
+        """((K_b(t)[panel] M) vecs) exp(-t vals) vecs.T for each basis b, M the
+        metric: the panel of K(t) M K(t) formed through the basis, so that no
+        second kernel is held."""
+        out = []
+        for (vals, vecs), rows in zip(self.bases, self.rows(panel, t)):
+            if self.metric is not None:
+                rows *= self.metric
+            coef = rows @ vecs
+            coef *= np.exp(-t * vals)
+            out.append(_flush_subnormal(coef) @ vecs.T)
+        return out
+
+    def kernel(self, panel: np.ndarray, blocks: list[np.ndarray]):
+        """(X, Y, p[X[panel], Y]) for each quadrant, from ``blocks``, a panel of
+        each basis from :meth:`rows` or :meth:`composed`."""
+        for X, Y, signs in self.quadrants:
+            p = blocks[0]
+            for sign, block in zip(signs, blocks[1:]):
+                p = p + block if sign > 0 else p - block
+            if self.scale is not None:
+                p /= self.scale[X[panel], None]
+                p /= self.scale[None, Y]
+            yield X, Y, p
 
 
 def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
@@ -546,7 +650,7 @@ def _checked_domain(form: SpectralForm, D) -> np.ndarray:
     n = form.space.n_points
     if D.min() < 0 or D.max() >= n:
         raise ParameterError(f"domain indices must lie in 0..{n - 1}")
-    if np.unique(D).size != D.size:
+    if (np.diff(np.sort(D)) == 0).any():
         raise ParameterError("domain indices must be distinct")
     if form.is_part:
         raise ParameterError("take parts of the full-space form")
@@ -769,6 +873,22 @@ def _ball_cap_radius(scale: ScaleField, x0: int, delta: float) -> float:
     return phi_inverse(scale, x0, delta * scale.T0)
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` for q in [0, 1] by numpy's default linear
+    method, bit for bit: with a and b the sorted values at the floor of
+    (n - 1) q and the next, and g its fractional part, a + (b - a) g, or
+    b - (b - a)(1 - g) when g >= 0.5.  numpy's own loads ``numpy.ma`` on its
+    first call, through ``np.unique``."""
+    ranked = np.sort(values)
+    index = (ranked.size - 1) * q
+    lo = math.floor(index)
+    if lo >= ranked.size - 1:
+        return float(ranked[-1])
+    a, b = float(ranked[lo]), float(ranked[lo + 1])
+    gamma = index - lo
+    return b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+
+
 def _subsets_for_ball(form: SpectralForm, ball: BallQuery,
                       rng: np.random.Generator) -> list[np.ndarray]:
     """The FK family of the ball, unsorted and possibly repeated: the ball, its
@@ -778,7 +898,7 @@ def _subsets_for_ball(form: SpectralForm, ball: BallQuery,
     subsets = [ball_members] + [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
     ground = np.abs(part_on(form, ball_members).psi[:, 0])
     for dens in (0.25, 0.5, 0.75):
-        subsets.append(ball_members[ground > np.quantile(ground, 1.0 - dens)])
+        subsets.append(ball_members[ground > _quantile(ground, 1.0 - dens)])
     for dens in (0.25, 0.5, 0.75):
         k = max(1, int(round(dens * ball_members.size)))
         subsets.append(rng.choice(ball_members, size=k, replace=False))

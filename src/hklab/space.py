@@ -212,16 +212,23 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x).limit_denominator(10**9)
 
 
-def cantor_axis_endpoints(xi: Fraction, level: int) -> list[Fraction]:
-    """Left endpoints of the level-``level`` middle-``xi`` construction intervals."""
-    offset = (1 + xi) / 2
-    child = (1 - xi) / 2
-    endpoints = [Fraction(0)]
-    length = Fraction(1)
-    for _ in range(level):
-        endpoints = sorted(e for a in endpoints for e in (a, a + offset * length))
-        length *= child
-    return endpoints
+def cantor_axis_endpoints(xi: Fraction, level: int) -> list[float]:
+    """Left endpoints of the level-``level`` middle-``xi`` construction
+    intervals, ascending, each the double nearest its exact value.
+
+    With xi = p/q, the k-th step of the construction (k = 0 first) moves an
+    endpoint right by (1 + xi)/2 ((1 - xi)/2)^k, which is the integer
+    (q + p)(q - p)^k (2q)^(level-1-k) over (2q)^level.  The endpoints are the
+    subset sums of the steps, formed in integers in ascending order, and
+    divided once, correctly rounded.
+    """
+    p, q = xi.numerator, xi.denominator
+    numerators = [0]
+    for k in range(level):
+        step = (q + p) * (q - p) ** k * (2 * q) ** (level - 1 - k)
+        numerators = [a + d for a in numerators for d in (0, step)]
+    denominator = (2 * q) ** level
+    return [a / denominator for a in numerators]
 
 
 def cantor_volume_exponent(xi: float) -> float:
@@ -252,7 +259,7 @@ def build_cantor_product(xi, n: int, level: int,
     if n < 1:
         raise ParameterError("n must be a positive integer")
     n_points = _point_count(2, n * level, point_cap)
-    axis = [float(e) for e in cantor_axis_endpoints(xi_frac, level)]
+    axis = cantor_axis_endpoints(xi_frac, level)
     if any(b <= a for a, b in zip(axis, axis[1:])):
         raise ParameterError(f"xi={xi_frac} at level {level} puts distinct atoms at "
                              "one double-precision coordinate")

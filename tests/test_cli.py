@@ -369,6 +369,27 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", str(CONFIG_DIR / "cantor_sweep.json")],
+    ["counterexample", "report", "--epsilon", "4", "--levels", "3", "--axes", "2"]],
+    ids=["sweep", "counterexample"])
+def test_runs_load_no_numpy_ma(tmp_path, argv):
+    # np.unique, and np.quantile through it, import numpy.ma on their first
+    # call (numpy 2.4), at 28 ms and over 1 MB a run; a fresh interpreter
+    code = ("import sys; from hklab import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, env=child_env(), timeout=120)
+    assert res.stdout.splitlines()[-1] == "0 False", res.stderr
+
+
+def test_counterexample_report_at_epsilon_1e14(tmp_path):
+    # the order-gap identity is checked relative to 1 + eps
+    assert cli.main(["counterexample", "report", "--epsilon", "1e14", "--levels", "2",
+                     "--axes", "2", "--out", str(tmp_path / "cx")]) == 0
+
+
 # the params that hold a radius, a time or an a0: each must be positive
 POSITIVE_KEYS = {"radius_grid", "ball_radii", "pairs", "radii", "rho",
                  "time_grid", "times", "T0", "t", "a0_grid"}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,6 +20,19 @@ def test_synthesized_config_invariants(eps):
     identity = cfg.n * cfg.alpha_xi / 2 - cfg.n * cfg.alpha_xi / (2 * cfg.beta2)
     assert identity == pytest.approx(1.0 + eps, abs=1e-12)
     assert (1 - cfg.nu) * cfg.gamma < 1 + cfg.nu + eps
+
+
+
+def test_order_gap_identity_is_checked_relative_to_one_plus_epsilon():
+    # at epsilon 1e14 the two terms of the identity are about 2e14 and round
+    # far above an absolute 1e-12
+    cfg = hk.synthesize_config(1e14, level=2)
+    assert hk.exponent_report(cfg)["gap"] > 0
+    for eps, nudge in ((4.0, -1e-11), (1e14, -1e-10)):
+        cfg = hk.synthesize_config(eps, level=2)
+        tampered = dataclasses.replace(cfg, beta2=cfg.beta2 + nudge)  # within the 1e-9 beta2 test
+        with pytest.raises(ParameterError, match="order-gap identity violated"):
+            tampered.validate()
 
 
 def test_config_eps4_xi_third_instance():

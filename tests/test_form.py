@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError, PointCapExceeded
-from hklab.form import (_part_generator, _reflection_blocks, far_tail_profile, killed_part,
+from hklab.form import (_part_generator, _quantile, _reflection_blocks, _unique_inverse,
+                        far_tail_profile, killed_part,
                         removed_top_eigenvalue)
 
 
@@ -699,7 +700,6 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
         decay = np.exp(-t * eigvals)
         close(form.apply_semigroup(t, f), psi @ (decay * coef))
         p = (psi * decay) @ psi.T
-        close(form.heat_kernel(t), p)
         xs, ys = rng.integers(0, n, size=40), rng.integers(0, n, size=40)
         close(form.heat_kernel_entries(t, xs, ys), p[xs, ys], np.abs(p).max())
         close(form.heat_kernel_entries(t, np.arange(n), np.arange(n)), np.diag(p))
@@ -710,6 +710,8 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     assert form.apply_semigroup([], f).shape == (0, n)
     close(form.resolvent(2.0, f), psi @ (coef / (eigvals + 2.0)))
     assert form._psi is None                           # no operation laid out psi
+    for t in times:                                    # heat_kernel goes through psi
+        close(form.heat_kernel(t), (psi * np.exp(-t * eigvals)) @ psi.T)
     merged_vals, merged_psi = _merged_layout(space, sym)
     assert _same_bits(form.eigvals, merged_vals)
     assert _same_bits(form.psi, merged_psi)
@@ -732,6 +734,33 @@ def test_diagonal_entries_gather_their_rows_once(monkeypatch):
                         lambda self, atoms: gathered.append(atoms.size) or rows(self, atoms))
     assert _same_bits(form.heat_kernel_entries(0.2, xs, xs), want)
     assert sum(gathered) == xs.size
+
+
+
+def test_quantile_is_numpy_quantile_bit_for_bit():
+    # random sizes, ties and q, and the three super-level cuts of the FK family
+    rng = np.random.default_rng(11)
+    for size in [1, 2, 3, 4, 5, 7, 16, 33, 100, 257]:
+        for values in (rng.random(size), np.round(rng.random(size), 1),
+                       np.abs(rng.normal(size=size)) * 1e-3):
+            for q in [0.0, 0.25, 0.5, 0.75, 1.0, *rng.random(6)]:
+                got, want = _quantile(values, float(q)), np.quantile(values, float(q))
+                assert _same_bits(np.float64(got), want), (size, q)
+
+
+def test_unique_inverse_is_numpy_unique():
+    rng = np.random.default_rng(12)
+    for keys in (rng.integers(0, 9, size=40), np.arange(5)[::-1], np.array([3]),
+                 np.array([], dtype=int)):
+        values, inverse = _unique_inverse(keys)
+        want_values, want_inverse = np.unique(keys, return_inverse=True)
+        assert np.array_equal(values, want_values) and np.array_equal(inverse, want_inverse)
+
+
+def test_part_refuses_a_repeated_atom(two_point):
+    _, _, form = two_point
+    with pytest.raises(ParameterError, match="distinct"):
+        hk.part_on(form, [1, 0, 1])
 
 
 def test_default_time_grid_cuts_zero_at_the_rounding_floor():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +91,112 @@ def test_invariant_suite_on_assembled_forms():
         form = hk.assemble(space, kern)
         rep = hk.heat_kernel_invariants(form)
         assert rep.passed, rep.witness
+
+
+
+def _invariants_oracle(form, times=(0.01, 0.1, 1.0, 10.0)):
+    # the five residuals from whole kernels laid out from psi, as the check
+    # computed them when it held them
+    psi, w = form.psi, form.weights
+
+    def kernel(t):
+        return (psi * np.exp(-t * form.eigvals)) @ psi.T
+
+    res = dict.fromkeys(["symmetry", "mass", "chapman_kolmogorov", "negativity"], 0.0)
+    res["t0_identity"] = np.abs(kernel(0.0) - np.diag(1.0 / w)).max()
+    for t in times:
+        p, half = kernel(t), kernel(t / 2)
+        defect = p @ w - 1.0
+        res["symmetry"] = max(res["symmetry"], np.abs(p - p.T).max())
+        res["mass"] = max(res["mass"], (defect if form.is_part else np.abs(defect)).max())
+        res["negativity"] = max(res["negativity"], (-p).max())
+        res["chapman_kolmogorov"] = max(res["chapman_kolmogorov"],
+                                        np.abs(p - (half * w) @ half).max())
+    return res
+
+
+def _invariant_forms():
+    """A split form, an unsplit one (the two-plateau field fails the
+    reflection gate) and a Dirichlet part of the unsplit one."""
+    split_space = hk.build_cantor_product(1 / 3, 2, 4)
+    split = hk.assemble(split_space, hk.build_cantor_axis_kernel(
+        split_space, hk.constant_field(split_space, 0.8, T0=1.0)))
+    space = hk.build_cantor_product(1 / 3, 2, 3)
+    field = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
+    unsplit = hk.assemble(space, hk.build_cantor_axis_kernel(space, field))
+    part = hk.part_on(unsplit, space.ball(0, 0.45).member_idx)
+    return {"split": split, "unsplit": unsplit, "part": part}
+
+
+@pytest.mark.parametrize("panel_rows", [None, (5, 5)], ids=["default_panels", "5_row_panels"])
+@pytest.mark.parametrize("case", ["split", "unsplit", "part"])
+def test_streamed_invariants_match_the_dense_kernel_oracle(monkeypatch, panel_rows, case):
+    # the residuals streamed in row panels (per A/B quadrant on the split
+    # form) against the same residuals of whole kernels built from psi
+    if panel_rows:
+        monkeypatch.setattr(hk.form, "_PANEL_ROWS", panel_rows)
+    form = _invariant_forms()[case]
+    assert (form._halves is not None) == (case == "split")
+    rep = hk.heat_kernel_invariants(form)
+    assert form._psi is None or case != "split"        # the split check laid out no psi
+    want = _invariants_oracle(form)
+    assert list(rep.witness) == ["symmetry", "mass", "chapman_kolmogorov", "negativity",
+                                 "t0_identity"]
+    for key, value in want.items():
+        assert abs(rep.witness[key] - value) <= 1e-12, key
+    assert rep.best_constant == rep.witness["chapman_kolmogorov"]
+    assert rep.passed
+
+
+def test_invariants_allocate_less_than_one_square_array():
+    # 1024 atoms; tracemalloc sees numpy's arrays.  The check streams the
+    # kernel in row panels of the split form's half eigenbases, and of psi
+    # on the same form kept whole; it made 5.7 N x N arrays when it held
+    # whole kernels
+    space = hk.build_cantor_product(1 / 3, 1, 10)
+    form = hk.assemble(space, hk.build_cantor_axis_kernel(
+        space, hk.constant_field(space, 0.8, T0=1.0)))
+    n = space.n_points
+    psi = form._halves.rows(np.arange(n), form.weights)
+    unsplit = dataclasses.replace(form, _psi=psi, _halves=None)
+    for f in (form, unsplit):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rep = hk.heat_kernel_invariants(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < n * n * 8
+        assert rep.passed, rep.witness
+    assert form._psi is None
+
+
+def _fails_through_negativity(form):
+    rep = hk.heat_kernel_invariants(form)
+    assert not rep.passed
+    assert rep.witness["negativity"] > 1e-3
+    assert max(rep.witness[key] for key in ("symmetry", "mass", "chapman_kolmogorov")) <= 1e-10
+    return rep
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("level", [3, 4])
+def test_invariants_catch_a_wrong_even_eigenvalue(level, k):
+    # one even eigenvalue of a split form 5% off makes the kernel negative
+    # somewhere (about 0.006 to 0.05); symmetry, mass and the semigroup
+    # property still hold, since they hold for any eigenvalues
+    space = hk.build_cantor_product(1 / 3, 2, level)
+    form = hk.assemble(space, hk.build_cantor_axis_kernel(
+        space, hk.constant_field(space, 0.8, T0=1.0)))
+    form._halves.even_vals[k] *= 1.05
+    _fails_through_negativity(form)
+
+
+def test_invariants_catch_a_wrong_eigenvalue_of_an_unsplit_form():
+    form = _invariant_forms()["unsplit"]
+    form.eigvals[20] *= 1.05
+    _fails_through_negativity(form)
 
 
 def test_dirichlet_domination(cantor6):

@@ -38,6 +38,17 @@ def test_cantor_level2_matches_removal_rule():
     assert np.allclose(sp.weights, 0.25)
 
 
+
+@pytest.mark.parametrize("xi", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 7),
+                                Fraction(999, 1000), Fraction(1, 10**9)])
+def test_cantor_endpoints_are_the_nearest_doubles(xi):
+    # one correctly rounded integer division each: the doubles of the exact
+    # endpoints, in ascending order
+    for level in range(1, 14):
+        expected = [float(e) for e in cantor_endpoints_oracle(xi, level)]
+        assert hk.space.cantor_axis_endpoints(xi, level) == expected
+
+
 def test_cantor_product_mass_and_diameter():
     sp = hk.build_cantor_product(1 / 2, 2, 3)
     assert sp.n_points == 64
