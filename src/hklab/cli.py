@@ -604,6 +604,10 @@ def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) 
 
 def counterexample_report(epsilon: float, level: int, axes: int,
                           out_dir: Path) -> int:
+    # at level 1 (xi = 1/2) the atom nearest corner_e1 lies 1/4 away, outside
+    # the open anchor ball of radius 1/4; 16 is the Cantor builder's top level
+    if not 2 <= level <= 16:
+        raise ParameterError(f"--levels must be in 2..16, got {level}")
     config = cx.synthesize_config(epsilon, xi=None, level=level)
     exponents = cx.exponent_report(config)
 

@@ -9,20 +9,20 @@ sum_{x,y} (f(x)-f(y))^2 j(x,y) mu(x) mu(y).  Dirichlet parts are principal
 submatrices of L: the diagonal keeps the jumps that leave the domain, which
 act as killing.
 
-A full form keeps the generator diagonal and the spectral data, but no
-dense L and no kernel matrix: J is read as a measure on blocks of atoms,
-each reader taking the block it needs of 0.5 (J + J.T) from
+A full form keeps the generator diagonal and its eigenbasis, but no dense L
+and no kernel matrix: J is read as a measure on blocks of atoms, each
+reader taking the block it needs of 0.5 (J + J.T) from
 ``_symmetric_block``, one row chunk or one D x D part at a time; off the
-diagonal L is -2 J W.  When the generator commutes with the central
-reflection of the space, the whole-space eigensolve runs on its even and
-odd halves instead, and the form keeps the two half eigenbases, not the
-N x N ``psi``: its semigroup, resolvent and kernel entries are computed on
-the N/2 blocks.  Dirichlet parts are always solved whole.
+diagonal L is -2 J W.  A form's spectrum is one basis object behind one
+protocol (:class:`_Basis`): a :class:`_DenseBasis` from one ``eigh``, or,
+when the generator commutes with the central reflection of the space, a
+:class:`_HalfSpectrum` of the even and odd half eigenbases, on which the
+semigroup, resolvent and kernel entries are computed without an N x N
+``psi``.  Dirichlet parts are always solved whole.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
-checkers ask a :class:`SpectralForm` for entries, for its eigenbasis
-factors (:class:`KernelFactors`, which stream the kernel in row panels)
-and this module for parts.
+checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
+streams the kernel in row panels, and this module for parts.
 """
 
 from __future__ import annotations
@@ -45,35 +45,31 @@ class SpectralForm:
     """Assembled generator restricted to a domain, with spectral data.
 
     ``domain`` indexes the ambient space; ``diag`` is the generator's
-    diagonal on it; ``eigvals`` are ascending and the eigenfunction columns
-    of ``psi`` are mu-orthonormal on the domain.  ``jmat_nonzeros`` counts
-    the off-diagonal nonzeros of the symmetric kernel, found while assembling.
-    ``_lambda1`` maps the bytes of each domain a part was solved on to the
-    part's lambda_1; a part starts with an empty one and never fills it.
+    diagonal on it; ``basis`` is its eigenbasis, whose ``eigvals`` are
+    ascending and whose eigenfunction columns ``psi`` are mu-orthonormal on
+    the domain.  ``jmat_nonzeros`` counts the off-diagonal nonzeros of the
+    symmetric kernel, found while assembling.  ``_lambda1`` maps the bytes
+    of each domain a part was solved on to the part's lambda_1; a part
+    starts with an empty one and never fills it.
 
-    A full form that commutes with the central reflection keeps its
-    eigenbasis as the two half-size blocks of ``_halves`` and no ``psi``:
-    its semigroup, resolvent, kernel entries and kernel factors are computed
-    from the blocks, and ``psi`` is laid out from them on the first read,
-    which only tests and ``heat_kernel`` do.
-    Every other form keeps its dense ``psi``.
+    Every spectral operation goes through ``basis``: a :class:`_HalfSpectrum`
+    for a full form that commutes with the central reflection, which lays
+    out ``psi`` only when tests or ``heat_kernel`` read it, else a
+    :class:`_DenseBasis`.
 
     ``kernel_symmetric`` says that J equals J.T bit for bit, so that its
     blocks need no mirror.  A Dirichlet part shares the kernel of its full
-    form and keeps its small dense generator; the full form builds its own on
-    the first read of ``L``, which only tests do.
+    form and keeps its small dense generator ``L``; a full form keeps none.
     """
 
     space: FiniteMMSpace
     kernel: JumpKernel
     domain: np.ndarray
     diag: np.ndarray
-    eigvals: np.ndarray
+    basis: _Basis
     jmat_nonzeros: int
     kernel_symmetric: bool
-    _psi: np.ndarray | None = field(default=None, repr=False)
-    _halves: _HalfSpectrum | None = field(default=None, repr=False)
-    _L: np.ndarray | None = field(default=None, repr=False)
+    L: np.ndarray | None = field(default=None, repr=False)
     _lambda1: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
 
     def jblock(self, rows, cols=None) -> np.ndarray:
@@ -81,20 +77,14 @@ class SpectralForm:
         return _symmetric_block(self.kernel, self.kernel_symmetric, rows, cols)
 
     @property
-    def psi(self) -> np.ndarray:
-        """The mu-orthonormal eigenfunctions, one column per eigenvalue."""
-        if self._psi is None:
-            self._psi = self._halves.rows(np.arange(self.domain.size), self.weights)
-        return self._psi
+    def eigvals(self) -> np.ndarray:
+        """The eigenvalues, ascending."""
+        return self.basis.eigvals
 
     @property
-    def L(self) -> np.ndarray:
-        """The generator on the domain, as a dense matrix."""
-        if self._L is None:
-            atoms = np.arange(self.space.n_points)
-            self._L = _kernel_generator(self.jblock(atoms, atoms), self.space.weights[None, :])
-            np.fill_diagonal(self._L, self.diag)
-        return self._L
+    def psi(self) -> np.ndarray:
+        """The mu-orthonormal eigenfunctions, one column per eigenvalue."""
+        return self.basis.psi
 
     @property
     def weights(self) -> np.ndarray:
@@ -132,11 +122,7 @@ class SpectralForm:
         f = np.asarray(f, dtype=float)
         per_atom = (slice(None),) + (None,) * (f.ndim - 1)   # a vector along f's first axis
         filters = [lambda vals, coef, g=g: scale(coef, g(vals)[per_atom]) for g in gains]
-        if self._halves is None:
-            coef = self.psi.T @ (f * self.weights[per_atom])
-            return [self.psi @ h(self.eigvals, coef) for h in filters]
-        sqrt_w = np.sqrt(self.weights)[per_atom]
-        return [u / sqrt_w for u in self._halves.calculus(f * sqrt_w, filters)]
+        return self.basis.calculus(f, per_atom, filters)
 
     def apply_semigroup(self, t, f) -> np.ndarray:
         """P_t f on the domain by spectral calculus.
@@ -160,44 +146,12 @@ class SpectralForm:
         decay = np.exp(-t * self.eigvals)
         return (self.psi * decay) @ self.psi.T
 
-    def kernel_factors(self) -> KernelFactors:
-        """The heat kernel as products of the form's own eigenbasis factors:
-        ``psi`` with the weights, or the two half eigenbases of a split form."""
-        if self._halves is None:
-            atoms = np.arange(self.domain.size)
-            return KernelFactors([(self.eigvals, self.psi)], self.weights,
-                                 [(atoms, atoms, ())], None)
-        h = self._halves
-        return KernelFactors([(h.even_vals, h.even_vecs), (h.odd_vals, h.odd_vecs)], None,
-                             [(h.A, h.A, (1,)), (h.A, h.B, (-1,)),
-                              (h.B, h.A, (-1,)), (h.B, h.B, (1,))],
-                             np.sqrt(2.0 * self.weights))
-
     def heat_kernel_entries(self, t: float, xs, ys) -> np.ndarray:
-        """p(t, xs[k], ys[k]) for each k from rows of psi, in O(len(xs) N), no N x N kernel.
-
-        The rows are gathered one chunk of ``xs`` at a time, once when ``ys``
-        equals ``xs``; a split form takes that diagonal from its two blocks.
-        """
+        """p(t, xs[k], ys[k]) for each k, in O(len(xs) N), no N x N kernel."""
         if t < 0:
             raise ParameterError("time must be nonnegative")
         xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
-        same = np.array_equal(xs, ys)
-        if same and self._halves is not None:
-            return self._halves.diagonal(t, xs, self.weights)
-        decay = np.exp(-t * self.eigvals)
-        out = np.empty(xs.size)
-        for part in self.space._row_chunks(np.arange(xs.size)):
-            rows = self._psi_rows(xs[part])
-            other = rows if same else self._psi_rows(ys[part])
-            out[part] = np.einsum("ij,ij->i", rows * decay, other)
-        return out
-
-    def _psi_rows(self, atoms: np.ndarray) -> np.ndarray:
-        """A new array holding the rows ``atoms`` of ``psi``."""
-        if self._halves is None:
-            return self.psi[atoms]
-        return self._halves.rows(atoms, self.weights)
+        return self.basis.entries(t, xs, ys, self.space._row_chunks(np.arange(xs.size)))
 
     def resolvent(self, lam: float, f) -> np.ndarray:
         """Solve (L + lam) u = f on the domain."""
@@ -258,20 +212,11 @@ def _symmetric_generator(space: FiniteMMSpace, jrows) -> tuple[np.ndarray, np.nd
     return sym, diag
 
 
-def _spectrum(sym: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the symmetrized generator ``sym`` and the
-    mu-orthonormal eigenfunctions, by one ``eigh``."""
-    eigvals, psi = np.linalg.eigh(sym)
-    psi /= np.sqrt(weights)[:, None]
-    return eigvals, psi
-
-
 def _part_form(form: SpectralForm, D: np.ndarray, LD: np.ndarray) -> SpectralForm:
     """The part on ``D`` with the small dense generator ``LD``, which it keeps."""
     w = form.space.weights[D]
-    eigvals, psi = _spectrum(_symmetrized(LD, np.sqrt(w)), w)
-    return replace(form, domain=D, diag=LD.diagonal(), eigvals=eigvals, _psi=psi,
-                   _halves=None, _L=LD)
+    basis = _DenseBasis.solve(_symmetrized(LD, np.sqrt(w)), w)
+    return replace(form, domain=D, diag=LD.diagonal(), basis=basis, L=LD)
 
 
 # Relative tolerance of the two symmetry tests: J against J.T, and the
@@ -430,74 +375,6 @@ def _reflection_blocks(space: FiniteMMSpace, sym: np.ndarray
     return A, B, [even, odd]
 
 
-class _HalfSpectrum:
-    """The eigenbasis of a matrix that ``_reflection_blocks`` split, kept as
-    one ``eigh`` per block: ``even_vals``, ``even_vecs``, ``odd_vals``, ``odd_vecs``.
-
-    With ``A[k]`` and ``B[k]`` the k-th mirror pair, an even eigenvector v
-    of the whole matrix is (v on A, v on B) / sqrt(2) and an odd one
-    (v on A, -v on B) / sqrt(2).  ``eigvals`` merges the blocks' eigenvalues
-    ascending by a stable sort, so an even eigenvalue comes before an equal
-    odd one; ``even_cols`` and ``odd_cols`` are where each block's
-    eigenvectors land in that order.  Each block is taken out of ``blocks``
-    and freed once it is solved.
-    """
-
-    def __init__(self, A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray]):
-        self.A, self.B = A, B
-        self.even_vals, self.even_vecs = np.linalg.eigh(blocks.pop(0))
-        self.odd_vals, self.odd_vecs = np.linalg.eigh(blocks.pop(0))
-        eigvals = np.concatenate([self.even_vals, self.odd_vals])
-        order = np.argsort(eigvals, kind="stable")
-        self.eigvals = eigvals[order]
-        n = eigvals.size
-        column = np.empty(n, dtype=int)
-        column[order] = np.arange(n)
-        self.even_cols, self.odd_cols = column[:A.size], column[A.size:]
-        self.pair = np.empty(n, dtype=int)                 # atom -> its pair's row in the blocks
-        self.pair[A] = self.pair[B] = np.arange(A.size)
-        self.sign = np.ones(n)                              # an odd eigenvector's: -1 on B
-        self.sign[B] = -1.0
-
-    def rows(self, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Rows ``atoms`` of the mu-orthonormal eigenfunctions on weights ``weights``:
-        the unit eigenvectors laid out in ``eigvals`` order, divided by sqrt(2 w)."""
-        pair = self.pair[atoms]
-        out = np.empty((atoms.size, self.pair.size))
-        out[:, self.even_cols] = self.even_vecs[pair]
-        out[:, self.odd_cols] = self.odd_vecs[pair] * self.sign[atoms, None]
-        out /= np.sqrt(2.0 * weights[atoms])[:, None]
-        return out
-
-    def diagonal(self, t: float, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """p(t, x, x) for x in ``atoms``: |v|^2 against the decay over the pair
-        rows of both blocks, divided by 2 w, with no row of psi laid out."""
-        pairs, where = _unique_inverse(self.pair[atoms])
-        total = np.zeros(pairs.size)
-        for vals, vecs in ((self.even_vals, self.even_vecs), (self.odd_vals, self.odd_vecs)):
-            rows = vecs[pairs]
-            total += np.einsum("ij,ij->i", rows * np.exp(-t * vals), rows)
-        return total[where] / (2.0 * weights[atoms])
-
-    def calculus(self, g: np.ndarray, filters) -> list[np.ndarray]:
-        """Q h(eigvals) Q.T g for each ``h`` in ``filters``, Q the unit eigenvectors:
-        ``g`` folds into its even part g_A + g_B and its odd part g_A - g_B, each
-        block acts on its own, and the two unfold onto A and B."""
-        a, b = g[self.A], g[self.B]
-        even = self.even_vecs.T @ (a + b)
-        odd = self.odd_vecs.T @ (a - b)
-        results = []
-        for h in filters:
-            u = self.even_vecs @ h(self.even_vals, even)
-            v = self.odd_vecs @ h(self.odd_vals, odd)
-            unfolded = np.empty_like(g)
-            unfolded[self.A] = u + v
-            unfolded[self.B] = u - v
-            unfolded *= 0.5
-            results.append(unfolded)
-        return results
-
-
 def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(keys, return_inverse=True)`` for 1-D integer ``keys``, by a
     stable argsort: numpy's own loads ``numpy.ma`` on its first call."""
@@ -526,27 +403,40 @@ def _flush_subnormal(a: np.ndarray) -> np.ndarray:
 _PANEL_ROWS = (64, 256)
 
 
-@dataclass(frozen=True)
-class KernelFactors:
-    """A form's heat kernel as products of its eigenbasis factors, for a
-    reader that streams it one row panel of the bases at a time and never
-    holds an N x N array.
+class _Basis:
+    """The eigenbasis of a form, the one object its spectral operations read.
 
-    Each basis ``(vals, vecs)`` gives K_b(t) = vecs exp(-t vals) vecs.T, its
-    columns orthonormal against the weights ``metric`` (the unit weights
-    when it is None).  On each quadrant ``(X, Y, signs)`` of atoms,
-    p(t)[X, Y] is K_0(t) plus or minus, as ``signs`` says, each further
-    K_b(t), divided by scale[X] and scale[Y] unless ``scale`` is None.  An
-    unsplit form or a part is one quadrant of one basis, ``psi`` with the
-    weights w; a split form is its even and odd unit eigenbases on the four
-    quadrants of the mirror pairs (A, B), with scale sqrt(2 w), so its rows
-    are never laid out N wide.
+    A basis has ascending ``eigvals`` and its atoms' ``weights``; it answers
+    ``psi_rows(atoms)``, a new array of those rows of the mu-orthonormal
+    eigenfunctions ``psi``, which is laid out whole on its first read unless
+    the basis keeps it, and ``calculus(f, per_atom, filters)``: psi
+    h(eigvals, psi.T W f) for each filter h, ``per_atom`` indexing a vector
+    along f's first axis.  For a reader that streams the heat kernel one row
+    panel at a time, each ``(vals, vecs)`` of ``bases`` gives
+    K_b(t) = vecs exp(-t vals) vecs.T, its columns orthonormal against the
+    weights ``metric`` (the unit weights when it is None); on each quadrant
+    ``(X, Y, signs)`` of atoms, p(t)[X, Y] is K_0(t) plus or minus, as
+    ``signs`` says, each further K_b(t), divided by scale[X] and scale[Y]
+    unless ``scale`` is None.
     """
 
-    bases: list[tuple[np.ndarray, np.ndarray]]
-    metric: np.ndarray | None
-    quadrants: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]]
-    scale: np.ndarray | None
+    @property
+    def psi(self) -> np.ndarray:
+        if self._psi is None:
+            self._psi = self.psi_rows(np.arange(self.weights.size))
+        return self._psi
+
+    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray, chunks) -> np.ndarray:
+        """p(t, xs[k], ys[k]) for each k from rows of psi, gathered for each chunk
+        of positions in ``xs`` from ``chunks``, once when ``ys`` equals ``xs``."""
+        same = np.array_equal(xs, ys)
+        decay = np.exp(-t * self.eigvals)
+        out = np.empty(xs.size)
+        for part in chunks:
+            rows = self.psi_rows(xs[part])
+            other = rows if same else self.psi_rows(ys[part])
+            out[part] = np.einsum("ij,ij->i", rows * decay, other)
+        return out
 
     def panels(self):
         """Consecutive row panels of the bases."""
@@ -601,6 +491,111 @@ class KernelFactors:
             yield X, Y, p
 
 
+class _DenseBasis(_Basis):
+    """``psi`` kept whole, mu-orthonormal against ``weights``: one basis on one
+    quadrant of all the atoms, with the weights as its metric."""
+
+    def __init__(self, eigvals: np.ndarray, psi: np.ndarray, weights: np.ndarray):
+        self.eigvals, self._psi, self.weights = eigvals, psi, weights
+        atoms = np.arange(weights.size)
+        self.bases, self.metric = [(eigvals, psi)], weights
+        self.quadrants, self.scale = [(atoms, atoms, ())], None
+
+    @classmethod
+    def solve(cls, sym: np.ndarray, weights: np.ndarray) -> _DenseBasis:
+        """The ascending eigenvalues of the symmetrized generator ``sym`` and
+        the mu-orthonormal eigenfunctions, by one ``eigh``."""
+        eigvals, psi = np.linalg.eigh(sym)
+        psi /= np.sqrt(weights)[:, None]
+        return cls(eigvals, psi, weights)
+
+    def psi_rows(self, atoms: np.ndarray) -> np.ndarray:
+        return self._psi[atoms]
+
+    def calculus(self, f: np.ndarray, per_atom, filters) -> list[np.ndarray]:
+        coef = self._psi.T @ (f * self.weights[per_atom])
+        return [self._psi @ h(self.eigvals, coef) for h in filters]
+
+
+class _HalfSpectrum(_Basis):
+    """The eigenbasis of a matrix that ``_reflection_blocks`` split, kept as
+    one ``eigh`` per block: ``even_vals``, ``even_vecs``, ``odd_vals``, ``odd_vecs``.
+
+    With ``A[k]`` and ``B[k]`` the k-th mirror pair, an even eigenvector v
+    of the whole matrix is (v on A, v on B) / sqrt(2) and an odd one
+    (v on A, -v on B) / sqrt(2); the eigenfunctions divide them by sqrt(w).
+    ``eigvals`` merges the blocks' eigenvalues ascending by a stable sort,
+    so an even eigenvalue comes before an equal odd one; ``even_cols`` and
+    ``odd_cols`` are where each block's eigenvectors land in that order.
+    Each block is taken out of ``blocks`` and freed once it is solved.  Its
+    kernel factors are the two unit eigenbases on the four A/B quadrants.
+    """
+
+    def __init__(self, A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray],
+                 weights: np.ndarray):
+        self.A, self.B = A, B
+        self.even_vals, self.even_vecs = np.linalg.eigh(blocks.pop(0))
+        self.odd_vals, self.odd_vecs = np.linalg.eigh(blocks.pop(0))
+        eigvals = np.concatenate([self.even_vals, self.odd_vals])
+        order = np.argsort(eigvals, kind="stable")
+        self.eigvals = eigvals[order]
+        n = eigvals.size
+        column = np.empty(n, dtype=int)
+        column[order] = np.arange(n)
+        self.even_cols, self.odd_cols = column[:A.size], column[A.size:]
+        self.pair = np.empty(n, dtype=int)                 # atom -> its pair's row in the blocks
+        self.pair[A] = self.pair[B] = np.arange(A.size)
+        self.sign = np.ones(n)                              # an odd eigenvector's: -1 on B
+        self.sign[B] = -1.0
+        self.weights, self._psi, self.metric = weights, None, None
+        self.bases = [(self.even_vals, self.even_vecs), (self.odd_vals, self.odd_vecs)]
+        self.quadrants = [(A, A, (1,)), (A, B, (-1,)), (B, A, (-1,)), (B, B, (1,))]
+        self.scale = np.sqrt(2.0 * weights)
+
+    def psi_rows(self, atoms: np.ndarray) -> np.ndarray:
+        """The unit eigenvectors' rows laid out in ``eigvals`` order, divided by sqrt(2 w)."""
+        pair = self.pair[atoms]
+        out = np.empty((atoms.size, self.pair.size))
+        out[:, self.even_cols] = self.even_vecs[pair]
+        out[:, self.odd_cols] = self.odd_vecs[pair] * self.sign[atoms, None]
+        out /= self.scale[atoms, None]
+        return out
+
+    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray, chunks) -> np.ndarray:
+        """Entries from rows of psi, except the diagonal (``xs`` equal to ``ys``):
+        |v|^2 against the decay over the pair rows of both blocks, divided by
+        2 w, with no row of psi laid out."""
+        if not np.array_equal(xs, ys):
+            return super().entries(t, xs, ys, chunks)
+        pairs, where = _unique_inverse(self.pair[xs])
+        total = np.zeros(pairs.size)
+        for vals, vecs in self.bases:
+            rows = vecs[pairs]
+            total += np.einsum("ij,ij->i", rows * np.exp(-t * vals), rows)
+        return total[where] / (2.0 * self.weights[xs])
+
+    def calculus(self, f: np.ndarray, per_atom, filters) -> list[np.ndarray]:
+        """g = f sqrt(w) folds into its even part g_A + g_B and its odd part
+        g_A - g_B, each block acts on its own, and the two unfold onto A and B
+        and are divided by sqrt(w) again."""
+        sqrt_w = np.sqrt(self.weights)[per_atom]
+        g = f * sqrt_w
+        a, b = g[self.A], g[self.B]
+        even = self.even_vecs.T @ (a + b)
+        odd = self.odd_vecs.T @ (a - b)
+        results = []
+        for h in filters:
+            u = self.even_vecs @ h(self.even_vals, even)
+            v = self.odd_vecs @ h(self.odd_vals, odd)
+            unfolded = np.empty_like(g)
+            unfolded[self.A] = u + v
+            unfolded[self.B] = u - v
+            unfolded *= 0.5
+            unfolded /= sqrt_w
+            results.append(unfolded)
+        return results
+
+
 def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     """Assemble the generator of the pure-jump form for the whole space.
 
@@ -617,15 +612,13 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     jrows.check()
     split = _reflection_blocks(space, sym)
     if split is None:
-        eigvals, psi = _spectrum(sym, space.weights)
-        halves = None
+        basis = _DenseBasis.solve(sym, space.weights)
     else:
         del sym                         # only the half-size blocks reach the eigensolve
-        halves = _HalfSpectrum(*split)
-        eigvals, psi = halves.eigvals, None
+        basis = _HalfSpectrum(*split, space.weights)
     return SpectralForm(space=space, kernel=kernel, domain=np.arange(space.n_points),
-                        diag=diag, eigvals=eigvals, jmat_nonzeros=jrows.nonzeros,
-                        kernel_symmetric=jrows.symmetric, _psi=psi, _halves=halves)
+                        diag=diag, basis=basis, jmat_nonzeros=jrows.nonzeros,
+                        kernel_symmetric=jrows.symmetric)
 
 
 def part_on(form: SpectralForm, D) -> SpectralForm:

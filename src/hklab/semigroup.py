@@ -53,13 +53,13 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
     |p(t,x,y) - p(t,y,x)|, the mass defect |sum_y p(t,x,y) mu(y) - 1| (its
     excess over 1 on a Dirichlet part), |p(t) - p(t/2) W p(t/2)|, -p(t,x,y),
     and |p(0) - W^-1|.  The kernel is streamed one row panel at a time from
-    the form's eigenbasis factors (:meth:`SpectralForm.kernel_factors`), per
-    A/B quadrant on a split form: p[:, panel] comes from a second product,
-    and p(t/2) W p(t/2) is formed through the basis, as
+    the factors of the form's eigenbasis (``form.basis``), per A/B quadrant
+    on a split form: p[:, panel] comes from a second product, and
+    p(t/2) W p(t/2) is formed through the basis, as
     ((p(t/2)[panel] W) psi) exp(-t/2 lambda) psi.T, so no N x N array is held.
     """
     w = form.weights
-    factors = form.kernel_factors()
+    basis = form.basis
     times = [float(t) for t in times]
     residuals = dict.fromkeys(("symmetry", "mass", "chapman_kolmogorov", "negativity",
                                "t0_identity"), 0.0)
@@ -68,15 +68,15 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
         residuals[key] = max(residuals[key], float(value))
 
     mass = np.zeros((len(times), w.size))
-    for panel in factors.panels():
-        for X, Y, p0 in factors.kernel(panel, factors.rows(panel, 0.0)):
+    for panel in basis.panels():
+        for X, Y, p0 in basis.kernel(panel, basis.rows(panel, 0.0)):
             if X is Y:
                 p0[np.arange(panel.size), panel] -= 1.0 / w[X[panel]]
             worst("t0_identity", np.abs(p0).max())
         for k, t in enumerate(times):
-            quadrants = zip(*(factors.kernel(panel, blocks) for blocks in (
-                factors.rows(panel, t), factors.rows(panel, t, mirrored=True),
-                factors.composed(panel, t / 2.0))))
+            quadrants = zip(*(basis.kernel(panel, blocks) for blocks in (
+                basis.rows(panel, t), basis.rows(panel, t, mirrored=True),
+                basis.composed(panel, t / 2.0))))
             for (X, Y, p), (_, _, mirror), (_, _, comp) in quadrants:
                 mass[k, X[panel]] += p @ w[Y]
                 worst("symmetry", np.abs(p - mirror).max())

@@ -57,6 +57,16 @@ def random_setup(seed: int, max_points: int = 400):
     return space, scale, kern
 
 
+def full_generator(form):
+    """Test oracle: a full form's generator as a dense matrix, -2 J W off the
+    diagonal from the form's kernel blocks and the form's diagonal on it."""
+    atoms = np.arange(form.space.n_points)
+    L = form.jblock(atoms, atoms) * -2.0
+    L *= form.space.weights[None, :]
+    np.fill_diagonal(L, form.diag)
+    return L
+
+
 @pytest.fixture(params=[None, 1000], ids=["one_chunk", "small_chunks"])
 def chunk_budget(request, monkeypatch):
     """Run a test at the default row-chunk budget and at one that splits

@@ -223,10 +223,11 @@ def test_counterexample_report_bundle(tmp_path):
        "k > 53, which is 1 in double precision") for eps in ("0.03", "1e-4", "1e-6")],
     (["--epsilon", "1e308", "--levels", "3"], 2, "needs more than 2^52 product axes"),
     (["--epsilon", "0.05", "--levels", "3", "--axes", "1"], 2,
-     "puts distinct atoms at one double-precision coordinate")],
+     "puts distinct atoms at one double-precision coordinate"),
+    (["--epsilon", "4", "--levels", "1"], 2, "--levels must be in 2..16, got 1")],
     ids=["nan_epsilon", "infinite_epsilon", "above_dense_cap", "rung_past_double_3e-2",
          "rung_past_double_1e-4", "rung_past_double_1e-6", "axes_overflow",
-         "coincident_cantor_atoms"])
+         "coincident_cantor_atoms", "level_1_empty_anchor_ball"])
 def test_counterexample_report_refuses_at_the_boundary(tmp_path, args, code, message):
     # in a child with a timeout, so that a refusal that never comes fails the test
     out = tmp_path / "cx"
@@ -236,6 +237,14 @@ def test_counterexample_report_refuses_at_the_boundary(tmp_path, args, code, mes
     assert res.returncode == code
     assert message in res.stderr and "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_counterexample_report_at_the_lowest_level(tmp_path):
+    # level 2 is the first at which the anchor ball around corner_e1 holds an atom
+    out = tmp_path / "cx"
+    assert cli.main(["counterexample", "report", "--epsilon", "4", "--levels", "2",
+                     "--out", str(out)]) == 0
+    assert (out / "counterexample_report.json").exists()
 
 
 def test_counterexample_report_finds_a_large_axis_count_at_once(tmp_path):

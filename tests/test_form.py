@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hklab as hk
-from conftest import random_setup
+from conftest import full_generator, random_setup
 from hklab.errors import ParameterError, PointCapExceeded
-from hklab.form import (_part_generator, _quantile, _reflection_blocks, _unique_inverse,
+from hklab.form import (_DenseBasis, _HalfSpectrum, _part_generator, _quantile,
+                        _reflection_blocks, _unique_inverse,
                         far_tail_profile, killed_part,
                         removed_top_eigenvalue)
 
@@ -33,7 +34,7 @@ def energy_oracle(space, kern, f):
 
 def test_assemble_two_point(two_point):
     space, kern, form = two_point
-    assert np.allclose(form.L, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(full_generator(form), [[1.0, -1.0], [-1.0, 1.0]])
     f = np.array([1.0, 0.0])
     assert form.energy(f) == pytest.approx(0.5, abs=1e-14)
     assert form.energy(f) == pytest.approx(energy_oracle(space, kern, f), abs=1e-14)
@@ -43,13 +44,13 @@ def test_assemble_constant_function_energy_zero(two_point):
     _, _, form = two_point
     c = np.full(2, 3.7)
     assert form.energy(c) == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(form.L @ c, 0.0, atol=1e-12)
+    assert np.allclose(full_generator(form) @ c, 0.0, atol=1e-12)
 
 
 def test_assemble_zero_kernel():
     sp = hk.build_grid(1, 4)
     form = hk.assemble(sp, hk.build_zero_kernel(sp))
-    assert np.abs(form.L).max() == 0.0
+    assert np.abs(full_generator(form)).max() == 0.0
 
 
 def test_assemble_rejects_asymmetric_kernel():
@@ -450,7 +451,7 @@ def test_assemble_matches_reference_formulas(chunk_budget):
     atoms = np.arange(40)
     assert np.array_equal(form.jblock(atoms, atoms), jmat) and jmat[3, 7] == jmat[7, 3]
     assert np.array_equal(form.jblock([3, 7], atoms), jmat[[3, 7]])
-    assert np.array_equal(form.L, L)
+    assert np.array_equal(full_generator(form), L)
     sqrt_w = np.sqrt(sp.weights)
     sym = (L * sqrt_w[:, None]) / sqrt_w[None, :]
     eigvals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
@@ -538,7 +539,7 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
         else:
             assert _same_bits(f.eigvals, eigvals) and _same_bits(f.psi, psi)
         assert _same_bits(f.diag, np.diag(ref))
-        assert _same_bits(f.L, ref)
+        assert _same_bits(full_generator(f), ref)
     D = np.random.default_rng(1).permutation(space.n_points)[: space.n_points // 2]
     assert _same_bits(_part_generator(form, D)[1], L[np.ix_(D, D)])
     part = hk.part_on(form, D)
@@ -683,7 +684,7 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     # operation agrees with the one dense eigh within 1e-12 relative
     space, kern = _split_case(case)
     form = hk.assemble(space, kern)
-    assert form._halves is not None and form._psi is None
+    assert isinstance(form.basis, _HalfSpectrum) and form.basis._psi is None
     n, w = space.n_points, space.weights
     eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), w)
 
@@ -709,7 +710,7 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     assert form.apply_semigroup([], F).shape == (0, n, 3)
     assert form.apply_semigroup([], f).shape == (0, n)
     close(form.resolvent(2.0, f), psi @ (coef / (eigvals + 2.0)))
-    assert form._psi is None                           # no operation laid out psi
+    assert form.basis._psi is None                     # no operation laid out psi
     for t in times:                                    # heat_kernel goes through psi
         close(form.heat_kernel(t), (psi * np.exp(-t * eigvals)) @ psi.T)
     merged_vals, merged_psi = _merged_layout(space, sym)
@@ -729,8 +730,8 @@ def test_diagonal_entries_gather_their_rows_once(monkeypatch):
     xs = np.arange(space.n_points)
     want = np.einsum("ij,ij->i", form.psi[xs] * np.exp(-0.2 * form.eigvals), form.psi[xs])
     gathered = []
-    rows = hk.SpectralForm._psi_rows
-    monkeypatch.setattr(hk.SpectralForm, "_psi_rows",
+    rows = _DenseBasis.psi_rows
+    monkeypatch.setattr(_DenseBasis, "psi_rows",
                         lambda self, atoms: gathered.append(atoms.size) or rows(self, atoms))
     assert _same_bits(form.heat_kernel_entries(0.2, xs, xs), want)
     assert sum(gathered) == xs.size
@@ -784,14 +785,12 @@ def test_assemble_keeps_no_dense_generator():
     try:
         form = hk.assemble(space, kern)
         held, peak = tracemalloc.get_traced_memory()
-        assert form.L is form.L                        # built once, on the first read
-        held_with_L = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * square                        # 3.04 when L was kept
     assert held <= 0.6 * square                        # the two half eigenbases; 2.00 with psi and L
-    assert held_with_L >= held + square
-    assert form._psi is None
+    assert form.L is None
+    assert form.basis._psi is None
 
 
 def test_checks_on_a_split_form_allocate_no_square_array():
@@ -816,7 +815,7 @@ def test_checks_on_a_split_form_allocate_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak - start < square
-    assert form._psi is None
+    assert form.basis._psi is None
     assert reports[0].passed and reports[1].series and reports[2].series
 
 
@@ -906,10 +905,10 @@ def test_jmat_nonzeros_counts_the_symmetric_kernel(seed, chunk_budget):
 def test_full_form_energy_is_chunked_L(chunk_budget):
     space, _, kern = random_setup(3)
     form = hk.assemble(space, kern)
-    w = space.weights
+    w, L = space.weights, full_generator(form)
     fs = np.random.default_rng(6).normal(size=(4, space.n_points))
     for f in fs:
-        assert form.energy(f) == pytest.approx(float((form.L @ f) @ (f * w)), rel=1e-13)
+        assert form.energy(f) == pytest.approx(float((L @ f) @ (f * w)), rel=1e-13)
     # several functions in one pass: the floats of one call per function
     assert _same_bits(form.energy(fs), [form.energy(f) for f in fs])
     part = hk.part_on(form, np.arange(0, space.n_points, 2))

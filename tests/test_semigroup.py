@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hklab as hk
-from conftest import random_setup
+from conftest import full_generator, random_setup
 from hklab.errors import ParameterError
-from hklab.form import _interchange_integral, default_time_grid, far_tail_profile
+from hklab.form import (_DenseBasis, _HalfSpectrum, _interchange_integral, default_time_grid,
+                        far_tail_profile)
 from hklab.scale import phi_inverse_vec
 from hklab.semigroup import _SE_FROM_LRE_T_FRACS, _SE_TIMES_PER_A0
 
@@ -136,9 +137,9 @@ def test_streamed_invariants_match_the_dense_kernel_oracle(monkeypatch, panel_ro
     if panel_rows:
         monkeypatch.setattr(hk.form, "_PANEL_ROWS", panel_rows)
     form = _invariant_forms()[case]
-    assert (form._halves is not None) == (case == "split")
+    assert isinstance(form.basis, _HalfSpectrum) == (case == "split")
     rep = hk.heat_kernel_invariants(form)
-    assert form._psi is None or case != "split"        # the split check laid out no psi
+    assert form.basis._psi is None or case != "split"  # the split check laid out no psi
     want = _invariants_oracle(form)
     assert list(rep.witness) == ["symmetry", "mass", "chapman_kolmogorov", "negativity",
                                  "t0_identity"]
@@ -146,6 +147,55 @@ def test_streamed_invariants_match_the_dense_kernel_oracle(monkeypatch, panel_ro
         assert abs(rep.witness[key] - value) <= 1e-12, key
     assert rep.best_constant == rep.witness["chapman_kolmogorov"]
     assert rep.passed
+
+
+def _laid_out(form):
+    """``form`` with its split spectrum laid out as one dense basis: the same
+    eigenvalues and ``psi`` rows, none of the half-block arithmetic."""
+    psi = form.basis.psi_rows(np.arange(form.domain.size))
+    return dataclasses.replace(form, basis=_DenseBasis(form.eigvals, psi, form.weights))
+
+
+@pytest.mark.parametrize("case", ["cantor_product", "even_grid"])
+def test_split_and_dense_layouts_of_one_spectrum_agree(case):
+    # a split form against its own spectrum wrapped as a dense basis: every
+    # operation of the basis protocol agrees to 1e-12 relative, kernel values
+    # relative to the kernel's largest entry
+    if case == "cantor_product":
+        space = hk.build_cantor_product(1 / 3, 2, 4)
+        kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    else:
+        space = hk.build_grid(1, 32)
+        kern = hk.build_stable_like_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    form = hk.assemble(space, kern)
+    assert isinstance(form.basis, _HalfSpectrum)
+    dense = _laid_out(form)
+    n = space.n_points
+
+    def close(got, want, scale=None):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * (scale or np.abs(want).max())
+
+    rng = np.random.default_rng(9)
+    f, F = rng.normal(size=n), rng.normal(size=(n, 3))
+    times = [1e-3 / np.abs(form.eigvals).max(), 0.1, 1.0]
+    for g in (f, F):
+        close(form.apply_semigroup(times, g), dense.apply_semigroup(times, g))
+        close(form.resolvent(2.0, g), dense.resolvent(2.0, g))
+    atoms = np.arange(n)
+    xs, ys = rng.integers(0, n, size=50), rng.integers(0, n, size=50)
+    for t in times:
+        diag = dense.heat_kernel_entries(t, atoms, atoms)
+        close(form.heat_kernel_entries(t, atoms, atoms), diag)
+        close(form.heat_kernel_entries(t, xs, ys), dense.heat_kernel_entries(t, xs, ys),
+              diag.max())
+    split_rep, dense_rep = hk.heat_kernel_invariants(form), hk.heat_kernel_invariants(dense)
+    top = float((1.0 / space.weights).max())           # p(0) = W^-1
+    assert list(split_rep.witness) == list(dense_rep.witness)
+    for key, value in dense_rep.witness.items():
+        assert abs(split_rep.witness[key] - value) <= 1e-12 * top, key
+    assert split_rep.passed and dense_rep.passed
+    assert form.basis._psi is None
 
 
 def test_invariants_allocate_less_than_one_square_array():
@@ -157,9 +207,7 @@ def test_invariants_allocate_less_than_one_square_array():
     form = hk.assemble(space, hk.build_cantor_axis_kernel(
         space, hk.constant_field(space, 0.8, T0=1.0)))
     n = space.n_points
-    psi = form._halves.rows(np.arange(n), form.weights)
-    unsplit = dataclasses.replace(form, _psi=psi, _halves=None)
-    for f in (form, unsplit):
+    for f in (form, _laid_out(form)):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -169,7 +217,7 @@ def test_invariants_allocate_less_than_one_square_array():
             tracemalloc.stop()
         assert peak - start < n * n * 8
         assert rep.passed, rep.witness
-    assert form._psi is None
+    assert form.basis._psi is None
 
 
 def _fails_through_negativity(form):
@@ -189,7 +237,7 @@ def test_invariants_catch_a_wrong_even_eigenvalue(level, k):
     space = hk.build_cantor_product(1 / 3, 2, level)
     form = hk.assemble(space, hk.build_cantor_axis_kernel(
         space, hk.constant_field(space, 0.8, T0=1.0)))
-    form._halves.even_vals[k] *= 1.05
+    form.basis.even_vals[k] *= 1.05
     _fails_through_negativity(form)
 
 
@@ -291,7 +339,7 @@ def test_apply_semigroup_columns_and_vectors():
     space = hk.build_grid(1, 33)
     form = hk.assemble(space, hk.build_stable_like_kernel(
         space, hk.constant_field(space, 0.8, T0=1.0)))
-    assert form._halves is None
+    assert isinstance(form.basis, _DenseBasis)
     F = np.random.default_rng(7).normal(size=(space.n_points, 3))
     times = [0.01, 0.3, 2.0]
     rows = form.apply_semigroup(times, F)
@@ -373,7 +421,8 @@ def test_truncation_l2_top_eigenvalue_matches_eigh(cantor6):
     for rho in (0.05, 0.25):
         near, far = hk.truncate(kern, rho)
         form_near = hk.assemble(space, near)
-        sym = sqrt_w[:, None] * (form.L - form_near.L) / sqrt_w[None, :]
+        sym = (sqrt_w[:, None] * (full_generator(form) - full_generator(form_near))
+               / sqrt_w[None, :])
         top = np.linalg.eigh(0.5 * (sym + sym.T))[0][-1]
         rep = hk.truncation_l2_check(form, form_near, far)
         assert top > 0 and abs(rep.best_constant - top) <= 1e-13 * top
@@ -617,7 +666,8 @@ def _se_from_lre_series_per_time(form, space, scale, kappa, ball_sample):
 
 
 def _truncation_series_per_time(form_full, form_near, f, time_grid, form_near_wider=None):
-    tail = float((0.5 * np.diag(form_full.L - form_near.L)).max())
+    L_full, L_near = full_generator(form_full), full_generator(form_near)
+    tail = float((0.5 * np.diag(L_full - L_near)).max())
     fmax = float(f.max(initial=0.0))
     series = []
     for t in time_grid:
@@ -627,8 +677,8 @@ def _truncation_series_per_time(form_full, form_near, f, time_grid, form_near_wi
         bound = 2.0 * t * fmax * tail
         series.append({"t": t, "diff": diff, "bound": bound, "margin": bound - diff})
     if form_near_wider is not None:
-        tail_gap = float((0.5 * np.diag(form_full.L - form_near.L)
-                          - 0.5 * np.diag(form_full.L - form_near_wider.L)).max())
+        tail_gap = float((0.5 * np.diag(L_full - L_near)
+                          - 0.5 * np.diag(L_full - full_generator(form_near_wider))).max())
         for t in time_grid:
             t = float(t)
             diff = float(np.abs(form_near_wider.apply_semigroup(t, f)
@@ -672,7 +722,7 @@ def test_truncation_semigroup_matches_per_time_loop(cantor_2x3):
     form_near = hk.assemble(space, hk.truncate(kern, 0.125)[0])
     form_wider = hk.assemble(space, hk.truncate(kern, 0.5)[0])
     assert np.array_equal(far_tail_profile(form, form_near),
-                          0.5 * np.diag(form.L - form_near.L))
+                          0.5 * np.diag(full_generator(form) - full_generator(form_near)))
     f = (space.dist_from(0) < 0.25) + 0.5 * space.weights * space.n_points
     for grid in (default_time_grid(form), [0.5, 0.01], []):
         for wider in (None, form_wider):
