@@ -78,6 +78,14 @@ def _field(cfg: dict, key: str, path: str, convert, default=None):
     return _convert(convert, value, f"{path}.{key}")
 
 
+def _declared(cfg: dict, path: str, *keys: str) -> None:
+    """Refuse a key of the object at ``path`` (empty: the top level) not in ``keys``."""
+    for key in cfg:
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}" if path else str(key),
+                              f"undeclared key; {path or 'the config'} takes {', '.join(keys)}")
+
+
 def _float_array(value):
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
@@ -89,18 +97,22 @@ def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
     kind = _require(cfg, "kind", "space")
     cap = _field(cfg, "point_cap", "space", _whole, space_mod.DEFAULT_POINT_CAP)
     if kind == "cantor":
+        _declared(cfg, "space", "kind", "point_cap", "xi", "n", "level")
         return space_mod.build_cantor_product(
             _field(cfg, "xi", "space", space_mod._as_fraction),
             _field(cfg, "n", "space", _whole), _field(cfg, "level", "space", _whole),
             point_cap=cap)
     if kind == "grid":
+        _declared(cfg, "space", "kind", "point_cap", "d", "side")
         return space_mod.build_grid(_field(cfg, "d", "space", _whole),
                                     _field(cfg, "side", "space", _whole), point_cap=cap)
     if kind == "two_point":
+        _declared(cfg, "space", "kind", "point_cap", "gap", "weights")
         return space_mod.build_two_point(_field(cfg, "gap", "space", _number, 1.0),
                                          _field(cfg, "weights", "space", _float_array,
                                                 (0.5, 0.5)))
     if kind == "custom":
+        _declared(cfg, "space", "kind", "point_cap", "coords", "weights", "metric_matrix")
         metric = cfg.get("metric_matrix")
         space = space_mod.build_custom(
             _field(cfg, "coords", "space", _float_array),
@@ -131,25 +143,29 @@ def _bool(value) -> bool:
 def build_scale(cfg: dict, space: space_mod.FiniteMMSpace) -> scale_mod.ScaleField:
     kind = _require(cfg, "kind", "scale")
     T0 = cfg.get("T0")
-    T0 = math.inf if T0 in (None, "inf") else _field(cfg, "T0", "scale", float)
+    T0 = math.inf if T0 in (None, "inf", math.inf) else _field(cfg, "T0", "scale", _positive)
     if kind == "constant":
-        return scale_mod.constant_field(space, _field(cfg, "beta", "scale", float), T0=T0)
+        _declared(cfg, "scale", "kind", "T0", "beta")
+        return scale_mod.constant_field(space, _field(cfg, "beta", "scale", _positive), T0=T0)
     if kind == "balls":
+        _declared(cfg, "scale", "kind", "T0", "anchors", "beta1", "beta2")
         anchors = []
         for i, a in enumerate(_field(cfg, "anchors", "scale", list)):
             path = f"scale.anchors[{i}]"
             if not isinstance(a, dict):
                 raise SchemaError(path, "must be an object with center, radius and value")
+            _declared(a, path, "center", "radius", "value")
             anchors.append((_field(a, "center", path, _center),
-                            _field(a, "radius", path, float),
-                            _field(a, "value", path, float)))
+                            _field(a, "radius", path, _positive),
+                            _field(a, "value", path, _number)))
         return scale_mod.field_from_balls(space, anchors,
-                                          _field(cfg, "beta1", "scale", float),
-                                          _field(cfg, "beta2", "scale", float), T0=T0)
+                                          _field(cfg, "beta1", "scale", _positive),
+                                          _field(cfg, "beta2", "scale", _positive), T0=T0)
     if kind == "table":
+        _declared(cfg, "scale", "kind", "T0", "values", "beta1", "beta2", "lipschitz")
         return scale_mod.field_from_table(space, _field(cfg, "values", "scale", _float_array),
-                                          _field(cfg, "beta1", "scale", float),
-                                          _field(cfg, "beta2", "scale", float), T0=T0,
+                                          _field(cfg, "beta1", "scale", _positive),
+                                          _field(cfg, "beta2", "scale", _positive), T0=T0,
                                           lipschitz=_field(cfg, "lipschitz", "scale", _bool,
                                                            False))
     raise SchemaError("scale.kind", f"unknown scale kind {kind!r}")
@@ -159,23 +175,29 @@ def build_kernel(cfg: dict, space: space_mod.FiniteMMSpace,
                  scale: scale_mod.ScaleField) -> kernel_mod.JumpKernel:
     kind = _require(cfg, "kind", "kernel")
     if kind == "cantor_axis":
+        _declared(cfg, "kernel", "kind", "rho")
         kern = kernel_mod.build_cantor_axis_kernel(space, scale)
     elif kind == "stable_like":
+        _declared(cfg, "kernel", "kind", "rho", "lower_constant")
         kern = kernel_mod.build_stable_like_kernel(
-            space, scale, _field(cfg, "lower_constant", "kernel", float, 1.0))
+            space, scale, _field(cfg, "lower_constant", "kernel", _number, 1.0))
     elif kind == "cylindrical":
+        _declared(cfg, "kernel", "kind", "rho")
         kern = kernel_mod.build_cylindrical_kernel(space, scale)
     elif kind == "nearest_neighbor":
+        _declared(cfg, "kernel", "kind", "rho", "value")
         kern = kernel_mod.build_nearest_neighbor_kernel(
-            space, _field(cfg, "value", "kernel", float, 1.0))
+            space, _field(cfg, "value", "kernel", _number, 1.0))
     elif kind == "uniform":
-        kern = kernel_mod.build_uniform_kernel(space, _field(cfg, "value", "kernel", float, 1.0))
+        _declared(cfg, "kernel", "kind", "rho", "value")
+        kern = kernel_mod.build_uniform_kernel(space, _field(cfg, "value", "kernel", _number, 1.0))
     elif kind == "zero":
+        _declared(cfg, "kernel", "kind", "rho")
         kern = kernel_mod.build_zero_kernel(space)
     else:
         raise SchemaError("kernel.kind", f"unknown kernel kind {kind!r}")
     if cfg.get("rho") is not None:
-        kern = kernel_mod.truncate(kern, _field(cfg, "rho", "kernel", float))[0]
+        kern = kernel_mod.truncate(kern, _field(cfg, "rho", "kernel", _positive))[0]
     return kern
 
 
@@ -195,7 +217,7 @@ def _number(value) -> float:
     """a number"""
     x = float(value)
     if not math.isfinite(x):
-        raise ValueError("not finite")
+        raise ValueError("non-finite")
     return x
 
 
@@ -519,6 +541,7 @@ def list_checks(file=None) -> None:
 def _validate_config(cfg) -> list[dict]:
     """Check the config's structure; return the converted params each check sets."""
     _object(cfg, "config")
+    _declared(cfg, "", "space", "scale", "kernel", "checks", "output", "seed")
     for key in ("space", "scale", "kernel", "checks"):
         if key not in cfg:
             raise SchemaError(key, "missing required section")
@@ -535,6 +558,7 @@ def _validate_config(cfg) -> list[dict]:
         if check.get("mode", "pass") not in ("pass", "diagnostic"):
             raise SchemaError(f"checks[{i}].mode", "must be 'pass' or 'diagnostic'")
     output = _object(cfg.get("output", {}), "output")
+    _declared(output, "output", "formats", "dir")
     formats = output.get("formats", [])
     if not isinstance(formats, list):
         raise SchemaError("output.formats", "must be a list of format names")

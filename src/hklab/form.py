@@ -14,11 +14,11 @@ and no kernel matrix: J is read as a measure on blocks of atoms, each
 reader taking the block it needs of 0.5 (J + J.T) from
 ``_symmetric_block``, one row chunk or one D x D part at a time; off the
 diagonal L is -2 J W.  A form's spectrum is one basis object behind one
-protocol (:class:`_Basis`): a :class:`_DenseBasis` from one ``eigh``, or,
-when the generator commutes with the central reflection of the space, a
-:class:`_HalfSpectrum` of the even and odd half eigenbases, on which the
-semigroup, resolvent and kernel entries are computed without an N x N
-``psi``.  Dirichlet parts are always solved whole.
+protocol (:class:`_Basis`): a :class:`_DenseBasis` from one ``eigh``, which
+keeps ``psi``, or, when the generator commutes with the central reflection
+of the space, a :class:`_HalfSpectrum` of the even and odd half eigenbases,
+from which the semigroup, the resolvent, kernel entries and the heat kernel
+are computed with no ``psi`` at all.  Dirichlet parts are always solved whole.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
@@ -46,16 +46,15 @@ class SpectralForm:
 
     ``domain`` indexes the ambient space; ``diag`` is the generator's
     diagonal on it; ``basis`` is its eigenbasis, whose ``eigvals`` are
-    ascending and whose eigenfunction columns ``psi`` are mu-orthonormal on
-    the domain.  ``jmat_nonzeros`` counts the off-diagonal nonzeros of the
+    ascending.  ``jmat_nonzeros`` counts the off-diagonal nonzeros of the
     symmetric kernel, found while assembling.  ``_lambda1`` maps the bytes
     of each domain a part was solved on to the part's lambda_1; a part
     starts with an empty one and never fills it.
 
     Every spectral operation goes through ``basis``: a :class:`_HalfSpectrum`
-    for a full form that commutes with the central reflection, which lays
-    out ``psi`` only when tests or ``heat_kernel`` read it, else a
-    :class:`_DenseBasis`.
+    for a full form that commutes with the central reflection, else a
+    :class:`_DenseBasis`, whose mu-orthonormal eigenfunction columns are
+    ``psi``; a split form has no ``psi``.
 
     ``kernel_symmetric`` says that J equals J.T bit for bit, so that its
     blocks need no mirror.  A Dirichlet part shares the kernel of its full
@@ -83,7 +82,7 @@ class SpectralForm:
 
     @property
     def psi(self) -> np.ndarray:
-        """The mu-orthonormal eigenfunctions, one column per eigenvalue."""
+        """The mu-orthonormal eigenfunctions of a part or an unsplit form."""
         return self.basis.psi
 
     @property
@@ -136,22 +135,18 @@ class SpectralForm:
         return out.reshape(times.size, *np.shape(f)) if np.ndim(t) else out[0]
 
     def heat_kernel(self, t: float) -> np.ndarray:
-        """Kernel values p(t, x, y) on domain x domain, from ``psi``.
-
-        A run calls it only on the Dirichlet parts of ``meyer_check``; on a
-        split form it lays out ``psi``, as the tests do.
-        """
+        """p(t, x, y) on domain x domain; a run reads it only on the parts of ``meyer_check``."""
         if t < 0:
             raise ParameterError("time must be nonnegative")
-        decay = np.exp(-t * self.eigvals)
-        return (self.psi * decay) @ self.psi.T
+        return self.basis.heat_kernel(t)
 
     def heat_kernel_entries(self, t: float, xs, ys) -> np.ndarray:
         """p(t, xs[k], ys[k]) for each k, in O(len(xs) N), no N x N kernel."""
         if t < 0:
             raise ParameterError("time must be nonnegative")
         xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
-        return self.basis.entries(t, xs, ys, self.space._row_chunks(np.arange(xs.size)))
+        return self.basis.entries(t, xs, None if np.array_equal(xs, ys) else ys,
+                                  self.space._row_chunks(np.arange(xs.size)))
 
     def resolvent(self, lam: float, f) -> np.ndarray:
         """Solve (L + lam) u = f on the domain."""
@@ -375,18 +370,6 @@ def _reflection_blocks(space: FiniteMMSpace, sym: np.ndarray
     return A, B, [even, odd]
 
 
-def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` for 1-D integer ``keys``, by a
-    stable argsort: numpy's own loads ``numpy.ma`` on its first call."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    inverse = np.empty(keys.size, dtype=int)
-    inverse[order] = np.cumsum(first) - 1
-    return ranked[first], inverse
-
-
 def _flush_subnormal(a: np.ndarray) -> np.ndarray:
     """``a`` with its subnormal entries set to zero, in place.  A decay near
     underflow makes them, and a matrix product runs up to 30 times slower on
@@ -403,40 +386,39 @@ def _flush_subnormal(a: np.ndarray) -> np.ndarray:
 _PANEL_ROWS = (64, 256)
 
 
+def _row_products(vecs: np.ndarray, decay: np.ndarray, xs: np.ndarray,
+                  ys: np.ndarray | None) -> np.ndarray:
+    """sum_k vecs[xs, k] decay[k] vecs[ys, k] for each position, the rows
+    vecs[xs] gathered once when ``ys`` is None, which stands for ``xs``."""
+    rows = vecs[xs]
+    other = rows if ys is None else vecs[ys]
+    return np.einsum("ij,ij->i", rows * decay, other)
+
+
 class _Basis:
     """The eigenbasis of a form, the one object its spectral operations read.
 
     A basis has ascending ``eigvals`` and its atoms' ``weights``; it answers
-    ``psi_rows(atoms)``, a new array of those rows of the mu-orthonormal
-    eigenfunctions ``psi``, which is laid out whole on its first read unless
-    the basis keeps it, and ``calculus(f, per_atom, filters)``: psi
-    h(eigvals, psi.T W f) for each filter h, ``per_atom`` indexing a vector
-    along f's first axis.  For a reader that streams the heat kernel one row
-    panel at a time, each ``(vals, vecs)`` of ``bases`` gives
-    K_b(t) = vecs exp(-t vals) vecs.T, its columns orthonormal against the
-    weights ``metric`` (the unit weights when it is None); on each quadrant
-    ``(X, Y, signs)`` of atoms, p(t)[X, Y] is K_0(t) plus or minus, as
-    ``signs`` says, each further K_b(t), divided by scale[X] and scale[Y]
-    unless ``scale`` is None.
+    ``entries(t, xs, ys, chunks)``, p(t, xs[k], ys[k]) for each chunk of
+    positions (``ys`` None stands for ``xs``, whose rows are gathered once),
+    ``heat_kernel(t)``, the whole kernel, and ``calculus(f, per_atom,
+    filters)``: psi h(eigvals, psi.T W f) for each filter h, psi the
+    mu-orthonormal eigenfunctions and ``per_atom`` indexing f's first axis.
+    For a reader that streams the heat kernel one row panel at a time, each
+    ``(vals, vecs)`` of ``bases`` gives K_b(t) = vecs exp(-t vals) vecs.T,
+    its columns orthonormal against the weights ``metric`` (the unit
+    weights when it is None); on each quadrant ``(X, Y, signs)`` of atoms,
+    p(t)[X, Y] is K_0(t) plus or minus, as ``signs`` says, each further
+    K_b(t), divided by scale[X] and scale[Y] unless ``scale`` is None.
     """
 
-    @property
-    def psi(self) -> np.ndarray:
-        if self._psi is None:
-            self._psi = self.psi_rows(np.arange(self.weights.size))
-        return self._psi
-
-    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray, chunks) -> np.ndarray:
-        """p(t, xs[k], ys[k]) for each k from rows of psi, gathered for each chunk
-        of positions in ``xs`` from ``chunks``, once when ``ys`` equals ``xs``."""
-        same = np.array_equal(xs, ys)
-        decay = np.exp(-t * self.eigvals)
-        out = np.empty(xs.size)
-        for part in chunks:
-            rows = self.psi_rows(xs[part])
-            other = rows if same else self.psi_rows(ys[part])
-            out[part] = np.einsum("ij,ij->i", rows * decay, other)
-        return out
+    def heat_kernel(self, t: float) -> np.ndarray:
+        """p(t) on all the atoms, assembled from the row panels of :meth:`kernel`."""
+        p = np.empty((self.eigvals.size,) * 2)
+        for panel in self.panels():
+            for X, Y, block in self.kernel(panel, self.rows(panel, t)):
+                p[X[panel, None], Y] = block
+        return p
 
     def panels(self):
         """Consecutive row panels of the bases."""
@@ -496,7 +478,7 @@ class _DenseBasis(_Basis):
     quadrant of all the atoms, with the weights as its metric."""
 
     def __init__(self, eigvals: np.ndarray, psi: np.ndarray, weights: np.ndarray):
-        self.eigvals, self._psi, self.weights = eigvals, psi, weights
+        self.eigvals, self.psi, self.weights = eigvals, psi, weights
         atoms = np.arange(weights.size)
         self.bases, self.metric = [(eigvals, psi)], weights
         self.quadrants, self.scale = [(atoms, atoms, ())], None
@@ -509,12 +491,21 @@ class _DenseBasis(_Basis):
         psi /= np.sqrt(weights)[:, None]
         return cls(eigvals, psi, weights)
 
-    def psi_rows(self, atoms: np.ndarray) -> np.ndarray:
-        return self._psi[atoms]
+    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None, chunks) -> np.ndarray:
+        """Entries from the rows of psi."""
+        decay = np.exp(-t * self.eigvals)
+        out = np.empty(xs.size)
+        for part in chunks:
+            out[part] = _row_products(self.psi, decay, xs[part], None if ys is None else ys[part])
+        return out
+
+    def heat_kernel(self, t: float) -> np.ndarray:
+        """(psi exp(-t eigvals)) psi.T in one product, faster than the panels."""
+        return (self.psi * np.exp(-t * self.eigvals)) @ self.psi.T
 
     def calculus(self, f: np.ndarray, per_atom, filters) -> list[np.ndarray]:
-        coef = self._psi.T @ (f * self.weights[per_atom])
-        return [self._psi @ h(self.eigvals, coef) for h in filters]
+        coef = self.psi.T @ (f * self.weights[per_atom])
+        return [self.psi @ h(self.eigvals, coef) for h in filters]
 
 
 class _HalfSpectrum(_Basis):
@@ -525,10 +516,10 @@ class _HalfSpectrum(_Basis):
     of the whole matrix is (v on A, v on B) / sqrt(2) and an odd one
     (v on A, -v on B) / sqrt(2); the eigenfunctions divide them by sqrt(w).
     ``eigvals`` merges the blocks' eigenvalues ascending by a stable sort,
-    so an even eigenvalue comes before an equal odd one; ``even_cols`` and
-    ``odd_cols`` are where each block's eigenvectors land in that order.
-    Each block is taken out of ``blocks`` and freed once it is solved.  Its
-    kernel factors are the two unit eigenbases on the four A/B quadrants.
+    so an even eigenvalue comes before an equal odd one.  Each block is
+    taken out of ``blocks`` and freed once it is solved.  Its kernel
+    factors are the two unit eigenbases on the four A/B quadrants; no
+    eigenfunction is laid out N wide.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray],
@@ -536,43 +527,30 @@ class _HalfSpectrum(_Basis):
         self.A, self.B = A, B
         self.even_vals, self.even_vecs = np.linalg.eigh(blocks.pop(0))
         self.odd_vals, self.odd_vecs = np.linalg.eigh(blocks.pop(0))
-        eigvals = np.concatenate([self.even_vals, self.odd_vals])
-        order = np.argsort(eigvals, kind="stable")
-        self.eigvals = eigvals[order]
-        n = eigvals.size
-        column = np.empty(n, dtype=int)
-        column[order] = np.arange(n)
-        self.even_cols, self.odd_cols = column[:A.size], column[A.size:]
+        self.eigvals = np.sort(np.concatenate([self.even_vals, self.odd_vals]), kind="stable")
+        n = self.eigvals.size
         self.pair = np.empty(n, dtype=int)                 # atom -> its pair's row in the blocks
         self.pair[A] = self.pair[B] = np.arange(A.size)
         self.sign = np.ones(n)                              # an odd eigenvector's: -1 on B
         self.sign[B] = -1.0
-        self.weights, self._psi, self.metric = weights, None, None
+        self.weights, self.metric = weights, None
         self.bases = [(self.even_vals, self.even_vecs), (self.odd_vals, self.odd_vecs)]
         self.quadrants = [(A, A, (1,)), (A, B, (-1,)), (B, A, (-1,)), (B, B, (1,))]
         self.scale = np.sqrt(2.0 * weights)
 
-    def psi_rows(self, atoms: np.ndarray) -> np.ndarray:
-        """The unit eigenvectors' rows laid out in ``eigvals`` order, divided by sqrt(2 w)."""
-        pair = self.pair[atoms]
-        out = np.empty((atoms.size, self.pair.size))
-        out[:, self.even_cols] = self.even_vecs[pair]
-        out[:, self.odd_cols] = self.odd_vecs[pair] * self.sign[atoms, None]
-        out /= self.scale[atoms, None]
+    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None, chunks) -> np.ndarray:
+        """Entries from the pair rows v of both blocks: (sum_even v(x) v(y)
+        e^(-t lambda) + s(x) s(y) sum_odd v(x) v(y) e^(-t lambda)), s the odd
+        sign, divided by 2 sqrt(w(x) w(y)), which is exactly 2 w on the diagonal."""
+        out = np.empty(xs.size)
+        for part in chunks:
+            x = xs[part]
+            y, other = (x, None) if ys is None else (ys[part], self.pair[ys[part]])
+            even, odd = (_row_products(vecs, np.exp(-t * vals), self.pair[x], other)
+                         for vals, vecs in self.bases)
+            out[part] = ((even + self.sign[x] * self.sign[y] * odd)
+                         / (2.0 * np.sqrt(self.weights[x] * self.weights[y])))
         return out
-
-    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray, chunks) -> np.ndarray:
-        """Entries from rows of psi, except the diagonal (``xs`` equal to ``ys``):
-        |v|^2 against the decay over the pair rows of both blocks, divided by
-        2 w, with no row of psi laid out."""
-        if not np.array_equal(xs, ys):
-            return super().entries(t, xs, ys, chunks)
-        pairs, where = _unique_inverse(self.pair[xs])
-        total = np.zeros(pairs.size)
-        for vals, vecs in self.bases:
-            rows = vecs[pairs]
-            total += np.einsum("ij,ij->i", rows * np.exp(-t * vals), rows)
-        return total[where] / (2.0 * self.weights[xs])
 
     def calculus(self, f: np.ndarray, per_atom, filters) -> list[np.ndarray]:
         """g = f sqrt(w) folds into its even part g_A + g_B and its odd part

@@ -424,21 +424,16 @@ def se_from_lre_chain(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFiel
 # The self-improvement recursion
 # ---------------------------------------------------------------------------
 
-def recursion_limit(q: float, a: float, b: float, p0: float = 0.0,
-                    tol: float = 1e-12, max_iter: int = 10**5) -> float:
+def recursion_limit(q: float, a: float, b: float, p0: float = 0.0) -> float:
     """Limit of p_{n+1} = q + a sqrt(q p_n) + b p_n for a, b in (0, 1).
 
-    The iteration contracts toward the unique fixed point, which is a
-    constant multiple of q; the limit does not depend on p0.
+    The iteration contracts toward its unique fixed point, whatever p0:
+    with p = q s^2 it reads (1 - b) s^2 - a s - 1 = 0, so
+    p = q s^2 with s = (a + sqrt(a^2 + 4 (1 - b))) / (2 (1 - b)).
     """
     if not (0 < a < 1 and 0 < b < 1):
         raise ParameterError("need a, b strictly inside (0, 1)")
     if q < 0 or p0 < 0:
         raise ParameterError("q and p0 must be nonnegative")
-    p = float(p0)
-    for _ in range(max_iter):
-        p_next = q + a * math.sqrt(q * p) + b * p
-        if abs(p_next - p) <= tol * max(1.0, abs(p_next)):
-            return p_next
-        p = p_next
-    raise RuntimeError("recursion did not converge within the iteration budget")
+    s = (a + math.sqrt(a * a + 4.0 * (1.0 - b))) / (2.0 * (1.0 - b))
+    return q * s * s

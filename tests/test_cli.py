@@ -268,7 +268,7 @@ def test_console_script_entry_point(tmp_path):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_kernel_value_exit_2(tmp_path, capsys, value):
-    # JSON NaN/Infinity parse, so the kernel itself must refuse them
+    # JSON NaN/Infinity parse, so the config boundary must refuse them
     cfg = dict(SMOKE_CONFIG, kernel={"kind": "uniform", "value": value})
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -568,6 +568,42 @@ def test_malformed_config_structure_exits_with_path(tmp_path, capsys, edit, path
         assert code == 3 and "point cap exceeded" in err
     else:
         assert code == 2 and f"config schema violation at {path}:" in err
+
+
+def _set(cfg, path, value):
+    """``cfg`` with ``value`` at the dotted ``path`` (an index in brackets for a list)."""
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    target = cfg
+    for part in parents:
+        target = target[int(part)] if isinstance(target, list) else target.setdefault(part, {})
+    target[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("base,path,value", [
+    (TWO_POINT_CFG, "kernel.rh0", 0.5), (TWO_POINT_CFG, "scale.t0", 1.0),
+    (TWO_POINT_CFG, "space.gapp", 2.0), (TWO_POINT_CFG, "output.format", ["json"]),
+    (TWO_POINT_CFG, "seeed", 1), (BALLS_CFG, "scale.anchors[0].radiuss", 0.5),
+    (TWO_POINT_CFG, "kernel.rho", "nan"), (TWO_POINT_CFG, "scale.T0", "nan"),
+    (TWO_POINT_CFG, "scale.beta", "inf"), (TWO_POINT_CFG, "kernel.value", "-inf"),
+    (BALLS_CFG, "scale.anchors[0].radius", "nan")],
+    ids=["kernel_rh0", "scale_t0", "space_gapp", "output_format", "top_level_seeed",
+         "anchor_radiuss", "nan_rho", "nan_T0", "infinite_beta", "infinite_kernel_value",
+         "nan_anchor_radius"])
+def test_undeclared_key_or_non_finite_number_exits_2_at_its_path(tmp_path, capsys, base,
+                                                                  path, value):
+    # accepted, a misspelled key would be ignored, rho nan would truncate to an
+    # all-zero kernel on which every check passes, and T0 nan would run as T0 inf
+    config = write_config(tmp_path, _set(copy.deepcopy(base), path, value))
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2 and f"config schema violation at {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("T0", ["inf", None, math.inf, 2.5])
+def test_scale_T0_takes_inf_null_or_a_positive_number(tmp_path, T0):
+    config = write_config(tmp_path, _set(copy.deepcopy(TWO_POINT_CFG), "scale.T0", T0))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,39 @@ def test_desk_scale_conditions_all_finite():
     assert ij.witness["gamma_hat"] <= cfg.gamma + 0.25
 
 
+@pytest.mark.parametrize("level", [3, 4])
+def test_control_form_entries_are_kronecker_products(level):
+    # the control form of the profile (constant field, 2 axes) is the
+    # Kronecker sum of two 1-axis forms, so p(t, (a1, a2), (b1, b2)) is
+    # p1(t, a1, b1) p1(t, a2, b2).  Its split off-diagonal entries, from the
+    # pair rows of the half eigenbases, agree to 1e-12 of
+    # sqrt(p(t,x,x) p(t,y,y)): tiny entries at small t carry the rounding of
+    # the spectral sum at that scale
+    cfg = hk.synthesize_config(4.0, level=level)
+
+    def control(axes):
+        sp = hk.build_cantor_product(cfg.xi, axes, level)
+        return sp, hk.assemble(sp, hk.build_cantor_axis_kernel(
+            sp, hk.constant_field(sp, cfg.beta1, T0=1.0)))
+
+    (_, line), (sp, square) = control(1), control(2)
+    assert isinstance(square.basis, hk.form._HalfSpectrum)
+    m, n = line.domain.size, square.domain.size
+    x0 = int(np.argmin(sp.dist_from_coord(sp.meta["corner_zero"])))
+    y0 = int(np.argmin(sp.dist_from_coord(sp.meta["corner_e1"])))
+    rng = np.random.default_rng(level)
+    xs = np.append(rng.integers(0, n, size=200), x0)
+    ys = np.append(rng.integers(0, n, size=200), y0)
+    xs, ys = xs[xs != ys], ys[xs != ys]
+    (a1, a2), (b1, b2) = np.divmod(xs, m), np.divmod(ys, m)
+    assert np.allclose(sp.coords[xs], np.hstack([line.space.coords[a1], line.space.coords[a2]]))
+    for t in np.logspace(-4.5, 0.5, 11):
+        got = square.heat_kernel_entries(t, xs, ys)
+        want = line.heat_kernel_entries(t, a1, b1) * line.heat_kernel_entries(t, a2, b2)
+        diag = square.heat_kernel_entries(t, np.arange(n), np.arange(n))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.sqrt(diag[xs] * diag[ys])), t
+
+
 def test_diagnostic_profile_matches_per_form_loops():
     # reference: the profile and its control read off the full kernel, one
     # form and one time at a time
@@ -198,7 +231,7 @@ def test_diagnostic_profile_matches_per_form_loops():
                          ("control_series", control, 2 * cfg.alpha_xi / cfg.beta1)):
         assert [row["t"] for row in rep[key]] == [float(t) for t in times]
         for row, t in zip(rep[key], times):
-            # entries from rows of psi sum in another order than the full kernel
+            # entries sum in another order than the full kernel's panels
             p = f.heat_kernel(float(t))
             bound = 1e-14 * math.sqrt(p[x0, x0] * p[y0, y0])
             assert abs(row["p"] - p[x0, y0]) <= bound

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hklab as hk
-from conftest import full_generator, random_setup
+from conftest import full_generator, random_setup, split_psi
 from hklab.errors import ParameterError, PointCapExceeded
 from hklab.form import (_DenseBasis, _HalfSpectrum, _part_generator, _quantile,
-                        _reflection_blocks, _unique_inverse,
+                        _reflection_blocks,
                         far_tail_profile, killed_part,
                         removed_top_eigenvalue)
 
@@ -504,13 +504,15 @@ def _generator_case(case):
 
 
 def _assert_matches_spectrum(form, eigvals, psi, sym):
-    """``form``'s spectrum against the dense ``eigvals``, ``psi`` of ``sym``, within rounding."""
+    """A split ``form``'s spectrum against the dense ``eigvals``, ``psi`` of
+    ``sym``, within rounding."""
     w = form.weights
     top = np.abs(eigvals).max()
     assert np.abs(form.eigvals - eigvals).max() <= 1e-12 * top
-    gram = form.psi.T @ (form.psi * w[:, None])
+    form_psi = split_psi(form)
+    gram = form_psi.T @ (form_psi * w[:, None])
     assert np.abs(gram - np.eye(w.size)).max() <= 1e-13
-    q = form.psi * np.sqrt(w)[:, None]                 # orthonormal eigenvectors of sym
+    q = form_psi * np.sqrt(w)[:, None]                 # orthonormal eigenvectors of sym
     assert np.abs(sym @ q - q * form.eigvals).max() <= 1e-11 * top
     f = np.random.default_rng(3).normal(size=w.size)
     for t in (1e-3 / top, 0.1, 1.0):
@@ -638,33 +640,23 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
     form = hk.assemble(space, _dense_kernel(space, m))
     assert eigh_shapes == [(2, 2), (2, 2)]
     assert form.eigvals[0] == form.eigvals[1] and form.eigvals[2] == form.eigvals[3]
-    mirror = form.psi[::-1]                            # row x holds the mirror atom of x
-    assert np.array_equal(mirror[:, [0, 2]], form.psi[:, [0, 2]])
-    assert np.array_equal(mirror[:, [1, 3]], -form.psi[:, [1, 3]])
+    psi = split_psi(form)
+    mirror = psi[::-1]                                 # row x holds the mirror atom of x
+    assert np.array_equal(mirror[:, [0, 2]], psi[:, [0, 2]])
+    assert np.array_equal(mirror[:, [1, 3]], -psi[:, [1, 3]])
     eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), space.weights)
     _assert_matches_spectrum(form, eigvals, psi, sym)
 
 
 def _merged_layout(space, sym):
-    """The oracle of a split form's lazy ``psi``: the two blocks' eigenvectors
-    laid out in merged eigenvalue order, as the whole-space psi was written
-    when split forms kept it."""
+    """The merged eigenvalues and the :func:`split_psi` of a split form whose
+    blocks are solved here, from ``sym``, by their own ``eigh``."""
     A, B, blocks = _reflection_blocks(space, sym)
-    n = space.n_points
-    even_vals, even_vecs = np.linalg.eigh(blocks[0])
-    odd_vals, odd_vecs = np.linalg.eigh(blocks[1])
-    eigvals = np.concatenate([even_vals, odd_vals])
-    order = np.argsort(eigvals, kind="stable")
-    column = np.empty(n, dtype=int)
-    column[order] = np.arange(n)
-    even_cols, odd_cols = column[:A.size], column[A.size:]
-    psi = np.empty((n, n))
-    psi[np.ix_(A, even_cols)] = even_vecs
-    psi[np.ix_(B, even_cols)] = even_vecs
-    psi[np.ix_(A, odd_cols)] = odd_vecs
-    psi[np.ix_(B, odd_cols)] = -odd_vecs
-    psi /= np.sqrt(2.0 * space.weights)[:, None]
-    return eigvals[order], psi
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(np.linalg.eigh, blocks)
+    basis = SimpleNamespace(A=A, B=B, even_vals=even_vals, even_vecs=even_vecs,
+                            odd_vals=odd_vals, odd_vecs=odd_vecs)
+    psi = split_psi(SimpleNamespace(basis=basis, weights=space.weights))
+    return np.sort(np.concatenate([even_vals, odd_vals]), kind="stable"), psi
 
 
 def _split_case(case):
@@ -684,7 +676,7 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     # operation agrees with the one dense eigh within 1e-12 relative
     space, kern = _split_case(case)
     form = hk.assemble(space, kern)
-    assert isinstance(form.basis, _HalfSpectrum) and form.basis._psi is None
+    assert isinstance(form.basis, _HalfSpectrum) and not hasattr(form.basis, "psi")
     n, w = space.n_points, space.weights
     eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), w)
 
@@ -710,29 +702,36 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     assert form.apply_semigroup([], F).shape == (0, n, 3)
     assert form.apply_semigroup([], f).shape == (0, n)
     close(form.resolvent(2.0, f), psi @ (coef / (eigvals + 2.0)))
-    assert form.basis._psi is None                     # no operation laid out psi
-    for t in times:                                    # heat_kernel goes through psi
+    for t in times:                                    # heat_kernel from panels
         close(form.heat_kernel(t), (psi * np.exp(-t * eigvals)) @ psi.T)
+    assert not hasattr(form.basis, "psi")              # no operation laid out psi
     merged_vals, merged_psi = _merged_layout(space, sym)
     assert _same_bits(form.eigvals, merged_vals)
-    assert _same_bits(form.psi, merged_psi)
-    assert _same_bits(form.heat_kernel_entries(0.1, xs, ys),
-                      np.einsum("ij,ij->i", merged_psi[xs] * np.exp(-0.1 * form.eigvals),
-                                merged_psi[ys]))
+    assert _same_bits(split_psi(form), merged_psi)
+    p = (merged_psi * np.exp(-0.1 * form.eigvals)) @ merged_psi.T
+    close(form.heat_kernel_entries(0.1, xs, ys),
+          np.einsum("ij,ij->i", merged_psi[xs] * np.exp(-0.1 * form.eigvals), merged_psi[ys]),
+          np.abs(p).max())
 
 
 def test_diagonal_entries_gather_their_rows_once(monkeypatch):
     # on a form that keeps psi, the diagonal p(t, x, x) reads each row of
-    # psi once, with the result of the expression that gathers xs and ys apart
+    # psi once, with the result of the expression that gathers xs and ys apart;
+    # the gathers are seen as the indexing of a psi that records them
     space = hk.build_grid(1, 33)
     form = hk.assemble(space, hk.build_stable_like_kernel(
         space, hk.constant_field(space, 0.8, T0=1.0)))
     xs = np.arange(space.n_points)
     want = np.einsum("ij,ij->i", form.psi[xs] * np.exp(-0.2 * form.eigvals), form.psi[xs])
     gathered = []
-    rows = _DenseBasis.psi_rows
-    monkeypatch.setattr(_DenseBasis, "psi_rows",
-                        lambda self, atoms: gathered.append(atoms.size) or rows(self, atoms))
+
+    class Watched(np.ndarray):
+        def __getitem__(self, atoms):
+            gathered.append(np.size(atoms))
+            return super().__getitem__(atoms).view(np.ndarray)
+
+    assert isinstance(form.basis, _DenseBasis)
+    monkeypatch.setattr(form.basis, "psi", form.psi.view(Watched))
     assert _same_bits(form.heat_kernel_entries(0.2, xs, xs), want)
     assert sum(gathered) == xs.size
 
@@ -747,15 +746,6 @@ def test_quantile_is_numpy_quantile_bit_for_bit():
             for q in [0.0, 0.25, 0.5, 0.75, 1.0, *rng.random(6)]:
                 got, want = _quantile(values, float(q)), np.quantile(values, float(q))
                 assert _same_bits(np.float64(got), want), (size, q)
-
-
-def test_unique_inverse_is_numpy_unique():
-    rng = np.random.default_rng(12)
-    for keys in (rng.integers(0, 9, size=40), np.arange(5)[::-1], np.array([3]),
-                 np.array([], dtype=int)):
-        values, inverse = _unique_inverse(keys)
-        want_values, want_inverse = np.unique(keys, return_inverse=True)
-        assert np.array_equal(values, want_values) and np.array_equal(inverse, want_inverse)
 
 
 def test_part_refuses_a_repeated_atom(two_point):
@@ -790,7 +780,7 @@ def test_assemble_keeps_no_dense_generator():
     assert peak <= 2.5 * square                        # 3.04 when L was kept
     assert held <= 0.6 * square                        # the two half eigenbases; 2.00 with psi and L
     assert form.L is None
-    assert form.basis._psi is None
+    assert not hasattr(form.basis, "psi")
 
 
 def test_checks_on_a_split_form_allocate_no_square_array():
@@ -815,8 +805,38 @@ def test_checks_on_a_split_form_allocate_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak - start < square
-    assert form.basis._psi is None
+    assert not hasattr(form.basis, "psi")
     assert reports[0].passed and reports[1].series and reports[2].series
+
+
+def test_split_heat_kernel_comes_from_panels():
+    # 1024 atoms; tracemalloc sees numpy's arrays.  The whole kernel of a
+    # split form is assembled from row panels of the half eigenbases: the
+    # result and a few panels, and no psi laid out N wide
+    space = hk.build_cantor_product(1 / 3, 1, 10)
+    form = hk.assemble(space, hk.build_cantor_axis_kernel(
+        space, hk.constant_field(space, 0.8, T0=1.0)))
+    square = space.n_points**2 * 8
+    psi = split_psi(form)
+    for t in (1e-3 / np.abs(form.eigvals).max(), 0.1, 1.0):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            p = form.heat_kernel(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2 * square
+        want = (psi * np.exp(-t * form.eigvals)) @ psi.T
+        assert np.abs(p - want).max() <= 1e-12 * np.abs(want).max()
+    assert not hasattr(form.basis, "psi")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_assemble_refuses_a_non_finite_kernel(value):
+    space = hk.build_grid(1, 4)
+    with pytest.raises(ParameterError, match="non-finite"):
+        hk.assemble(space, hk.build_uniform_kernel(space, value))
 
 
 def test_assemble_signed_zero_is_not_exact_symmetry():
