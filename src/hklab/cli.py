@@ -632,6 +632,8 @@ def counterexample_report(epsilon: float, level: int, axes: int,
     # the open anchor ball of radius 1/4; 16 is the Cantor builder's top level
     if not 2 <= level <= 16:
         raise ParameterError(f"--levels must be in 2..16, got {level}")
+    if axes < 1:
+        raise ParameterError(f"--axes must be at least 1, got {axes}")
     config = cx.synthesize_config(epsilon, xi=None, level=level)
     exponents = cx.exponent_report(config)
 

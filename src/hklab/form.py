@@ -146,7 +146,7 @@ class SpectralForm:
             raise ParameterError("time must be nonnegative")
         xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
         return self.basis.entries(t, xs, None if np.array_equal(xs, ys) else ys,
-                                  self.space._row_chunks(np.arange(xs.size)))
+                                  self.space._row_chunks)
 
     def resolvent(self, lam: float, f) -> np.ndarray:
         """Solve (L + lam) u = f on the domain."""
@@ -399,8 +399,9 @@ class _Basis:
     """The eigenbasis of a form, the one object its spectral operations read.
 
     A basis has ascending ``eigvals`` and its atoms' ``weights``; it answers
-    ``entries(t, xs, ys, chunks)``, p(t, xs[k], ys[k]) for each chunk of
-    positions (``ys`` None stands for ``xs``, whose rows are gathered once),
+    ``entries(t, xs, ys, chunks)``, p(t, xs[k], ys[k]) in the consecutive
+    pieces ``chunks(positions)`` of its positions (``ys`` None stands for
+    ``xs``, whose rows are gathered once),
     ``heat_kernel(t)``, the whole kernel, and ``calculus(f, per_atom,
     filters)``: psi h(eigvals, psi.T W f) for each filter h, psi the
     mu-orthonormal eigenfunctions and ``per_atom`` indexing f's first axis.
@@ -495,7 +496,7 @@ class _DenseBasis(_Basis):
         """Entries from the rows of psi."""
         decay = np.exp(-t * self.eigvals)
         out = np.empty(xs.size)
-        for part in chunks:
+        for part in chunks(np.arange(xs.size)):
             out[part] = _row_products(self.psi, decay, xs[part], None if ys is None else ys[part])
         return out
 
@@ -541,13 +542,24 @@ class _HalfSpectrum(_Basis):
     def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None, chunks) -> np.ndarray:
         """Entries from the pair rows v of both blocks: (sum_even v(x) v(y)
         e^(-t lambda) + s(x) s(y) sum_odd v(x) v(y) e^(-t lambda)), s the odd
-        sign, divided by 2 sqrt(w(x) w(y)), which is exactly 2 w on the diagonal."""
+        sign, divided by 2 sqrt(w(x) w(y)), which is exactly 2 w on the diagonal.
+        There s(x) s(x) = 1, so each pair's row is read once and its sum
+        serves both its atoms."""
+        decays = [np.exp(-t * vals) for vals, _ in self.bases]
+        if ys is None:
+            pairs, where = np.unique(self.pair[xs], return_inverse=True)
+            sums = np.empty(pairs.size)
+            for part in chunks(np.arange(pairs.size)):
+                even, odd = (_row_products(vecs, decay, pairs[part], None)
+                             for decay, (_, vecs) in zip(decays, self.bases))
+                sums[part] = even + odd
+            w = self.weights[xs]
+            return sums[where] / (2.0 * np.sqrt(w * w))
         out = np.empty(xs.size)
-        for part in chunks:
-            x = xs[part]
-            y, other = (x, None) if ys is None else (ys[part], self.pair[ys[part]])
-            even, odd = (_row_products(vecs, np.exp(-t * vals), self.pair[x], other)
-                         for vals, vecs in self.bases)
+        for part in chunks(np.arange(xs.size)):
+            x, y = xs[part], ys[part]
+            even, odd = (_row_products(vecs, decay, self.pair[x], self.pair[y])
+                         for decay, (_, vecs) in zip(decays, self.bases))
             out[part] = ((even + self.sign[x] * self.sign[y] * odd)
                          / (2.0 * np.sqrt(self.weights[x] * self.weights[y])))
         return out

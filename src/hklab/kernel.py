@@ -250,7 +250,7 @@ def _tail_masses(kernel: JumpKernel, space: FiniteMMSpace, radii,
         vals = kernel.block(rows, all_idx)
         if q != 1.0:
             vals = vals ** q
-        d = space.dist_block(rows)
+        d = space._dist_rows(rows)
         for k, r in enumerate(radii):
             tails[k, rows] = np.where(d >= r, vals, 0.0) @ space.weights
     return tails
@@ -348,7 +348,7 @@ def ij_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
     for pos in space._row_chunks(np.arange(xs.size)):
         rows = xs[pos]
         vals = kernel.block(rows, all_idx)
-        d = space.dist_block(rows)
+        d = space._dist_rows(rows)
         for p, (r, _) in enumerate(pairs):
             r1 = inner[p][pos, None]
             q_vals[p, pos] = np.where((d >= r1) & (d < 2 * r1), vals, 0.0) @ dens[r]

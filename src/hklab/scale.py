@@ -129,7 +129,7 @@ def field_from_balls(space: FiniteMMSpace, anchors, beta1: float, beta2: float,
             raise ParameterError("anchor ball contains no atoms")
         dist_to_ball = np.full(n, np.inf)
         for rows in space._row_chunks(members):
-            dist_to_ball = np.minimum(dist_to_ball, space.dist_block(rows).min(axis=0))
+            dist_to_ball = np.minimum(dist_to_ball, space._dist_rows(rows).min(axis=0))
         envelopes.append(float(value) + dist_to_ball)
         values.append(float(value))
     beta = np.clip(np.min(envelopes, axis=0), min(values), max(values))
@@ -164,25 +164,50 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
         pair_idx = np.arange(n)
     else:
         pair_idx = rng.choice(n, size=_AXIOM_PAIR_SAMPLE, replace=False)
+    vals = [phi_vec(scale, pair_idx, float(r)) for r in radii]
+    beta = scale.beta_values[pair_idx]
+    offpoint = [(a, b) for a in range(radii.size) for b in range(a, radii.size)]
 
-    dist = space.dist_block(pair_idx, pair_idx)
+    # The pair scans walk the sample in row chunks and keep only each
+    # chunk's maxima: per radius its first largest C1 ratio (row-major) and
+    # where it lies, and its largest off-point and Lipschitz terms.  The
+    # first chunk holding the largest ratio (``argmax`` over the chunks)
+    # then gives the witness of a P x P ``argmax``, and ``np.max`` over the
+    # chunks the P x P maxima, NaN included.
+    chunk_c1, chunk_at, chunk_off, chunk_gap = [], [], [], []
+    for rows in space._row_chunks(np.arange(pair_idx.size)):
+        dist = space.dist_block(pair_idx[rows], pair_idx)
+        best, at = [], []
+        for r, v in zip(radii, vals):
+            ratio = v[None, :] / v[rows, None]          # [x, y] -> phi(y)/phi(x)
+            ratio = np.where(dist <= r, ratio, 0.0)
+            k = np.unravel_index(np.argmax(ratio), ratio.shape)
+            best.append(ratio[k])
+            at.append((rows[k[0]], k[1]))
+        chunk_c1.append(best)
+        chunk_at.append(at)
+        chunk_off.append([(vals[b][None, :] / vals[a][rows, None]
+                           / ((radii[b] + dist) / radii[a]) ** scale.beta2).max()
+                          for a, b in offpoint])
+        if scale.lipschitz:
+            chunk_gap.append((np.abs(beta[None, :] - beta[rows, None]) - dist).max())
+        del dist
+
     c1 = 1.0
     c1_witness: dict[str, Any] = {}
-    for r in radii:
-        vals = phi_vec(scale, pair_idx, float(r))
-        ratio = vals[None, :] / vals[:, None]           # [x, y] -> phi(y)/phi(x)
-        ratio = np.where(dist <= r, ratio, 0.0)
-        k = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[k] > c1:
-            c1 = float(ratio[k])
-            c1_witness = {"x": int(pair_idx[k[0]]), "y": int(pair_idx[k[1]]), "r": float(r)}
+    chunk_c1 = np.array(chunk_c1)                       # [chunk, radius]
+    for i, (r, c) in enumerate(zip(radii, np.argmax(chunk_c1, axis=0))):
+        if chunk_c1[c, i] > c1:
+            c1 = float(chunk_c1[c, i])
+            x, y = chunk_at[c][i]
+            c1_witness = {"x": int(pair_idx[x]), "y": int(pair_idx[y]), "r": float(r)}
 
     c2 = 1.0
     c2_witness: dict[str, Any] = {}
     for a in range(radii.size):
         for b in range(a + 1, radii.size):
             r, big_r = radii[a], radii[b]
-            ratio = phi_vec(scale, pair_idx, float(big_r)) / phi_vec(scale, pair_idx, float(r))
+            ratio = vals[b] / vals[a]
             q = big_r / r
             upper = ratio / q ** scale.beta2
             lower = q ** scale.beta1 / ratio
@@ -192,13 +217,8 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
                 c2_witness = {"r": float(r), "R": float(big_r)}
 
     c_off = 0.0
-    for a in range(radii.size):
-        for b in range(a, radii.size):
-            r, big_r = radii[a], radii[b]
-            vals_r = phi_vec(scale, pair_idx, float(r))
-            vals_R = phi_vec(scale, pair_idx, float(big_r))
-            bound = ((big_r + dist) / r) ** scale.beta2
-            c_off = max(c_off, float((vals_R[None, :] / vals_r[:, None] / bound).max()))
+    for col in np.max(chunk_off, axis=0):
+        c_off = max(c_off, float(col))
 
     report = ConditionReport(
         condition="scale_axioms",
@@ -210,8 +230,7 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
     )
     ok = all(map(math.isfinite, (c1, c2, c_off)))
     if scale.lipschitz:
-        beta = scale.beta_values[pair_idx]
-        gap = max(0.0, float((np.abs(beta[None, :] - beta[:, None]) - dist).max()))
+        gap = max(0.0, float(np.max(chunk_gap)))
         report.witness["lipschitz_excess"] = gap
         if gap > 1e-9:
             ok = False

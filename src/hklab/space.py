@@ -6,11 +6,13 @@ strictly positive weights.  Builders produce Cantor-set products, uniform
 grids on the unit cube, the two-point oracle space, and custom spaces.  Ball
 queries use strict inequality (open balls).
 
-All atom-to-atom distances come from ``FiniteMMSpace._dist_pairs``, blocks
-of them through :meth:`FiniteMMSpace.dist_block`.  Whole-space passes walk
-the atoms in row chunks whose distance block holds at most
-``_CHUNK_ELEMENTS`` entries, so one code path serves every size and no
-N x N distance matrix is kept.
+All atom-to-atom distances come from ``FiniteMMSpace._dist_pairs`` or,
+against every atom, ``_dist_rows``; blocks of them through
+:meth:`FiniteMMSpace.dist_block`.  Whole-space passes walk
+the atoms in row chunks of ``_CHUNK_ELEMENTS`` entries (128 KB of float64)
+against every atom, but of at least ``_MIN_CHUNK_ROWS`` rows, so one code
+path serves every size, and neither an N x N distance matrix nor an N x N
+temporary of a chunked pass is made once N exceeds 128.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ DEFAULT_POINT_CAP = 4096
 # anything above this must stay on the lazy per-point path.
 DENSE_MATRIX_CAP = 8192
 
-# Entries in one row chunk of a whole-space distance pass: a 256-atom space
-# is a single chunk, a 16384-atom space makes chunks of four rows.
-_CHUNK_ELEMENTS = 1 << 16
+# Entries in one row chunk of a whole-space pass, and the fewest rows a
+# chunk holds: a 256-atom space makes chunks of 64 rows, and from 1024
+# atoms up a chunk is 16 rows, so that the passes over the largest spaces
+# are not cut into many chunks of a few rows each.
+_CHUNK_ELEMENTS = 1 << 14
+_MIN_CHUNK_ROWS = 16
 
 
 def _sup_metric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,17 +108,22 @@ class FiniteMMSpace:
         """Distances from the atoms ``rows`` to ``cols`` (default: all atoms)."""
         rows = self._check_indices(rows)
         if cols is None:
-            if self.metric_kind == "explicit":
-                return self.metric_matrix[rows]
-            cols = np.arange(self.n_points)
-        else:
-            cols = self._check_indices(cols)
-        return self._dist_pairs(rows[:, None], cols[None, :])
+            return self._dist_rows(rows)
+        return self._dist_pairs(rows[:, None], self._check_indices(cols)[None, :])
+
+    def _dist_rows(self, rows) -> np.ndarray:
+        """Distances from the atoms ``rows`` (ids, or a slice, for which an
+        explicit metric returns a view) to every atom, unchecked: the
+        coordinates of every atom are read as they are, not gathered."""
+        if self.metric_kind == "explicit":
+            return self.metric_matrix[rows]
+        return _sup_metric(self.coords[rows, None], self.coords[None])
 
     def _dist_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """d(a, b) for atom-id arrays broadcast against each other, unchecked.
 
-        The one place that evaluates the metric between atoms.
+        With :meth:`_dist_rows`, the one place that evaluates the metric
+        between atoms.
         """
         if self.metric_kind == "explicit":
             return self.metric_matrix[a, b]
@@ -159,15 +169,18 @@ class FiniteMMSpace:
         radii = np.broadcast_to(radii, (self.n_points,))
         vols = np.empty(self.n_points)
         for rows in self._row_chunks():
-            inside = self.dist_block(rows) < radii[rows, None]
-            vols[rows] = np.where(inside, self.weights, 0.0).sum(axis=1)
+            part = slice(rows[0], rows[-1] + 1)
+            inside = self._dist_rows(part) < radii[part, None]
+            vols[part] = np.where(inside, self.weights, 0.0).sum(axis=1)
         return vols
 
     def _row_chunks(self, rows=None):
-        """Consecutive pieces of ``rows`` (default: all atoms) whose distance
-        block against every atom holds at most ``_CHUNK_ELEMENTS`` entries."""
+        """Consecutive pieces of ``rows`` (default: all atoms) whose block
+        against every atom holds at most ``_CHUNK_ELEMENTS`` entries, or
+        ``_MIN_CHUNK_ROWS`` rows where that is more; only the last piece may
+        be shorter."""
         rows = np.arange(self.n_points) if rows is None else rows
-        step = max(1, _CHUNK_ELEMENTS // max(self.n_points, 1))
+        step = max(_MIN_CHUNK_ROWS, _CHUNK_ELEMENTS // max(self.n_points, 1))
         for start in range(0, len(rows), step):
             yield rows[start:start + step]
 
@@ -324,7 +337,7 @@ def build_custom(coords, weights, metric_matrix=None, diameter: float | None = N
                           meta={"kind": "custom", **(meta or {})})
     widest = 0.0
     for rows in space._row_chunks():
-        d = space.dist_block(rows)
+        d = space._dist_rows(rows)
         widest = max(widest, float(d.max()))
         d[np.arange(rows.size), rows] = np.inf
         a, k = np.unravel_index(np.argmin(d), d.shape)

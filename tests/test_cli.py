@@ -224,10 +224,13 @@ def test_counterexample_report_bundle(tmp_path):
     (["--epsilon", "1e308", "--levels", "3"], 2, "needs more than 2^52 product axes"),
     (["--epsilon", "0.05", "--levels", "3", "--axes", "1"], 2,
      "puts distinct atoms at one double-precision coordinate"),
-    (["--epsilon", "4", "--levels", "1"], 2, "--levels must be in 2..16, got 1")],
+    (["--epsilon", "4", "--levels", "1"], 2, "--levels must be in 2..16, got 1"),
+    (["--epsilon", "4", "--axes", "0"], 2, "--axes must be at least 1, got 0"),
+    (["--epsilon", "4", "--axes", "-1"], 2, "--axes must be at least 1, got -1")],
     ids=["nan_epsilon", "infinite_epsilon", "above_dense_cap", "rung_past_double_3e-2",
          "rung_past_double_1e-4", "rung_past_double_1e-6", "axes_overflow",
-         "coincident_cantor_atoms", "level_1_empty_anchor_ball"])
+         "coincident_cantor_atoms", "level_1_empty_anchor_ball", "no_axes",
+         "negative_axes"])
 def test_counterexample_report_refuses_at_the_boundary(tmp_path, args, code, message):
     # in a child with a timeout, so that a refusal that never comes fails the test
     out = tmp_path / "cx"

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import full_generator, random_setup, split_psi
 from hklab.errors import ParameterError, PointCapExceeded
-from hklab.form import (_DenseBasis, _HalfSpectrum, _part_generator, _quantile,
-                        _reflection_blocks,
+from hklab.form import (_DenseBasis, _HalfSpectrum, _KernelRows, _part_generator,
+                        _quantile, _reflection_blocks, _symmetric_generator,
                         far_tail_profile, killed_part,
                         removed_top_eigenvalue)
+from hklab.kernel import _tail_masses
 
 
 def _jmat(form):
@@ -737,6 +738,34 @@ def test_diagonal_entries_gather_their_rows_once(monkeypatch):
 
 
 
+def test_split_diagonal_entries_gather_each_pair_row_once(monkeypatch):
+    # on a split form, an atom and its mirror share one pair row of each
+    # block, so the whole diagonal reads h rows of each block, not N, with
+    # the floats of the expression that gathers every atom's row
+    space = hk.build_cantor_product(1 / 3, 1, 6)
+    form = hk.assemble(space, hk.build_cantor_axis_kernel(
+        space, hk.constant_field(space, 0.8, T0=1.0)))
+    basis = form.basis
+    assert isinstance(basis, _HalfSpectrum)
+    xs = np.arange(space.n_points)
+    x, w = basis.pair[xs], space.weights
+    even, odd = (np.einsum("ij,ij->i", vecs[x] * np.exp(-0.2 * vals), vecs[x])
+                 for vals, vecs in basis.bases)
+    want = (even + basis.sign * basis.sign * odd) / (2.0 * np.sqrt(w * w))
+    gathered = []
+
+    class Watched(np.ndarray):
+        def __getitem__(self, atoms):
+            gathered.append(np.size(atoms))
+            return super().__getitem__(atoms).view(np.ndarray)
+
+    monkeypatch.setattr(basis, "bases", [(vals, vecs.view(Watched))
+                                         for vals, vecs in basis.bases])
+    assert _same_bits(form.heat_kernel_entries(0.2, xs, xs), want)
+    assert sum(gathered) == 2 * basis.A.size           # h rows of each block
+    assert _same_bits(form.heat_kernel_entries(0.2, xs[::-3], xs[::-3]), want[::-3])
+
+
 def test_quantile_is_numpy_quantile_bit_for_bit():
     # random sizes, ties and q, and the three super-level cuts of the FK family
     rng = np.random.default_rng(11)
@@ -781,6 +810,31 @@ def test_assemble_keeps_no_dense_generator():
     assert held <= 0.6 * square                        # the two half eigenbases; 2.00 with psi and L
     assert form.L is None
     assert not hasattr(form.basis, "psi")
+
+
+@pytest.mark.parametrize("name", ["volumes_at", "tail_masses", "energy", "generator"])
+def test_chunked_passes_allocate_under_two_square_arrays(name):
+    # 256 atoms, whose chunks are 64 rows; tracemalloc sees numpy's arrays.
+    # Beyond what it returns, each whole-space pass holds a few chunks at a
+    # time, not the N x N temporaries of a pass made in one chunk (3.0 to
+    # 4.4 square arrays)
+    space = hk.build_cantor_product(1 / 3, 2, 4)
+    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    form = hk.assemble(space, kern)
+    fs = np.random.default_rng(0).normal(size=(3, space.n_points))
+    run = {"volumes_at": lambda: space.volumes_at(0.2),
+           "tail_masses": lambda: _tail_masses(kern, space, hk.dyadic_radius_grid(space)),
+           "energy": lambda: form.energy(fs),
+           "generator": lambda: _symmetric_generator(space, _KernelRows(kern))[0]}[name]
+    square = space.n_points**2 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start - result.nbytes < 2 * square
 
 
 def test_checks_on_a_split_form_allocate_no_square_array():

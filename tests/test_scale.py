@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError
+from hklab.report import canonical_json
 
 
 def test_phi_values():
@@ -96,6 +98,98 @@ def test_scale_axioms_flags_lipschitz_violation():
     rep = hk.verify_scale_axioms(field, sp, [0.5, 1.0])
     assert rep.passed is False
     assert rep.witness["lipschitz_excess"] > 0
+
+
+def unstreamed_scale_axioms(scale, space, radius_grid, rng):
+    # test oracle: the scan on whole P x P pair matrices that
+    # verify_scale_axioms streams in row chunks
+    radii = np.asarray(radius_grid, dtype=float)
+    n = space.n_points
+    if n <= hk.scale._AXIOM_PAIR_SAMPLE:
+        pair_idx = np.arange(n)
+    else:
+        pair_idx = rng.choice(n, size=hk.scale._AXIOM_PAIR_SAMPLE, replace=False)
+    phi_vec = hk.scale.phi_vec
+    dist = space.dist_block(pair_idx, pair_idx)
+    c1, c1_witness = 1.0, {}
+    for r in radii:
+        vals = phi_vec(scale, pair_idx, float(r))
+        ratio = np.where(dist <= r, vals[None, :] / vals[:, None], 0.0)
+        k = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if ratio[k] > c1:
+            c1 = float(ratio[k])
+            c1_witness = {"x": int(pair_idx[k[0]]), "y": int(pair_idx[k[1]]), "r": float(r)}
+    c2, c2_witness = 1.0, {}
+    for a in range(radii.size):
+        for b in range(a + 1, radii.size):
+            r, big_r = radii[a], radii[b]
+            ratio = phi_vec(scale, pair_idx, float(big_r)) / phi_vec(scale, pair_idx, float(r))
+            q = big_r / r
+            worst = float(max((ratio / q ** scale.beta2).max(), (q ** scale.beta1 / ratio).max()))
+            if worst > c2:
+                c2, c2_witness = worst, {"r": float(r), "R": float(big_r)}
+    c_off = 0.0
+    for a in range(radii.size):
+        for b in range(a, radii.size):
+            r, big_r = radii[a], radii[b]
+            vals_r = phi_vec(scale, pair_idx, float(r))
+            vals_R = phi_vec(scale, pair_idx, float(big_r))
+            bound = ((big_r + dist) / r) ** scale.beta2
+            c_off = max(c_off, float((vals_R[None, :] / vals_r[:, None] / bound).max()))
+    witness = {"C1": c1, "C2": c2, "C_offpoint": c_off, **c1_witness}
+    series = [{"C1": c1, "C2": c2, "C_offpoint": c_off,
+               "r": c2_witness.get("r"), "R": c2_witness.get("R")}]
+    passed = all(map(math.isfinite, (c1, c2, c_off)))
+    if scale.lipschitz:
+        beta = scale.beta_values[pair_idx]
+        gap = max(0.0, float((np.abs(beta[None, :] - beta[:, None]) - dist).max()))
+        witness["lipschitz_excess"] = gap
+        passed = passed and gap <= 1e-9
+    return c1, witness, series, passed
+
+
+def _axiom_case(case):
+    if case == "tied_product":                          # 256 atoms, maxima tied across chunks
+        cfg = hk.synthesize_config(4.0, level=4)
+        sp = hk.build_cantor_product(cfg.xi, 2, 4)
+        return sp, hk.build_counterexample_field(cfg, sp)
+    if case == "sampled_pairs":                         # 1024 atoms, P = 512 sampled
+        sp = hk.build_cantor_product(1 / 3, 1, 10)
+        anchors = [(0, 0.1, 1.4), (sp.n_points - 1, 0.1, 0.7)]
+        return sp, hk.field_from_balls(sp, anchors, 0.7, 1.4)
+    sp = hk.build_grid(2, 19)                           # 361 atoms, a ragged last chunk
+    values = np.random.default_rng(3).uniform(0.6, 1.6, size=sp.n_points)
+    return sp, hk.field_from_table(sp, values, 0.6, 1.6, lipschitz=True)
+
+
+@pytest.mark.parametrize("case", ["tied_product", "sampled_pairs", "lipschitz_violation"])
+def test_streamed_scale_axioms_equal_the_unstreamed_scan(case):
+    sp, field = _axiom_case(case)
+    radii = hk.dyadic_radius_grid(sp)
+    rep = hk.verify_scale_axioms(field, sp, radii, rng=np.random.default_rng(0))
+    c1, witness, series, passed = unstreamed_scale_axioms(field, sp, radii,
+                                                          np.random.default_rng(0))
+    assert canonical_json([rep.best_constant, rep.witness, rep.series, rep.passed]) == \
+        canonical_json([c1, witness, series, passed])
+    assert "x" in witness
+    assert passed is (case != "lipschitz_violation")
+
+
+def test_scale_axioms_allocate_under_two_square_pair_arrays():
+    # 256 atoms, all of them paired; tracemalloc sees numpy's arrays.  The
+    # pair scans hold a few row chunks at a time, not the P x P distance,
+    # ratio and bound matrices (4.0 square arrays)
+    sp, field = _axiom_case("tied_product")
+    radii = hk.dyadic_radius_grid(sp)
+    square = sp.n_points**2 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        hk.verify_scale_axioms(field, sp, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * square
 
 
 def test_quasi_metric_constant_field_exact():

@@ -248,6 +248,26 @@ def test_volumes_at_matches_volume(seed, chunk_budget):
         assert np.array_equal(got, want)     # dyadic weights sum exactly
 
 
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 256, 1024, 4096])
+def test_row_chunks_cover_the_rows_within_the_budget(n):
+    # consecutive pieces that cover every row, each of at least
+    # min(16, rows left) rows and at most max(16, 2^14 // N) rows: a 256-atom
+    # pass makes 64-row chunks, and from 1024 atoms up every chunk is 16 rows
+    space = hk.FiniteMMSpace(coords=np.arange(float(n)), weights=np.ones(n), diameter=1.0)
+    most = max(16, (1 << 14) // n)
+    some = np.arange(n)[::-3]
+    for rows, chunks in ((np.arange(n), space._row_chunks()),
+                         (some, space._row_chunks(some))):
+        chunks = list(chunks)
+        assert np.array_equal(np.concatenate(chunks), rows)
+        left = rows.size
+        for chunk in chunks:
+            assert min(16, left) <= chunk.size <= most
+            left -= chunk.size
+    if n >= 1024:
+        assert {chunk.size for chunk in space._row_chunks()} == {16}
+
+
 def test_volumes_at_rejects_bad_radii():
     sp = hk.build_cantor_product(1 / 3, 1, 3)
     with pytest.raises(ParameterError):
