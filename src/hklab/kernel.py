@@ -57,8 +57,8 @@ class JumpKernel:
         """Dense intensity matrix; cached, read-only, refused above the dense cap.
 
         Filled one row chunk at a time, so the block function's temporaries
-        stay at chunk size; read-only because every caller shares it.  Forms
-        read blocks only, so this is the tests' oracle of those blocks.
+        stay at chunk size; read-only because every caller shares it.  No
+        builder makes it and forms read blocks only: it is the tests' oracle.
         """
         if self._matrix is None:
             n = self.space.n_points
@@ -98,17 +98,6 @@ def truncate(kernel: JumpKernel, rho: float) -> tuple[JumpKernel, JumpKernel]:
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
-
-def _dense_kernel(space: FiniteMMSpace, m: np.ndarray, support_pattern: str,
-                  meta: dict[str, Any]) -> JumpKernel:
-    """Kernel owning ``m``: diagonal zeroed, read-only, both its blocks and its ``matrix()``."""
-    np.fill_diagonal(m, 0.0)
-    m.flags.writeable = False
-    kern = JumpKernel(space, lambda rows, cols: m[np.ix_(rows, cols)], support_pattern,
-                      meta=meta)
-    kern._matrix = m
-    return kern
-
 
 def build_zero_kernel(space: FiniteMMSpace) -> JumpKernel:
     def block_fn(rows, cols):
@@ -185,39 +174,49 @@ def build_stable_like_kernel(space: FiniteMMSpace, scale: ScaleField,
 
     j(x,y) = lower_constant / (V(x, |x-y|) * phi(x, |x-y|)), symmetrized by
     arithmetic averaging, with |x-y| in whole grid steps, so that atoms at the
-    same distance tie however their coordinates round.  Materialized densely.
+    same distance tie however their coordinates round.  One (N x side) table
+    of the one-sided value, from the closed-form count of atoms in the open
+    ball of k steps, serves every block.
     """
     if space.meta.get("kind") != "grid":
         raise ParameterError("stable-like kernel needs a grid space")
     per_unit = space.meta["side"] - 1                  # grid steps in a unit of length
-    dist = np.rint(space.pairwise() * per_unit)        # in steps; refuses above the dense cap
-    n = space.n_points
-    raw = np.zeros((n, n))
-    for x in range(n):
-        row = dist[x]
-        order = np.argsort(row, kind="stable")
-        cumw = np.concatenate([[0.0], np.cumsum(space.weights[order])])
-        vol = cumw[np.searchsorted(row[order], row, side="left")]
-        r = row / per_unit
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi_row = np.where(r <= 1.0, r ** scale.beta_values[x], r ** scale.beta1)
-            raw[x] = lower_constant / (vol * phi_row)
-    raw[~np.isfinite(raw)] = 0.0
-    np.fill_diagonal(raw, 0.0)
-    return _dense_kernel(space, 0.5 * (raw + raw.T), "full",
-                         {"kind": "stable_like", "lower_constant": lower_constant})
+    steps = np.arange(per_unit + 1)
+    cumw = np.concatenate([[0.0], np.cumsum(space.weights)])
+    # no step exceeds one unit of length, where phi(x, r) = r^beta(x); a power
+    # per distinct order, since numpy takes a scalar 0.5 or 2 as sqrt or square
+    orders, order_of = np.unique(scale.beta_values, return_inverse=True)
+    table = np.empty((space.n_points, steps.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.stack([(steps / per_unit) ** b for b in orders])
+        for rows in space._row_chunks():               # temporaries of chunk size
+            count = np.ones((rows.size, steps.size), dtype=np.int64)
+            for i in np.rint(space.coords[rows] * per_unit).astype(np.int64).T[:, :, None]:
+                count *= np.minimum(i + steps - 1, per_unit) - np.maximum(i - steps + 1, 0) + 1
+            count[:, 0] = 0
+            table[rows] = lower_constant / (cumw[count] * phi[order_of[rows]])
+    table[~np.isfinite(table)] = 0.0
+
+    def block_fn(rows, cols):
+        k = np.rint(space.dist_block(rows, cols) * per_unit).astype(np.intp)
+        return 0.5 * (table[rows[:, None], k] + table[cols[None, :], k])
+
+    return JumpKernel(space, block_fn, "full",
+                      meta={"kind": "stable_like", "lower_constant": lower_constant})
 
 
 def build_nearest_neighbor_kernel(space: FiniteMMSpace, value: float = 1.0) -> JumpKernel:
     """Jump surrogate for a local form: jumps only at the minimal atom spacing."""
-    dist = space.pairwise()                            # refuses above the dense cap
-    positive = dist[dist > 0]
-    if positive.size == 0:
+    h = space._distance_range()[1]
+    if not math.isfinite(h):
         raise ParameterError("space has fewer than two distinct points")
-    h = float(positive.min())
-    m = np.where((dist > 0) & (dist <= h * (1 + 1e-9)), value / h**2, 0.0)
-    return _dense_kernel(space, m, "nearest_neighbor",
-                         {"kind": "nearest_neighbor", "spacing": h})
+
+    def block_fn(rows, cols):
+        d = space.dist_block(rows, cols)
+        return np.where((d > 0) & (d <= h * (1 + 1e-9)), value / h**2, 0.0)
+
+    return JumpKernel(space, block_fn, "nearest_neighbor",
+                      meta={"kind": "nearest_neighbor", "spacing": h})
 
 
 # ---------------------------------------------------------------------------

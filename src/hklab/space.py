@@ -174,6 +174,23 @@ class FiniteMMSpace:
             vols[part] = np.where(inside, self.weights, 0.0).sum(axis=1)
         return vols
 
+    def _distance_range(self) -> tuple[float, float]:
+        """The largest distance and the smallest between distinct atoms (inf
+        for one atom), in one pass over row chunks; distinct atoms at
+        distance zero are refused, since balls and cutoffs would merge them
+        without a word."""
+        widest, nearest = 0.0, math.inf
+        for rows in self._row_chunks():
+            d = self._dist_rows(rows)
+            widest = max(widest, float(d.max()))
+            d[np.arange(rows.size), rows] = np.inf
+            a, k = np.unravel_index(np.argmin(d), d.shape)
+            if not d[a, k] > 0:
+                raise ParameterError(f"atoms {int(rows[a])} and {int(k)} are at distance "
+                                     f"{float(d[a, k])!r}; distinct atoms must not coincide")
+            nearest = min(nearest, float(d[a, k]))
+        return widest, nearest
+
     def _row_chunks(self, rows=None):
         """Consecutive pieces of ``rows`` (default: all atoms) whose block
         against every atom holds at most ``_CHUNK_ELEMENTS`` entries, or
@@ -324,8 +341,9 @@ def build_custom(coords, weights, metric_matrix=None, diameter: float | None = N
                  meta: dict | None = None) -> FiniteMMSpace:
     """Space from explicit coordinates (sup metric) or an explicit distance matrix.
 
-    Distinct atoms at distance zero are rejected: balls and cutoffs would
-    merge them without a word.
+    Distinct atoms at distance zero are rejected.  Its kind is always
+    "custom", whatever ``meta`` says, so no builder that needs the lattice
+    of a grid or the construction of a Cantor product accepts it.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim == 1:
@@ -334,16 +352,8 @@ def build_custom(coords, weights, metric_matrix=None, diameter: float | None = N
     space = FiniteMMSpace(coords=coords, weights=np.asarray(weights, dtype=float),
                           diameter=0.0, metric_kind=kind,
                           metric_matrix=metric_matrix,
-                          meta={"kind": "custom", **(meta or {})})
-    widest = 0.0
-    for rows in space._row_chunks():
-        d = space._dist_rows(rows)
-        widest = max(widest, float(d.max()))
-        d[np.arange(rows.size), rows] = np.inf
-        a, k = np.unravel_index(np.argmin(d), d.shape)
-        if not d[a, k] > 0:
-            raise ParameterError(f"atoms {int(rows[a])} and {int(k)} are at distance "
-                                 f"{float(d[a, k])!r}; distinct atoms must not coincide")
+                          meta={**(meta or {}), "kind": "custom"})
+    widest = space._distance_range()[0]
     space.diameter = widest if diameter is None else float(diameter)
     return space
 

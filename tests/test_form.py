@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hklab as hk
-from conftest import full_generator, random_setup, split_psi
+from conftest import dense_kernel, full_generator, random_setup, split_psi
 from hklab.errors import ParameterError, PointCapExceeded
 from hklab.form import (_DenseBasis, _HalfSpectrum, _KernelRows, _part_generator,
                         _quantile, _reflection_blocks, _symmetric_generator,
@@ -420,10 +420,6 @@ def test_part_negative_index_rejected(two_point):
         hk.part_on(form, [-1, 0])
 
 
-def _dense_kernel(space, m):
-    return hk.JumpKernel(space, lambda rows, cols: m[np.ix_(rows, cols)])
-
-
 @pytest.mark.parametrize("rounding", [0.0, 1e-14], ids=["exact", "rounding_first"])
 def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
     sp = hk.build_grid(1, 64)
@@ -431,7 +427,7 @@ def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
     m[0, 1] += rounding             # within tolerance, in the first chunk
     m[63, 61] = 1.5                 # both atoms in the last chunk of the small budget
     with pytest.raises(ParameterError, match="symmetric"):
-        hk.assemble(sp, _dense_kernel(sp, m))
+        hk.assemble(sp, dense_kernel(sp, m))
 
 
 def test_assemble_matches_reference_formulas(chunk_budget):
@@ -442,7 +438,7 @@ def test_assemble_matches_reference_formulas(chunk_budget):
     m = rng.uniform(0.0, 1.0, size=(40, 40))
     m = m + m.T
     m[3, 7] *= 1 + 1e-14
-    form = hk.assemble(sp, _dense_kernel(sp, m))
+    form = hk.assemble(sp, dense_kernel(sp, m))
     jmat = m.copy()
     np.fill_diagonal(jmat, 0.0)
     jmat = 0.5 * (jmat + jmat.T)
@@ -501,7 +497,7 @@ def _generator_case(case):
     m = rng.uniform(0.0, 1.0, size=(n, n))
     m = m + m.T
     m[3, 7] *= 1 + 1e-14
-    return space, _dense_kernel(space, m), float(np.median(space.dist_from(0)))
+    return space, dense_kernel(space, m), float(np.median(space.dist_from(0)))
 
 
 def _assert_matches_spectrum(form, eigvals, psi, sym):
@@ -607,12 +603,12 @@ def _mirror_case(case):
     m = hk.build_cantor_axis_kernel(cantor, hk.constant_field(cantor, 0.8)).matrix().copy()
     if case == "explicit_metric":
         space = hk.build_custom(cantor.coords, cantor.weights, metric_matrix=cantor.pairwise())
-        return space, _dense_kernel(space, m)
+        return space, dense_kernel(space, m)
     if case == "mirror_pair_off_by_1e-6":
         # (30, 5) against its mirror (33, 58); pair row 30 is in the last small chunk
         m[30, 5] *= 1 + 1e-6
         m[5, 30] = m[30, 5]
-    return cantor, _dense_kernel(cantor, m)
+    return cantor, dense_kernel(cantor, m)
 
 
 @pytest.mark.parametrize("case", ["cantor", "two_plateau_field", "odd_grid",
@@ -638,7 +634,7 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
     space = hk.build_grid(1, 4)
     m = np.zeros((4, 4))
     m[0, 1] = m[1, 0] = m[2, 3] = m[3, 2] = 1.0
-    form = hk.assemble(space, _dense_kernel(space, m))
+    form = hk.assemble(space, dense_kernel(space, m))
     assert eigh_shapes == [(2, 2), (2, 2)]
     assert form.eigvals[0] == form.eigvals[1] and form.eigvals[2] == form.eigvals[3]
     psi = split_psi(form)
@@ -897,7 +893,7 @@ def test_assemble_signed_zero_is_not_exact_symmetry():
     sp = hk.build_grid(1, 3)
     m = np.ones((3, 3))
     m[0, 1], m[1, 0] = 0.0, -0.0
-    kern = _dense_kernel(sp, m)
+    kern = dense_kernel(sp, m)
     form = hk.assemble(sp, kern)
     assert not form.kernel_symmetric
     j = form.jblock([0, 1], [0, 1])
@@ -928,14 +924,21 @@ def test_part_energy_equals_part_on_energy(cantor6):
         _part_generator(form, [-1, 0])
 
 
-def test_assemble_never_builds_the_kernel_matrix():
-    # 1024 atoms, whose kernel matrix was never built; tracemalloc sees
-    # numpy's arrays, not the LAPACK workspace or eigh's copy of its input
-    space = hk.build_cantor_product(1 / 3, 1, 10)
-    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+@pytest.mark.parametrize("kind", ["cantor_axis", "stable_like", "nearest_neighbor"])
+def test_assemble_never_builds_the_kernel_matrix(kind):
+    # 1024 atoms, whose kernel matrix was never built, by the builder or by
+    # assemble; tracemalloc sees numpy's arrays, not the LAPACK workspace or
+    # eigh's copy of its input
+    space = (hk.build_cantor_product(1 / 3, 1, 10) if kind == "cantor_axis"
+             else hk.build_grid(2, 32))
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    build = {"cantor_axis": lambda: hk.build_cantor_axis_kernel(space, scale),
+             "stable_like": lambda: hk.build_stable_like_kernel(space, scale),
+             "nearest_neighbor": lambda: hk.build_nearest_neighbor_kernel(space)}[kind]
     square = space.n_points**2 * 8
     tracemalloc.start()
     try:
+        kern = build()
         form = hk.assemble(space, kern)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -958,13 +961,13 @@ def test_assemble_decides_symmetry_with_the_global_tolerance(chunk_budget, gap, 
     m[63, 61] = m[61, 63] = big
     accept = np.allclose(m, m.T, atol=1e-10 * max(np.abs(m).max(), 1.0))
     if accept:
-        form = hk.assemble(sp, _dense_kernel(sp, m))
+        form = hk.assemble(sp, dense_kernel(sp, m))
         assert not form.kernel_symmetric
         atoms = np.arange(64)
         assert np.array_equal(form.jblock(atoms, atoms), 0.5 * (m + m.T))
     else:
         with pytest.raises(ParameterError, match="symmetric"):
-            hk.assemble(sp, _dense_kernel(sp, m))
+            hk.assemble(sp, dense_kernel(sp, m))
     assert accept == (gap == 1e-8 and big == 1e3)
 
 
@@ -1006,12 +1009,14 @@ def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
         assert row["x"] == int(np.argmax(vals)) and _same_bits(row["c"], vals.max())
 
 
-@pytest.mark.parametrize("build", [hk.build_uniform_kernel, hk.build_zero_kernel],
-                         ids=["uniform", "zero"])
+@pytest.mark.parametrize("build", [
+    hk.build_uniform_kernel, hk.build_zero_kernel, hk.build_nearest_neighbor_kernel,
+    lambda space: hk.build_stable_like_kernel(space, hk.constant_field(space, 0.8))],
+    ids=["uniform", "zero", "nearest_neighbor", "stable_like"])
 def test_assemble_refuses_above_the_dense_cap(build):
-    # lazy kernels, which read no distance matrix: the dense eigensolve is
-    # what the cap refuses, before any N x N array is made
-    space = hk.build_cantor_product(1 / 3, 1, 14, point_cap=1 << 14)
+    # lazy kernels, built above the cap with no N x N array: the dense
+    # eigensolve is what the cap refuses, before any N x N array is made
+    space = hk.build_grid(2, 91, point_cap=1 << 14)    # 8281 atoms
     kern = build(space)
     with pytest.raises(PointCapExceeded):
         hk.assemble(space, kern)

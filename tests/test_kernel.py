@@ -260,6 +260,102 @@ def test_cylindrical_kernel_axis_pattern():
 
 
 # ---------------------------------------------------------------------------
+# Grid kernels against the dense builders they replaced
+# ---------------------------------------------------------------------------
+
+def stable_like_reference(space, scale, lower_constant=1.0):
+    """The stable-like kernel matrix as first built: one row at a time from
+    the whole distance matrix, with ball volumes from a sorted row."""
+    per_unit = space.meta["side"] - 1
+    dist = np.rint(space.pairwise() * per_unit)
+    n = space.n_points
+    raw = np.zeros((n, n))
+    for x in range(n):
+        row = dist[x]
+        order = np.argsort(row, kind="stable")
+        cumw = np.concatenate([[0.0], np.cumsum(space.weights[order])])
+        vol = cumw[np.searchsorted(row[order], row, side="left")]
+        r = row / per_unit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_row = np.where(r <= 1.0, r ** scale.beta_values[x], r ** scale.beta1)
+            raw[x] = lower_constant / (vol * phi_row)
+    raw[~np.isfinite(raw)] = 0.0
+    np.fill_diagonal(raw, 0.0)
+    return 0.5 * (raw + raw.T)
+
+
+def nearest_neighbor_reference(space, value=1.0):
+    """The nearest-neighbour kernel matrix as first built, from the whole
+    distance matrix."""
+    dist = space.pairwise()
+    h = float(dist[dist > 0].min())
+    m = np.where((dist > 0) & (dist <= h * (1 + 1e-9)), value / h**2, 0.0)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+@pytest.mark.parametrize("d,side,field,lower_constant", [
+    (1, 2, "constant", 1.0), (1, 33, "sqrt", 1.3), (1, 16, "table", 1.3),
+    (2, 8, "constant", 1.3), (2, 9, "table", 1.0), (2, 6, "square", 1.0),
+    (3, 4, "table", 1.3), (3, 5, "constant", 1.0)])
+def test_stable_like_matches_the_dense_builder(chunk_budget, d, side, field, lower_constant):
+    # bit for bit, with orders of 0.5 and 2, which numpy's scalar power
+    # takes as sqrt and square, and a table field that repeats some orders
+    sp = hk.build_grid(d, side)
+    if field == "table":
+        rng = np.random.default_rng(side)
+        orders = np.where(rng.random(sp.n_points) < 0.5, rng.uniform(0.5, 2.0, sp.n_points),
+                          rng.choice([0.5, 1.0, 2.0], sp.n_points))
+        scale = hk.field_from_table(sp, orders, 0.5, 2.0)
+    else:
+        scale = hk.constant_field(sp, {"constant": 0.8, "sqrt": 0.5, "square": 2.0}[field])
+    kern = hk.build_stable_like_kernel(sp, scale, lower_constant)
+    ref = stable_like_reference(sp, scale, lower_constant)
+    assert np.array_equal(kern.matrix().view(np.uint64), ref.view(np.uint64))
+
+
+def _lattice_with_euclidean_metric(side):
+    pts = np.array([(a, b) for a in range(side) for b in range(side)]) / (side - 1)
+    metric = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    return hk.build_custom(pts, np.full(side * side, 1.0 / side**2), metric_matrix=metric)
+
+
+@pytest.mark.parametrize("case", ["line", "square", "cube", "explicit_metric"])
+def test_nearest_neighbor_matches_the_dense_threshold(chunk_budget, case):
+    if case == "explicit_metric":
+        sp = _lattice_with_euclidean_metric(7)
+    else:
+        sp = hk.build_grid({"line": 1, "square": 2, "cube": 3}[case], 9 if case == "line" else 5)
+    kern = hk.build_nearest_neighbor_kernel(sp, 1.7)
+    ref = nearest_neighbor_reference(sp, 1.7)
+    assert np.array_equal(kern.matrix().view(np.uint64), ref.view(np.uint64))
+    assert kern.meta["spacing"] == float(sp.pairwise()[sp.pairwise() > 0].min())
+
+
+def test_nearest_neighbor_refuses_coincident_and_single_atoms():
+    pair = hk.FiniteMMSpace(coords=[[0.0], [0.0], [1.0]], weights=np.full(3, 1 / 3),
+                            diameter=1.0)
+    with pytest.raises(ParameterError, match="must not coincide"):
+        hk.build_nearest_neighbor_kernel(pair)
+    single = hk.build_custom([[0.5]], [1.0])
+    with pytest.raises(ParameterError, match="fewer than two distinct points"):
+        hk.build_nearest_neighbor_kernel(single)
+
+
+def test_custom_space_stays_custom_whatever_its_meta():
+    # a caller's meta cannot claim a grid's lattice or a Cantor construction
+    coords = [[0.0, 0.0], [0.3, 0.0], [0.7, 0.2], [1.0, 1.0]]
+    for meta in ({"kind": "grid", "side": 3, "n_axes": 2}, {"kind": "cantor"}):
+        sp = hk.build_custom(coords, [0.1, 0.2, 0.3, 0.4], meta=meta)
+        assert sp.meta == {**meta, "kind": "custom"}
+        scale = hk.constant_field(sp, 0.8)
+        with pytest.raises(ParameterError, match="grid space"):
+            hk.build_stable_like_kernel(sp, scale)
+        with pytest.raises(ParameterError, match="cantor product"):
+            hk.build_cantor_axis_kernel(sp, scale)
+
+
+# ---------------------------------------------------------------------------
 # Chunked checkers against the per-atom loops they replaced
 # ---------------------------------------------------------------------------
 
