@@ -10,15 +10,16 @@ submatrices of L: the diagonal keeps the jumps that leave the domain, which
 act as killing.
 
 A full form keeps the generator diagonal and its eigenbasis, but no dense L
-and no kernel matrix: J is read as a measure on blocks of atoms, each
-reader taking the block it needs of 0.5 (J + J.T) from
-``_symmetric_block``, one row chunk or one D x D part at a time; off the
-diagonal L is -2 J W.  A form's spectrum is one basis object behind one
-protocol (:class:`_Basis`): a :class:`_DenseBasis` from one ``eigh``, which
-keeps ``psi``, or, when the generator commutes with the central reflection
-of the space, a :class:`_HalfSpectrum` of the even and odd half eigenbases,
-from which the semigroup, the resolvent, kernel entries and the heat kernel
-are computed with no ``psi`` at all.  Dirichlet parts are always solved whole.
+and no kernel matrix: J is read as a measure on blocks of atoms, one row
+chunk or one D x D part at a time, from ``form.kernel``, which is exactly
+symmetric (``assemble`` replaces a kernel symmetric only up to rounding by
+its average with its mirror); off the diagonal L = -2 J W.  A form's
+spectrum is one basis object behind one protocol (:class:`_Basis`): a
+:class:`_DenseBasis` from one ``eigh``, which keeps ``psi``, or, when the
+generator commutes with the central reflection of the space, a
+:class:`_HalfSpectrum` of the even and odd half eigenbases, from which the
+semigroup, the resolvent, kernel entries and the heat kernel are computed
+with no ``psi`` at all.  Dirichlet parts are always solved whole.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
@@ -37,7 +38,7 @@ from .errors import ParameterError, PointCapExceeded
 from .kernel import JumpKernel
 from .report import ConditionReport
 from .scale import ScaleField, phi, phi_inverse, phi_vec
-from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace
+from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids
 
 
 @dataclass
@@ -56,9 +57,10 @@ class SpectralForm:
     :class:`_DenseBasis`, whose mu-orthonormal eigenfunction columns are
     ``psi``; a split form has no ``psi``.
 
-    ``kernel_symmetric`` says that J equals J.T bit for bit, so that its
-    blocks need no mirror.  A Dirichlet part shares the kernel of its full
-    form and keeps its small dense generator ``L``; a full form keeps none.
+    ``kernel`` equals its transpose bit for bit: the kernel ``assemble`` was
+    given, or, if that is symmetric only up to rounding, its average with
+    its mirror.  A Dirichlet part shares the kernel of its full form and
+    keeps its small dense generator ``L``; a full form keeps none.
     """
 
     space: FiniteMMSpace
@@ -67,13 +69,17 @@ class SpectralForm:
     diag: np.ndarray
     basis: _Basis
     jmat_nonzeros: int
-    kernel_symmetric: bool
     L: np.ndarray | None = field(default=None, repr=False)
     _lambda1: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
 
     def jblock(self, rows, cols=None) -> np.ndarray:
-        """The rows x cols block (all columns by default) of 0.5 (J + J.T)."""
-        return _symmetric_block(self.kernel, self.kernel_symmetric, rows, cols)
+        """The rows x cols block (all columns by default) of J, zero on the
+        diagonal: the one way a form reads its kernel."""
+        cols = np.arange(self.space.n_points) if cols is None else cols
+        rows, cols = (np.atleast_1d(np.asarray(a, dtype=int)) for a in (rows, cols))
+        block = self.kernel.block(rows, cols)
+        block[rows[:, None] == cols[None, :]] = 0.0
+        return block
 
     @property
     def eigvals(self) -> np.ndarray:
@@ -119,6 +125,8 @@ class SpectralForm:
         psi.T W f the eigen-coefficients of ``f``, computed once.  ``f`` may
         hold one function per column; each result then does too."""
         f = np.asarray(f, dtype=float)
+        if f.ndim == 0 or f.shape[0] != self.domain.size:
+            raise ParameterError(f"f must have {self.domain.size} entries along its first axis")
         per_atom = (slice(None),) + (None,) * (f.ndim - 1)   # a vector along f's first axis
         filters = [lambda vals, coef, g=g: scale(coef, g(vals)[per_atom]) for g in gains]
         return self.basis.calculus(f, per_atom, filters)
@@ -141,10 +149,13 @@ class SpectralForm:
         return self.basis.heat_kernel(t)
 
     def heat_kernel_entries(self, t: float, xs, ys) -> np.ndarray:
-        """p(t, xs[k], ys[k]) for each k, in O(len(xs) N), no N x N kernel."""
+        """p(t, xs[k], ys[k]) for each k, in O(len(xs) N), no N x N kernel;
+        ``xs`` and ``ys`` are equally long lists of positions in the domain."""
         if t < 0:
             raise ParameterError("time must be nonnegative")
-        xs, ys = np.asarray(xs, dtype=int), np.asarray(ys, dtype=int)
+        xs, ys = (_checked_ids(a, self.domain.size) for a in (xs, ys))
+        if xs.size != ys.size:
+            raise ParameterError("xs and ys must have the same length")
         return self.basis.entries(t, xs, None if np.array_equal(xs, ys) else ys,
                                   self.space._row_chunks)
 
@@ -165,46 +176,11 @@ def _symmetrized(L: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
 
 
 def _kernel_generator(j: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
-    """-2 J times ``w_cols``.  With a block J[rows, cols] and w[None, cols] this
-    is the block of L = -2 J W off the diagonal; with the rows J[part] and
-    w[part, None] it is, J being symmetric, the columns L[:, part] transposed."""
+    """-2 J times ``w_cols``: with a block J[rows, cols] and w[None, cols],
+    the block of L = -2 J W off the diagonal."""
     out = j * -2.0
     out *= w_cols
     return out
-
-
-def _symmetric_generator(space: FiniteMMSpace, jrows) -> tuple[np.ndarray, np.ndarray]:
-    """``_symmetrized(L, sqrt(w))`` and the diagonal of L, one row chunk at a time.
-
-    ``jrows(rows)`` returns the rows ``rows`` (consecutive atoms) of an
-    exactly symmetric kernel matrix J, and L is its generator, whose diagonal
-    is minus its off-diagonal row sums.  Each chunk forms its rows of L and
-    its columns with the floating-point operations of the dense formula, so
-    the result equals it bit for bit, and no N x N array but the result is made.
-    """
-    w = space.weights
-    sqrt_w = np.sqrt(w)
-    n = space.n_points
-    sym = np.empty((n, n))
-    diag = np.empty(n)
-    for rows in space._row_chunks():
-        part = slice(rows[0], rows[-1] + 1)
-        on_diag = (np.arange(rows.size), rows)
-        j = jrows(rows)
-        row = _kernel_generator(j, w[None, :])
-        col = _kernel_generator(j, w[rows, None])
-        row[on_diag] = 0.0
-        diag[part] = -row.sum(axis=1)
-        row[on_diag] = col[on_diag] = diag[part]
-        row *= sqrt_w[rows, None]
-        row /= sqrt_w[None, :]
-        col *= sqrt_w[None, :]
-        col /= sqrt_w[rows, None]
-        row += col
-        row *= 0.5
-        sym[part] = row
-        del j, row, col             # before the next chunk is evaluated
-    return sym, diag
 
 
 def _part_form(form: SpectralForm, D: np.ndarray, LD: np.ndarray) -> SpectralForm:
@@ -224,80 +200,84 @@ def _symmetry_atol(top: float) -> float:
     return _SYMMETRY_RTOL * max(top, 1.0)
 
 
-def _symmetric_block(kernel: JumpKernel, symmetric: bool, rows, cols=None) -> np.ndarray:
-    """The rows x cols block (all columns by default) of 0.5 (J + J.T), zero on the
-    diagonal: the one way a form reads its kernel.  ``symmetric`` says J equals
-    J.T bit for bit, so J's own block is that block; else it is averaged with
-    its mirror, its own transpose when ``rows`` equals ``cols``."""
-    cols = np.arange(kernel.space.n_points) if cols is None else cols
-    rows, cols = (np.atleast_1d(np.asarray(a, dtype=int)) for a in (rows, cols))
-    block = kernel.block(rows, cols)
-    if not symmetric:
+def _mirror_averaged(kernel: JumpKernel) -> JumpKernel:
+    """``kernel`` averaged with its mirror, 0.5 (J + J.T): each block is
+    averaged with ``kernel.block(cols, rows).T``, or with its own transpose
+    when ``rows`` equals ``cols``."""
+    def block_fn(rows, cols):
+        block = kernel.block(rows, cols)
         block += block.T if np.array_equal(rows, cols) else kernel.block(cols, rows).T
         block *= 0.5
-    block[rows[:, None] == cols[None, :]] = 0.0
-    return block
-
-
-class _KernelRows:
-    """``jrows`` for ``_symmetric_generator`` straight from ``kernel.block``.
-
-    Each call evaluates the kernel on the rows and on the columns of the
-    chunk (on the rows only, when the chunk holds every row), zeroes their
-    diagonal entries, and returns the rows of
-    0.5 * (J + J.T), which are the rows of J itself where they equal their
-    mirror bit for bit.  On the way it refuses non-finite values, counts the
-    off-diagonal nonzeros and keeps the chunks that differ from their mirror
-    by more than the tolerance of the largest |J| seen so far; :meth:`check`
-    decides on those once the largest |J| is known.
-    """
-
-    def __init__(self, kernel: JumpKernel):
-        self.kernel = kernel
-        self.atoms = np.arange(kernel.space.n_points)
-        self.symmetric = True          # every chunk so far equals its mirror bit for bit
-        self.nonzeros = 0
-        self._top = 0.0                # max |J| so far
-        self._suspect: list[np.ndarray] = []
-
-    def _blocks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        block = self.kernel.block(rows, self.atoms)
-        if rows.size == self.atoms.size:   # one chunk holds all of J: the mirror is J.T
-            mirror = block.T
-        else:
-            mirror = self.kernel.block(self.atoms, rows).T
-        on_diag = (np.arange(rows.size), rows)
-        block[on_diag] = mirror[on_diag] = 0.0
-        return block, mirror
-
-    def _atol(self) -> float:
-        return _symmetry_atol(self._top)
-
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        block, mirror = self._blocks(rows)
-        top = np.maximum(block.max(), -block.min())   # propagates NaN
-        if not np.isfinite(top):
-            raise ParameterError("kernel has non-finite values (NaN or inf)")
-        self._top = max(self._top, float(top))
-        # bitwise, so that signed zeros count as different too
-        if not np.array_equal(block.view(np.uint64), mirror.view(np.uint64)):
-            self.symmetric = False
-            if not np.allclose(block, mirror, atol=self._atol()):
-                self._suspect.append(rows)
-            block += mirror
-            block *= 0.5
-        self.nonzeros += int(np.count_nonzero(block))
         return block
+    return JumpKernel(kernel.space, block_fn, kernel.support_pattern, dict(kernel.meta))
 
-    def check(self) -> None:
-        """Refuse asymmetry beyond rounding: ``np.allclose(J, J.T)`` with atol
-        1e-10 * max(max |J|, 1) fails.  A chunk within the tolerance of the
-        max |J| so far is within the final one, so only the others are
-        evaluated again."""
-        atol = self._atol()
-        for rows in self._suspect:
-            if not np.allclose(*self._blocks(rows), atol=atol):
+
+def _symmetric_generator(space: FiniteMMSpace, kernel: JumpKernel
+                         ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """``_symmetrized(L, sqrt(w))`` for the generator L of 0.5 (J + J.T), the
+    diagonal of L, the off-diagonal nonzeros of 0.5 (J + J.T), and whether J
+    equals J.T bit for bit.
+
+    One N x N buffer becomes the result.  A first pass over row chunks
+    writes the rows of J into it, each entry read once, zeroes the diagonal
+    and refuses non-finite values.  A second pass takes each chunk's columns
+    from its first row down, which hold every pair of a chunk atom with
+    itself or a later atom, and tests them against the chunk's rows: bit for
+    bit, then, where the bits differ, by ``np.allclose`` in both orders with
+    atol ``_symmetry_atol(max |J|)``, which refuses just what
+    ``np.allclose(J, J.T)`` would; a chunk that passes is averaged with its
+    mirror in place.  The chunk's rows of L and its columns are then formed
+    with the floating-point operations of the dense formula, so the result
+    equals it bit for bit; the diagonal of L is minus its off-diagonal row
+    sums.
+    """
+    n = space.n_points
+    atoms = np.arange(n)
+    sym = np.empty((n, n))
+    top = 0.0                           # max |J|
+    for rows in space._row_chunks():
+        j = sym[rows[0]:rows[-1] + 1]
+        j[...] = kernel.block(rows, atoms)
+        j[np.arange(rows.size), rows] = 0.0
+        chunk_top = np.maximum(j.max(), -j.min())     # propagates NaN
+        if not np.isfinite(chunk_top):
+            raise ParameterError("kernel has non-finite values (NaN or inf)")
+        top = max(top, float(chunk_top))
+    atol = _symmetry_atol(top)
+    w = space.weights
+    sqrt_w = np.sqrt(w)
+    diag = np.empty(n)
+    nonzeros, exact = 0, True
+    for rows in space._row_chunks():
+        part = slice(rows[0], rows[-1] + 1)
+        # compared in the layout of the columns, whose rows are contiguous:
+        # in that of the rows, each entry of the columns is on its own page,
+        # and the pass takes three times as long
+        lower, upper = sym[part.start:, part], sym[part, part.start:].T
+        # bitwise, so that signed zeros count as different too
+        if not np.array_equal(lower.view(np.uint64), upper.view(np.uint64)):
+            if not (np.allclose(lower, upper, atol=atol) and np.allclose(upper, lower, atol=atol)):
                 raise ParameterError("kernel must be symmetric")
+            exact = False
+            lower += upper                                   # numpy buffers the overlap
+            lower *= 0.5
+            upper[...] = lower
+        col = sym[part]                                      # the chunk's rows of J
+        nonzeros += int(np.count_nonzero(col))
+        on_diag = (np.arange(rows.size), rows)
+        row = _kernel_generator(col, w[None, :])
+        col *= -2.0                  # -2 J w[rows], which is L[:, rows].T, J being symmetric
+        col *= w[rows, None]
+        row[on_diag] = 0.0
+        diag[part] = -row.sum(axis=1)
+        row[on_diag] = col[on_diag] = diag[part]
+        row *= sqrt_w[rows, None]
+        row /= sqrt_w[None, :]
+        col *= sqrt_w[None, :]
+        col /= sqrt_w[rows, None]
+        col += row
+        col *= 0.5
+    return sym, diag, nonzeros, exact
 
 
 def _reflection_pairs(space: FiniteMMSpace) -> tuple[np.ndarray, np.ndarray] | None:
@@ -589,26 +569,26 @@ class _HalfSpectrum(_Basis):
 def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     """Assemble the generator of the pure-jump form for the whole space.
 
-    The symmetrized generator is built from kernel blocks one row chunk at a
-    time, so neither a dense generator nor the kernel matrix is alive during
-    the eigensolve, which is split into two half-size ones when the
-    generator commutes with the central reflection of the space.  Refused
-    above the dense cap, where the dense eigensolve would not fit.
+    The symmetrized generator is built in place from kernel blocks one row
+    chunk at a time, each entry of J read once, so neither a dense generator
+    nor the kernel matrix is alive during the eigensolve, which is split
+    into two half-size ones when the generator commutes with the central
+    reflection of the space.  A kernel symmetric only up to rounding is
+    kept as its average with its mirror.  Refused above the dense cap, where
+    the dense eigensolve would not fit.
     """
     if space.n_points > DENSE_MATRIX_CAP:
         raise PointCapExceeded(space.n_points, DENSE_MATRIX_CAP, dense=True)
-    jrows = _KernelRows(kernel)
-    sym, diag = _symmetric_generator(space, jrows)
-    jrows.check()
+    sym, diag, nonzeros, exact = _symmetric_generator(space, kernel)
     split = _reflection_blocks(space, sym)
     if split is None:
         basis = _DenseBasis.solve(sym, space.weights)
     else:
         del sym                         # only the half-size blocks reach the eigensolve
         basis = _HalfSpectrum(*split, space.weights)
-    return SpectralForm(space=space, kernel=kernel, domain=np.arange(space.n_points),
-                        diag=diag, basis=basis, jmat_nonzeros=jrows.nonzeros,
-                        kernel_symmetric=jrows.symmetric)
+    return SpectralForm(space=space, kernel=kernel if exact else _mirror_averaged(kernel),
+                        domain=np.arange(space.n_points), diag=diag, basis=basis,
+                        jmat_nonzeros=nonzeros)
 
 
 def part_on(form: SpectralForm, D) -> SpectralForm:
@@ -679,14 +659,12 @@ def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.nda
     return 0.5 * (form_full.diag - form_near.diag)
 
 
-def removed_top_eigenvalue(form_full: SpectralForm, form_near: SpectralForm,
-                           kernel_far: JumpKernel) -> float:
+def removed_top_eigenvalue(space: FiniteMMSpace, kernel_far: JumpKernel) -> float:
     """Largest eigenvalue of the removed generator L_full - L_near, without
-    eigenvectors: the generator of the far kernel J - J_near, in row chunks."""
-    symmetric = form_full.kernel_symmetric and form_near.kernel_symmetric
-    sym, _ = _symmetric_generator(form_full.space,
-                                  lambda rows: _symmetric_block(kernel_far, symmetric, rows))
-    split = _reflection_blocks(form_full.space, sym)
+    eigenvectors: the generator of the far kernel J - J_near, built like a
+    full form's."""
+    sym = _symmetric_generator(space, kernel_far)[0]
+    split = _reflection_blocks(space, sym)
     if split is None:
         return float(np.linalg.eigvalsh(sym)[-1])
     del sym
@@ -899,9 +877,7 @@ def _fk_bracket(variant: str, ratio_pow: float, damping: float, b: float,
         return ratio_pow
     if variant == "WFK":
         return ratio_pow - Cprime
-    if variant == "GFK":
-        return damping**b * ratio_pow - Cprime
-    raise ParameterError(f"unknown variant {variant!r}")
+    return damping**b * ratio_pow - Cprime           # GFK
 
 
 def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
@@ -923,6 +899,8 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     one of its ball is swept once.  lambda_1 comes from :func:`lambda1`, so
     a subset some part was solved on is not solved again.
     """
+    if variant not in ("FK", "WFK", "GFK"):
+        raise ParameterError(f"unknown variant {variant!r}")
     rng = rng or np.random.default_rng(0)
     best = math.inf
     witness: dict[str, Any] = {}

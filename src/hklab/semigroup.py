@@ -257,7 +257,7 @@ def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm,
     The removed generator is that of ``kernel_far``, the jumps the near form
     drops; the far tail comes from the generator diagonals, which is exact.
     """
-    sup_eig = removed_top_eigenvalue(form_full, form_near, kernel_far)
+    sup_eig = removed_top_eigenvalue(form_full.space, kernel_far)
     tail = far_tail_profile(form_full, form_near)
     bound = 4.0 * float(tail.max())
     margin = bound - sup_eig

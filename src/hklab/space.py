@@ -203,12 +203,17 @@ class FiniteMMSpace:
 
     def _check_indices(self, idx) -> np.ndarray:
         """``idx`` as a 1-D integer array of atom ids in 0..n_points-1."""
-        idx = np.asarray(idx)
-        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
-            raise ParameterError("point ids must be a 1-D list of integers")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_points):
-            raise ParameterError(f"point ids must lie in 0..{self.n_points - 1}")
-        return idx.astype(int, copy=False)
+        return _checked_ids(idx, self.n_points)
+
+
+def _checked_ids(idx, n: int) -> np.ndarray:
+    """``idx`` as a 1-D integer array of ids in 0..n-1."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+        raise ParameterError("point ids must be a 1-D list of integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ParameterError(f"point ids must lie in 0..{n - 1}")
+    return idx.astype(int, copy=False)
 
 
 @dataclass

@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import dense_kernel, full_generator, random_setup, split_psi
 from hklab.errors import ParameterError, PointCapExceeded
-from hklab.form import (_DenseBasis, _HalfSpectrum, _KernelRows, _part_generator,
+from hklab.form import (_DenseBasis, _HalfSpectrum, _part_generator,
                         _quantile, _reflection_blocks, _symmetric_generator,
                         far_tail_profile, killed_part,
                         removed_top_eigenvalue)
 from hklab.kernel import _tail_masses
 
 
-def _jmat(form):
-    # test oracle: the symmetric kernel matrix 0.5 (J + J.T) that a form reads
-    # in blocks, from the kernel's dense matrix
-    m = form.kernel.matrix()
-    return m if form.kernel_symmetric else 0.5 * (m + m.T)
+def _jmat(kern):
+    # test oracle: the symmetric kernel matrix 0.5 (J + J.T) that a form of
+    # ``kern`` reads in blocks, from the kernel's dense matrix; J itself when
+    # J equals J.T bit for bit
+    m = kern.matrix()
+    return 0.5 * (m + m.T)
 
 
 def energy_oracle(space, kern, f):
@@ -157,6 +158,37 @@ def test_resolvent_contraction_bound():
             assert u.max() <= 1.0 + 1e-10
 
 
+def _form16():
+    space = hk.build_cantor_product(1 / 3, 1, 4)
+    return hk.assemble(space, hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8)))
+
+
+@pytest.mark.parametrize("xs,ys", [([-1], [0]), ([16], [0]), ([0], [0, 1, 2]),
+                                   ([0, 1, 2], [0]), ([0.0], [0]), (0, 0)])
+def test_heat_kernel_entries_refuses_bad_atom_ids(xs, ys):
+    # on 16 atoms, [-1], [0] used to return p(t, 15, 0), [0], [0, 1, 2] one
+    # value, and [0, 1, 2], [0] a bare IndexError
+    form = _form16()
+    with pytest.raises(ParameterError):
+        form.heat_kernel_entries(0.1, xs, ys)
+    part = hk.part_on(form, np.arange(5))
+    with pytest.raises(ParameterError, match=r"0\.\.4"):
+        part.heat_kernel_entries(0.1, [5], [0])
+    assert form.heat_kernel_entries(0.1, [], []).shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(15,), (17,), (15, 3), ()])
+def test_calculus_refuses_a_function_off_the_domain(shape):
+    # a 15-entry f on 16 atoms used to raise numpy's broadcast ValueError
+    form = _form16()
+    part = hk.part_on(form, np.arange(5))
+    f = np.ones(shape)
+    for refused in (lambda: form.apply_semigroup(0.1, f), lambda: form.apply_semigroup([0.1], f),
+                    lambda: form.resolvent(1.0, f), lambda: part.resolvent(1.0, np.ones(16))):
+        with pytest.raises(ParameterError, match="entries along its first axis"):
+            refused()
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_markovian_clamp_contraction(seed):
@@ -290,6 +322,15 @@ def test_fk_two_point_closed_form(two_point):
     # only hold there with C = 0, and the sweep reports exactly that
     whole = [row["C"] for row in rep.series if row["size_D"] == 2]
     assert whole and whole[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sample", [[], [(0, 0.25)]], ids=["no_balls", "one_ball"])
+def test_fk_family_check_refuses_an_unknown_variant_before_it_sweeps(cantor6, sample):
+    # "wfk" used to give a fail report for condition fk_wfk on an empty sample
+    space, scale, kern = cantor6
+    form = hk.assemble(space, kern)
+    with pytest.raises(ParameterError, match="unknown variant 'wfk'"):
+        hk.fk_family_check(form, space, scale, "wfk", 0.5, 1.0, 1.0, 0.5, sample)
 
 
 def test_gfk_with_derived_exponent_finite(cantor6):
@@ -430,6 +471,30 @@ def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
         hk.assemble(sp, dense_kernel(sp, m))
 
 
+@pytest.mark.parametrize("case", ["exact", "rounding"])
+def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
+    # 256 atoms, four chunks at the default budget: assemble and the removed
+    # generator pass each of the N^2 entries of J to the block function once,
+    # whether or not J equals J.T bit for bit
+    space = hk.build_cantor_product(1 / 3, 2, 4)
+    m = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8)).matrix().copy()
+    if case == "rounding":
+        m[3, 7] *= 1 + 1e-14
+    read = []
+
+    def block_fn(rows, cols):
+        read.append(rows.size * cols.size)
+        return m[np.ix_(rows, cols)]
+
+    kern = hk.JumpKernel(space, block_fn)
+    form = hk.assemble(space, kern)
+    assert sum(read) == space.n_points**2
+    assert (form.kernel is kern) == (case == "exact")
+    read.clear()
+    removed_top_eigenvalue(space, hk.truncate(kern, 0.125)[1])
+    assert sum(read) == space.n_points**2
+
+
 def test_assemble_matches_reference_formulas(chunk_budget):
     # the generator as written before the in-place rewrite, on a kernel that
     # is symmetric only up to rounding, so it is symmetrized
@@ -526,10 +591,12 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     # symmetry and take the one dense eigh, bit for bit.
     space, kern, rho = _generator_case(case)
     form = hk.assemble(space, kern)
-    near = hk.assemble(space, hk.truncate(kern, rho)[0])
-    assert form.kernel_symmetric == (case != "rounding")   # else read symmetrized
+    near_kern = hk.truncate(kern, rho)[0]
+    near = hk.assemble(space, near_kern)
+    assert (form.kernel is kern) == (case != "rounding")   # else read symmetrized
+    assert _same_bits(form.kernel.matrix(), _jmat(kern))
     w = space.weights
-    L, L_near = _dense_generator(space, _jmat(form)), _dense_generator(space, _jmat(near))
+    L, L_near = _dense_generator(space, _jmat(kern)), _dense_generator(space, _jmat(near_kern))
     for f, ref in ((form, L), (near, L_near)):
         eigvals, psi, sym = _dense_spectrum(ref, w)
         assert (_reflection_blocks(space, sym) is not None) == (case == "cantor")
@@ -557,12 +624,11 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     # -0.0 where L - L_near has +0.0; bit for bit, it is the far kernel's
     # dense generator
     far = hk.truncate(kern, rho)[1]
-    removed = removed_top_eigenvalue(form, near, far)
+    removed = removed_top_eigenvalue(space, far)
     top = np.linalg.eigvalsh(_dense_spectrum(L - L_near, w)[2])[-1]
     assert abs(removed - top) <= 1e-12 * abs(top)
     if case != "cantor":
-        jfar = far.matrix() if form.kernel_symmetric else 0.5 * (far.matrix() + far.matrix().T)
-        L_far = _dense_generator(space, jfar)
+        L_far = _dense_generator(space, _jmat(far))
         assert _same_bits(removed, np.linalg.eigvalsh(_dense_spectrum(L_far, w)[2])[-1])
 
 
@@ -620,7 +686,7 @@ def test_reflection_gate(chunk_budget, eigh_shapes, case):
     n = space.n_points
     split = case in ("cantor", "even_grid")
     assert eigh_shapes == ([(n // 2, n // 2)] * 2 if split else [(n, n)])
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), space.weights)
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(kern)), space.weights)
     if split:
         _assert_matches_spectrum(form, eigvals, psi, sym)
     else:
@@ -641,7 +707,7 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
     mirror = psi[::-1]                                 # row x holds the mirror atom of x
     assert np.array_equal(mirror[:, [0, 2]], psi[:, [0, 2]])
     assert np.array_equal(mirror[:, [1, 3]], -psi[:, [1, 3]])
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), space.weights)
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, m), space.weights)
     _assert_matches_spectrum(form, eigvals, psi, sym)
 
 
@@ -675,7 +741,7 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     form = hk.assemble(space, kern)
     assert isinstance(form.basis, _HalfSpectrum) and not hasattr(form.basis, "psi")
     n, w = space.n_points, space.weights
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(form)), w)
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(kern)), w)
 
     def close(got, want, scale=None):
         # relative to the largest |value|, of the whole kernel for its entries
@@ -821,7 +887,7 @@ def test_chunked_passes_allocate_under_two_square_arrays(name):
     run = {"volumes_at": lambda: space.volumes_at(0.2),
            "tail_masses": lambda: _tail_masses(kern, space, hk.dyadic_radius_grid(space)),
            "energy": lambda: form.energy(fs),
-           "generator": lambda: _symmetric_generator(space, _KernelRows(kern))[0]}[name]
+           "generator": lambda: _symmetric_generator(space, kern)[0]}[name]
     square = space.n_points**2 * 8
     tracemalloc.start()
     try:
@@ -895,7 +961,7 @@ def test_assemble_signed_zero_is_not_exact_symmetry():
     m[0, 1], m[1, 0] = 0.0, -0.0
     kern = dense_kernel(sp, m)
     form = hk.assemble(sp, kern)
-    assert not form.kernel_symmetric
+    assert form.kernel is not kern
     j = form.jblock([0, 1], [0, 1])
     assert not np.signbit(j[0, 1]) and not np.signbit(j[1, 0])
 
@@ -945,7 +1011,7 @@ def test_assemble_never_builds_the_kernel_matrix(kind):
         tracemalloc.stop()
     assert kern._matrix is None
     assert peak <= 2.3 * square                        # 3.01 with the kernel matrix
-    assert form.kernel_symmetric
+    assert form.kernel is kern
     assert form.jmat_nonzeros == np.count_nonzero(kern.matrix())
 
 
@@ -961,8 +1027,9 @@ def test_assemble_decides_symmetry_with_the_global_tolerance(chunk_budget, gap, 
     m[63, 61] = m[61, 63] = big
     accept = np.allclose(m, m.T, atol=1e-10 * max(np.abs(m).max(), 1.0))
     if accept:
-        form = hk.assemble(sp, dense_kernel(sp, m))
-        assert not form.kernel_symmetric
+        kern = dense_kernel(sp, m)
+        form = hk.assemble(sp, kern)
+        assert form.kernel is not kern
         atoms = np.arange(64)
         assert np.array_equal(form.jblock(atoms, atoms), 0.5 * (m + m.T))
     else:
@@ -975,7 +1042,7 @@ def test_assemble_decides_symmetry_with_the_global_tolerance(chunk_budget, gap, 
 def test_jmat_nonzeros_counts_the_symmetric_kernel(seed, chunk_budget):
     space, _, kern = random_setup(seed)
     form = hk.assemble(space, kern)
-    assert form.jmat_nonzeros == np.count_nonzero(_jmat(form))
+    assert form.jmat_nonzeros == np.count_nonzero(_jmat(kern))
     assert hk.part_on(form, [0, 1]).jmat_nonzeros == form.jmat_nonzeros
 
 
@@ -1001,7 +1068,7 @@ def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
     form = hk.assemble(space, kern)
     sample = [(x0, R, R / 2.0) for x0 in (0, 5) for R in (0.1, 0.3)]
     rep = hk.cs_check(form, space, scale, sample)
-    jmat, w = _jmat(form), space.weights
+    jmat, w = _jmat(kern), space.weights
     for (x0, R, r), row in zip(sample, rep.series):
         cut = hk.build_cutoff(space, x0, R, r)
         vals = ((cut[:, None] - cut[None, :]) ** 2 * jmat * w[None, :]).sum(axis=1)
