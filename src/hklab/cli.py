@@ -107,12 +107,12 @@ def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
         return space_mod.build_grid(_field(cfg, "d", "space", _whole),
                                     _field(cfg, "side", "space", _whole), point_cap=cap)
     if kind == "two_point":
-        _declared(cfg, "space", "kind", "point_cap", "gap", "weights")
+        _declared(cfg, "space", "kind", "gap", "weights")
         return space_mod.build_two_point(_field(cfg, "gap", "space", _number, 1.0),
                                          _field(cfg, "weights", "space", _float_array,
                                                 (0.5, 0.5)))
     if kind == "custom":
-        _declared(cfg, "space", "kind", "point_cap", "coords", "weights", "metric_matrix")
+        _declared(cfg, "space", "kind", "coords", "weights", "metric_matrix")
         metric = cfg.get("metric_matrix")
         space = space_mod.build_custom(
             _field(cfg, "coords", "space", _float_array),
@@ -121,7 +121,7 @@ def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
                            _field(cfg, "metric_matrix", "space", _float_array)))
         d = space.metric_matrix
         if d is not None and not (np.all(np.diag(d) == 0) and np.array_equal(d, d.T)
-                                  and space_mod.metric_axioms_ok(space)):
+                                  and space_mod.metric_axioms_ok(space, np.random.default_rng(0))):
             raise SchemaError("space.metric_matrix", "not a metric: needs a zero diagonal, "
                                                      "symmetry and the triangle inequality")
         return space
@@ -180,17 +180,18 @@ def build_kernel(cfg: dict, space: space_mod.FiniteMMSpace,
     elif kind == "stable_like":
         _declared(cfg, "kernel", "kind", "rho", "lower_constant")
         kern = kernel_mod.build_stable_like_kernel(
-            space, scale, _field(cfg, "lower_constant", "kernel", _number, 1.0))
+            space, scale, _field(cfg, "lower_constant", "kernel", _nonnegative, 1.0))
     elif kind == "cylindrical":
         _declared(cfg, "kernel", "kind", "rho")
         kern = kernel_mod.build_cylindrical_kernel(space, scale)
     elif kind == "nearest_neighbor":
         _declared(cfg, "kernel", "kind", "rho", "value")
         kern = kernel_mod.build_nearest_neighbor_kernel(
-            space, _field(cfg, "value", "kernel", _number, 1.0))
+            space, _field(cfg, "value", "kernel", _nonnegative, 1.0))
     elif kind == "uniform":
         _declared(cfg, "kernel", "kind", "rho", "value")
-        kern = kernel_mod.build_uniform_kernel(space, _field(cfg, "value", "kernel", _number, 1.0))
+        kern = kernel_mod.build_uniform_kernel(
+            space, _field(cfg, "value", "kernel", _nonnegative, 1.0))
     elif kind == "zero":
         _declared(cfg, "kernel", "kind", "rho")
         kern = kernel_mod.build_zero_kernel(space)
@@ -226,6 +227,14 @@ def _positive(value) -> float:
     x = _number(value)
     if not x > 0:
         raise ValueError("not positive")
+    return x
+
+
+def _nonnegative(value) -> float:
+    """a number >= 0"""
+    x = _number(value)
+    if x < 0:
+        raise ValueError("negative")
     return x
 
 
@@ -298,7 +307,7 @@ def _grid_pairs(ctx, p):
 _RADIUS_GRID = {"radius_grid": (_grid, _derived(
     "the dyadic radius grid of the space",
     lambda ctx, p: space_mod.dyadic_radius_grid(ctx["space"])))}
-_BALL_RADII = {"ball_radii": (_positives, _derived(
+_BALL_RADII = {"ball_radii": (_grid, _derived(
     "the three largest radii of the dyadic grid",
     lambda ctx, p: space_mod.dyadic_radius_grid(ctx["space"])[-3:]))}
 _TIME_GRID = {"time_grid": (_grid, _derived(
@@ -433,8 +442,7 @@ CHECKS: dict[str, dict[str, Any]] = {
         "params": {"kappa": (_number, 1.0), **_BALL_RADII}},
     "cs_check": {
         "fn": lambda ctx, p: form_mod.cs_check(
-            ctx["form"], ctx["space"], ctx["scale"],
-            [(x0, r / 2.0, r / 4.0) for x0, r in _balls(ctx, p)]),
+            ctx["form"], ctx["space"], ctx["scale"], _balls(ctx, p)),
         "measures": "cutoff energy density: sum_y (cut(x)-cut(y))^2 j mu <= c / phi(x,r)",
         "params": _BALL_RADII},
     "capacity_check": {
@@ -485,7 +493,7 @@ CHECKS: dict[str, dict[str, Any]] = {
             ctx["form"], ctx["space"], ctx["scale"], p["T0"], p["time_grid"], k=p["k"],
             rng=ctx["rng"]),
         "measures": "diagonal bound: p(t,x,x) V(x, phi^-1(x,t)) <= C for t < k T0",
-        "params": {"T0": (_positive, 1.0), **_TIME_GRID, "k": (_number, 1.0)}},
+        "params": {"T0": (_positive, 1.0), **_TIME_GRID, "k": (_positive, 1.0)}},
     "conservativeness_check": {
         "fn": lambda ctx, p: semi_mod.conservativeness_check(ctx["form"], p["time_grid"]),
         "measures": "mass conservation: max |P_t 1 - 1| <= 1e-9",
@@ -523,15 +531,14 @@ CHECKS: dict[str, dict[str, Any]] = {
 }
 
 
-def list_checks(file=None) -> None:
-    file = file or sys.stdout
+def list_checks() -> None:
     for name in sorted(CHECKS):
         entry = CHECKS[name]
-        print(f"{name}", file=file)
-        print(f"  measures: {entry['measures']}", file=file)
+        print(f"{name}")
+        print(f"  measures: {entry['measures']}")
         for key, (convert, default) in entry["params"].items():
             shown = default.__doc__ if callable(default) else json.dumps(default)
-            print(f"  param {key}: {convert.__doc__}; default {shown}", file=file)
+            print(f"  param {key}: {convert.__doc__}; default {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +658,7 @@ def counterexample_report(epsilon: float, level: int, axes: int,
     balls = form_mod.sample_balls(space, 3, grid[-2:], rng)
     reports = {
         "tj": kernel_mod.tj_check(kern, space, field, grid),
-        "cs": form_mod.cs_check(form, space, field,
-                                [(x0, r / 2.0, r / 4.0) for x0, r in balls]),
+        "cs": form_mod.cs_check(form, space, field, balls),
         "ij": kernel_mod.ij_check(kern, space, field, config.gamma,
                                   [(r, R) for r in grid for R in grid if r <= R]),
         "wfk": form_mod.fk_family_check(form, space, field, "WFK",
@@ -660,7 +666,7 @@ def counterexample_report(epsilon: float, level: int, axes: int,
                                         balls, rng=rng),
     }
     times = np.logspace(-4.5, 0.5, 11)
-    diagnostic = cx.due_violation_diagnostic(config, space, times, form=form)
+    diagnostic = cx.due_violation_diagnostic(config, space, times, form)
     bundle = {
         "config": {"epsilon": config.epsilon, "xi": str(config.xi), "n": config.n,
                    "alpha_xi": config.alpha_xi, "beta1": config.beta1,

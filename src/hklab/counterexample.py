@@ -19,6 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError
+from .form import SpectralForm, assemble
 from .kernel import JumpKernel, build_cantor_axis_kernel, cross_jump_mass
 from .report import ConditionReport
 from .scale import ScaleField, constant_field, field_from_balls
@@ -205,9 +206,10 @@ REGIME_NOTE = (
 
 
 def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
-                             time_grid, form=None) -> dict[str, Any]:
+                             time_grid, form: SpectralForm) -> dict[str, Any]:
     """Corner-to-corner profile r(t) = p(t, x0, y0) * t^((1+1/beta2) n' alpha / 2).
 
+    ``form`` is the form of :func:`build_counterexample_field` on ``space``.
     Probes are the atoms nearest the two corners.  A growing r(t) as t -> 0
     is the signature the full construction amplifies; at desk scale the
     output is a profile only.  A control run with the constant order-one
@@ -215,8 +217,6 @@ def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
     diagonal bound holds.  Fewer than four usable decades of time (or an
     empty grid) is inconclusive.
     """
-    from .form import assemble  # local import to avoid a cycle
-
     times = np.asarray(list(time_grid), dtype=float)
     report: dict[str, Any] = {
         "config": {"epsilon": config.epsilon, "xi": str(config.xi),
@@ -241,9 +241,6 @@ def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
     probe1 = int(np.argmin(space.dist_from_coord(space.meta["corner_e1"])))
     report["probes"] = {"near_zero": probe0, "near_e1": probe1}
 
-    if form is None:
-        field = build_counterexample_field(config, space)
-        form = assemble(space, build_cantor_axis_kernel(space, field))
     control_field = constant_field(space, config.beta1, T0=1.0)
     profiles = (
         ("series", form, (1.0 + 1.0 / config.beta2) * n_desk * config.alpha_xi / 2.0),

@@ -102,18 +102,22 @@ class SpectralForm:
     def energy(self, f):
         """Quadratic form <L f, f>_mu on the domain, one value per row of a 2-D ``f``.
 
-        A part multiplies by its small L_D; the full form forms L f one row
-        chunk of L at a time, one kernel block per chunk serving every row.
+        A part multiplies by its small L_D.  The full form subtracts each
+        function's mu-mean, which L1 = 0 leaves out of the form but would
+        cancel in L f, then forms L f one row chunk of L at a time, one
+        kernel block per chunk serving every row.
         """
         f = np.asarray(f, dtype=float)
         fs = np.atleast_2d(f)
-        if self.is_part:
+        if self.L is not None:
             Lf = np.array([self.L @ g for g in fs])
         else:
+            w = self.space.weights
+            fs = fs - ((fs * w).sum(axis=1) / w.sum())[:, None]
             Lf = np.empty_like(fs)
             for rows in self.space._row_chunks():
                 part = slice(rows[0], rows[-1] + 1)
-                row = _kernel_generator(self.jblock(rows), self.space.weights[None, :])
+                row = _kernel_generator(self.jblock(rows), w[None, :])
                 row[np.arange(rows.size), rows] = self.diag[part]
                 for k, g in enumerate(fs):
                     Lf[k, part] = row @ g
@@ -220,16 +224,16 @@ def _symmetric_generator(space: FiniteMMSpace, kernel: JumpKernel
 
     One N x N buffer becomes the result.  A first pass over row chunks
     writes the rows of J into it, each entry read once, zeroes the diagonal
-    and refuses non-finite values.  A second pass takes each chunk's columns
-    from its first row down, which hold every pair of a chunk atom with
-    itself or a later atom, and tests them against the chunk's rows: bit for
-    bit, then, where the bits differ, by ``np.allclose`` in both orders with
-    atol ``_symmetry_atol(max |J|)``, which refuses just what
-    ``np.allclose(J, J.T)`` would; a chunk that passes is averaged with its
-    mirror in place.  The chunk's rows of L and its columns are then formed
-    with the floating-point operations of the dense formula, so the result
-    equals it bit for bit; the diagonal of L is minus its off-diagonal row
-    sums.
+    and refuses negative and non-finite values.  A second pass takes each
+    chunk's columns from its first row down, which hold every pair of a
+    chunk atom with itself or a later atom, and tests them against the
+    chunk's rows: bit for bit, then, where the bits differ, by
+    ``np.allclose`` in both orders with atol ``_symmetry_atol(max |J|)``,
+    which refuses just what ``np.allclose(J, J.T)`` would; a chunk that
+    passes is averaged with its mirror in place.  The chunk's rows of L and
+    its columns are then formed with the floating-point operations of the
+    dense formula, so the result equals it bit for bit; the diagonal of L is
+    minus its off-diagonal row sums.
     """
     n = space.n_points
     atoms = np.arange(n)
@@ -239,9 +243,12 @@ def _symmetric_generator(space: FiniteMMSpace, kernel: JumpKernel
         j = sym[rows[0]:rows[-1] + 1]
         j[...] = kernel.block(rows, atoms)
         j[np.arange(rows.size), rows] = 0.0
-        chunk_top = np.maximum(j.max(), -j.min())     # propagates NaN
+        low = j.min()
+        chunk_top = np.maximum(j.max(), -low)          # propagates NaN
         if not np.isfinite(chunk_top):
             raise ParameterError("kernel has non-finite values (NaN or inf)")
+        if low < 0:
+            raise ParameterError(f"kernel has a negative jump intensity {float(low)!r}")
         top = max(top, float(chunk_top))
     atol = _symmetry_atol(top)
     w = space.weights
@@ -629,13 +636,11 @@ def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
     return D, LD
 
 
-def lambda1(form: SpectralForm, D=None) -> float:
-    """Bottom eigenvalue of the Dirichlet part (the Rayleigh-quotient infimum).
+def lambda1(form: SpectralForm, D) -> float:
+    """Bottom eigenvalue of the Dirichlet part on D (the Rayleigh-quotient infimum).
 
     A domain that :func:`part_on` has solved is looked up, not solved again.
     """
-    if D is None:
-        return float(form.eigvals[0])
     lam = form._lambda1.get(_checked_domain(form, D).tobytes())
     return lam if lam is not None else float(part_on(form, D).eigvals[0])
 
@@ -771,18 +776,23 @@ def lre_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     return report
 
 
+def _ball_cutoff(space: FiniteMMSpace, x0: int, r: float) -> np.ndarray:
+    """The cutoff of the ball B(x0, r): plateau r/2 and ramp r/4."""
+    return build_cutoff(space, x0, r / 2.0, r / 4.0)
+
+
 def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
              ball_sample) -> ConditionReport:
     """Pointwise cutoff-energy constant.
 
-    For each sampled (x0, R, r) builds the profile cutoff and reports the
-    best c with sup_x sum_y (cut(x)-cut(y))^2 j(x,y) mu(y) <= c / phi(x, r).
-    ``ball_sample`` yields (x0, R, r) triples; one kernel block per row
-    chunk serves every cutoff.
+    For each sampled ball B(x0, r) builds its cutoff, plateau R = r/2 and
+    ramp r/4 (the series' ``R`` and ``r``), and reports the best c with
+    sup_x sum_y (cut(x)-cut(y))^2 j(x,y) mu(y) <= c / phi(x, r/4).  One
+    kernel block per row chunk serves every cutoff.
     """
     ball_sample = list(ball_sample)
     atoms = np.arange(space.n_points)
-    cuts = [build_cutoff(space, x0, R, r) for x0, R, r in ball_sample]
+    cuts = [_ball_cutoff(space, x0, r) for x0, r in ball_sample]
     energy_per_point = np.empty((len(cuts), space.n_points))
     for rows in space._row_chunks():
         j = form.jblock(rows)
@@ -792,16 +802,17 @@ def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
-    for (x0, R, r), energy in zip(ball_sample, energy_per_point):
-        vals = energy * phi_vec(scale, atoms, r)
+    for (x0, r), energy in zip(ball_sample, energy_per_point):
+        R, ramp = r / 2.0, r / 4.0
+        vals = energy * phi_vec(scale, atoms, ramp)
         x = int(np.argmax(vals))
-        series.append({"x0": x0, "R": R, "r": r, "c": float(vals[x]), "x": x})
+        series.append({"x0": x0, "R": R, "r": ramp, "c": float(vals[x]), "x": x})
         if vals[x] > best:
             best = float(vals[x])
-            witness = {"x0": x0, "R": R, "r": r, "x": x}
+            witness = {"x0": x0, "R": R, "r": ramp, "x": x}
     return ConditionReport(condition="cs", params={}, best_constant=best,
-                           witness=witness, passed=math.isfinite(best),
-                           series=series)
+                           witness=witness, passed=bool(series) and math.isfinite(best),
+                           notes=[] if series else ["no ball was sampled"], series=series)
 
 
 def capacity_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
@@ -811,7 +822,7 @@ def capacity_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     if form.is_part:
         raise ParameterError("capacity uses the full-space form")
     ball_sample = list(ball_sample)
-    cuts = [build_cutoff(space, x0, r / 2.0, r / 4.0) for x0, r in ball_sample]
+    cuts = [_ball_cutoff(space, x0, r) for x0, r in ball_sample]
     energies = form.energy(np.reshape(cuts, (-1, space.n_points)))
     best = 0.0
     witness: dict[str, Any] = {}
@@ -824,8 +835,8 @@ def capacity_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
             best = c
             witness = {"x0": x0, "r": r}
     return ConditionReport(condition="capacity", params={}, best_constant=best,
-                           witness=witness, passed=math.isfinite(best),
-                           series=series)
+                           witness=witness, passed=bool(series) and math.isfinite(best),
+                           notes=[] if series else ["no ball was sampled"], series=series)
 
 
 def _ball_cap_radius(scale: ScaleField, x0: int, delta: float) -> float:
@@ -882,7 +893,7 @@ def _fk_bracket(variant: str, ratio_pow: float, damping: float, b: float,
 
 def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                     variant: str, nu: float, b: float, Cprime: float, delta: float,
-                    ball_sample, rng: np.random.Generator | None = None,
+                    ball_sample, rng: np.random.Generator,
                     extra_subsets: dict[tuple[int, float], list[np.ndarray]] | None = None,
                     ) -> ConditionReport:
     """Faber-Krahn family sweep.
@@ -901,7 +912,6 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     """
     if variant not in ("FK", "WFK", "GFK"):
         raise ParameterError(f"unknown variant {variant!r}")
-    rng = rng or np.random.default_rng(0)
     best = math.inf
     witness: dict[str, Any] = {}
     series = []
@@ -960,7 +970,7 @@ def nash_witness_constant(space: FiniteMMSpace, scale: ScaleField, ball: BallQue
 
 def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                nu: float, b: float, ball_sample,
-               rng: np.random.Generator | None = None) -> ConditionReport:
+               rng: np.random.Generator) -> ConditionReport:
     """Ball Nash-inequality sweep over a documented test family.
 
     The family per ball: low Dirichlet eigenfunctions of the ball part,
@@ -968,7 +978,6 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     supported in the ball.  The reported best constant is the largest
     witness, i.e. the smallest C for which the display holds on the family.
     """
-    rng = rng or np.random.default_rng(0)
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
@@ -1012,7 +1021,7 @@ def _superlevel_subset(space: FiniteMMSpace, D: np.ndarray, f: np.ndarray) -> np
 
 def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                         nu: float, b: float, Cprime: float, ball_sample,
-                        rng: np.random.Generator | None = None) -> ConditionReport:
+                        rng: np.random.Generator) -> ConditionReport:
     """Two-way consistency between the eigenvalue sweep and the Nash sweep.
 
     Forward: with the eigenvalue constant C_G measured over a subset family
@@ -1031,7 +1040,6 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     contraction, and Cauchy-Schwarz are the only steps besides the measured
     sweeps, so both margins must be nonnegative up to rounding.
     """
-    rng = rng or np.random.default_rng(0)
     balls = list(ball_sample)
 
     # (x0, r) -> (ball, its largest Nash witness, [(asserted subset, its lambda_1)])

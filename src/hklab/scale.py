@@ -5,8 +5,7 @@ A :class:`ScaleField` assigns every atom an order ``beta(x)`` in
 
     phi(x, r) = r^beta(x)  for r <= 1,    phi(x, r) = r^beta1  for r > 1,
 
-strictly increasing and continuous in r (continuity at the crossover is
-forced by fixing the crossover at 1; other crossovers are rejected).
+strictly increasing and continuous in r: both branches are 1 at the crossover r = 1.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class ScaleField:
     beta_values: np.ndarray
     beta1: float
     beta2: float
-    crossover: float = 1.0
     T0: float = math.inf
     lipschitz: bool = False
     meta: dict[str, Any] = field(default_factory=dict)
@@ -41,8 +39,6 @@ class ScaleField:
         self.beta_values = np.asarray(self.beta_values, dtype=float)
         if not (0 < self.beta1 <= self.beta2):
             raise ParameterError("need 0 < beta1 <= beta2")
-        if self.crossover != 1.0:
-            raise ParameterError("crossover radius is fixed at 1; rescale the space instead")
         if self.T0 <= 0:
             raise ParameterError("T0 must be positive (may be inf)")
         lo, hi = self.beta_values.min(), self.beta_values.max()
@@ -143,7 +139,7 @@ def field_from_balls(space: FiniteMMSpace, anchors, beta1: float, beta2: float,
 # ---------------------------------------------------------------------------
 
 def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
-                        rng: np.random.Generator | None = None) -> ConditionReport:
+                        rng: np.random.Generator) -> ConditionReport:
     """Best constants for the scale-function axioms on a radius grid.
 
     Reports C1 = max over pairs (x, y) and grid radii r >= d(x,y) of
@@ -159,7 +155,6 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
     if np.any(radii > space.diameter):
         raise ParameterError("radii must stay within (0, diameter]")
     n = space.n_points
-    rng = rng or np.random.default_rng(0)
     if n <= _AXIOM_PAIR_SAMPLE:
         pair_idx = np.arange(n)
     else:

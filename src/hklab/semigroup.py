@@ -172,7 +172,8 @@ def te_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                 witness = {"x0": x0, "r": r, "t": float(t)}
     report = ConditionReport(condition="te", params={"T0": T0},
                              best_constant=best, witness=witness,
-                             passed=math.isfinite(best), series=series)
+                             passed=bool(series) and math.isfinite(best), series=series,
+                             notes=[] if series else ["no usable ball, or no time"])
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
     return report
@@ -189,8 +190,8 @@ def _first_near_max(vals: np.ndarray) -> int:
 
 
 def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-              T0: float, time_grid, k: float = 1.0,
-              rng: np.random.Generator | None = None) -> ConditionReport:
+              T0: float, time_grid, rng: np.random.Generator,
+              k: float = 1.0) -> ConditionReport:
     """On-diagonal constant C = max of p(t,x,x) V(x, phi^-1(x,t)) for t < k T0.
 
     Also verifies the off-diagonal square-root-product bound
@@ -200,7 +201,6 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     """
     if form.is_part:
         raise ParameterError("diagonal estimate uses the full-space semigroup")
-    rng = rng or np.random.default_rng(0)
     n = space.n_points
     best = 0.0
     witness: dict[str, Any] = {}
@@ -227,7 +227,8 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     report = ConditionReport(condition="due", params={"T0": T0, "k": k},
                              best_constant=best,
                              witness={**witness, "sqrt_product_residual": cs_resid},
-                             passed=math.isfinite(best) and cs_resid <= 1e-10,
+                             passed=bool(series) and math.isfinite(best) and cs_resid <= 1e-10,
+                             notes=[] if series else ["no time of the grid lies below k T0"],
                              series=series)
     return report
 

@@ -342,24 +342,17 @@ def build_two_point(gap: float = 1.0, weights=(0.5, 0.5)) -> FiniteMMSpace:
     return FiniteMMSpace(coords=coords, weights=w, diameter=float(gap), meta=meta)
 
 
-def build_custom(coords, weights, metric_matrix=None, diameter: float | None = None,
-                 meta: dict | None = None) -> FiniteMMSpace:
+def build_custom(coords, weights, metric_matrix=None) -> FiniteMMSpace:
     """Space from explicit coordinates (sup metric) or an explicit distance matrix.
 
-    Distinct atoms at distance zero are rejected.  Its kind is always
-    "custom", whatever ``meta`` says, so no builder that needs the lattice
-    of a grid or the construction of a Cantor product accepts it.
+    Distinct atoms at distance zero are rejected.  The diameter is the
+    largest distance.  Its kind is "custom", so no builder that needs the
+    lattice of a grid or the construction of a Cantor product accepts it.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
     kind = "explicit" if metric_matrix is not None else "sup"
-    space = FiniteMMSpace(coords=coords, weights=np.asarray(weights, dtype=float),
-                          diameter=0.0, metric_kind=kind,
-                          metric_matrix=metric_matrix,
-                          meta={**(meta or {}), "kind": "custom"})
-    widest = space._distance_range()[0]
-    space.diameter = widest if diameter is None else float(diameter)
+    space = FiniteMMSpace(coords=coords, weights=weights, diameter=0.0, metric_kind=kind,
+                          metric_matrix=metric_matrix, meta={"kind": "custom"})
+    space.diameter = space._distance_range()[0]
     return space
 
 
@@ -421,13 +414,12 @@ def fit_rvd_exponent(space: FiniteMMSpace, radius_grid) -> float:
     return min(env_slope, float(slopes.mean()))
 
 
-def dyadic_radius_grid(space: FiniteMMSpace, k_min: int = 1, k_max: int | None = None) -> np.ndarray:
-    """Radii 2^-k, ascending, staying above the atom scale and below the diameter."""
-    if k_max is None:
-        nz = space.dist_from(0)
-        atom = float(nz[nz > 0].min()) if np.any(nz > 0) else 1e-6
-        k_max = max(k_min + 3, int(np.floor(-np.log2(max(atom, 1e-12)))))
-    radii = 2.0 ** (-np.arange(k_min, k_max + 1, dtype=float))
+def dyadic_radius_grid(space: FiniteMMSpace) -> np.ndarray:
+    """Radii 2^-k from k = 1, ascending, staying above the atom scale and below the diameter."""
+    nz = space.dist_from(0)
+    atom = float(nz[nz > 0].min()) if np.any(nz > 0) else 1e-6
+    k_max = max(4, int(np.floor(-np.log2(max(atom, 1e-12)))))
+    radii = 2.0 ** (-np.arange(1, k_max + 1, dtype=float))
     radii = radii[radii < space.diameter]
     return np.sort(radii)
 
@@ -436,9 +428,10 @@ def dyadic_radius_grid(space: FiniteMMSpace, k_min: int = 1, k_max: int | None =
 # Metric-axiom scan
 # ---------------------------------------------------------------------------
 
-def metric_axioms_ok(space: FiniteMMSpace, rng: np.random.Generator | None = None,
+def metric_axioms_ok(space: FiniteMMSpace, rng: np.random.Generator,
                      n_samples: int = 200_000, tol: float = 1e-12) -> bool:
-    """Exhaustive triangle/symmetry scan for <= 200 points, sampled triples above."""
+    """Exhaustive triangle/symmetry scan for <= 200 points, triples drawn from
+    ``rng`` above."""
     n = space.n_points
     if n <= 200:
         d = space.pairwise()
@@ -450,7 +443,6 @@ def metric_axioms_ok(space: FiniteMMSpace, rng: np.random.Generator | None = Non
             if np.any(d > d[:, [k]] + d[[k], :] + tol):
                 return False
         return True
-    rng = rng or np.random.default_rng(0)
     i, j, k = rng.integers(0, n, size=(n_samples, 3)).T
     dij, djk, dik = space._dist_pairs(i, j), space._dist_pairs(j, k), space._dist_pairs(i, k)
     broken = (dik > dij + djk + tol) | (np.abs(dij - space._dist_pairs(j, i)) > tol)

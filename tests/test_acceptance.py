@@ -231,7 +231,9 @@ def test_criterion_13_regime_gap_is_labeled():
     assert "2^(32*level)" in REGIME_NOTE
     cfg = hk.synthesize_config(1.0, level=3)
     space = hk.build_cantor_product(cfg.xi, 2, 3)
-    rep = hk.due_violation_diagnostic(cfg, space, np.logspace(-4.5, 0.5, 9))
+    form = hk.assemble(space, hk.build_cantor_axis_kernel(
+        space, hk.build_counterexample_field(cfg, space)))
+    rep = hk.due_violation_diagnostic(cfg, space, np.logspace(-4.5, 0.5, 9), form)
     assert rep["regime_note"] == REGIME_NOTE
     assert rep["config"]["n_config"] > rep["config"]["n_desk"]
     _announce(13, "non-reproducibility statement and regime label")

@@ -402,9 +402,9 @@ def test_counterexample_report_at_epsilon_1e14(tmp_path):
                      "--axes", "2", "--out", str(tmp_path / "cx")]) == 0
 
 
-# the params that hold a radius, a time or an a0: each must be positive
+# the params that hold a radius, a time, an a0 or k: each must be positive
 POSITIVE_KEYS = {"radius_grid", "ball_radii", "pairs", "radii", "rho",
-                 "time_grid", "times", "T0", "t", "a0_grid"}
+                 "time_grid", "times", "T0", "t", "a0_grid", "k"}
 
 
 def _bad_values(key, convert):
@@ -471,7 +471,9 @@ def test_check_params_must_be_an_object(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name,key", [("te_check", "time_grid"), ("vd_fit", "radius_grid"),
-                                      ("ij_check", "pairs")])
+                                      ("ij_check", "pairs"), ("te_check", "ball_radii"),
+                                      ("cs_check", "ball_radii"),
+                                      ("capacity_check", "ball_radii")])
 def test_empty_grid_means_the_default(tmp_path, name, key):
     outputs = []
     for params in ({}, {key: []}):
@@ -589,10 +591,12 @@ def _set(cfg, path, value):
     (TWO_POINT_CFG, "seeed", 1), (BALLS_CFG, "scale.anchors[0].radiuss", 0.5),
     (TWO_POINT_CFG, "kernel.rho", "nan"), (TWO_POINT_CFG, "scale.T0", "nan"),
     (TWO_POINT_CFG, "scale.beta", "inf"), (TWO_POINT_CFG, "kernel.value", "-inf"),
-    (BALLS_CFG, "scale.anchors[0].radius", "nan")],
+    (BALLS_CFG, "scale.anchors[0].radius", "nan"), (TWO_POINT_CFG, "space.point_cap", 2),
+    (dict(CANTOR_CFG, space={"kind": "custom", "coords": [[0.0], [1.0], [2.0]],
+                             "weights": [0.25, 0.25, 0.5]}), "space.point_cap", 2)],
     ids=["kernel_rh0", "scale_t0", "space_gapp", "output_format", "top_level_seeed",
          "anchor_radiuss", "nan_rho", "nan_T0", "infinite_beta", "infinite_kernel_value",
-         "nan_anchor_radius"])
+         "nan_anchor_radius", "two_point_point_cap", "custom_point_cap"])
 def test_undeclared_key_or_non_finite_number_exits_2_at_its_path(tmp_path, capsys, base,
                                                                   path, value):
     # accepted, a misspelled key would be ignored, rho nan would truncate to an
@@ -601,6 +605,22 @@ def test_undeclared_key_or_non_finite_number_exits_2_at_its_path(tmp_path, capsy
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2 and f"config schema violation at {path}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kernel,field", [
+    ({"kind": "uniform", "value": -1.0}, "value"),
+    ({"kind": "nearest_neighbor", "value": -1.0}, "value"),
+    ({"kind": "stable_like", "lower_constant": -2.0}, "lower_constant")])
+def test_negative_jump_intensity_exits_2_at_its_field(tmp_path, capsys, kernel, field):
+    # it used to run, to a negative heat kernel or to NaN reports; zero runs
+    space = {"kind": "grid", "d": 1, "side": 8}
+    config = write_config(tmp_path, dict(CANTOR_CFG, space=space, kernel=kernel))
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config schema violation at kernel.{field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    config = write_config(tmp_path, dict(CANTOR_CFG, space=space, kernel={**kernel, field: 0}))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("T0", ["inf", None, math.inf, 2.5])

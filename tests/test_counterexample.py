@@ -134,11 +134,15 @@ def test_field_rejects_wrong_space():
             hk.build_counterexample_field(cfg, other)
 
 
+def _construction_form(cfg, sp):
+    return hk.assemble(sp, hk.build_cantor_axis_kernel(sp, hk.build_counterexample_field(cfg, sp)))
+
+
 def test_diagnostic_report_structure():
     cfg = hk.synthesize_config(1.0, level=4)
     sp = hk.build_cantor_product(cfg.xi, 2, 4)
     times = np.logspace(-4.5, 0.5, 9)
-    rep = hk.due_violation_diagnostic(cfg, sp, times)
+    rep = hk.due_violation_diagnostic(cfg, sp, times, _construction_form(cfg, sp))
     assert rep["verdict"] == "diagnostic"
     assert rep["usable_decades"] >= 4
     assert len(rep["series"]) == 9
@@ -152,8 +156,9 @@ def test_diagnostic_report_structure():
 def test_diagnostic_inconclusive_cases():
     cfg = hk.synthesize_config(1.0, level=3)
     sp = hk.build_cantor_product(cfg.xi, 2, 3)
-    assert hk.due_violation_diagnostic(cfg, sp, [])["verdict"] == "inconclusive"
-    narrow = hk.due_violation_diagnostic(cfg, sp, [0.1, 0.2, 0.4, 0.8])
+    form = _construction_form(cfg, sp)
+    assert hk.due_violation_diagnostic(cfg, sp, [], form)["verdict"] == "inconclusive"
+    narrow = hk.due_violation_diagnostic(cfg, sp, [0.1, 0.2, 0.4, 0.8], form)
     assert narrow["verdict"] == "inconclusive"
     assert "decades" in narrow["reason"]
 
@@ -170,7 +175,7 @@ def test_desk_scale_conditions_all_finite():
 
     tj = hk.tj_check(kern, sp, field, grid)
     assert math.isfinite(tj.best_constant) and tj.best_constant > 0
-    cs = hk.cs_check(form, sp, field, [(x0, r / 2, r / 4) for x0, r in balls])
+    cs = hk.cs_check(form, sp, field, balls)
     assert math.isfinite(cs.best_constant)
     n_desk = sp.meta["n_axes"]
     wfk = hk.fk_family_check(form, sp, field, "WFK", 1.0 / (n_desk * cfg.alpha_xi), 1.0,

@@ -90,7 +90,7 @@ def test_part_two_point(two_point):
 
 def test_part_full_space_lambda_zero(two_point):
     _, _, form = two_point
-    assert hk.lambda1(form) == pytest.approx(0.0, abs=1e-12)
+    assert hk.lambda1(form, [0, 1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_part_disjoint_components_spectrum_union():
@@ -253,13 +253,12 @@ def test_cs_check_edge_cases(cantor6):
     form = hk.assemble(space, kern)
     zero = hk.build_zero_kernel(space)
     zform = hk.assemble(space, zero)
-    rep = hk.cs_check(zform, space, scale, [(0, 0.2, 0.1)])
+    rep = hk.cs_check(zform, space, scale, [(0, 0.4)])
     assert rep.best_constant == 0.0
     # cutoff identically 1: plateau covers the space
-    rep_one = hk.cs_check(form, space, scale, [(0, 2.0, 0.5)])
+    rep_one = hk.cs_check(form, space, scale, [(0, 4.0)])
     assert rep_one.best_constant == 0.0
-    rep_real = hk.cs_check(form, space, scale,
-                           [(0, 0.125, 0.125), (9, 0.25, 0.125)])
+    rep_real = hk.cs_check(form, space, scale, [(0, 0.25), (9, 0.5)])
     assert math.isfinite(rep_real.best_constant) and rep_real.best_constant > 0
 
 
@@ -276,6 +275,20 @@ def test_capacity_check_cases(two_point, cantor6):
     form = hk.assemble(space, kern)
     rep6 = hk.capacity_check(form, space, scale, [(0, 0.25), (13, 0.25)])
     assert math.isfinite(rep6.best_constant) and rep6.best_constant > 0
+
+
+def test_checks_that_measure_nothing_do_not_pass(cantor6):
+    # no ball, or no time below k T0: an empty series, a note, and no pass
+    space, scale, kern = cantor6
+    form = hk.assemble(space, kern)
+    times = [0.1, 0.5]
+    reports = [hk.cs_check(form, space, scale, []),
+               hk.capacity_check(form, space, scale, []),
+               hk.te_check(form, space, scale, 1.0, [], times),
+               hk.due_check(form, space, scale, 1.0, times, k=-1.0,
+                            rng=np.random.default_rng(0))]
+    for rep in reports:
+        assert rep.series == [] and rep.passed is False and rep.notes, rep.condition
 
 
 def test_capacity_refuses_a_dirichlet_part(cantor6):
@@ -302,7 +315,7 @@ def test_fk_ball_itself_reduces_to_lambda_phi(cantor6):
     form = hk.assemble(space, kern)
     x0, r = 0, 0.25
     rep = hk.fk_family_check(form, space, scale, "FK", 0.5, 1.0, 1.0, 0.5,
-                             [(x0, r)])
+                             [(x0, r)], np.random.default_rng(0))
     ball = space.ball(x0, r)
     direct = hk.lambda1(form, ball.member_idx) * hk.phi(scale, x0, r)
     whole_rows = [row for row in rep.series if row["size_D"] == ball.member_idx.size]
@@ -313,7 +326,8 @@ def test_fk_two_point_closed_form(two_point):
     space, _, form = two_point
     field = hk.constant_field(space, 1.0)
     nu = 0.7
-    rep = hk.fk_family_check(form, space, field, "FK", nu, 1.0, 1.0, 0.5, [(0, 2.0)])
+    rep = hk.fk_family_check(form, space, field, "FK", nu, 1.0, 1.0, 0.5, [(0, 2.0)],
+                             np.random.default_rng(0))
     # subset {atom 0} inside the whole-space ball: lambda1 = 1, V/mu(D) = 2
     expected = 1.0 * hk.phi(field, 0, 2.0) / 2.0**nu
     singles = [row["C"] for row in rep.series if row["size_D"] == 1]
@@ -330,7 +344,8 @@ def test_fk_family_check_refuses_an_unknown_variant_before_it_sweeps(cantor6, sa
     space, scale, kern = cantor6
     form = hk.assemble(space, kern)
     with pytest.raises(ParameterError, match="unknown variant 'wfk'"):
-        hk.fk_family_check(form, space, scale, "wfk", 0.5, 1.0, 1.0, 0.5, sample)
+        hk.fk_family_check(form, space, scale, "wfk", 0.5, 1.0, 1.0, 0.5, sample,
+                           np.random.default_rng(0))
 
 
 def test_gfk_with_derived_exponent_finite(cantor6):
@@ -371,7 +386,7 @@ def test_nash_zero_kernel_finite():
     sp = hk.build_grid(1, 12)
     field = hk.constant_field(sp, 1.0, T0=1.0)
     form = hk.assemble(sp, hk.build_zero_kernel(sp))
-    rep = hk.nash_check(form, sp, field, 0.5, 1.0, [(0, 0.6)])
+    rep = hk.nash_check(form, sp, field, 0.5, 1.0, [(0, 0.6)], np.random.default_rng(0))
     assert math.isfinite(rep.best_constant) and rep.best_constant > 0
 
 
@@ -417,7 +432,7 @@ def test_fk_passes_where_due_confirmed():
     field = hk.constant_field(sp, 1.0, T0=1.0)
     kern = hk.build_stable_like_kernel(sp, field)
     form = hk.assemble(sp, kern)
-    due = hk.due_check(form, sp, field, 1.0, [0.01, 0.05, 0.2])
+    due = hk.due_check(form, sp, field, 1.0, [0.01, 0.05, 0.2], np.random.default_rng(0))
     assert math.isfinite(due.best_constant)
     radii = np.sort(2.0 ** -np.arange(2, 6, dtype=float))
     alpha_hat, _ = hk.fit_vd_exponent(sp, radii)
@@ -910,13 +925,14 @@ def test_checks_on_a_split_form_allocate_no_square_array():
     times = hk.form.default_time_grid(form)
     balls = hk.sample_balls(space, 8, hk.dyadic_radius_grid(space)[-3:],
                             np.random.default_rng(0))
+    rng = np.random.default_rng(0)
     square = space.n_points**2 * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         reports = [hk.conservativeness_check(form, times),
                    hk.te_check(form, space, scale, 1.0, balls, times),
-                   hk.due_check(form, space, scale, 1.0, times)]
+                   hk.due_check(form, space, scale, 1.0, times, rng)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -953,6 +969,23 @@ def test_assemble_refuses_a_non_finite_kernel(value):
     space = hk.build_grid(1, 4)
     with pytest.raises(ParameterError, match="non-finite"):
         hk.assemble(space, hk.build_uniform_kernel(space, value))
+
+
+def test_generator_builds_refuse_a_negative_jump_intensity(chunk_budget):
+    # in the last row chunk too; the diagonal is never read, and zero is a
+    # jump intensity
+    space = hk.build_grid(1, 6)
+    m = np.ones((6, 6))
+    m[2, 2] = -5.0
+    m[5, 0] = m[0, 5] = -1e-3
+    kern = dense_kernel(space, m)
+    with pytest.raises(ParameterError, match="negative jump intensity"):
+        hk.assemble(space, kern)
+    with pytest.raises(ParameterError, match="negative jump intensity"):
+        removed_top_eigenvalue(space, kern)
+    m[5, 0] = m[0, 5] = 0.0
+    assert hk.assemble(space, kern).jmat_nonzeros == 28
+    assert np.isfinite(removed_top_eigenvalue(space, kern))
 
 
 def test_assemble_signed_zero_is_not_exact_symmetry():
@@ -1046,6 +1079,34 @@ def test_jmat_nonzeros_counts_the_symmetric_kernel(seed, chunk_budget):
     assert hk.part_on(form, [0, 1]).jmat_nonzeros == form.jmat_nonzeros
 
 
+def test_full_form_energy_is_exact_on_near_constant_functions():
+    # E ignores constants, L1 being 0, and the full form subtracts each
+    # function's mu-mean before it forms L f: a constant has energy exactly
+    # 0, and a function 1e-9 from one keeps its relative accuracy against
+    # the double sum over pairs, where L f alone cancelled to 100 times it
+    space = hk.build_cantor_product(1 / 3, 2, 4)
+    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    form = hk.assemble(space, kern)
+    w, jmat = space.weights, kern.matrix().copy()
+    np.fill_diagonal(jmat, 0.0)
+    assert form.energy(np.ones(space.n_points)) == 0.0
+    for f in 1.0 + 1e-9 * np.random.default_rng(0).normal(size=(3, space.n_points)):
+        want = ((f[:, None] - f[None, :]) ** 2 * jmat * np.outer(w, w)).sum()
+        assert form.energy(f) == pytest.approx(want, rel=1e-12)
+
+
+def test_part_on_every_atom_multiplies_by_its_own_generator(cantor6):
+    # a part whose domain holds every atom, in any order, reads its L_D; it
+    # used to take the full form's row chunks, in the order of the space
+    space, _, kern = cantor6
+    form = hk.assemble(space, kern)
+    D = np.random.default_rng(0).permutation(space.n_points)
+    part = hk.part_on(form, D)
+    f = np.random.default_rng(1).normal(size=D.size)
+    assert part.energy(f) == float((part.L @ f) @ (f * part.weights))
+    assert part.energy(f) == pytest.approx(form.energy(f[np.argsort(D)]), rel=1e-12)
+
+
 def test_full_form_energy_is_chunked_L(chunk_budget):
     space, _, kern = random_setup(3)
     form = hk.assemble(space, kern)
@@ -1066,13 +1127,13 @@ def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
     space, kern, _ = _generator_case(case)
     scale = hk.constant_field(space, 0.8, T0=1.0)
     form = hk.assemble(space, kern)
-    sample = [(x0, R, R / 2.0) for x0 in (0, 5) for R in (0.1, 0.3)]
+    sample = [(x0, r) for x0 in (0, 5) for r in (0.2, 0.6)]
     rep = hk.cs_check(form, space, scale, sample)
     jmat, w = _jmat(kern), space.weights
-    for (x0, R, r), row in zip(sample, rep.series):
-        cut = hk.build_cutoff(space, x0, R, r)
+    for (x0, r), row in zip(sample, rep.series):
+        cut = hk.build_cutoff(space, x0, r / 2.0, r / 4.0)
         vals = ((cut[:, None] - cut[None, :]) ** 2 * jmat * w[None, :]).sum(axis=1)
-        vals *= hk.scale.phi_vec(scale, np.arange(space.n_points), r)
+        vals *= hk.scale.phi_vec(scale, np.arange(space.n_points), r / 4.0)
         assert row["x"] == int(np.argmax(vals)) and _same_bits(row["c"], vals.max())
 
 

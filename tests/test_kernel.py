@@ -342,17 +342,16 @@ def test_nearest_neighbor_refuses_coincident_and_single_atoms():
         hk.build_nearest_neighbor_kernel(single)
 
 
-def test_custom_space_stays_custom_whatever_its_meta():
-    # a caller's meta cannot claim a grid's lattice or a Cantor construction
+def test_custom_space_is_refused_by_the_lattice_kernels():
+    # a custom space has neither a grid's lattice nor a Cantor construction
     coords = [[0.0, 0.0], [0.3, 0.0], [0.7, 0.2], [1.0, 1.0]]
-    for meta in ({"kind": "grid", "side": 3, "n_axes": 2}, {"kind": "cantor"}):
-        sp = hk.build_custom(coords, [0.1, 0.2, 0.3, 0.4], meta=meta)
-        assert sp.meta == {**meta, "kind": "custom"}
-        scale = hk.constant_field(sp, 0.8)
-        with pytest.raises(ParameterError, match="grid space"):
-            hk.build_stable_like_kernel(sp, scale)
-        with pytest.raises(ParameterError, match="cantor product"):
-            hk.build_cantor_axis_kernel(sp, scale)
+    sp = hk.build_custom(coords, [0.1, 0.2, 0.3, 0.4])
+    assert sp.meta == {"kind": "custom"}
+    scale = hk.constant_field(sp, 0.8)
+    with pytest.raises(ParameterError, match="grid space"):
+        hk.build_stable_like_kernel(sp, scale)
+    with pytest.raises(ParameterError, match="cantor product"):
+        hk.build_cantor_axis_kernel(sp, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -66,16 +66,10 @@ def test_phi_strictly_increasing():
         assert np.all(np.diff(vals) > 0)
 
 
-def test_crossover_rejected():
-    with pytest.raises(ParameterError):
-        hk.ScaleField(beta_values=np.array([1.0]), beta1=1.0, beta2=1.0,
-                      crossover=2.0)
-
-
 def test_scale_axioms_constant_field():
     sp = hk.build_cantor_product(1 / 3, 1, 5)
     field = hk.constant_field(sp, 0.8)
-    rep = hk.verify_scale_axioms(field, sp, hk.dyadic_radius_grid(sp))
+    rep = hk.verify_scale_axioms(field, sp, hk.dyadic_radius_grid(sp), np.random.default_rng(0))
     assert rep.passed
     assert rep.witness["C1"] == pytest.approx(1.0, abs=1e-12)
     assert rep.witness["C2"] == pytest.approx(1.0, abs=1e-12)
@@ -85,7 +79,7 @@ def test_scale_axioms_counterexample_field():
     cfg = hk.synthesize_config(0.5, level=5)
     sp = hk.build_cantor_product(cfg.xi, 2, 3)
     field = hk.build_counterexample_field(cfg, sp)
-    rep = hk.verify_scale_axioms(field, sp, hk.dyadic_radius_grid(sp))
+    rep = hk.verify_scale_axioms(field, sp, hk.dyadic_radius_grid(sp), np.random.default_rng(0))
     assert rep.passed
     assert math.isfinite(rep.witness["C1"])
     assert rep.witness["C1"] >= 1.0
@@ -95,7 +89,7 @@ def test_scale_axioms_flags_lipschitz_violation():
     sp = hk.build_two_point()
     field = hk.field_from_table(sp, [0.5, 1.9], beta1=0.5, beta2=1.9,
                                 lipschitz=True)    # jump 1.4 over distance 1
-    rep = hk.verify_scale_axioms(field, sp, [0.5, 1.0])
+    rep = hk.verify_scale_axioms(field, sp, [0.5, 1.0], np.random.default_rng(0))
     assert rep.passed is False
     assert rep.witness["lipschitz_excess"] > 0
 
@@ -181,11 +175,12 @@ def test_scale_axioms_allocate_under_two_square_pair_arrays():
     # ratio and bound matrices (4.0 square arrays)
     sp, field = _axiom_case("tied_product")
     radii = hk.dyadic_radius_grid(sp)
+    rng = np.random.default_rng(0)
     square = sp.n_points**2 * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        hk.verify_scale_axioms(field, sp, radii)
+        hk.verify_scale_axioms(field, sp, radii, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

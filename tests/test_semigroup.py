@@ -364,7 +364,7 @@ def test_due_two_point_bounded(two_point):
         p = form.heat_kernel(t)
         v = space.volume(0, 1.5)
         assert p[0, 0] * v <= 2.0 + 1e-12
-    rep = hk.due_check(form, space, field, 1.0, [0.1, 0.5, 0.9])
+    rep = hk.due_check(form, space, field, 1.0, [0.1, 0.5, 0.9], np.random.default_rng(0))
     assert rep.passed
     assert rep.witness["sqrt_product_residual"] <= 1e-10
 
@@ -372,7 +372,7 @@ def test_due_two_point_bounded(two_point):
 def test_due_plotdata_columns(cantor6):
     space, scale, kern = cantor6
     form = hk.assemble(space, kern)
-    rep = hk.due_check(form, space, scale, 1.0, [0.02, 0.1, 0.5])
+    rep = hk.due_check(form, space, scale, 1.0, [0.02, 0.1, 0.5], np.random.default_rng(0))
     for row in rep.series:
         assert {"t", "p_diag", "due_bound", "ratio"} <= set(row)
 
@@ -383,7 +383,7 @@ def test_due_witness_is_the_smallest_atom_of_a_tie():
     space = hk.build_cantor_product(1 / 3, 2, 4)
     scale = hk.constant_field(space, 0.8, T0=1.0)
     form = hk.assemble(space, hk.build_cantor_axis_kernel(space, scale))
-    rep = hk.due_check(form, space, scale, 1.0, default_time_grid(form))
+    rep = hk.due_check(form, space, scale, 1.0, default_time_grid(form), np.random.default_rng(0))
     ids = np.arange(space.n_points)
     for row in rep.series:
         t = row["t"]

@@ -143,7 +143,7 @@ def test_metric_axioms_all_builders():
                hk.build_cantor_product(1 / 3, 1, 5),
                hk.build_cantor_product(1 / 2, 2, 3)):
         assert sp.n_points <= 200
-        assert hk.metric_axioms_ok(sp)
+        assert hk.metric_axioms_ok(sp, np.random.default_rng(0))
 
 
 def test_cantor_self_similar_volumes_exact():
@@ -202,7 +202,7 @@ def test_explicit_metric_space():
     m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     sp = hk.build_custom(np.zeros((3, 1)), np.full(3, 1 / 3), metric_matrix=m)
     assert sp.dist(0, 2) == 2.0
-    assert hk.metric_axioms_ok(sp)
+    assert hk.metric_axioms_ok(sp, np.random.default_rng(0))
     assert sp.metric_kind == "explicit"
 
 
