@@ -610,6 +610,8 @@ def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) 
                                                              values, ctx))
         except (ParameterError, UnsupportedKernelError) as exc:
             raise SchemaError(f"checks[{i}]", f"{name} cannot run here: {exc}") from exc
+        except OverflowError as exc:        # a float power of a parameter, say
+            raise SchemaError(f"checks[{i}]", f"{name} overflows a float: {exc}") from exc
         mode = check.get("mode", "pass")
         if mode == "diagnostic":
             report.note("diagnostic mode: verdict does not gate the run")

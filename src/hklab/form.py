@@ -17,9 +17,10 @@ its average with its mirror); off the diagonal L = -2 J W.  A form's
 spectrum is one basis object behind one protocol (:class:`_Basis`): a
 :class:`_DenseBasis` from one ``eigh``, which keeps ``psi``, or, when the
 generator commutes with the central reflection of the space, a
-:class:`_HalfSpectrum` of the even and odd half eigenbases, from which the
-semigroup, the resolvent, kernel entries and the heat kernel are computed
-with no ``psi`` at all.  Dirichlet parts are always solved whole.
+:class:`_HalfSpectrum`, the reflection fold over an even and an odd
+:class:`_DenseBasis` half, from which the semigroup, the resolvent, kernel
+entries and the heat kernel are computed with no N-wide ``psi`` at all.
+Dirichlet parts are always solved whole.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
@@ -97,7 +98,8 @@ class SpectralForm:
 
     @property
     def is_part(self) -> bool:
-        return self.domain.size != self.space.n_points
+        """A Dirichlet part keeps its generator ``L``, whatever its domain."""
+        return self.L is not None
 
     def energy(self, f):
         """Quadratic form <L f, f>_mu on the domain, one value per row of a 2-D ``f``.
@@ -109,7 +111,7 @@ class SpectralForm:
         """
         f = np.asarray(f, dtype=float)
         fs = np.atleast_2d(f)
-        if self.L is not None:
+        if self.is_part:
             Lf = np.array([self.L @ g for g in fs])
         else:
             w = self.space.weights
@@ -233,7 +235,8 @@ def _symmetric_generator(space: FiniteMMSpace, kernel: JumpKernel
     passes is averaged with its mirror in place.  The chunk's rows of L and
     its columns are then formed with the floating-point operations of the
     dense formula, so the result equals it bit for bit; the diagonal of L is
-    minus its off-diagonal row sums.
+    minus its off-diagonal row sums.  A chunk whose result overflows is
+    refused.
     """
     n = space.n_points
     atoms = np.arange(n)
@@ -272,18 +275,21 @@ def _symmetric_generator(space: FiniteMMSpace, kernel: JumpKernel
         col = sym[part]                                      # the chunk's rows of J
         nonzeros += int(np.count_nonzero(col))
         on_diag = (np.arange(rows.size), rows)
-        row = _kernel_generator(col, w[None, :])
-        col *= -2.0                  # -2 J w[rows], which is L[:, rows].T, J being symmetric
-        col *= w[rows, None]
-        row[on_diag] = 0.0
-        diag[part] = -row.sum(axis=1)
-        row[on_diag] = col[on_diag] = diag[part]
-        row *= sqrt_w[rows, None]
-        row /= sqrt_w[None, :]
-        col *= sqrt_w[None, :]
-        col /= sqrt_w[rows, None]
-        col += row
-        col *= 0.5
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            row = _kernel_generator(col, w[None, :])
+            col *= -2.0              # -2 J w[rows], which is L[:, rows].T, J being symmetric
+            col *= w[rows, None]
+            row[on_diag] = 0.0
+            diag[part] = -row.sum(axis=1)
+            row[on_diag] = col[on_diag] = diag[part]
+            row *= sqrt_w[rows, None]
+            row /= sqrt_w[None, :]
+            col *= sqrt_w[None, :]
+            col /= sqrt_w[rows, None]
+            col += row
+            col *= 0.5
+        if not np.isfinite(col).all():                       # the diagonal is in it
+            raise ParameterError("kernel too large: its generator overflows a float")
     return sym, diag, nonzeros, exact
 
 
@@ -315,9 +321,9 @@ def _exceeds(diff: np.ndarray, atol: float) -> bool:
 
 
 def _reflection_blocks(space: FiniteMMSpace, sym: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
-    """``(A, B, [even, odd])`` when the symmetric matrix ``sym`` commutes with
-    the central reflection P of the space, else None.
+                       ) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]] | None:
+    """``((A, B), [even, odd])`` when the symmetric matrix ``sym`` commutes
+    with the central reflection P of the space, else None.
 
     With A one atom of each mirror pair and B = P[A], ``sym`` is
     P-invariant when its quarter blocks satisfy S_AA = S_BB and S_AB = S_BA,
@@ -354,7 +360,7 @@ def _reflection_blocks(space: FiniteMMSpace, sym: np.ndarray
         np.subtract(same, cross, out=odd[part])
     even *= 0.5
     odd *= 0.5
-    return A, B, [even, odd]
+    return (A, B), [even, odd]
 
 
 def _flush_subnormal(a: np.ndarray) -> np.ndarray:
@@ -373,15 +379,6 @@ def _flush_subnormal(a: np.ndarray) -> np.ndarray:
 _PANEL_ROWS = (64, 256)
 
 
-def _row_products(vecs: np.ndarray, decay: np.ndarray, xs: np.ndarray,
-                  ys: np.ndarray | None) -> np.ndarray:
-    """sum_k vecs[xs, k] decay[k] vecs[ys, k] for each position, the rows
-    vecs[xs] gathered once when ``ys`` is None, which stands for ``xs``."""
-    rows = vecs[xs]
-    other = rows if ys is None else vecs[ys]
-    return np.einsum("ij,ij->i", rows * decay, other)
-
-
 class _Basis:
     """The eigenbasis of a form, the one object its spectral operations read.
 
@@ -393,11 +390,11 @@ class _Basis:
     filters)``: psi h(eigvals, psi.T W f) for each filter h, psi the
     mu-orthonormal eigenfunctions and ``per_atom`` indexing f's first axis.
     For a reader that streams the heat kernel one row panel at a time, each
-    ``(vals, vecs)`` of ``bases`` gives K_b(t) = vecs exp(-t vals) vecs.T,
-    its columns orthonormal against the weights ``metric`` (the unit
-    weights when it is None); on each quadrant ``(X, Y, signs)`` of atoms,
-    p(t)[X, Y] is K_0(t) plus or minus, as ``signs`` says, each further
-    K_b(t), divided by scale[X] and scale[Y] unless ``scale`` is None.
+    :class:`_DenseBasis` of ``factors`` gives K_b(t) = psi exp(-t eigvals)
+    psi.T, its columns orthonormal against its own ``weights``; on each
+    quadrant ``(X, Y, signs)`` of atoms, p(t)[X, Y] is K_0(t) plus or minus,
+    as ``signs`` says, each further K_b(t), divided by scale[X] and scale[Y]
+    unless ``scale`` is None.
     """
 
     def heat_kernel(self, t: float) -> np.ndarray:
@@ -409,48 +406,48 @@ class _Basis:
         return p
 
     def panels(self):
-        """Consecutive row panels of the bases."""
-        m = self.bases[0][1].shape[0]
+        """Consecutive row panels of the factors."""
+        m = self.factors[0].psi.shape[0]
         low, high = _PANEL_ROWS
-        step = min(max(m * len(self.bases) // 16, low), high)
+        step = min(max(m * len(self.factors) // 16, low), high)
         for start in range(0, m, step):
             yield np.arange(start, min(start + step, m))
 
     def rows(self, panel: np.ndarray, t: float, mirrored: bool = False) -> list[np.ndarray]:
-        """K_b(t)[panel] = (vecs[panel] exp(-t vals)) vecs.T for each basis b.
+        """K_b(t)[panel] = (psi[panel] exp(-t eigvals)) psi.T for each factor b.
 
         ``mirrored`` forms them as K_b(t)[:, panel].T instead, from
-        (vecs exp(-t vals)) vecs[panel].T: the decay sits on the other factor,
-        which is scaled one panel at a time, never whole.
+        (psi exp(-t eigvals)) psi[panel].T: the decay sits on the other
+        factor, which is scaled one panel at a time, never whole.
         """
         out = []
-        for vals, vecs in self.bases:
-            decay = np.exp(-t * vals)
-            rows = vecs[panel]
+        for factor in self.factors:
+            decay = np.exp(-t * factor.eigvals)
+            psi = factor.psi
+            rows = psi[panel]
             if mirrored:
-                out.append(np.concatenate([rows @ _flush_subnormal(vecs[cols] * decay).T
+                out.append(np.concatenate([rows @ _flush_subnormal(psi[cols] * decay).T
                                            for cols in self.panels()], axis=1))
             else:
                 rows *= decay
-                out.append(_flush_subnormal(rows) @ vecs.T)
+                out.append(_flush_subnormal(rows) @ psi.T)
         return out
 
     def composed(self, panel: np.ndarray, t: float) -> list[np.ndarray]:
-        """((K_b(t)[panel] M) vecs) exp(-t vals) vecs.T for each basis b, M the
-        metric: the panel of K(t) M K(t) formed through the basis, so that no
-        second kernel is held."""
+        """((K_b(t)[panel] W_b) psi) exp(-t eigvals) psi.T for each factor b,
+        W_b its weights: the panel of K(t) W K(t) formed through the basis,
+        so that no second kernel is held."""
         out = []
-        for (vals, vecs), rows in zip(self.bases, self.rows(panel, t)):
-            if self.metric is not None:
-                rows *= self.metric
-            coef = rows @ vecs
-            coef *= np.exp(-t * vals)
-            out.append(_flush_subnormal(coef) @ vecs.T)
+        for factor, rows in zip(self.factors, self.rows(panel, t)):
+            rows *= factor.weights
+            coef = rows @ factor.psi
+            coef *= np.exp(-t * factor.eigvals)
+            out.append(_flush_subnormal(coef) @ factor.psi.T)
         return out
 
     def kernel(self, panel: np.ndarray, blocks: list[np.ndarray]):
         """(X, Y, p[X[panel], Y]) for each quadrant, from ``blocks``, a panel of
-        each basis from :meth:`rows` or :meth:`composed`."""
+        each factor from :meth:`rows` or :meth:`composed`."""
         for X, Y, signs in self.quadrants:
             p = blocks[0]
             for sign, block in zip(signs, blocks[1:]):
@@ -462,14 +459,17 @@ class _Basis:
 
 
 class _DenseBasis(_Basis):
-    """``psi`` kept whole, mu-orthonormal against ``weights``: one basis on one
-    quadrant of all the atoms, with the weights as its metric."""
+    """``psi`` kept whole, orthonormal against ``weights``: its own one
+    factor, on one quadrant of all its atoms."""
 
     def __init__(self, eigvals: np.ndarray, psi: np.ndarray, weights: np.ndarray):
         self.eigvals, self.psi, self.weights = eigvals, psi, weights
         atoms = np.arange(weights.size)
-        self.bases, self.metric = [(eigvals, psi)], weights
         self.quadrants, self.scale = [(atoms, atoms, ())], None
+
+    @property
+    def factors(self) -> list[_DenseBasis]:
+        return [self]
 
     @classmethod
     def solve(cls, sym: np.ndarray, weights: np.ndarray) -> _DenseBasis:
@@ -480,11 +480,14 @@ class _DenseBasis(_Basis):
         return cls(eigvals, psi, weights)
 
     def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None, chunks) -> np.ndarray:
-        """Entries from the rows of psi."""
+        """sum_k psi[x, k] exp(-t eigvals[k]) psi[y, k] from the rows of psi,
+        those of ``xs`` gathered once when ``ys`` is None."""
         decay = np.exp(-t * self.eigvals)
         out = np.empty(xs.size)
         for part in chunks(np.arange(xs.size)):
-            out[part] = _row_products(self.psi, decay, xs[part], None if ys is None else ys[part])
+            rows = self.psi[xs[part]]
+            other = rows if ys is None else self.psi[ys[part]]
+            out[part] = np.einsum("ij,ij->i", rows * decay, other)
         return out
 
     def heat_kernel(self, t: float) -> np.ndarray:
@@ -497,80 +500,79 @@ class _DenseBasis(_Basis):
 
 
 class _HalfSpectrum(_Basis):
-    """The eigenbasis of a matrix that ``_reflection_blocks`` split, kept as
-    one ``eigh`` per block: ``even_vals``, ``even_vecs``, ``odd_vals``, ``odd_vecs``.
+    """The eigenbasis of a matrix that ``_reflection_blocks`` split: the
+    reflection fold over ``factors``, the unit eigenbases of the even and
+    the odd block, each a :class:`_DenseBasis` on unit weights.
 
-    With ``A[k]`` and ``B[k]`` the k-th mirror pair, an even eigenvector v
-    of the whole matrix is (v on A, v on B) / sqrt(2) and an odd one
-    (v on A, -v on B) / sqrt(2); the eigenfunctions divide them by sqrt(w).
-    ``eigvals`` merges the blocks' eigenvalues ascending by a stable sort,
-    so an even eigenvalue comes before an equal odd one.  Each block is
-    taken out of ``blocks`` and freed once it is solved.  Its kernel
-    factors are the two unit eigenbases on the four A/B quadrants; no
-    eigenfunction is laid out N wide.
+    With ``A[k]`` and ``B[k]`` the k-th mirror pair, ``pair`` maps both to k
+    and ``sign`` is -1 on B.  An even eigenvector v of the whole matrix is
+    (v on A, v on B) / sqrt(2) and an odd one (v on A, -v on B) / sqrt(2);
+    the eigenfunctions divide them by sqrt(w).  ``eigvals`` merges the
+    halves' eigenvalues ascending by a stable sort, so an even eigenvalue
+    comes before an equal odd one.  Each block is taken out of ``blocks``
+    and freed once it is solved.  The factors lie on the four A/B
+    quadrants; no eigenfunction is laid out N wide.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray],
                  weights: np.ndarray):
-        self.A, self.B = A, B
-        self.even_vals, self.even_vecs = np.linalg.eigh(blocks.pop(0))
-        self.odd_vals, self.odd_vecs = np.linalg.eigh(blocks.pop(0))
-        self.eigvals = np.sort(np.concatenate([self.even_vals, self.odd_vals]), kind="stable")
+        self.A, self.B, self.weights = A, B, weights
+        unit = np.ones(A.size)
+        self.factors = [_DenseBasis(*np.linalg.eigh(blocks.pop(0)), unit) for _ in range(2)]
+        self.eigvals = np.sort(np.concatenate([half.eigvals for half in self.factors]),
+                               kind="stable")
         n = self.eigvals.size
-        self.pair = np.empty(n, dtype=int)                 # atom -> its pair's row in the blocks
+        self.pair = np.empty(n, dtype=int)                 # atom -> its pair's row in the halves
         self.pair[A] = self.pair[B] = np.arange(A.size)
-        self.sign = np.ones(n)                              # an odd eigenvector's: -1 on B
+        self.sign = np.ones(n)
         self.sign[B] = -1.0
-        self.weights, self.metric = weights, None
-        self.bases = [(self.even_vals, self.even_vecs), (self.odd_vals, self.odd_vecs)]
         self.quadrants = [(A, A, (1,)), (A, B, (-1,)), (B, A, (-1,)), (B, B, (1,))]
         self.scale = np.sqrt(2.0 * weights)
 
     def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None, chunks) -> np.ndarray:
-        """Entries from the pair rows v of both blocks: (sum_even v(x) v(y)
-        e^(-t lambda) + s(x) s(y) sum_odd v(x) v(y) e^(-t lambda)), s the odd
-        sign, divided by 2 sqrt(w(x) w(y)), which is exactly 2 w on the diagonal.
-        There s(x) s(x) = 1, so each pair's row is read once and its sum
-        serves both its atoms."""
-        decays = [np.exp(-t * vals) for vals, _ in self.bases]
+        """Entries from the pair rows of both halves: (even(x, y) + s(x) s(y)
+        odd(x, y)), s the sign, divided by 2 sqrt(w(x) w(y)), which is
+        exactly 2 w on the diagonal.  There s(x) s(x) = 1, so each pair's
+        row is read once and its sum serves both its atoms."""
+        even, odd = self.factors
         if ys is None:
             pairs, where = np.unique(self.pair[xs], return_inverse=True)
-            sums = np.empty(pairs.size)
-            for part in chunks(np.arange(pairs.size)):
-                even, odd = (_row_products(vecs, decay, pairs[part], None)
-                             for decay, (_, vecs) in zip(decays, self.bases))
-                sums[part] = even + odd
+            sums = even.entries(t, pairs, None, chunks) + odd.entries(t, pairs, None, chunks)
             w = self.weights[xs]
             return sums[where] / (2.0 * np.sqrt(w * w))
-        out = np.empty(xs.size)
-        for part in chunks(np.arange(xs.size)):
-            x, y = xs[part], ys[part]
-            even, odd = (_row_products(vecs, decay, self.pair[x], self.pair[y])
-                         for decay, (_, vecs) in zip(decays, self.bases))
-            out[part] = ((even + self.sign[x] * self.sign[y] * odd)
-                         / (2.0 * np.sqrt(self.weights[x] * self.weights[y])))
-        return out
+        x, y = self.pair[xs], self.pair[ys]
+        return ((even.entries(t, x, y, chunks)
+                 + self.sign[xs] * self.sign[ys] * odd.entries(t, x, y, chunks))
+                / (2.0 * np.sqrt(self.weights[xs] * self.weights[ys])))
 
     def calculus(self, f: np.ndarray, per_atom, filters) -> list[np.ndarray]:
         """g = f sqrt(w) folds into its even part g_A + g_B and its odd part
-        g_A - g_B, each block acts on its own, and the two unfold onto A and B
+        g_A - g_B, each half acts on its own, and the two unfold onto A and B
         and are divided by sqrt(w) again."""
         sqrt_w = np.sqrt(self.weights)[per_atom]
         g = f * sqrt_w
         a, b = g[self.A], g[self.B]
-        even = self.even_vecs.T @ (a + b)
-        odd = self.odd_vecs.T @ (a - b)
+        even, odd = self.factors
         results = []
-        for h in filters:
-            u = self.even_vecs @ h(self.even_vals, even)
-            v = self.odd_vecs @ h(self.odd_vals, odd)
+        for u, v in zip(even.calculus(a + b, per_atom, filters),
+                        odd.calculus(a - b, per_atom, filters)):
             unfolded = np.empty_like(g)
-            unfolded[self.A] = u + v
-            unfolded[self.B] = u - v
+            unfolded[self.A], unfolded[self.B] = u + v, u - v
             unfolded *= 0.5
             unfolded /= sqrt_w
             results.append(unfolded)
         return results
+
+
+def _generator_blocks(space: FiniteMMSpace, kernel: JumpKernel) -> tuple:
+    """``_symmetric_generator``'s result with its matrix as the blocks to
+    solve: ``(None, [sym], diag, nonzeros, exact)``, or, when ``sym``
+    commutes with the central reflection of the space, ``((A, B), [even,
+    odd], ...)`` from ``_reflection_blocks``; ``sym`` is then freed on
+    return, so only the half-size blocks reach the eigensolve."""
+    sym, *rest = _symmetric_generator(space, kernel)
+    pairs, blocks = _reflection_blocks(space, sym) or (None, [sym])
+    return pairs, blocks, *rest
 
 
 def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
@@ -586,13 +588,9 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     """
     if space.n_points > DENSE_MATRIX_CAP:
         raise PointCapExceeded(space.n_points, DENSE_MATRIX_CAP, dense=True)
-    sym, diag, nonzeros, exact = _symmetric_generator(space, kernel)
-    split = _reflection_blocks(space, sym)
-    if split is None:
-        basis = _DenseBasis.solve(sym, space.weights)
-    else:
-        del sym                         # only the half-size blocks reach the eigensolve
-        basis = _HalfSpectrum(*split, space.weights)
+    pairs, blocks, diag, nonzeros, exact = _generator_blocks(space, kernel)
+    basis = (_DenseBasis.solve(blocks.pop(), space.weights) if pairs is None
+             else _HalfSpectrum(*pairs, blocks, space.weights))
     return SpectralForm(space=space, kernel=kernel if exact else _mirror_averaged(kernel),
                         domain=np.arange(space.n_points), diag=diag, basis=basis,
                         jmat_nonzeros=nonzeros)
@@ -666,14 +664,9 @@ def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.nda
 
 def removed_top_eigenvalue(space: FiniteMMSpace, kernel_far: JumpKernel) -> float:
     """Largest eigenvalue of the removed generator L_full - L_near, without
-    eigenvectors: the generator of the far kernel J - J_near, built like a
-    full form's."""
-    sym = _symmetric_generator(space, kernel_far)[0]
-    split = _reflection_blocks(space, sym)
-    if split is None:
-        return float(np.linalg.eigvalsh(sym)[-1])
-    del sym
-    _, _, blocks = split
+    eigenvectors: the generator of the far kernel J - J_near, built and
+    split like a full form's."""
+    blocks = _generator_blocks(space, kernel_far)[1]
     return float(max(np.linalg.eigvalsh(block)[-1] for block in blocks))
 
 

@@ -425,16 +425,16 @@ def se_from_lre_chain(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFiel
 # The self-improvement recursion
 # ---------------------------------------------------------------------------
 
-def recursion_limit(q: float, a: float, b: float, p0: float = 0.0) -> float:
+def recursion_limit(q: float, a: float, b: float) -> float:
     """Limit of p_{n+1} = q + a sqrt(q p_n) + b p_n for a, b in (0, 1).
 
-    The iteration contracts toward its unique fixed point, whatever p0:
-    with p = q s^2 it reads (1 - b) s^2 - a s - 1 = 0, so
+    The iteration contracts toward its unique fixed point, whatever its
+    nonnegative start: with p = q s^2 it reads (1 - b) s^2 - a s - 1 = 0, so
     p = q s^2 with s = (a + sqrt(a^2 + 4 (1 - b))) / (2 (1 - b)).
     """
     if not (0 < a < 1 and 0 < b < 1):
         raise ParameterError("need a, b strictly inside (0, 1)")
-    if q < 0 or p0 < 0:
-        raise ParameterError("q and p0 must be nonnegative")
+    if q < 0:
+        raise ParameterError("q must be nonnegative")
     s = (a + math.sqrt(a * a + 4.0 * (1.0 - b))) / (2.0 * (1.0 - b))
     return q * s * s

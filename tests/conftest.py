@@ -74,21 +74,22 @@ def full_generator(form):
 
 def split_psi(form):
     """Test oracle: the mu-orthonormal eigenfunctions of a split form, which
-    the form never lays out.  The even and the odd block's unit eigenvectors
+    the form never lays out.  The even and the odd half's unit eigenvectors
     stand in merged eigenvalue order, an even column before an equal odd
     one; an even one is v on A and on B, an odd one v on A and -v on B, and
     each row is divided by sqrt(2 w)."""
     basis = form.basis
     A, B = basis.A, basis.B
-    order = np.argsort(np.concatenate([basis.even_vals, basis.odd_vals]), kind="stable")
+    halves = basis.factors
+    order = np.argsort(np.concatenate([half.eigvals for half in halves]), kind="stable")
     n = order.size
     column = np.empty(n, dtype=int)
     column[order] = np.arange(n)
     even, odd = column[:A.size], column[A.size:]
     psi = np.empty((n, n))
-    psi[np.ix_(A, even)] = psi[np.ix_(B, even)] = basis.even_vecs
-    psi[np.ix_(A, odd)] = basis.odd_vecs
-    psi[np.ix_(B, odd)] = -basis.odd_vecs
+    psi[np.ix_(A, even)] = psi[np.ix_(B, even)] = halves[0].psi
+    psi[np.ix_(A, odd)] = halves[1].psi
+    psi[np.ix_(B, odd)] = -halves[1].psi
     psi /= np.sqrt(2.0 * form.weights)[:, None]
     return psi
 

@@ -221,8 +221,7 @@ def test_criterion_11_cross_jump_mass_exponent():
 
 
 def test_criterion_12_recursion_limit():
-    for p0 in (0.0, 10.0):
-        assert abs(hk.recursion_limit(1.0, 0.5, 0.5, p0) - 4.0) <= 1e-10
+    assert abs(hk.recursion_limit(1.0, 0.5, 0.5) - 4.0) <= 1e-10
     _announce(12, "self-improvement recursion fixed point")
 
 

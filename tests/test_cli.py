@@ -623,6 +623,31 @@ def test_negative_jump_intensity_exits_2_at_its_field(tmp_path, capsys, kernel, 
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_overflowing_generator_exits_2_at_the_kernel(tmp_path, capsys):
+    # a finite intensity whose generator overflows used to end in a
+    # traceback from the eigensolve
+    cfg = _set(_set(copy.deepcopy(CANTOR_CFG), "space.level", 4), "kernel.value", 1e308)
+    config = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config schema violation at kernel:" in err and "generator overflows" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("check", ["fk_family_check", "fk_nash_consistency"])
+def test_overflowing_check_exits_2_at_the_check(tmp_path, capsys, check):
+    # an FK exponent that overflows a float power used to end in a traceback
+    cfg = _set(copy.deepcopy(CANTOR_CFG), "space.level", 4)
+    cfg["checks"] = [{"name": check, "mode": "pass", "params": {"nu": 1e308}}]
+    config = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config schema violation at checks[0]:" in err and f"{check} overflows" in err
+    cfg["checks"][0]["params"]["nu"] = 200
+    config = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) in (0, 1)
+
+
 @pytest.mark.parametrize("T0", ["inf", None, math.inf, 2.5])
 def test_scale_T0_takes_inf_null_or_a_positive_number(tmp_path, T0):
     config = write_config(tmp_path, _set(copy.deepcopy(TWO_POINT_CFG), "scale.T0", T0))

@@ -597,6 +597,21 @@ def _assert_matches_spectrum(form, eigvals, psi, sym):
         assert np.abs(form.apply_semigroup(t, f) - want).max() <= 1e-11 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("split", [True, False])
+def test_removed_top_eigenvalue_is_the_top_of_the_far_form(split):
+    # the same generator, the same dense-or-split choice: the far kernel's
+    # assembled form ends with the removed top eigenvalue
+    space = hk.build_cantor_product(1 / 3, 1 if split else 2, 6 if split else 3)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    if not split:
+        scale = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
+    far = hk.truncate(hk.build_cantor_axis_kernel(space, scale), 0.2)[1]
+    form = hk.assemble(space, far)
+    assert isinstance(form.basis, _HalfSpectrum) == split
+    top = form.eigvals[-1]
+    assert abs(removed_top_eigenvalue(space, far) - top) <= 1e-12 * abs(top)
+
+
 @pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
 def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     # Everything before the eigensolve matches the dense formula bit for bit.
@@ -729,12 +744,11 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
 def _merged_layout(space, sym):
     """The merged eigenvalues and the :func:`split_psi` of a split form whose
     blocks are solved here, from ``sym``, by their own ``eigh``."""
-    A, B, blocks = _reflection_blocks(space, sym)
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(np.linalg.eigh, blocks)
-    basis = SimpleNamespace(A=A, B=B, even_vals=even_vals, even_vecs=even_vecs,
-                            odd_vals=odd_vals, odd_vecs=odd_vecs)
+    (A, B), blocks = _reflection_blocks(space, sym)
+    halves = [SimpleNamespace(eigvals=vals, psi=vecs) for vals, vecs in map(np.linalg.eigh, blocks)]
+    basis = SimpleNamespace(A=A, B=B, factors=halves)
     psi = split_psi(SimpleNamespace(basis=basis, weights=space.weights))
-    return np.sort(np.concatenate([even_vals, odd_vals]), kind="stable"), psi
+    return np.sort(np.concatenate([half.eigvals for half in halves]), kind="stable"), psi
 
 
 def _split_case(case):
@@ -817,7 +831,7 @@ def test_diagonal_entries_gather_their_rows_once(monkeypatch):
 
 def test_split_diagonal_entries_gather_each_pair_row_once(monkeypatch):
     # on a split form, an atom and its mirror share one pair row of each
-    # block, so the whole diagonal reads h rows of each block, not N, with
+    # half, so the whole diagonal reads h rows of each half, not N, with
     # the floats of the expression that gathers every atom's row
     space = hk.build_cantor_product(1 / 3, 1, 6)
     form = hk.assemble(space, hk.build_cantor_axis_kernel(
@@ -826,8 +840,8 @@ def test_split_diagonal_entries_gather_each_pair_row_once(monkeypatch):
     assert isinstance(basis, _HalfSpectrum)
     xs = np.arange(space.n_points)
     x, w = basis.pair[xs], space.weights
-    even, odd = (np.einsum("ij,ij->i", vecs[x] * np.exp(-0.2 * vals), vecs[x])
-                 for vals, vecs in basis.bases)
+    even, odd = (np.einsum("ij,ij->i", half.psi[x] * np.exp(-0.2 * half.eigvals), half.psi[x])
+                 for half in basis.factors)
     want = (even + basis.sign * basis.sign * odd) / (2.0 * np.sqrt(w * w))
     gathered = []
 
@@ -836,10 +850,10 @@ def test_split_diagonal_entries_gather_each_pair_row_once(monkeypatch):
             gathered.append(np.size(atoms))
             return super().__getitem__(atoms).view(np.ndarray)
 
-    monkeypatch.setattr(basis, "bases", [(vals, vecs.view(Watched))
-                                         for vals, vecs in basis.bases])
+    for half in basis.factors:
+        monkeypatch.setattr(half, "psi", half.psi.view(Watched))
     assert _same_bits(form.heat_kernel_entries(0.2, xs, xs), want)
-    assert sum(gathered) == 2 * basis.A.size           # h rows of each block
+    assert sum(gathered) == 2 * basis.A.size           # h rows of each half
     assert _same_bits(form.heat_kernel_entries(0.2, xs[::-3], xs[::-3]), want[::-3])
 
 
@@ -988,6 +1002,26 @@ def test_generator_builds_refuse_a_negative_jump_intensity(chunk_budget):
     assert np.isfinite(removed_top_eigenvalue(space, kern))
 
 
+def test_generator_builds_refuse_a_generator_that_overflows(chunk_budget):
+    # a finite kernel whose -2 J w overflows, in the last row chunk too; it
+    # used to reach the eigensolve, which did not converge
+    space = hk.build_grid(1, 6)
+    m = np.ones((6, 6))
+    m[5, 0] = m[0, 5] = 1e308
+    kern = dense_kernel(space, m)
+    with pytest.raises(ParameterError, match="overflows"):
+        hk.assemble(space, kern)
+    with pytest.raises(ParameterError, match="overflows"):
+        removed_top_eigenvalue(space, kern)
+    m[5, 0] = m[0, 5] = 1e300                                 # large, and finite
+    assert np.isfinite(hk.assemble(space, kern).eigvals).all()
+    assert np.isfinite(removed_top_eigenvalue(space, kern))
+    space = hk.build_cantor_product(1 / 3, 1, 4)              # uniform, and split
+    kern = hk.JumpKernel(space, lambda rows, cols: np.full((rows.size, cols.size), 1e308))
+    with pytest.raises(ParameterError, match="overflows"):
+        hk.assemble(space, kern)
+
+
 def test_assemble_signed_zero_is_not_exact_symmetry():
     sp = hk.build_grid(1, 3)
     m = np.ones((3, 3))
@@ -1105,6 +1139,25 @@ def test_part_on_every_atom_multiplies_by_its_own_generator(cantor6):
     f = np.random.default_rng(1).normal(size=D.size)
     assert part.energy(f) == float((part.L @ f) @ (f * part.weights))
     assert part.energy(f) == pytest.approx(form.energy(f[np.argsort(D)]), rel=1e-12)
+
+
+def test_a_part_on_every_atom_is_refused_where_the_full_form_is_needed():
+    # a part keeps its L, whatever its domain; a permuted whole domain used to
+    # pass as the full form, and its own parts read the kernel by atom id
+    # against its diagonal, which is in its domain order
+    space = hk.build_cantor_product(1 / 3, 1, 5)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    form = hk.assemble(space, hk.build_cantor_axis_kernel(space, scale))
+    part = hk.part_on(form, np.random.default_rng(0).permutation(space.n_points))
+    assert part.is_part and not form.is_part
+    balls = [(0, 0.5)]
+    for refused in (lambda: hk.part_on(part, [0, 1, 2]),
+                    lambda: hk.capacity_check(part, space, scale, balls),
+                    lambda: hk.te_check(part, space, scale, 1.0, balls, [0.1]),
+                    lambda: hk.due_check(part, space, scale, 1.0, [0.1],
+                                         np.random.default_rng(0))):
+        with pytest.raises(ParameterError, match="full-space"):
+            refused()
 
 
 def test_full_form_energy_is_chunked_L(chunk_budget):
