@@ -171,19 +171,19 @@ def build_scale(cfg: dict, space: space_mod.FiniteMMSpace) -> scale_mod.ScaleFie
     raise SchemaError("scale.kind", f"unknown scale kind {kind!r}")
 
 
-def build_kernel(cfg: dict, space: space_mod.FiniteMMSpace,
-                 scale: scale_mod.ScaleField) -> kernel_mod.JumpKernel:
+def build_kernel(cfg: dict, scale: scale_mod.ScaleField) -> kernel_mod.JumpKernel:
     kind = _require(cfg, "kind", "kernel")
+    space = scale.space
     if kind == "cantor_axis":
         _declared(cfg, "kernel", "kind", "rho")
-        kern = kernel_mod.build_cantor_axis_kernel(space, scale)
+        kern = kernel_mod.build_cantor_axis_kernel(scale)
     elif kind == "stable_like":
         _declared(cfg, "kernel", "kind", "rho", "lower_constant")
         kern = kernel_mod.build_stable_like_kernel(
-            space, scale, _field(cfg, "lower_constant", "kernel", _nonnegative, 1.0))
+            scale, _field(cfg, "lower_constant", "kernel", _nonnegative, 1.0))
     elif kind == "cylindrical":
         _declared(cfg, "kernel", "kind", "rho")
-        kern = kernel_mod.build_cylindrical_kernel(space, scale)
+        kern = kernel_mod.build_cylindrical_kernel(scale)
     elif kind == "nearest_neighbor":
         _declared(cfg, "kernel", "kind", "rho", "value")
         kern = kernel_mod.build_nearest_neighbor_kernel(
@@ -357,7 +357,7 @@ def _balls(ctx, p):
 
 
 def _run_quasi_metric(ctx, p):
-    dstar, comp = scale_mod.induced_quasi_metric(ctx["scale"], ctx["space"], p["beta_star"])
+    dstar, comp = scale_mod.induced_quasi_metric(ctx["scale"], p["beta_star"])
     return ConditionReport(condition="quasi_metric",
                            params={"beta_star": p["beta_star"]},
                            best_constant=comp, witness={"comparability": comp},
@@ -386,7 +386,7 @@ def _near_far_forms(ctx, rho):
     built = ctx.setdefault("near_far", {})
     if rho not in built:
         near, far = kernel_mod.truncate(ctx["kernel"], rho)
-        built[rho] = (form_mod.assemble(ctx["space"], near), far)
+        built[rho] = (form_mod.assemble(near), far)
     return built[rho]
 
 
@@ -402,7 +402,7 @@ def _truncated(check):
 CHECKS: dict[str, dict[str, Any]] = {
     "scale_axioms": {
         "fn": lambda ctx, p: scale_mod.verify_scale_axioms(
-            ctx["scale"], ctx["space"], p["radius_grid"], rng=ctx["rng"]),
+            ctx["scale"], p["radius_grid"], rng=ctx["rng"]),
         "measures": "order-field constants: phi(y,r) <= C1 phi(x,r) for r >= d(x,y); "
                     "(R/r)^b1 / C2 <= phi(x,R)/phi(x,r) <= C2 (R/r)^b2",
         "params": _RADIUS_GRID},
@@ -420,39 +420,36 @@ CHECKS: dict[str, dict[str, Any]] = {
         "params": _RADIUS_GRID},
     "tj_check": {
         "fn": lambda ctx, p: kernel_mod.tj_check(
-            ctx["kernel"], ctx["space"], ctx["scale"], p["radius_grid"],
-            threshold=p["threshold"]),
+            ctx["kernel"], ctx["scale"], p["radius_grid"], threshold=p["threshold"]),
         "measures": "jump tail bound: sum_{d(x,y)>=r} j(x,y) mu(y) <= C / phi(x,r)",
         "params": {**_RADIUS_GRID, "threshold": (_number_or_null, None)}},
     "tjq_check": {
         "fn": lambda ctx, p: kernel_mod.tjq_check(
-            ctx["kernel"], ctx["space"], ctx["scale"], p["q"], p["radius_grid"],
+            ctx["kernel"], ctx["scale"], p["q"], p["radius_grid"],
             threshold=p["threshold"]),
         "measures": "L^q jump tail: (sum_{d>=r} j^q mu)^(1/q) <= C / (V(x,r)^((q-1)/q) phi(x,r))",
         "params": {"q": (_number, 2.0), **_RADIUS_GRID, "threshold": (_number_or_null, None)}},
     "ij_check": {
         "fn": lambda ctx, p: kernel_mod.ij_check(
-            ctx["kernel"], ctx["space"], ctx["scale"], p["gamma"], p["pairs"]),
+            ctx["kernel"], ctx["scale"], p["gamma"], p["pairs"]),
         "measures": "annulus jump mass weighted by 1/sqrt(V(y, .)) <= C (R/r)^gamma / (R sqrt(V(x, .)))",
         "params": {"gamma": (_number, 0.0), **_RADIUS_GRID, "pairs": (_pairs, _grid_pairs)}},
     "lre_check": {
         "fn": lambda ctx, p: form_mod.lre_check(
-            ctx["form"], ctx["space"], ctx["scale"], p["kappa"], _balls(ctx, p)),
+            ctx["form"], ctx["scale"], p["kappa"], _balls(ctx, p)),
         "measures": "resolvent floor: min over the quarter ball of (L_B + kappa/phi)^-1 1_B >= c1 phi",
         "params": {"kappa": (_number, 1.0), **_BALL_RADII}},
     "cs_check": {
-        "fn": lambda ctx, p: form_mod.cs_check(
-            ctx["form"], ctx["space"], ctx["scale"], _balls(ctx, p)),
+        "fn": lambda ctx, p: form_mod.cs_check(ctx["form"], ctx["scale"], _balls(ctx, p)),
         "measures": "cutoff energy density: sum_y (cut(x)-cut(y))^2 j mu <= c / phi(x,r)",
         "params": _BALL_RADII},
     "capacity_check": {
-        "fn": lambda ctx, p: form_mod.capacity_check(
-            ctx["form"], ctx["space"], ctx["scale"], _balls(ctx, p)),
+        "fn": lambda ctx, p: form_mod.capacity_check(ctx["form"], ctx["scale"], _balls(ctx, p)),
         "measures": "cutoff capacity: E(cut,cut) <= C V(x0,r) / phi(x0,r)",
         "params": _BALL_RADII},
     "fk_family_check": {
         "fn": lambda ctx, p: form_mod.fk_family_check(
-            ctx["form"], ctx["space"], ctx["scale"], p["variant"], p["nu"], p["b"],
+            ctx["form"], ctx["scale"], p["variant"], p["nu"], p["b"],
             p["Cprime"], p["delta"], _balls(ctx, p), rng=ctx["rng"]),
         "measures": "first Dirichlet eigenvalue vs volume ratio: "
                     "lambda_1(D) >= C/phi [damping^b (V/mu(D))^nu - C']",
@@ -460,38 +457,36 @@ CHECKS: dict[str, dict[str, Any]] = {
                    "delta": (_number, 0.5), **_BALL_RADII}},
     "nash_check": {
         "fn": lambda ctx, p: form_mod.nash_check(
-            ctx["form"], ctx["space"], ctx["scale"], p["nu"], p["b"], _balls(ctx, p),
-            rng=ctx["rng"]),
+            ctx["form"], ctx["scale"], p["nu"], p["b"], _balls(ctx, p), rng=ctx["rng"]),
         "measures": "ball Nash display: ||f||_2^(2+2nu) <= C phi/V^nu damping^-b "
                     "[E(f,f) + ||f||_2^2/phi] ||f||_1^(2nu)",
         "params": {"nu": (_number, 0.5), "b": (_number, 1.0), **_BALL_RADII}},
     "fk_nash_consistency": {
         "fn": lambda ctx, p: form_mod.fk_nash_consistency(
-            ctx["form"], ctx["space"], ctx["scale"], p["nu"], p["b"], p["Cprime"],
+            ctx["form"], ctx["scale"], p["nu"], p["b"], p["Cprime"],
             _balls(ctx, p), rng=ctx["rng"]),
         "measures": "two-way algebra between the eigenvalue and Nash constants",
         "params": {**_FK_PARAMS, **_BALL_RADII}},
     "se_check": {
         "fn": lambda ctx, p: semi_mod.se_check(
-            ctx["form"], ctx["space"], ctx["scale"], _balls(ctx, p), a0_grid=p["a0_grid"]),
+            ctx["form"], ctx["scale"], _balls(ctx, p), a0_grid=p["a0_grid"]),
         "measures": "survival floor: quarter-ball min of P^B_t 1_B >= eps0 for t <= a0 phi",
         "params": {"a0_grid": (_positives, (0.125, 0.25, 0.5)), **_BALL_RADII}},
     "se_from_lre": {
         "fn": lambda ctx, p: semi_mod.se_from_lre_chain(
-            ctx["form"], ctx["space"], ctx["scale"], p["kappa"], _balls(ctx, p)),
+            ctx["form"], ctx["scale"], p["kappa"], _balls(ctx, p)),
         "measures": "survival from resolvent: min P^B_t 1_B >= (min u - t)/max u",
         "params": {"kappa": (_number, 1.0), **_BALL_RADII}},
     "te_check": {
         "fn": lambda ctx, p: semi_mod.te_check(
-            ctx["form"], ctx["space"], ctx["scale"], p["T0"], _balls(ctx, p), p["time_grid"]),
+            ctx["form"], ctx["scale"], p["T0"], _balls(ctx, p), p["time_grid"]),
         "measures": "tail estimate: quarter-ball max of P_t 1_{B^c} <= C t/(phi ^ T0)",
         "params": {"T0": (_positive, _derived("the T0 of the order field",
                                             lambda ctx, p: ctx["scale"].T0)),
                    **_BALL_RADII, **_TIME_GRID}},
     "due_check": {
         "fn": lambda ctx, p: semi_mod.due_check(
-            ctx["form"], ctx["space"], ctx["scale"], p["T0"], p["time_grid"], k=p["k"],
-            rng=ctx["rng"]),
+            ctx["form"], ctx["scale"], p["T0"], p["time_grid"], k=p["k"], rng=ctx["rng"]),
         "measures": "diagonal bound: p(t,x,x) V(x, phi^-1(x,t)) <= C for t < k T0",
         "params": {"T0": (_positive, 1.0), **_TIME_GRID, "k": (_positive, 1.0)}},
     "conservativeness_check": {
@@ -516,7 +511,7 @@ CHECKS: dict[str, dict[str, Any]] = {
             **_TIME_GRID}},
     "meyer_check": {
         "fn": lambda ctx, p: semi_mod.meyer_check(
-            ctx["form"], *_near_far_forms(ctx, p["rho"]), ctx["space"], p["domain"], p["t"]),
+            ctx["form"], *_near_far_forms(ctx, p["rho"]), p["domain"], p["t"]),
         "measures": "jump-interchange comparison between a Dirichlet kernel and its truncation",
         "params": {**_RHO, "domain": (_atom_ids, _derived(
             "the atoms of the ball B(0, diameter/2)",
@@ -524,7 +519,7 @@ CHECKS: dict[str, dict[str, Any]] = {
             "t": (_positive, 0.5)}},
     "cross_jump_exponent": {
         "fn": lambda ctx, p: cx.cross_jump_exponent_fit(
-            ctx["kernel"], ctx["space"], sorted(p["radii"]), eta=p["eta"]),
+            ctx["kernel"], sorted(p["radii"]), eta=p["eta"]),
         "measures": "corner-to-corner long-jump mass scaling exponent",
         "params": {"radii": (_positives, [2.0 ** (-k) for k in range(2, 8)]),
                    "eta": (_number, 0.5)}},
@@ -593,8 +588,8 @@ def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) 
     rng = _convert(np.random.default_rng, seed, "seed")
     space = _build("space", build_space, cfg["space"])
     scale = _build("scale", build_scale, cfg["scale"], space)
-    kern = _build("kernel", build_kernel, cfg["kernel"], space, scale)
-    form = _build("kernel", form_mod.assemble, space, kern)
+    kern = _build("kernel", build_kernel, cfg["kernel"], scale)
+    form = _build("kernel", form_mod.assemble, kern)
     ctx = {"space": space, "scale": scale, "kernel": kern, "form": form, "rng": rng}
 
     output = cfg.get("output", {})
@@ -652,23 +647,23 @@ def counterexample_report(epsilon: float, level: int, axes: int,
     except PointCapExceeded as exc:     # the form is assembled: no cap but the dense one holds
         raise PointCapExceeded(exc.requested, exc.cap, dense=True) from None
     field = cx.build_counterexample_field(config, space)
-    kern = kernel_mod.build_cantor_axis_kernel(space, field)
-    form = form_mod.assemble(space, kern)
+    kern = kernel_mod.build_cantor_axis_kernel(field)
+    form = form_mod.assemble(kern)
     rng = np.random.default_rng(0)
 
     grid = space_mod.dyadic_radius_grid(space)
     balls = form_mod.sample_balls(space, 3, grid[-2:], rng)
     reports = {
-        "tj": kernel_mod.tj_check(kern, space, field, grid),
-        "cs": form_mod.cs_check(form, space, field, balls),
-        "ij": kernel_mod.ij_check(kern, space, field, config.gamma,
+        "tj": kernel_mod.tj_check(kern, field, grid),
+        "cs": form_mod.cs_check(form, field, balls),
+        "ij": kernel_mod.ij_check(kern, field, config.gamma,
                                   [(r, R) for r in grid for R in grid if r <= R]),
-        "wfk": form_mod.fk_family_check(form, space, field, "WFK",
+        "wfk": form_mod.fk_family_check(form, field, "WFK",
                                         1.0 / (axes * config.alpha_xi), 1.0, 1.0, 0.5,
                                         balls, rng=rng),
     }
     times = np.logspace(-4.5, 0.5, 11)
-    diagnostic = cx.due_violation_diagnostic(config, space, times, form)
+    diagnostic = cx.due_violation_diagnostic(config, times, form)
     bundle = {
         "config": {"epsilon": config.epsilon, "xi": str(config.xi), "n": config.n,
                    "alpha_xi": config.alpha_xi, "beta1": config.beta1,

@@ -205,11 +205,11 @@ REGIME_NOTE = (
 )
 
 
-def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
-                             time_grid, form: SpectralForm) -> dict[str, Any]:
+def due_violation_diagnostic(config: CounterexampleConfig, time_grid,
+                             form: SpectralForm) -> dict[str, Any]:
     """Corner-to-corner profile r(t) = p(t, x0, y0) * t^((1+1/beta2) n' alpha / 2).
 
-    ``form`` is the form of :func:`build_counterexample_field` on ``space``.
+    ``form`` is the form of :func:`build_counterexample_field` on its space.
     Probes are the atoms nearest the two corners.  A growing r(t) as t -> 0
     is the signature the full construction amplifies; at desk scale the
     output is a profile only.  A control run with the constant order-one
@@ -217,6 +217,7 @@ def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
     diagonal bound holds.  Fewer than four usable decades of time (or an
     empty grid) is inconclusive.
     """
+    space = form.space
     times = np.asarray(list(time_grid), dtype=float)
     report: dict[str, Any] = {
         "config": {"epsilon": config.epsilon, "xi": str(config.xi),
@@ -244,7 +245,7 @@ def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
     control_field = constant_field(space, config.beta1, T0=1.0)
     profiles = (
         ("series", form, (1.0 + 1.0 / config.beta2) * n_desk * config.alpha_xi / 2.0),
-        ("control_series", assemble(space, build_cantor_axis_kernel(space, control_field)),
+        ("control_series", assemble(build_cantor_axis_kernel(control_field)),
          n_desk * config.alpha_xi / config.beta1))
     for key, profile_form, rate in profiles:
         for t in times:
@@ -262,11 +263,11 @@ def due_violation_diagnostic(config: CounterexampleConfig, space: FiniteMMSpace,
     return report
 
 
-def cross_jump_exponent_fit(kernel: JumpKernel, space: FiniteMMSpace,
-                            radii, eta: float = 0.5) -> ConditionReport:
+def cross_jump_exponent_fit(kernel: JumpKernel, radii, eta: float = 0.5) -> ConditionReport:
     """Log-log slope of the corner cross-jump mass against the ball scale."""
+    space = kernel.space
     radii = np.asarray(list(radii), dtype=float)
-    masses = np.array([cross_jump_mass(kernel, space, float(r), eta) for r in radii])
+    masses = np.array([cross_jump_mass(kernel, float(r), eta) for r in radii])
     keep = masses > 0
     n_axes = int(space.meta.get("n_axes", 0))
     alpha = float(space.meta.get("alpha", math.nan))

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ParameterError, PointCapExceeded
 from .kernel import JumpKernel
 from .report import ConditionReport
-from .scale import ScaleField, phi, phi_inverse, phi_vec
+from .scale import ScaleField, _space_shared_with, phi, phi_inverse, phi_vec
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids
 
 
@@ -60,11 +60,11 @@ class SpectralForm:
 
     ``kernel`` equals its transpose bit for bit: the kernel ``assemble`` was
     given, or, if that is symmetric only up to rounding, its average with
-    its mirror.  A Dirichlet part shares the kernel of its full form and
-    keeps its small dense generator ``L``; a full form keeps none.
+    its mirror.  Its space is the form's.  A Dirichlet part shares the
+    kernel of its full form and keeps its small dense generator ``L``; a
+    full form keeps none.
     """
 
-    space: FiniteMMSpace
     kernel: JumpKernel
     domain: np.ndarray
     diag: np.ndarray
@@ -81,6 +81,11 @@ class SpectralForm:
         block = self.kernel.block(rows, cols)
         block[rows[:, None] == cols[None, :]] = 0.0
         return block
+
+    @property
+    def space(self) -> FiniteMMSpace:
+        """The space of the form, that of its kernel."""
+        return self.kernel.space
 
     @property
     def eigvals(self) -> np.ndarray:
@@ -218,8 +223,7 @@ def _mirror_averaged(kernel: JumpKernel) -> JumpKernel:
     return JumpKernel(kernel.space, block_fn, kernel.support_pattern, dict(kernel.meta))
 
 
-def _symmetric_generator(space: FiniteMMSpace, kernel: JumpKernel
-                         ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """``_symmetrized(L, sqrt(w))`` for the generator L of 0.5 (J + J.T), the
     diagonal of L, the off-diagonal nonzeros of 0.5 (J + J.T), and whether J
     equals J.T bit for bit.
@@ -238,6 +242,7 @@ def _symmetric_generator(space: FiniteMMSpace, kernel: JumpKernel
     minus its off-diagonal row sums.  A chunk whose result overflows is
     refused.
     """
+    space = kernel.space
     n = space.n_points
     atoms = np.arange(n)
     sym = np.empty((n, n))
@@ -372,6 +377,18 @@ def _flush_subnormal(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _zero_rounding(*spectra: np.ndarray) -> None:
+    """Set to exactly 0, in place, each eigenvalue within N eps max |lambda|
+    of 0, N and max |lambda| taken over all of ``spectra``, the eigenvalues
+    of one matrix.  The eigensolver leaves a zero eigenvalue anywhere within
+    about eps max |lambda| of 0, and exp(-t lambda) of a rounded one below 0
+    grows without bound in t."""
+    floor = (sum(v.size for v in spectra) * np.finfo(float).eps
+             * max(np.abs(v).max() for v in spectra))
+    for v in spectra:
+        v[np.abs(v) <= floor] = 0.0
+
+
 # Rows per panel of a streamed kernel, in basis rows: a sixteenth of the
 # atoms, so that the dozen panels alive at a time stay well under one N x N
 # array, but at least the first bound, below which the per-panel overhead
@@ -473,9 +490,11 @@ class _DenseBasis(_Basis):
 
     @classmethod
     def solve(cls, sym: np.ndarray, weights: np.ndarray) -> _DenseBasis:
-        """The ascending eigenvalues of the symmetrized generator ``sym`` and
-        the mu-orthonormal eigenfunctions, by one ``eigh``."""
+        """The ascending eigenvalues of the symmetrized generator ``sym``,
+        rounded zeros made exact, and the mu-orthonormal eigenfunctions, by
+        one ``eigh``."""
         eigvals, psi = np.linalg.eigh(sym)
+        _zero_rounding(eigvals)
         psi /= np.sqrt(weights)[:, None]
         return cls(eigvals, psi, weights)
 
@@ -507,10 +526,11 @@ class _HalfSpectrum(_Basis):
     With ``A[k]`` and ``B[k]`` the k-th mirror pair, ``pair`` maps both to k
     and ``sign`` is -1 on B.  An even eigenvector v of the whole matrix is
     (v on A, v on B) / sqrt(2) and an odd one (v on A, -v on B) / sqrt(2);
-    the eigenfunctions divide them by sqrt(w).  ``eigvals`` merges the
-    halves' eigenvalues ascending by a stable sort, so an even eigenvalue
-    comes before an equal odd one.  Each block is taken out of ``blocks``
-    and freed once it is solved.  The factors lie on the four A/B
+    the eigenfunctions divide them by sqrt(w).  The rounded zeros of both
+    halves are made exact by the floor of the whole matrix.  ``eigvals``
+    merges the halves' eigenvalues ascending by a stable sort, so an even
+    eigenvalue comes before an equal odd one.  Each block is taken out of
+    ``blocks`` and freed once it is solved.  The factors lie on the four A/B
     quadrants; no eigenfunction is laid out N wide.
     """
 
@@ -519,6 +539,7 @@ class _HalfSpectrum(_Basis):
         self.A, self.B, self.weights = A, B, weights
         unit = np.ones(A.size)
         self.factors = [_DenseBasis(*np.linalg.eigh(blocks.pop(0)), unit) for _ in range(2)]
+        _zero_rounding(*(half.eigvals for half in self.factors))
         self.eigvals = np.sort(np.concatenate([half.eigvals for half in self.factors]),
                                kind="stable")
         n = self.eigvals.size
@@ -564,19 +585,19 @@ class _HalfSpectrum(_Basis):
         return results
 
 
-def _generator_blocks(space: FiniteMMSpace, kernel: JumpKernel) -> tuple:
+def _generator_blocks(kernel: JumpKernel) -> tuple:
     """``_symmetric_generator``'s result with its matrix as the blocks to
     solve: ``(None, [sym], diag, nonzeros, exact)``, or, when ``sym``
-    commutes with the central reflection of the space, ``((A, B), [even,
-    odd], ...)`` from ``_reflection_blocks``; ``sym`` is then freed on
-    return, so only the half-size blocks reach the eigensolve."""
-    sym, *rest = _symmetric_generator(space, kernel)
-    pairs, blocks = _reflection_blocks(space, sym) or (None, [sym])
+    commutes with the central reflection of the kernel's space, ``((A, B),
+    [even, odd], ...)`` from ``_reflection_blocks``; ``sym`` is then freed
+    on return, so only the half-size blocks reach the eigensolve."""
+    sym, *rest = _symmetric_generator(kernel)
+    pairs, blocks = _reflection_blocks(kernel.space, sym) or (None, [sym])
     return pairs, blocks, *rest
 
 
-def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
-    """Assemble the generator of the pure-jump form for the whole space.
+def assemble(kernel: JumpKernel) -> SpectralForm:
+    """Assemble the generator of the pure-jump form on the whole space of ``kernel``.
 
     The symmetrized generator is built in place from kernel blocks one row
     chunk at a time, each entry of J read once, so neither a dense generator
@@ -586,12 +607,13 @@ def assemble(space: FiniteMMSpace, kernel: JumpKernel) -> SpectralForm:
     kept as its average with its mirror.  Refused above the dense cap, where
     the dense eigensolve would not fit.
     """
+    space = kernel.space
     if space.n_points > DENSE_MATRIX_CAP:
         raise PointCapExceeded(space.n_points, DENSE_MATRIX_CAP, dense=True)
-    pairs, blocks, diag, nonzeros, exact = _generator_blocks(space, kernel)
+    pairs, blocks, diag, nonzeros, exact = _generator_blocks(kernel)
     basis = (_DenseBasis.solve(blocks.pop(), space.weights) if pairs is None
              else _HalfSpectrum(*pairs, blocks, space.weights))
-    return SpectralForm(space=space, kernel=kernel if exact else _mirror_averaged(kernel),
+    return SpectralForm(kernel=kernel if exact else _mirror_averaged(kernel),
                         domain=np.arange(space.n_points), diag=diag, basis=basis,
                         jmat_nonzeros=nonzeros)
 
@@ -646,13 +668,12 @@ def lambda1(form: SpectralForm, D) -> float:
 def default_time_grid(form: SpectralForm) -> np.ndarray:
     """Nine log-spaced times over [1e-3, 10] times the full form's relaxation time.
 
-    The relaxation time is 1 / the smallest eigenvalue above N eps max |lambda|:
-    the eigensolver leaves a zero eigenvalue anywhere within about
-    eps max |lambda| of 0, so a fixed cut would take it for the spectral gap
-    once max |lambda| is large enough.
+    The relaxation time is 1 / the smallest positive eigenvalue; a rounded
+    zero eigenvalue is exactly 0 (see ``_zero_rounding``), so it is never
+    taken for the spectral gap.
     """
     lam = form.eigvals
-    lam = lam[lam > lam.size * np.finfo(float).eps * np.abs(lam).max()]
+    lam = lam[lam > 0]
     relax = 1.0 / lam[0] if lam.size else 1.0
     return relax * np.logspace(-3, 1, 9)
 
@@ -662,11 +683,11 @@ def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.nda
     return 0.5 * (form_full.diag - form_near.diag)
 
 
-def removed_top_eigenvalue(space: FiniteMMSpace, kernel_far: JumpKernel) -> float:
+def removed_top_eigenvalue(kernel_far: JumpKernel) -> float:
     """Largest eigenvalue of the removed generator L_full - L_near, without
     eigenvectors: the generator of the far kernel J - J_near, built and
     split like a full form's."""
-    blocks = _generator_blocks(space, kernel_far)[1]
+    blocks = _generator_blocks(kernel_far)[1]
     return float(max(np.linalg.eigvalsh(block)[-1] for block in blocks))
 
 
@@ -714,14 +735,14 @@ def sample_balls(space: FiniteMMSpace, n_centers: int, radii: Iterable[float],
     return [(int(c), float(r)) for c in centers for r in radii]
 
 
-def _quarter_balls(space: FiniteMMSpace, scale: ScaleField, ball_sample):
+def _quarter_balls(scale: ScaleField, ball_sample):
     """The sampled balls with phi(x0, r) < T0 and a nonempty quarter ball B(x0, r/4),
     as (x0, r, ball members, quarter-ball mask on them), and how many had an empty one."""
     balls, skipped = [], 0
     for x0, r in ball_sample:
         if phi(scale, x0, r) >= scale.T0:
             continue
-        ball = space.ball(x0, r)
+        ball = scale.space.ball(x0, r)
         members = ball.member_idx
         quarter_mask = ball.dist[members] < r / 4.0
         if quarter_mask.any():
@@ -735,20 +756,21 @@ def _quarter_balls(space: FiniteMMSpace, scale: ScaleField, ball_sample):
 # Checkers
 # ---------------------------------------------------------------------------
 
-def lre_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-              kappa: float, ball_sample) -> ConditionReport:
+def lre_check(form: SpectralForm, scale: ScaleField, kappa: float,
+              ball_sample) -> ConditionReport:
     """Worst lower-resolvent constant on sampled balls.
 
     For each ball B(x0, r) with phi(x0, r) < T0, solves
     u = (L_B + kappa/phi(x0,r))^-1 1_B and reports
     c1 = min over the quarter ball of u / phi(x0, r).
     """
+    _space_shared_with(form, scale)
     if kappa <= 0:
         raise ParameterError("kappa must be positive")
     worst = math.inf
     witness: dict[str, Any] = {}
     series = []
-    balls, skipped = _quarter_balls(space, scale, ball_sample)
+    balls, skipped = _quarter_balls(scale, ball_sample)
     for x0, r, members, quarter_mask in balls:
         part = part_on(form, members)
         lam = kappa / phi(scale, x0, r)
@@ -774,8 +796,7 @@ def _ball_cutoff(space: FiniteMMSpace, x0: int, r: float) -> np.ndarray:
     return build_cutoff(space, x0, r / 2.0, r / 4.0)
 
 
-def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-             ball_sample) -> ConditionReport:
+def cs_check(form: SpectralForm, scale: ScaleField, ball_sample) -> ConditionReport:
     """Pointwise cutoff-energy constant.
 
     For each sampled ball B(x0, r) builds its cutoff, plateau R = r/2 and
@@ -783,6 +804,7 @@ def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     sup_x sum_y (cut(x)-cut(y))^2 j(x,y) mu(y) <= c / phi(x, r/4).  One
     kernel block per row chunk serves every cutoff.
     """
+    space = _space_shared_with(form, scale)
     ball_sample = list(ball_sample)
     atoms = np.arange(space.n_points)
     cuts = [_ball_cutoff(space, x0, r) for x0, r in ball_sample]
@@ -808,10 +830,10 @@ def cs_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
                            notes=[] if series else ["no ball was sampled"], series=series)
 
 
-def capacity_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                   ball_sample) -> ConditionReport:
+def capacity_check(form: SpectralForm, scale: ScaleField, ball_sample) -> ConditionReport:
     """Cutoff capacity constant: E(cut,cut) <= C V(x0,r)/phi(x0,r) per ball,
     the energies of all the cutoffs from one pass over the kernel."""
+    space = _space_shared_with(form, scale)
     if form.is_part:
         raise ParameterError("capacity uses the full-space form")
     ball_sample = list(ball_sample)
@@ -884,8 +906,8 @@ def _fk_bracket(variant: str, ratio_pow: float, damping: float, b: float,
     return damping**b * ratio_pow - Cprime           # GFK
 
 
-def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                    variant: str, nu: float, b: float, Cprime: float, delta: float,
+def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
+                    nu: float, b: float, Cprime: float, delta: float,
                     ball_sample, rng: np.random.Generator,
                     extra_subsets: dict[tuple[int, float], list[np.ndarray]] | None = None,
                     ) -> ConditionReport:
@@ -903,6 +925,7 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     one of its ball is swept once.  lambda_1 comes from :func:`lambda1`, so
     a subset some part was solved on is not solved again.
     """
+    space = _space_shared_with(form, scale)
     if variant not in ("FK", "WFK", "GFK"):
         raise ParameterError(f"unknown variant {variant!r}")
     best = math.inf
@@ -946,13 +969,14 @@ def fk_family_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     return report
 
 
-def nash_witness_constant(space: FiniteMMSpace, scale: ScaleField, ball: BallQuery,
-                          nu: float, b: float, f_on_D: np.ndarray, LD: np.ndarray) -> float:
-    """Witness constant of the ball Nash display for one test function on ``ball``,
-    its energy (L_D f) . (f w) from ``LD``, the generator of the ball part."""
+def nash_witness_constant(scale: ScaleField, ball: BallQuery, nu: float, b: float,
+                          f_on_D: np.ndarray, LD: np.ndarray) -> float:
+    """Witness constant of the ball Nash display for one test function on
+    ``ball``, a ball of the space of ``scale``, its energy (L_D f) . (f w)
+    from ``LD``, the generator of the ball part."""
     phival = phi(scale, ball.center, ball.radius)
     damping = _damping(scale, phival)
-    w = space.weights[ball.member_idx]
+    w = scale.space.weights[ball.member_idx]
     energy = float((LD @ f_on_D) @ (f_on_D * w))
     l1, l2sq = float(np.abs(f_on_D) @ w), float(f_on_D**2 @ w)
     denom = phival * (energy + l2sq / phival) * l1 ** (2 * nu)
@@ -961,8 +985,7 @@ def nash_witness_constant(space: FiniteMMSpace, scale: ScaleField, ball: BallQue
     return l2sq ** (1 + nu) * ball.volume**nu * damping**b / denom
 
 
-def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-               nu: float, b: float, ball_sample,
+def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_sample,
                rng: np.random.Generator) -> ConditionReport:
     """Ball Nash-inequality sweep over a documented test family.
 
@@ -971,6 +994,7 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     supported in the ball.  The reported best constant is the largest
     witness, i.e. the smallest C for which the display holds on the family.
     """
+    space = _space_shared_with(form, scale)
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
@@ -988,7 +1012,7 @@ def nash_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
             if norm == 0:
                 continue
             f = f / norm
-            c = nash_witness_constant(space, scale, ball, nu, b, f, part.L)
+            c = nash_witness_constant(scale, ball, nu, b, f, part.L)
             series.append({"x0": x0, "r": r, "family": name, "C": c})
             if c > best:
                 best = c
@@ -1012,9 +1036,8 @@ def _superlevel_subset(space: FiniteMMSpace, D: np.ndarray, f: np.ndarray) -> np
     return sel if sel.size else None
 
 
-def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                        nu: float, b: float, Cprime: float, ball_sample,
-                        rng: np.random.Generator) -> ConditionReport:
+def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: float,
+                        Cprime: float, ball_sample, rng: np.random.Generator) -> ConditionReport:
     """Two-way consistency between the eigenvalue sweep and the Nash sweep.
 
     Forward: with the eigenvalue constant C_G measured over a subset family
@@ -1033,6 +1056,7 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
     contraction, and Cauchy-Schwarz are the only steps besides the measured
     sweeps, so both margins must be nonnegative up to rounding.
     """
+    space = _space_shared_with(form, scale)
     balls = list(ball_sample)
 
     # (x0, r) -> (ball, its largest Nash witness, [(asserted subset, its lambda_1)])
@@ -1060,12 +1084,12 @@ def fk_nash_consistency(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFi
             asserted.append((D, float(sub_part.eigvals[0])))
         asserted.append((D_ball, float(part.eigvals[0])))
         funcs = base + grounds
-        nash = max(nash_witness_constant(space, scale, ball, nu, b, f, part.L) for f in funcs)
+        nash = max(nash_witness_constant(scale, ball, nu, b, f, part.L) for f in funcs)
         per_ball[(x0, r)] = (ball, nash, asserted)
         sweep_subsets[(x0, r)] = [s for f in funcs
                                   if (s := _superlevel_subset(space, D_ball, f)) is not None]
 
-    gfk = fk_family_check(form, space, scale, "GFK", nu, b, Cprime, 0.5,  # GFK reads no delta
+    gfk = fk_family_check(form, scale, "GFK", nu, b, Cprime, 0.5,  # GFK reads no delta
                           balls, rng=rng, extra_subsets=sweep_subsets)
     c_g = gfk.best_constant
 

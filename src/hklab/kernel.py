@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError
 from .report import ConditionReport
-from .scale import ScaleField, phi_inverse_vec, phi_vec
+from .scale import ScaleField, _space_shared_with, phi_inverse_vec, phi_vec
 from .space import DENSE_MATRIX_CAP, FiniteMMSpace
 
 _AXIS_TOL = 1e-12
@@ -139,8 +139,8 @@ def _axis_aligned_block(space: FiniteMMSpace, beta_values: np.ndarray,
     return block_fn
 
 
-def build_cantor_axis_kernel(space: FiniteMMSpace, scale: ScaleField) -> JumpKernel:
-    """Axis-aligned kernel on a Cantor product.
+def build_cantor_axis_kernel(scale: ScaleField) -> JumpKernel:
+    """Axis-aligned kernel on the Cantor product of ``scale``.
 
     Along the moved axis the intensity is |x_i - y_i|^(-(alpha + beta(x) ^ beta(y)))
     with alpha the axis volume exponent; dividing by the off-axis weight
@@ -148,6 +148,7 @@ def build_cantor_axis_kernel(space: FiniteMMSpace, scale: ScaleField) -> JumpKer
     j * mu * mu match the per-axis measure times point masses on the frozen
     axes.  Symmetric because the exponent takes the smaller order.
     """
+    space = scale.space
     if space.meta.get("kind") != "cantor":
         raise ParameterError("cantor axis kernel needs a cantor product space")
     alpha = float(space.meta["alpha"])
@@ -158,8 +159,9 @@ def build_cantor_axis_kernel(space: FiniteMMSpace, scale: ScaleField) -> JumpKer
                       meta={"kind": "cantor_axis", "alpha": alpha})
 
 
-def build_cylindrical_kernel(space: FiniteMMSpace, scale: ScaleField) -> JumpKernel:
-    """Axis-aligned stable-like kernel on a grid product (no joint density)."""
+def build_cylindrical_kernel(scale: ScaleField) -> JumpKernel:
+    """Axis-aligned stable-like kernel on the grid product of ``scale`` (no joint density)."""
+    space = scale.space
     if space.meta.get("kind") != "grid":
         raise ParameterError("cylindrical kernel needs a grid space")
     d = int(space.meta["n_axes"])
@@ -168,9 +170,8 @@ def build_cylindrical_kernel(space: FiniteMMSpace, scale: ScaleField) -> JumpKer
     return JumpKernel(space, block_fn, "axis_aligned", meta={"kind": "cylindrical"})
 
 
-def build_stable_like_kernel(space: FiniteMMSpace, scale: ScaleField,
-                             lower_constant: float = 1.0) -> JumpKernel:
-    """Variable-order stable-like density on a grid.
+def build_stable_like_kernel(scale: ScaleField, lower_constant: float = 1.0) -> JumpKernel:
+    """Variable-order stable-like density on the grid of ``scale``.
 
     j(x,y) = lower_constant / (V(x, |x-y|) * phi(x, |x-y|)), symmetrized by
     arithmetic averaging, with |x-y| in whole grid steps, so that atoms at the
@@ -178,6 +179,7 @@ def build_stable_like_kernel(space: FiniteMMSpace, scale: ScaleField,
     of the one-sided value, from the closed-form count of atoms in the open
     ball of k steps, serves every block.
     """
+    space = scale.space
     if space.meta.get("kind") != "grid":
         raise ParameterError("stable-like kernel needs a grid space")
     per_unit = space.meta["side"] - 1                  # grid steps in a unit of length
@@ -223,10 +225,11 @@ def build_nearest_neighbor_kernel(space: FiniteMMSpace, value: float = 1.0) -> J
 # Tail quantities and checks
 # ---------------------------------------------------------------------------
 
-def tail_mass(kernel: JumpKernel, space: FiniteMMSpace, x: int, r: float) -> float:
+def tail_mass(kernel: JumpKernel, x: int, r: float) -> float:
     """Sum of j(x,y) mu(y) over atoms at distance >= r from x."""
     if r <= 0:
         raise ParameterError("tail radius must be positive")
+    space = kernel.space
     far = np.flatnonzero(space.dist_from(x) >= r)
     if far.size == 0:
         return 0.0
@@ -234,8 +237,7 @@ def tail_mass(kernel: JumpKernel, space: FiniteMMSpace, x: int, r: float) -> flo
     return float(vals @ space.weights[far])
 
 
-def _tail_masses(kernel: JumpKernel, space: FiniteMMSpace, radii,
-                 q: float = 1.0) -> np.ndarray:
+def _tail_masses(kernel: JumpKernel, radii, q: float = 1.0) -> np.ndarray:
     """sum of j(x,y)^q mu(y) over d(x,y) >= r, shape (len(radii), n_points).
 
     One kernel block and one distance block per row chunk serve every radius.
@@ -243,6 +245,7 @@ def _tail_masses(kernel: JumpKernel, space: FiniteMMSpace, radii,
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ParameterError("tail radius must be positive")
+    space = kernel.space
     all_idx = np.arange(space.n_points)
     tails = np.empty((radii.size, space.n_points))
     for rows in space._row_chunks():
@@ -264,16 +267,17 @@ def _first_max(vals: np.ndarray, ids: np.ndarray) -> tuple[float, int | None]:
     return float(vals[k]), int(ids[k])
 
 
-def tj_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
-             radius_grid, threshold: float | None = None) -> ConditionReport:
+def tj_check(kernel: JumpKernel, scale: ScaleField, radius_grid,
+             threshold: float | None = None) -> ConditionReport:
     """Best constant C = max over (x, r) of phi(x,r) * tail_mass(x, r)."""
+    space = _space_shared_with(kernel, scale)
     radii = np.asarray(radius_grid, dtype=float)
     if np.any(radii <= 0) or np.any(radii > space.diameter):
         raise ParameterError("radius grid must lie in (0, diameter]")
     best = 0.0
     witness: dict[str, Any] = {"x": None, "r": None}
     series = []
-    for r, tails in zip(radii, _tail_masses(kernel, space, radii)):
+    for r, tails in zip(radii, _tail_masses(kernel, radii)):
         vals = tails * phi_vec(scale, np.arange(space.n_points), float(r))
         x = int(np.argmax(vals))
         series.append({"r": float(r), "C_at_r": float(vals[x]), "x": x})
@@ -287,8 +291,8 @@ def tj_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
                            series=series)
 
 
-def tjq_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
-              q: float, radius_grid, threshold: float | None = None) -> ConditionReport:
+def tjq_check(kernel: JumpKernel, scale: ScaleField, q: float, radius_grid,
+              threshold: float | None = None) -> ConditionReport:
     """L^q tail check for kernels with a density.
 
     Best constant over (x, r) of
@@ -297,6 +301,7 @@ def tjq_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
     intensities blow up with refinement, so no density-level bound is meant
     to hold for them.
     """
+    space = _space_shared_with(kernel, scale)
     if q < 1:
         raise ParameterError("q must be at least 1")
     if kernel.support_pattern != "full":
@@ -310,7 +315,7 @@ def tjq_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
-    for r, tails in zip(radii, _tail_masses(kernel, space, radii, q)):
+    for r, tails in zip(radii, _tail_masses(kernel, radii, q)):
         c = (tails ** (1.0 / q) * space.volumes_at(float(r)) ** ((q - 1.0) / q)
              * phi_vec(scale, all_idx, float(r)))
         worst_at_r, arg = _first_max(c, all_idx)
@@ -324,39 +329,37 @@ def tjq_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
                            series=series)
 
 
-def ij_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
-             gamma: float, rR_pairs, x_sample=None) -> ConditionReport:
+def ij_check(kernel: JumpKernel, scale: ScaleField, gamma: float, rR_pairs) -> ConditionReport:
     """Annulus jump check weighted by inverse square-root ball volumes.
 
-    For each pair (r, R) with r <= R and each sampled x, sums
+    For each pair (r, R) with r <= R and each atom x, sums
     j(x,y) mu(y) / sqrt(V(y, phi^-1(y, r))) over the annulus between radii
     phi^-1(x, R) and 2 phi^-1(x, R), and forms
     Q = LHS * R * sqrt(V(x, phi^-1(x, r))).  Reports the best constant C
     making Q <= C (R/r)^gamma, and the exponent fitted from log max_x Q
-    against log(R/r).  ``x_sample`` lists atom ids (default: every atom).
+    against log(R/r).
     """
+    space = _space_shared_with(kernel, scale)
     pairs = [(float(r), float(R)) for r, R in rR_pairs]
     if any(r <= 0 or r > R for r, R in pairs):
         raise ParameterError("need 0 < r <= R for every pair")
     all_idx = np.arange(space.n_points)
-    xs = all_idx if x_sample is None else space._check_indices(x_sample)
     vols = {r: space.volumes_at(phi_inverse_vec(scale, all_idx, r)) for r, _ in pairs}
     dens = {r: space.weights / np.sqrt(v) for r, v in vols.items()}
-    inner = [phi_inverse_vec(scale, xs, big_r) for _, big_r in pairs]
-    q_vals = np.empty((len(pairs), xs.size))
-    for pos in space._row_chunks(np.arange(xs.size)):
-        rows = xs[pos]
+    inner = [phi_inverse_vec(scale, all_idx, big_r) for _, big_r in pairs]
+    q_vals = np.empty((len(pairs), space.n_points))
+    for rows in space._row_chunks():
         vals = kernel.block(rows, all_idx)
         d = space._dist_rows(rows)
         for p, (r, _) in enumerate(pairs):
-            r1 = inner[p][pos, None]
-            q_vals[p, pos] = np.where((d >= r1) & (d < 2 * r1), vals, 0.0) @ dens[r]
+            r1 = inner[p][rows, None]
+            q_vals[p, rows] = np.where((d >= r1) & (d < 2 * r1), vals, 0.0) @ dens[r]
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
     fit_pts: dict[float, float] = {}
     for (r, big_r), q_row in zip(pairs, q_vals):
-        q_max, arg = _first_max(q_row * big_r * np.sqrt(vols[r][xs]), xs)
+        q_max, arg = _first_max(q_row * big_r * np.sqrt(vols[r]), all_idx)
         ratio = big_r / r
         series.append({"r": r, "R": big_r, "Q_max": q_max, "x": arg})
         if q_max > 0:
@@ -384,13 +387,13 @@ def ij_check(kernel: JumpKernel, space: FiniteMMSpace, scale: ScaleField,
     )
 
 
-def cross_jump_mass(kernel: JumpKernel, space: FiniteMMSpace, r: float,
-                    eta: float) -> float:
+def cross_jump_mass(kernel: JumpKernel, r: float, eta: float) -> float:
     """Jump mass between shrinking corner balls, restricted to long jumps.
 
     Sums j(z, w) mu(z) mu(w) over z within eta*r of the zero corner and w
     within eta*r of the e1 corner, keeping only pairs at distance >= 1/4.
     """
+    space = kernel.space
     if space.meta.get("kind") != "cantor":
         raise ParameterError("corner balls are defined only on cantor products")
     if r <= 0 or eta <= 0:

@@ -26,8 +26,9 @@ _AXIOM_PAIR_SAMPLE = 512                # points whose pairs verify_scale_axioms
 
 @dataclass
 class ScaleField:
-    """Per-point order field defining phi(x, r) and its inverse."""
+    """Per-point order field on ``space``, defining phi(x, r) and its inverse."""
 
+    space: FiniteMMSpace
     beta_values: np.ndarray
     beta1: float
     beta2: float
@@ -37,6 +38,8 @@ class ScaleField:
 
     def __post_init__(self):
         self.beta_values = np.asarray(self.beta_values, dtype=float)
+        if self.beta_values.shape != (self.space.n_points,):
+            raise ParameterError("need one order value per point")
         if not (0 < self.beta1 <= self.beta2):
             raise ParameterError("need 0 < beta1 <= beta2")
         if self.T0 <= 0:
@@ -79,22 +82,28 @@ def phi_inverse_vec(scale: ScaleField, idx, t: float) -> np.ndarray:
     return t ** (1.0 / beta)
 
 
+def _space_shared_with(owner, scale: ScaleField) -> FiniteMMSpace:
+    """The space of ``owner``, a form or a kernel, refused unless ``scale``
+    was built on that same space object."""
+    if owner.space is not scale.space:
+        raise ParameterError(f"the {type(owner).__name__} and the order field "
+                             "are built on different spaces")
+    return owner.space
+
+
 # ---------------------------------------------------------------------------
 # Field builders
 # ---------------------------------------------------------------------------
 
 def constant_field(space: FiniteMMSpace, beta: float, T0: float = math.inf) -> ScaleField:
-    return ScaleField(beta_values=np.full(space.n_points, float(beta)),
+    return ScaleField(space=space, beta_values=np.full(space.n_points, float(beta)),
                       beta1=float(beta), beta2=float(beta), T0=T0, lipschitz=True,
                       meta={"kind": "constant", "beta": float(beta)})
 
 
 def field_from_table(space: FiniteMMSpace, values, beta1: float, beta2: float,
                      T0: float = math.inf, lipschitz: bool = False) -> ScaleField:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (space.n_points,):
-        raise ParameterError("table length must match the number of points")
-    return ScaleField(beta_values=values, beta1=beta1, beta2=beta2, T0=T0,
+    return ScaleField(space=space, beta_values=values, beta1=beta1, beta2=beta2, T0=T0,
                       lipschitz=lipschitz, meta={"kind": "table"})
 
 
@@ -130,7 +139,7 @@ def field_from_balls(space: FiniteMMSpace, anchors, beta1: float, beta2: float,
         values.append(float(value))
     beta = np.clip(np.min(envelopes, axis=0), min(values), max(values))
     beta = np.clip(beta, beta1, beta2)
-    return ScaleField(beta_values=beta, beta1=beta1, beta2=beta2, T0=T0,
+    return ScaleField(space=space, beta_values=beta, beta1=beta1, beta2=beta2, T0=T0,
                       lipschitz=True, meta={"kind": "balls", "n_anchors": len(anchors)})
 
 
@@ -138,7 +147,7 @@ def field_from_balls(space: FiniteMMSpace, anchors, beta1: float, beta2: float,
 # Axiom verification
 # ---------------------------------------------------------------------------
 
-def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
+def verify_scale_axioms(scale: ScaleField, radius_grid,
                         rng: np.random.Generator) -> ConditionReport:
     """Best constants for the scale-function axioms on a radius grid.
 
@@ -149,6 +158,7 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
     phi(y,R)/phi(x,r) by ((R + d(x,y))/r)^beta2.  A declared 1-Lipschitz
     field is scanned and a violation fails the verdict.
     """
+    space = scale.space
     radii = np.asarray(radius_grid, dtype=float)
     if radii.size < 2 or np.any(radii <= 0):
         raise ParameterError("need a grid of at least two positive radii")
@@ -238,7 +248,7 @@ def verify_scale_axioms(scale: ScaleField, space: FiniteMMSpace, radius_grid,
 # Change of metric
 # ---------------------------------------------------------------------------
 
-def induced_quasi_metric(scale: ScaleField, space: FiniteMMSpace,
+def induced_quasi_metric(scale: ScaleField,
                          beta_star: float | None = None) -> tuple[np.ndarray, float]:
     """Shortest-chain metric candidate comparable to phi(x, d(x,y))^(1/beta_star).
 
@@ -255,6 +265,7 @@ def induced_quasi_metric(scale: ScaleField, space: FiniteMMSpace,
         beta_star = scale.beta2
     if beta_star <= 0:
         raise ParameterError("beta_star must be positive")
+    space = scale.space
     n = space.n_points
     if n > QUASI_METRIC_POINT_CAP:
         raise ParameterError(f"quasi-metric construction capped at {QUASI_METRIC_POINT_CAP} points")

@@ -32,8 +32,7 @@ from .form import (SpectralForm, _interchange_integral, _quarter_balls, default_
                    far_tail_profile, killed_part, part_on, removed_top_eigenvalue)
 from .kernel import JumpKernel
 from .report import ConditionReport
-from .scale import ScaleField, phi, phi_inverse_vec
-from .space import FiniteMMSpace
+from .scale import ScaleField, _space_shared_with, phi, phi_inverse_vec
 
 _SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
 _DUE_PAIR_SAMPLE = 64                    # off-diagonal pairs per time in due_check
@@ -105,8 +104,8 @@ def survival(part: SpectralForm, t) -> np.ndarray:
     return part.apply_semigroup(t, np.ones(part.domain.size))
 
 
-def se_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-             ball_sample, a0_grid=(0.125, 0.25, 0.5)) -> ConditionReport:
+def se_check(form: SpectralForm, scale: ScaleField, ball_sample,
+             a0_grid=(0.125, 0.25, 0.5)) -> ConditionReport:
     """Survival floor on quarter balls.
 
     For each candidate a0, eps0(a0) is the smallest quarter-ball minimum of
@@ -114,9 +113,10 @@ def se_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     t <= a0 * phi(x0, r).  The representative pair maximizes a0 * eps0(a0);
     the full curve is reported.
     """
+    _space_shared_with(form, scale)
     fracs = np.linspace(1.0 / _SE_TIMES_PER_A0, 1.0, _SE_TIMES_PER_A0)
     floors = []                 # per usable ball, its quarter-ball floor for each a0
-    balls, skipped = _quarter_balls(space, scale, ball_sample)
+    balls, skipped = _quarter_balls(scale, ball_sample)
     for x0, r, members, quarter_mask in balls:
         horizons = [a0 * phi(scale, x0, r) for a0 in a0_grid]
         surv = survival(part_on(form, members),
@@ -139,13 +139,14 @@ def se_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     return report
 
 
-def te_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-             T0: float, ball_sample, time_grid) -> ConditionReport:
+def te_check(form: SpectralForm, scale: ScaleField, T0: float, ball_sample,
+             time_grid) -> ConditionReport:
     """Best C with quarter-ball max of P_t 1_{B^c} <= C t / (phi(x0,r) ^ T0).
 
     The outside indicators of all usable balls are the columns of one
     matrix, so the semigroup acts on them in one product per time.
     """
+    space = _space_shared_with(form, scale)
     if form.is_part:
         raise ParameterError("tail estimate uses the full-space semigroup")
     balls, outside = [], []
@@ -189,9 +190,8 @@ def _first_near_max(vals: np.ndarray) -> int:
     return int(np.argmax(vals >= top - 1e-12 * abs(top)))
 
 
-def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-              T0: float, time_grid, rng: np.random.Generator,
-              k: float = 1.0) -> ConditionReport:
+def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
+              rng: np.random.Generator, k: float = 1.0) -> ConditionReport:
     """On-diagonal constant C = max of p(t,x,x) V(x, phi^-1(x,t)) for t < k T0.
 
     Also verifies the off-diagonal square-root-product bound
@@ -199,6 +199,7 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
     inequality, exact up to rounding).  The atom reported at each time is the
     smallest id within 1e-12 relative of that time's maximum.
     """
+    space = _space_shared_with(form, scale)
     if form.is_part:
         raise ParameterError("diagonal estimate uses the full-space semigroup")
     n = space.n_points
@@ -211,7 +212,10 @@ def due_check(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
         if not (t < k * T0):
             continue
         diag = form.heat_kernel_entries(t, np.arange(n), np.arange(n))
-        vols = space.volumes_at(phi_inverse_vec(scale, np.arange(n), t))
+        radii = phi_inverse_vec(scale, np.arange(n), t)
+        if not radii.min() > 0:
+            raise ParameterError(f"time {t!r} is too small: phi^-1(x, t) underflows to 0")
+        vols = space.volumes_at(radii)
         vals = diag * vols
         x = _first_near_max(vals)
         series.append({"t": t, "C_at_t": float(vals[x]), "x": x,
@@ -258,7 +262,7 @@ def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm,
     The removed generator is that of ``kernel_far``, the jumps the near form
     drops; the far tail comes from the generator diagonals, which is exact.
     """
-    sup_eig = removed_top_eigenvalue(form_full.space, kernel_far)
+    sup_eig = removed_top_eigenvalue(kernel_far)
     tail = far_tail_profile(form_full, form_near)
     bound = 4.0 * float(tail.max())
     margin = bound - sup_eig
@@ -323,8 +327,7 @@ def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
 # ---------------------------------------------------------------------------
 
 def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
-                kernel_far: JumpKernel, space: FiniteMMSpace,
-                D, t: float) -> ConditionReport:
+                kernel_far: JumpKernel, D, t: float) -> ConditionReport:
     """Jump-interchange comparison between a Dirichlet kernel and its truncation.
 
     With I(t) the interchange integral built from the truncated kernel and
@@ -350,7 +353,7 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
 
     jfar_D = kernel_far.block(D, D)
     np.fill_diagonal(jfar_D, 0.0)
-    smoother = jfar_D * space.weights[D][None, :]
+    smoother = jfar_D * form_full.space.weights[D][None, :]
     p_t = part_full.heat_kernel(t)
     p_near_t = part_near.heat_kernel(t)
     p_kill_t = part_kill.heat_kernel(t)
@@ -385,8 +388,8 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
 # Survival-from-resolvent chain
 # ---------------------------------------------------------------------------
 
-def se_from_lre_chain(form: SpectralForm, space: FiniteMMSpace, scale: ScaleField,
-                      kappa: float, ball_sample) -> ConditionReport:
+def se_from_lre_chain(form: SpectralForm, scale: ScaleField, kappa: float,
+                      ball_sample) -> ConditionReport:
     """Resolvent-derived survival floor.
 
     On each sampled ball with resolvent u = (L_B + kappa/phi)^-1 1_B, the
@@ -397,9 +400,10 @@ def se_from_lre_chain(form: SpectralForm, space: FiniteMMSpace, scale: ScaleFiel
     Times run up to half the quarter-ball resolvent minimum (the horizon
     phi / (2 c1) with c1 = phi / min u).  The worst margin is reported.
     """
+    _space_shared_with(form, scale)
     worst = math.inf
     series = []
-    balls, skipped = _quarter_balls(space, scale, ball_sample)
+    balls, skipped = _quarter_balls(scale, ball_sample)
     for x0, r, members, quarter_mask in balls:
         part = part_on(form, members)
         lam = kappa / phi(scale, x0, r)

@@ -33,16 +33,16 @@ def random_setup(seed: int, max_points: int = 400):
         side = int(rng.integers(6, 16))
         space = hk.build_grid(2, side)
         scale = hk.constant_field(space, float(rng.uniform(0.6, 1.8)), T0=1.0)
-        kern = hk.build_stable_like_kernel(space, scale)
+        kern = hk.build_stable_like_kernel(scale)
     elif kind == 1:
         level = int(rng.integers(4, 9))
         space = hk.build_cantor_product(1 / 3, 1, level)
         scale = hk.constant_field(space, float(rng.uniform(0.5, 1.5)), T0=1.0)
-        kern = hk.build_cantor_axis_kernel(space, scale)
+        kern = hk.build_cantor_axis_kernel(scale)
     elif kind == 2:
         space = hk.build_cantor_product(1 / 2, 2, int(rng.integers(2, 5)))
         scale = hk.constant_field(space, float(rng.uniform(0.5, 1.5)), T0=1.0)
-        kern = hk.build_cantor_axis_kernel(space, scale)
+        kern = hk.build_cantor_axis_kernel(scale)
     elif kind == 3:
         n = int(rng.integers(20, 120))
         coords = rng.uniform(0.0, 1.0, size=(n, 2))
@@ -57,7 +57,7 @@ def random_setup(seed: int, max_points: int = 400):
         side = int(rng.integers(16, 64))
         space = hk.build_grid(1, side)
         scale = hk.constant_field(space, float(rng.uniform(0.6, 1.8)), T0=1.0)
-        kern = hk.build_stable_like_kernel(space, scale)
+        kern = hk.build_stable_like_kernel(scale)
     assert space.n_points <= max_points
     return space, scale, kern
 
@@ -111,7 +111,7 @@ def chunk_budget(request, monkeypatch):
 def two_point():
     space = hk.build_two_point()
     kern = hk.build_uniform_kernel(space)
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     return space, kern, form
 
 
@@ -119,5 +119,5 @@ def two_point():
 def cantor6():
     space = hk.build_cantor_product(1 / 3, 1, 6)
     scale = hk.constant_field(space, 0.8, T0=1.0)
-    kern = hk.build_cantor_axis_kernel(space, scale)
+    kern = hk.build_cantor_axis_kernel(scale)
     return space, scale, kern

@@ -24,7 +24,7 @@ def _announce(number: int, label: str):
 def test_criterion_01_two_point_oracle():
     start = time.monotonic()
     space = hk.build_two_point()
-    form = hk.assemble(space, hk.build_uniform_kernel(space))
+    form = hk.assemble(hk.build_uniform_kernel(space))
     for t in (0.1, 1.0, 10.0):
         p = form.heat_kernel(t)
         assert abs(p[0, 0] - (1 + math.exp(-2 * t))) <= 1e-12
@@ -42,7 +42,7 @@ def test_criterion_02_invariant_suite_randomized():
     start = time.monotonic()
     for seed in range(10):
         space, _, kern = random_setup(seed, max_points=400)
-        form = hk.assemble(space, kern)
+        form = hk.assemble(kern)
         rep = hk.heat_kernel_invariants(form, times=(0.01, 0.1, 1.0, 10.0))
         assert rep.witness["symmetry"] <= 1e-10, (seed, rep.witness)
         assert rep.witness["mass"] <= 1e-10, (seed, rep.witness)
@@ -76,8 +76,8 @@ def test_criterion_04_tj_stability_across_levels():
     for level in (5, 6, 7, 8):
         sp = hk.build_cantor_product(1 / 3, 1, level)
         field = hk.constant_field(sp, 0.8, T0=1.0)
-        kern = hk.build_cantor_axis_kernel(sp, field)
-        rep = hk.tj_check(kern, sp, field, hk.dyadic_radius_grid(sp))
+        kern = hk.build_cantor_axis_kernel(field)
+        rep = hk.tj_check(kern, field, hk.dyadic_radius_grid(sp))
         assert math.isfinite(rep.best_constant)
         constants.append(rep.best_constant)
     spread = (max(constants) - min(constants)) / min(constants)
@@ -90,11 +90,11 @@ def test_criterion_04_tj_stability_across_levels():
 def test_criterion_05_truncation_l2_bound():
     for seed in range(10):
         space, _, kern = random_setup(seed)
-        form = hk.assemble(space, kern)
+        form = hk.assemble(kern)
         for frac in (0.125, 0.25, 0.5):
             rho = frac * space.diameter
             near, far = hk.truncate(kern, rho)
-            rep = hk.truncation_l2_check(form, hk.assemble(space, near), far)
+            rep = hk.truncation_l2_check(form, hk.assemble(near), far)
             assert rep.witness["margin"] >= -1e-9, (seed, frac, rep.witness)
     _announce(5, "truncated-energy eigenvalue bound on 10 configs x 3 radii")
 
@@ -103,11 +103,11 @@ def test_criterion_06_truncation_semigroup_bound():
     times = np.logspace(-2, 0.7, 7)
     for seed in range(5):
         space, _, kern = random_setup(seed)
-        form = hk.assemble(space, kern)
+        form = hk.assemble(kern)
         rho = space.diameter / 8.0
         rho_wide = space.diameter / 4.0
-        form_near = hk.assemble(space, hk.truncate(kern, rho)[0])
-        form_wider = hk.assemble(space, hk.truncate(kern, rho_wide)[0])
+        form_near = hk.assemble(hk.truncate(kern, rho)[0])
+        form_wider = hk.assemble(hk.truncate(kern, rho_wide)[0])
         f = (space.dist_from(0) < space.diameter / 4.0).astype(float)
         rep = hk.truncation_semigroup_check(form, form_near, f, times,
                                             form_near_wider=form_wider)
@@ -120,17 +120,17 @@ def test_criterion_07_meyer_comparison():
     space = hk.build_cantor_product(1 / 3, 1, 7)          # 128 atoms
     assert space.n_points <= 200
     field = hk.constant_field(space, 0.8, T0=1.0)
-    kern = hk.build_cantor_axis_kernel(space, field)
-    form = hk.assemble(space, kern)
+    kern = hk.build_cantor_axis_kernel(field)
+    form = hk.assemble(kern)
     near, far = hk.truncate(kern, 0.125)
-    form_near = hk.assemble(space, near)
+    form_near = hk.assemble(near)
     mid = int(np.argmin(np.abs(space.coords[:, 0] - 0.5)))
     domains = [np.arange(space.n_points),
                space.ball(0, 0.5).member_idx,
                space.ball(mid, 0.4).member_idx]
     for D in domains:
         for t in (0.2, 0.5, 1.0):
-            rep = hk.meyer_check(form, form_near, far, space, D, t)
+            rep = hk.meyer_check(form, form_near, far, D, t)
             assert rep.passed, (t, rep.witness)
             assert rep.witness["upper_margin"] >= -1e-6
             assert rep.witness["lower_margin"] >= -1e-6
@@ -138,9 +138,9 @@ def test_criterion_07_meyer_comparison():
 
     # far-kernel-zero control: exact equality of the two Dirichlet kernels
     near_all, far_zero = hk.truncate(kern, 2.0)
-    form_near_all = hk.assemble(space, near_all)
+    form_near_all = hk.assemble(near_all)
     D = domains[1]
-    rep = hk.meyer_check(form, form_near_all, far_zero, space, D, 0.5)
+    rep = hk.meyer_check(form, form_near_all, far_zero, D, 0.5)
     assert rep.witness["identity_residual"] <= 1e-10
     p_full = hk.part_on(form, D).heat_kernel(0.5)
     p_near = hk.part_on(form_near_all, D).heat_kernel(0.5)
@@ -162,11 +162,11 @@ def test_criterion_08_fk_nash_two_way_consistency():
     sp = hk.build_cantor_product(1 / 2, 2, 3)
     configs.append((sp, hk.constant_field(sp, 0.8, T0=1.0), "cantor"))
     for space, field, kind in configs:
-        kern = (hk.build_cantor_axis_kernel(space, field) if kind == "cantor"
-                else hk.build_stable_like_kernel(space, field))
-        form = hk.assemble(space, kern)
+        kern = (hk.build_cantor_axis_kernel(field) if kind == "cantor"
+                else hk.build_stable_like_kernel(field))
+        form = hk.assemble(kern)
         balls = hk.sample_balls(space, 2, [0.25, 0.5], rng)
-        rep = hk.fk_nash_consistency(form, space, field, nu=0.6, b=1.0,
+        rep = hk.fk_nash_consistency(form, field, nu=0.6, b=1.0,
                                      Cprime=1.0, ball_sample=balls, rng=rng)
         assert rep.passed, rep.witness
         assert rep.witness["forward_margin"] >= -1e-9
@@ -178,10 +178,10 @@ def test_criterion_09_survival_from_resolvent_chain():
     rng = np.random.default_rng(9)
     for seed in (1, 4):
         space, field, kern = random_setup(seed)
-        form = hk.assemble(space, kern)
+        form = hk.assemble(kern)
         radii = [space.diameter / 4.0, space.diameter / 2.0]
         balls = hk.sample_balls(space, 3, radii, rng)
-        rep = hk.se_from_lre_chain(form, space, field, 1.0, balls)
+        rep = hk.se_from_lre_chain(form, field, 1.0, balls)
         assert rep.series, "no usable balls sampled"
         assert rep.witness["worst_margin"] >= -1e-9, rep.witness
     _announce(9, "resolvent-derived survival floor")
@@ -209,9 +209,9 @@ def test_criterion_11_cross_jump_mass_exponent():
     cfg = hk.synthesize_config(4.0, xi=1 / 3, level=7)
     space = hk.build_cantor_product(1 / 3, 2, 7, point_cap=2**14)
     field = hk.build_counterexample_field(cfg, space)
-    kern = hk.build_cantor_axis_kernel(space, field)
+    kern = hk.build_cantor_axis_kernel(field)
     radii = sorted(2.0 ** -k for k in range(2, 8))
-    rep = hk.cross_jump_exponent_fit(kern, space, radii, eta=0.5)
+    rep = hk.cross_jump_exponent_fit(kern, radii, eta=0.5)
     expected = 3 * ALPHA_THIRD
     assert abs(expected - 1.8928) < 1e-3
     assert rep.witness["relative_error"] <= 0.10, rep.witness
@@ -230,9 +230,9 @@ def test_criterion_13_regime_gap_is_labeled():
     assert "2^(32*level)" in REGIME_NOTE
     cfg = hk.synthesize_config(1.0, level=3)
     space = hk.build_cantor_product(cfg.xi, 2, 3)
-    form = hk.assemble(space, hk.build_cantor_axis_kernel(
-        space, hk.build_counterexample_field(cfg, space)))
-    rep = hk.due_violation_diagnostic(cfg, space, np.logspace(-4.5, 0.5, 9), form)
+    form = hk.assemble(hk.build_cantor_axis_kernel(
+        hk.build_counterexample_field(cfg, space)))
+    rep = hk.due_violation_diagnostic(cfg, np.logspace(-4.5, 0.5, 9), form)
     assert rep["regime_note"] == REGIME_NOTE
     assert rep["config"]["n_config"] > rep["config"]["n_desk"]
     _announce(13, "non-reproducibility statement and regime label")

@@ -648,6 +648,35 @@ def test_overflowing_check_exits_2_at_the_check(tmp_path, capsys, check):
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) in (0, 1)
 
 
+def test_due_check_time_whose_radius_underflows_exits_2_at_the_check(tmp_path, capsys):
+    # phi^-1(x, 1e-300) = 1e-375 underflows to 0; the refusal used to say
+    # only "ball radius must be positive"
+    cfg = _set(copy.deepcopy(CANTOR_CFG), "space.n", 2)
+    cfg["kernel"] = {"kind": "cantor_axis"}
+    cfg["checks"] = [{"name": "due_check", "params": {"time_grid": [1e-300]}}]
+    config = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config schema violation at checks[0]:" in err
+    assert "time 1e-300 is too small: phi^-1(x, t) underflows to 0" in err
+
+
+def test_a_huge_kernel_fails_only_the_survival_floor(tmp_path):
+    # uniform 1e300 on the 16-atom Cantor set leaves its zero eigenvalue at
+    # -4.6e284 unless rounded zeros are exact: exp(-t lambda) overflowed, and
+    # conservativeness, the invariants and the Meyer comparison failed
+    cfg = json.loads((CONFIG_DIR / "cantor_sweep.json").read_text())
+    cfg["space"]["level"] = 4
+    cfg["kernel"] = {"kind": "uniform", "value": 1e300}
+    cfg["checks"] = [c for c in cfg["checks"] if c["name"] != "due_check"]
+    config = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    failed = [c["name"] for c in summary["checks"] if c["verdict"] == "fail"]
+    assert failed == ["se_check"]                      # its survival floor is 0
+
+
 @pytest.mark.parametrize("T0", ["inf", None, math.inf, 2.5])
 def test_scale_T0_takes_inf_null_or_a_positive_number(tmp_path, T0):
     config = write_config(tmp_path, _set(copy.deepcopy(TWO_POINT_CFG), "scale.T0", T0))

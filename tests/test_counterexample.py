@@ -135,14 +135,14 @@ def test_field_rejects_wrong_space():
 
 
 def _construction_form(cfg, sp):
-    return hk.assemble(sp, hk.build_cantor_axis_kernel(sp, hk.build_counterexample_field(cfg, sp)))
+    return hk.assemble(hk.build_cantor_axis_kernel(hk.build_counterexample_field(cfg, sp)))
 
 
 def test_diagnostic_report_structure():
     cfg = hk.synthesize_config(1.0, level=4)
     sp = hk.build_cantor_product(cfg.xi, 2, 4)
     times = np.logspace(-4.5, 0.5, 9)
-    rep = hk.due_violation_diagnostic(cfg, sp, times, _construction_form(cfg, sp))
+    rep = hk.due_violation_diagnostic(cfg, times, _construction_form(cfg, sp))
     assert rep["verdict"] == "diagnostic"
     assert rep["usable_decades"] >= 4
     assert len(rep["series"]) == 9
@@ -157,8 +157,8 @@ def test_diagnostic_inconclusive_cases():
     cfg = hk.synthesize_config(1.0, level=3)
     sp = hk.build_cantor_product(cfg.xi, 2, 3)
     form = _construction_form(cfg, sp)
-    assert hk.due_violation_diagnostic(cfg, sp, [], form)["verdict"] == "inconclusive"
-    narrow = hk.due_violation_diagnostic(cfg, sp, [0.1, 0.2, 0.4, 0.8], form)
+    assert hk.due_violation_diagnostic(cfg, [], form)["verdict"] == "inconclusive"
+    narrow = hk.due_violation_diagnostic(cfg, [0.1, 0.2, 0.4, 0.8], form)
     assert narrow["verdict"] == "inconclusive"
     assert "decades" in narrow["reason"]
 
@@ -167,22 +167,22 @@ def test_desk_scale_conditions_all_finite():
     cfg = hk.synthesize_config(1.0, level=4)
     sp = hk.build_cantor_product(cfg.xi, 2, 4)
     field = hk.build_counterexample_field(cfg, sp)
-    kern = hk.build_cantor_axis_kernel(sp, field)
-    form = hk.assemble(sp, kern)
+    kern = hk.build_cantor_axis_kernel(field)
+    form = hk.assemble(kern)
     rng = np.random.default_rng(0)
     grid = hk.dyadic_radius_grid(sp)
     balls = hk.sample_balls(sp, 2, grid[-2:], rng)
 
-    tj = hk.tj_check(kern, sp, field, grid)
+    tj = hk.tj_check(kern, field, grid)
     assert math.isfinite(tj.best_constant) and tj.best_constant > 0
-    cs = hk.cs_check(form, sp, field, balls)
+    cs = hk.cs_check(form, field, balls)
     assert math.isfinite(cs.best_constant)
     n_desk = sp.meta["n_axes"]
-    wfk = hk.fk_family_check(form, sp, field, "WFK", 1.0 / (n_desk * cfg.alpha_xi), 1.0,
+    wfk = hk.fk_family_check(form, field, "WFK", 1.0 / (n_desk * cfg.alpha_xi), 1.0,
                              1.0, 0.5, balls, rng=rng)
     assert wfk.passed and wfk.best_constant > 0
     pairs = [(r, R) for r in grid for R in grid if r <= R]
-    ij = hk.ij_check(kern, sp, field, cfg.gamma, pairs)
+    ij = hk.ij_check(kern, field, cfg.gamma, pairs)
     assert math.isfinite(ij.best_constant)
     assert ij.witness["gamma_hat"] <= cfg.gamma + 0.25
 
@@ -199,8 +199,8 @@ def test_control_form_entries_are_kronecker_products(level):
 
     def control(axes):
         sp = hk.build_cantor_product(cfg.xi, axes, level)
-        return sp, hk.assemble(sp, hk.build_cantor_axis_kernel(
-            sp, hk.constant_field(sp, cfg.beta1, T0=1.0)))
+        return sp, hk.assemble(hk.build_cantor_axis_kernel(
+            hk.constant_field(sp, cfg.beta1, T0=1.0)))
 
     (_, line), (sp, square) = control(1), control(2)
     assert isinstance(square.basis, hk.form._HalfSpectrum)
@@ -225,11 +225,11 @@ def test_diagnostic_profile_matches_per_form_loops():
     # form and one time at a time
     cfg = hk.synthesize_config(4.0, level=3)
     sp = hk.build_cantor_product(cfg.xi, 2, 3)
-    form = hk.assemble(sp, hk.build_cantor_axis_kernel(sp, hk.build_counterexample_field(cfg, sp)))
-    control = hk.assemble(sp, hk.build_cantor_axis_kernel(
-        sp, hk.constant_field(sp, cfg.beta1, T0=1.0)))
+    form = hk.assemble(hk.build_cantor_axis_kernel(hk.build_counterexample_field(cfg, sp)))
+    control = hk.assemble(hk.build_cantor_axis_kernel(
+        hk.constant_field(sp, cfg.beta1, T0=1.0)))
     times = np.logspace(-4.5, 0.5, 11)
-    rep = hk.due_violation_diagnostic(cfg, sp, times, form=form)
+    rep = hk.due_violation_diagnostic(cfg, times, form=form)
     x0 = int(np.argmin(sp.dist_from_coord(sp.meta["corner_zero"])))
     y0 = int(np.argmin(sp.dist_from_coord(sp.meta["corner_e1"])))
     for key, f, rate in (("series", form, (1.0 + 1.0 / cfg.beta2) * 2 * cfg.alpha_xi / 2.0),

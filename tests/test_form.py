@@ -51,7 +51,7 @@ def test_assemble_constant_function_energy_zero(two_point):
 
 def test_assemble_zero_kernel():
     sp = hk.build_grid(1, 4)
-    form = hk.assemble(sp, hk.build_zero_kernel(sp))
+    form = hk.assemble(hk.build_zero_kernel(sp))
     assert np.abs(full_generator(form)).max() == 0.0
 
 
@@ -59,15 +59,15 @@ def test_assemble_rejects_asymmetric_kernel():
     sp = hk.build_grid(1, 3)
     bad = hk.JumpKernel(sp, lambda rows, cols: (rows[:, None] + 2.0 * cols[None, :]))
     with pytest.raises(ParameterError, match="symmetric"):
-        hk.assemble(sp, bad)
+        hk.assemble(bad)
 
 
 def test_quadratic_form_identity_random_functions():
     rng = np.random.default_rng(3)
     sp = hk.build_cantor_product(1 / 3, 1, 5)
     field = hk.constant_field(sp, 0.8)
-    kern = hk.build_cantor_axis_kernel(sp, field)
-    form = hk.assemble(sp, kern)
+    kern = hk.build_cantor_axis_kernel(field)
+    form = hk.assemble(kern)
     jmat = kern.matrix()
     w = sp.weights
     for _ in range(50):
@@ -96,7 +96,7 @@ def test_part_full_space_lambda_zero(two_point):
 def test_part_disjoint_components_spectrum_union():
     g = hk.build_grid(1, 12)
     kern = hk.build_nearest_neighbor_kernel(g)
-    form = hk.assemble(g, kern)
+    form = hk.assemble(kern)
     d1 = np.array([0, 1, 2])
     d2 = np.array([8, 9, 10])           # separated by more than one spacing
     both = hk.part_on(form, np.concatenate([d1, d2]))
@@ -109,7 +109,7 @@ def test_lambda1_is_rayleigh_infimum():
     rng = np.random.default_rng(5)
     sp = hk.build_cantor_product(1 / 3, 1, 5)
     field = hk.constant_field(sp, 0.8)
-    form = hk.assemble(sp, hk.build_cantor_axis_kernel(sp, field))
+    form = hk.assemble(hk.build_cantor_axis_kernel(field))
     D = sp.ball(0, 0.4).member_idx
     part = hk.part_on(form, D)
     lam = part.eigvals[0]
@@ -124,7 +124,7 @@ def test_lambda1_is_rayleigh_infimum():
 def test_domain_monotonicity_of_lambda1():
     sp = hk.build_cantor_product(1 / 3, 1, 6)
     field = hk.constant_field(sp, 0.8)
-    form = hk.assemble(sp, hk.build_cantor_axis_kernel(sp, field))
+    form = hk.assemble(hk.build_cantor_axis_kernel(field))
     for r_small, r_big in [(0.1, 0.3), (0.3, 0.7), (0.05, 0.9)]:
         small = sp.ball(0, r_small).member_idx
         big = sp.ball(0, r_big).member_idx
@@ -148,7 +148,7 @@ def test_resolvent_examples(two_point):
 def test_resolvent_contraction_bound():
     sp = hk.build_cantor_product(1 / 3, 1, 5)
     field = hk.constant_field(sp, 0.8)
-    form = hk.assemble(sp, hk.build_cantor_axis_kernel(sp, field))
+    form = hk.assemble(hk.build_cantor_axis_kernel(field))
     for r in (0.2, 0.5):
         D = sp.ball(3, r).member_idx
         part = hk.part_on(form, D)
@@ -160,7 +160,7 @@ def test_resolvent_contraction_bound():
 
 def _form16():
     space = hk.build_cantor_product(1 / 3, 1, 4)
-    return hk.assemble(space, hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8)))
+    return hk.assemble(hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8)))
 
 
 @pytest.mark.parametrize("xs,ys", [([-1], [0]), ([16], [0]), ([0], [0, 1, 2]),
@@ -195,7 +195,7 @@ def test_markovian_clamp_contraction(seed):
     rng = np.random.default_rng(seed)
     sp = hk.build_grid(1, 10)
     field = hk.constant_field(sp, 1.0)
-    form = hk.assemble(sp, hk.build_stable_like_kernel(sp, field))
+    form = hk.assemble(hk.build_stable_like_kernel(field))
     f = rng.normal(scale=2.0, size=sp.n_points)
     clamped = np.clip(f, 0.0, 1.0)
     assert form.energy(clamped) <= form.energy(f) + 1e-12
@@ -215,15 +215,15 @@ def test_lre_whole_space_ratio(two_point):
     space, _, form = two_point
     field = hk.constant_field(space, 1.0)
     for kappa in (0.5, 1.0, 4.0):
-        rep = hk.lre_check(form, space, field, kappa, [(0, 2.0)])
+        rep = hk.lre_check(form, field, kappa, [(0, 2.0)])
         assert rep.best_constant == pytest.approx(1.0 / kappa, rel=1e-12)
 
 
 def test_lre_positive_on_cantor_instance(cantor6):
     space, scale, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     balls = [(0, 0.25), (13, 0.25), (40, 0.125)]
-    rep = hk.lre_check(form, space, scale, 1.0, balls)
+    rep = hk.lre_check(form, scale, 1.0, balls)
     assert rep.passed
     assert rep.best_constant > 0
     assert len(rep.series) == len(balls)
@@ -232,8 +232,8 @@ def test_lre_positive_on_cantor_instance(cantor6):
 def test_lre_zero_kernel_degenerate():
     sp = hk.build_grid(1, 8)
     field = hk.constant_field(sp, 1.0)
-    form = hk.assemble(sp, hk.build_zero_kernel(sp))
-    rep = hk.lre_check(form, sp, field, 1.0, [(0, 0.9)])
+    form = hk.assemble(hk.build_zero_kernel(sp))
+    rep = hk.lre_check(form, field, 1.0, [(0, 0.9)])
     assert rep.best_constant == pytest.approx(1.0, rel=1e-12)   # u = 1/lam
     assert any("zero" in n for n in rep.notes)
 
@@ -241,51 +241,51 @@ def test_lre_zero_kernel_degenerate():
 def test_lre_skips_empty_quarter_ball():
     sp = hk.build_grid(1, 9)
     field = hk.constant_field(sp, 1.0)
-    form = hk.assemble(sp, hk.build_nearest_neighbor_kernel(sp))
+    form = hk.assemble(hk.build_nearest_neighbor_kernel(sp))
     spacing = sp.meta["spacing"]
-    rep = hk.lre_check(form, sp, field, 1.0, [(4, 2.0 * spacing)])
+    rep = hk.lre_check(form, field, 1.0, [(4, 2.0 * spacing)])
     # quarter radius spacing/2 only contains the center itself -> usable
     assert rep.series
 
 
 def test_cs_check_edge_cases(cantor6):
     space, scale, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     zero = hk.build_zero_kernel(space)
-    zform = hk.assemble(space, zero)
-    rep = hk.cs_check(zform, space, scale, [(0, 0.4)])
+    zform = hk.assemble(zero)
+    rep = hk.cs_check(zform, scale, [(0, 0.4)])
     assert rep.best_constant == 0.0
     # cutoff identically 1: plateau covers the space
-    rep_one = hk.cs_check(form, space, scale, [(0, 4.0)])
+    rep_one = hk.cs_check(form, scale, [(0, 4.0)])
     assert rep_one.best_constant == 0.0
-    rep_real = hk.cs_check(form, space, scale, [(0, 0.25), (9, 0.5)])
+    rep_real = hk.cs_check(form, scale, [(0, 0.25), (9, 0.5)])
     assert math.isfinite(rep_real.best_constant) and rep_real.best_constant > 0
 
 
 def test_capacity_check_cases(two_point, cantor6):
     space2, kern2, form2 = two_point
     field2 = hk.constant_field(space2, 1.0)
-    rep = hk.capacity_check(form2, space2, field2, [(0, 3.0)])
+    rep = hk.capacity_check(form2, field2, [(0, 3.0)])
     assert rep.best_constant == pytest.approx(0.0, abs=1e-14)   # cutoff constant 1
 
     space, scale, kern = cantor6
-    zform = hk.assemble(space, hk.build_zero_kernel(space))
-    assert hk.capacity_check(zform, space, scale,
+    zform = hk.assemble(hk.build_zero_kernel(space))
+    assert hk.capacity_check(zform, scale,
                              [(0, 0.3)]).best_constant == 0.0
-    form = hk.assemble(space, kern)
-    rep6 = hk.capacity_check(form, space, scale, [(0, 0.25), (13, 0.25)])
+    form = hk.assemble(kern)
+    rep6 = hk.capacity_check(form, scale, [(0, 0.25), (13, 0.25)])
     assert math.isfinite(rep6.best_constant) and rep6.best_constant > 0
 
 
 def test_checks_that_measure_nothing_do_not_pass(cantor6):
     # no ball, or no time below k T0: an empty series, a note, and no pass
     space, scale, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     times = [0.1, 0.5]
-    reports = [hk.cs_check(form, space, scale, []),
-               hk.capacity_check(form, space, scale, []),
-               hk.te_check(form, space, scale, 1.0, [], times),
-               hk.due_check(form, space, scale, 1.0, times, k=-1.0,
+    reports = [hk.cs_check(form, scale, []),
+               hk.capacity_check(form, scale, []),
+               hk.te_check(form, scale, 1.0, [], times),
+               hk.due_check(form, scale, 1.0, times, k=-1.0,
                             rng=np.random.default_rng(0))]
     for rep in reports:
         assert rep.series == [] and rep.passed is False and rep.notes, rep.condition
@@ -293,9 +293,9 @@ def test_checks_that_measure_nothing_do_not_pass(cantor6):
 
 def test_capacity_refuses_a_dirichlet_part(cantor6):
     space, scale, kern = cantor6
-    part = hk.part_on(hk.assemble(space, kern), space.ball(0, 0.4).member_idx)
+    part = hk.part_on(hk.assemble(kern), space.ball(0, 0.4).member_idx)
     with pytest.raises(ParameterError, match="full-space"):
-        hk.capacity_check(part, space, scale, [(0, 0.25)])
+        hk.capacity_check(part, scale, [(0, 0.25)])
 
 
 def test_capacity_stable_across_levels():
@@ -303,18 +303,18 @@ def test_capacity_stable_across_levels():
     for lvl in (5, 6):
         sp = hk.build_cantor_product(1 / 3, 1, lvl)
         field = hk.constant_field(sp, 0.8, T0=1.0)
-        kern = hk.build_cantor_axis_kernel(sp, field)
-        form = hk.assemble(sp, kern)
-        rep = hk.capacity_check(form, sp, field, [(0, 0.25)])
+        kern = hk.build_cantor_axis_kernel(field)
+        form = hk.assemble(kern)
+        rep = hk.capacity_check(form, field, [(0, 0.25)])
         vals.append(rep.best_constant)
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.25
 
 
 def test_fk_ball_itself_reduces_to_lambda_phi(cantor6):
     space, scale, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     x0, r = 0, 0.25
-    rep = hk.fk_family_check(form, space, scale, "FK", 0.5, 1.0, 1.0, 0.5,
+    rep = hk.fk_family_check(form, scale, "FK", 0.5, 1.0, 1.0, 0.5,
                              [(x0, r)], np.random.default_rng(0))
     ball = space.ball(x0, r)
     direct = hk.lambda1(form, ball.member_idx) * hk.phi(scale, x0, r)
@@ -326,7 +326,7 @@ def test_fk_two_point_closed_form(two_point):
     space, _, form = two_point
     field = hk.constant_field(space, 1.0)
     nu = 0.7
-    rep = hk.fk_family_check(form, space, field, "FK", nu, 1.0, 1.0, 0.5, [(0, 2.0)],
+    rep = hk.fk_family_check(form, field, "FK", nu, 1.0, 1.0, 0.5, [(0, 2.0)],
                              np.random.default_rng(0))
     # subset {atom 0} inside the whole-space ball: lambda1 = 1, V/mu(D) = 2
     expected = 1.0 * hk.phi(field, 0, 2.0) / 2.0**nu
@@ -342,22 +342,22 @@ def test_fk_two_point_closed_form(two_point):
 def test_fk_family_check_refuses_an_unknown_variant_before_it_sweeps(cantor6, sample):
     # "wfk" used to give a fail report for condition fk_wfk on an empty sample
     space, scale, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     with pytest.raises(ParameterError, match="unknown variant 'wfk'"):
-        hk.fk_family_check(form, space, scale, "wfk", 0.5, 1.0, 1.0, 0.5, sample,
+        hk.fk_family_check(form, scale, "wfk", 0.5, 1.0, 1.0, 0.5, sample,
                            np.random.default_rng(0))
 
 
 def test_gfk_with_derived_exponent_finite(cantor6):
     space, scale, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     radii = np.sort(2.0 ** -np.arange(1, 6, dtype=float))
     alpha_hat, _ = hk.fit_vd_exponent(space, radii)
     nu = scale.beta1 / alpha_hat
     b = (1 + nu) * alpha_hat / scale.beta1
     rng = np.random.default_rng(0)
     balls = hk.sample_balls(space, 3, [0.2, 0.45], rng)
-    rep = hk.fk_family_check(form, space, scale, "GFK", nu, b, 1.0, 0.5, balls,
+    rep = hk.fk_family_check(form, scale, "GFK", nu, b, 1.0, 0.5, balls,
                              rng=rng)
     assert rep.passed
     assert math.isfinite(rep.best_constant) and rep.best_constant > 0
@@ -365,7 +365,7 @@ def test_gfk_with_derived_exponent_finite(cantor6):
 
 def test_nash_single_atom_closed_form(cantor6):
     space, scale, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     x0, r, nu = 0, 0.3, 0.8
     D = space.ball(x0, r).member_idx
     y = 2                                  # an atom inside the ball
@@ -378,15 +378,15 @@ def test_nash_single_atom_closed_form(cantor6):
     l1 = math.sqrt(space.weights[y])
     expected = (1.0 * space.volume(x0, r) ** nu * damping
                 / (phival * (part.energy(f) + 1.0 / phival) * l1 ** (2 * nu)))
-    got = hk.form.nash_witness_constant(space, scale, space.ball(x0, r), nu, 1.0, f, part.L)
+    got = hk.form.nash_witness_constant(scale, space.ball(x0, r), nu, 1.0, f, part.L)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_nash_zero_kernel_finite():
     sp = hk.build_grid(1, 12)
     field = hk.constant_field(sp, 1.0, T0=1.0)
-    form = hk.assemble(sp, hk.build_zero_kernel(sp))
-    rep = hk.nash_check(form, sp, field, 0.5, 1.0, [(0, 0.6)], np.random.default_rng(0))
+    form = hk.assemble(hk.build_zero_kernel(sp))
+    rep = hk.nash_check(form, field, 0.5, 1.0, [(0, 0.6)], np.random.default_rng(0))
     assert math.isfinite(rep.best_constant) and rep.best_constant > 0
 
 
@@ -397,12 +397,12 @@ def test_fk_nash_consistency_two_configs():
         sp = build()
         field = hk.constant_field(sp, 0.9, T0=1.0)
         if sp.meta["kind"] == "cantor":
-            kern = hk.build_cantor_axis_kernel(sp, field)
+            kern = hk.build_cantor_axis_kernel(field)
         else:
-            kern = hk.build_stable_like_kernel(sp, field)
-        form = hk.assemble(sp, kern)
+            kern = hk.build_stable_like_kernel(field)
+        form = hk.assemble(kern)
         balls = hk.sample_balls(sp, 2, [0.25, 0.5], rng)
-        rep = hk.fk_nash_consistency(form, sp, field, nu=0.6, b=1.0,
+        rep = hk.fk_nash_consistency(form, field, nu=0.6, b=1.0,
                                      Cprime=1.0, ball_sample=balls, rng=rng)
         assert rep.passed, rep.witness
 
@@ -412,10 +412,10 @@ def test_fk_nash_consistency_reuses_its_parts(monkeypatch):
     # and the GFK sweep looks up the lambda_1 it or the first pass has solved
     sp = hk.build_cantor_product(1 / 3, 2, 3)
     field = hk.constant_field(sp, 0.8, T0=1.0)
-    form = hk.assemble(sp, hk.build_cantor_axis_kernel(sp, field))
+    form = hk.assemble(hk.build_cantor_axis_kernel(field))
     part_on, calls = hk.form.part_on, []
     monkeypatch.setattr(hk.form, "part_on", lambda f, D: calls.append(D) or part_on(f, D))
-    rep = hk.fk_nash_consistency(form, sp, field, nu=0.6, b=1.0, Cprime=1.0,
+    rep = hk.fk_nash_consistency(form, field, nu=0.6, b=1.0, Cprime=1.0,
                                  ball_sample=[(0, 0.25), (27, 0.5)],
                                  rng=np.random.default_rng(3))
     assert rep.passed
@@ -430,22 +430,22 @@ def test_fk_passes_where_due_confirmed():
     # homogeneous instance: constant order on a grid
     sp = hk.build_grid(1, 32)
     field = hk.constant_field(sp, 1.0, T0=1.0)
-    kern = hk.build_stable_like_kernel(sp, field)
-    form = hk.assemble(sp, kern)
-    due = hk.due_check(form, sp, field, 1.0, [0.01, 0.05, 0.2], np.random.default_rng(0))
+    kern = hk.build_stable_like_kernel(field)
+    form = hk.assemble(kern)
+    due = hk.due_check(form, field, 1.0, [0.01, 0.05, 0.2], np.random.default_rng(0))
     assert math.isfinite(due.best_constant)
     radii = np.sort(2.0 ** -np.arange(2, 6, dtype=float))
     alpha_hat, _ = hk.fit_vd_exponent(sp, radii)
     rng = np.random.default_rng(2)
-    rep = hk.fk_family_check(form, sp, field, "FK", field.beta1 / alpha_hat, 1.0, 1.0, 0.5,
+    rep = hk.fk_family_check(form, field, "FK", field.beta1 / alpha_hat, 1.0, 1.0, 0.5,
                              hk.sample_balls(sp, 3, [0.2, 0.4], rng), rng=rng)
     assert rep.passed and rep.best_constant > 0
 
 
 def test_lambda1_reads_the_parts_part_on_solved(cantor6, monkeypatch):
     space, _, kern = cantor6
-    form = hk.assemble(space, kern)
-    near = hk.assemble(space, hk.truncate(kern, 0.25)[0])
+    form = hk.assemble(kern)
+    near = hk.assemble(hk.truncate(kern, 0.25)[0])
     D = space.ball(0, 0.25).member_idx
     part = hk.part_on(form, D)
     assert part._lambda1 == {} and list(form._lambda1) == [D.tobytes()]
@@ -483,7 +483,7 @@ def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
     m[0, 1] += rounding             # within tolerance, in the first chunk
     m[63, 61] = 1.5                 # both atoms in the last chunk of the small budget
     with pytest.raises(ParameterError, match="symmetric"):
-        hk.assemble(sp, dense_kernel(sp, m))
+        hk.assemble(dense_kernel(sp, m))
 
 
 @pytest.mark.parametrize("case", ["exact", "rounding"])
@@ -492,7 +492,7 @@ def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
     # generator pass each of the N^2 entries of J to the block function once,
     # whether or not J equals J.T bit for bit
     space = hk.build_cantor_product(1 / 3, 2, 4)
-    m = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8)).matrix().copy()
+    m = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8)).matrix().copy()
     if case == "rounding":
         m[3, 7] *= 1 + 1e-14
     read = []
@@ -502,11 +502,11 @@ def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
         return m[np.ix_(rows, cols)]
 
     kern = hk.JumpKernel(space, block_fn)
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     assert sum(read) == space.n_points**2
     assert (form.kernel is kern) == (case == "exact")
     read.clear()
-    removed_top_eigenvalue(space, hk.truncate(kern, 0.125)[1])
+    removed_top_eigenvalue(hk.truncate(kern, 0.125)[1])
     assert sum(read) == space.n_points**2
 
 
@@ -518,7 +518,7 @@ def test_assemble_matches_reference_formulas(chunk_budget):
     m = rng.uniform(0.0, 1.0, size=(40, 40))
     m = m + m.T
     m[3, 7] *= 1 + 1e-14
-    form = hk.assemble(sp, dense_kernel(sp, m))
+    form = hk.assemble(dense_kernel(sp, m))
     jmat = m.copy()
     np.fill_diagonal(jmat, 0.0)
     jmat = 0.5 * (jmat + jmat.T)
@@ -552,8 +552,18 @@ def _dense_spectrum(L, weights):
     sym += sym.T
     sym *= 0.5
     eigvals, psi = np.linalg.eigh(sym)
+    _zero_rounded(eigvals)
     psi /= sqrt_w[:, None]
     return eigvals, psi, sym
+
+
+def _zero_rounded(*spectra):
+    # the eigenvalues of one matrix within N eps max |lambda| of 0, N and the
+    # max taken over all of ``spectra``, are rounded zeros: exactly 0
+    floor = sum(v.size for v in spectra) * np.finfo(float).eps * max(np.abs(v).max()
+                                                                     for v in spectra)
+    for v in spectra:
+        v[np.abs(v) <= floor] = 0.0
 
 
 def _same_bits(a, b):
@@ -569,7 +579,7 @@ def _generator_case(case):
         return space, kern, float(np.median(space.dist_from(0)))
     if case == "cantor":
         space = hk.build_cantor_product(1 / 3, 2, 3)
-        return space, hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8)), 0.125
+        return space, hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8)), 0.125
     rng = np.random.default_rng(8)
     n = 45
     w = rng.uniform(0.5, 2.0, size=n)
@@ -605,11 +615,11 @@ def test_removed_top_eigenvalue_is_the_top_of_the_far_form(split):
     scale = hk.constant_field(space, 0.8, T0=1.0)
     if not split:
         scale = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
-    far = hk.truncate(hk.build_cantor_axis_kernel(space, scale), 0.2)[1]
-    form = hk.assemble(space, far)
+    far = hk.truncate(hk.build_cantor_axis_kernel(scale), 0.2)[1]
+    form = hk.assemble(far)
     assert isinstance(form.basis, _HalfSpectrum) == split
     top = form.eigvals[-1]
-    assert abs(removed_top_eigenvalue(space, far) - top) <= 1e-12 * abs(top)
+    assert abs(removed_top_eigenvalue(far) - top) <= 1e-12 * abs(top)
 
 
 @pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
@@ -620,9 +630,9 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     # dense spectrum within rounding; the other two cases have no such
     # symmetry and take the one dense eigh, bit for bit.
     space, kern, rho = _generator_case(case)
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     near_kern = hk.truncate(kern, rho)[0]
-    near = hk.assemble(space, near_kern)
+    near = hk.assemble(near_kern)
     assert (form.kernel is kern) == (case != "rounding")   # else read symmetrized
     assert _same_bits(form.kernel.matrix(), _jmat(kern))
     w = space.weights
@@ -654,7 +664,7 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     # -0.0 where L - L_near has +0.0; bit for bit, it is the far kernel's
     # dense generator
     far = hk.truncate(kern, rho)[1]
-    removed = removed_top_eigenvalue(space, far)
+    removed = removed_top_eigenvalue(far)
     top = np.linalg.eigvalsh(_dense_spectrum(L - L_near, w)[2])[-1]
     assert abs(removed - top) <= 1e-12 * abs(top)
     if case != "cantor":
@@ -678,8 +688,8 @@ def eigh_shapes(monkeypatch):
 
 def test_reflection_symmetric_form_is_solved_in_two_halves(eigh_shapes):
     space = hk.build_cantor_product(1 / 3, 1, 10)
-    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
-    hk.assemble(space, kern)
+    kern = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0))
+    hk.assemble(kern)
     assert eigh_shapes == [(512, 512), (512, 512)]
 
 
@@ -691,12 +701,12 @@ def _mirror_case(case):
         space = hk.build_cantor_product(1 / 3, 2, 3)
         field = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3),
                                               space)
-        return space, hk.build_cantor_axis_kernel(space, field)
+        return space, hk.build_cantor_axis_kernel(field)
     if case in ("odd_grid", "even_grid"):              # odd: the centre is its own mirror
         space = hk.build_grid(1, 33 if case == "odd_grid" else 32)
-        return space, hk.build_stable_like_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+        return space, hk.build_stable_like_kernel(hk.constant_field(space, 0.8, T0=1.0))
     cantor = hk.build_cantor_product(1 / 3, 1, 6)
-    m = hk.build_cantor_axis_kernel(cantor, hk.constant_field(cantor, 0.8)).matrix().copy()
+    m = hk.build_cantor_axis_kernel(hk.constant_field(cantor, 0.8)).matrix().copy()
     if case == "explicit_metric":
         space = hk.build_custom(cantor.coords, cantor.weights, metric_matrix=cantor.pairwise())
         return space, dense_kernel(space, m)
@@ -712,7 +722,7 @@ def _mirror_case(case):
 def test_reflection_gate(chunk_budget, eigh_shapes, case):
     # a refused split leaves the one dense eigh, bit for bit
     space, kern = _mirror_case(case)
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     n = space.n_points
     split = case in ("cantor", "even_grid")
     assert eigh_shapes == ([(n // 2, n // 2)] * 2 if split else [(n, n)])
@@ -730,7 +740,7 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
     space = hk.build_grid(1, 4)
     m = np.zeros((4, 4))
     m[0, 1] = m[1, 0] = m[2, 3] = m[3, 2] = 1.0
-    form = hk.assemble(space, dense_kernel(space, m))
+    form = hk.assemble(dense_kernel(space, m))
     assert eigh_shapes == [(2, 2), (2, 2)]
     assert form.eigvals[0] == form.eigvals[1] and form.eigvals[2] == form.eigvals[3]
     psi = split_psi(form)
@@ -743,9 +753,11 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
 
 def _merged_layout(space, sym):
     """The merged eigenvalues and the :func:`split_psi` of a split form whose
-    blocks are solved here, from ``sym``, by their own ``eigh``."""
+    blocks are solved here, from ``sym``, by their own ``eigh`` and the
+    rounding floor of the whole."""
     (A, B), blocks = _reflection_blocks(space, sym)
     halves = [SimpleNamespace(eigvals=vals, psi=vecs) for vals, vecs in map(np.linalg.eigh, blocks)]
+    _zero_rounded(*(half.eigvals for half in halves))
     basis = SimpleNamespace(A=A, B=B, factors=halves)
     psi = split_psi(SimpleNamespace(basis=basis, weights=space.weights))
     return np.sort(np.concatenate([half.eigvals for half in halves]), kind="stable"), psi
@@ -754,12 +766,12 @@ def _merged_layout(space, sym):
 def _split_case(case):
     if case == "cantor":
         space = hk.build_cantor_product(1 / 3, 1, 7)
-        return space, hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+        return space, hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0))
     if case == "cantor_product":
         space = hk.build_cantor_product(1 / 3, 2, 3)
-        return space, hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+        return space, hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0))
     space = hk.build_grid(1, 32)
-    return space, hk.build_stable_like_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    return space, hk.build_stable_like_kernel(hk.constant_field(space, 0.8, T0=1.0))
 
 
 @pytest.mark.parametrize("case", ["cantor", "cantor_product", "even_grid"])
@@ -767,7 +779,7 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     # a split form keeps its two half eigenbases and computes on them; every
     # operation agrees with the one dense eigh within 1e-12 relative
     space, kern = _split_case(case)
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     assert isinstance(form.basis, _HalfSpectrum) and not hasattr(form.basis, "psi")
     n, w = space.n_points, space.weights
     eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(kern)), w)
@@ -811,8 +823,8 @@ def test_diagonal_entries_gather_their_rows_once(monkeypatch):
     # psi once, with the result of the expression that gathers xs and ys apart;
     # the gathers are seen as the indexing of a psi that records them
     space = hk.build_grid(1, 33)
-    form = hk.assemble(space, hk.build_stable_like_kernel(
-        space, hk.constant_field(space, 0.8, T0=1.0)))
+    form = hk.assemble(hk.build_stable_like_kernel(
+        hk.constant_field(space, 0.8, T0=1.0)))
     xs = np.arange(space.n_points)
     want = np.einsum("ij,ij->i", form.psi[xs] * np.exp(-0.2 * form.eigvals), form.psi[xs])
     gathered = []
@@ -834,8 +846,8 @@ def test_split_diagonal_entries_gather_each_pair_row_once(monkeypatch):
     # half, so the whole diagonal reads h rows of each half, not N, with
     # the floats of the expression that gathers every atom's row
     space = hk.build_cantor_product(1 / 3, 1, 6)
-    form = hk.assemble(space, hk.build_cantor_axis_kernel(
-        space, hk.constant_field(space, 0.8, T0=1.0)))
+    form = hk.assemble(hk.build_cantor_axis_kernel(
+        hk.constant_field(space, 0.8, T0=1.0)))
     basis = form.basis
     assert isinstance(basis, _HalfSpectrum)
     xs = np.arange(space.n_points)
@@ -876,8 +888,12 @@ def test_part_refuses_a_repeated_atom(two_point):
 
 def test_default_time_grid_cuts_zero_at_the_rounding_floor():
     # a zero eigenvalue of 3e-12 is rounding at max |lambda| = 3.4e4
-    # (eps max |lambda| = 7.5e-12), not the spectral gap
-    form = SimpleNamespace(eigvals=np.array([3e-12, 3.9, 120.0, 3.4e4]))
+    # (eps max |lambda| = 7.5e-12): the spectrum holds it as exactly 0, not
+    # as the spectral gap
+    eigvals = np.array([3e-12, 3.9, 120.0, 3.4e4])
+    hk.form._zero_rounding(eigvals)
+    assert eigvals[0] == 0.0 and np.array_equal(eigvals[1:], [3.9, 120.0, 3.4e4])
+    form = SimpleNamespace(eigvals=eigvals)
     assert np.array_equal(hk.form.default_time_grid(form),
                           (1.0 / 3.9) * np.logspace(-3, 1, 9))
     form = SimpleNamespace(eigvals=np.zeros(4))         # zero kernel: no gap at all
@@ -888,12 +904,12 @@ def test_assemble_keeps_no_dense_generator():
     # 512 atoms.  tracemalloc sees numpy's arrays, not the LAPACK workspace
     # or the copy of its input that eigh makes in untraced buffers.
     space = hk.build_cantor_product(1 / 3, 1, 9)
-    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
+    kern = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0))
     kern.matrix()
     square = space.n_points**2 * 8
     tracemalloc.start()
     try:
-        form = hk.assemble(space, kern)
+        form = hk.assemble(kern)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -910,13 +926,13 @@ def test_chunked_passes_allocate_under_two_square_arrays(name):
     # time, not the N x N temporaries of a pass made in one chunk (3.0 to
     # 4.4 square arrays)
     space = hk.build_cantor_product(1 / 3, 2, 4)
-    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
-    form = hk.assemble(space, kern)
+    kern = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0))
+    form = hk.assemble(kern)
     fs = np.random.default_rng(0).normal(size=(3, space.n_points))
     run = {"volumes_at": lambda: space.volumes_at(0.2),
-           "tail_masses": lambda: _tail_masses(kern, space, hk.dyadic_radius_grid(space)),
+           "tail_masses": lambda: _tail_masses(kern, hk.dyadic_radius_grid(space)),
            "energy": lambda: form.energy(fs),
-           "generator": lambda: _symmetric_generator(space, kern)[0]}[name]
+           "generator": lambda: _symmetric_generator(kern)[0]}[name]
     square = space.n_points**2 * 8
     tracemalloc.start()
     try:
@@ -935,7 +951,7 @@ def test_checks_on_a_split_form_allocate_no_square_array():
     # is made, nor psi laid out
     space = hk.build_cantor_product(1 / 3, 1, 10)
     scale = hk.constant_field(space, 0.8, T0=1.0)
-    form = hk.assemble(space, hk.build_cantor_axis_kernel(space, scale))
+    form = hk.assemble(hk.build_cantor_axis_kernel(scale))
     times = hk.form.default_time_grid(form)
     balls = hk.sample_balls(space, 8, hk.dyadic_radius_grid(space)[-3:],
                             np.random.default_rng(0))
@@ -945,8 +961,8 @@ def test_checks_on_a_split_form_allocate_no_square_array():
     try:
         start = tracemalloc.get_traced_memory()[0]
         reports = [hk.conservativeness_check(form, times),
-                   hk.te_check(form, space, scale, 1.0, balls, times),
-                   hk.due_check(form, space, scale, 1.0, times, rng)]
+                   hk.te_check(form, scale, 1.0, balls, times),
+                   hk.due_check(form, scale, 1.0, times, rng)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -960,8 +976,8 @@ def test_split_heat_kernel_comes_from_panels():
     # split form is assembled from row panels of the half eigenbases: the
     # result and a few panels, and no psi laid out N wide
     space = hk.build_cantor_product(1 / 3, 1, 10)
-    form = hk.assemble(space, hk.build_cantor_axis_kernel(
-        space, hk.constant_field(space, 0.8, T0=1.0)))
+    form = hk.assemble(hk.build_cantor_axis_kernel(
+        hk.constant_field(space, 0.8, T0=1.0)))
     square = space.n_points**2 * 8
     psi = split_psi(form)
     for t in (1e-3 / np.abs(form.eigvals).max(), 0.1, 1.0):
@@ -982,7 +998,7 @@ def test_split_heat_kernel_comes_from_panels():
 def test_assemble_refuses_a_non_finite_kernel(value):
     space = hk.build_grid(1, 4)
     with pytest.raises(ParameterError, match="non-finite"):
-        hk.assemble(space, hk.build_uniform_kernel(space, value))
+        hk.assemble(hk.build_uniform_kernel(space, value))
 
 
 def test_generator_builds_refuse_a_negative_jump_intensity(chunk_budget):
@@ -994,12 +1010,12 @@ def test_generator_builds_refuse_a_negative_jump_intensity(chunk_budget):
     m[5, 0] = m[0, 5] = -1e-3
     kern = dense_kernel(space, m)
     with pytest.raises(ParameterError, match="negative jump intensity"):
-        hk.assemble(space, kern)
+        hk.assemble(kern)
     with pytest.raises(ParameterError, match="negative jump intensity"):
-        removed_top_eigenvalue(space, kern)
+        removed_top_eigenvalue(kern)
     m[5, 0] = m[0, 5] = 0.0
-    assert hk.assemble(space, kern).jmat_nonzeros == 28
-    assert np.isfinite(removed_top_eigenvalue(space, kern))
+    assert hk.assemble(kern).jmat_nonzeros == 28
+    assert np.isfinite(removed_top_eigenvalue(kern))
 
 
 def test_generator_builds_refuse_a_generator_that_overflows(chunk_budget):
@@ -1010,16 +1026,16 @@ def test_generator_builds_refuse_a_generator_that_overflows(chunk_budget):
     m[5, 0] = m[0, 5] = 1e308
     kern = dense_kernel(space, m)
     with pytest.raises(ParameterError, match="overflows"):
-        hk.assemble(space, kern)
+        hk.assemble(kern)
     with pytest.raises(ParameterError, match="overflows"):
-        removed_top_eigenvalue(space, kern)
+        removed_top_eigenvalue(kern)
     m[5, 0] = m[0, 5] = 1e300                                 # large, and finite
-    assert np.isfinite(hk.assemble(space, kern).eigvals).all()
-    assert np.isfinite(removed_top_eigenvalue(space, kern))
+    assert np.isfinite(hk.assemble(kern).eigvals).all()
+    assert np.isfinite(removed_top_eigenvalue(kern))
     space = hk.build_cantor_product(1 / 3, 1, 4)              # uniform, and split
     kern = hk.JumpKernel(space, lambda rows, cols: np.full((rows.size, cols.size), 1e308))
     with pytest.raises(ParameterError, match="overflows"):
-        hk.assemble(space, kern)
+        hk.assemble(kern)
 
 
 def test_assemble_signed_zero_is_not_exact_symmetry():
@@ -1027,7 +1043,7 @@ def test_assemble_signed_zero_is_not_exact_symmetry():
     m = np.ones((3, 3))
     m[0, 1], m[1, 0] = 0.0, -0.0
     kern = dense_kernel(sp, m)
-    form = hk.assemble(sp, kern)
+    form = hk.assemble(kern)
     assert form.kernel is not kern
     j = form.jblock([0, 1], [0, 1])
     assert not np.signbit(j[0, 1]) and not np.signbit(j[1, 0])
@@ -1037,7 +1053,7 @@ def test_part_energy_equals_part_on_energy(cantor6):
     # the Nash witness reads the energy from the ball part's generator L_D,
     # built once per ball, with the floats of the part's own energy
     space, scale, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     rng = np.random.default_rng(2)
     for x0, r in [(0, 0.5), (17, 0.2), (40, 1.0)]:
         D = space.ball(x0, r).member_idx
@@ -1051,7 +1067,7 @@ def test_part_energy_equals_part_on_energy(cantor6):
         damping = min(1.0, scale.T0 / phival)
         expected = (l2sq ** 2.2 * v**1.2 * damping
                     / (phival * (energy + l2sq / phival) * l1 ** 2.4))
-        got = hk.form.nash_witness_constant(space, scale, space.ball(x0, r), 1.2, 1.0, f, LD)
+        got = hk.form.nash_witness_constant(scale, space.ball(x0, r), 1.2, 1.0, f, LD)
         assert got == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ParameterError):
         _part_generator(form, [-1, 0])
@@ -1065,14 +1081,14 @@ def test_assemble_never_builds_the_kernel_matrix(kind):
     space = (hk.build_cantor_product(1 / 3, 1, 10) if kind == "cantor_axis"
              else hk.build_grid(2, 32))
     scale = hk.constant_field(space, 0.8, T0=1.0)
-    build = {"cantor_axis": lambda: hk.build_cantor_axis_kernel(space, scale),
-             "stable_like": lambda: hk.build_stable_like_kernel(space, scale),
+    build = {"cantor_axis": lambda: hk.build_cantor_axis_kernel(scale),
+             "stable_like": lambda: hk.build_stable_like_kernel(scale),
              "nearest_neighbor": lambda: hk.build_nearest_neighbor_kernel(space)}[kind]
     square = space.n_points**2 * 8
     tracemalloc.start()
     try:
         kern = build()
-        form = hk.assemble(space, kern)
+        form = hk.assemble(kern)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1095,20 +1111,20 @@ def test_assemble_decides_symmetry_with_the_global_tolerance(chunk_budget, gap, 
     accept = np.allclose(m, m.T, atol=1e-10 * max(np.abs(m).max(), 1.0))
     if accept:
         kern = dense_kernel(sp, m)
-        form = hk.assemble(sp, kern)
+        form = hk.assemble(kern)
         assert form.kernel is not kern
         atoms = np.arange(64)
         assert np.array_equal(form.jblock(atoms, atoms), 0.5 * (m + m.T))
     else:
         with pytest.raises(ParameterError, match="symmetric"):
-            hk.assemble(sp, dense_kernel(sp, m))
+            hk.assemble(dense_kernel(sp, m))
     assert accept == (gap == 1e-8 and big == 1e3)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_jmat_nonzeros_counts_the_symmetric_kernel(seed, chunk_budget):
     space, _, kern = random_setup(seed)
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     assert form.jmat_nonzeros == np.count_nonzero(_jmat(kern))
     assert hk.part_on(form, [0, 1]).jmat_nonzeros == form.jmat_nonzeros
 
@@ -1119,8 +1135,8 @@ def test_full_form_energy_is_exact_on_near_constant_functions():
     # 0, and a function 1e-9 from one keeps its relative accuracy against
     # the double sum over pairs, where L f alone cancelled to 100 times it
     space = hk.build_cantor_product(1 / 3, 2, 4)
-    kern = hk.build_cantor_axis_kernel(space, hk.constant_field(space, 0.8, T0=1.0))
-    form = hk.assemble(space, kern)
+    kern = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0))
+    form = hk.assemble(kern)
     w, jmat = space.weights, kern.matrix().copy()
     np.fill_diagonal(jmat, 0.0)
     assert form.energy(np.ones(space.n_points)) == 0.0
@@ -1133,7 +1149,7 @@ def test_part_on_every_atom_multiplies_by_its_own_generator(cantor6):
     # a part whose domain holds every atom, in any order, reads its L_D; it
     # used to take the full form's row chunks, in the order of the space
     space, _, kern = cantor6
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     D = np.random.default_rng(0).permutation(space.n_points)
     part = hk.part_on(form, D)
     f = np.random.default_rng(1).normal(size=D.size)
@@ -1147,14 +1163,14 @@ def test_a_part_on_every_atom_is_refused_where_the_full_form_is_needed():
     # against its diagonal, which is in its domain order
     space = hk.build_cantor_product(1 / 3, 1, 5)
     scale = hk.constant_field(space, 0.8, T0=1.0)
-    form = hk.assemble(space, hk.build_cantor_axis_kernel(space, scale))
+    form = hk.assemble(hk.build_cantor_axis_kernel(scale))
     part = hk.part_on(form, np.random.default_rng(0).permutation(space.n_points))
     assert part.is_part and not form.is_part
     balls = [(0, 0.5)]
     for refused in (lambda: hk.part_on(part, [0, 1, 2]),
-                    lambda: hk.capacity_check(part, space, scale, balls),
-                    lambda: hk.te_check(part, space, scale, 1.0, balls, [0.1]),
-                    lambda: hk.due_check(part, space, scale, 1.0, [0.1],
+                    lambda: hk.capacity_check(part, scale, balls),
+                    lambda: hk.te_check(part, scale, 1.0, balls, [0.1]),
+                    lambda: hk.due_check(part, scale, 1.0, [0.1],
                                          np.random.default_rng(0))):
         with pytest.raises(ParameterError, match="full-space"):
             refused()
@@ -1162,7 +1178,7 @@ def test_a_part_on_every_atom_is_refused_where_the_full_form_is_needed():
 
 def test_full_form_energy_is_chunked_L(chunk_budget):
     space, _, kern = random_setup(3)
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     w, L = space.weights, full_generator(form)
     fs = np.random.default_rng(6).normal(size=(4, space.n_points))
     for f in fs:
@@ -1179,9 +1195,9 @@ def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
     # the dense formula on the oracle matrix, bit for bit, for every cutoff
     space, kern, _ = _generator_case(case)
     scale = hk.constant_field(space, 0.8, T0=1.0)
-    form = hk.assemble(space, kern)
+    form = hk.assemble(kern)
     sample = [(x0, r) for x0 in (0, 5) for r in (0.2, 0.6)]
-    rep = hk.cs_check(form, space, scale, sample)
+    rep = hk.cs_check(form, scale, sample)
     jmat, w = _jmat(kern), space.weights
     for (x0, r), row in zip(sample, rep.series):
         cut = hk.build_cutoff(space, x0, r / 2.0, r / 4.0)
@@ -1192,7 +1208,7 @@ def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
 
 @pytest.mark.parametrize("build", [
     hk.build_uniform_kernel, hk.build_zero_kernel, hk.build_nearest_neighbor_kernel,
-    lambda space: hk.build_stable_like_kernel(space, hk.constant_field(space, 0.8))],
+    lambda space: hk.build_stable_like_kernel(hk.constant_field(space, 0.8))],
     ids=["uniform", "zero", "nearest_neighbor", "stable_like"])
 def test_assemble_refuses_above_the_dense_cap(build):
     # lazy kernels, built above the cap with no N x N array: the dense
@@ -1200,7 +1216,7 @@ def test_assemble_refuses_above_the_dense_cap(build):
     space = hk.build_grid(2, 91, point_cap=1 << 14)    # 8281 atoms
     kern = build(space)
     with pytest.raises(PointCapExceeded):
-        hk.assemble(space, kern)
+        hk.assemble(kern)
     assert kern._matrix is None
 
 
@@ -1208,7 +1224,7 @@ def test_dense_refusals_name_the_fixed_cap():
     # no point_cap lifts the dense cap, so the refusals do not suggest one
     space = hk.build_cantor_product(1 / 3, 1, 14, point_cap=1 << 14)
     kern = hk.build_zero_kernel(space)
-    for refused in (lambda: hk.assemble(space, kern), kern.matrix, space.pairwise):
+    for refused in (lambda: hk.assemble(kern), kern.matrix, space.pairwise):
         with pytest.raises(PointCapExceeded) as exc:
             refused()
         assert "dense-matrix cap of 8192" in str(exc.value)

@@ -23,7 +23,7 @@ def brute_force_tail(kernel, space, x, r):
 def test_cantor_axis_single_pair_value():
     sp = hk.build_cantor_product(1 / 3, 1, 1)
     field = hk.constant_field(sp, 0.8)
-    kern = hk.build_cantor_axis_kernel(sp, field)
+    kern = hk.build_cantor_axis_kernel(field)
     i0 = int(np.argmin(sp.coords[:, 0]))
     i1 = int(np.argmax(sp.coords[:, 0]))
     expected = (2.0 / 3.0) ** (-(ALPHA_THIRD + 0.8))
@@ -34,7 +34,7 @@ def test_cantor_axis_single_pair_value():
 def test_cantor_axis_diagonal_moves_forbidden():
     sp = hk.build_cantor_product(1 / 3, 2, 2)
     field = hk.constant_field(sp, 0.8)
-    kern = hk.build_cantor_axis_kernel(sp, field)
+    kern = hk.build_cantor_axis_kernel(field)
     # find a pair differing in both axes
     c = sp.coords
     for i in range(sp.n_points):
@@ -50,7 +50,7 @@ def test_cantor_axis_symmetric_with_variable_order():
     cfg = hk.synthesize_config(0.5, level=3)
     sp = hk.build_cantor_product(cfg.xi, 2, 3)
     field = hk.build_counterexample_field(cfg, sp)
-    kern = hk.build_cantor_axis_kernel(sp, field)
+    kern = hk.build_cantor_axis_kernel(field)
     m = kern.matrix()
     assert np.allclose(m, m.T, atol=1e-12 * max(m.max(), 1.0))
     assert sp.n_points <= 200
@@ -59,7 +59,7 @@ def test_cantor_axis_symmetric_with_variable_order():
 def test_stable_like_two_point_grid():
     sp = hk.build_grid(1, 2)
     field = hk.constant_field(sp, 1.0)
-    kern = hk.build_stable_like_kernel(sp, field)
+    kern = hk.build_stable_like_kernel(field)
     # V(0,1) counts atoms strictly inside distance 1: just the center atom
     assert kern.j(0, 1) == pytest.approx(2.0, rel=1e-12)
     assert kern.j(0, 0) == 0.0
@@ -72,7 +72,7 @@ def test_stable_like_ties_atoms_at_equal_distance(d, side):
     # line j(2, 3) was half of j(2, 1), and the kernel was not symmetric
     # under the central reflection, which reverses the order of the atoms
     sp = hk.build_grid(d, side)
-    kern = hk.build_stable_like_kernel(sp, hk.constant_field(sp, 0.8, T0=1.0))
+    kern = hk.build_stable_like_kernel(hk.constant_field(sp, 0.8, T0=1.0))
     if d == 1:
         assert kern.j(2, 3) == kern.j(2, 1) and kern.j(3, 4) == kern.j(3, 2)
     m = kern.matrix()
@@ -82,7 +82,7 @@ def test_stable_like_ties_atoms_at_equal_distance(d, side):
 def test_stable_like_distance_doubling_ratio():
     sp = hk.build_grid(1, 32)
     field = hk.constant_field(sp, 1.0)
-    kern = hk.build_stable_like_kernel(sp, field)
+    kern = hk.build_stable_like_kernel(field)
     x, step = 16, 4
     spacing = sp.meta["spacing"]
     j_near = kern.j(x, x + step)
@@ -111,66 +111,66 @@ def test_truncate_partition_identities(cantor6):
 def test_tail_mass_against_brute_force(cantor6):
     space, scale, kern = cantor6
     for x, r in [(0, 2.0**-3), (7, 0.1), (21, 0.55)]:
-        assert hk.tail_mass(kern, space, x, r) == pytest.approx(
+        assert hk.tail_mass(kern, x, r) == pytest.approx(
             brute_force_tail(kern, space, x, r), rel=1e-12)
 
 
 def test_tail_mass_edge_cases():
     sp = hk.build_two_point(gap=0.8)
     kern = hk.build_uniform_kernel(sp, value=3.0)
-    assert hk.tail_mass(kern, sp, 0, 2.0) == 0.0
-    assert hk.tail_mass(kern, sp, 0, 0.5) == pytest.approx(3.0 * 0.5)
+    assert hk.tail_mass(kern, 0, 2.0) == 0.0
+    assert hk.tail_mass(kern, 0, 0.5) == pytest.approx(3.0 * 0.5)
 
 
 def test_tail_of_near_part_vanishes_at_rho(cantor6):
     space, scale, kern = cantor6
     near, _ = hk.truncate(kern, 0.25)
-    assert np.abs(_tail_masses(near, space, [0.25])).max() == 0.0
+    assert np.abs(_tail_masses(near, [0.25])).max() == 0.0
 
 
 def test_tj_zero_kernel_and_scaling(cantor6):
     space, scale, kern = cantor6
     grid = hk.dyadic_radius_grid(space)
     zero = hk.build_zero_kernel(space)
-    assert hk.tj_check(zero, space, scale, grid).best_constant == 0.0
-    base = hk.tj_check(kern, space, scale, grid).best_constant
+    assert hk.tj_check(zero, scale, grid).best_constant == 0.0
+    base = hk.tj_check(kern, scale, grid).best_constant
     scaled_kern = hk.JumpKernel(space, lambda rows, cols: 3.5 * kern.block(rows, cols),
                                 kern.support_pattern)
-    scaled = hk.tj_check(scaled_kern, space, scale, grid).best_constant
+    scaled = hk.tj_check(scaled_kern, scale, grid).best_constant
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
 
 def test_tjq_reduces_to_tj_at_q1():
     sp = hk.build_grid(1, 32)
     field = hk.constant_field(sp, 1.0)
-    kern = hk.build_stable_like_kernel(sp, field)
+    kern = hk.build_stable_like_kernel(field)
     grid = hk.dyadic_radius_grid(sp)
-    c_tj = hk.tj_check(kern, sp, field, grid).best_constant
-    c_q1 = hk.tjq_check(kern, sp, field, 1.0, grid).best_constant
+    c_tj = hk.tj_check(kern, field, grid).best_constant
+    c_q1 = hk.tjq_check(kern, field, 1.0, grid).best_constant
     assert c_q1 == pytest.approx(c_tj, rel=1e-12)
 
 
 def test_tjq_q2_finite_on_grid():
     sp = hk.build_grid(1, 64)
     field = hk.constant_field(sp, 1.0)
-    kern = hk.build_stable_like_kernel(sp, field)
-    rep = hk.tjq_check(kern, sp, field, 2.0, hk.dyadic_radius_grid(sp))
+    kern = hk.build_stable_like_kernel(field)
+    rep = hk.tjq_check(kern, field, 2.0, hk.dyadic_radius_grid(sp))
     assert math.isfinite(rep.best_constant) and rep.best_constant > 0
 
 
 def test_tjq_refuses_axis_kernel(cantor6):
     space, scale, kern = cantor6
     with pytest.raises(UnsupportedKernelError, match="density"):
-        hk.tjq_check(kern, space, scale, 2.0, hk.dyadic_radius_grid(space))
+        hk.tjq_check(kern, scale, 2.0, hk.dyadic_radius_grid(space))
 
 
 def test_ij_homogeneous_gamma_near_zero():
     sp = hk.build_grid(1, 48)
     field = hk.constant_field(sp, 1.0)
-    kern = hk.build_stable_like_kernel(sp, field)
+    kern = hk.build_stable_like_kernel(field)
     grid = [2.0**-k for k in range(1, 6)]
     pairs = [(r, R) for r in grid for R in grid if r <= R]
-    rep = hk.ij_check(kern, sp, field, 0.0, pairs)
+    rep = hk.ij_check(kern, field, 0.0, pairs)
     gamma_hat = rep.witness["gamma_hat"]
     assert abs(gamma_hat) <= 0.15
 
@@ -183,14 +183,14 @@ def test_ij_fitted_exponent_below_general_bound(cantor6):
     bound = alpha_hat / (2 * scale.beta1) - alpha0_hat / (2 * scale.beta2) + 0.1
     grid = [2.0**-k for k in range(1, 6)]
     pairs = [(r, R) for r in grid for R in grid if r <= R]
-    rep = hk.ij_check(kern, space, scale, 0.0, pairs)
+    rep = hk.ij_check(kern, scale, 0.0, pairs)
     assert rep.witness["gamma_hat"] <= bound
 
 
 def test_ij_zero_kernel(cantor6):
     space, scale, _ = cantor6
     zero = hk.build_zero_kernel(space)
-    rep = hk.ij_check(zero, space, scale, 0.0, [(0.1, 0.2), (0.1, 0.4)])
+    rep = hk.ij_check(zero, scale, 0.0, [(0.1, 0.2), (0.1, 0.4)])
     assert rep.best_constant == 0.0
 
 
@@ -206,14 +206,14 @@ def test_symmetry_exhaustive_small_spaces():
 def test_cross_jump_single_pair_regime():
     sp = hk.build_cantor_product(1 / 3, 2, 3)
     field = hk.constant_field(sp, 1.0)
-    kern = hk.build_cantor_axis_kernel(sp, field)
+    kern = hk.build_cantor_axis_kernel(field)
     # eta*r = 1/18: captures exactly (0,0) near the zero corner and
     # (26/27, 0) near the e1 corner (next candidates sit at distance 2/27, 3/27)
     r, eta = 1.0 / 9.0, 0.5
     rad = eta * r
     assert np.sum(sp.dist_from_coord([0.0, 0.0]) < rad) == 1
     assert np.sum(sp.dist_from_coord([1.0, 0.0]) < rad) == 1
-    got = hk.cross_jump_mass(kern, sp, r, eta)
+    got = hk.cross_jump_mass(kern, r, eta)
     top = 26.0 / 27.0
     mu = 1.0 / sp.n_points
     expected = top ** (-(ALPHA_THIRD + 1.0)) * 8 * mu * mu
@@ -223,16 +223,16 @@ def test_cross_jump_single_pair_regime():
 def test_cross_jump_vanishes_without_far_part():
     sp = hk.build_cantor_product(1 / 3, 2, 3)
     field = hk.constant_field(sp, 1.0)
-    kern = hk.build_cantor_axis_kernel(sp, field)
+    kern = hk.build_cantor_axis_kernel(field)
     near, _ = hk.truncate(kern, 0.2)       # below the 1/4 indicator
-    assert hk.cross_jump_mass(near, sp, 0.25, 0.5) == 0.0
+    assert hk.cross_jump_mass(near, 0.25, 0.5) == 0.0
 
 
 def test_cross_jump_requires_cantor():
     g = hk.build_grid(1, 8)
     kern = hk.build_uniform_kernel(g)
     with pytest.raises(ParameterError):
-        hk.cross_jump_mass(kern, g, 0.1, 0.5)
+        hk.cross_jump_mass(kern, 0.1, 0.5)
 
 
 def test_nearest_neighbor_kernel_pattern():
@@ -248,7 +248,7 @@ def test_nearest_neighbor_kernel_pattern():
 def test_cylindrical_kernel_axis_pattern():
     g = hk.build_grid(2, 4)
     field = hk.constant_field(g, 1.0)
-    kern = hk.build_cylindrical_kernel(g, field)
+    kern = hk.build_cylindrical_kernel(field)
     c = g.coords
     for i in range(g.n_points):
         for k in range(g.n_points):
@@ -309,7 +309,7 @@ def test_stable_like_matches_the_dense_builder(chunk_budget, d, side, field, low
         scale = hk.field_from_table(sp, orders, 0.5, 2.0)
     else:
         scale = hk.constant_field(sp, {"constant": 0.8, "sqrt": 0.5, "square": 2.0}[field])
-    kern = hk.build_stable_like_kernel(sp, scale, lower_constant)
+    kern = hk.build_stable_like_kernel(scale, lower_constant)
     ref = stable_like_reference(sp, scale, lower_constant)
     assert np.array_equal(kern.matrix().view(np.uint64), ref.view(np.uint64))
 
@@ -349,31 +349,31 @@ def test_custom_space_is_refused_by_the_lattice_kernels():
     assert sp.meta == {"kind": "custom"}
     scale = hk.constant_field(sp, 0.8)
     with pytest.raises(ParameterError, match="grid space"):
-        hk.build_stable_like_kernel(sp, scale)
+        hk.build_stable_like_kernel(scale)
     with pytest.raises(ParameterError, match="cantor product"):
-        hk.build_cantor_axis_kernel(sp, scale)
+        hk.build_cantor_axis_kernel(scale)
 
 
 # ---------------------------------------------------------------------------
 # Chunked checkers against the per-atom loops they replaced
 # ---------------------------------------------------------------------------
 
-def brute_force_ij_q(kernel, space, scale, pairs, xs):
-    """Q(x) for every pair and sampled x, by the per-atom loop ij_check used to run."""
+def brute_force_ij_q(kernel, space, scale, pairs):
+    """Q(x) for every pair and every atom x, by the per-atom loop ij_check used to run."""
     all_idx = np.arange(space.n_points)
-    q = np.zeros((len(pairs), len(xs)))
+    q = np.zeros((len(pairs), space.n_points))
     for p, (r, big_r) in enumerate(pairs):
         inv_radii = phi_inverse_vec(scale, all_idx, r)
         vols_r = np.array([space.volume(int(y), float(inv_radii[y])) for y in all_idx])
-        for a, x in enumerate(xs):
-            r1 = hk.phi_inverse(scale, int(x), big_r)
-            d = space.dist_from(int(x))
+        for x in range(space.n_points):
+            r1 = hk.phi_inverse(scale, x, big_r)
+            d = space.dist_from(x)
             ann = np.flatnonzero((d >= r1) & (d < 2 * r1))
             if ann.size == 0:
                 continue
-            vals = kernel.block(np.array([int(x)]), ann)[0]
+            vals = kernel.block(np.array([x]), ann)[0]
             lhs = float((vals * space.weights[ann] / np.sqrt(vols_r[ann])).sum())
-            q[p, a] = lhs * big_r * math.sqrt(vols_r[int(x)])
+            q[p, x] = lhs * big_r * math.sqrt(vols_r[x])
     return q
 
 
@@ -381,8 +381,8 @@ def brute_force_ij_q(kernel, space, scale, pairs, xs):
 def test_tail_mass_all_matches_per_point(seed, chunk_budget):
     space, _, kern = random_setup(seed)
     for r in (0.05, 0.3, 0.7):
-        want = [hk.tail_mass(kern, space, x, r) for x in range(space.n_points)]
-        assert np.allclose(_tail_masses(kern, space, [r])[0], want, rtol=1e-12, atol=0)
+        want = [hk.tail_mass(kern, x, r) for x in range(space.n_points)]
+        assert np.allclose(_tail_masses(kern, [r])[0], want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -390,14 +390,12 @@ def test_ij_matches_per_atom_loop(seed, chunk_budget):
     space, scale, kern = random_setup(seed)
     grid = [2.0**-k for k in range(1, 5)]
     pairs = [(r, R) for r in grid for R in grid if r <= R]
-    xs = np.arange(space.n_points)[::-2]
-    rep = hk.ij_check(kern, space, scale, 0.5, pairs, x_sample=xs)
-    q = brute_force_ij_q(kern, space, scale, pairs, xs)
+    rep = hk.ij_check(kern, scale, 0.5, pairs)
+    q = brute_force_ij_q(kern, space, scale, pairs)
     for p, row in enumerate(rep.series):
         assert row["Q_max"] == pytest.approx(q[p].max(), rel=1e-12, abs=0)
         if row["x"] is not None:       # the witness attains the maximum
-            a = int(np.flatnonzero(xs == row["x"])[0])
-            assert q[p, a] == pytest.approx(q[p].max(), rel=1e-12, abs=0)
+            assert q[p, row["x"]] == pytest.approx(q[p].max(), rel=1e-12, abs=0)
     want = max(q[p].max() * (r / R) ** 0.5 for p, (r, R) in enumerate(pairs))
     assert rep.best_constant == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -405,7 +403,7 @@ def test_ij_matches_per_atom_loop(seed, chunk_budget):
 def test_tjq_matches_per_atom_loop(chunk_budget):
     space, scale, kern = random_setup(4)
     radii = [0.05, 0.2, 0.5]
-    rep = hk.tjq_check(kern, space, scale, 2.0, radii)
+    rep = hk.tjq_check(kern, scale, 2.0, radii)
     for row, r in zip(rep.series, radii):
         c = [math.sqrt(float(kern.block([x], np.arange(space.n_points))[0] ** 2
                              @ (space.weights * (space.dist_from(x) >= r))))
@@ -414,26 +412,12 @@ def test_tjq_matches_per_atom_loop(chunk_budget):
         assert row["C_at_r"] == pytest.approx(max(c), rel=1e-12, abs=0)
 
 
-def test_ij_rejects_negative_sample_id(cantor6):
-    # fancy indexing would wrap -1 to the last atom
-    space, scale, kern = cantor6
-    with pytest.raises(ParameterError):
-        hk.ij_check(kern, space, scale, 0.0, [(0.1, 0.2)], x_sample=[0, -1])
-
-
-@pytest.mark.parametrize("bad", [[0, 64], [[0, 1]], [0.5]])
-def test_ij_rejects_malformed_sample(cantor6, bad):
-    space, scale, kern = cantor6
-    with pytest.raises(ParameterError):
-        hk.ij_check(kern, space, scale, 0.0, [(0.1, 0.2)], x_sample=bad)
-
-
 def _kernels_for_matrix_test():
     cantor = hk.build_cantor_product(1 / 3, 2, 3)
     ramp = hk.field_from_table(cantor, np.linspace(0.6, 1.2, cantor.n_points), 0.6, 1.2)
-    axis = hk.build_cantor_axis_kernel(cantor, ramp)
+    axis = hk.build_cantor_axis_kernel(ramp)
     grid = hk.build_grid(2, 7)
-    stable = hk.build_stable_like_kernel(grid, hk.constant_field(grid, 1.1))
+    stable = hk.build_stable_like_kernel(hk.constant_field(grid, 1.1))
     ones = hk.JumpKernel(grid, lambda rows, cols: np.ones((rows.size, cols.size)))
     return [axis, hk.truncate(axis, 0.3)[0], hk.truncate(axis, 0.3)[1], stable,
             hk.build_uniform_kernel(grid, 2.5), ones]
@@ -466,10 +450,10 @@ def test_axis_aligned_block_equals_reference(n_axes):
     for sp in (cantor, grid):
         field = hk.field_from_table(sp, rng.uniform(0.5, 1.5, sp.n_points), 0.5, 1.5)
         if sp is cantor:
-            kern = hk.build_cantor_axis_kernel(sp, field)
+            kern = hk.build_cantor_axis_kernel(field)
             alpha, factor = kern.meta["alpha"], float(sp.meta["axis_atoms"]) ** (n_axes - 1)
         else:
-            kern = hk.build_cylindrical_kernel(sp, field)
+            kern = hk.build_cylindrical_kernel(field)
             alpha, factor = 1.0, float(sp.meta["side"]) ** (n_axes - 1)
         idx = np.arange(sp.n_points)
         ref = axis_aligned_reference(sp, field.beta_values, alpha, factor)
@@ -491,9 +475,9 @@ def test_block_never_writes_through_what_the_block_function_returns(chunk_budget
 
     view_kern = hk.JumpKernel(sp, view_fn)
     assert np.shares_memory(view_fn(np.arange(16), np.arange(16)), user)
-    form = hk.assemble(sp, view_kern)
+    form = hk.assemble(view_kern)
     assert np.array_equal(user, kept)
-    expected = hk.assemble(sp, hk.JumpKernel(sp, lambda r, c: kept[np.ix_(r, c)]))
+    expected = hk.assemble(hk.JumpKernel(sp, lambda r, c: kept[np.ix_(r, c)]))
     assert np.array_equal(form.eigvals, expected.eigvals)
     block = view_kern.block(np.arange(4), np.arange(16))
     block[:] = -1.0
@@ -502,5 +486,5 @@ def test_block_never_writes_through_what_the_block_function_returns(chunk_budget
     const = hk.JumpKernel(sp, lambda r, c: np.broadcast_to(2.0, (r.size, c.size)))
     block = const.block(np.arange(16), np.arange(16))
     assert block.flags.writeable and np.all(block == 2.0)
-    uniform = hk.assemble(sp, hk.build_uniform_kernel(sp, 2.0))
-    assert np.array_equal(hk.assemble(sp, const).eigvals, uniform.eigvals)
+    uniform = hk.assemble(hk.build_uniform_kernel(sp, 2.0))
+    assert np.array_equal(hk.assemble(const).eigvals, uniform.eigvals)

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import math
 import tracemalloc
 
@@ -69,7 +71,7 @@ def test_phi_strictly_increasing():
 def test_scale_axioms_constant_field():
     sp = hk.build_cantor_product(1 / 3, 1, 5)
     field = hk.constant_field(sp, 0.8)
-    rep = hk.verify_scale_axioms(field, sp, hk.dyadic_radius_grid(sp), np.random.default_rng(0))
+    rep = hk.verify_scale_axioms(field, hk.dyadic_radius_grid(sp), np.random.default_rng(0))
     assert rep.passed
     assert rep.witness["C1"] == pytest.approx(1.0, abs=1e-12)
     assert rep.witness["C2"] == pytest.approx(1.0, abs=1e-12)
@@ -79,7 +81,7 @@ def test_scale_axioms_counterexample_field():
     cfg = hk.synthesize_config(0.5, level=5)
     sp = hk.build_cantor_product(cfg.xi, 2, 3)
     field = hk.build_counterexample_field(cfg, sp)
-    rep = hk.verify_scale_axioms(field, sp, hk.dyadic_radius_grid(sp), np.random.default_rng(0))
+    rep = hk.verify_scale_axioms(field, hk.dyadic_radius_grid(sp), np.random.default_rng(0))
     assert rep.passed
     assert math.isfinite(rep.witness["C1"])
     assert rep.witness["C1"] >= 1.0
@@ -89,7 +91,7 @@ def test_scale_axioms_flags_lipschitz_violation():
     sp = hk.build_two_point()
     field = hk.field_from_table(sp, [0.5, 1.9], beta1=0.5, beta2=1.9,
                                 lipschitz=True)    # jump 1.4 over distance 1
-    rep = hk.verify_scale_axioms(field, sp, [0.5, 1.0], np.random.default_rng(0))
+    rep = hk.verify_scale_axioms(field, [0.5, 1.0], np.random.default_rng(0))
     assert rep.passed is False
     assert rep.witness["lipschitz_excess"] > 0
 
@@ -160,7 +162,7 @@ def _axiom_case(case):
 def test_streamed_scale_axioms_equal_the_unstreamed_scan(case):
     sp, field = _axiom_case(case)
     radii = hk.dyadic_radius_grid(sp)
-    rep = hk.verify_scale_axioms(field, sp, radii, rng=np.random.default_rng(0))
+    rep = hk.verify_scale_axioms(field, radii, rng=np.random.default_rng(0))
     c1, witness, series, passed = unstreamed_scale_axioms(field, sp, radii,
                                                           np.random.default_rng(0))
     assert canonical_json([rep.best_constant, rep.witness, rep.series, rep.passed]) == \
@@ -180,7 +182,7 @@ def test_scale_axioms_allocate_under_two_square_pair_arrays():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        hk.verify_scale_axioms(field, sp, radii, rng)
+        hk.verify_scale_axioms(field, radii, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,7 +193,7 @@ def test_quasi_metric_constant_field_exact():
     sp = hk.build_cantor_product(1 / 3, 1, 5)
     for beta in (0.8, 1.3):
         field = hk.constant_field(sp, beta)
-        dstar, comp = hk.induced_quasi_metric(field, sp, beta_star=beta)
+        dstar, comp = hk.induced_quasi_metric(field, beta_star=beta)
         assert comp == pytest.approx(1.0, rel=1e-9)
         d = sp.pairwise()
         off = ~np.eye(sp.n_points, dtype=bool)
@@ -201,7 +203,7 @@ def test_quasi_metric_constant_field_exact():
 def test_quasi_metric_two_point():
     sp = hk.build_two_point(gap=0.5)
     field = hk.field_from_table(sp, [0.7, 1.4], beta1=0.7, beta2=1.4)
-    dstar, _ = hk.induced_quasi_metric(field, sp, beta_star=1.4)
+    dstar, _ = hk.induced_quasi_metric(field, beta_star=1.4)
     rho = max(0.5**0.7, 0.5**1.4) ** (1 / 1.4)
     assert dstar[0, 1] == pytest.approx(rho, rel=1e-12)
 
@@ -210,7 +212,7 @@ def test_quasi_metric_counterexample_field():
     cfg = hk.synthesize_config(0.5, level=4)
     sp = hk.build_cantor_product(cfg.xi, 2, 3)
     field = hk.build_counterexample_field(cfg, sp)
-    dstar, comp = hk.induced_quasi_metric(field, sp)   # default beta_star = beta2
+    dstar, comp = hk.induced_quasi_metric(field)   # default beta_star = beta2
     assert math.isfinite(comp) and comp >= 1.0
     # metric axioms of the chain metric
     assert np.allclose(dstar, dstar.T)
@@ -249,3 +251,84 @@ def test_field_from_balls_matches_brute_force_minimum(seed, chunk_budget):
         envelopes.append(value + dist_to_ball)
     want = np.clip(np.min(envelopes, axis=0), 0.9, 1.4)
     assert np.array_equal(field.beta_values, want)
+
+
+def test_an_order_field_needs_one_value_per_point_of_its_space():
+    sp = hk.build_grid(1, 4)
+    with pytest.raises(ParameterError, match="one order value per point"):
+        hk.ScaleField(sp, np.ones(3), 1.0, 1.0)
+    with pytest.raises(ParameterError, match="one order value per point"):
+        hk.field_from_table(sp, [[1.0, 1.0], [1.0, 1.0]], 1.0, 1.0)
+    assert hk.field_from_table(sp, [1.0] * 4, 1.0, 1.0).space is sp
+
+
+# ---------------------------------------------------------------------------
+# One space per object
+# ---------------------------------------------------------------------------
+
+_SPACE_OWNERS = {"form", "form_full", "form_near", "kernel", "kernel_far", "scale"}
+
+
+def test_no_public_function_takes_a_space_beside_an_object_that_has_one():
+    modules = [hk] + [importlib.import_module(f"hklab.{name}") for name in
+                      ("space", "scale", "kernel", "form", "semigroup", "counterexample", "cli")]
+    both = []
+    for mod in modules:
+        names = hk.__all__ if mod is hk else [n for n in vars(mod) if not n.startswith("_")]
+        for name in names:
+            fn = getattr(mod, name)
+            if inspect.isfunction(fn):
+                params = set(inspect.signature(fn).parameters)
+                if "space" in params and params & _SPACE_OWNERS:
+                    both.append(f"{mod.__name__}.{name}")
+    assert both == []
+
+
+def _mixed_spaces():
+    """A kernel and its form on the 64-atom Cantor product, and an order field
+    on the 8 x 8 grid, which has as many atoms."""
+    a = hk.build_cantor_product(1 / 3, 2, 3)
+    kernel_on_a = hk.build_cantor_axis_kernel(hk.constant_field(a, 0.8, T0=1.0))
+    return a, kernel_on_a, hk.assemble(kernel_on_a), hk.constant_field(hk.build_grid(2, 8), 0.8)
+
+
+_BALLS = [(0, 0.25), (5, 0.5)]
+_MIXED_CALLS = {
+    "tj_check": lambda k, f, s, rng: hk.tj_check(k, s, [0.125, 0.25, 0.5]),
+    "tjq_check": lambda k, f, s, rng: hk.tjq_check(hk.build_uniform_kernel(k.space), s,
+                                                   2.0, [0.25]),   # a kernel with a density
+    "ij_check": lambda k, f, s, rng: hk.ij_check(k, s, 0.0, [(0.25, 0.5)]),
+    "lre_check": lambda k, f, s, rng: hk.lre_check(f, s, 1.0, _BALLS),
+    "cs_check": lambda k, f, s, rng: hk.cs_check(f, s, _BALLS),
+    "capacity_check": lambda k, f, s, rng: hk.capacity_check(f, s, _BALLS),
+    "fk_family_check": lambda k, f, s, rng: hk.fk_family_check(
+        f, s, "FK", 0.5, 1.0, 1.0, 0.5, _BALLS, rng),
+    "nash_check": lambda k, f, s, rng: hk.nash_check(f, s, 0.5, 1.0, _BALLS, rng),
+    "fk_nash_consistency": lambda k, f, s, rng: hk.fk_nash_consistency(
+        f, s, 0.5, 1.0, 1.0, _BALLS, rng),
+    "se_check": lambda k, f, s, rng: hk.se_check(f, s, _BALLS),
+    "se_from_lre_chain": lambda k, f, s, rng: hk.se_from_lre_chain(f, s, 1.0, _BALLS),
+    "te_check": lambda k, f, s, rng: hk.te_check(f, s, 1.0, _BALLS, [0.1, 1.0]),
+    "due_check": lambda k, f, s, rng: hk.due_check(f, s, 1.0, [0.1, 1.0], rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_CALLS))
+def test_a_form_or_kernel_with_an_order_field_of_another_space_is_refused(name):
+    # with a space argument of their own, te_check(form_on_a, b, scale_on_b,
+    # ...) on a 256-atom product and the 16 x 16 grid reported 2.0036, a pass,
+    # and tj_check 2.857; an equal space built twice is another space too
+    a, kernel_on_a, form_on_a, scale_on_b = _mixed_spaces()
+    rng = np.random.default_rng(0)
+    for scale in (scale_on_b, hk.constant_field(hk.build_cantor_product(1 / 3, 2, 3), 0.8)):
+        with pytest.raises(ParameterError, match="built on different spaces"):
+            _MIXED_CALLS[name](kernel_on_a, form_on_a, scale, rng)
+    assert _MIXED_CALLS[name](kernel_on_a, form_on_a, hk.constant_field(a, 0.8, T0=1.0), rng)
+
+
+def test_a_form_reads_its_space_from_its_kernel():
+    a, kernel_on_a, form_on_a, _ = _mixed_spaces()
+    assert form_on_a.space is kernel_on_a.space is a
+    assert hk.part_on(form_on_a, [0, 1, 2]).space is a
+    with pytest.raises(AttributeError):
+        form_on_a.space = hk.build_grid(2, 8)
