@@ -19,6 +19,7 @@ from .counterexample import (
 from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError
 from .form import (
     SpectralForm,
+    Truncation,
     assemble,
     build_cutoff,
     capacity_check,
@@ -30,6 +31,7 @@ from .form import (
     nash_check,
     part_on,
     sample_balls,
+    truncation,
 )
 from .kernel import (
     JumpKernel,

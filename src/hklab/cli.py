@@ -381,22 +381,12 @@ def _run_rvd_fit(ctx, p):
                            series=[{"alpha0_hat": alpha0}])
 
 
-def _near_far_forms(ctx, rho):
-    """The near form and the far kernel of the truncation at ``rho``, built once per run."""
-    built = ctx.setdefault("near_far", {})
-    if rho not in built:
-        near, far = kernel_mod.truncate(ctx["kernel"], rho)
-        built[rho] = (form_mod.assemble(near), far)
-    return built[rho]
-
-
-def _truncated(check):
-    """Run ``check(ctx, p, near form, far kernel)`` at ``rho``, which the report records."""
-    def run(ctx, p):
-        rep = check(ctx, p, *_near_far_forms(ctx, p["rho"]))
-        rep.params["rho"] = p["rho"]
-        return rep
-    return run
+def _truncation(ctx, p):
+    """The truncation of the run's form at ``p["rho"]``, built once per rho."""
+    built = ctx.setdefault("truncations", {})
+    if p["rho"] not in built:
+        built[p["rho"]] = form_mod.truncation(ctx["form"], p["rho"])
+    return built[p["rho"]]
 
 
 CHECKS: dict[str, dict[str, Any]] = {
@@ -498,20 +488,18 @@ CHECKS: dict[str, dict[str, Any]] = {
         "measures": "symmetry, stochasticity, semigroup property, nonnegativity, t=0 identity",
         "params": {"times": (_positives, (0.01, 0.1, 1.0, 10.0))}},
     "truncation_l2_check": {
-        "fn": _truncated(lambda ctx, p, near, far: semi_mod.truncation_l2_check(
-            ctx["form"], near, far)),
+        "fn": lambda ctx, p: semi_mod.truncation_l2_check(_truncation(ctx, p)),
         "measures": "removed-energy bound: largest eigenvalue of (L - L_near) <= 4 max_x far-tail(x)",
         "params": _RHO},
     "truncation_semigroup_check": {
-        "fn": _truncated(lambda ctx, p, near, far: semi_mod.truncation_semigroup_check(
-            ctx["form"], near, p["f"], p["time_grid"])),
+        "fn": lambda ctx, p: semi_mod.truncation_semigroup_check(
+            _truncation(ctx, p), p["f"], p["time_grid"]),
         "measures": "semigroup truncation bound: |P_t f - P^(rho)_t f| <= 2 t ||f|| max far-tail",
         "params": {**_RHO, "f": (_numbers, _derived(
             "1 at every atom", lambda ctx, p: np.ones(ctx["space"].n_points))),
             **_TIME_GRID}},
     "meyer_check": {
-        "fn": lambda ctx, p: semi_mod.meyer_check(
-            ctx["form"], *_near_far_forms(ctx, p["rho"]), p["domain"], p["t"]),
+        "fn": lambda ctx, p: semi_mod.meyer_check(_truncation(ctx, p), p["domain"], p["t"]),
         "measures": "jump-interchange comparison between a Dirichlet kernel and its truncation",
         "params": {**_RHO, "domain": (_atom_ids, _derived(
             "the atoms of the ball B(0, diameter/2)",

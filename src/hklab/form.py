@@ -20,7 +20,8 @@ generator commutes with the central reflection of the space, a
 :class:`_HalfSpectrum`, the reflection fold over an even and an odd
 :class:`_DenseBasis` half, from which the semigroup, the resolvent, kernel
 entries and the heat kernel are computed with no N-wide ``psi`` at all.
-Dirichlet parts are always solved whole.
+Dirichlet parts are always solved whole.  A :class:`Truncation` cuts one
+full form's jumps at rho: its near form, far kernel and far tail.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
@@ -36,7 +37,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import ParameterError, PointCapExceeded
-from .kernel import JumpKernel
+from .kernel import JumpKernel, truncate
 from .report import ConditionReport
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse, phi_vec
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids
@@ -678,24 +679,51 @@ def default_time_grid(form: SpectralForm) -> np.ndarray:
     return relax * np.logspace(-3, 1, 9)
 
 
-def far_tail_profile(form_full: SpectralForm, form_near: SpectralForm) -> np.ndarray:
-    """tail(x) = sum over far atoms of j(x,w) mu(w), from the generator diagonals."""
-    return 0.5 * (form_full.diag - form_near.diag)
+@dataclass(frozen=True, eq=False)
+class Truncation:
+    """The jumps of one full form cut at ``rho`` (the Meyer decomposition).
+
+    ``near`` is the assembled form of the jumps shorter than ``rho``, ``far``
+    the kernel of the rest, both cut from ``form.kernel``, and ``tail`` the
+    read-only far tail sum over d(x,w) >= rho of j(x,w) mu(w), which is
+    0.5 (diag_full - diag_near), exactly.  Only :func:`truncation` builds
+    one, so its pieces come from one form at one radius.
+    """
+
+    form: SpectralForm
+    rho: float
+    near: SpectralForm
+    far: JumpKernel
+    tail: np.ndarray = field(repr=False)
+
+    def far_top(self) -> float:
+        """Largest eigenvalue of the removed generator L - L_near, without
+        eigenvectors: the generator of ``far``, built and split like a full
+        form's."""
+        blocks = _generator_blocks(self.far)[1]
+        return float(max(np.linalg.eigvalsh(block)[-1] for block in blocks))
+
+    def killed_part(self, near_part: SpectralForm) -> SpectralForm:
+        """The part ``near_part`` of ``near`` plus the killing potential
+        2 tail on its domain, from its own L_D: no kernel block is read
+        again.  It records no lambda_1, since its generator carries the
+        killing."""
+        if not near_part.is_part or near_part.kernel is not self.near.kernel:
+            raise ParameterError("the killed part is taken of a part of the near form")
+        D = near_part.domain
+        return _part_form(self.near, D, near_part.L + 2.0 * np.diag(self.tail[D]))
 
 
-def removed_top_eigenvalue(kernel_far: JumpKernel) -> float:
-    """Largest eigenvalue of the removed generator L_full - L_near, without
-    eigenvectors: the generator of the far kernel J - J_near, built and
-    split like a full form's."""
-    blocks = _generator_blocks(kernel_far)[1]
-    return float(max(np.linalg.eigvalsh(block)[-1] for block in blocks))
-
-
-def killed_part(form_full: SpectralForm, form_near: SpectralForm, D) -> SpectralForm:
-    """Near part on D plus the killing potential 2*tail from the removed jumps."""
-    D, LD = _part_generator(form_near, D)
-    tail = far_tail_profile(form_full, form_near)
-    return _part_form(form_near, D, LD + 2.0 * np.diag(tail[D]))
+def truncation(form: SpectralForm, rho: float) -> Truncation:
+    """The truncation of the full ``form`` at ``rho``: its near form,
+    assembled once, its far kernel and its far tail."""
+    if form.is_part:
+        raise ParameterError("truncate the full-space form, not a Dirichlet part")
+    near_kernel, far = truncate(form.kernel, rho)
+    near = assemble(near_kernel)
+    tail = 0.5 * (form.diag - near.diag)
+    tail.flags.writeable = False
+    return Truncation(form, float(rho), near, far, tail)
 
 
 def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,

@@ -83,14 +83,13 @@ def _masked_kernel(kernel: JumpKernel, keep_near: bool, rho: float) -> JumpKerne
         mask = d < rho if keep_near else d >= rho
         return np.where(mask, vals, 0.0)
 
-    meta = dict(kernel.meta)
-    meta["truncation"] = {"rho": float(rho), "part": "near" if keep_near else "far"}
-    return JumpKernel(space, block_fn, support_pattern=kernel.support_pattern, meta=meta)
+    return JumpKernel(space, block_fn, support_pattern=kernel.support_pattern,
+                      meta=dict(kernel.meta))
 
 
 def truncate(kernel: JumpKernel, rho: float) -> tuple[JumpKernel, JumpKernel]:
     """Split into (near, far): jumps shorter than rho and the complement."""
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterError("truncation radius must be positive")
     return _masked_kernel(kernel, True, rho), _masked_kernel(kernel, False, rho)
 

@@ -18,6 +18,11 @@ where p_kill is the kernel of the near part plus the killing potential
 2 * tail(x) with tail(x) = sum_{d(x,w) >= rho} j(x,w) mu(w).  Replacing
 p_kill by the (larger) truncated kernel and dropping the killing correction
 yields the two provable comparison bounds checked here.
+
+The truncation checks take one :class:`hklab.form.Truncation`, built by
+``truncation(form, rho)``: the full form, its near form, its far kernel
+j_far and its tail, all cut from one form at one rho, so no check can be
+handed pieces of two different cuts.  Each report records rho.
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError
-from .form import (SpectralForm, _interchange_integral, _quarter_balls, default_time_grid,
-                   far_tail_profile, killed_part, part_on, removed_top_eigenvalue)
-from .kernel import JumpKernel
+from .form import (SpectralForm, Truncation, _interchange_integral, _quarter_balls,
+                   default_time_grid, part_on)
 from .report import ConditionReport
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse_vec
 
@@ -255,19 +259,17 @@ def conservativeness_check(form: SpectralForm, time_grid=(0.01, 0.1, 1.0, 10.0)
 # Truncation comparisons
 # ---------------------------------------------------------------------------
 
-def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm,
-                        kernel_far: JumpKernel) -> ConditionReport:
+def truncation_l2_check(trunc: Truncation) -> ConditionReport:
     """Largest eigenvalue of the removed generator against four times the far tail.
 
-    The removed generator is that of ``kernel_far``, the jumps the near form
+    The removed generator is that of ``trunc.far``, the jumps the near form
     drops; the far tail comes from the generator diagonals, which is exact.
     """
-    sup_eig = removed_top_eigenvalue(kernel_far)
-    tail = far_tail_profile(form_full, form_near)
-    bound = 4.0 * float(tail.max())
+    sup_eig = trunc.far_top()
+    bound = 4.0 * float(trunc.tail.max())
     margin = bound - sup_eig
     return ConditionReport(
-        condition="truncation_l2", params={},
+        condition="truncation_l2", params={"rho": trunc.rho},
         best_constant=sup_eig,
         witness={"sup_eigenvalue": sup_eig, "bound": bound, "margin": margin},
         passed=margin >= -1e-9,
@@ -275,26 +277,30 @@ def truncation_l2_check(form_full: SpectralForm, form_near: SpectralForm,
     )
 
 
-def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm, f, time_grid,
-                               form_near_wider: SpectralForm | None = None,
-                               ) -> ConditionReport:
+def truncation_semigroup_check(trunc: Truncation, f, time_grid,
+                               wider: Truncation | None = None) -> ConditionReport:
     """Semigroup truncation bound |P_t f - P^(rho)_t f| <= 2 t ||f||_inf J(rho).
 
-    ``f`` must be nonnegative and bounded.  When ``form_near_wider`` (a
-    truncation at rho' > rho) is given, the nested version comparing the two
-    truncated semigroups is checked as well, with the tail difference
+    ``f`` must be finite and nonnegative.  When ``wider``, a truncation of
+    the same form at rho' > rho, is given, the nested version comparing the
+    two truncated semigroups is checked as well, with the tail difference
     constant.
     """
+    form = trunc.form
     f = np.asarray(f, dtype=float)
-    if f.shape != (form_full.domain.size,):
+    if f.shape != (form.domain.size,):
         raise ParameterError("f must have one value per atom")
+    if not np.isfinite(f).all():
+        raise ParameterError("f must be finite")
     if np.any(f < 0):
         raise ParameterError("the comparison needs a nonnegative function")
+    if wider is not None and (wider.form is not form or not wider.rho > trunc.rho):
+        raise ParameterError("the nested comparison takes a truncation of the same form "
+                             f"at a radius above {trunc.rho!r}")
     fmax = float(f.max(initial=0.0))
-    tail_profile = far_tail_profile(form_full, form_near)
-    tail = float(tail_profile.max())
-    near = form_near.apply_semigroup(time_grid, f)
-    diffs = np.abs(form_full.apply_semigroup(time_grid, f) - near).max(axis=1)
+    tail = float(trunc.tail.max())
+    near = trunc.near.apply_semigroup(time_grid, f)
+    diffs = np.abs(form.apply_semigroup(time_grid, f) - near).max(axis=1)
     worst_margin = math.inf
     series = []
     for t, diff in zip(time_grid, diffs):
@@ -304,9 +310,9 @@ def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
         series.append({"t": t, "diff": diff, "bound": bound, "margin": margin})
         worst_margin = min(worst_margin, margin)
     nested_margin = None
-    if form_near_wider is not None:
-        tail_gap = float((tail_profile - far_tail_profile(form_full, form_near_wider)).max())
-        nested = np.abs(form_near_wider.apply_semigroup(time_grid, f) - near).max(axis=1)
+    if wider is not None:
+        tail_gap = float((trunc.tail - wider.tail).max())
+        nested = np.abs(wider.near.apply_semigroup(time_grid, f) - near).max(axis=1)
         nested_margin = math.inf
         for t, diff in zip(time_grid, nested):
             t, diff = float(t), float(diff)
@@ -315,7 +321,7 @@ def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
             nested_margin = min(nested_margin, margin)
     passed = worst_margin >= -1e-9 and (nested_margin is None or nested_margin >= -1e-9)
     return ConditionReport(
-        condition="truncation_semigroup", params={"f_max": fmax},
+        condition="truncation_semigroup", params={"f_max": fmax, "rho": trunc.rho},
         best_constant=worst_margin,
         witness={"worst_margin": worst_margin, "nested_margin": nested_margin,
                  "far_tail": tail},
@@ -326,8 +332,7 @@ def truncation_semigroup_check(form_full: SpectralForm, form_near: SpectralForm,
 # Jump-interchange (Meyer-type) comparison
 # ---------------------------------------------------------------------------
 
-def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
-                kernel_far: JumpKernel, D, t: float) -> ConditionReport:
+def meyer_check(trunc: Truncation, D, t: float) -> ConditionReport:
     """Jump-interchange comparison between a Dirichlet kernel and its truncation.
 
     With I(t) the interchange integral built from the truncated kernel and
@@ -346,14 +351,14 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
     """
     if t <= 0:
         raise ParameterError("comparison time must be positive")
-    D = np.asarray(D, dtype=int)
-    part_full = part_on(form_full, D)
-    part_near = part_on(form_near, D)
-    part_kill = killed_part(form_full, form_near, D)
+    part_full = part_on(trunc.form, D)
+    part_near = part_on(trunc.near, D)
+    part_kill = trunc.killed_part(part_near)
 
-    jfar_D = kernel_far.block(D, D)
+    D = part_full.domain
+    jfar_D = trunc.far.block(D, D)
     np.fill_diagonal(jfar_D, 0.0)
-    smoother = jfar_D * form_full.space.weights[D][None, :]
+    smoother = jfar_D * part_full.weights[None, :]
     p_t = part_full.heat_kernel(t)
     p_near_t = part_near.heat_kernel(t)
     p_kill_t = part_kill.heat_kernel(t)
@@ -371,8 +376,7 @@ def meyer_check(form_full: SpectralForm, form_near: SpectralForm,
                   and identity_resid <= _MEYER_TOL)
     return ConditionReport(
         condition="meyer",
-        params={"t": t, "rho": kernel_far.meta.get("truncation", {}).get("rho"),
-                "tol": _MEYER_TOL},
+        params={"t": t, "rho": trunc.rho, "tol": _MEYER_TOL},
         best_constant=identity_resid,
         witness={"upper_margin": upper_margin, "lower_margin": lower_margin,
                  "identity_residual": identity_resid,

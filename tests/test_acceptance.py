@@ -92,9 +92,7 @@ def test_criterion_05_truncation_l2_bound():
         space, _, kern = random_setup(seed)
         form = hk.assemble(kern)
         for frac in (0.125, 0.25, 0.5):
-            rho = frac * space.diameter
-            near, far = hk.truncate(kern, rho)
-            rep = hk.truncation_l2_check(form, hk.assemble(near), far)
+            rep = hk.truncation_l2_check(hk.truncation(form, frac * space.diameter))
             assert rep.witness["margin"] >= -1e-9, (seed, frac, rep.witness)
     _announce(5, "truncated-energy eigenvalue bound on 10 configs x 3 radii")
 
@@ -104,13 +102,10 @@ def test_criterion_06_truncation_semigroup_bound():
     for seed in range(5):
         space, _, kern = random_setup(seed)
         form = hk.assemble(kern)
-        rho = space.diameter / 8.0
-        rho_wide = space.diameter / 4.0
-        form_near = hk.assemble(hk.truncate(kern, rho)[0])
-        form_wider = hk.assemble(hk.truncate(kern, rho_wide)[0])
+        trunc = hk.truncation(form, space.diameter / 8.0)
+        wider = hk.truncation(form, space.diameter / 4.0)
         f = (space.dist_from(0) < space.diameter / 4.0).astype(float)
-        rep = hk.truncation_semigroup_check(form, form_near, f, times,
-                                            form_near_wider=form_wider)
+        rep = hk.truncation_semigroup_check(trunc, f, times, wider=wider)
         assert rep.witness["worst_margin"] >= -1e-9, (seed, rep.witness)
         assert rep.witness["nested_margin"] >= -1e-9, (seed, rep.witness)
     _announce(6, "semigroup truncation bounds, plain and nested")
@@ -122,28 +117,26 @@ def test_criterion_07_meyer_comparison():
     field = hk.constant_field(space, 0.8, T0=1.0)
     kern = hk.build_cantor_axis_kernel(field)
     form = hk.assemble(kern)
-    near, far = hk.truncate(kern, 0.125)
-    form_near = hk.assemble(near)
+    trunc = hk.truncation(form, 0.125)
     mid = int(np.argmin(np.abs(space.coords[:, 0] - 0.5)))
     domains = [np.arange(space.n_points),
                space.ball(0, 0.5).member_idx,
                space.ball(mid, 0.4).member_idx]
     for D in domains:
         for t in (0.2, 0.5, 1.0):
-            rep = hk.meyer_check(form, form_near, far, D, t)
+            rep = hk.meyer_check(trunc, D, t)
             assert rep.passed, (t, rep.witness)
             assert rep.witness["upper_margin"] >= -1e-6
             assert rep.witness["lower_margin"] >= -1e-6
             assert rep.witness["identity_residual"] <= 1e-6
 
     # far-kernel-zero control: exact equality of the two Dirichlet kernels
-    near_all, far_zero = hk.truncate(kern, 2.0)
-    form_near_all = hk.assemble(near_all)
+    near_all = hk.truncation(form, 2.0)
     D = domains[1]
-    rep = hk.meyer_check(form, form_near_all, far_zero, D, 0.5)
+    rep = hk.meyer_check(near_all, D, 0.5)
     assert rep.witness["identity_residual"] <= 1e-10
     p_full = hk.part_on(form, D).heat_kernel(0.5)
-    p_near = hk.part_on(form_near_all, D).heat_kernel(0.5)
+    p_near = hk.part_on(near_all.near, D).heat_kernel(0.5)
     assert np.abs(p_full - p_near).max() <= 1e-10
     _announce(7, "jump-interchange comparison at quadrature tolerance")
 

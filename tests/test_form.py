@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -10,10 +11,8 @@ from hypothesis import strategies as st
 import hklab as hk
 from conftest import dense_kernel, full_generator, random_setup, split_psi
 from hklab.errors import ParameterError, PointCapExceeded
-from hklab.form import (_DenseBasis, _HalfSpectrum, _part_generator,
-                        _quantile, _reflection_blocks, _symmetric_generator,
-                        far_tail_profile, killed_part,
-                        removed_top_eigenvalue)
+from hklab.form import (_DenseBasis, _generator_blocks, _HalfSpectrum, _part_generator,
+                        _quantile, _reflection_blocks, _symmetric_generator)
 from hklab.kernel import _tail_masses
 
 
@@ -445,12 +444,15 @@ def test_fk_passes_where_due_confirmed():
 def test_lambda1_reads_the_parts_part_on_solved(cantor6, monkeypatch):
     space, _, kern = cantor6
     form = hk.assemble(kern)
-    near = hk.assemble(hk.truncate(kern, 0.25)[0])
+    trunc = hk.truncation(form, 0.25)
     D = space.ball(0, 0.25).member_idx
     part = hk.part_on(form, D)
     assert part._lambda1 == {} and list(form._lambda1) == [D.tobytes()]
-    killed_part(form, near, D)
-    assert near._lambda1 == {} and list(form._lambda1) == [D.tobytes()]
+    near_part = hk.part_on(trunc.near, D)
+    recorded = dict(trunc.near._lambda1)
+    assert list(recorded) == [D.tobytes()]
+    trunc.killed_part(near_part)
+    assert trunc.near._lambda1 == recorded and list(form._lambda1) == [D.tobytes()]
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigh called")
@@ -476,6 +478,24 @@ def test_part_negative_index_rejected(two_point):
         hk.part_on(form, [-1, 0])
 
 
+def test_truncation_takes_a_full_form_and_kills_parts_of_its_near_form(cantor6):
+    # a Dirichlet part passed as the full form was a numpy broadcast error
+    space, _, kern = cantor6
+    form = hk.assemble(kern)
+    D = space.ball(0, 0.25).member_idx
+    with pytest.raises(ParameterError, match="full-space form"):
+        hk.truncation(hk.part_on(form, D), 0.25)
+    trunc = hk.truncation(form, 0.25)
+    for other in (hk.part_on(form, D), hk.part_on(hk.truncation(form, 0.5).near, D),
+                  trunc.near):
+        with pytest.raises(ParameterError, match="part of the near form"):
+            trunc.killed_part(other)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trunc.rho = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        trunc.tail[0] = 0.0
+
+
 @pytest.mark.parametrize("rounding", [0.0, 1e-14], ids=["exact", "rounding_first"])
 def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
     sp = hk.build_grid(1, 64)
@@ -488,9 +508,10 @@ def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
 
 @pytest.mark.parametrize("case", ["exact", "rounding"])
 def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
-    # 256 atoms, four chunks at the default budget: assemble and the removed
-    # generator pass each of the N^2 entries of J to the block function once,
-    # whether or not J equals J.T bit for bit
+    # 256 atoms, four chunks at the default budget: assemble passes each of
+    # the N^2 entries of J to the block function once, whether or not J
+    # equals J.T bit for bit, and a truncation reads each entry of the
+    # form's symmetric kernel once for its near form and once for its far top
     space = hk.build_cantor_product(1 / 3, 2, 4)
     m = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8)).matrix().copy()
     if case == "rounding":
@@ -505,9 +526,18 @@ def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
     form = hk.assemble(kern)
     assert sum(read) == space.n_points**2
     assert (form.kernel is kern) == (case == "exact")
-    read.clear()
-    removed_top_eigenvalue(hk.truncate(kern, 0.125)[1])
-    assert sum(read) == space.n_points**2
+    sym, sym_read = form.kernel, []
+
+    def sym_block_fn(rows, cols):
+        sym_read.append(rows.size * cols.size)
+        return sym.block(rows, cols)
+
+    form.kernel = hk.JumpKernel(space, sym_block_fn)
+    trunc = hk.truncation(form, 0.125)
+    assert sum(sym_read) == space.n_points**2
+    sym_read.clear()
+    trunc.far_top()
+    assert sum(sym_read) == space.n_points**2
 
 
 def test_assemble_matches_reference_formulas(chunk_budget):
@@ -615,11 +645,11 @@ def test_removed_top_eigenvalue_is_the_top_of_the_far_form(split):
     scale = hk.constant_field(space, 0.8, T0=1.0)
     if not split:
         scale = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
-    far = hk.truncate(hk.build_cantor_axis_kernel(scale), 0.2)[1]
-    form = hk.assemble(far)
+    trunc = hk.truncation(hk.assemble(hk.build_cantor_axis_kernel(scale)), 0.2)
+    form = hk.assemble(trunc.far)
     assert isinstance(form.basis, _HalfSpectrum) == split
     top = form.eigvals[-1]
-    assert abs(removed_top_eigenvalue(far) - top) <= 1e-12 * abs(top)
+    assert abs(trunc.far_top() - top) <= 1e-12 * abs(top)
 
 
 @pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
@@ -632,7 +662,8 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     space, kern, rho = _generator_case(case)
     form = hk.assemble(kern)
     near_kern = hk.truncate(kern, rho)[0]
-    near = hk.assemble(near_kern)
+    trunc = hk.truncation(form, rho)
+    near = trunc.near
     assert (form.kernel is kern) == (case != "rounding")   # else read symmetrized
     assert _same_bits(form.kernel.matrix(), _jmat(kern))
     w = space.weights
@@ -653,18 +684,20 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     assert _same_bits(part.eigvals, eigvals) and _same_bits(part.psi, psi)
     tail = 0.5 * (np.diag(L) - np.diag(L_near))
     assert tail.max() > 0
-    assert _same_bits(far_tail_profile(form, near), tail)
-    killed = killed_part(form, near, D)
+    assert _same_bits(trunc.tail, tail) and not trunc.tail.flags.writeable
+    near_part = hk.part_on(near, D)
+    killed = trunc.killed_part(near_part)
     LD = L_near[np.ix_(D, D)] + 2.0 * np.diag(tail[D])
     eigvals, psi, _ = _dense_spectrum(LD, w[D])
-    assert _same_bits(killed.L, LD)
+    assert _same_bits(killed.L, LD) and not np.shares_memory(killed.L, near_part.L)
+    assert _same_bits(near_part.L, L_near[np.ix_(D, D)])
     assert _same_bits(killed.eigvals, eigvals) and _same_bits(killed.psi, psi)
     # the removed generator L - L_near is the generator of the far kernel,
     # within rounding: its diagonal is its own row sums, and its zeros are
     # -0.0 where L - L_near has +0.0; bit for bit, it is the far kernel's
     # dense generator
     far = hk.truncate(kern, rho)[1]
-    removed = removed_top_eigenvalue(far)
+    removed = trunc.far_top()
     top = np.linalg.eigvalsh(_dense_spectrum(L - L_near, w)[2])[-1]
     assert abs(removed - top) <= 1e-12 * abs(top)
     if case != "cantor":
@@ -1012,10 +1045,10 @@ def test_generator_builds_refuse_a_negative_jump_intensity(chunk_budget):
     with pytest.raises(ParameterError, match="negative jump intensity"):
         hk.assemble(kern)
     with pytest.raises(ParameterError, match="negative jump intensity"):
-        removed_top_eigenvalue(kern)
+        _generator_blocks(kern)                 # the build of Truncation.far_top
     m[5, 0] = m[0, 5] = 0.0
     assert hk.assemble(kern).jmat_nonzeros == 28
-    assert np.isfinite(removed_top_eigenvalue(kern))
+    assert np.isfinite(hk.truncation(hk.assemble(kern), 0.5).far_top())
 
 
 def test_generator_builds_refuse_a_generator_that_overflows(chunk_budget):
@@ -1028,10 +1061,10 @@ def test_generator_builds_refuse_a_generator_that_overflows(chunk_budget):
     with pytest.raises(ParameterError, match="overflows"):
         hk.assemble(kern)
     with pytest.raises(ParameterError, match="overflows"):
-        removed_top_eigenvalue(kern)
+        _generator_blocks(kern)                 # the build of Truncation.far_top
     m[5, 0] = m[0, 5] = 1e300                                 # large, and finite
     assert np.isfinite(hk.assemble(kern).eigvals).all()
-    assert np.isfinite(removed_top_eigenvalue(kern))
+    assert np.isfinite(hk.truncation(hk.assemble(kern), 0.5).far_top())
     space = hk.build_cantor_product(1 / 3, 1, 4)              # uniform, and split
     kern = hk.JumpKernel(space, lambda rows, cols: np.full((rows.size, cols.size), 1e308))
     with pytest.raises(ParameterError, match="overflows"):

@@ -108,6 +108,18 @@ def test_truncate_partition_identities(cantor6):
     assert np.abs(near_none.matrix()).max() == 0.0
 
 
+@pytest.mark.parametrize("rho", [math.nan, 0.0, -1.0])
+def test_truncate_refuses_a_radius_that_is_not_positive(cantor6, rho):
+    # rho nan made both the near and the far kernel zero, so every jump was
+    # lost; rho inf (beyond the diameter) stays allowed
+    _, _, kern = cantor6
+    with pytest.raises(ParameterError, match="positive"):
+        hk.truncate(kern, rho)
+    with pytest.raises(ParameterError, match="positive"):
+        hk.truncation(hk.assemble(kern), rho)
+    assert np.abs(hk.truncate(kern, math.inf)[1].matrix()).max() == 0.0
+
+
 def test_tail_mass_against_brute_force(cantor6):
     space, scale, kern = cantor6
     for x, r in [(0, 2.0**-3), (7, 0.1), (21, 0.55)]:

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import math
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -266,22 +267,44 @@ def test_an_order_field_needs_one_value_per_point_of_its_space():
 # One space per object
 # ---------------------------------------------------------------------------
 
-_SPACE_OWNERS = {"form", "form_full", "form_near", "kernel", "kernel_far", "scale"}
+_SPACE_OWNERS = {"form", "kernel", "scale", "trunc"}
 
 
-def test_no_public_function_takes_a_space_beside_an_object_that_has_one():
+def _public_functions():
+    """(qualified name, function) for every public function of the package and
+    its layer modules."""
     modules = [hk] + [importlib.import_module(f"hklab.{name}") for name in
                       ("space", "scale", "kernel", "form", "semigroup", "counterexample", "cli")]
-    both = []
     for mod in modules:
         names = hk.__all__ if mod is hk else [n for n in vars(mod) if not n.startswith("_")]
         for name in names:
             fn = getattr(mod, name)
             if inspect.isfunction(fn):
-                params = set(inspect.signature(fn).parameters)
-                if "space" in params and params & _SPACE_OWNERS:
-                    both.append(f"{mod.__name__}.{name}")
+                yield f"{mod.__name__}.{name}", fn
+
+
+def test_no_public_function_takes_a_space_beside_an_object_that_has_one():
+    both = [name for name, fn in _public_functions()
+            if "space" in (params := set(inspect.signature(fn).parameters))
+            and params & _SPACE_OWNERS]
     assert both == []
+
+
+def test_no_public_function_takes_two_forms_or_a_form_beside_a_kernel():
+    # a near form and a far kernel passed beside the full form were pieces of
+    # one truncation that nothing checked belonged together; a Truncation
+    # holds them
+    def takes(hint, cls):
+        return hint is cls or cls in typing.get_args(hint)
+
+    mixed, with_a_form = [], 0
+    for name, fn in _public_functions():
+        hints = [h for p, h in typing.get_type_hints(fn).items() if p != "return"]
+        forms = sum(takes(h, hk.SpectralForm) for h in hints)
+        with_a_form += forms > 0
+        if forms > 1 or (forms and any(takes(h, hk.JumpKernel) for h in hints)):
+            mixed.append(name)
+    assert mixed == [] and with_a_form >= 10
 
 
 def _mixed_spaces():
