@@ -31,7 +31,6 @@ from .form import (
     nash_check,
     part_on,
     sample_balls,
-    truncation,
 )
 from .kernel import (
     JumpKernel,

@@ -385,7 +385,7 @@ def _truncation(ctx, p):
     """The truncation of the run's form at ``p["rho"]``, built once per rho."""
     built = ctx.setdefault("truncations", {})
     if p["rho"] not in built:
-        built[p["rho"]] = form_mod.truncation(ctx["form"], p["rho"])
+        built[p["rho"]] = form_mod.Truncation(ctx["form"], p["rho"])
     return built[p["rho"]]
 
 

@@ -61,7 +61,8 @@ class SpectralForm:
 
     ``kernel`` equals its transpose bit for bit: the kernel ``assemble`` was
     given, or, if that is symmetric only up to rounding, its average with
-    its mirror.  Its space is the form's.  A Dirichlet part shares the
+    its mirror, a :class:`_MirrorAveraged` that keeps the given kernel.
+    Its space is the form's.  A Dirichlet part shares the
     kernel of its full form and keeps its small dense generator ``L``; a
     full form keeps none.
     """
@@ -212,16 +213,22 @@ def _symmetry_atol(top: float) -> float:
     return _SYMMETRY_RTOL * max(top, 1.0)
 
 
-def _mirror_averaged(kernel: JumpKernel) -> JumpKernel:
-    """``kernel`` averaged with its mirror, 0.5 (J + J.T): each block is
-    averaged with ``kernel.block(cols, rows).T``, or with its own transpose
-    when ``rows`` equals ``cols``."""
-    def block_fn(rows, cols):
-        block = kernel.block(rows, cols)
-        block += block.T if np.array_equal(rows, cols) else kernel.block(cols, rows).T
-        block *= 0.5
-        return block
-    return JumpKernel(kernel.space, block_fn, kernel.support_pattern, dict(kernel.meta))
+class _MirrorAveraged(JumpKernel):
+    """A kernel ``given`` symmetric only up to rounding, averaged with its
+    mirror, 0.5 (J + J.T): each block is averaged with
+    ``given.block(cols, rows).T``, or with its own transpose when ``rows``
+    equals ``cols``, so an off-diagonal block reads ``given`` twice.  A cut
+    of the form is taken of ``given``: assembling it averages in place,
+    each entry read once."""
+
+    def __init__(self, given: JumpKernel):
+        def block_fn(rows, cols):
+            block = given.block(rows, cols)
+            block += block.T if np.array_equal(rows, cols) else given.block(cols, rows).T
+            block *= 0.5
+            return block
+        super().__init__(given.space, block_fn, given.support_pattern, dict(given.meta))
+        self.given = given
 
 
 def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, int, bool]:
@@ -614,7 +621,7 @@ def assemble(kernel: JumpKernel) -> SpectralForm:
     pairs, blocks, diag, nonzeros, exact = _generator_blocks(kernel)
     basis = (_DenseBasis.solve(blocks.pop(), space.weights) if pairs is None
              else _HalfSpectrum(*pairs, blocks, space.weights))
-    return SpectralForm(kernel=kernel if exact else _mirror_averaged(kernel),
+    return SpectralForm(kernel=kernel if exact else _MirrorAveraged(kernel),
                         domain=np.arange(space.n_points), diag=diag, basis=basis,
                         jmat_nonzeros=nonzeros)
 
@@ -681,20 +688,36 @@ def default_time_grid(form: SpectralForm) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Truncation:
-    """The jumps of one full form cut at ``rho`` (the Meyer decomposition).
+    """The jumps of the full ``form`` cut at ``rho`` (the Meyer decomposition).
 
-    ``near`` is the assembled form of the jumps shorter than ``rho``, ``far``
-    the kernel of the rest, both cut from ``form.kernel``, and ``tail`` the
+    Built from ``form`` and ``rho`` alone, so its pieces come from one form
+    at one radius: ``near`` is the form of the jumps shorter than ``rho``,
+    assembled once, ``far`` the kernel of the rest, and ``tail`` the
     read-only far tail sum over d(x,w) >= rho of j(x,w) mu(w), which is
-    0.5 (diag_full - diag_near), exactly.  Only :func:`truncation` builds
-    one, so its pieces come from one form at one radius.
+    0.5 (diag_full - diag_near), exactly.  Both are cut from the kernel
+    ``assemble`` was given, which a :class:`_MirrorAveraged` ``form.kernel``
+    keeps as ``given``.
     """
 
     form: SpectralForm
     rho: float
-    near: SpectralForm
-    far: JumpKernel
-    tail: np.ndarray = field(repr=False)
+    near: SpectralForm = field(init=False)
+    far: JumpKernel = field(init=False)
+    tail: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.form.is_part:
+            raise ParameterError("truncate the full-space form, not a Dirichlet part")
+        kernel = self.form.kernel
+        if isinstance(kernel, _MirrorAveraged):
+            kernel = kernel.given           # each entry read once, not twice per block
+        near_kernel, far = truncate(kernel, self.rho)
+        near = assemble(near_kernel)
+        tail = 0.5 * (self.form.diag - near.diag)
+        tail.flags.writeable = False
+        for name, value in (("rho", float(self.rho)), ("near", near), ("far", far),
+                            ("tail", tail)):
+            object.__setattr__(self, name, value)      # frozen
 
     def far_top(self) -> float:
         """Largest eigenvalue of the removed generator L - L_near, without
@@ -712,18 +735,6 @@ class Truncation:
             raise ParameterError("the killed part is taken of a part of the near form")
         D = near_part.domain
         return _part_form(self.near, D, near_part.L + 2.0 * np.diag(self.tail[D]))
-
-
-def truncation(form: SpectralForm, rho: float) -> Truncation:
-    """The truncation of the full ``form`` at ``rho``: its near form,
-    assembled once, its far kernel and its far tail."""
-    if form.is_part:
-        raise ParameterError("truncate the full-space form, not a Dirichlet part")
-    near_kernel, far = truncate(form.kernel, rho)
-    near = assemble(near_kernel)
-    tail = 0.5 * (form.diag - near.diag)
-    tail.flags.writeable = False
-    return Truncation(form, float(rho), near, far, tail)
 
 
 def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,

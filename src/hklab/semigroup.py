@@ -20,7 +20,7 @@ p_kill by the (larger) truncated kernel and dropping the killing correction
 yields the two provable comparison bounds checked here.
 
 The truncation checks take one :class:`hklab.form.Truncation`, built by
-``truncation(form, rho)``: the full form, its near form, its far kernel
+``Truncation(form, rho)``: the full form, its near form, its far kernel
 j_far and its tail, all cut from one form at one rho, so no check can be
 handed pieces of two different cuts.  Each report records rho.
 """

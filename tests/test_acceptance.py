@@ -92,7 +92,7 @@ def test_criterion_05_truncation_l2_bound():
         space, _, kern = random_setup(seed)
         form = hk.assemble(kern)
         for frac in (0.125, 0.25, 0.5):
-            rep = hk.truncation_l2_check(hk.truncation(form, frac * space.diameter))
+            rep = hk.truncation_l2_check(hk.Truncation(form, frac * space.diameter))
             assert rep.witness["margin"] >= -1e-9, (seed, frac, rep.witness)
     _announce(5, "truncated-energy eigenvalue bound on 10 configs x 3 radii")
 
@@ -102,8 +102,8 @@ def test_criterion_06_truncation_semigroup_bound():
     for seed in range(5):
         space, _, kern = random_setup(seed)
         form = hk.assemble(kern)
-        trunc = hk.truncation(form, space.diameter / 8.0)
-        wider = hk.truncation(form, space.diameter / 4.0)
+        trunc = hk.Truncation(form, space.diameter / 8.0)
+        wider = hk.Truncation(form, space.diameter / 4.0)
         f = (space.dist_from(0) < space.diameter / 4.0).astype(float)
         rep = hk.truncation_semigroup_check(trunc, f, times, wider=wider)
         assert rep.witness["worst_margin"] >= -1e-9, (seed, rep.witness)
@@ -117,7 +117,7 @@ def test_criterion_07_meyer_comparison():
     field = hk.constant_field(space, 0.8, T0=1.0)
     kern = hk.build_cantor_axis_kernel(field)
     form = hk.assemble(kern)
-    trunc = hk.truncation(form, 0.125)
+    trunc = hk.Truncation(form, 0.125)
     mid = int(np.argmin(np.abs(space.coords[:, 0] - 0.5)))
     domains = [np.arange(space.n_points),
                space.ball(0, 0.5).member_idx,
@@ -131,7 +131,7 @@ def test_criterion_07_meyer_comparison():
             assert rep.witness["identity_residual"] <= 1e-6
 
     # far-kernel-zero control: exact equality of the two Dirichlet kernels
-    near_all = hk.truncation(form, 2.0)
+    near_all = hk.Truncation(form, 2.0)
     D = domains[1]
     rep = hk.meyer_check(near_all, D, 0.5)
     assert rep.witness["identity_residual"] <= 1e-10

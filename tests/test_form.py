@@ -444,7 +444,7 @@ def test_fk_passes_where_due_confirmed():
 def test_lambda1_reads_the_parts_part_on_solved(cantor6, monkeypatch):
     space, _, kern = cantor6
     form = hk.assemble(kern)
-    trunc = hk.truncation(form, 0.25)
+    trunc = hk.Truncation(form, 0.25)
     D = space.ball(0, 0.25).member_idx
     part = hk.part_on(form, D)
     assert part._lambda1 == {} and list(form._lambda1) == [D.tobytes()]
@@ -484,12 +484,18 @@ def test_truncation_takes_a_full_form_and_kills_parts_of_its_near_form(cantor6):
     form = hk.assemble(kern)
     D = space.ball(0, 0.25).member_idx
     with pytest.raises(ParameterError, match="full-space form"):
-        hk.truncation(hk.part_on(form, D), 0.25)
-    trunc = hk.truncation(form, 0.25)
-    for other in (hk.part_on(form, D), hk.part_on(hk.truncation(form, 0.5).near, D),
+        hk.Truncation(hk.part_on(form, D), 0.25)
+    trunc = hk.Truncation(form, 0.25)
+    for other in (hk.part_on(form, D), hk.part_on(hk.Truncation(form, 0.5).near, D),
                   trunc.near):
         with pytest.raises(ParameterError, match="part of the near form"):
             trunc.killed_part(other)
+    # the pieces are built from the form and rho, never handed in
+    with pytest.raises(TypeError):
+        hk.Truncation(form, 0.25, trunc.near, trunc.far, trunc.tail)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(trunc, near=hk.Truncation(form, 0.5).near)
+    assert _same_bits(dataclasses.replace(trunc, rho=0.5).tail, hk.Truncation(form, 0.5).tail)
     with pytest.raises(dataclasses.FrozenInstanceError):
         trunc.rho = 0.5
     with pytest.raises(ValueError, match="read-only"):
@@ -508,10 +514,9 @@ def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
 
 @pytest.mark.parametrize("case", ["exact", "rounding"])
 def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
-    # 256 atoms, four chunks at the default budget: assemble passes each of
-    # the N^2 entries of J to the block function once, whether or not J
-    # equals J.T bit for bit, and a truncation reads each entry of the
-    # form's symmetric kernel once for its near form and once for its far top
+    # 256 atoms, four chunks at the default budget: assemble, a truncation's
+    # near form and its far top each pass each of the N^2 entries of J to the
+    # block function once, whether or not J equals J.T bit for bit
     space = hk.build_cantor_product(1 / 3, 2, 4)
     m = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8)).matrix().copy()
     if case == "rounding":
@@ -526,18 +531,12 @@ def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
     form = hk.assemble(kern)
     assert sum(read) == space.n_points**2
     assert (form.kernel is kern) == (case == "exact")
-    sym, sym_read = form.kernel, []
-
-    def sym_block_fn(rows, cols):
-        sym_read.append(rows.size * cols.size)
-        return sym.block(rows, cols)
-
-    form.kernel = hk.JumpKernel(space, sym_block_fn)
-    trunc = hk.truncation(form, 0.125)
-    assert sum(sym_read) == space.n_points**2
-    sym_read.clear()
+    read.clear()
+    trunc = hk.Truncation(form, 0.125)
+    assert sum(read) == space.n_points**2
+    read.clear()
     trunc.far_top()
-    assert sum(sym_read) == space.n_points**2
+    assert sum(read) == space.n_points**2
 
 
 def test_assemble_matches_reference_formulas(chunk_budget):
@@ -645,7 +644,7 @@ def test_removed_top_eigenvalue_is_the_top_of_the_far_form(split):
     scale = hk.constant_field(space, 0.8, T0=1.0)
     if not split:
         scale = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
-    trunc = hk.truncation(hk.assemble(hk.build_cantor_axis_kernel(scale)), 0.2)
+    trunc = hk.Truncation(hk.assemble(hk.build_cantor_axis_kernel(scale)), 0.2)
     form = hk.assemble(trunc.far)
     assert isinstance(form.basis, _HalfSpectrum) == split
     top = form.eigvals[-1]
@@ -662,7 +661,7 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     space, kern, rho = _generator_case(case)
     form = hk.assemble(kern)
     near_kern = hk.truncate(kern, rho)[0]
-    trunc = hk.truncation(form, rho)
+    trunc = hk.Truncation(form, rho)
     near = trunc.near
     assert (form.kernel is kern) == (case != "rounding")   # else read symmetrized
     assert _same_bits(form.kernel.matrix(), _jmat(kern))
@@ -1048,7 +1047,7 @@ def test_generator_builds_refuse_a_negative_jump_intensity(chunk_budget):
         _generator_blocks(kern)                 # the build of Truncation.far_top
     m[5, 0] = m[0, 5] = 0.0
     assert hk.assemble(kern).jmat_nonzeros == 28
-    assert np.isfinite(hk.truncation(hk.assemble(kern), 0.5).far_top())
+    assert np.isfinite(hk.Truncation(hk.assemble(kern), 0.5).far_top())
 
 
 def test_generator_builds_refuse_a_generator_that_overflows(chunk_budget):
@@ -1064,7 +1063,7 @@ def test_generator_builds_refuse_a_generator_that_overflows(chunk_budget):
         _generator_blocks(kern)                 # the build of Truncation.far_top
     m[5, 0] = m[0, 5] = 1e300                                 # large, and finite
     assert np.isfinite(hk.assemble(kern).eigvals).all()
-    assert np.isfinite(hk.truncation(hk.assemble(kern), 0.5).far_top())
+    assert np.isfinite(hk.Truncation(hk.assemble(kern), 0.5).far_top())
     space = hk.build_cantor_product(1 / 3, 1, 4)              # uniform, and split
     kern = hk.JumpKernel(space, lambda rows, cols: np.full((rows.size, cols.size), 1e308))
     with pytest.raises(ParameterError, match="overflows"):

@@ -116,7 +116,7 @@ def test_truncate_refuses_a_radius_that_is_not_positive(cantor6, rho):
     with pytest.raises(ParameterError, match="positive"):
         hk.truncate(kern, rho)
     with pytest.raises(ParameterError, match="positive"):
-        hk.truncation(hk.assemble(kern), rho)
+        hk.Truncation(hk.assemble(kern), rho)
     assert np.abs(hk.truncate(kern, math.inf)[1].matrix()).max() == 0.0
 
 

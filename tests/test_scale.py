@@ -267,18 +267,20 @@ def test_an_order_field_needs_one_value_per_point_of_its_space():
 # One space per object
 # ---------------------------------------------------------------------------
 
-_SPACE_OWNERS = {"form", "kernel", "scale", "trunc"}
+_SPACE_OWNERS = {"form", "form_full", "form_near", "kernel", "kernel_far", "scale", "trunc"}
 
 
 def _public_functions():
     """(qualified name, function) for every public function of the package and
-    its layer modules."""
+    its layer modules, and for the constructor of every public class."""
     modules = [hk] + [importlib.import_module(f"hklab.{name}") for name in
                       ("space", "scale", "kernel", "form", "semigroup", "counterexample", "cli")]
     for mod in modules:
         names = hk.__all__ if mod is hk else [n for n in vars(mod) if not n.startswith("_")]
         for name in names:
             fn = getattr(mod, name)
+            if inspect.isclass(fn):
+                fn = fn.__init__
             if inspect.isfunction(fn):
                 yield f"{mod.__name__}.{name}", fn
 

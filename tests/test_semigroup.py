@@ -416,12 +416,12 @@ def test_rounded_zero_eigenvalues_are_exact_at_huge_times():
         assert hk.conservativeness_check(form, [t]).passed
     assert hk.heat_kernel_invariants(form, times=[1e300]).passed
     D = space.ball(0, space.diameter / 2.0).member_idx
-    assert hk.meyer_check(hk.truncation(form, space.diameter / 4.0), D, 1e300).passed
+    assert hk.meyer_check(hk.Truncation(form, space.diameter / 4.0), D, 1e300).passed
 
 
 def test_truncation_l2_two_point_sharp(two_point):
     space, kern, form = two_point
-    rep = hk.truncation_l2_check(hk.truncation(form, 0.5))
+    rep = hk.truncation_l2_check(hk.Truncation(form, 0.5))
     assert rep.params == {"rho": 0.5}
     assert rep.witness["sup_eigenvalue"] == pytest.approx(2.0, abs=1e-12)
     assert rep.witness["bound"] == pytest.approx(2.0, abs=1e-12)
@@ -433,7 +433,7 @@ def test_truncation_l2_top_eigenvalue_matches_eigh(cantor6):
     form = hk.assemble(kern)
     sqrt_w = np.sqrt(space.weights)
     for rho in (0.05, 0.25):
-        trunc = hk.truncation(form, rho)
+        trunc = hk.Truncation(form, rho)
         sym = (sqrt_w[:, None] * (full_generator(form) - full_generator(trunc.near))
                / sqrt_w[None, :])
         top = np.linalg.eigh(0.5 * (sym + sym.T))[0][-1]
@@ -444,7 +444,7 @@ def test_truncation_l2_top_eigenvalue_matches_eigh(cantor6):
 def test_truncation_l2_rho_beyond_diameter(cantor6):
     space, _, kern = cantor6
     form = hk.assemble(kern)
-    rep = hk.truncation_l2_check(hk.truncation(form, 2.0))
+    rep = hk.truncation_l2_check(hk.Truncation(form, 2.0))
     assert rep.witness["sup_eigenvalue"] == pytest.approx(0.0, abs=1e-10)
     assert rep.witness["bound"] == pytest.approx(0.0, abs=1e-12)
 
@@ -452,7 +452,7 @@ def test_truncation_l2_rho_beyond_diameter(cantor6):
 def test_truncation_semigroup_zero_function(cantor6):
     space, _, kern = cantor6
     form = hk.assemble(kern)
-    rep = hk.truncation_semigroup_check(hk.truncation(form, 0.2),
+    rep = hk.truncation_semigroup_check(hk.Truncation(form, 0.2),
                                         np.zeros(space.n_points), [0.1, 1.0])
     assert all(row["diff"] == 0.0 and row["bound"] == 0.0
                for row in rep.series if "diff" in row)
@@ -462,7 +462,7 @@ def test_truncation_semigroup_rho_beyond_diameter(cantor6):
     space, _, kern = cantor6
     form = hk.assemble(kern)
     f = (space.dist_from(0) < 0.25).astype(float)
-    rep = hk.truncation_semigroup_check(hk.truncation(form, 2.0), f, [0.1, 1.0])
+    rep = hk.truncation_semigroup_check(hk.Truncation(form, 2.0), f, [0.1, 1.0])
     assert all(row["diff"] <= 1e-12 for row in rep.series if "diff" in row)
     assert rep.witness["far_tail"] == 0.0
 
@@ -472,8 +472,8 @@ def test_truncation_semigroup_indicator(cantor6):
     form = hk.assemble(kern)
     f = (space.dist_from(0) < 0.25).astype(float)
     times = np.logspace(-2, 0.5, 7)
-    rep = hk.truncation_semigroup_check(hk.truncation(form, 0.125), f, times,
-                                        wider=hk.truncation(form, 0.25))
+    rep = hk.truncation_semigroup_check(hk.Truncation(form, 0.125), f, times,
+                                        wider=hk.Truncation(form, 0.25))
     assert rep.passed and rep.params["rho"] == 0.125
     assert rep.witness["worst_margin"] >= -1e-9
     assert rep.witness["nested_margin"] >= -1e-9
@@ -482,7 +482,7 @@ def test_truncation_semigroup_indicator(cantor6):
 def test_truncation_semigroup_rejects_signed_function(two_point):
     space, kern, form = two_point
     with pytest.raises(ParameterError):
-        hk.truncation_semigroup_check(hk.truncation(form, 0.5),
+        hk.truncation_semigroup_check(hk.Truncation(form, 0.5),
                                       np.array([1.0, -1.0]), [0.1])
 
 
@@ -491,28 +491,28 @@ def test_truncation_semigroup_rejects_a_non_finite_function(two_point, value):
     # a NaN used to pass with worst_margin inf, since min(inf, nan) is inf
     space, kern, form = two_point
     with pytest.raises(ParameterError, match="finite"):
-        hk.truncation_semigroup_check(hk.truncation(form, 0.5), np.array([1.0, value]), [0.1])
+        hk.truncation_semigroup_check(hk.Truncation(form, 0.5), np.array([1.0, value]), [0.1])
 
 
 def test_nested_truncation_takes_the_same_form_at_a_larger_rho(cantor6):
     space, _, kern = cantor6
     form = hk.assemble(kern)
-    trunc = hk.truncation(form, 0.125)
+    trunc = hk.Truncation(form, 0.125)
     f = np.ones(space.n_points)
     # passed swapped (rho 0.25 as the near form, 0.125 as the wider one), the
     # nested comparison used to fail here with nested_margin -0.150 instead
     # of refusing its input
-    for wider in (hk.truncation(form, 0.0625), hk.truncation(form, 0.125),
-                  hk.truncation(hk.assemble(kern), 0.25)):
+    for wider in (hk.Truncation(form, 0.0625), hk.Truncation(form, 0.125),
+                  hk.Truncation(hk.assemble(kern), 0.25)):
         with pytest.raises(ParameterError, match="same form"):
             hk.truncation_semigroup_check(trunc, f, [0.1], wider=wider)
-    rep = hk.truncation_semigroup_check(trunc, f, [0.1], wider=hk.truncation(form, 0.25))
+    rep = hk.truncation_semigroup_check(trunc, f, [0.1], wider=hk.Truncation(form, 0.25))
     assert rep.witness["nested_margin"] >= -1e-9
 
 
 def test_meyer_two_point_duhamel_identity(two_point):
     space, kern, form = two_point
-    trunc = hk.truncation(form, 0.5)
+    trunc = hk.Truncation(form, 0.5)
     for t in (0.2, 0.5, 1.0):
         rep = hk.meyer_check(trunc, [0, 1], t)
         assert rep.params["rho"] == 0.5
@@ -526,14 +526,14 @@ def test_meyer_single_coefficient_variant_fails_on_two_point(two_point):
     # the interchange term enters the exact identity with weight two, so the
     # weight-one upper comparison is genuinely false on far-dominated kernels
     space, kern, form = two_point
-    rep = hk.meyer_check(hk.truncation(form, 0.5), [0, 1], 0.2)
+    rep = hk.meyer_check(hk.Truncation(form, 0.5), [0, 1], 0.2)
     assert rep.witness["upper1_margin"] < -0.1
 
 
 def test_meyer_far_zero_control(cantor6):
     space, _, kern = cantor6
     form = hk.assemble(kern)
-    trunc = hk.truncation(form, 2.0)       # rho beyond the diameter
+    trunc = hk.Truncation(form, 2.0)       # rho beyond the diameter
     D = space.ball(0, 0.5).member_idx
     rep = hk.meyer_check(trunc, D, 0.5)
     assert rep.witness["identity_residual"] <= 1e-10
@@ -546,7 +546,7 @@ def test_meyer_lower_below_upper_reconstruction(cantor6):
     space, _, kern = cantor6
     form = hk.assemble(kern)
     D = space.ball(0, 0.5).member_idx
-    rep = hk.meyer_check(hk.truncation(form, 0.25), D, 0.4)
+    rep = hk.meyer_check(hk.Truncation(form, 0.25), D, 0.4)
     # lower reconstruction <= p_D <= upper reconstruction
     assert rep.witness["lower_margin"] + rep.witness["upper_margin"] >= -2e-6
 
@@ -558,7 +558,7 @@ def test_meyer_interchange_matches_van_loan_block_exponential():
     field = hk.constant_field(space, 0.8, T0=1.0)
     kern = hk.build_cantor_axis_kernel(field)
     form = hk.assemble(kern)
-    trunc = hk.truncation(form, 1 / 8)
+    trunc = hk.Truncation(form, 1 / 8)
     D = space.ball(0, 0.5).member_idx
     part_near, part_full = hk.part_on(trunc.near, D), hk.part_on(form, D)
     w = space.weights[D]
@@ -742,7 +742,7 @@ def test_se_from_lre_chain_matches_per_time_loop(cantor_2x3):
 
 def test_truncation_semigroup_matches_per_time_loop(cantor_2x3):
     space, _, kern, form, _ = cantor_2x3
-    trunc, trunc_wider = hk.truncation(form, 0.125), hk.truncation(form, 0.5)
+    trunc, trunc_wider = hk.Truncation(form, 0.125), hk.Truncation(form, 0.5)
     assert np.array_equal(trunc.tail,
                           0.5 * np.diag(full_generator(form) - full_generator(trunc.near)))
     f = (space.dist_from(0) < 0.25) + 0.5 * space.weights * space.n_points
