@@ -14,12 +14,13 @@ and no kernel matrix: J is read as a measure on blocks of atoms, one row
 chunk or one D x D part at a time, from ``form.kernel``, which is exactly
 symmetric (``assemble`` replaces a kernel symmetric only up to rounding by
 its average with its mirror); off the diagonal L = -2 J W.  A form's
-spectrum is one basis object behind one protocol (:class:`_Basis`): a
-:class:`_DenseBasis` from one ``eigh``, which keeps ``psi``, or, when the
-generator commutes with the central reflection of the space, a
-:class:`_HalfSpectrum`, the reflection fold over an even and an odd
-:class:`_DenseBasis` half, from which the semigroup, the resolvent, kernel
-entries and the heat kernel are computed with no N-wide ``psi`` at all.
+spectrum is one basis object behind one protocol, which answers kernel
+rows by atom: a :class:`_DenseBasis` from one ``eigh``, which keeps
+``psi``, or, when the generator commutes with the central reflection of
+the space, a :class:`_HalfSpectrum`, the reflection fold over an even and
+an odd :class:`_DenseBasis` half, from which the semigroup, the resolvent,
+kernel entries, kernel rows and the heat kernel are computed with no
+N-wide ``psi`` at all.  Only :class:`_HalfSpectrum` knows the fold.
 Dirichlet parts are always solved whole.  A :class:`Truncation` cuts one
 full form's jumps at rho: its near form, far kernel and far tail.
 
@@ -70,7 +71,7 @@ class SpectralForm:
     kernel: JumpKernel
     domain: np.ndarray
     diag: np.ndarray
-    basis: _Basis
+    basis: _DenseBasis | _HalfSpectrum
     jmat_nonzeros: int
     L: np.ndarray | None = field(default=None, repr=False)
     _lambda1: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
@@ -397,104 +398,28 @@ def _zero_rounding(*spectra: np.ndarray) -> None:
         v[np.abs(v) <= floor] = 0.0
 
 
-# Rows per panel of a streamed kernel, in basis rows: a sixteenth of the
-# atoms, so that the dozen panels alive at a time stay well under one N x N
+# Rows per panel of a streamed kernel, in basis rows: a sixteenth of them,
+# so that the dozen panels alive at a time stay well under one N x N
 # array, but at least the first bound, below which the per-panel overhead
 # dominates, and at most the second, beyond which the GEMMs run no faster.
 _PANEL_ROWS = (64, 256)
 
 
-class _Basis:
-    """The eigenbasis of a form, the one object its spectral operations read.
-
-    A basis has ascending ``eigvals`` and its atoms' ``weights``; it answers
-    ``entries(t, xs, ys, chunks)``, p(t, xs[k], ys[k]) in the consecutive
-    pieces ``chunks(positions)`` of its positions (``ys`` None stands for
-    ``xs``, whose rows are gathered once),
-    ``heat_kernel(t)``, the whole kernel, and ``calculus(f, per_atom,
-    filters)``: psi h(eigvals, psi.T W f) for each filter h, psi the
-    mu-orthonormal eigenfunctions and ``per_atom`` indexing f's first axis.
-    For a reader that streams the heat kernel one row panel at a time, each
-    :class:`_DenseBasis` of ``factors`` gives K_b(t) = psi exp(-t eigvals)
-    psi.T, its columns orthonormal against its own ``weights``; on each
-    quadrant ``(X, Y, signs)`` of atoms, p(t)[X, Y] is K_0(t) plus or minus,
-    as ``signs`` says, each further K_b(t), divided by scale[X] and scale[Y]
-    unless ``scale`` is None.
-    """
-
-    def heat_kernel(self, t: float) -> np.ndarray:
-        """p(t) on all the atoms, assembled from the row panels of :meth:`kernel`."""
-        p = np.empty((self.eigvals.size,) * 2)
-        for panel in self.panels():
-            for X, Y, block in self.kernel(panel, self.rows(panel, t)):
-                p[X[panel, None], Y] = block
-        return p
-
-    def panels(self):
-        """Consecutive row panels of the factors."""
-        m = self.factors[0].psi.shape[0]
-        low, high = _PANEL_ROWS
-        step = min(max(m * len(self.factors) // 16, low), high)
-        for start in range(0, m, step):
-            yield np.arange(start, min(start + step, m))
-
-    def rows(self, panel: np.ndarray, t: float, mirrored: bool = False) -> list[np.ndarray]:
-        """K_b(t)[panel] = (psi[panel] exp(-t eigvals)) psi.T for each factor b.
-
-        ``mirrored`` forms them as K_b(t)[:, panel].T instead, from
-        (psi exp(-t eigvals)) psi[panel].T: the decay sits on the other
-        factor, which is scaled one panel at a time, never whole.
-        """
-        out = []
-        for factor in self.factors:
-            decay = np.exp(-t * factor.eigvals)
-            psi = factor.psi
-            rows = psi[panel]
-            if mirrored:
-                out.append(np.concatenate([rows @ _flush_subnormal(psi[cols] * decay).T
-                                           for cols in self.panels()], axis=1))
-            else:
-                rows *= decay
-                out.append(_flush_subnormal(rows) @ psi.T)
-        return out
-
-    def composed(self, panel: np.ndarray, t: float) -> list[np.ndarray]:
-        """((K_b(t)[panel] W_b) psi) exp(-t eigvals) psi.T for each factor b,
-        W_b its weights: the panel of K(t) W K(t) formed through the basis,
-        so that no second kernel is held."""
-        out = []
-        for factor, rows in zip(self.factors, self.rows(panel, t)):
-            rows *= factor.weights
-            coef = rows @ factor.psi
-            coef *= np.exp(-t * factor.eigvals)
-            out.append(_flush_subnormal(coef) @ factor.psi.T)
-        return out
-
-    def kernel(self, panel: np.ndarray, blocks: list[np.ndarray]):
-        """(X, Y, p[X[panel], Y]) for each quadrant, from ``blocks``, a panel of
-        each factor from :meth:`rows` or :meth:`composed`."""
-        for X, Y, signs in self.quadrants:
-            p = blocks[0]
-            for sign, block in zip(signs, blocks[1:]):
-                p = p + block if sign > 0 else p - block
-            if self.scale is not None:
-                p /= self.scale[X[panel], None]
-                p /= self.scale[None, Y]
-            yield X, Y, p
+# Every basis answers one protocol, all the spectral operations read of it:
+# ascending ``eigvals``, its atoms' ``weights``, ``entries(t, xs, ys, chunks)``,
+# p(t, xs[k], ys[k]) in the pieces ``chunks(positions)`` (``ys`` None stands
+# for ``xs``), ``heat_kernel(t)``, ``calculus(f, per_atom, filters)``, psi
+# h(eigvals, psi.T W f) for each filter h with ``per_atom`` indexing f's
+# first axis, ``panels()``, its row panels, each with the atoms it covers,
+# and ``rows(panel, t, mirrored=False)`` and ``composed(panel, t)``, p(t)[atoms]
+# and (p(t) W p(t))[atoms] in atom column order.
 
 
-class _DenseBasis(_Basis):
-    """``psi`` kept whole, orthonormal against ``weights``: its own one
-    factor, on one quadrant of all its atoms."""
+class _DenseBasis:
+    """``psi`` kept whole, orthonormal against ``weights``."""
 
     def __init__(self, eigvals: np.ndarray, psi: np.ndarray, weights: np.ndarray):
         self.eigvals, self.psi, self.weights = eigvals, psi, weights
-        atoms = np.arange(weights.size)
-        self.quadrants, self.scale = [(atoms, atoms, ())], None
-
-    @property
-    def factors(self) -> list[_DenseBasis]:
-        return [self]
 
     @classmethod
     def solve(cls, sym: np.ndarray, weights: np.ndarray) -> _DenseBasis:
@@ -525,8 +450,37 @@ class _DenseBasis(_Basis):
         coef = self.psi.T @ (f * self.weights[per_atom])
         return [self.psi @ h(self.eigvals, coef) for h in filters]
 
+    def panels(self):
+        """Consecutive row panels of psi, each covering the atoms of its rows."""
+        m = self.eigvals.size
+        low, high = _PANEL_ROWS
+        step = min(max(m // 16, low), high)
+        for start in range(0, m, step):
+            panel = np.arange(start, min(start + step, m))
+            yield panel, panel
 
-class _HalfSpectrum(_Basis):
+    def rows(self, panel: np.ndarray, t: float, mirrored: bool = False) -> np.ndarray:
+        """(psi[panel] exp(-t eigvals)) psi.T, or, ``mirrored``, p(t)[:, panel].T
+        with the decay on the other factor, scaled one panel at a time."""
+        decay = np.exp(-t * self.eigvals)
+        rows = self.psi[panel]
+        if mirrored:
+            return np.concatenate([rows @ _flush_subnormal(self.psi[cols] * decay).T
+                                   for cols, _ in self.panels()], axis=1)
+        rows *= decay
+        return _flush_subnormal(rows) @ self.psi.T
+
+    def composed(self, panel: np.ndarray, t: float) -> np.ndarray:
+        """((p(t)[panel] W) psi) exp(-t eigvals) psi.T: the panel of p(t) W
+        p(t) formed through the basis, so that no second kernel is held."""
+        rows = self.rows(panel, t)
+        rows *= self.weights
+        coef = rows @ self.psi
+        coef *= np.exp(-t * self.eigvals)
+        return _flush_subnormal(coef) @ self.psi.T
+
+
+class _HalfSpectrum:
     """The eigenbasis of a matrix that ``_reflection_blocks`` split: the
     reflection fold over ``factors``, the unit eigenbases of the even and
     the odd block, each a :class:`_DenseBasis` on unit weights.
@@ -538,8 +492,8 @@ class _HalfSpectrum(_Basis):
     halves are made exact by the floor of the whole matrix.  ``eigvals``
     merges the halves' eigenvalues ascending by a stable sort, so an even
     eigenvalue comes before an equal odd one.  Each block is taken out of
-    ``blocks`` and freed once it is solved.  The factors lie on the four A/B
-    quadrants; no eigenfunction is laid out N wide.
+    ``blocks`` and freed once it is solved.  Its row panels are panels of
+    pairs; no eigenfunction is laid out N wide.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray],
@@ -555,8 +509,12 @@ class _HalfSpectrum(_Basis):
         self.pair[A] = self.pair[B] = np.arange(A.size)
         self.sign = np.ones(n)
         self.sign[B] = -1.0
-        self.quadrants = [(A, A, (1,)), (A, B, (-1,)), (B, A, (-1,)), (B, B, (1,))]
         self.scale = np.sqrt(2.0 * weights)
+        # the columns of A and B; on atoms in lexicographic order, slices,
+        # which write a panel's columns several times faster than A and B
+        m = A.size
+        ordered = np.array_equal(A, np.arange(m)) and np.array_equal(B, np.arange(n - 1, m - 1, -1))
+        self.columns = [slice(0, m), slice(n - 1, m - 1, -1)] if ordered else [A, B]
 
     def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None, chunks) -> np.ndarray:
         """Entries from the pair rows of both halves: (even(x, y) + s(x) s(y)
@@ -573,6 +531,13 @@ class _HalfSpectrum(_Basis):
         return ((even.entries(t, x, y, chunks)
                  + self.sign[xs] * self.sign[ys] * odd.entries(t, x, y, chunks))
                 / (2.0 * np.sqrt(self.weights[xs] * self.weights[ys])))
+
+    def heat_kernel(self, t: float) -> np.ndarray:
+        """p(t) on all the atoms, filled one row panel at a time."""
+        p = np.empty((self.eigvals.size,) * 2)
+        for panel, atoms in self.panels():
+            p[atoms] = self.rows(panel, t)
+        return p
 
     def calculus(self, f: np.ndarray, per_atom, filters) -> list[np.ndarray]:
         """g = f sqrt(w) folds into its even part g_A + g_B and its odd part
@@ -591,6 +556,32 @@ class _HalfSpectrum(_Basis):
             unfolded /= sqrt_w
             results.append(unfolded)
         return results
+
+    def panels(self):
+        """The pair panels of the halves, each covering A[panel], then B[panel]."""
+        for panel, _ in self.factors[0].panels():
+            yield panel, np.concatenate([self.A[panel], self.B[panel]])
+
+    def rows(self, panel: np.ndarray, t: float, mirrored: bool = False) -> np.ndarray:
+        return self._unfold(panel, [half.rows(panel, t, mirrored) for half in self.factors])
+
+    def composed(self, panel: np.ndarray, t: float) -> np.ndarray:
+        return self._unfold(panel, [half.composed(panel, t) for half in self.factors])
+
+    def _unfold(self, panel: np.ndarray, halves: list[np.ndarray]) -> np.ndarray:
+        """The rows of the atoms of the pair panel ``panel``, in atom column
+        order, from the same rows of the even and the odd half: even + odd
+        on the A-A and B-B quadrants, even - odd on the others, divided by
+        ``scale`` at both ends."""
+        even, odd = halves
+        out = np.empty((2 * panel.size, self.eigvals.size))
+        for rows, X in ((slice(None, panel.size), self.A), (slice(panel.size, None), self.B)):
+            for Y, cols in zip((self.A, self.B), self.columns):
+                p = even + odd if X is Y else even - odd
+                p /= self.scale[X[panel], None]
+                p /= self.scale[None, Y]
+                out[rows, cols] = p
+        return out
 
 
 def _generator_blocks(kernel: JumpKernel) -> tuple:
@@ -804,7 +795,7 @@ def lre_check(form: SpectralForm, scale: ScaleField, kappa: float,
     c1 = min over the quarter ball of u / phi(x0, r).
     """
     _space_shared_with(form, scale)
-    if kappa <= 0:
+    if not kappa > 0:
         raise ParameterError("kappa must be positive")
     worst = math.inf
     witness: dict[str, Any] = {}
@@ -915,20 +906,11 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
 
 
-def _subsets_for_ball(form: SpectralForm, ball: BallQuery,
-                      rng: np.random.Generator) -> list[np.ndarray]:
-    """The FK family of the ball, unsorted and possibly repeated: the ball, its
-    quarter and half sub-balls, three super-level sets of the ball part's
-    ground state and three random subsets."""
-    ball_members = ball.member_idx
-    subsets = [ball_members] + [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
-    ground = np.abs(part_on(form, ball_members).psi[:, 0])
-    for dens in (0.25, 0.5, 0.75):
-        subsets.append(ball_members[ground > _quantile(ground, 1.0 - dens)])
-    for dens in (0.25, 0.5, 0.75):
-        k = max(1, int(round(dens * ball_members.size)))
-        subsets.append(rng.choice(ball_members, size=k, replace=False))
-    return subsets
+def _require_finite(**params: float) -> None:
+    """Refuse a NaN or an infinite parameter, which no comparison would catch."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite")
 
 
 def _damping(scale: ScaleField, phival: float) -> float:
@@ -947,9 +929,7 @@ def _fk_bracket(variant: str, ratio_pow: float, damping: float, b: float,
 
 def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
                     nu: float, b: float, Cprime: float, delta: float,
-                    ball_sample, rng: np.random.Generator,
-                    extra_subsets: dict[tuple[int, float], list[np.ndarray]] | None = None,
-                    ) -> ConditionReport:
+                    ball_sample, rng: np.random.Generator) -> ConditionReport:
     """Faber-Krahn family sweep.
 
     For each sampled ball B(x0, r) and subset D of its family, the
@@ -959,29 +939,48 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
     every sample.  Subsets whose bracket is nonpositive satisfy the display
     trivially and are skipped.  Reports never claim more than the sampled
     family.  FK and WFK skip radii r >= phi^-1(x0, delta * T0).
-
-    ``extra_subsets`` adds subsets per sampled ball; a subset that repeats
-    one of its ball is swept once.  lambda_1 comes from :func:`lambda1`, so
-    a subset some part was solved on is not solved again.
     """
     space = _space_shared_with(form, scale)
     if variant not in ("FK", "WFK", "GFK"):
         raise ParameterError(f"unknown variant {variant!r}")
+    _require_finite(nu=nu, b=b, Cprime=Cprime, delta=delta)
+
+    def swept():
+        for x0, r in ball_sample:
+            if variant in ("FK", "WFK") and r >= _ball_cap_radius(scale, x0, delta):
+                continue
+            ball = space.ball(x0, r)
+            yield x0, r, ball, part_on(form, ball.member_idx).psi[:, 0], []
+
+    return _fk_sweep(form, scale, variant, nu, b, Cprime, delta, swept(), rng)
+
+
+def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b: float,
+              Cprime: float, delta: float, swept, rng: np.random.Generator) -> ConditionReport:
+    """The report of :func:`fk_family_check` over ``swept``: (x0, r, its ball,
+    the ground state of the ball part, further subsets) per ball swept.
+
+    The family of a ball is the ball, its quarter and half sub-balls, three
+    super-level sets of the ground state, three random subsets and the
+    further subsets; a subset that repeats one of its ball is swept once.
+    lambda_1 comes from :func:`lambda1`, so a subset some part was solved on
+    is not solved again.
+    """
+    space = form.space
     best = math.inf
     witness: dict[str, Any] = {}
     series = []
     trivial = 0
-    for x0, r in ball_sample:
-        if variant in ("FK", "WFK") and r >= _ball_cap_radius(scale, x0, delta):
-            continue
-        ball = space.ball(x0, r)
+    for x0, r, ball, ground, extra in swept:
         phival = phi(scale, x0, r)
         damping = _damping(scale, phival)
-        subsets = _subsets_for_ball(form, ball, rng)
-        if extra_subsets:
-            subsets.extend(extra_subsets.get((x0, r), []))
+        members, ground = ball.member_idx, np.abs(ground)
+        subsets = [members] + [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
+        subsets += [members[ground > _quantile(ground, 1.0 - dens)] for dens in (0.25, 0.5, 0.75)]
+        subsets += [rng.choice(members, size=max(1, int(round(dens * members.size))),
+                               replace=False) for dens in (0.25, 0.5, 0.75)]
         # sorted, without repeats or empty sets, in order of first appearance
-        uniq = dict.fromkeys(tuple(sorted(int(i) for i in s)) for s in subsets)
+        uniq = dict.fromkeys(tuple(sorted(int(i) for i in s)) for s in subsets + extra)
         for D in (np.asarray(key, dtype=int) for key in uniq if key):
             mu_D = float(space.weights[D].sum())
             ratio_pow = (ball.volume / mu_D) ** nu
@@ -1034,6 +1033,7 @@ def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_
     witness, i.e. the smallest C for which the display holds on the family.
     """
     space = _space_shared_with(form, scale)
+    _require_finite(nu=nu, b=b)
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
@@ -1096,12 +1096,12 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
     sweeps, so both margins must be nonnegative up to rounding.
     """
     space = _space_shared_with(form, scale)
-    balls = list(ball_sample)
+    _require_finite(nu=nu, b=b, Cprime=Cprime)
 
     # (x0, r) -> (ball, its largest Nash witness, [(asserted subset, its lambda_1)])
     per_ball: dict[tuple[int, float], tuple[BallQuery, float, list]] = {}
-    sweep_subsets: dict[tuple[int, float], list[np.ndarray]] = {}
-    for x0, r in balls:
+    swept = []                  # the GFK sweep's balls, each with its ground state
+    for x0, r in ball_sample:
         ball = space.ball(x0, r)
         D_ball = ball.member_idx
         part = part_on(form, D_ball)
@@ -1122,15 +1122,13 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
             grounds.append(g)
             asserted.append((D, float(sub_part.eigvals[0])))
         asserted.append((D_ball, float(part.eigvals[0])))
-        funcs = base + grounds
-        nash = max(nash_witness_constant(scale, ball, nu, b, f, part.L) for f in funcs)
+        nash = max(nash_witness_constant(scale, ball, nu, b, f, part.L) for f in base + grounds)
         per_ball[(x0, r)] = (ball, nash, asserted)
-        sweep_subsets[(x0, r)] = [s for f in funcs
-                                  if (s := _superlevel_subset(space, D_ball, f)) is not None]
+        swept.append((x0, r, ball, part.psi[:, 0], [*subs.values(), *(
+            s for g in grounds if (s := _superlevel_subset(space, D_ball, g)) is not None)]))
 
-    gfk = fk_family_check(form, scale, "GFK", nu, b, Cprime, 0.5,  # GFK reads no delta
-                          balls, rng=rng, extra_subsets=sweep_subsets)
-    c_g = gfk.best_constant
+    # the ball parts solved above; GFK reads no delta
+    c_g = _fk_sweep(form, scale, "GFK", nu, b, Cprime, 0.5, swept, rng).best_constant
 
     c_n = max([0.0] + [nash for _, nash, _ in per_ball.values()])
 

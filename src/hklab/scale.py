@@ -42,7 +42,7 @@ class ScaleField:
             raise ParameterError("need one order value per point")
         if not (0 < self.beta1 <= self.beta2):
             raise ParameterError("need 0 < beta1 <= beta2")
-        if self.T0 <= 0:
+        if not self.T0 > 0:
             raise ParameterError("T0 must be positive (may be inf)")
         lo, hi = self.beta_values.min(), self.beta_values.max()
         if lo < self.beta1 - 1e-12 or hi > self.beta2 + 1e-12:

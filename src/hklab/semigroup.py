@@ -55,11 +55,10 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
     Each residual is a max over all x, y and the times:
     |p(t,x,y) - p(t,y,x)|, the mass defect |sum_y p(t,x,y) mu(y) - 1| (its
     excess over 1 on a Dirichlet part), |p(t) - p(t/2) W p(t/2)|, -p(t,x,y),
-    and |p(0) - W^-1|.  The kernel is streamed one row panel at a time from
-    the factors of the form's eigenbasis (``form.basis``), per A/B quadrant
-    on a split form: p[:, panel] comes from a second product, and
-    p(t/2) W p(t/2) is formed through the basis, as
-    ((p(t/2)[panel] W) psi) exp(-t/2 lambda) psi.T, so no N x N array is held.
+    and |p(0) - W^-1|.  The kernel is streamed from the form's eigenbasis
+    (``form.basis``) one row panel at a time, p(t)[atoms] for the atoms the
+    panel covers: p[:, atoms] comes from a second product, and p(t/2) W
+    p(t/2) is formed through the basis, so no N x N array is held.
     """
     w = form.weights
     basis = form.basis
@@ -71,20 +70,16 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
         residuals[key] = max(residuals[key], float(value))
 
     mass = np.zeros((len(times), w.size))
-    for panel in basis.panels():
-        for X, Y, p0 in basis.kernel(panel, basis.rows(panel, 0.0)):
-            if X is Y:
-                p0[np.arange(panel.size), panel] -= 1.0 / w[X[panel]]
-            worst("t0_identity", np.abs(p0).max())
+    for panel, atoms in basis.panels():
+        p0 = basis.rows(panel, 0.0)
+        p0[np.arange(atoms.size), atoms] -= 1.0 / w[atoms]
+        worst("t0_identity", np.abs(p0).max())
         for k, t in enumerate(times):
-            quadrants = zip(*(basis.kernel(panel, blocks) for blocks in (
-                basis.rows(panel, t), basis.rows(panel, t, mirrored=True),
-                basis.composed(panel, t / 2.0))))
-            for (X, Y, p), (_, _, mirror), (_, _, comp) in quadrants:
-                mass[k, X[panel]] += p @ w[Y]
-                worst("symmetry", np.abs(p - mirror).max())
-                worst("negativity", (-p).max())
-                worst("chapman_kolmogorov", np.abs(p - comp).max())
+            p = basis.rows(panel, t)
+            mass[k, atoms] = p @ w
+            worst("symmetry", np.abs(p - basis.rows(panel, t, mirrored=True)).max())
+            worst("negativity", (-p).max())
+            worst("chapman_kolmogorov", np.abs(p - basis.composed(panel, t / 2.0)).max())
     defect = mass - 1.0
     worst("mass", (defect if form.is_part else np.abs(defect)).max(initial=0.0))
     ok = (residuals["symmetry"] <= 1e-10
@@ -153,6 +148,8 @@ def te_check(form: SpectralForm, scale: ScaleField, T0: float, ball_sample,
     space = _space_shared_with(form, scale)
     if form.is_part:
         raise ParameterError("tail estimate uses the full-space semigroup")
+    if not T0 > 0:
+        raise ParameterError("T0 must be positive (may be inf)")
     balls, outside = [], []
     skipped = 0
     for x0, r in ball_sample:
@@ -206,6 +203,8 @@ def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
     space = _space_shared_with(form, scale)
     if form.is_part:
         raise ParameterError("diagonal estimate uses the full-space semigroup")
+    if not (T0 > 0 and k > 0):
+        raise ParameterError("T0 and k must be positive (may be inf)")
     n = space.n_points
     best = 0.0
     witness: dict[str, Any] = {}
@@ -349,8 +348,8 @@ def meyer_check(trunc: Truncation, D, t: float) -> ConditionReport:
     two-point space.  When the far kernel vanishes both integrals vanish and
     the identity collapses to p_D = p^(rho)_D.
     """
-    if t <= 0:
-        raise ParameterError("comparison time must be positive")
+    if not 0 < t < math.inf:
+        raise ParameterError("comparison time must be positive and finite")
     part_full = part_on(trunc.form, D)
     part_near = part_on(trunc.near, D)
     part_kill = trunc.killed_part(part_near)
@@ -405,6 +404,8 @@ def se_from_lre_chain(form: SpectralForm, scale: ScaleField, kappa: float,
     phi / (2 c1) with c1 = phi / min u).  The worst margin is reported.
     """
     _space_shared_with(form, scale)
+    if not kappa > 0:
+        raise ParameterError("kappa must be positive")
     worst = math.inf
     series = []
     balls, skipped = _quarter_balls(scale, ball_sample)

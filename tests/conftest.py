@@ -25,6 +25,16 @@ def dense_kernel(space, m):
     return hk.JumpKernel(space, lambda rows, cols: m[np.ix_(rows, cols)])
 
 
+def shuffled(kern):
+    """The kernel ``kern`` on its space with the atoms in random order: a
+    split form of it has mirror halves that are no evenly stepped runs, so
+    it places its columns by index arrays."""
+    space = kern.space
+    perm = np.random.default_rng(0).permutation(space.n_points)
+    atoms = hk.FiniteMMSpace(space.coords[perm], space.weights[perm], space.diameter)
+    return dense_kernel(atoms, kern.matrix()[np.ix_(perm, perm)])
+
+
 def random_setup(seed: int, max_points: int = 400):
     """Deterministic mixed space/kernel config for randomized suites."""
     rng = np.random.default_rng(seed)

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import math
+import pathlib
 import tracemalloc
 import typing
 
@@ -309,6 +311,27 @@ def test_no_public_function_takes_two_forms_or_a_form_beside_a_kernel():
     assert mixed == [] and with_a_form >= 10
 
 
+# the attributes of the reflection fold of a split eigenbasis
+_FOLD_ATTRIBUTES = {"factors", "pair", "sign", "quadrants", "columns", "A", "B"}
+
+
+def test_no_module_but_form_reads_the_reflection_fold():
+    # a basis answers kernel rows by atom; only form.py, where the split
+    # basis lives, may name the attributes of its fold.  numpy's and math's
+    # own functions of those names are not a basis's
+    package = pathlib.Path(hk.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "form.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in _FOLD_ATTRIBUTES
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("np", "numpy", "math"))):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []
+
+
 def _mixed_spaces():
     """A kernel and its form on the 64-atom Cantor product, and an order field
     on the 8 x 8 grid, which has as many atoms."""
@@ -349,6 +372,44 @@ def test_a_form_or_kernel_with_an_order_field_of_another_space_is_refused(name):
         with pytest.raises(ParameterError, match="built on different spaces"):
             _MIXED_CALLS[name](kernel_on_a, form_on_a, scale, rng)
     assert _MIXED_CALLS[name](kernel_on_a, form_on_a, hk.constant_field(a, 0.8, T0=1.0), rng)
+
+
+_NAN = math.nan
+_NAN_CALLS = {
+    "lre_check.kappa": lambda f, s, rng: hk.lre_check(f, s, _NAN, _BALLS),
+    "se_from_lre_chain.kappa": lambda f, s, rng: hk.se_from_lre_chain(f, s, _NAN, _BALLS),
+    "fk_family_check.nu": lambda f, s, rng: hk.fk_family_check(
+        f, s, "WFK", _NAN, 1.0, 1.0, 0.5, _BALLS, rng),
+    "fk_family_check.b": lambda f, s, rng: hk.fk_family_check(
+        f, s, "GFK", 0.5, _NAN, 1.0, 0.5, _BALLS, rng),
+    "fk_family_check.Cprime": lambda f, s, rng: hk.fk_family_check(
+        f, s, "WFK", 0.5, 1.0, _NAN, 0.5, _BALLS, rng),
+    "fk_family_check.delta": lambda f, s, rng: hk.fk_family_check(
+        f, s, "FK", 0.5, 1.0, 1.0, _NAN, _BALLS, rng),
+    "nash_check.nu": lambda f, s, rng: hk.nash_check(f, s, _NAN, 1.0, _BALLS, rng),
+    "nash_check.b": lambda f, s, rng: hk.nash_check(f, s, 0.5, _NAN, _BALLS, rng),
+    "fk_nash_consistency.nu": lambda f, s, rng: hk.fk_nash_consistency(
+        f, s, _NAN, 1.0, 1.0, _BALLS, rng),
+    "fk_nash_consistency.Cprime": lambda f, s, rng: hk.fk_nash_consistency(
+        f, s, 0.5, 1.0, _NAN, _BALLS, rng),
+    "constant_field.T0": lambda f, s, rng: hk.constant_field(f.space, 0.8, T0=_NAN),
+    "te_check.T0": lambda f, s, rng: hk.te_check(f, s, _NAN, _BALLS, [0.1, 1.0]),
+    "due_check.T0": lambda f, s, rng: hk.due_check(f, s, _NAN, [0.1, 1.0], rng),
+    "due_check.k": lambda f, s, rng: hk.due_check(f, s, 1.0, [0.1, 1.0], rng, k=_NAN),
+    "meyer_check.t": lambda f, s, rng: hk.meyer_check(hk.Truncation(f, 0.25), [0, 1, 2], _NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_CALLS))
+def test_a_nan_parameter_is_refused(name):
+    # every comparison with NaN is false: lre_check, se_from_lre_chain and
+    # fk_family_check("WFK", nu=nan) passed with best_constant None,
+    # te_check(T0=nan) passed with C = 1.50 (min(phi, nan) is phi), and an
+    # order field took T0 nan
+    a, _, form_on_a, _ = _mixed_spaces()
+    with pytest.raises(ParameterError, match="must be"):
+        _NAN_CALLS[name](form_on_a, hk.constant_field(a, 0.8, T0=1.0),
+                         np.random.default_rng(0))
 
 
 def test_a_form_reads_its_space_from_its_kernel():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hklab as hk
-from conftest import full_generator, random_setup, split_psi
+from conftest import full_generator, random_setup, shuffled, split_psi
 from hklab.errors import ParameterError
 from hklab.form import _DenseBasis, _HalfSpectrum, _interchange_integral, default_time_grid
 from hklab.scale import phi_inverse_vec
@@ -117,29 +118,33 @@ def _invariants_oracle(form, times=(0.01, 0.1, 1.0, 10.0)):
 
 
 def _invariant_forms():
-    """A split form, an unsplit one (the two-plateau field fails the
-    reflection gate) and a Dirichlet part of the unsplit one."""
+    """A split form, one of the same kernel on shuffled atoms, an unsplit one
+    (the two-plateau field fails the reflection gate) and a Dirichlet part of
+    the unsplit one."""
     split_space = hk.build_cantor_product(1 / 3, 2, 4)
-    split = hk.assemble(hk.build_cantor_axis_kernel(
-        hk.constant_field(split_space, 0.8, T0=1.0)))
+    split_kernel = hk.build_cantor_axis_kernel(hk.constant_field(split_space, 0.8, T0=1.0))
     space = hk.build_cantor_product(1 / 3, 2, 3)
     field = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
     unsplit = hk.assemble(hk.build_cantor_axis_kernel(field))
     part = hk.part_on(unsplit, space.ball(0, 0.45).member_idx)
-    return {"split": split, "unsplit": unsplit, "part": part}
+    return {"split": hk.assemble(split_kernel),
+            "shuffled_split": hk.assemble(shuffled(split_kernel)),
+            "unsplit": unsplit, "part": part}
 
 
 @pytest.mark.parametrize("panel_rows", [None, (5, 5)], ids=["default_panels", "5_row_panels"])
-@pytest.mark.parametrize("case", ["split", "unsplit", "part"])
+@pytest.mark.parametrize("case", ["split", "shuffled_split", "unsplit", "part"])
 def test_streamed_invariants_match_the_dense_kernel_oracle(monkeypatch, panel_rows, case):
-    # the residuals streamed in row panels (per A/B quadrant on the split
-    # form) against the same residuals of whole kernels built from psi
+    # the residuals streamed in row panels (each covering atoms of both
+    # mirror halves on a split form) against the same residuals of whole
+    # kernels built from psi
     if panel_rows:
         monkeypatch.setattr(hk.form, "_PANEL_ROWS", panel_rows)
     form = _invariant_forms()[case]
-    assert isinstance(form.basis, _HalfSpectrum) == (case == "split")
+    split = case in ("split", "shuffled_split")
+    assert isinstance(form.basis, _HalfSpectrum) == split
     rep = hk.heat_kernel_invariants(form)
-    assert not hasattr(form.basis, "psi") or case != "split"  # the split check laid out no psi
+    assert not hasattr(form.basis, "psi") or not split  # the split check laid out no psi
     want = _invariants_oracle(form)
     assert list(rep.witness) == ["symmetry", "mass", "chapman_kolmogorov", "negativity",
                                  "t0_identity"]
@@ -196,6 +201,62 @@ def test_split_and_dense_layouts_of_one_spectrum_agree(case):
         assert abs(split_rep.witness[key] - value) <= 1e-12 * top, key
     assert split_rep.passed and dense_rep.passed
     assert not hasattr(form.basis, "psi")
+
+
+# The eigenbasis protocol: all that the spectral operations may read of a basis.
+_PROTOCOL = ("eigvals", "weights", "entries", "calculus", "heat_kernel", "panels", "rows",
+             "composed")
+
+
+def _protocol_cases():
+    """A split and a dense form, each with an order field on its space."""
+    split_space = hk.build_cantor_product(1 / 3, 2, 3)
+    split_scale = hk.constant_field(split_space, 0.8, T0=1.0)
+    space = hk.build_cantor_product(1 / 3, 2, 3)
+    field = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
+    return {"split": (hk.assemble(hk.build_cantor_axis_kernel(split_scale)), split_scale),
+            "dense": (hk.assemble(hk.build_cantor_axis_kernel(field)), field)}
+
+
+@pytest.mark.parametrize("case", ["split", "dense"])
+def test_spectral_operations_read_only_the_basis_protocol(case):
+    # the form's basis behind an object with the protocol and nothing else:
+    # every spectral operation and checker gives the same bits through it,
+    # and each panel's rows are the kernel's rows of the atoms it covers, in
+    # atom column order.  A new kind of basis has to pass this test
+    form, scale = _protocol_cases()[case]
+    assert isinstance(form.basis, _HalfSpectrum) == (case == "split")
+    bare = dataclasses.replace(form, basis=types.SimpleNamespace(
+        **{name: getattr(form.basis, name) for name in _PROTOCOL}))
+    n = form.space.n_points
+    rng = np.random.default_rng(3)
+    f, F = rng.normal(size=n), rng.normal(size=(n, 2))
+    xs, ys = rng.integers(0, n, size=30), rng.integers(0, n, size=30)
+    times = default_time_grid(form)
+    for g in (f, F):
+        assert np.array_equal(bare.apply_semigroup(times, g), form.apply_semigroup(times, g))
+        assert np.array_equal(bare.resolvent(2.0, g), form.resolvent(2.0, g))
+    for t in (0.0, 0.1):
+        assert np.array_equal(bare.heat_kernel_entries(t, xs, ys),
+                              form.heat_kernel_entries(t, xs, ys))
+        assert np.array_equal(bare.heat_kernel_entries(t, xs, xs),
+                              form.heat_kernel_entries(t, xs, xs))
+        assert np.array_equal(bare.heat_kernel(t), form.heat_kernel(t))
+    balls = [(0, 0.25), (5, 0.5)]
+    for check in (lambda g: hk.heat_kernel_invariants(g),
+                  lambda g: hk.due_check(g, scale, 1.0, times, np.random.default_rng(0)),
+                  lambda g: hk.te_check(g, scale, 1.0, balls, times)):
+        assert check(bare).to_json() == check(form).to_json()
+    p, w = form.heat_kernel(0.1), form.weights
+    composed = (p * w) @ p
+    covered = []
+    for panel, atoms in bare.basis.panels():
+        covered.extend(atoms)
+        for rows, want in ((bare.basis.rows(panel, 0.1), p[atoms]),
+                           (bare.basis.rows(panel, 0.1, mirrored=True), p[:, atoms].T),
+                           (bare.basis.composed(panel, 0.1), composed[atoms])):
+            assert np.abs(rows - want).max() <= 1e-12 * np.abs(p).max()
+    assert sorted(covered) == list(range(n))
 
 
 def test_invariants_allocate_less_than_one_square_array():
