@@ -11,18 +11,18 @@ act as killing.
 
 A full form keeps the generator diagonal and its eigenbasis, but no dense L
 and no kernel matrix: J is read as a measure on blocks of atoms, one row
-chunk or one D x D part at a time, from ``form.kernel``, which is exactly
-symmetric (``assemble`` replaces a kernel symmetric only up to rounding by
-its average with its mirror); off the diagonal L = -2 J W.  A form's
-spectrum is one basis object behind one protocol, which answers kernel
-rows by atom: a :class:`_DenseBasis` from one ``eigh``, which keeps
-``psi``, or, when the generator commutes with the central reflection of
-the space, a :class:`_HalfSpectrum`, the reflection fold over an even and
-an odd :class:`_DenseBasis` half, from which the semigroup, the resolvent,
-kernel entries, kernel rows and the heat kernel are computed with no
-N-wide ``psi`` at all.  Only :class:`_HalfSpectrum` knows the fold.
-Dirichlet parts are always solved whole.  A :class:`Truncation` cuts one
-full form's jumps at rho: its near form, far kernel and far tail.
+chunk or one D x D part at a time, from ``form.kernel.block``, 0 wherever a
+row atom equals a column atom and exactly symmetric (``assemble`` averages a
+kernel symmetric only up to rounding with its mirror); off the diagonal
+L = -2 J W.  A form's spectrum is one basis behind a protocol of six
+members, ``eigvals``, ``entries``, ``calculus``, ``panels``, ``rows`` and
+``composed`` (see above :class:`_DenseBasis`): a :class:`_DenseBasis` from
+one ``eigh``, which keeps ``psi``, or, when the generator commutes with the
+central reflection of the space, a :class:`_HalfSpectrum`, the reflection
+fold over an even and an odd :class:`_DenseBasis` half, which lays out no
+N-wide ``psi``; only it knows the fold.  Dirichlet parts are always solved
+whole.  A :class:`Truncation` cuts one full form's jumps at rho: its near
+form, far kernel and far tail.
 
 Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
@@ -41,7 +41,7 @@ from .errors import ParameterError, PointCapExceeded
 from .kernel import JumpKernel, truncate
 from .report import ConditionReport
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse, phi_vec
-from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids
+from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids, _chunked
 
 
 @dataclass
@@ -55,15 +55,16 @@ class SpectralForm:
     of each domain a part was solved on to the part's lambda_1; a part
     starts with an empty one and never fills it.
 
-    Every spectral operation goes through ``basis``: a :class:`_HalfSpectrum`
-    for a full form that commutes with the central reflection, else a
-    :class:`_DenseBasis`, whose mu-orthonormal eigenfunction columns are
-    ``psi``; a split form has no ``psi``.
+    Every spectral operation goes through the six members of ``basis``: a
+    :class:`_HalfSpectrum` for a full form that commutes with the central
+    reflection, else a :class:`_DenseBasis`, whose mu-orthonormal
+    eigenfunction columns are ``psi``; a split form has no ``psi``.
 
     ``kernel`` equals its transpose bit for bit: the kernel ``assemble`` was
     given, or, if that is symmetric only up to rounding, its average with
     its mirror, a :class:`_MirrorAveraged` that keeps the given kernel.
-    Its space is the form's.  A Dirichlet part shares the
+    The form reads it by ``kernel.block``, 0 on the diagonal.  Its space is
+    the form's.  A Dirichlet part shares the
     kernel of its full form and keeps its small dense generator ``L``; a
     full form keeps none.
     """
@@ -75,15 +76,6 @@ class SpectralForm:
     jmat_nonzeros: int
     L: np.ndarray | None = field(default=None, repr=False)
     _lambda1: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
-
-    def jblock(self, rows, cols=None) -> np.ndarray:
-        """The rows x cols block (all columns by default) of J, zero on the
-        diagonal: the one way a form reads its kernel."""
-        cols = np.arange(self.space.n_points) if cols is None else cols
-        rows, cols = (np.atleast_1d(np.asarray(a, dtype=int)) for a in (rows, cols))
-        block = self.kernel.block(rows, cols)
-        block[rows[:, None] == cols[None, :]] = 0.0
-        return block
 
     @property
     def space(self) -> FiniteMMSpace:
@@ -127,23 +119,19 @@ class SpectralForm:
             Lf = np.empty_like(fs)
             for rows in self.space._row_chunks():
                 part = slice(rows[0], rows[-1] + 1)
-                row = _kernel_generator(self.jblock(rows), w[None, :])
+                row = _kernel_generator(self.kernel.block(rows, self.domain), w[None, :])
                 row[np.arange(rows.size), rows] = self.diag[part]
                 for k, g in enumerate(fs):
                     Lf[k, part] = row @ g
         values = np.array([Lg @ (g * self.weights) for Lg, g in zip(Lf, fs)])
         return float(values[0]) if f.ndim == 1 else values
 
-    def _calculus(self, f, gains, scale=np.multiply) -> list[np.ndarray]:
-        """psi scale(coef, g(eigvals)) for each ``g`` in ``gains``, with coef =
-        psi.T W f the eigen-coefficients of ``f``, computed once.  ``f`` may
-        hold one function per column; each result then does too."""
+    def _calculus(self, f, filters: np.ndarray, inverse: bool = False) -> list[np.ndarray]:
+        """``basis.calculus`` of ``f``, refused unless its first axis is the domain."""
         f = np.asarray(f, dtype=float)
         if f.ndim == 0 or f.shape[0] != self.domain.size:
             raise ParameterError(f"f must have {self.domain.size} entries along its first axis")
-        per_atom = (slice(None),) + (None,) * (f.ndim - 1)   # a vector along f's first axis
-        filters = [lambda vals, coef, g=g: scale(coef, g(vals)[per_atom]) for g in gains]
-        return self.basis.calculus(f, per_atom, filters)
+        return self.basis.calculus(f, filters, inverse)
 
     def apply_semigroup(self, t, f) -> np.ndarray:
         """P_t f on the domain by spectral calculus.
@@ -153,31 +141,36 @@ class SpectralForm:
         hold one function per column; each result then does too.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array(self._calculus(f, [lambda vals, s=s: np.exp(-s * vals) for s in times]))
+        if not (times >= 0).all():
+            raise ParameterError("times must be nonnegative")
+        out = np.array(self._calculus(f, np.exp(-times[:, None] * self.eigvals)))
         return out.reshape(times.size, *np.shape(f)) if np.ndim(t) else out[0]
 
     def heat_kernel(self, t: float) -> np.ndarray:
-        """p(t, x, y) on domain x domain; a run reads it only on the parts of ``meyer_check``."""
-        if t < 0:
+        """p(t, x, y) on domain x domain from the basis's panel rows; a run
+        reads it only on the parts of ``meyer_check``."""
+        if not t >= 0:
             raise ParameterError("time must be nonnegative")
-        return self.basis.heat_kernel(t)
+        p = np.empty((self.domain.size,) * 2)
+        for panel, atoms in self.basis.panels():
+            p[atoms] = self.basis.rows(panel, t)
+        return p
 
     def heat_kernel_entries(self, t: float, xs, ys) -> np.ndarray:
         """p(t, xs[k], ys[k]) for each k, in O(len(xs) N), no N x N kernel;
         ``xs`` and ``ys`` are equally long lists of positions in the domain."""
-        if t < 0:
+        if not t >= 0:
             raise ParameterError("time must be nonnegative")
         xs, ys = (_checked_ids(a, self.domain.size) for a in (xs, ys))
         if xs.size != ys.size:
             raise ParameterError("xs and ys must have the same length")
-        return self.basis.entries(t, xs, None if np.array_equal(xs, ys) else ys,
-                                  self.space._row_chunks)
+        return self.basis.entries(t, xs, None if np.array_equal(xs, ys) else ys)
 
     def resolvent(self, lam: float, f) -> np.ndarray:
         """Solve (L + lam) u = f on the domain."""
-        if lam <= 0:
+        if not lam > 0:
             raise ParameterError("resolvent parameter must be positive")
-        return self._calculus(f, [lambda vals: vals + lam], np.divide)[0]
+        return self._calculus(f, (self.eigvals + lam)[None], inverse=True)[0]
 
 
 def _symmetrized(L: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
@@ -238,11 +231,11 @@ def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, in
     equals J.T bit for bit.
 
     One N x N buffer becomes the result.  A first pass over row chunks
-    writes the rows of J into it, each entry read once, zeroes the diagonal
-    and refuses negative and non-finite values.  A second pass takes each
-    chunk's columns from its first row down, which hold every pair of a
-    chunk atom with itself or a later atom, and tests them against the
-    chunk's rows: bit for bit, then, where the bits differ, by
+    writes the rows of J into it, each entry read once, and refuses negative
+    and non-finite values.  A second pass takes each chunk's columns from
+    its first row down, which hold every pair of a chunk atom with itself or
+    a later atom, and tests them against the chunk's rows: bit for bit,
+    then, where the bits differ, by
     ``np.allclose`` in both orders with atol ``_symmetry_atol(max |J|)``,
     which refuses just what ``np.allclose(J, J.T)`` would; a chunk that
     passes is averaged with its mirror in place.  The chunk's rows of L and
@@ -259,7 +252,6 @@ def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, in
     for rows in space._row_chunks():
         j = sym[rows[0]:rows[-1] + 1]
         j[...] = kernel.block(rows, atoms)
-        j[np.arange(rows.size), rows] = 0.0
         low = j.min()
         chunk_top = np.maximum(j.max(), -low)          # propagates NaN
         if not np.isfinite(chunk_top):
@@ -405,14 +397,18 @@ def _zero_rounding(*spectra: np.ndarray) -> None:
 _PANEL_ROWS = (64, 256)
 
 
-# Every basis answers one protocol, all the spectral operations read of it:
-# ascending ``eigvals``, its atoms' ``weights``, ``entries(t, xs, ys, chunks)``,
-# p(t, xs[k], ys[k]) in the pieces ``chunks(positions)`` (``ys`` None stands
-# for ``xs``), ``heat_kernel(t)``, ``calculus(f, per_atom, filters)``, psi
-# h(eigvals, psi.T W f) for each filter h with ``per_atom`` indexing f's
-# first axis, ``panels()``, its row panels, each with the atoms it covers,
-# and ``rows(panel, t, mirrored=False)`` and ``composed(panel, t)``, p(t)[atoms]
-# and (p(t) W p(t))[atoms] in atom column order.
+# Every basis answers one protocol of six members, all that the spectral
+# operations read of it, each handed data only, no callable: ascending
+# ``eigvals``; ``entries(t, xs, ys)``, p(t, xs[k], ys[k]) (``ys`` None stands
+# for ``xs``), rows gathered in ``space._chunked`` pieces; ``calculus(f,
+# filters, inverse=False)``, psi (h * psi.T W f) for each row h of
+# ``filters``, gains in ``eigvals`` order broadcast along f's first axis, or
+# psi (psi.T W f / h), the resolvent's exact division, when ``inverse``;
+# ``panels()``, its row panels, each with the atoms it covers; and
+# ``rows(panel, t, mirrored=False)`` and ``composed(panel, t)``, p(t)[atoms]
+# and (p(t) W p(t))[atoms] in atom column order.  ``SpectralForm.heat_kernel``
+# fills the whole kernel from the panels.  The kernel blocks a form reads
+# beside its basis are 0 wherever a row atom equals a column atom.
 
 
 class _DenseBasis:
@@ -431,24 +427,22 @@ class _DenseBasis:
         psi /= np.sqrt(weights)[:, None]
         return cls(eigvals, psi, weights)
 
-    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None, chunks) -> np.ndarray:
+    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
         """sum_k psi[x, k] exp(-t eigvals[k]) psi[y, k] from the rows of psi,
         those of ``xs`` gathered once when ``ys`` is None."""
         decay = np.exp(-t * self.eigvals)
         out = np.empty(xs.size)
-        for part in chunks(np.arange(xs.size)):
+        for part in _chunked(np.arange(xs.size), decay.size):
             rows = self.psi[xs[part]]
             other = rows if ys is None else self.psi[ys[part]]
             out[part] = np.einsum("ij,ij->i", rows * decay, other)
         return out
 
-    def heat_kernel(self, t: float) -> np.ndarray:
-        """(psi exp(-t eigvals)) psi.T in one product, faster than the panels."""
-        return (self.psi * np.exp(-t * self.eigvals)) @ self.psi.T
-
-    def calculus(self, f: np.ndarray, per_atom, filters) -> list[np.ndarray]:
-        coef = self.psi.T @ (f * self.weights[per_atom])
-        return [self.psi @ h(self.eigvals, coef) for h in filters]
+    def calculus(self, f: np.ndarray, filters, inverse: bool = False) -> list[np.ndarray]:
+        along = (slice(None),) + (None,) * (f.ndim - 1)     # a vector along f's first axis
+        coef = self.psi.T @ (f * self.weights[along])
+        gain = np.divide if inverse else np.multiply
+        return [self.psi @ gain(coef, h[along]) for h in filters]
 
     def panels(self):
         """Consecutive row panels of psi, each covering the atoms of its rows."""
@@ -491,9 +485,10 @@ class _HalfSpectrum:
     the eigenfunctions divide them by sqrt(w).  The rounded zeros of both
     halves are made exact by the floor of the whole matrix.  ``eigvals``
     merges the halves' eigenvalues ascending by a stable sort, so an even
-    eigenvalue comes before an equal odd one.  Each block is taken out of
-    ``blocks`` and freed once it is solved.  Its row panels are panels of
-    pairs; no eigenfunction is laid out N wide.
+    eigenvalue comes before an equal odd one; ``rank`` maps the halves'
+    eigenvalues, even then odd, to their places in it.  Each block is taken
+    out of ``blocks`` and freed once it is solved.  Its row panels are
+    panels of pairs; no eigenfunction is laid out N wide.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, blocks: list[np.ndarray],
@@ -502,8 +497,10 @@ class _HalfSpectrum:
         unit = np.ones(A.size)
         self.factors = [_DenseBasis(*np.linalg.eigh(blocks.pop(0)), unit) for _ in range(2)]
         _zero_rounding(*(half.eigvals for half in self.factors))
-        self.eigvals = np.sort(np.concatenate([half.eigvals for half in self.factors]),
-                               kind="stable")
+        both = np.concatenate([half.eigvals for half in self.factors])
+        order = np.argsort(both, kind="stable")
+        self.eigvals = both[order]
+        self.rank = np.argsort(order)                      # the inverse permutation
         n = self.eigvals.size
         self.pair = np.empty(n, dtype=int)                 # atom -> its pair's row in the halves
         self.pair[A] = self.pair[B] = np.arange(A.size)
@@ -516,7 +513,7 @@ class _HalfSpectrum:
         ordered = np.array_equal(A, np.arange(m)) and np.array_equal(B, np.arange(n - 1, m - 1, -1))
         self.columns = [slice(0, m), slice(n - 1, m - 1, -1)] if ordered else [A, B]
 
-    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None, chunks) -> np.ndarray:
+    def entries(self, t: float, xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
         """Entries from the pair rows of both halves: (even(x, y) + s(x) s(y)
         odd(x, y)), s the sign, divided by 2 sqrt(w(x) w(y)), which is
         exactly 2 w on the diagonal.  There s(x) s(x) = 1, so each pair's
@@ -524,32 +521,26 @@ class _HalfSpectrum:
         even, odd = self.factors
         if ys is None:
             pairs, where = np.unique(self.pair[xs], return_inverse=True)
-            sums = even.entries(t, pairs, None, chunks) + odd.entries(t, pairs, None, chunks)
+            sums = even.entries(t, pairs, None) + odd.entries(t, pairs, None)
             w = self.weights[xs]
             return sums[where] / (2.0 * np.sqrt(w * w))
         x, y = self.pair[xs], self.pair[ys]
-        return ((even.entries(t, x, y, chunks)
-                 + self.sign[xs] * self.sign[ys] * odd.entries(t, x, y, chunks))
+        return ((even.entries(t, x, y)
+                 + self.sign[xs] * self.sign[ys] * odd.entries(t, x, y))
                 / (2.0 * np.sqrt(self.weights[xs] * self.weights[ys])))
 
-    def heat_kernel(self, t: float) -> np.ndarray:
-        """p(t) on all the atoms, filled one row panel at a time."""
-        p = np.empty((self.eigvals.size,) * 2)
-        for panel, atoms in self.panels():
-            p[atoms] = self.rows(panel, t)
-        return p
-
-    def calculus(self, f: np.ndarray, per_atom, filters) -> list[np.ndarray]:
+    def calculus(self, f: np.ndarray, filters, inverse: bool = False) -> list[np.ndarray]:
         """g = f sqrt(w) folds into its even part g_A + g_B and its odd part
-        g_A - g_B, each half acts on its own, and the two unfold onto A and B
-        and are divided by sqrt(w) again."""
-        sqrt_w = np.sqrt(self.weights)[per_atom]
+        g_A - g_B, each half acts on its own with its share of the filters,
+        and the two unfold onto A and B and are divided by sqrt(w) again."""
+        sqrt_w = np.sqrt(self.weights)[(slice(None),) + (None,) * (f.ndim - 1)]
         g = f * sqrt_w
         a, b = g[self.A], g[self.B]
         even, odd = self.factors
+        halves = filters[:, self.rank]
         results = []
-        for u, v in zip(even.calculus(a + b, per_atom, filters),
-                        odd.calculus(a - b, per_atom, filters)):
+        for u, v in zip(even.calculus(a + b, halves[:, :self.A.size], inverse),
+                        odd.calculus(a - b, halves[:, self.A.size:], inverse)):
             unfolded = np.empty_like(g)
             unfolded[self.A], unfolded[self.B] = u + v, u - v
             unfolded *= 0.5
@@ -650,7 +641,7 @@ def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
     """The checked domain ``D`` and the principal submatrix L_D of the generator,
     from the D x D kernel block and the generator diagonal."""
     D = _checked_domain(form, D)
-    LD = _kernel_generator(form.jblock(D, D), form.space.weights[D][None, :])
+    LD = _kernel_generator(form.kernel.block(D, D), form.space.weights[D][None, :])
     np.fill_diagonal(LD, form.diag[D])
     return D, LD
 
@@ -840,7 +831,7 @@ def cs_check(form: SpectralForm, scale: ScaleField, ball_sample) -> ConditionRep
     cuts = [_ball_cutoff(space, x0, r) for x0, r in ball_sample]
     energy_per_point = np.empty((len(cuts), space.n_points))
     for rows in space._row_chunks():
-        j = form.jblock(rows)
+        j = form.kernel.block(rows, atoms)
         for k, cut in enumerate(cuts):
             diff2 = (cut[rows, None] - cut[None, :]) ** 2
             energy_per_point[k, rows] = (diff2 * j * space.weights[None, :]).sum(axis=1)

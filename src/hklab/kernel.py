@@ -40,18 +40,21 @@ class JumpKernel:
         return float(self.block(np.array([x]), np.array([y]))[0, 0])
 
     def block(self, rows, cols) -> np.ndarray:
-        """j on rows x cols; a new array on every call, which the caller may overwrite.
-
-        What the block function returns is copied unless it is a writeable
-        array owning its data, so a view of the caller's own matrix, or a
-        read-only or broadcast array, is never written through.
+        """j on rows x cols, 0 wherever a row atom equals a column atom,
+        whatever the block function puts there: the one place a kernel's
+        diagonal is zeroed.  A new array on every call, which the caller may
+        overwrite: what the block function returns is copied unless it is a
+        writeable array owning its data, so a view of the caller's own matrix,
+        or a read-only or broadcast array, is never written through.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=int))
         cols = np.atleast_1d(np.asarray(cols, dtype=int))
         out = np.asarray(self._block_fn(rows, cols), dtype=float)
         if not (out.flags.owndata and out.flags.writeable):
             out = out.copy()
-        return out.reshape(rows.size, cols.size)
+        out = out.reshape(rows.size, cols.size)
+        out[rows[:, None] == cols[None, :]] = 0.0
+        return out
 
     def matrix(self) -> np.ndarray:
         """Dense intensity matrix; cached, read-only, refused above the dense cap.
@@ -68,7 +71,6 @@ class JumpKernel:
             m = np.empty((n, n))
             for rows in self.space._row_chunks():
                 m[rows] = self.block(rows, idx)
-            np.fill_diagonal(m, 0.0)
             m.flags.writeable = False
             self._matrix = m
         return self._matrix
@@ -99,17 +101,14 @@ def truncate(kernel: JumpKernel, rho: float) -> tuple[JumpKernel, JumpKernel]:
 # ---------------------------------------------------------------------------
 
 def build_zero_kernel(space: FiniteMMSpace) -> JumpKernel:
-    def block_fn(rows, cols):
-        return np.zeros((rows.size, cols.size))
-    return JumpKernel(space, block_fn, "full", meta={"kind": "zero"})
+    return JumpKernel(space, lambda rows, cols: np.zeros((rows.size, cols.size)), "full",
+                      meta={"kind": "zero"})
 
 
 def build_uniform_kernel(space: FiniteMMSpace, value: float = 1.0) -> JumpKernel:
-    """j(x, y) = value off the diagonal."""
-    def block_fn(rows, cols):
-        same = rows[:, None] == cols[None, :]
-        return np.where(same, 0.0, float(value))
-    return JumpKernel(space, block_fn, "full", meta={"kind": "uniform", "value": value})
+    """j(x, y) = value off the diagonal, which ``JumpKernel.block`` zeroes."""
+    return JumpKernel(space, lambda rows, cols: np.full((rows.size, cols.size), float(value)),
+                      "full", meta={"kind": "uniform", "value": value})
 
 
 def _axis_aligned_block(space: FiniteMMSpace, beta_values: np.ndarray,
@@ -176,7 +175,8 @@ def build_stable_like_kernel(scale: ScaleField, lower_constant: float = 1.0) -> 
     arithmetic averaging, with |x-y| in whole grid steps, so that atoms at the
     same distance tie however their coordinates round.  One (N x side) table
     of the one-sided value, from the closed-form count of atoms in the open
-    ball of k steps, serves every block.
+    ball of k steps, serves every block; its step 0, a division by zero, is
+    the diagonal, which ``JumpKernel.block`` zeroes.
     """
     space = scale.space
     if space.meta.get("kind") != "grid":
@@ -196,7 +196,6 @@ def build_stable_like_kernel(scale: ScaleField, lower_constant: float = 1.0) -> 
                 count *= np.minimum(i + steps - 1, per_unit) - np.maximum(i - steps + 1, 0) + 1
             count[:, 0] = 0
             table[rows] = lower_constant / (cumw[count] * phi[order_of[rows]])
-    table[~np.isfinite(table)] = 0.0
 
     def block_fn(rows, cols):
         k = np.rint(space.dist_block(rows, cols) * per_unit).astype(np.intp)
@@ -214,7 +213,7 @@ def build_nearest_neighbor_kernel(space: FiniteMMSpace, value: float = 1.0) -> J
 
     def block_fn(rows, cols):
         d = space.dist_block(rows, cols)
-        return np.where((d > 0) & (d <= h * (1 + 1e-9)), value / h**2, 0.0)
+        return np.where(d <= h * (1 + 1e-9), value / h**2, 0.0)
 
     return JumpKernel(space, block_fn, "nearest_neighbor",
                       meta={"kind": "nearest_neighbor", "spacing": h})

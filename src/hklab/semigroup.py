@@ -63,6 +63,8 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
     w = form.weights
     basis = form.basis
     times = [float(t) for t in times]
+    if not all(t >= 0 for t in times):
+        raise ParameterError("times must be nonnegative")
     residuals = dict.fromkeys(("symmetry", "mass", "chapman_kolmogorov", "negativity",
                                "t0_identity"), 0.0)
 
@@ -355,9 +357,7 @@ def meyer_check(trunc: Truncation, D, t: float) -> ConditionReport:
     part_kill = trunc.killed_part(part_near)
 
     D = part_full.domain
-    jfar_D = trunc.far.block(D, D)
-    np.fill_diagonal(jfar_D, 0.0)
-    smoother = jfar_D * part_full.weights[None, :]
+    smoother = trunc.far.block(D, D) * part_full.weights[None, :]
     p_t = part_full.heat_kernel(t)
     p_near_t = part_near.heat_kernel(t)
     p_kill_t = part_kill.heat_kernel(t)

@@ -192,18 +192,21 @@ class FiniteMMSpace:
         return widest, nearest
 
     def _row_chunks(self, rows=None):
-        """Consecutive pieces of ``rows`` (default: all atoms) whose block
-        against every atom holds at most ``_CHUNK_ELEMENTS`` entries, or
-        ``_MIN_CHUNK_ROWS`` rows where that is more; only the last piece may
-        be shorter."""
-        rows = np.arange(self.n_points) if rows is None else rows
-        step = max(_MIN_CHUNK_ROWS, _CHUNK_ELEMENTS // max(self.n_points, 1))
-        for start in range(0, len(rows), step):
-            yield rows[start:start + step]
+        """``_chunked`` pieces of ``rows`` (default: all atoms) against every atom."""
+        return _chunked(np.arange(self.n_points) if rows is None else rows, self.n_points)
 
     def _check_indices(self, idx) -> np.ndarray:
         """``idx`` as a 1-D integer array of atom ids in 0..n_points-1."""
         return _checked_ids(idx, self.n_points)
+
+
+def _chunked(rows, width: int):
+    """The one row-chunk rule: consecutive pieces of ``rows`` whose block
+    against ``width`` columns holds at most ``_CHUNK_ELEMENTS`` entries, or
+    ``_MIN_CHUNK_ROWS`` rows where that is more; only the last may be shorter."""
+    step = max(_MIN_CHUNK_ROWS, _CHUNK_ELEMENTS // max(width, 1))
+    for start in range(0, len(rows), step):
+        yield rows[start:start + step]
 
 
 def _checked_ids(idx, n: int) -> np.ndarray:
@@ -428,22 +431,27 @@ def dyadic_radius_grid(space: FiniteMMSpace) -> np.ndarray:
 # Metric-axiom scan
 # ---------------------------------------------------------------------------
 
+# Absolute slack of every comparison in the metric-axiom scan.
+_METRIC_TOL = 1e-12
+
+
 def metric_axioms_ok(space: FiniteMMSpace, rng: np.random.Generator,
-                     n_samples: int = 200_000, tol: float = 1e-12) -> bool:
+                     n_samples: int = 200_000) -> bool:
     """Exhaustive triangle/symmetry scan for <= 200 points, triples drawn from
-    ``rng`` above."""
+    ``rng`` above, each comparison within ``_METRIC_TOL``."""
     n = space.n_points
     if n <= 200:
         d = space.pairwise()
-        if not np.allclose(d, d.T, atol=tol):
+        if not np.allclose(d, d.T, atol=_METRIC_TOL):
             return False
-        if np.any(np.abs(np.diag(d)) > tol) or np.any(d < -tol):
+        if np.any(np.abs(np.diag(d)) > _METRIC_TOL) or np.any(d < -_METRIC_TOL):
             return False
         for k in range(n):
-            if np.any(d > d[:, [k]] + d[[k], :] + tol):
+            if np.any(d > d[:, [k]] + d[[k], :] + _METRIC_TOL):
                 return False
         return True
     i, j, k = rng.integers(0, n, size=(n_samples, 3)).T
     dij, djk, dik = space._dist_pairs(i, j), space._dist_pairs(j, k), space._dist_pairs(i, k)
-    broken = (dik > dij + djk + tol) | (np.abs(dij - space._dist_pairs(j, i)) > tol)
+    broken = dik > dij + djk + _METRIC_TOL
+    broken |= np.abs(dij - space._dist_pairs(j, i)) > _METRIC_TOL
     return not broken.any()

@@ -76,7 +76,7 @@ def full_generator(form):
     """Test oracle: a full form's generator as a dense matrix, -2 J W off the
     diagonal from the form's kernel blocks and the form's diagonal on it."""
     atoms = np.arange(form.space.n_points)
-    L = form.jblock(atoms, atoms) * -2.0
+    L = form.kernel.block(atoms, atoms) * -2.0
     L *= form.space.weights[None, :]
     np.fill_diagonal(L, form.diag)
     return L

@@ -439,8 +439,23 @@ def test_matrix_equals_single_block(chunk_budget):
     for kern in _kernels_for_matrix_test():
         idx = np.arange(kern.space.n_points)
         ref = kern.block(idx, idx)
-        np.fill_diagonal(ref, 0.0)
         assert np.array_equal(kern.matrix().view(np.uint64), ref.view(np.uint64))
+
+
+def test_block_is_zero_wherever_a_row_atom_equals_a_column_atom():
+    # block is the one place a kernel's diagonal is zeroed: a block function
+    # that puts 1 everywhere, read with repeated and shuffled rows and
+    # columns, and the whole-space block of every builder
+    ones = _kernels_for_matrix_test()[-1]
+    rows, cols = np.array([3, 0, 3, 7]), np.array([7, 3, 1, 3, 0])
+    want = (rows[:, None] != cols[None, :]).astype(float)
+    assert np.array_equal(ones.block(rows, cols), want)
+    assert ones.j(4, 4) == 0.0 and ones.j(4, 5) == 1.0
+    for kern in _kernels_for_matrix_test() + [hk.build_nearest_neighbor_kernel(
+            hk.build_grid(2, 7)), hk.build_zero_kernel(hk.build_grid(1, 4))]:
+        idx = np.arange(kern.space.n_points)
+        block = kern.block(idx, idx)
+        assert np.array_equal(np.diagonal(block).view(np.uint64), np.zeros(idx.size, np.uint64))
 
 
 def axis_aligned_reference(space, beta_values, alpha_axis, off_axis_factor):
@@ -475,8 +490,8 @@ def test_axis_aligned_block_equals_reference(n_axes):
 
 
 def test_block_never_writes_through_what_the_block_function_returns(chunk_budget):
-    # views of the caller's matrix (with a nonzero diagonal, which the
-    # assembly zeroes) and read-only broadcast arrays are copied
+    # views of the caller's matrix (with a nonzero diagonal, which block
+    # zeroes in its copy) and read-only broadcast arrays are copied
     sp = hk.build_grid(1, 16)
     user = np.random.default_rng(2).random((16, 16))
     user = user + user.T
@@ -497,6 +512,6 @@ def test_block_never_writes_through_what_the_block_function_returns(chunk_budget
 
     const = hk.JumpKernel(sp, lambda r, c: np.broadcast_to(2.0, (r.size, c.size)))
     block = const.block(np.arange(16), np.arange(16))
-    assert block.flags.writeable and np.all(block == 2.0)
+    assert block.flags.writeable and np.array_equal(block, 2.0 - 2.0 * np.eye(16))
     uniform = hk.assemble(hk.build_uniform_kernel(sp, 2.0))
     assert np.array_equal(hk.assemble(const).eigvals, uniform.eigvals)

@@ -1,0 +1,71 @@
+"""Which pass-mode checks see which defect: the first rows of a mutation table.
+
+Each row plants one defect in the full form right after ``assemble`` and
+runs every check of the ``sweep_256`` workload through ``cli.run_config``,
+the diagnostic ones too, so that the checks draw from the run's generator
+as in the workload; the table pins which pass-mode checks fail.  A change
+that blinds a check to a defect, or makes one see it, changes a row.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import hklab as hk
+from hklab import cli
+
+_SWEEP = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+                     / "sweep_256.json").read_text())
+
+
+def _counterexample_config():
+    """The sweep on the 64-atom product (xi = 1/3, level 3, 2 axes) under the
+    two-plateau field of epsilon = 4, which fails the reflection gate: the
+    anchors of ``build_counterexample_field``, as a config."""
+    cx = hk.synthesize_config(4.0, xi=1 / 3, level=3)
+    anchors = [{"center": [0.0, 0.0], "radius": 0.25, "value": cx.beta2},
+               {"center": [1.0, 0.0], "radius": 0.25, "value": cx.beta1}]
+    return {**_SWEEP, "space": {"kind": "cantor", "xi": 1 / 3, "n": 2, "level": 3},
+            "scale": {"kind": "balls", "anchors": anchors, "beta1": cx.beta1,
+                      "beta2": cx.beta2, "T0": 1.0}}
+
+
+def _scale_even_eigenvalue(form):
+    form.basis.factors[0].eigvals[1] *= 1.05
+
+
+def _scale_eigenvalue(form):
+    assert isinstance(form.basis, hk.form._DenseBasis)
+    form.eigvals[1] *= 1.05
+
+
+# (config, defect, the pass-mode checks that fail)
+_TABLE = {
+    "split_form_even_eigenvalue_1": (_SWEEP, _scale_even_eigenvalue,
+                                     ["heat_kernel_invariants"]),
+    "unsplit_form_eigenvalue_1": (_counterexample_config(), _scale_eigenvalue, []),
+}
+
+
+@pytest.mark.parametrize("row", list(_TABLE))
+def test_pass_mode_checks_that_see_a_defect(row, monkeypatch, tmp_path):
+    cfg, defect, failing = _TABLE[row]
+    assemble = hk.form.assemble
+    forms = []
+
+    def assemble_with_defect(kernel):
+        form = assemble(kernel)
+        if not forms:                      # the full form; a truncation's near form is later
+            defect(form)
+        forms.append(form)
+        return form
+
+    monkeypatch.setattr(hk.form, "assemble", assemble_with_defect)
+    code = cli.run_config({**cfg, "output": {"formats": ["json"]}}, tmp_path, seed=0)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    modes = [check["mode"] for check in cfg["checks"]]
+    assert [check["mode"] for check in summary["checks"]] == modes
+    assert [check["name"] for check in summary["checks"]
+            if check["mode"] == "pass" and check["verdict"] == "fail"] == failing
+    assert code == (cli.EXIT_FAIL if failing else cli.EXIT_OK)

@@ -204,31 +204,46 @@ def test_split_and_dense_layouts_of_one_spectrum_agree(case):
 
 
 # The eigenbasis protocol: all that the spectral operations may read of a basis.
-_PROTOCOL = ("eigvals", "weights", "entries", "calculus", "heat_kernel", "panels", "rows",
-             "composed")
+_PROTOCOL = ("eigvals", "entries", "calculus", "panels", "rows", "composed")
 
 
 def _protocol_cases():
-    """A split and a dense form, each with an order field on its space."""
+    """A split and a dense form, each with an order field on its space, and
+    the Dirichlet part of the split form on B(0, 0.5)."""
     split_space = hk.build_cantor_product(1 / 3, 2, 3)
     split_scale = hk.constant_field(split_space, 0.8, T0=1.0)
+    split = hk.assemble(hk.build_cantor_axis_kernel(split_scale))
     space = hk.build_cantor_product(1 / 3, 2, 3)
     field = hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
-    return {"split": (hk.assemble(hk.build_cantor_axis_kernel(split_scale)), split_scale),
-            "dense": (hk.assemble(hk.build_cantor_axis_kernel(field)), field)}
+    return {"split": (split, split_scale),
+            "dense": (hk.assemble(hk.build_cantor_axis_kernel(field)), field),
+            "part": (hk.part_on(split, split_space.ball(0, 0.5).member_idx), split_scale)}
 
 
-@pytest.mark.parametrize("case", ["split", "dense"])
+def _data_only(method):
+    """``method``, asserting that it is handed no callable and no indexer tuple."""
+    def call(*args, **kwargs):
+        for arg in (*args, *kwargs.values()):
+            assert not callable(arg) and not isinstance(arg, tuple), arg
+        return method(*args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("case", ["split", "dense", "part"])
 def test_spectral_operations_read_only_the_basis_protocol(case):
-    # the form's basis behind an object with the protocol and nothing else:
-    # every spectral operation and checker gives the same bits through it,
-    # and each panel's rows are the kernel's rows of the atoms it covers, in
-    # atom column order.  A new kind of basis has to pass this test
+    # the form's basis behind an object with the six members of the protocol
+    # and nothing else: every spectral operation and checker gives the same
+    # bits through it, ``entries`` and ``calculus`` are handed data only, and
+    # each panel's rows are the kernel's rows of the atoms it covers, in atom
+    # column order.  A new kind of basis has to pass this test
     form, scale = _protocol_cases()[case]
     assert isinstance(form.basis, _HalfSpectrum) == (case == "split")
-    bare = dataclasses.replace(form, basis=types.SimpleNamespace(
-        **{name: getattr(form.basis, name) for name in _PROTOCOL}))
-    n = form.space.n_points
+    assert form.is_part == (case == "part")
+    members = {name: getattr(form.basis, name) for name in _PROTOCOL}
+    members.update(entries=_data_only(members["entries"]),
+                   calculus=_data_only(members["calculus"]))
+    bare = dataclasses.replace(form, basis=types.SimpleNamespace(**members))
+    n = form.domain.size
     rng = np.random.default_rng(3)
     f, F = rng.normal(size=n), rng.normal(size=(n, 2))
     xs, ys = rng.integers(0, n, size=30), rng.integers(0, n, size=30)
@@ -243,9 +258,11 @@ def test_spectral_operations_read_only_the_basis_protocol(case):
                               form.heat_kernel_entries(t, xs, xs))
         assert np.array_equal(bare.heat_kernel(t), form.heat_kernel(t))
     balls = [(0, 0.25), (5, 0.5)]
-    for check in (lambda g: hk.heat_kernel_invariants(g),
-                  lambda g: hk.due_check(g, scale, 1.0, times, np.random.default_rng(0)),
-                  lambda g: hk.te_check(g, scale, 1.0, balls, times)):
+    checks = [hk.heat_kernel_invariants, hk.conservativeness_check]
+    if case != "part":                                 # these two refuse a part
+        checks += [lambda g: hk.due_check(g, scale, 1.0, times, np.random.default_rng(0)),
+                   lambda g: hk.te_check(g, scale, 1.0, balls, times)]
+    for check in checks:
         assert check(bare).to_json() == check(form).to_json()
     p, w = form.heat_kernel(0.1), form.weights
     composed = (p * w) @ p
@@ -257,6 +274,33 @@ def test_spectral_operations_read_only_the_basis_protocol(case):
                            (bare.basis.composed(panel, 0.1), composed[atoms])):
             assert np.abs(rows - want).max() <= 1e-12 * np.abs(p).max()
     assert sorted(covered) == list(range(n))
+
+
+_TIME_ENTRY_POINTS = {
+    "heat_kernel": lambda form, scale, t: form.heat_kernel(t),
+    "heat_kernel_entries": lambda form, scale, t: form.heat_kernel_entries(t, [0, 1], [1, 2]),
+    "resolvent": lambda form, scale, t: form.resolvent(t, np.ones(form.domain.size)),
+    "apply_semigroup": lambda form, scale, t: form.apply_semigroup(t, np.ones(form.domain.size)),
+    "apply_semigroup_grid": lambda form, scale, t: form.apply_semigroup(
+        [0.1, t], np.ones(form.domain.size)),
+    "heat_kernel_invariants": lambda form, scale, t: hk.heat_kernel_invariants(
+        form, times=[0.1, t]),
+    "te_check": lambda form, scale, t: hk.te_check(form, scale, 1.0, [(0, 0.25)], [0.1, t]),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("entry", list(_TIME_ENTRY_POINTS))
+def test_spectral_entry_points_refuse_nan_and_negative_times(entry, t):
+    # a NaN time passed every comparison guard (the invariants with every
+    # residual 0.0, te_check with best constant 0.0), and a negative one
+    # grew the semigroup without bound; the resolvent parameter is refused
+    # the same way
+    space = hk.build_cantor_product(1 / 3, 2, 3)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    form = hk.assemble(hk.build_cantor_axis_kernel(scale))
+    with pytest.raises(ParameterError, match="nonnegative|positive"):
+        _TIME_ENTRY_POINTS[entry](form, scale, t)
 
 
 def test_invariants_allocate_less_than_one_square_array():
@@ -623,9 +667,7 @@ def test_meyer_interchange_matches_van_loan_block_exponential():
     D = space.ball(0, 0.5).member_idx
     part_near, part_full = hk.part_on(trunc.near, D), hk.part_on(form, D)
     w = space.weights[D]
-    jfar = trunc.far.block(D, D)
-    np.fill_diagonal(jfar, 0.0)
-    S = jfar * w[None, :]
+    S = trunc.far.block(D, D) * w[None, :]
     n = D.size
     gen = np.zeros((2 * n, 2 * n))
     gen[:n, :n], gen[:n, n:], gen[n:, n:] = -part_near.L, S, -part_full.L
