@@ -12,9 +12,9 @@ act as killing.
 A full form keeps the generator diagonal and its eigenbasis, but no dense L
 and no kernel matrix: J is read as a measure on blocks of atoms, one row
 chunk or one D x D part at a time, from ``form.kernel.block``, 0 wherever a
-row atom equals a column atom and exactly symmetric (``assemble`` averages a
-kernel symmetric only up to rounding with its mirror); off the diagonal
-L = -2 J W.  A form's spectrum is one basis behind a protocol of six
+row atom equals a column atom and equal to its transpose entry for entry
+(``assemble`` refuses any other kernel); off the diagonal L = -2 J W.  A
+form's spectrum is one basis behind a protocol of six
 members, ``eigvals``, ``entries``, ``calculus``, ``panels``, ``rows`` and
 ``composed`` (see above :class:`_DenseBasis`): a :class:`_DenseBasis` from
 one ``eigh``, which keeps ``psi``, or, when the generator commutes with the
@@ -44,6 +44,17 @@ from .scale import ScaleField, _space_shared_with, phi, phi_inverse, phi_vec
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids, _chunked
 
 
+def _checked_times(t) -> np.ndarray:
+    """One time or a sequence of times as a 1-D float array, refused unless
+    each is finite and nonnegative: an infinite time gives exp(-inf * 0),
+    NaN, at a zero eigenvalue, and a NaN time fails every comparison a
+    checker would make of it."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        raise ParameterError("times must be finite and nonnegative")
+    return times
+
+
 @dataclass
 class SpectralForm:
     """Assembled generator restricted to a domain, with spectral data.
@@ -60,13 +71,11 @@ class SpectralForm:
     reflection, else a :class:`_DenseBasis`, whose mu-orthonormal
     eigenfunction columns are ``psi``; a split form has no ``psi``.
 
-    ``kernel`` equals its transpose bit for bit: the kernel ``assemble`` was
-    given, or, if that is symmetric only up to rounding, its average with
-    its mirror, a :class:`_MirrorAveraged` that keeps the given kernel.
-    The form reads it by ``kernel.block``, 0 on the diagonal.  Its space is
-    the form's.  A Dirichlet part shares the
-    kernel of its full form and keeps its small dense generator ``L``; a
-    full form keeps none.
+    ``kernel`` is the kernel ``assemble`` was given, which equals its
+    transpose entry for entry, else ``assemble`` refuses it.  The form reads
+    it by ``kernel.block``, 0 on the diagonal.  Its space is the form's.  A
+    Dirichlet part shares the kernel of its full form and keeps its small
+    dense generator ``L``; a full form keeps none.
     """
 
     kernel: JumpKernel
@@ -140,17 +149,14 @@ class SpectralForm:
         then computed once, and row k of the result is P_{t[k]} f.  ``f`` may
         hold one function per column; each result then does too.
         """
-        times = np.atleast_1d(np.asarray(t, dtype=float))
-        if not (times >= 0).all():
-            raise ParameterError("times must be nonnegative")
+        times = _checked_times(t)
         out = np.array(self._calculus(f, np.exp(-times[:, None] * self.eigvals)))
         return out.reshape(times.size, *np.shape(f)) if np.ndim(t) else out[0]
 
     def heat_kernel(self, t: float) -> np.ndarray:
         """p(t, x, y) on domain x domain from the basis's panel rows; a run
         reads it only on the parts of ``meyer_check``."""
-        if not t >= 0:
-            raise ParameterError("time must be nonnegative")
+        _checked_times(t)
         p = np.empty((self.domain.size,) * 2)
         for panel, atoms in self.basis.panels():
             p[atoms] = self.basis.rows(panel, t)
@@ -159,8 +165,7 @@ class SpectralForm:
     def heat_kernel_entries(self, t: float, xs, ys) -> np.ndarray:
         """p(t, xs[k], ys[k]) for each k, in O(len(xs) N), no N x N kernel;
         ``xs`` and ``ys`` are equally long lists of positions in the domain."""
-        if not t >= 0:
-            raise ParameterError("time must be nonnegative")
+        _checked_times(t)
         xs, ys = (_checked_ids(a, self.domain.size) for a in (xs, ys))
         if xs.size != ys.size:
             raise ParameterError("xs and ys must have the same length")
@@ -197,8 +202,8 @@ def _part_form(form: SpectralForm, D: np.ndarray, LD: np.ndarray) -> SpectralFor
     return replace(form, domain=D, diag=LD.diagonal(), basis=basis, L=LD)
 
 
-# Relative tolerance of the two symmetry tests: J against J.T, and the
-# symmetrized generator against its central reflection.
+# Relative tolerance of the reflection gate: the mirror pairs' coordinates
+# against the centre, and the symmetrized generator against its reflection.
 _SYMMETRY_RTOL = 1e-10
 
 
@@ -207,77 +212,44 @@ def _symmetry_atol(top: float) -> float:
     return _SYMMETRY_RTOL * max(top, 1.0)
 
 
-class _MirrorAveraged(JumpKernel):
-    """A kernel ``given`` symmetric only up to rounding, averaged with its
-    mirror, 0.5 (J + J.T): each block is averaged with
-    ``given.block(cols, rows).T``, or with its own transpose when ``rows``
-    equals ``cols``, so an off-diagonal block reads ``given`` twice.  A cut
-    of the form is taken of ``given``: assembling it averages in place,
-    each entry read once."""
-
-    def __init__(self, given: JumpKernel):
-        def block_fn(rows, cols):
-            block = given.block(rows, cols)
-            block += block.T if np.array_equal(rows, cols) else given.block(cols, rows).T
-            block *= 0.5
-            return block
-        super().__init__(given.space, block_fn, given.support_pattern, dict(given.meta))
-        self.given = given
-
-
-def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """``_symmetrized(L, sqrt(w))`` for the generator L of 0.5 (J + J.T), the
-    diagonal of L, the off-diagonal nonzeros of 0.5 (J + J.T), and whether J
-    equals J.T bit for bit.
+def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_symmetrized(L, sqrt(w))`` for the generator L of J, the diagonal
+    of L, and the off-diagonal nonzeros of J.
 
     One N x N buffer becomes the result.  A first pass over row chunks
     writes the rows of J into it, each entry read once, and refuses negative
     and non-finite values.  A second pass takes each chunk's columns from
     its first row down, which hold every pair of a chunk atom with itself or
-    a later atom, and tests them against the chunk's rows: bit for bit,
-    then, where the bits differ, by
-    ``np.allclose`` in both orders with atol ``_symmetry_atol(max |J|)``,
-    which refuses just what ``np.allclose(J, J.T)`` would; a chunk that
-    passes is averaged with its mirror in place.  The chunk's rows of L and
-    its columns are then formed with the floating-point operations of the
-    dense formula, so the result equals it bit for bit; the diagonal of L is
-    minus its off-diagonal row sums.  A chunk whose result overflows is
-    refused.
+    a later atom, and refuses the kernel unless they equal the chunk's rows
+    entry for entry (by value: +0 equals -0, and one ulp is a difference).
+    The chunk's rows of L and its columns are then formed with the
+    floating-point operations of the dense formula, so the result equals it
+    bit for bit; the diagonal of L is minus its off-diagonal row sums.  A
+    chunk whose result overflows is refused.
     """
     space = kernel.space
     n = space.n_points
     atoms = np.arange(n)
     sym = np.empty((n, n))
-    top = 0.0                           # max |J|
     for rows in space._row_chunks():
         j = sym[rows[0]:rows[-1] + 1]
         j[...] = kernel.block(rows, atoms)
         low = j.min()
-        chunk_top = np.maximum(j.max(), -low)          # propagates NaN
-        if not np.isfinite(chunk_top):
+        if not np.isfinite(np.maximum(j.max(), -low)):  # propagates NaN
             raise ParameterError("kernel has non-finite values (NaN or inf)")
         if low < 0:
             raise ParameterError(f"kernel has a negative jump intensity {float(low)!r}")
-        top = max(top, float(chunk_top))
-    atol = _symmetry_atol(top)
     w = space.weights
     sqrt_w = np.sqrt(w)
     diag = np.empty(n)
-    nonzeros, exact = 0, True
+    nonzeros = 0
     for rows in space._row_chunks():
         part = slice(rows[0], rows[-1] + 1)
         # compared in the layout of the columns, whose rows are contiguous:
         # in that of the rows, each entry of the columns is on its own page,
         # and the pass takes three times as long
-        lower, upper = sym[part.start:, part], sym[part, part.start:].T
-        # bitwise, so that signed zeros count as different too
-        if not np.array_equal(lower.view(np.uint64), upper.view(np.uint64)):
-            if not (np.allclose(lower, upper, atol=atol) and np.allclose(upper, lower, atol=atol)):
-                raise ParameterError("kernel must be symmetric")
-            exact = False
-            lower += upper                                   # numpy buffers the overlap
-            lower *= 0.5
-            upper[...] = lower
+        if not np.array_equal(sym[part.start:, part], sym[part, part.start:].T):
+            raise ParameterError("kernel must be symmetric: J differs from its transpose")
         col = sym[part]                                      # the chunk's rows of J
         nonzeros += int(np.count_nonzero(col))
         on_diag = (np.arange(rows.size), rows)
@@ -296,7 +268,7 @@ def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, in
             col *= 0.5
         if not np.isfinite(col).all():                       # the diagonal is in it
             raise ParameterError("kernel too large: its generator overflows a float")
-    return sym, diag, nonzeros, exact
+    return sym, diag, nonzeros
 
 
 def _reflection_pairs(space: FiniteMMSpace) -> tuple[np.ndarray, np.ndarray] | None:
@@ -577,7 +549,7 @@ class _HalfSpectrum:
 
 def _generator_blocks(kernel: JumpKernel) -> tuple:
     """``_symmetric_generator``'s result with its matrix as the blocks to
-    solve: ``(None, [sym], diag, nonzeros, exact)``, or, when ``sym``
+    solve: ``(None, [sym], diag, nonzeros)``, or, when ``sym``
     commutes with the central reflection of the kernel's space, ``((A, B),
     [even, odd], ...)`` from ``_reflection_blocks``; ``sym`` is then freed
     on return, so only the half-size blocks reach the eigensolve."""
@@ -593,19 +565,19 @@ def assemble(kernel: JumpKernel) -> SpectralForm:
     chunk at a time, each entry of J read once, so neither a dense generator
     nor the kernel matrix is alive during the eigensolve, which is split
     into two half-size ones when the generator commutes with the central
-    reflection of the space.  A kernel symmetric only up to rounding is
-    kept as its average with its mirror.  Refused above the dense cap, where
-    the dense eigensolve would not fit.
+    reflection of the space.  The kernel is kept as given, and refused
+    unless it equals its transpose entry for entry, since the jump measure
+    of a symmetric Dirichlet form is symmetric.  Refused above the dense
+    cap, where the dense eigensolve would not fit.
     """
     space = kernel.space
     if space.n_points > DENSE_MATRIX_CAP:
         raise PointCapExceeded(space.n_points, DENSE_MATRIX_CAP, dense=True)
-    pairs, blocks, diag, nonzeros, exact = _generator_blocks(kernel)
+    pairs, blocks, diag, nonzeros = _generator_blocks(kernel)
     basis = (_DenseBasis.solve(blocks.pop(), space.weights) if pairs is None
              else _HalfSpectrum(*pairs, blocks, space.weights))
-    return SpectralForm(kernel=kernel if exact else _MirrorAveraged(kernel),
-                        domain=np.arange(space.n_points), diag=diag, basis=basis,
-                        jmat_nonzeros=nonzeros)
+    return SpectralForm(kernel=kernel, domain=np.arange(space.n_points), diag=diag,
+                        basis=basis, jmat_nonzeros=nonzeros)
 
 
 def part_on(form: SpectralForm, D) -> SpectralForm:
@@ -676,9 +648,9 @@ class Truncation:
     at one radius: ``near`` is the form of the jumps shorter than ``rho``,
     assembled once, ``far`` the kernel of the rest, and ``tail`` the
     read-only far tail sum over d(x,w) >= rho of j(x,w) mu(w), which is
-    0.5 (diag_full - diag_near), exactly.  Both are cut from the kernel
-    ``assemble`` was given, which a :class:`_MirrorAveraged` ``form.kernel``
-    keeps as ``given``.
+    0.5 (diag_full - diag_near), exactly.  The near and the far kernel are
+    the ``truncate`` cuts of ``form.kernel``, each equal to its transpose
+    as ``form.kernel`` is, so ``assemble`` keeps the near one as given.
     """
 
     form: SpectralForm
@@ -690,10 +662,7 @@ class Truncation:
     def __post_init__(self):
         if self.form.is_part:
             raise ParameterError("truncate the full-space form, not a Dirichlet part")
-        kernel = self.form.kernel
-        if isinstance(kernel, _MirrorAveraged):
-            kernel = kernel.given           # each entry read once, not twice per block
-        near_kernel, far = truncate(kernel, self.rho)
+        near_kernel, far = truncate(self.form.kernel, self.rho)
         near = assemble(near_kernel)
         tail = 0.5 * (self.form.diag - near.diag)
         tail.flags.writeable = False

@@ -22,7 +22,13 @@ _AXIS_TOL = 1e-12
 
 
 class JumpKernel:
-    """Symmetric jump intensity with a lazily evaluated block interface."""
+    """Symmetric jump intensity with a lazily evaluated block interface.
+
+    The block function must give j(x, y) and j(y, x) the same value:
+    ``assemble`` refuses a kernel that differs from its transpose in any
+    entry, by one ulp too.  Every builder below gives equal values, and so
+    do the cuts of ``truncate``.
+    """
 
     def __init__(self, space: FiniteMMSpace,
                  block_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -33,8 +33,8 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError
-from .form import (SpectralForm, Truncation, _interchange_integral, _quarter_balls,
-                   default_time_grid, part_on)
+from .form import (SpectralForm, Truncation, _checked_times, _interchange_integral,
+                   _quarter_balls, default_time_grid, part_on)
 from .report import ConditionReport
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse_vec
 
@@ -62,9 +62,7 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
     """
     w = form.weights
     basis = form.basis
-    times = [float(t) for t in times]
-    if not all(t >= 0 for t in times):
-        raise ParameterError("times must be nonnegative")
+    times = _checked_times(times).tolist()
     residuals = dict.fromkeys(("symmetry", "mass", "chapman_kolmogorov", "negativity",
                                "t0_identity"), 0.0)
 
@@ -212,9 +210,8 @@ def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
     witness: dict[str, Any] = {}
     series = []
     cs_resid = 0.0
-    for t in time_grid:
-        t = float(t)
-        if not (t < k * T0):
+    for t in _checked_times(time_grid).tolist():
+        if t >= k * T0:
             continue
         diag = form.heat_kernel_entries(t, np.arange(n), np.arange(n))
         radii = phi_inverse_vec(scale, np.arange(n), t)

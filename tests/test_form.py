@@ -16,14 +16,6 @@ from hklab.form import (_DenseBasis, _generator_blocks, _HalfSpectrum, _part_gen
 from hklab.kernel import _tail_masses
 
 
-def _jmat(kern):
-    # test oracle: the symmetric kernel matrix 0.5 (J + J.T) that a form of
-    # ``kern`` reads in blocks, from the kernel's dense matrix; J itself when
-    # J equals J.T bit for bit
-    m = kern.matrix()
-    return 0.5 * (m + m.T)
-
-
 def energy_oracle(space, kern, f):
     # plain ordered-pair double sum, independent of the assembled generator
     total = 0.0
@@ -502,25 +494,32 @@ def test_truncation_takes_a_full_form_and_kills_parts_of_its_near_form(cantor6):
         trunc.tail[0] = 0.0
 
 
-@pytest.mark.parametrize("rounding", [0.0, 1e-14], ids=["exact", "rounding_first"])
+@pytest.mark.parametrize("rounding", [False, True], ids=["exact", "rounding_first"])
 def test_assemble_rejects_asymmetry_in_last_row_chunk(chunk_budget, rounding):
+    # a gap of one ulp is refused wherever it lies, with or without another
+    # one ulp gap in the first chunk
     sp = hk.build_grid(1, 64)
     m = np.ones((64, 64))
-    m[0, 1] += rounding             # within tolerance, in the first chunk
-    m[63, 61] = 1.5                 # both atoms in the last chunk of the small budget
+    if rounding:
+        m[0, 1] = np.nextafter(1.0, 2.0)      # in the first chunk
+    m[63, 61] = np.nextafter(1.0, 2.0)        # both atoms in the last chunk of the small budget
     with pytest.raises(ParameterError, match="symmetric"):
         hk.assemble(dense_kernel(sp, m))
+    m[63, 61] = 1.0
+    if rounding:
+        with pytest.raises(ParameterError, match="symmetric"):
+            hk.assemble(dense_kernel(sp, m))
+    else:
+        assert hk.assemble(dense_kernel(sp, m)).jmat_nonzeros == 64 * 63
 
 
-@pytest.mark.parametrize("case", ["exact", "rounding"])
+@pytest.mark.parametrize("case", ["exact"])
 def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
     # 256 atoms, four chunks at the default budget: assemble, a truncation's
     # near form and its far top each pass each of the N^2 entries of J to the
-    # block function once, whether or not J equals J.T bit for bit
+    # block function once, and the form keeps the kernel it was given
     space = hk.build_cantor_product(1 / 3, 2, 4)
-    m = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8)).matrix().copy()
-    if case == "rounding":
-        m[3, 7] *= 1 + 1e-14
+    m = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8)).matrix()
     read = []
 
     def block_fn(rows, cols):
@@ -530,7 +529,7 @@ def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
     kern = hk.JumpKernel(space, block_fn)
     form = hk.assemble(kern)
     assert sum(read) == space.n_points**2
-    assert (form.kernel is kern) == (case == "exact")
+    assert form.kernel is kern
     read.clear()
     trunc = hk.Truncation(form, 0.125)
     assert sum(read) == space.n_points**2
@@ -540,17 +539,17 @@ def test_generator_builds_read_each_kernel_entry_once(chunk_budget, case):
 
 
 def test_assemble_matches_reference_formulas(chunk_budget):
-    # the generator as written before the in-place rewrite, on a kernel that
-    # is symmetric only up to rounding, so it is symmetrized
+    # the generator as written before the in-place rewrite, on a random
+    # kernel that equals its transpose
     sp = hk.build_grid(1, 40)
     rng = np.random.default_rng(5)
     m = rng.uniform(0.0, 1.0, size=(40, 40))
     m = m + m.T
-    m[3, 7] *= 1 + 1e-14
-    form = hk.assemble(dense_kernel(sp, m))
+    kern = dense_kernel(sp, m)
+    form = hk.assemble(kern)
+    assert form.kernel is kern
     jmat = m.copy()
     np.fill_diagonal(jmat, 0.0)
-    jmat = 0.5 * (jmat + jmat.T)
     L = -2.0 * jmat * sp.weights[None, :]
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
@@ -602,7 +601,8 @@ def _same_bits(a, b):
 
 def _generator_case(case):
     """A space, a kernel and a truncation radius: non-uniform weights, a
-    Cantor product, and a kernel symmetric only up to rounding."""
+    Cantor product, and (``rounding``) a dense random kernel m + m.T on
+    random weights."""
     if case == "custom":
         space, _, kern = random_setup(3)
         return space, kern, float(np.median(space.dist_from(0)))
@@ -614,9 +614,7 @@ def _generator_case(case):
     w = rng.uniform(0.5, 2.0, size=n)
     space = hk.build_custom(rng.uniform(0.0, 1.0, size=(n, 2)), w / w.sum())
     m = rng.uniform(0.0, 1.0, size=(n, n))
-    m = m + m.T
-    m[3, 7] *= 1 + 1e-14
-    return space, dense_kernel(space, m), float(np.median(space.dist_from(0)))
+    return space, dense_kernel(space, m + m.T), float(np.median(space.dist_from(0)))
 
 
 def _assert_matches_spectrum(form, eigvals, psi, sym):
@@ -663,10 +661,9 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     near_kern = hk.truncate(kern, rho)[0]
     trunc = hk.Truncation(form, rho)
     near = trunc.near
-    assert (form.kernel is kern) == (case != "rounding")   # else read symmetrized
-    assert _same_bits(form.kernel.matrix(), _jmat(kern))
+    assert form.kernel is kern
     w = space.weights
-    L, L_near = _dense_generator(space, _jmat(kern)), _dense_generator(space, _jmat(near_kern))
+    L, L_near = _dense_generator(space, kern.matrix()), _dense_generator(space, near_kern.matrix())
     for f, ref in ((form, L), (near, L_near)):
         eigvals, psi, sym = _dense_spectrum(ref, w)
         assert (_reflection_blocks(space, sym) is not None) == (case == "cantor")
@@ -700,7 +697,7 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     top = np.linalg.eigvalsh(_dense_spectrum(L - L_near, w)[2])[-1]
     assert abs(removed - top) <= 1e-12 * abs(top)
     if case != "cantor":
-        L_far = _dense_generator(space, _jmat(far))
+        L_far = _dense_generator(space, far.matrix())
         assert _same_bits(removed, np.linalg.eigvalsh(_dense_spectrum(L_far, w)[2])[-1])
 
 
@@ -758,7 +755,7 @@ def test_reflection_gate(chunk_budget, eigh_shapes, case):
     n = space.n_points
     split = case in ("cantor", "even_grid")
     assert eigh_shapes == ([(n // 2, n // 2)] * 2 if split else [(n, n)])
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(kern)), space.weights)
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, kern.matrix()), space.weights)
     if split:
         _assert_matches_spectrum(form, eigvals, psi, sym)
     else:
@@ -819,7 +816,7 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     assert all(isinstance(cols, slice) != (case == "shuffled_product")
                for cols in form.basis.columns)
     n, w = space.n_points, space.weights
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, _jmat(kern)), w)
+    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, kern.matrix()), w)
 
     def close(got, want, scale=None):
         # relative to the largest |value|, of the whole kernel for its entries
@@ -1075,15 +1072,17 @@ def test_generator_builds_refuse_a_generator_that_overflows(chunk_budget):
         hk.assemble(kern)
 
 
-def test_assemble_signed_zero_is_not_exact_symmetry():
+def test_assemble_keeps_a_kernel_with_a_signed_zero_pair():
+    # symmetry is equality of values: +0 and -0 are equal, and the kernel is
+    # kept as given, its -0 too
     sp = hk.build_grid(1, 3)
     m = np.ones((3, 3))
     m[0, 1], m[1, 0] = 0.0, -0.0
     kern = dense_kernel(sp, m)
     form = hk.assemble(kern)
-    assert form.kernel is not kern
+    assert form.kernel is kern and form.jmat_nonzeros == 4
     j = form.kernel.block([0, 1], [0, 1])
-    assert not np.signbit(j[0, 1]) and not np.signbit(j[1, 0])
+    assert not np.signbit(j[0, 1]) and np.signbit(j[1, 0])
 
 
 def test_part_energy_equals_part_on_energy(cantor6):
@@ -1110,7 +1109,15 @@ def test_part_energy_equals_part_on_energy(cantor6):
         _part_generator(form, [-1, 0])
 
 
-@pytest.mark.parametrize("kind", ["cantor_axis", "stable_like", "nearest_neighbor"])
+_BUILDERS = {"cantor_axis": hk.build_cantor_axis_kernel,
+             "stable_like": hk.build_stable_like_kernel,
+             "cylindrical": hk.build_cylindrical_kernel,
+             "nearest_neighbor": lambda scale: hk.build_nearest_neighbor_kernel(scale.space),
+             "uniform": lambda scale: hk.build_uniform_kernel(scale.space),
+             "zero": lambda scale: hk.build_zero_kernel(scale.space)}
+
+
+@pytest.mark.parametrize("kind", list(_BUILDERS))
 def test_assemble_never_builds_the_kernel_matrix(kind):
     # 1024 atoms, whose kernel matrix was never built, by the builder or by
     # assemble; tracemalloc sees numpy's arrays, not the LAPACK workspace or
@@ -1118,13 +1125,10 @@ def test_assemble_never_builds_the_kernel_matrix(kind):
     space = (hk.build_cantor_product(1 / 3, 1, 10) if kind == "cantor_axis"
              else hk.build_grid(2, 32))
     scale = hk.constant_field(space, 0.8, T0=1.0)
-    build = {"cantor_axis": lambda: hk.build_cantor_axis_kernel(scale),
-             "stable_like": lambda: hk.build_stable_like_kernel(scale),
-             "nearest_neighbor": lambda: hk.build_nearest_neighbor_kernel(space)}[kind]
     square = space.n_points**2 * 8
     tracemalloc.start()
     try:
-        kern = build()
+        kern = _BUILDERS[kind](scale)
         form = hk.assemble(kern)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1135,34 +1139,68 @@ def test_assemble_never_builds_the_kernel_matrix(kind):
     assert form.jmat_nonzeros == np.count_nonzero(kern.matrix())
 
 
+def _traffic_scale(case):
+    """The order field of a traffic case ``space-field`` on its space: a
+    constant one, the two-plateau counterexample field, or (``balls``)
+    plateaus of 1.2 around the first atom and of 0.8 around the last."""
+    where, field = case.split("-")
+    space = {"cantor": lambda: hk.build_cantor_product(1 / 3, 2, 3),
+             "grid1": lambda: hk.build_grid(1, 40),
+             "grid2": lambda: hk.build_grid(2, 7)}[where]()
+    if field == "counterexample":
+        return hk.build_counterexample_field(hk.synthesize_config(4.0, xi=1 / 3, level=3), space)
+    if field == "balls":
+        anchors = [(0, 0.25, 1.2), (space.n_points - 1, 0.25, 0.8)]
+        return hk.field_from_balls(space, anchors, 0.8, 1.2, T0=1.0)
+    return hk.constant_field(space, 0.8, T0=1.0)
+
+
+_TRAFFIC = [("cantor_axis", "cantor-constant"), ("cantor_axis", "cantor-counterexample")]
+_TRAFFIC += [(kind, f"{grid}-{field}") for kind in ("stable_like", "cylindrical")
+             for grid in ("grid1", "grid2") for field in ("constant", "balls")]
+_TRAFFIC += [(kind, f"{where}-constant") for kind in ("nearest_neighbor", "uniform", "zero")
+             for where in ("cantor", "grid2")]
+
+
+@pytest.mark.parametrize("kind,case", _TRAFFIC, ids=[f"{k}-{c}" for k, c in _TRAFFIC])
+def test_every_builder_and_its_cuts_equal_their_transposes(kind, case):
+    # what the program builds meets the precondition of assemble bit for
+    # bit, under constant and variable order fields, and so do both cuts of
+    # ``truncate``: assemble keeps each as it was given
+    scale = _traffic_scale(case)
+    space = scale.space
+    kern = _BUILDERS[kind](scale)
+    assert (np.ptp(scale.beta_values) > 0) == (not case.endswith("constant"))
+    atoms = np.arange(space.n_points)
+    for k in (kern, *hk.truncate(kern, 0.3)):
+        m = k.block(atoms, atoms)
+        assert _same_bits(m, m.T)
+        assert hk.assemble(k).kernel is k
+
+
 @pytest.mark.parametrize("gap,big", [(1e-8, 1e3), (1e-8, 1.0), (1e-6, 1e3)],
                          ids=["within_final_tolerance", "no_large_entry", "beyond"])
 def test_assemble_decides_symmetry_with_the_global_tolerance(chunk_budget, gap, big):
-    # an inexact pair in the first chunk, beyond the tolerance of the first
-    # chunk's max |J|; the largest |J| comes in the last chunk
+    # the tolerance is zero whatever max |J| is: an inexact pair in the first
+    # chunk is refused, also the one within 1e-10 max |J| once the largest
+    # |J| comes in the last chunk (``within_final_tolerance``)
     sp = hk.build_grid(1, 64)
     m = np.ones((64, 64))
     np.fill_diagonal(m, 0.0)
     m[0, 1], m[1, 0] = 0.0, gap
     m[63, 61] = m[61, 63] = big
-    accept = np.allclose(m, m.T, atol=1e-10 * max(np.abs(m).max(), 1.0))
-    if accept:
-        kern = dense_kernel(sp, m)
-        form = hk.assemble(kern)
-        assert form.kernel is not kern
-        atoms = np.arange(64)
-        assert np.array_equal(form.kernel.block(atoms, atoms), 0.5 * (m + m.T))
-    else:
-        with pytest.raises(ParameterError, match="symmetric"):
-            hk.assemble(dense_kernel(sp, m))
-    assert accept == (gap == 1e-8 and big == 1e3)
+    with pytest.raises(ParameterError, match="symmetric"):
+        hk.assemble(dense_kernel(sp, m))
+    m[1, 0] = 0.0
+    kern = dense_kernel(sp, m)
+    assert hk.assemble(kern).kernel is kern
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_jmat_nonzeros_counts_the_symmetric_kernel(seed, chunk_budget):
     space, _, kern = random_setup(seed)
     form = hk.assemble(kern)
-    assert form.jmat_nonzeros == np.count_nonzero(_jmat(kern))
+    assert form.jmat_nonzeros == np.count_nonzero(kern.matrix())
     assert hk.part_on(form, [0, 1]).jmat_nonzeros == form.jmat_nonzeros
 
 
@@ -1234,7 +1272,7 @@ def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
     form = hk.assemble(kern)
     sample = [(x0, r) for x0 in (0, 5) for r in (0.2, 0.6)]
     rep = hk.cs_check(form, scale, sample)
-    jmat, w = _jmat(kern), space.weights
+    jmat, w = kern.matrix(), space.weights
     for (x0, r), row in zip(sample, rep.series):
         cut = hk.build_cutoff(space, x0, r / 2.0, r / 4.0)
         vals = ((cut[:, None] - cut[None, :]) ** 2 * jmat * w[None, :]).sum(axis=1)

@@ -40,11 +40,17 @@ def _scale_eigenvalue(form):
     form.eigvals[1] *= 1.05
 
 
+def _scale_diag_5(form):
+    form.diag[5] *= 1.01
+
+
 # (config, defect, the pass-mode checks that fail)
 _TABLE = {
     "split_form_even_eigenvalue_1": (_SWEEP, _scale_even_eigenvalue,
                                      ["heat_kernel_invariants"]),
     "unsplit_form_eigenvalue_1": (_counterexample_config(), _scale_eigenvalue, []),
+    "split_form_diag_5": (_SWEEP, _scale_diag_5, []),
+    "unsplit_form_diag_5": (_counterexample_config(), _scale_diag_5, []),
 }
 
 

@@ -286,21 +286,41 @@ _TIME_ENTRY_POINTS = {
     "heat_kernel_invariants": lambda form, scale, t: hk.heat_kernel_invariants(
         form, times=[0.1, t]),
     "te_check": lambda form, scale, t: hk.te_check(form, scale, 1.0, [(0, 0.25)], [0.1, t]),
+    "due_check": lambda form, scale, t: hk.due_check(form, scale, 1.0, [0.1, t],
+                                                     np.random.default_rng(0)),
+    "truncation_semigroup_check": lambda form, scale, t: hk.truncation_semigroup_check(
+        hk.Truncation(form, 0.25), np.ones(form.domain.size), [0.1, t]),
 }
+
+
+def _split_product():
+    """The 64-atom product (xi = 1/3, level 3, 2 axes), its constant field
+    and its form, which is split."""
+    space = hk.build_cantor_product(1 / 3, 2, 3)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    return scale, hk.assemble(hk.build_cantor_axis_kernel(scale))
 
 
 @pytest.mark.parametrize("t", [math.nan, -1.0], ids=["nan", "negative"])
 @pytest.mark.parametrize("entry", list(_TIME_ENTRY_POINTS))
 def test_spectral_entry_points_refuse_nan_and_negative_times(entry, t):
     # a NaN time passed every comparison guard (the invariants with every
-    # residual 0.0, te_check with best constant 0.0), and a negative one
-    # grew the semigroup without bound; the resolvent parameter is refused
-    # the same way
-    space = hk.build_cantor_product(1 / 3, 2, 3)
-    scale = hk.constant_field(space, 0.8, T0=1.0)
-    form = hk.assemble(hk.build_cantor_axis_kernel(scale))
+    # residual 0.0, te_check with best constant 0.0, due_check by dropping
+    # it), and a negative one grew the semigroup without bound; the
+    # resolvent parameter is refused the same way
+    scale, form = _split_product()
     with pytest.raises(ParameterError, match="nonnegative|positive"):
         _TIME_ENTRY_POINTS[entry](form, scale, t)
+
+
+@pytest.mark.parametrize("entry", [e for e in _TIME_ENTRY_POINTS if e != "resolvent"])
+def test_spectral_entry_points_refuse_infinite_times(entry):
+    # exp(-inf * 0) is NaN at the zero eigenvalue: the invariants, te_check
+    # and the truncation comparison passed with it, and heat_kernel_entries
+    # returned NaN; one time rule in ``form`` refuses it everywhere
+    scale, form = _split_product()
+    with pytest.raises(ParameterError, match="finite"):
+        _TIME_ENTRY_POINTS[entry](form, scale, math.inf)
 
 
 def test_invariants_allocate_less_than_one_square_array():
