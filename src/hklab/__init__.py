@@ -21,7 +21,6 @@ from .form import (
     SpectralForm,
     Truncation,
     assemble,
-    build_cutoff,
     capacity_check,
     cs_check,
     fk_family_check,

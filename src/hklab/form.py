@@ -706,14 +706,6 @@ def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,
     return part_a.psi @ (M * G) @ part_b.psi.T
 
 
-def build_cutoff(space: FiniteMMSpace, x0: int, R: float, r: float) -> np.ndarray:
-    """Profile cutoff: 1 on B(x0,R), 0 outside B(x0,R+r), slope 1/r between."""
-    if R <= 0 or r <= 0:
-        raise ParameterError("cutoff needs positive plateau and ramp widths")
-    d = space.dist_from(x0)
-    return np.clip(1.0 - (d - R) / r, 0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Ball sampling helpers
 # ---------------------------------------------------------------------------
@@ -726,17 +718,15 @@ def sample_balls(space: FiniteMMSpace, n_centers: int, radii: Iterable[float],
 
 
 def _quarter_balls(scale: ScaleField, ball_sample):
-    """The sampled balls with phi(x0, r) < T0 and a nonempty quarter ball B(x0, r/4),
-    as (x0, r, ball members, quarter-ball mask on them), and how many had an empty one."""
+    """The sampled balls with phi(x0, r) < T0 and a nonempty quarter ball,
+    as (x0, r, ball record), and how many had an empty one."""
     balls, skipped = [], 0
     for x0, r in ball_sample:
         if phi(scale, x0, r) >= scale.T0:
             continue
         ball = scale.space.ball(x0, r)
-        members = ball.member_idx
-        quarter_mask = ball.dist[members] < r / 4.0
-        if quarter_mask.any():
-            balls.append((x0, r, members, quarter_mask))
+        if ball.quarter.any():
+            balls.append((x0, r, ball))
         else:
             skipped += 1
     return balls, skipped
@@ -761,11 +751,11 @@ def lre_check(form: SpectralForm, scale: ScaleField, kappa: float,
     witness: dict[str, Any] = {}
     series = []
     balls, skipped = _quarter_balls(scale, ball_sample)
-    for x0, r, members, quarter_mask in balls:
-        part = part_on(form, members)
+    for x0, r, ball in balls:
+        part = part_on(form, ball.member_idx)
         lam = kappa / phi(scale, x0, r)
-        u = part.resolvent(lam, np.ones(members.size))
-        c1 = float(u[quarter_mask].min() / phi(scale, x0, r))
+        u = part.resolvent(lam, np.ones(ball.member_idx.size))
+        c1 = float(u[ball.quarter].min() / phi(scale, x0, r))
         series.append({"x0": x0, "r": r, "c1": c1})
         if c1 < worst:
             worst = c1
@@ -781,23 +771,18 @@ def lre_check(form: SpectralForm, scale: ScaleField, kappa: float,
     return report
 
 
-def _ball_cutoff(space: FiniteMMSpace, x0: int, r: float) -> np.ndarray:
-    """The cutoff of the ball B(x0, r): plateau r/2 and ramp r/4."""
-    return build_cutoff(space, x0, r / 2.0, r / 4.0)
-
-
 def cs_check(form: SpectralForm, scale: ScaleField, ball_sample) -> ConditionReport:
     """Pointwise cutoff-energy constant.
 
-    For each sampled ball B(x0, r) builds its cutoff, plateau R = r/2 and
-    ramp r/4 (the series' ``R`` and ``r``), and reports the best c with
+    For each sampled ball B(x0, r) takes the cutoff of its record, plateau R = r/2
+    and ramp r/4 (the series' ``R`` and ``r``), and reports the best c with
     sup_x sum_y (cut(x)-cut(y))^2 j(x,y) mu(y) <= c / phi(x, r/4).  One
     kernel block per row chunk serves every cutoff.
     """
     space = _space_shared_with(form, scale)
     ball_sample = list(ball_sample)
     atoms = np.arange(space.n_points)
-    cuts = [_ball_cutoff(space, x0, r) for x0, r in ball_sample]
+    cuts = [space.ball(x0, r).cutoff() for x0, r in ball_sample]
     energy_per_point = np.empty((len(cuts), space.n_points))
     for rows in space._row_chunks():
         j = form.kernel.block(rows, atoms)
@@ -827,14 +812,13 @@ def capacity_check(form: SpectralForm, scale: ScaleField, ball_sample) -> Condit
     if form.is_part:
         raise ParameterError("capacity uses the full-space form")
     ball_sample = list(ball_sample)
-    cuts = [_ball_cutoff(space, x0, r) for x0, r in ball_sample]
-    energies = form.energy(np.reshape(cuts, (-1, space.n_points)))
+    balls = [space.ball(x0, r) for x0, r in ball_sample]
+    energies = form.energy(np.reshape([ball.cutoff() for ball in balls], (-1, space.n_points)))
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
-    for (x0, r), e in zip(ball_sample, map(float, energies)):
-        v = space.volume(x0, r)
-        c = float(e * phi(scale, x0, r) / v)
+    for (x0, r), ball, e in zip(ball_sample, balls, map(float, energies)):
+        c = float(e * phi(scale, x0, r) / ball.volume)
         series.append({"x0": x0, "r": r, "C": c, "energy": e})
         if c > best:
             best = c

@@ -179,33 +179,33 @@ def build_stable_like_kernel(scale: ScaleField, lower_constant: float = 1.0) -> 
 
     j(x,y) = lower_constant / (V(x, |x-y|) * phi(x, |x-y|)), symmetrized by
     arithmetic averaging, with |x-y| in whole grid steps, so that atoms at the
-    same distance tie however their coordinates round.  One (N x side) table
-    of the one-sided value, from the closed-form count of atoms in the open
-    ball of k steps, serves every block; its step 0, a division by zero, is
-    the diagonal, which ``JumpKernel.block`` zeroes.
+    same distance tie however their coordinates round.  Each block counts
+    the atoms in the open ball of k steps around x in closed form from the
+    lattice indices of x, and reads phi from one row of steps per distinct
+    order, so no table of N rows is kept.  Step 0, the diagonal, is a
+    division by zero, which ``JumpKernel.block`` zeroes.
     """
     space = scale.space
     if space.meta.get("kind") != "grid":
         raise ParameterError("stable-like kernel needs a grid space")
     per_unit = space.meta["side"] - 1                  # grid steps in a unit of length
-    steps = np.arange(per_unit + 1)
+    lattice = np.rint(space.coords * per_unit).astype(np.int64)
     cumw = np.concatenate([[0.0], np.cumsum(space.weights)])
     # no step exceeds one unit of length, where phi(x, r) = r^beta(x); a power
     # per distinct order, since numpy takes a scalar 0.5 or 2 as sqrt or square
     orders, order_of = np.unique(scale.beta_values, return_inverse=True)
-    table = np.empty((space.n_points, steps.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.stack([(steps / per_unit) ** b for b in orders])
-        for rows in space._row_chunks():               # temporaries of chunk size
-            count = np.ones((rows.size, steps.size), dtype=np.int64)
-            for i in np.rint(space.coords[rows] * per_unit).astype(np.int64).T[:, :, None]:
-                count *= np.minimum(i + steps - 1, per_unit) - np.maximum(i - steps + 1, 0) + 1
-            count[:, 0] = 0
-            table[rows] = lower_constant / (cumw[count] * phi[order_of[rows]])
+    phi = np.stack([(np.arange(per_unit + 1) / per_unit) ** b for b in orders])
+
+    def one_sided(ids, k):
+        count = np.ones(k.shape, dtype=np.int64)
+        for i in lattice[ids].transpose(2, 0, 1):
+            count *= np.minimum(i + k - 1, per_unit) - np.maximum(i - k + 1, 0) + 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return lower_constant / (cumw[count] * phi[order_of[ids], k])
 
     def block_fn(rows, cols):
         k = np.rint(space.dist_block(rows, cols) * per_unit).astype(np.intp)
-        return 0.5 * (table[rows[:, None], k] + table[cols[None, :], k])
+        return 0.5 * (one_sided(rows[:, None], k) + one_sided(cols[None, :], k))
 
     return JumpKernel(space, block_fn, "full",
                       meta={"kind": "stable_like", "lower_constant": lower_constant})

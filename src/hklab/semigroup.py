@@ -116,11 +116,11 @@ def se_check(form: SpectralForm, scale: ScaleField, ball_sample,
     fracs = np.linspace(1.0 / _SE_TIMES_PER_A0, 1.0, _SE_TIMES_PER_A0)
     floors = []                 # per usable ball, its quarter-ball floor for each a0
     balls, skipped = _quarter_balls(scale, ball_sample)
-    for x0, r, members, quarter_mask in balls:
+    for x0, r, ball in balls:
         horizons = [a0 * phi(scale, x0, r) for a0 in a0_grid]
-        surv = survival(part_on(form, members),
+        surv = survival(part_on(form, ball.member_idx),
                         [frac * horizon for horizon in horizons for frac in fracs])
-        minima = surv[:, quarter_mask].min(axis=1)             # one per (a0, frac), a0-major
+        minima = surv[:, ball.quarter].min(axis=1)             # one per (a0, frac), a0-major
         floors.append(minima.reshape(len(horizons), fracs.size).min(axis=1))
     curve = [{"a0": float(a0), "eps0": min((float(floor[i]) for floor in floors), default=None)}
              for i, a0 in enumerate(a0_grid)]
@@ -150,28 +150,31 @@ def te_check(form: SpectralForm, scale: ScaleField, T0: float, ball_sample,
         raise ParameterError("tail estimate uses the full-space semigroup")
     if not T0 > 0:
         raise ParameterError("T0 must be positive (may be inf)")
+    times = _checked_times(time_grid)
+    if not times.all():
+        raise ParameterError("te_check times must be positive: C divides by each")
     balls, outside = [], []
     skipped = 0
     for x0, r in ball_sample:
         ball = space.ball(x0, r)
-        quarter = ball.within(r / 4.0)
+        quarter = ball.member_idx[ball.quarter]
         if quarter.size == 0:
             skipped += 1
             continue
         balls.append((x0, r, quarter, min(phi(scale, x0, r), T0)))
         outside.append(ball.dist >= r)
     outside = np.array(outside, dtype=float).reshape(len(balls), space.n_points).T
-    hits = form.apply_semigroup(time_grid, outside)
+    hits = form.apply_semigroup(times, outside)
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
     for k, (x0, r, quarter, denom) in enumerate(balls):
-        for t, hit in zip(time_grid, hits[:, :, k]):
-            c = float(hit[quarter].max()) * denom / float(t)
-            series.append({"x0": x0, "r": r, "t": float(t), "C": c})
+        for t, hit in zip(times.tolist(), hits[:, :, k]):
+            c = float(hit[quarter].max()) * denom / t
+            series.append({"x0": x0, "r": r, "t": t, "C": c})
             if c > best:
                 best = c
-                witness = {"x0": x0, "r": r, "t": float(t)}
+                witness = {"x0": x0, "r": r, "t": t}
     report = ConditionReport(condition="te", params={"T0": T0},
                              best_constant=best, witness=witness,
                              passed=bool(series) and math.isfinite(best), series=series,
@@ -406,15 +409,15 @@ def se_from_lre_chain(form: SpectralForm, scale: ScaleField, kappa: float,
     worst = math.inf
     series = []
     balls, skipped = _quarter_balls(scale, ball_sample)
-    for x0, r, members, quarter_mask in balls:
-        part = part_on(form, members)
+    for x0, r, ball in balls:
+        part = part_on(form, ball.member_idx)
         lam = kappa / phi(scale, x0, r)
-        u = part.resolvent(lam, np.ones(members.size))
-        u_min = float(u[quarter_mask].min())
+        u = part.resolvent(lam, np.ones(ball.member_idx.size))
+        u_min = float(u[ball.quarter].min())
         u_max = float(u.max())
         times = [frac * u_min / 2.0 for frac in _SE_FROM_LRE_T_FRACS]
         for t, surv in zip(times, survival(part, times)):
-            margin = float(surv[quarter_mask].min() - (u_min - t) / u_max)
+            margin = float(surv[ball.quarter].min() - (u_min - t) / u_max)
             series.append({"x0": x0, "r": r, "t": t, "margin": margin})
             worst = min(worst, margin)
     report = ConditionReport(

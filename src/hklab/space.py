@@ -9,10 +9,10 @@ queries use strict inequality (open balls).
 All atom-to-atom distances come from ``FiniteMMSpace._dist_pairs`` or,
 against every atom, ``_dist_rows``; blocks of them through
 :meth:`FiniteMMSpace.dist_block`.  Whole-space passes walk
-the atoms in row chunks of ``_CHUNK_ELEMENTS`` entries (128 KB of float64)
-against every atom, but of at least ``_MIN_CHUNK_ROWS`` rows, so one code
-path serves every size, and neither an N x N distance matrix nor an N x N
-temporary of a chunked pass is made once N exceeds 128.
+the atoms in row chunks of at most ``_CHUNK_ELEMENTS`` entries (128 KB of
+float64) against every atom, and of one row where a row alone is more, so
+one code path serves every size, and neither an N x N distance matrix nor
+an N x N temporary of a chunked pass is made once N exceeds 128.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -33,12 +34,11 @@ DEFAULT_POINT_CAP = 4096
 # anything above this must stay on the lazy per-point path.
 DENSE_MATRIX_CAP = 8192
 
-# Entries in one row chunk of a whole-space pass, and the fewest rows a
-# chunk holds: a 256-atom space makes chunks of 64 rows, and from 1024
-# atoms up a chunk is 16 rows, so that the passes over the largest spaces
-# are not cut into many chunks of a few rows each.
+# Entries in one row chunk of a whole-space pass (128 KB of float64): a
+# chunk is 64 rows of a 256-atom space and 4 rows of a 4096-atom one.  On
+# the 4096-atom product, the temporaries of 16-row chunks (512 KB) were
+# page-faulted afresh on every chunk, and those of this budget were not.
 _CHUNK_ELEMENTS = 1 << 14
-_MIN_CHUNK_ROWS = 16
 
 
 def _sup_metric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,15 +57,14 @@ def _sup_metric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FiniteMMSpace:
     """Finite point set with a metric and positive weights.
 
-    coords has shape (n_points, n_axes).  Under the "sup" metric the distance
-    is the max of per-axis absolute differences; "explicit" uses a stored
-    distance matrix.  Instances are treated as immutable after construction.
+    coords has shape (n_points, n_axes).  The metric is "explicit", read from
+    ``metric_matrix`` when one is given, and else "sup", the max of per-axis
+    absolute differences.  Instances are treated as immutable after construction.
     """
 
     coords: np.ndarray
     weights: np.ndarray
     diameter: float
-    metric_kind: str = "sup"
     metric_matrix: np.ndarray | None = None
     meta: dict[str, Any] = field(default_factory=dict)
 
@@ -78,16 +77,17 @@ class FiniteMMSpace:
             raise ParameterError("coordinates and weights must be finite")
         if np.any(self.weights <= 0):
             raise ParameterError("all weights must be strictly positive")
-        if self.metric_kind not in ("sup", "explicit"):
-            raise ParameterError(f"unknown metric kind {self.metric_kind!r}")
-        if self.metric_kind == "explicit":
-            if self.metric_matrix is None:
-                raise ParameterError("explicit metric requires metric_matrix")
+        if self.metric_matrix is not None:
             self.metric_matrix = np.asarray(self.metric_matrix, dtype=float)
             if self.metric_matrix.shape != (self.n_points,) * 2:
                 raise ParameterError("metric_matrix must be n_points x n_points")
         if self.weights.shape != (self.n_points,):
             raise ParameterError("need one weight per point")
+
+    @property
+    def metric_kind(self) -> str:
+        """"explicit" when a distance matrix is given, else "sup"."""
+        return "sup" if self.metric_matrix is None else "explicit"
 
     @property
     def n_points(self) -> int:
@@ -203,8 +203,8 @@ class FiniteMMSpace:
 def _chunked(rows, width: int):
     """The one row-chunk rule: consecutive pieces of ``rows`` whose block
     against ``width`` columns holds at most ``_CHUNK_ELEMENTS`` entries, or
-    ``_MIN_CHUNK_ROWS`` rows where that is more; only the last may be shorter."""
-    step = max(_MIN_CHUNK_ROWS, _CHUNK_ELEMENTS // max(width, 1))
+    one row where a row alone holds more; only the last may be shorter."""
+    step = max(1, _CHUNK_ELEMENTS // max(width, 1))
     for start in range(0, len(rows), step):
         yield rows[start:start + step]
 
@@ -223,8 +223,8 @@ def _checked_ids(idx, n: int) -> np.ndarray:
 class BallQuery:
     """The open ball B(center, radius) and the distance row it was cut from.
 
-    ``dist[y]`` is d(center, y) for every atom y, so sub-balls and quarter
-    balls around the same center come from :meth:`within` without a new pass.
+    ``dist[y]`` is d(center, y) for every atom y, so sub-balls, the quarter
+    ball and the cutoff around the same center come without a new pass.
     """
 
     center: int
@@ -236,6 +236,15 @@ class BallQuery:
     def within(self, radius: float) -> np.ndarray:
         """Atoms y with d(center, y) < radius, ascending."""
         return np.flatnonzero(self.dist < radius)
+
+    @cached_property
+    def quarter(self) -> np.ndarray:
+        """The quarter ball B(center, radius/4) as a mask on ``member_idx``."""
+        return self.dist[self.member_idx] < self.radius / 4.0
+
+    def cutoff(self) -> np.ndarray:
+        """The cutoff on every atom: 1 on B(center, radius/2), 0 off B(center, 3 radius/4)."""
+        return np.clip(1.0 - (self.dist - self.radius / 2.0) / (self.radius / 4.0), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +361,7 @@ def build_custom(coords, weights, metric_matrix=None) -> FiniteMMSpace:
     largest distance.  Its kind is "custom", so no builder that needs the
     lattice of a grid or the construction of a Cantor product accepts it.
     """
-    kind = "explicit" if metric_matrix is not None else "sup"
-    space = FiniteMMSpace(coords=coords, weights=weights, diameter=0.0, metric_kind=kind,
+    space = FiniteMMSpace(coords=coords, weights=weights, diameter=0.0,
                           metric_matrix=metric_matrix, meta={"kind": "custom"})
     space.diameter = space._distance_range()[0]
     return space

@@ -104,16 +104,14 @@ def split_psi(form):
     return psi
 
 
-@pytest.fixture(params=[None, (1000, 1), (1 << 24, 1)],
+@pytest.fixture(params=[None, 1000, 1 << 24],
                 ids=["default_budget", "small_chunks", "one_chunk"])
 def chunk_budget(request, monkeypatch):
     """Run a test at the default row-chunk budget, at one that splits every
     whole-space pass into ragged chunks of a few rows, and at one that holds
     every test space (up to 4096 atoms) in a single chunk."""
     if request.param is not None:
-        elements, min_rows = request.param
-        monkeypatch.setattr(space_mod, "_CHUNK_ELEMENTS", elements)
-        monkeypatch.setattr(space_mod, "_MIN_CHUNK_ROWS", min_rows)
+        monkeypatch.setattr(space_mod, "_CHUNK_ELEMENTS", request.param)
     return request.param
 
 

@@ -192,14 +192,19 @@ def test_markovian_clamp_contraction(seed):
     assert form.energy(clamped) <= form.energy(f) + 1e-12
 
 
-def test_build_cutoff_profile():
+def test_ball_cutoff_and_quarter():
     sp = hk.build_grid(1, 21)
-    cut = hk.build_cutoff(sp, 0, 0.3, 0.2)
-    d = sp.dist_from(0)
-    assert np.all(cut[d <= 0.3] == 1.0)
-    assert np.all(cut[d >= 0.5] == 0.0)
-    mid = np.argmin(np.abs(d - 0.4))
-    assert cut[mid] == pytest.approx(0.5, abs=0.03)
+    for x0, r in ((0, 0.6), (7, 0.4), (3, 1)):
+        ball = sp.ball(x0, r)
+        d = sp.dist_from(x0)
+        cut = ball.cutoff()
+        # the cutoff formula the ball checkers used, plateau r/2 and ramp r/4
+        assert _same_bits(cut, np.clip(1.0 - (d - r / 2.0) / (r / 4.0), 0.0, 1.0))
+        assert np.all(cut[d <= r / 2.0] == 1.0)
+        assert np.all(cut[d >= 0.75 * r] == 0.0)
+        assert 0.0 < cut[np.argmin(np.abs(d - 0.625 * r))] < 1.0
+        assert ball.quarter.dtype == bool and ball.quarter.shape == ball.member_idx.shape
+        assert ball.member_idx[ball.quarter].tolist() == ball.within(r / 4).tolist()
 
 
 def test_lre_whole_space_ratio(two_point):
@@ -1274,7 +1279,7 @@ def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
     rep = hk.cs_check(form, scale, sample)
     jmat, w = kern.matrix(), space.weights
     for (x0, r), row in zip(sample, rep.series):
-        cut = hk.build_cutoff(space, x0, r / 2.0, r / 4.0)
+        cut = np.clip(1.0 - (space.dist_from(x0) - r / 2.0) / (r / 4.0), 0.0, 1.0)
         vals = ((cut[:, None] - cut[None, :]) ** 2 * jmat * w[None, :]).sum(axis=1)
         vals *= hk.scale.phi_vec(scale, np.arange(space.n_points), r / 4.0)
         assert row["x"] == int(np.argmax(vals)) and _same_bits(row["c"], vals.max())

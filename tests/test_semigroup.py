@@ -301,13 +301,15 @@ def _split_product():
     return scale, hk.assemble(hk.build_cantor_axis_kernel(scale))
 
 
-@pytest.mark.parametrize("t", [math.nan, -1.0], ids=["nan", "negative"])
-@pytest.mark.parametrize("entry", list(_TIME_ENTRY_POINTS))
+@pytest.mark.parametrize("entry,t", [
+    *((entry, t) for t in (math.nan, -1.0) for entry in _TIME_ENTRY_POINTS),
+    ("te_check", 0.0)], ids=lambda v: {-1.0: "negative", 0.0: "zero"}.get(v, str(v)))
 def test_spectral_entry_points_refuse_nan_and_negative_times(entry, t):
     # a NaN time passed every comparison guard (the invariants with every
     # residual 0.0, te_check with best constant 0.0, due_check by dropping
     # it), and a negative one grew the semigroup without bound; the
-    # resolvent parameter is refused the same way
+    # resolvent parameter is refused the same way.  te_check divides by
+    # each time, and raised ZeroDivisionError at a zero one
     scale, form = _split_product()
     with pytest.raises(ParameterError, match="nonnegative|positive"):
         _TIME_ENTRY_POINTS[entry](form, scale, t)

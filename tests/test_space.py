@@ -206,6 +206,25 @@ def test_explicit_metric_space():
     assert sp.metric_kind == "explicit"
 
 
+def test_a_metric_matrix_is_always_the_metric():
+    # the matrix was kept and never read unless metric_kind="explicit" was
+    # passed beside it: d(0, 2) came out as the coordinate distance 2.0
+    m = np.full((3, 3), 5.0)
+    np.fill_diagonal(m, 0.0)
+    sp = hk.FiniteMMSpace(coords=np.arange(3.0), weights=np.ones(3), diameter=5.0,
+                          metric_matrix=m)
+    assert sp.metric_kind == "explicit"
+    assert sp.dist(0, 2) == 5.0
+    assert sp.ball(0, 3.0).member_idx.tolist() == [0]
+    plain = hk.FiniteMMSpace(coords=np.arange(3.0), weights=np.ones(3), diameter=2.0)
+    assert plain.metric_kind == "sup" and plain.dist(0, 2) == 2.0
+    with pytest.raises(AttributeError):
+        sp.metric_kind = "sup"
+    with pytest.raises(ParameterError, match="n_points x n_points"):
+        hk.FiniteMMSpace(coords=np.arange(3.0), weights=np.ones(3), diameter=5.0,
+                         metric_matrix=m[:2])
+
+
 # ---------------------------------------------------------------------------
 # Distance layer against the per-point reference paths
 # ---------------------------------------------------------------------------
@@ -250,22 +269,20 @@ def test_volumes_at_matches_volume(seed, chunk_budget):
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 256, 1024, 4096])
 def test_row_chunks_cover_the_rows_within_the_budget(n):
-    # consecutive pieces that cover every row, each of at least
-    # min(16, rows left) rows and at most max(16, 2^14 // N) rows: a 256-atom
-    # pass makes 64-row chunks, and from 1024 atoms up every chunk is 16 rows
+    # consecutive pieces that cover every row, each of max(1, 2^14 // N)
+    # rows but the last, which holds the rows left: a 256-atom pass makes
+    # 64-row chunks, a 1024-atom one 16 rows and a 4096-atom one 4 rows
     space = hk.FiniteMMSpace(coords=np.arange(float(n)), weights=np.ones(n), diameter=1.0)
-    most = max(16, (1 << 14) // n)
+    step = max(1, (1 << 14) // n)
     some = np.arange(n)[::-3]
     for rows, chunks in ((np.arange(n), space._row_chunks()),
                          (some, space._row_chunks(some))):
         chunks = list(chunks)
         assert np.array_equal(np.concatenate(chunks), rows)
-        left = rows.size
-        for chunk in chunks:
-            assert min(16, left) <= chunk.size <= most
-            left -= chunk.size
-    if n >= 1024:
-        assert {chunk.size for chunk in space._row_chunks()} == {16}
+        assert [chunk.size for chunk in chunks] == \
+            [min(step, rows.size - start) for start in range(0, rows.size, step)]
+    if n == 4096:
+        assert {chunk.size for chunk in space._row_chunks()} == {4}
 
 
 def test_volumes_at_rejects_bad_radii():
