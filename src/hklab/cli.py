@@ -3,10 +3,10 @@
 Subcommands:
 
 * ``hk-lab run --config cfg.json [--out dir] [--seed k]`` builds the space,
-  order field, kernel and form once, runs the configured checks in order,
-  writes one report file per check plus a summary, and exits 0 iff every
-  pass-mode check passed (diagnostic checks never fail the run), 2 on a
-  config schema violation, 3 when a point cap is exceeded.
+  order field, kernel and, if a check reads it, form once, runs the checks
+  in order, writes one report file per check plus a summary, and exits 0 iff
+  every pass-mode check passed (diagnostic checks never fail the run), 2 on
+  a config schema violation, 3 when a point cap is exceeded.
 * ``hk-lab list-checks`` prints the catalog of checks with the inequality
   each one measures and its parameter schema.
 * ``hk-lab counterexample report --epsilon e [--levels l] [--axes n]`` emits
@@ -211,7 +211,9 @@ def build_kernel(cfg: dict, scale: scale_mod.ScaleField) -> kernel_mod.JumpKerne
 # a value, or a function of (ctx, the params resolved so far).  The docstring
 # of a converter names the type it accepts, that of a default function the
 # value it derives; list-checks and the error messages print them.  "fn" only
-# wires ctx and the resolved params into the checker.
+# wires ctx and the resolved params into the checker.  A check that reads only
+# the space, the order field and the kernel declares "needs_form": False; the
+# form is assembled before the first check when a configured check needs it.
 # ---------------------------------------------------------------------------
 
 def _number(value) -> float:
@@ -395,35 +397,37 @@ CHECKS: dict[str, dict[str, Any]] = {
             ctx["scale"], p["radius_grid"], rng=ctx["rng"]),
         "measures": "order-field constants: phi(y,r) <= C1 phi(x,r) for r >= d(x,y); "
                     "(R/r)^b1 / C2 <= phi(x,R)/phi(x,r) <= C2 (R/r)^b2",
-        "params": _RADIUS_GRID},
+        "params": _RADIUS_GRID, "needs_form": False},
     "quasi_metric": {
         "fn": _run_quasi_metric,
         "measures": "comparability of the shortest-chain metric power with phi(x, d(x,y))",
-        "params": {"beta_star": (_number_or_null, None)}},
+        "params": {"beta_star": (_number_or_null, None)}, "needs_form": False},
     "vd_fit": {
         "fn": _run_vd_fit,
         "measures": "volume-growth exponent: slope of log V(x,r) against log r",
-        "params": _RADIUS_GRID},
+        "params": _RADIUS_GRID, "needs_form": False},
     "rvd_fit": {
         "fn": _run_rvd_fit,
         "measures": "reverse volume-growth exponent: smallest per-point slope",
-        "params": _RADIUS_GRID},
+        "params": _RADIUS_GRID, "needs_form": False},
     "tj_check": {
         "fn": lambda ctx, p: kernel_mod.tj_check(
             ctx["kernel"], ctx["scale"], p["radius_grid"], threshold=p["threshold"]),
         "measures": "jump tail bound: sum_{d(x,y)>=r} j(x,y) mu(y) <= C / phi(x,r)",
-        "params": {**_RADIUS_GRID, "threshold": (_number_or_null, None)}},
+        "params": {**_RADIUS_GRID, "threshold": (_number_or_null, None)}, "needs_form": False},
     "tjq_check": {
         "fn": lambda ctx, p: kernel_mod.tjq_check(
             ctx["kernel"], ctx["scale"], p["q"], p["radius_grid"],
             threshold=p["threshold"]),
         "measures": "L^q jump tail: (sum_{d>=r} j^q mu)^(1/q) <= C / (V(x,r)^((q-1)/q) phi(x,r))",
-        "params": {"q": (_number, 2.0), **_RADIUS_GRID, "threshold": (_number_or_null, None)}},
+        "params": {"q": (_number, 2.0), **_RADIUS_GRID, "threshold": (_number_or_null, None)},
+        "needs_form": False},
     "ij_check": {
         "fn": lambda ctx, p: kernel_mod.ij_check(
             ctx["kernel"], ctx["scale"], p["gamma"], p["pairs"]),
         "measures": "annulus jump mass weighted by 1/sqrt(V(y, .)) <= C (R/r)^gamma / (R sqrt(V(x, .)))",
-        "params": {"gamma": (_number, 0.0), **_RADIUS_GRID, "pairs": (_pairs, _grid_pairs)}},
+        "params": {"gamma": (_number, 0.0), **_RADIUS_GRID, "pairs": (_pairs, _grid_pairs)},
+        "needs_form": False},
     "lre_check": {
         "fn": lambda ctx, p: form_mod.lre_check(
             ctx["form"], ctx["scale"], p["kappa"], _balls(ctx, p)),
@@ -510,7 +514,7 @@ CHECKS: dict[str, dict[str, Any]] = {
             ctx["kernel"], sorted(p["radii"]), eta=p["eta"]),
         "measures": "corner-to-corner long-jump mass scaling exponent",
         "params": {"radii": (_positives, [2.0 ** (-k) for k in range(2, 8)]),
-                   "eta": (_number, 0.5)}},
+                   "eta": (_number, 0.5)}, "needs_form": False},
 }
 
 
@@ -577,7 +581,8 @@ def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) 
     space = _build("space", build_space, cfg["space"])
     scale = _build("scale", build_scale, cfg["scale"], space)
     kern = _build("kernel", build_kernel, cfg["kernel"], scale)
-    form = _build("kernel", form_mod.assemble, kern)
+    form = (_build("kernel", form_mod.assemble, kern)
+            if any(CHECKS[c["name"]].get("needs_form", True) for c in cfg["checks"]) else None)
     ctx = {"space": space, "scale": scale, "kernel": kern, "form": form, "rng": rng}
 
     output = cfg.get("output", {})

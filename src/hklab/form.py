@@ -5,26 +5,28 @@ The generator convention is the ordered-pair one:
     (L f)(x) = 2 * sum_y (f(x) - f(y)) j(x,y) mu(y),
 
 so that <L f, f>_mu equals the double sum over ordered pairs
-sum_{x,y} (f(x)-f(y))^2 j(x,y) mu(x) mu(y).  Dirichlet parts are principal
-submatrices of L: the diagonal keeps the jumps that leave the domain, which
-act as killing.
+sum_{x,y} (f(x)-f(y))^2 j(x,y) mu(x) mu(y).  J is symmetric, so every form
+holds L as S = W^(1/2) L W^(-1/2), whose off-diagonal entries are the closed
+form -2 j(x,y) sqrt(mu(x)) sqrt(mu(y)) of ``_generator_block``, each equal to
+its transpose entry bit for bit; its diagonal is L's.  Dirichlet parts are
+principal submatrices of S: the diagonal keeps the jumps that leave the
+domain, which act as killing.
 
-A full form keeps the generator diagonal and its eigenbasis, but no dense L
+A full form keeps the generator diagonal and its eigenbasis, but no dense S
 and no kernel matrix: J is read as a measure on blocks of atoms, one row
 chunk or one D x D part at a time, from ``form.kernel.block``, 0 wherever a
 row atom equals a column atom and equal to its transpose entry for entry
-(``assemble`` refuses any other kernel); off the diagonal L = -2 J W.  A
-form's spectrum is one basis behind a protocol of six
-members, ``eigvals``, ``entries``, ``calculus``, ``panels``, ``rows`` and
-``composed`` (see above :class:`_DenseBasis`): a :class:`_DenseBasis` from
-one ``eigh``, which keeps ``psi``, or, when the generator commutes with the
-central reflection of the space, a :class:`_HalfSpectrum`, the reflection
-fold over an even and an odd :class:`_DenseBasis` half, which lays out no
-N-wide ``psi``; only it knows the fold.  Dirichlet parts are always solved
-whole.  A :class:`Truncation` cuts one full form's jumps at rho: its near
-form, far kernel and far tail.
+(``assemble`` refuses any other kernel).  A form's spectrum is one basis
+behind a protocol of six members, ``eigvals``, ``entries``, ``calculus``,
+``panels``, ``rows`` and ``composed`` (see above :class:`_DenseBasis`): a
+:class:`_DenseBasis` from one ``eigh``, which keeps ``psi``, or, when the
+generator commutes with the central reflection of the space, a
+:class:`_HalfSpectrum`, the reflection fold over an even and an odd
+:class:`_DenseBasis` half, which lays out no N-wide ``psi``; only it knows
+the fold.  Dirichlet parts are always solved whole.  A :class:`Truncation`
+cuts one full form's jumps at rho: its near form, far kernel and far tail.
 
-Only this module reads a form's ``L``, ``eigvals`` and ``psi``; the other
+Only this module reads a form's ``S``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
 streams the kernel in row panels, and this module for parts.
 """
@@ -75,7 +77,7 @@ class SpectralForm:
     transpose entry for entry, else ``assemble`` refuses it.  The form reads
     it by ``kernel.block``, 0 on the diagonal.  Its space is the form's.  A
     Dirichlet part shares the kernel of its full form and keeps its small
-    dense generator ``L``; a full form keeps none.
+    dense symmetric generator ``S``; a full form keeps none.
     """
 
     kernel: JumpKernel
@@ -83,7 +85,7 @@ class SpectralForm:
     diag: np.ndarray
     basis: _DenseBasis | _HalfSpectrum
     jmat_nonzeros: int
-    L: np.ndarray | None = field(default=None, repr=False)
+    S: np.ndarray | None = field(default=None, repr=False)
     _lambda1: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -107,32 +109,37 @@ class SpectralForm:
 
     @property
     def is_part(self) -> bool:
-        """A Dirichlet part keeps its generator ``L``, whatever its domain."""
-        return self.L is not None
+        """A Dirichlet part keeps its generator ``S``, whatever its domain."""
+        return self.S is not None
 
     def energy(self, f):
-        """Quadratic form <L f, f>_mu on the domain, one value per row of a 2-D ``f``.
+        """Quadratic form <L f, f>_mu = g . (S g), g = f sqrt(w), on the
+        domain, one value per row of a 2-D ``f``.
 
-        A part multiplies by its small L_D.  The full form subtracts each
+        A part multiplies by its small S_D.  The full form subtracts each
         function's mu-mean, which L1 = 0 leaves out of the form but would
-        cancel in L f, then forms L f one row chunk of L at a time, one
+        cancel in S g, then forms S g one row chunk of S at a time, one
         kernel block per chunk serving every row.
         """
         f = np.asarray(f, dtype=float)
+        if f.ndim not in (1, 2) or f.shape[-1] != self.domain.size:
+            raise ParameterError(f"f must have {self.domain.size} entries along its last axis")
         fs = np.atleast_2d(f)
+        sqrt_w = np.sqrt(self.weights)
         if self.is_part:
-            Lf = np.array([self.L @ g for g in fs])
+            gs = fs * sqrt_w
+            Sg = np.array([self.S @ g for g in gs])
         else:
             w = self.space.weights
-            fs = fs - ((fs * w).sum(axis=1) / w.sum())[:, None]
-            Lf = np.empty_like(fs)
+            gs = (fs - ((fs * w).sum(axis=1) / w.sum())[:, None]) * sqrt_w
+            Sg = np.empty_like(gs)
             for rows in self.space._row_chunks():
                 part = slice(rows[0], rows[-1] + 1)
-                row = _kernel_generator(self.kernel.block(rows, self.domain), w[None, :])
+                row = _generator_block(self.kernel.block(rows, self.domain), sqrt_w[rows], sqrt_w)
                 row[np.arange(rows.size), rows] = self.diag[part]
-                for k, g in enumerate(fs):
-                    Lf[k, part] = row @ g
-        values = np.array([Lg @ (g * self.weights) for Lg, g in zip(Lf, fs)])
+                for k, g in enumerate(gs):
+                    Sg[k, part] = row @ g
+        values = np.array([Sg_k @ g for Sg_k, g in zip(Sg, gs)])
         return float(values[0]) if f.ndim == 1 else values
 
     def _calculus(self, f, filters: np.ndarray, inverse: bool = False) -> list[np.ndarray]:
@@ -178,32 +185,24 @@ class SpectralForm:
         return self._calculus(f, (self.eigvals + lam)[None], inverse=True)[0]
 
 
-def _symmetrized(L: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
-    """The symmetric matrix W^(1/2) L W^(-1/2), symmetrized against rounding."""
-    sym = L * sqrt_w[:, None]
-    sym /= sqrt_w[None, :]
-    sym += sym.T                                       # numpy buffers the overlap
-    sym *= 0.5
-    return sym
-
-
-def _kernel_generator(j: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
-    """-2 J times ``w_cols``: with a block J[rows, cols] and w[None, cols],
-    the block of L = -2 J W off the diagonal."""
+def _generator_block(j: np.ndarray, sqrt_w_rows: np.ndarray, sqrt_w_cols: np.ndarray
+                     ) -> np.ndarray:
+    """-2 J[rows, cols] sqrt(w[rows]) sqrt(w[cols]): the block of S off its
+    diagonal.  Each entry is its transpose entry bit for bit, J being
+    symmetric and the product of two square roots commuting."""
     out = j * -2.0
-    out *= w_cols
+    out *= np.multiply.outer(sqrt_w_rows, sqrt_w_cols)
     return out
 
 
-def _part_form(form: SpectralForm, D: np.ndarray, LD: np.ndarray) -> SpectralForm:
-    """The part on ``D`` with the small dense generator ``LD``, which it keeps."""
-    w = form.space.weights[D]
-    basis = _DenseBasis.solve(_symmetrized(LD, np.sqrt(w)), w)
-    return replace(form, domain=D, diag=LD.diagonal(), basis=basis, L=LD)
+def _part_form(form: SpectralForm, D: np.ndarray, SD: np.ndarray) -> SpectralForm:
+    """The part on ``D`` with the small dense symmetric generator ``SD``, which it keeps."""
+    basis = _DenseBasis.solve(SD, form.space.weights[D])
+    return replace(form, domain=D, diag=SD.diagonal(), basis=basis, S=SD)
 
 
 # Relative tolerance of the reflection gate: the mirror pairs' coordinates
-# against the centre, and the symmetrized generator against its reflection.
+# against the centre, and the symmetric generator against its reflection.
 _SYMMETRY_RTOL = 1e-10
 
 
@@ -213,19 +212,18 @@ def _symmetry_atol(top: float) -> float:
 
 
 def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_symmetrized(L, sqrt(w))`` for the generator L of J, the diagonal
-    of L, and the off-diagonal nonzeros of J.
+    """The symmetric generator S = W^(1/2) L W^(-1/2) of J, the diagonal
+    of L, which is S's, and the off-diagonal nonzeros of J.
 
-    One N x N buffer becomes the result.  A first pass over row chunks
-    writes the rows of J into it, each entry read once, and refuses negative
-    and non-finite values.  A second pass takes each chunk's columns from
-    its first row down, which hold every pair of a chunk atom with itself or
-    a later atom, and refuses the kernel unless they equal the chunk's rows
+    One N x N buffer becomes S.  A first pass over row chunks writes the
+    rows of J into it, each entry read once, and refuses negative and
+    non-finite values.  A second pass takes each chunk's columns from its
+    first row down, which hold every pair of a chunk atom with itself or a
+    later atom, and refuses the kernel unless they equal the chunk's rows
     entry for entry (by value: +0 equals -0, and one ulp is a difference).
-    The chunk's rows of L and its columns are then formed with the
-    floating-point operations of the dense formula, so the result equals it
-    bit for bit; the diagonal of L is minus its off-diagonal row sums.  A
-    chunk whose result overflows is refused.
+    The diagonal is minus the off-diagonal row sums of L = -2 J W, and the
+    chunk's rows become S by ``_generator_block``, so S equals its
+    transpose bit for bit.  A chunk whose rows overflow is refused.
     """
     space = kernel.space
     n = space.n_points
@@ -250,23 +248,17 @@ def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, in
         # and the pass takes three times as long
         if not np.array_equal(sym[part.start:, part], sym[part, part.start:].T):
             raise ParameterError("kernel must be symmetric: J differs from its transpose")
-        col = sym[part]                                      # the chunk's rows of J
-        nonzeros += int(np.count_nonzero(col))
+        j = sym[part]                                        # the chunk's rows of J
+        nonzeros += int(np.count_nonzero(j))
         on_diag = (np.arange(rows.size), rows)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            row = _kernel_generator(col, w[None, :])
-            col *= -2.0              # -2 J w[rows], which is L[:, rows].T, J being symmetric
-            col *= w[rows, None]
+            row = j * -2.0                                   # the chunk's rows of L
+            row *= w[None, :]
             row[on_diag] = 0.0
             diag[part] = -row.sum(axis=1)
-            row[on_diag] = col[on_diag] = diag[part]
-            row *= sqrt_w[rows, None]
-            row /= sqrt_w[None, :]
-            col *= sqrt_w[None, :]
-            col /= sqrt_w[rows, None]
-            col += row
-            col *= 0.5
-        if not np.isfinite(col).all():                       # the diagonal is in it
+            j[...] = _generator_block(j, sqrt_w[rows], sqrt_w)
+        j[on_diag] = diag[part]
+        if not np.isfinite(j).all():                         # the diagonal is in it
             raise ParameterError("kernel too large: its generator overflows a float")
     return sym, diag, nonzeros
 
@@ -391,7 +383,7 @@ class _DenseBasis:
 
     @classmethod
     def solve(cls, sym: np.ndarray, weights: np.ndarray) -> _DenseBasis:
-        """The ascending eigenvalues of the symmetrized generator ``sym``,
+        """The ascending eigenvalues of the symmetric generator ``sym``,
         rounded zeros made exact, and the mu-orthonormal eigenfunctions, by
         one ``eigh``."""
         eigvals, psi = np.linalg.eigh(sym)
@@ -561,7 +553,7 @@ def _generator_blocks(kernel: JumpKernel) -> tuple:
 def assemble(kernel: JumpKernel) -> SpectralForm:
     """Assemble the generator of the pure-jump form on the whole space of ``kernel``.
 
-    The symmetrized generator is built in place from kernel blocks one row
+    The symmetric generator is built in place from kernel blocks one row
     chunk at a time, each entry of J read once, so neither a dense generator
     nor the kernel matrix is alive during the eigensolve, which is split
     into two half-size ones when the generator commutes with the central
@@ -586,8 +578,8 @@ def part_on(form: SpectralForm, D) -> SpectralForm:
     ``D`` must be a nonempty 1-D list of distinct atom indices in 0..N-1.
     The part's lambda_1 is recorded in the form, for :func:`lambda1`.
     """
-    D, LD = _part_generator(form, D)
-    part = _part_form(form, D, LD)
+    D, SD = _part_generator(form, D)
+    part = _part_form(form, D, SD)
     form._lambda1[D.tobytes()] = float(part.eigvals[0])
     return part
 
@@ -610,12 +602,13 @@ def _checked_domain(form: SpectralForm, D) -> np.ndarray:
 
 
 def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
-    """The checked domain ``D`` and the principal submatrix L_D of the generator,
-    from the D x D kernel block and the generator diagonal."""
+    """The checked domain ``D`` and the principal submatrix S_D of the symmetric
+    generator, from the D x D kernel block and the generator diagonal."""
     D = _checked_domain(form, D)
-    LD = _kernel_generator(form.kernel.block(D, D), form.space.weights[D][None, :])
-    np.fill_diagonal(LD, form.diag[D])
-    return D, LD
+    sqrt_w = np.sqrt(form.space.weights[D])
+    SD = _generator_block(form.kernel.block(D, D), sqrt_w, sqrt_w)
+    np.fill_diagonal(SD, form.diag[D])
+    return D, SD
 
 
 def lambda1(form: SpectralForm, D) -> float:
@@ -679,13 +672,14 @@ class Truncation:
 
     def killed_part(self, near_part: SpectralForm) -> SpectralForm:
         """The part ``near_part`` of ``near`` plus the killing potential
-        2 tail on its domain, from its own L_D: no kernel block is read
+        2 tail on its domain, added to the diagonal of its own S_D, which the
+        similarity W^(1/2) . W^(-1/2) leaves alone: no kernel block is read
         again.  It records no lambda_1, since its generator carries the
         killing."""
         if not near_part.is_part or near_part.kernel is not self.near.kernel:
             raise ParameterError("the killed part is taken of a part of the near form")
         D = near_part.domain
-        return _part_form(self.near, D, near_part.L + 2.0 * np.diag(self.tail[D]))
+        return _part_form(self.near, D, near_part.S + 2.0 * np.diag(self.tail[D]))
 
 
 def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,
@@ -952,14 +946,14 @@ def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b:
 
 
 def nash_witness_constant(scale: ScaleField, ball: BallQuery, nu: float, b: float,
-                          f_on_D: np.ndarray, LD: np.ndarray) -> float:
+                          f_on_D: np.ndarray, part: SpectralForm) -> float:
     """Witness constant of the ball Nash display for one test function on
-    ``ball``, a ball of the space of ``scale``, its energy (L_D f) . (f w)
-    from ``LD``, the generator of the ball part."""
+    ``ball``, a ball of the space of ``scale``, its energy from ``part``, the
+    Dirichlet part on the ball."""
     phival = phi(scale, ball.center, ball.radius)
     damping = _damping(scale, phival)
     w = scale.space.weights[ball.member_idx]
-    energy = float((LD @ f_on_D) @ (f_on_D * w))
+    energy = part.energy(f_on_D)
     l1, l2sq = float(np.abs(f_on_D) @ w), float(f_on_D**2 @ w)
     denom = phival * (energy + l2sq / phival) * l1 ** (2 * nu)
     if denom == 0:
@@ -995,7 +989,7 @@ def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_
             if norm == 0:
                 continue
             f = f / norm
-            c = nash_witness_constant(scale, ball, nu, b, f, part.L)
+            c = nash_witness_constant(scale, ball, nu, b, f, part)
             series.append({"x0": x0, "r": r, "family": name, "C": c})
             if c > best:
                 best = c
@@ -1066,7 +1060,7 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
             grounds.append(g)
             asserted.append((D, float(sub_part.eigvals[0])))
         asserted.append((D_ball, float(part.eigvals[0])))
-        nash = max(nash_witness_constant(scale, ball, nu, b, f, part.L) for f in base + grounds)
+        nash = max(nash_witness_constant(scale, ball, nu, b, f, part) for f in base + grounds)
         per_ball[(x0, r)] = (ball, nash, asserted)
         swept.append((x0, r, ball, part.psi[:, 0], [*subs.values(), *(
             s for g in grounds if (s := _superlevel_subset(space, D_ball, g)) is not None)]))

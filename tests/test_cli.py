@@ -520,6 +520,31 @@ def test_truncation_checks_share_one_near_form(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_kernel_level_checks_assemble_no_form(tmp_path, monkeypatch):
+    # 1024 atoms above a dense cap lowered to 512: checks that read only the
+    # space, the order field and the kernel run without the form, which a
+    # check that reads it still cannot have
+    monkeypatch.setattr(cli.form_mod, "DENSE_MATRIX_CAP", 512)
+    calls = []
+    assemble = cli.form_mod.assemble
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli.form_mod, "assemble", counting_assemble)
+    checks = [{"name": name, "mode": "pass"} for name in ("vd_fit", "tj_check", "ij_check")]
+    cfg = {"space": {"kind": "cantor", "xi": 1 / 3, "n": 2, "level": 5},
+           "scale": {"kind": "constant", "beta": 0.8, "T0": 1.0},
+           "kernel": {"kind": "cantor_axis"}, "checks": checks}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert calls == []
+    path = write_config(tmp_path, {**cfg, "checks": checks + [{"name": "due_check"}]})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 3
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("edit,path", [
     (lambda c: None, "config"), (lambda c: {**c, "space": 5}, "space"),
     (lambda c: {**c, "checks": [5]}, "checks[0]"),

@@ -71,7 +71,7 @@ def test_quadratic_form_identity_random_functions():
 def test_part_two_point(two_point):
     _, _, form = two_point
     part = hk.part_on(form, [0])
-    assert part.L == pytest.approx(np.array([[1.0]]))
+    assert part.S == pytest.approx(np.array([[1.0]]))
     assert hk.lambda1(form, [0]) == pytest.approx(1.0, abs=1e-12)
     # Rayleigh quotient over vectors supported on D
     f = np.array([2.5, 0.0])
@@ -177,6 +177,19 @@ def test_calculus_refuses_a_function_off_the_domain(shape):
     for refused in (lambda: form.apply_semigroup(0.1, f), lambda: form.apply_semigroup([0.1], f),
                     lambda: form.resolvent(1.0, f), lambda: part.resolvent(1.0, np.ones(16))):
         with pytest.raises(ParameterError, match="entries along its first axis"):
+            refused()
+
+
+def test_energy_refuses_a_function_of_the_wrong_length():
+    # numpy's broadcast error on the full form and a matmul core-dimension
+    # error on a part, before
+    space = hk.build_cantor_product(1 / 3, 2, 3)
+    form = hk.assemble(hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0)))
+    part = hk.part_on(form, np.arange(4))
+    for refused in (lambda: form.energy(np.ones(3)), lambda: form.energy(np.ones((2, 63))),
+                    lambda: form.energy(1.0), lambda: part.energy(np.ones(5)),
+                    lambda: part.energy(np.ones((2, 2, 4)))):
+        with pytest.raises(ParameterError, match="4 entries along its last axis|64 entries"):
             refused()
 
 
@@ -374,7 +387,7 @@ def test_nash_single_atom_closed_form(cantor6):
     l1 = math.sqrt(space.weights[y])
     expected = (1.0 * space.volume(x0, r) ** nu * damping
                 / (phival * (part.energy(f) + 1.0 / phival) * l1 ** (2 * nu)))
-    got = hk.form.nash_witness_constant(scale, space.ball(x0, r), nu, 1.0, f, part.L)
+    got = hk.form.nash_witness_constant(scale, space.ball(x0, r), nu, 1.0, f, part)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -569,7 +582,7 @@ def test_assemble_matches_reference_formulas(chunk_budget):
 
 
 def _dense_generator(space, jmat):
-    # the dense formula, the reference for the chunked builder
+    # the dense formula L = -2 J W, its diagonal minus its off-diagonal row sums
     L = jmat * -2.0
     L *= space.weights[None, :]
     np.fill_diagonal(L, 0.0)
@@ -577,17 +590,23 @@ def _dense_generator(space, jmat):
     return L
 
 
-def _dense_spectrum(L, weights):
-    # the dense symmetrization W^(1/2) L W^(-1/2), its eigh and the rescaled psi
-    sqrt_w = np.sqrt(weights)
-    sym = L * sqrt_w[:, None]
-    sym /= sqrt_w[None, :]
-    sym += sym.T
-    sym *= 0.5
-    eigvals, psi = np.linalg.eigh(sym)
+def _closed_form(space, jmat):
+    # the reference for the chunked builder: S = W^(1/2) L W^(-1/2) as
+    # -2 J o (sqrt(w) sqrt(w)^T) off the diagonal, the diagonal of L on it
+    sqrt_w = np.sqrt(space.weights)
+    S = jmat * -2.0
+    S *= np.multiply.outer(sqrt_w, sqrt_w)
+    np.fill_diagonal(S, np.diag(_dense_generator(space, jmat)))
+    return S
+
+
+def _dense_spectrum(S, weights):
+    # the eigh of the symmetric generator S, rounded zeros made exact, and
+    # the rescaled psi
+    eigvals, psi = np.linalg.eigh(S)
     _zero_rounded(eigvals)
-    psi /= sqrt_w[:, None]
-    return eigvals, psi, sym
+    psi /= np.sqrt(weights)[:, None]
+    return eigvals, psi, S
 
 
 def _zero_rounded(*spectra):
@@ -656,7 +675,7 @@ def test_removed_top_eigenvalue_is_the_top_of_the_far_form(split):
 
 @pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
 def test_chunked_generator_matches_dense_reference(chunk_budget, case):
-    # Everything before the eigensolve matches the dense formula bit for bit.
+    # Everything before the eigensolve matches the closed form bit for bit.
     # The Cantor product is symmetric under its central reflection, so its
     # whole-space forms are solved as two half-size blocks and match the
     # dense spectrum within rounding; the other two cases have no such
@@ -669,8 +688,9 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
     assert form.kernel is kern
     w = space.weights
     L, L_near = _dense_generator(space, kern.matrix()), _dense_generator(space, near_kern.matrix())
-    for f, ref in ((form, L), (near, L_near)):
-        eigvals, psi, sym = _dense_spectrum(ref, w)
+    S, S_near = _closed_form(space, kern.matrix()), _closed_form(space, near_kern.matrix())
+    for f, ref, sym in ((form, L, S), (near, L_near, S_near)):
+        eigvals, psi, _ = _dense_spectrum(sym, w)
         assert (_reflection_blocks(space, sym) is not None) == (case == "cantor")
         if case == "cantor":
             _assert_matches_spectrum(f, eigvals, psi, sym)
@@ -679,31 +699,49 @@ def test_chunked_generator_matches_dense_reference(chunk_budget, case):
         assert _same_bits(f.diag, np.diag(ref))
         assert _same_bits(full_generator(f), ref)
     D = np.random.default_rng(1).permutation(space.n_points)[: space.n_points // 2]
-    assert _same_bits(_part_generator(form, D)[1], L[np.ix_(D, D)])
     part = hk.part_on(form, D)
-    eigvals, psi, _ = _dense_spectrum(L[np.ix_(D, D)], w[D])
+    eigvals, psi, _ = _dense_spectrum(S[np.ix_(D, D)], w[D])
     assert _same_bits(part.eigvals, eigvals) and _same_bits(part.psi, psi)
     tail = 0.5 * (np.diag(L) - np.diag(L_near))
     assert tail.max() > 0
     assert _same_bits(trunc.tail, tail) and not trunc.tail.flags.writeable
     near_part = hk.part_on(near, D)
     killed = trunc.killed_part(near_part)
-    LD = L_near[np.ix_(D, D)] + 2.0 * np.diag(tail[D])
-    eigvals, psi, _ = _dense_spectrum(LD, w[D])
-    assert _same_bits(killed.L, LD) and not np.shares_memory(killed.L, near_part.L)
-    assert _same_bits(near_part.L, L_near[np.ix_(D, D)])
+    SD = S_near[np.ix_(D, D)] + 2.0 * np.diag(tail[D])
+    eigvals, psi, _ = _dense_spectrum(SD, w[D])
+    assert _same_bits(killed.S, SD) and not np.shares_memory(killed.S, near_part.S)
     assert _same_bits(killed.eigvals, eigvals) and _same_bits(killed.psi, psi)
-    # the removed generator L - L_near is the generator of the far kernel,
+    # the removed generator S - S_near is the generator of the far kernel,
     # within rounding: its diagonal is its own row sums, and its zeros are
-    # -0.0 where L - L_near has +0.0; bit for bit, it is the far kernel's
-    # dense generator
+    # -0.0 where S - S_near has +0.0; bit for bit, it is the far kernel's
+    # closed form
     far = hk.truncate(kern, rho)[1]
     removed = trunc.far_top()
-    top = np.linalg.eigvalsh(_dense_spectrum(L - L_near, w)[2])[-1]
+    top = np.linalg.eigvalsh(S - S_near)[-1]
     assert abs(removed - top) <= 1e-12 * abs(top)
     if case != "cantor":
-        L_far = _dense_generator(space, far.matrix())
-        assert _same_bits(removed, np.linalg.eigvalsh(_dense_spectrum(L_far, w)[2])[-1])
+        assert _same_bits(removed, np.linalg.eigvalsh(_closed_form(space, far.matrix()))[-1])
+
+
+@pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
+def test_every_generator_is_the_closed_form(chunk_budget, case):
+    # S = -2 J o (sqrt(w) sqrt(w)^T) off the diagonal and the diagonal of L
+    # on it, equal to its transpose bit for bit, on random non-dyadic
+    # weights too: the whole form's, a part's restriction of it, and a
+    # killed part's, the near part's plus 2 tail on the diagonal
+    space, kern, rho = _generator_case(case)
+    S = _closed_form(space, kern.matrix())
+    sym, diag, _ = _symmetric_generator(kern)
+    assert _same_bits(sym, S) and _same_bits(sym, sym.T) and _same_bits(diag, np.diag(S))
+    form = hk.assemble(kern)
+    D = np.random.default_rng(1).permutation(space.n_points)[: space.n_points // 2]
+    assert _same_bits(_part_generator(form, D)[1], S[np.ix_(D, D)])
+    assert _same_bits(hk.part_on(form, D).S, S[np.ix_(D, D)])
+    trunc = hk.Truncation(form, rho)
+    near_part = hk.part_on(trunc.near, D)
+    assert _same_bits(near_part.S, _closed_form(space, trunc.near.kernel.matrix())[np.ix_(D, D)])
+    killed = trunc.killed_part(near_part).S
+    assert _same_bits(killed, near_part.S + 2.0 * np.diag(trunc.tail[D]))
 
 
 @pytest.fixture
@@ -760,7 +798,7 @@ def test_reflection_gate(chunk_budget, eigh_shapes, case):
     n = space.n_points
     split = case in ("cantor", "even_grid")
     assert eigh_shapes == ([(n // 2, n // 2)] * 2 if split else [(n, n)])
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, kern.matrix()), space.weights)
+    eigvals, psi, sym = _dense_spectrum(_closed_form(space, kern.matrix()), space.weights)
     if split:
         _assert_matches_spectrum(form, eigvals, psi, sym)
     else:
@@ -781,7 +819,7 @@ def test_reflection_split_merges_a_tie_even_first(eigh_shapes):
     mirror = psi[::-1]                                 # row x holds the mirror atom of x
     assert np.array_equal(mirror[:, [0, 2]], psi[:, [0, 2]])
     assert np.array_equal(mirror[:, [1, 3]], -psi[:, [1, 3]])
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, m), space.weights)
+    eigvals, psi, sym = _dense_spectrum(_closed_form(space, m), space.weights)
     _assert_matches_spectrum(form, eigvals, psi, sym)
 
 
@@ -821,7 +859,7 @@ def test_split_form_spectral_operations_match_the_dense_spectrum(case):
     assert all(isinstance(cols, slice) != (case == "shuffled_product")
                for cols in form.basis.columns)
     n, w = space.n_points, space.weights
-    eigvals, psi, sym = _dense_spectrum(_dense_generator(space, kern.matrix()), w)
+    eigvals, psi, sym = _dense_spectrum(_closed_form(space, kern.matrix()), w)
 
     def close(got, want, scale=None):
         # relative to the largest |value|, of the whole kernel for its entries
@@ -954,7 +992,7 @@ def test_assemble_keeps_no_dense_generator():
         tracemalloc.stop()
     assert peak <= 2.5 * square                        # 3.04 when L was kept
     assert held <= 0.6 * square                        # the two half eigenbases; 2.00 with psi and L
-    assert form.L is None
+    assert form.S is None
     assert not hasattr(form.basis, "psi")
 
 
@@ -1091,24 +1129,26 @@ def test_assemble_keeps_a_kernel_with_a_signed_zero_pair():
 
 
 def test_part_energy_equals_part_on_energy(cantor6):
-    # the Nash witness reads the energy from the ball part's generator L_D,
-    # built once per ball, with the floats of the part's own energy
+    # the Nash witness reads the energy of the ball part, g . (S_D g) with
+    # g = f sqrt(w), S_D built once per ball
     space, scale, kern = cantor6
     form = hk.assemble(kern)
     rng = np.random.default_rng(2)
     for x0, r in [(0, 0.5), (17, 0.2), (40, 1.0)]:
         D = space.ball(x0, r).member_idx
         f = rng.normal(size=D.size)
-        _, LD = _part_generator(form, D)
-        assert float((LD @ f) @ (f * space.weights[D])) == hk.part_on(form, D).energy(f)
+        _, SD = _part_generator(form, D)
+        part = hk.part_on(form, D)
+        g = f * np.sqrt(space.weights[D])
+        assert float((SD @ g) @ g) == part.energy(f)
         v = space.volume(x0, r)
         phival = hk.phi(scale, x0, r)
         l1, l2sq = float(np.abs(f) @ space.weights[D]), float(f**2 @ space.weights[D])
-        energy = hk.part_on(form, D).energy(f)
+        energy = part.energy(f)
         damping = min(1.0, scale.T0 / phival)
         expected = (l2sq ** 2.2 * v**1.2 * damping
                     / (phival * (energy + l2sq / phival) * l1 ** 2.4))
-        got = hk.form.nash_witness_constant(scale, space.ball(x0, r), 1.2, 1.0, f, LD)
+        got = hk.form.nash_witness_constant(scale, space.ball(x0, r), 1.2, 1.0, f, part)
         assert got == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ParameterError):
         _part_generator(form, [-1, 0])
@@ -1225,19 +1265,20 @@ def test_full_form_energy_is_exact_on_near_constant_functions():
 
 
 def test_part_on_every_atom_multiplies_by_its_own_generator(cantor6):
-    # a part whose domain holds every atom, in any order, reads its L_D; it
+    # a part whose domain holds every atom, in any order, reads its S_D; it
     # used to take the full form's row chunks, in the order of the space
     space, _, kern = cantor6
     form = hk.assemble(kern)
     D = np.random.default_rng(0).permutation(space.n_points)
     part = hk.part_on(form, D)
     f = np.random.default_rng(1).normal(size=D.size)
-    assert part.energy(f) == float((part.L @ f) @ (f * part.weights))
+    g = f * np.sqrt(part.weights)
+    assert part.energy(f) == float((part.S @ g) @ g)
     assert part.energy(f) == pytest.approx(form.energy(f[np.argsort(D)]), rel=1e-12)
 
 
 def test_a_part_on_every_atom_is_refused_where_the_full_form_is_needed():
-    # a part keeps its L, whatever its domain; a permuted whole domain used to
+    # a part keeps its S, whatever its domain; a permuted whole domain used to
     # pass as the full form, and its own parts read the kernel by atom id
     # against its diagonal, which is in its domain order
     space = hk.build_cantor_product(1 / 3, 1, 5)

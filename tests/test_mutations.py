@@ -1,15 +1,17 @@
 """Which pass-mode checks see which defect: the first rows of a mutation table.
 
-Each row plants one defect in the full form right after ``assemble`` and
-runs every check of the ``sweep_256`` workload through ``cli.run_config``,
-the diagnostic ones too, so that the checks draw from the run's generator
-as in the workload; the table pins which pass-mode checks fail.  A change
-that blinds a check to a defect, or makes one see it, changes a row.
+Each row plants one defect in the full form right after ``assemble``: in its
+spectrum, its diagonal, its kernel or the weights of its space.  It then runs
+every check of the ``sweep_256`` workload through ``cli.run_config``, the
+diagnostic ones too, so that the checks draw from the run's generator as in
+the workload; the table pins which pass-mode checks fail.  A change that
+blinds a check to a defect, or makes one see it, changes a row.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hklab as hk
@@ -44,6 +46,22 @@ def _scale_diag_5(form):
     form.diag[5] *= 1.01
 
 
+def _cut_jump_5_6(form):
+    kernel = form.kernel
+
+    def block_fn(rows, cols):
+        out = kernel.block(rows, cols)
+        pair = np.isin(rows, (5, 6))[:, None] & np.isin(cols, (5, 6))[None, :]
+        out[pair] = 0.0
+        return out
+
+    form.kernel = hk.JumpKernel(kernel.space, block_fn, kernel.support_pattern, kernel.meta)
+
+
+def _scale_weight_5(form):
+    form.space.weights[5] *= 1.01
+
+
 # (config, defect, the pass-mode checks that fail)
 _TABLE = {
     "split_form_even_eigenvalue_1": (_SWEEP, _scale_even_eigenvalue,
@@ -51,6 +69,13 @@ _TABLE = {
     "unsplit_form_eigenvalue_1": (_counterexample_config(), _scale_eigenvalue, []),
     "split_form_diag_5": (_SWEEP, _scale_diag_5, []),
     "unsplit_form_diag_5": (_counterexample_config(), _scale_diag_5, []),
+    "split_form_jump_5_6": (_SWEEP, _cut_jump_5_6, []),
+    "unsplit_form_jump_5_6": (_counterexample_config(), _cut_jump_5_6, []),
+    "split_form_weight_5": (_SWEEP, _scale_weight_5,
+                            ["conservativeness_check", "heat_kernel_invariants"]),
+    "unsplit_form_weight_5": (_counterexample_config(), _scale_weight_5,
+                              ["conservativeness_check", "heat_kernel_invariants",
+                               "truncation_semigroup_check"]),
 }
 
 

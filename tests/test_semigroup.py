@@ -691,8 +691,10 @@ def test_meyer_interchange_matches_van_loan_block_exponential():
     w = space.weights[D]
     S = trunc.far.block(D, D) * w[None, :]
     n = D.size
+    # each part's L_D = W^(-1/2) S_D W^(1/2)
+    A, B = (np.sqrt(w)[None, :] * part.S / np.sqrt(w)[:, None] for part in (part_near, part_full))
     gen = np.zeros((2 * n, 2 * n))
-    gen[:n, :n], gen[:n, n:], gen[n:, n:] = -part_near.L, S, -part_full.L
+    gen[:n, :n], gen[:n, n:], gen[n:, n:] = -A, S, -B
     for t in (0.2, 0.5, 1.0):
         oracle = scipy.linalg.expm(t * gen)[:n, n:] / w[None, :]
         closed = _interchange_integral(part_near, part_full, S, t)
