@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ParameterError, PointCapExceeded
 from .kernel import JumpKernel, truncate
 from .report import ConditionReport
-from .scale import ScaleField, _space_shared_with, phi, phi_inverse, phi_vec
+from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids, _chunked
 
 
@@ -747,9 +747,9 @@ def lre_check(form: SpectralForm, scale: ScaleField, kappa: float,
     balls, skipped = _quarter_balls(scale, ball_sample)
     for x0, r, ball in balls:
         part = part_on(form, ball.member_idx)
-        lam = kappa / phi(scale, x0, r)
-        u = part.resolvent(lam, np.ones(ball.member_idx.size))
-        c1 = float(u[ball.quarter].min() / phi(scale, x0, r))
+        phival = phi(scale, x0, r)
+        u = part.resolvent(kappa / phival, np.ones(ball.member_idx.size))
+        c1 = float(u[ball.quarter].min() / phival)
         series.append({"x0": x0, "r": r, "c1": c1})
         if c1 < worst:
             worst = c1
@@ -788,7 +788,7 @@ def cs_check(form: SpectralForm, scale: ScaleField, ball_sample) -> ConditionRep
     series = []
     for (x0, r), energy in zip(ball_sample, energy_per_point):
         R, ramp = r / 2.0, r / 4.0
-        vals = energy * phi_vec(scale, atoms, ramp)
+        vals = energy * phi(scale, atoms, ramp)
         x = int(np.argmax(vals))
         series.append({"x0": x0, "R": R, "r": ramp, "c": float(vals[x]), "x": x})
         if vals[x] > best:
@@ -820,12 +820,6 @@ def capacity_check(form: SpectralForm, scale: ScaleField, ball_sample) -> Condit
     return ConditionReport(condition="capacity", params={}, best_constant=best,
                            witness=witness, passed=bool(series) and math.isfinite(best),
                            notes=[] if series else ["no ball was sampled"], series=series)
-
-
-def _ball_cap_radius(scale: ScaleField, x0: int, delta: float) -> float:
-    if math.isinf(scale.T0):
-        return math.inf
-    return phi_inverse(scale, x0, delta * scale.T0)
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -876,7 +870,8 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
     smallest witness, i.e. the largest C for which the inequality holds on
     every sample.  Subsets whose bracket is nonpositive satisfy the display
     trivially and are skipped.  Reports never claim more than the sampled
-    family.  FK and WFK skip radii r >= phi^-1(x0, delta * T0).
+    family.  FK and WFK skip radii r >= phi^-1(x0, delta * T0), infinite
+    when T0 is, and refuse delta <= 0.
     """
     space = _space_shared_with(form, scale)
     if variant not in ("FK", "WFK", "GFK"):
@@ -885,7 +880,7 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
 
     def swept():
         for x0, r in ball_sample:
-            if variant in ("FK", "WFK") and r >= _ball_cap_radius(scale, x0, delta):
+            if variant in ("FK", "WFK") and r >= phi_inverse(scale, x0, delta * scale.T0):
                 continue
             ball = space.ball(x0, r)
             yield x0, r, ball, part_on(form, ball.member_idx).psi[:, 0], []

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError
 from .report import ConditionReport
-from .scale import ScaleField, _space_shared_with, phi_inverse_vec, phi_vec
+from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, FiniteMMSpace
 
 _AXIS_TOL = 1e-12
@@ -191,17 +191,19 @@ def build_stable_like_kernel(scale: ScaleField, lower_constant: float = 1.0) -> 
     per_unit = space.meta["side"] - 1                  # grid steps in a unit of length
     lattice = np.rint(space.coords * per_unit).astype(np.int64)
     cumw = np.concatenate([[0.0], np.cumsum(space.weights)])
-    # no step exceeds one unit of length, where phi(x, r) = r^beta(x); a power
-    # per distinct order, since numpy takes a scalar 0.5 or 2 as sqrt or square
+    # no step exceeds one unit of length, where phi(x, r) = r^beta(x).  A
+    # power per distinct order, not scale.phi: numpy takes a scalar exponent
+    # 0.5 or 2 as sqrt or square, the bits that stable_like_reference pins,
+    # and the array power of phi differs from them in the last place
     orders, order_of = np.unique(scale.beta_values, return_inverse=True)
-    phi = np.stack([(np.arange(per_unit + 1) / per_unit) ** b for b in orders])
+    phi_steps = np.stack([(np.arange(per_unit + 1) / per_unit) ** b for b in orders])
 
     def one_sided(ids, k):
         count = np.ones(k.shape, dtype=np.int64)
         for i in lattice[ids].transpose(2, 0, 1):
             count *= np.minimum(i + k - 1, per_unit) - np.maximum(i - k + 1, 0) + 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            return lower_constant / (cumw[count] * phi[order_of[ids], k])
+            return lower_constant / (cumw[count] * phi_steps[order_of[ids], k])
 
     def block_fn(rows, cols):
         k = np.rint(space.dist_block(rows, cols) * per_unit).astype(np.intp)
@@ -282,7 +284,7 @@ def tj_check(kernel: JumpKernel, scale: ScaleField, radius_grid,
     witness: dict[str, Any] = {"x": None, "r": None}
     series = []
     for r, tails in zip(radii, _tail_masses(kernel, radii)):
-        vals = tails * phi_vec(scale, np.arange(space.n_points), float(r))
+        vals = tails * phi(scale, np.arange(space.n_points), float(r))
         x = int(np.argmax(vals))
         series.append({"r": float(r), "C_at_r": float(vals[x]), "x": x})
         if vals[x] > best:
@@ -321,7 +323,7 @@ def tjq_check(kernel: JumpKernel, scale: ScaleField, q: float, radius_grid,
     series = []
     for r, tails in zip(radii, _tail_masses(kernel, radii, q)):
         c = (tails ** (1.0 / q) * space.volumes_at(float(r)) ** ((q - 1.0) / q)
-             * phi_vec(scale, all_idx, float(r)))
+             * phi(scale, all_idx, float(r)))
         worst_at_r, arg = _first_max(c, all_idx)
         series.append({"r": float(r), "C_at_r": worst_at_r, "x": arg})
         if worst_at_r > best:
@@ -348,9 +350,9 @@ def ij_check(kernel: JumpKernel, scale: ScaleField, gamma: float, rR_pairs) -> C
     if any(r <= 0 or r > R for r, R in pairs):
         raise ParameterError("need 0 < r <= R for every pair")
     all_idx = np.arange(space.n_points)
-    vols = {r: space.volumes_at(phi_inverse_vec(scale, all_idx, r)) for r, _ in pairs}
+    vols = {r: space.volumes_at(phi_inverse(scale, all_idx, r)) for r in {r for r, _ in pairs}}
     dens = {r: space.weights / np.sqrt(v) for r, v in vols.items()}
-    inner = [phi_inverse_vec(scale, all_idx, big_r) for _, big_r in pairs]
+    inner = [phi_inverse(scale, all_idx, big_r) for _, big_r in pairs]
     q_vals = np.empty((len(pairs), space.n_points))
     for rows in space._row_chunks():
         vals = kernel.block(rows, all_idx)

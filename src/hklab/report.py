@@ -70,7 +70,7 @@ def _csv_cell(value: Any) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))                      # np.float64 reprs as np.float64(...)
     return str(value)
 
 

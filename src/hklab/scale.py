@@ -49,37 +49,33 @@ class ScaleField:
             raise ParameterError("beta values must lie in [beta1, beta2]")
 
 
-def phi(scale: ScaleField, x: int, r: float) -> float:
-    if r <= 0:
+def phi(scale: ScaleField, x, r):
+    """phi(x, r) with the atom ids ``x`` broadcast against the radii ``r``.
+
+    Scalar inputs give a float, from numpy's scalar power; arrays give an
+    array, from the array power.
+    """
+    r = np.asarray(r, dtype=float)
+    if not (r > 0).all():
         raise ParameterError("phi needs r > 0")
-    b = scale.beta_values[x] if r <= 1.0 else scale.beta1
-    return float(r ** b)
+    beta = np.where(r <= 1.0, scale.beta_values[x], scale.beta1)
+    return _float_if_scalar(r[()] ** beta[()])
 
 
-def phi_vec(scale: ScaleField, idx, r: float) -> np.ndarray:
-    """phi(x, r) for many points at a fixed radius."""
-    if r <= 0:
-        raise ParameterError("phi needs r > 0")
-    beta = scale.beta_values[np.asarray(idx)]
-    if r > 1.0:
-        beta = np.full_like(beta, scale.beta1)
-    return r ** beta
-
-
-def phi_inverse(scale: ScaleField, x: int, t: float) -> float:
-    if t <= 0:
+def phi_inverse(scale: ScaleField, x, t):
+    """phi^-1(x, t), the radius where phi(x, .) reaches t, with the atom ids
+    ``x`` broadcast against the times ``t`` as in :func:`phi`."""
+    t = np.asarray(t, dtype=float)
+    if not (t > 0).all():
         raise ParameterError("phi_inverse needs t > 0")
-    b = scale.beta_values[x] if t <= 1.0 else scale.beta1
-    return float(t ** (1.0 / b))
+    beta = np.where(t <= 1.0, scale.beta_values[x], scale.beta1)
+    return _float_if_scalar(t[()] ** (1.0 / beta[()]))
 
 
-def phi_inverse_vec(scale: ScaleField, idx, t: float) -> np.ndarray:
-    if t <= 0:
-        raise ParameterError("phi_inverse needs t > 0")
-    beta = scale.beta_values[np.asarray(idx)]
-    if t > 1.0:
-        beta = np.full_like(beta, scale.beta1)
-    return t ** (1.0 / beta)
+def _float_if_scalar(value):
+    """A 0-d result as a Python float, whose arithmetic raises on overflow
+    and division by zero where a numpy scalar would only warn."""
+    return float(value) if value.ndim == 0 else value
 
 
 def _space_shared_with(owner, scale: ScaleField) -> FiniteMMSpace:
@@ -169,7 +165,7 @@ def verify_scale_axioms(scale: ScaleField, radius_grid,
         pair_idx = np.arange(n)
     else:
         pair_idx = rng.choice(n, size=_AXIOM_PAIR_SAMPLE, replace=False)
-    vals = [phi_vec(scale, pair_idx, float(r)) for r in radii]
+    vals = phi(scale, pair_idx, radii[:, None])
     beta = scale.beta_values[pair_idx]
     offpoint = [(a, b) for a in range(radii.size) for b in range(a, radii.size)]
 
@@ -270,13 +266,8 @@ def induced_quasi_metric(scale: ScaleField,
     if n > QUASI_METRIC_POINT_CAP:
         raise ParameterError(f"quasi-metric construction capped at {QUASI_METRIC_POINT_CAP} points")
     d = space.pairwise()
-    phi_d = np.empty_like(d)
-    for x in range(n):
-        row = d[x].copy()
-        row[x] = 1.0                                   # placeholder, zeroed below
-        phi_d[x] = np.where(row <= 1.0, row ** scale.beta_values[x],
-                            row ** scale.beta1)
-        phi_d[x, x] = 0.0
+    phi_d = phi(scale, np.arange(n)[:, None], d + np.eye(n))   # 1 on the diagonal, zeroed below
+    np.fill_diagonal(phi_d, 0.0)
     link = np.maximum(phi_d, phi_d.T) ** (1.0 / beta_star)
     np.fill_diagonal(link, 0.0)
     dstar = shortest_path(link, method="FW", directed=False)

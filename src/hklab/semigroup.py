@@ -36,7 +36,7 @@ from .errors import ParameterError
 from .form import (SpectralForm, Truncation, _checked_times, _interchange_integral,
                    _quarter_balls, default_time_grid, part_on)
 from .report import ConditionReport
-from .scale import ScaleField, _space_shared_with, phi, phi_inverse_vec
+from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 
 _SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
 _DUE_PAIR_SAMPLE = 64                    # off-diagonal pairs per time in due_check
@@ -117,7 +117,8 @@ def se_check(form: SpectralForm, scale: ScaleField, ball_sample,
     floors = []                 # per usable ball, its quarter-ball floor for each a0
     balls, skipped = _quarter_balls(scale, ball_sample)
     for x0, r, ball in balls:
-        horizons = [a0 * phi(scale, x0, r) for a0 in a0_grid]
+        phival = phi(scale, x0, r)
+        horizons = [a0 * phival for a0 in a0_grid]
         surv = survival(part_on(form, ball.member_idx),
                         [frac * horizon for horizon in horizons for frac in fracs])
         minima = surv[:, ball.quarter].min(axis=1)             # one per (a0, frac), a0-major
@@ -217,7 +218,7 @@ def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
         if t >= k * T0:
             continue
         diag = form.heat_kernel_entries(t, np.arange(n), np.arange(n))
-        radii = phi_inverse_vec(scale, np.arange(n), t)
+        radii = phi_inverse(scale, np.arange(n), t)
         if not radii.min() > 0:
             raise ParameterError(f"time {t!r} is too small: phi^-1(x, t) underflows to 0")
         vols = space.volumes_at(radii)

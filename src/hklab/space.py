@@ -59,7 +59,9 @@ class FiniteMMSpace:
 
     coords has shape (n_points, n_axes).  The metric is "explicit", read from
     ``metric_matrix`` when one is given, and else "sup", the max of per-axis
-    absolute differences.  Instances are treated as immutable after construction.
+    absolute differences.  Instances are treated as immutable after
+    construction: ``coords``, ``weights`` and ``metric_matrix`` are read-only
+    copies of what the caller passed.
     """
 
     coords: np.ndarray
@@ -69,16 +71,16 @@ class FiniteMMSpace:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
+        self.coords = _read_only_copy(self.coords)
         if self.coords.ndim == 1:
             self.coords = self.coords[:, None]
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = _read_only_copy(self.weights)
         if not (np.isfinite(self.coords).all() and np.isfinite(self.weights).all()):
             raise ParameterError("coordinates and weights must be finite")
         if np.any(self.weights <= 0):
             raise ParameterError("all weights must be strictly positive")
         if self.metric_matrix is not None:
-            self.metric_matrix = np.asarray(self.metric_matrix, dtype=float)
+            self.metric_matrix = _read_only_copy(self.metric_matrix)
             if self.metric_matrix.shape != (self.n_points,) * 2:
                 raise ParameterError("metric_matrix must be n_points x n_points")
         if self.weights.shape != (self.n_points,):
@@ -198,6 +200,14 @@ class FiniteMMSpace:
     def _check_indices(self, idx) -> np.ndarray:
         """``idx`` as a 1-D integer array of atom ids in 0..n_points-1."""
         return _checked_ids(idx, self.n_points)
+
+
+def _read_only_copy(values) -> np.ndarray:
+    """A float copy of ``values`` that refuses writes; a copy, so that the
+    caller's own array stays writeable."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _chunked(rows, width: int):

@@ -11,12 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hklab
 from hklab import cli
+from hklab.report import ConditionReport
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -155,6 +157,26 @@ def test_sweep_checks_never_build_the_kernel_matrix(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "summary.json").read_bytes()
             == (tmp_path / "b" / "summary.json").read_bytes())
+
+
+def test_csv_cells_print_numpy_scalars_as_plain_numbers():
+    # np.float64 is a float, whose repr is "np.float64(...)" since numpy 2
+    report = ConditionReport(condition="c", witness={"C": np.float64(2.5)},
+                             series=[{"C": np.float64(0.1), "x": np.int64(3)}])
+    assert report.to_csv() == "condition,verdict,C,x\nc,diagnostic,0.1,3\n"
+    report.series = []
+    assert report.to_csv() == "condition,verdict,C\nc,diagnostic,2.5\n"
+
+
+def test_sweep_csv_files_hold_no_numpy_reprs(tmp_path):
+    sweep = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "sweep_256.json"
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(sweep), "--out", str(out)]) == 0
+    written = sorted(out.glob("*.csv"))
+    assert len(written) == 21 and (out / "plotdata_due.csv") in written
+    for path in written:
+        text = path.read_text()
+        assert "np." not in text and "array(" not in text, path.name
 
 
 def test_failing_pass_mode_check_fails_run(tmp_path):

@@ -357,6 +357,23 @@ def test_fk_family_check_refuses_an_unknown_variant_before_it_sweeps(cantor6, sa
                            np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("T0", [1.0, math.inf])
+@pytest.mark.parametrize("delta", [0.0, -1.0])
+def test_fk_and_wfk_refuse_a_nonpositive_delta_at_every_horizon(T0, delta):
+    # with T0 = inf they used to skip the radius cap and pass without a word
+    space = hk.build_cantor_product(1 / 3, 1, 5)
+    scale = hk.constant_field(space, 0.8, T0=T0)
+    form = hk.assemble(hk.build_cantor_axis_kernel(scale))
+    for variant in ("FK", "WFK"):
+        with pytest.raises(ParameterError, match="phi_inverse needs t > 0"):
+            hk.fk_family_check(form, scale, variant, 0.5, 1.0, 1.0, delta, [(0, 0.25)],
+                               np.random.default_rng(0))
+    # GFK reads no delta
+    rep = hk.fk_family_check(form, scale, "GFK", 0.5, 1.0, 1.0, delta, [(0, 0.25)],
+                             np.random.default_rng(0))
+    assert rep.passed and math.isfinite(rep.best_constant)
+
+
 def test_gfk_with_derived_exponent_finite(cantor6):
     space, scale, kern = cantor6
     form = hk.assemble(kern)
@@ -1322,7 +1339,7 @@ def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
     for (x0, r), row in zip(sample, rep.series):
         cut = np.clip(1.0 - (space.dist_from(x0) - r / 2.0) / (r / 4.0), 0.0, 1.0)
         vals = ((cut[:, None] - cut[None, :]) ** 2 * jmat * w[None, :]).sum(axis=1)
-        vals *= hk.scale.phi_vec(scale, np.arange(space.n_points), r / 4.0)
+        vals *= hk.phi(scale, np.arange(space.n_points), r / 4.0)
         assert row["x"] == int(np.argmax(vals)) and _same_bits(row["c"], vals.max())
 
 

@@ -8,7 +8,6 @@ import hklab as hk
 from conftest import random_setup
 from hklab.errors import ParameterError, UnsupportedKernelError
 from hklab.kernel import _tail_masses
-from hklab.scale import phi_inverse_vec
 
 ALPHA_THIRD = math.log(2) / math.log(3)
 
@@ -393,7 +392,7 @@ def brute_force_ij_q(kernel, space, scale, pairs):
     all_idx = np.arange(space.n_points)
     q = np.zeros((len(pairs), space.n_points))
     for p, (r, big_r) in enumerate(pairs):
-        inv_radii = phi_inverse_vec(scale, all_idx, r)
+        inv_radii = hk.phi_inverse(scale, all_idx, r)
         vols_r = np.array([space.volume(int(y), float(inv_radii[y])) for y in all_idx])
         for x in range(space.n_points):
             r1 = hk.phi_inverse(scale, x, big_r)
@@ -405,6 +404,18 @@ def brute_force_ij_q(kernel, space, scale, pairs):
             lhs = float((vals * space.weights[ann] / np.sqrt(vols_r[ann])).sum())
             q[p, x] = lhs * big_r * math.sqrt(vols_r[x])
     return q
+
+
+def test_ij_check_takes_one_volume_pass_per_distinct_r(monkeypatch):
+    # it used to take one per (r, R) pair: 10 here, where 4 suffice
+    space, scale, kern = random_setup(1)
+    grid = [2.0**-k for k in range(1, 5)]
+    pairs = [(r, R) for r in grid for R in grid if r <= R]
+    radii = []
+    volumes_at = space.volumes_at
+    monkeypatch.setattr(space, "volumes_at", lambda r: radii.append(r) or volumes_at(r))
+    hk.ij_check(kern, scale, 0.5, pairs)
+    assert len(pairs) == 10 and len(radii) == 4
 
 
 @pytest.mark.parametrize("seed", range(5))

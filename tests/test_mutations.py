@@ -59,6 +59,8 @@ def _cut_jump_5_6(form):
 
 
 def _scale_weight_5(form):
+    # the space's own copy of the weights is read-only; a defect has to unlock it
+    form.space.weights.flags.writeable = True
     form.space.weights[5] *= 1.01
 
 

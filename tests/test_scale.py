@@ -40,6 +40,12 @@ def test_phi_rejects_nonpositive():
         hk.phi(field, 0, 0.0)
     with pytest.raises(ParameterError):
         hk.phi_inverse(field, 0, -1.0)
+    # anywhere in an array, and NaN too
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="phi needs r > 0"):
+            hk.phi(field, [0, 1], [0.5, bad])
+        with pytest.raises(ParameterError, match="phi_inverse needs t > 0"):
+            hk.phi_inverse(field, [0, 1], [bad, 0.5])
 
 
 def test_phi_inverse_examples():
@@ -69,6 +75,22 @@ def test_phi_strictly_increasing():
     for x in (0, 5, 15):
         vals = [hk.phi(field, x, r) for r in radii]
         assert np.all(np.diff(vals) > 0)
+
+
+def test_phi_and_its_inverse_broadcast_atoms_against_radii():
+    sp = hk.build_cantor_product(1 / 3, 1, 4)
+    field = hk.field_from_table(sp, np.linspace(0.5, 2.0, sp.n_points), beta1=0.5, beta2=2.0)
+    ids = np.arange(sp.n_points)
+    radii = np.array([1e-3, 0.3, 1.0, 2.5])            # both sides of the crossover
+    grid = hk.phi(field, ids[:, None], radii[None, :])
+    assert grid.shape == (sp.n_points, radii.size)
+    want = [[hk.phi(field, int(x), float(r)) for r in radii] for x in ids]
+    assert np.allclose(grid, want, rtol=1e-15, atol=0)
+    assert np.array_equal(hk.phi(field, ids, 2.5), np.full(sp.n_points, 2.5 ** 0.5))
+    back = hk.phi_inverse(field, ids[:, None], grid)
+    assert np.allclose(back, np.broadcast_to(radii, grid.shape), rtol=1e-12, atol=0)
+    # a scalar atom and radius give a Python float
+    assert type(hk.phi(field, 3, 0.3)) is float and type(hk.phi_inverse(field, 3, 0.3)) is float
 
 
 def test_scale_axioms_constant_field():
@@ -108,11 +130,10 @@ def unstreamed_scale_axioms(scale, space, radius_grid, rng):
         pair_idx = np.arange(n)
     else:
         pair_idx = rng.choice(n, size=hk.scale._AXIOM_PAIR_SAMPLE, replace=False)
-    phi_vec = hk.scale.phi_vec
     dist = space.dist_block(pair_idx, pair_idx)
     c1, c1_witness = 1.0, {}
     for r in radii:
-        vals = phi_vec(scale, pair_idx, float(r))
+        vals = hk.phi(scale, pair_idx, float(r))
         ratio = np.where(dist <= r, vals[None, :] / vals[:, None], 0.0)
         k = np.unravel_index(np.argmax(ratio), ratio.shape)
         if ratio[k] > c1:
@@ -122,7 +143,7 @@ def unstreamed_scale_axioms(scale, space, radius_grid, rng):
     for a in range(radii.size):
         for b in range(a + 1, radii.size):
             r, big_r = radii[a], radii[b]
-            ratio = phi_vec(scale, pair_idx, float(big_r)) / phi_vec(scale, pair_idx, float(r))
+            ratio = hk.phi(scale, pair_idx, float(big_r)) / hk.phi(scale, pair_idx, float(r))
             q = big_r / r
             worst = float(max((ratio / q ** scale.beta2).max(), (q ** scale.beta1 / ratio).max()))
             if worst > c2:
@@ -131,8 +152,8 @@ def unstreamed_scale_axioms(scale, space, radius_grid, rng):
     for a in range(radii.size):
         for b in range(a, radii.size):
             r, big_r = radii[a], radii[b]
-            vals_r = phi_vec(scale, pair_idx, float(r))
-            vals_R = phi_vec(scale, pair_idx, float(big_r))
+            vals_r = hk.phi(scale, pair_idx, float(r))
+            vals_R = hk.phi(scale, pair_idx, float(big_r))
             bound = ((big_r + dist) / r) ** scale.beta2
             c_off = max(c_off, float((vals_R[None, :] / vals_r[:, None] / bound).max()))
     witness = {"C1": c1, "C2": c2, "C_offpoint": c_off, **c1_witness}
@@ -330,6 +351,88 @@ def test_no_module_but_form_reads_the_reflection_fold():
                              and node.value.id in ("np", "numpy", "math"))):
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert found == []
+
+
+# a name or attribute that holds an order of the scale field
+_ORDER_NAMES = {"beta_values", "beta1"}
+
+
+def _reads(node, names) -> bool:
+    return any(isinstance(n, ast.Name) and n.id in names
+               or isinstance(n, ast.Attribute) and n.attr in names for n in ast.walk(node))
+
+
+def _order_powers(source: str) -> list[str]:
+    """``function:line`` of each ``**`` whose exponent reads an order: one of
+    ``_ORDER_NAMES``, or a name the same function binds from one, through
+    assignments, loops and comprehensions."""
+    tree = ast.parse(source)
+    functions = [node for top in tree.body
+                 for node in ([top] if not isinstance(top, ast.ClassDef) else top.body)
+                 if isinstance(node, ast.FunctionDef)]
+    found = []
+    for fn in functions:
+        tainted = set(_ORDER_NAMES)
+        grew = True
+        while grew:                                     # to a fixed point
+            grew = False
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    value = node.value
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                elif isinstance(node, (ast.For, ast.comprehension)):
+                    value, targets = node.iter, [node.target]
+                else:
+                    continue
+                if value is None or not _reads(value, tainted):
+                    continue
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                grew |= not names <= tainted
+                tainted |= names
+        found += [f"{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and _reads(node.right, tainted)]
+    return found
+
+
+def test_order_power_detector_sees_direct_and_bound_orders():
+    # the per-atom loop induced_quasi_metric used to run, and a comprehension
+    # over the distinct orders
+    loop = ("def f(scale, d):\n"
+            "    for x in range(3):\n"
+            "        y = d[x] ** scale.beta_values[x]\n")
+    table = ("def g(scale, r):\n"
+             "    orders = sorted(set(scale.beta_values))\n"
+             "    return [r ** (1.0 / b) for b in orders]\n")
+    plain = "def h(r, beta2):\n    return r ** beta2 * 2.0 ** r\n"
+    assert _order_powers(loop) == ["f:3"]
+    assert _order_powers(table) == ["g:3"]
+    assert _order_powers(plain) == []
+    scale_src = (pathlib.Path(hk.__file__).parent / "scale.py").read_text()
+    assert {"phi", "phi_inverse"} <= {f.split(":")[0] for f in _order_powers(scale_src)}
+
+
+# functions outside scale.py whose ``**`` reads an order, and why they may
+_ORDER_POWER_EXCEPTIONS = {
+    # a power per distinct order with a scalar exponent, which numpy takes as
+    # sqrt or square for the orders 0.5 and 2: stable_like_reference pins
+    # those bits, and phi's array power differs from them in the last place
+    "kernel.py:build_stable_like_kernel",
+    # raises a time, not a radius, to the profile rate n' alpha / beta1 of
+    # the counterexample's own config
+    "counterexample.py:due_violation_diagnostic",
+}
+
+
+def test_no_module_but_scale_raises_a_radius_to_an_order():
+    # phi and phi_inverse are the scaling law; a checker that needs
+    # phi(x, d(x, y)) on a kernel block calls phi(scale, rows[:, None], d).
+    # The axis-aligned kernels' np.power reads the pair order
+    # min(beta(x), beta(y)) + alpha, which is no atom's phi, and is no ``**``
+    package = pathlib.Path(hk.__file__).parent
+    found = {f"{path.name}:{hit.rsplit(':', 1)[0]}" for path in sorted(package.glob("*.py"))
+             if path.name != "scale.py" for hit in _order_powers(path.read_text())}
+    assert found == _ORDER_POWER_EXCEPTIONS
 
 
 def _mixed_spaces():

@@ -14,7 +14,6 @@ import hklab as hk
 from conftest import full_generator, random_setup, shuffled, split_psi
 from hklab.errors import ParameterError
 from hklab.form import _DenseBasis, _HalfSpectrum, _interchange_integral, default_time_grid
-from hklab.scale import phi_inverse_vec
 from hklab.semigroup import _SE_FROM_LRE_T_FRACS, _SE_TIMES_PER_A0
 
 
@@ -513,7 +512,7 @@ def test_due_witness_is_the_smallest_atom_of_a_tie():
     ids = np.arange(space.n_points)
     for row in rep.series:
         t = row["t"]
-        vals = np.diag(form.heat_kernel(t)) * space.volumes_at(phi_inverse_vec(scale, ids, t))
+        vals = np.diag(form.heat_kernel(t)) * space.volumes_at(hk.phi_inverse(scale, ids, t))
         ties = np.flatnonzero(vals >= vals.max() * (1 - 1e-12))
         assert ties.size > 1 and row["x"] == ties[0]
     assert rep.witness["x"] == max(rep.series, key=lambda row: row["C_at_t"])["x"]

@@ -308,6 +308,23 @@ def test_dist_block_rejects_bad_ids():
             sp.dist_block(bad)
 
 
+def test_space_arrays_are_read_only_copies():
+    coords = np.array([[0.0], [0.5], [1.0]])
+    weights = np.full(3, 1 / 3)
+    metric = np.abs(coords - coords.T)
+    space = hk.build_custom(coords, weights, metric_matrix=metric)
+    for mine, its in ((coords, space.coords), (weights, space.weights),
+                      (metric, space.metric_matrix)):
+        assert mine.flags.writeable and not its.flags.writeable
+        assert not np.shares_memory(mine, its)
+    weights[0] = 0.5                    # the caller's array stays the caller's
+    assert space.weights[0] == 1 / 3
+    space = hk.build_cantor_product(1 / 3, 1, 4)
+    hk.assemble(hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8)))
+    with pytest.raises(ValueError, match="read-only"):
+        space.weights[5] *= 1.01
+
+
 def test_build_custom_rejects_coincident_atoms():
     with pytest.raises(ParameterError, match="atoms 0 and 2"):
         hk.build_custom([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], np.full(3, 1 / 3))
