@@ -212,8 +212,9 @@ def build_kernel(cfg: dict, scale: scale_mod.ScaleField) -> kernel_mod.JumpKerne
 # of a converter names the type it accepts, that of a default function the
 # value it derives; list-checks and the error messages print them.  "fn" only
 # wires ctx and the resolved params into the checker.  A check that reads only
-# the space, the order field and the kernel declares "needs_form": False; the
-# form is assembled before the first check when a configured check needs it.
+# the space, the order field and the kernel, the cutoff checks its energy
+# density, declares "needs_form": False; the form is assembled before the first
+# check when a configured check needs it.
 # ---------------------------------------------------------------------------
 
 def _number(value) -> float:
@@ -434,13 +435,13 @@ CHECKS: dict[str, dict[str, Any]] = {
         "measures": "resolvent floor: min over the quarter ball of (L_B + kappa/phi)^-1 1_B >= c1 phi",
         "params": {"kappa": (_number, 1.0), **_BALL_RADII}},
     "cs_check": {
-        "fn": lambda ctx, p: form_mod.cs_check(ctx["form"], ctx["scale"], _balls(ctx, p)),
+        "fn": lambda ctx, p: form_mod.cs_check(ctx["kernel"], ctx["scale"], _balls(ctx, p)),
         "measures": "cutoff energy density: sum_y (cut(x)-cut(y))^2 j mu <= c / phi(x,r)",
-        "params": _BALL_RADII},
+        "params": _BALL_RADII, "needs_form": False},
     "capacity_check": {
-        "fn": lambda ctx, p: form_mod.capacity_check(ctx["form"], ctx["scale"], _balls(ctx, p)),
+        "fn": lambda ctx, p: form_mod.capacity_check(ctx["kernel"], ctx["scale"], _balls(ctx, p)),
         "measures": "cutoff capacity: E(cut,cut) <= C V(x0,r) / phi(x0,r)",
-        "params": _BALL_RADII},
+        "params": _BALL_RADII, "needs_form": False},
     "fk_family_check": {
         "fn": lambda ctx, p: form_mod.fk_family_check(
             ctx["form"], ctx["scale"], p["variant"], p["nu"], p["b"],
@@ -648,7 +649,7 @@ def counterexample_report(epsilon: float, level: int, axes: int,
     balls = form_mod.sample_balls(space, 3, grid[-2:], rng)
     reports = {
         "tj": kernel_mod.tj_check(kern, field, grid),
-        "cs": form_mod.cs_check(form, field, balls),
+        "cs": form_mod.cs_check(kern, field, balls),
         "ij": kernel_mod.ij_check(kern, field, config.gamma,
                                   [(r, R) for r in grid for R in grid if r <= R]),
         "wfk": form_mod.fk_family_check(form, field, "WFK",
@@ -716,7 +717,7 @@ def main(argv=None) -> int:
             return counterexample_report(args.epsilon, args.levels, args.axes,
                                          Path(args.out))
     except SchemaError as exc:
-        print(f"config schema violation at {exc.path}: {exc}", file=sys.stderr)
+        print(f"config schema violation at {exc}", file=sys.stderr)     # exc names its path
         return EXIT_SCHEMA
     except PointCapExceeded as exc:
         print(f"point cap exceeded: {exc}", file=sys.stderr)

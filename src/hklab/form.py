@@ -25,6 +25,8 @@ generator commutes with the central reflection of the space, a
 :class:`_DenseBasis` half, which lays out no N-wide ``psi``; only it knows
 the fold.  Dirichlet parts are always solved whole.  A :class:`Truncation`
 cuts one full form's jumps at rho: its near form, far kernel and far tail.
+A full form's energy is the mu-integral of the kernel's ``energy_density``,
+which ``cs_check`` and ``capacity_check`` read from a kernel, with no form.
 
 Only this module reads a form's ``S``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
@@ -40,7 +42,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import ParameterError, PointCapExceeded
-from .kernel import JumpKernel, truncate
+from .kernel import JumpKernel, energy_density, truncate
 from .report import ConditionReport
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids, _chunked
@@ -113,33 +115,20 @@ class SpectralForm:
         return self.S is not None
 
     def energy(self, f):
-        """Quadratic form <L f, f>_mu = g . (S g), g = f sqrt(w), on the
-        domain, one value per row of a 2-D ``f``.
+        """Quadratic form <L f, f>_mu on the domain, one per row of a 2-D ``f``.
 
-        A part multiplies by its small S_D.  The full form subtracts each
-        function's mu-mean, which L1 = 0 leaves out of the form but would
-        cancel in S g, then forms S g one row chunk of S at a time, one
-        kernel block per chunk serving every row.
+        The full form integrates the kernel's ``energy_density`` against mu,
+        one dot per function.  A part, whose generator carries the jumps out
+        of its domain as killing, forms g . (S_D g), g = f sqrt(w).
         """
         f = np.asarray(f, dtype=float)
         if f.ndim not in (1, 2) or f.shape[-1] != self.domain.size:
             raise ParameterError(f"f must have {self.domain.size} entries along its last axis")
         fs = np.atleast_2d(f)
-        sqrt_w = np.sqrt(self.weights)
         if self.is_part:
-            gs = fs * sqrt_w
-            Sg = np.array([self.S @ g for g in gs])
+            values = np.array([(self.S @ g) @ g for g in fs * np.sqrt(self.weights)])
         else:
-            w = self.space.weights
-            gs = (fs - ((fs * w).sum(axis=1) / w.sum())[:, None]) * sqrt_w
-            Sg = np.empty_like(gs)
-            for rows in self.space._row_chunks():
-                part = slice(rows[0], rows[-1] + 1)
-                row = _generator_block(self.kernel.block(rows, self.domain), sqrt_w[rows], sqrt_w)
-                row[np.arange(rows.size), rows] = self.diag[part]
-                for k, g in enumerate(gs):
-                    Sg[k, part] = row @ g
-        values = np.array([Sg_k @ g for Sg_k, g in zip(Sg, gs)])
+            values = np.array([g @ self.weights for g in energy_density(self.kernel, fs)])
         return float(values[0]) if f.ndim == 1 else values
 
     def _calculus(self, f, filters: np.ndarray, inverse: bool = False) -> list[np.ndarray]:
@@ -765,28 +754,21 @@ def lre_check(form: SpectralForm, scale: ScaleField, kappa: float,
     return report
 
 
-def cs_check(form: SpectralForm, scale: ScaleField, ball_sample) -> ConditionReport:
+def cs_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> ConditionReport:
     """Pointwise cutoff-energy constant.
 
     For each sampled ball B(x0, r) takes the cutoff of its record, plateau R = r/2
     and ramp r/4 (the series' ``R`` and ``r``), and reports the best c with
-    sup_x sum_y (cut(x)-cut(y))^2 j(x,y) mu(y) <= c / phi(x, r/4).  One
-    kernel block per row chunk serves every cutoff.
+    sup_x Gamma(cut)(x) <= c / phi(x, r/4), Gamma the kernel's ``energy_density``.
     """
-    space = _space_shared_with(form, scale)
+    space = _space_shared_with(kernel, scale)
     ball_sample = list(ball_sample)
     atoms = np.arange(space.n_points)
-    cuts = [space.ball(x0, r).cutoff() for x0, r in ball_sample]
-    energy_per_point = np.empty((len(cuts), space.n_points))
-    for rows in space._row_chunks():
-        j = form.kernel.block(rows, atoms)
-        for k, cut in enumerate(cuts):
-            diff2 = (cut[rows, None] - cut[None, :]) ** 2
-            energy_per_point[k, rows] = (diff2 * j * space.weights[None, :]).sum(axis=1)
+    cuts = np.reshape([space.ball(x0, r).cutoff() for x0, r in ball_sample], (-1, space.n_points))
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
-    for (x0, r), energy in zip(ball_sample, energy_per_point):
+    for (x0, r), energy in zip(ball_sample, energy_density(kernel, cuts)):
         R, ramp = r / 2.0, r / 4.0
         vals = energy * phi(scale, atoms, ramp)
         x = int(np.argmax(vals))
@@ -799,19 +781,19 @@ def cs_check(form: SpectralForm, scale: ScaleField, ball_sample) -> ConditionRep
                            notes=[] if series else ["no ball was sampled"], series=series)
 
 
-def capacity_check(form: SpectralForm, scale: ScaleField, ball_sample) -> ConditionReport:
+def capacity_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> ConditionReport:
     """Cutoff capacity constant: E(cut,cut) <= C V(x0,r)/phi(x0,r) per ball,
-    the energies of all the cutoffs from one pass over the kernel."""
-    space = _space_shared_with(form, scale)
-    if form.is_part:
-        raise ParameterError("capacity uses the full-space form")
+    E the mu-integral of the kernel's ``energy_density``, from one pass."""
+    space = _space_shared_with(kernel, scale)
     ball_sample = list(ball_sample)
     balls = [space.ball(x0, r) for x0, r in ball_sample]
-    energies = form.energy(np.reshape([ball.cutoff() for ball in balls], (-1, space.n_points)))
+    gammas = energy_density(kernel, np.reshape([ball.cutoff() for ball in balls],
+                                               (-1, space.n_points)))
     best = 0.0
     witness: dict[str, Any] = {}
     series = []
-    for (x0, r), ball, e in zip(ball_sample, balls, map(float, energies)):
+    for (x0, r), ball, gamma in zip(ball_sample, balls, gammas):
+        e = float(gamma @ space.weights)
         c = float(e * phi(scale, x0, r) / ball.volume)
         series.append({"x0": x0, "r": r, "C": c, "energy": e})
         if c > best:
@@ -877,13 +859,15 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
     if variant not in ("FK", "WFK", "GFK"):
         raise ParameterError(f"unknown variant {variant!r}")
     _require_finite(nu=nu, b=b, Cprime=Cprime, delta=delta)
+    if variant != "GFK" and not delta > 0:
+        raise ParameterError(f"delta must be positive for {variant}")
 
     def swept():
         for x0, r in ball_sample:
-            if variant in ("FK", "WFK") and r >= phi_inverse(scale, x0, delta * scale.T0):
+            if variant != "GFK" and r >= phi_inverse(scale, x0, delta * scale.T0):
                 continue
             ball = space.ball(x0, r)
-            yield x0, r, ball, part_on(form, ball.member_idx).psi[:, 0], []
+            yield x0, r, ball, phi(scale, x0, r), part_on(form, ball.member_idx).psi[:, 0], []
 
     return _fk_sweep(form, scale, variant, nu, b, Cprime, delta, swept(), rng)
 
@@ -891,7 +875,7 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
 def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b: float,
               Cprime: float, delta: float, swept, rng: np.random.Generator) -> ConditionReport:
     """The report of :func:`fk_family_check` over ``swept``: (x0, r, its ball,
-    the ground state of the ball part, further subsets) per ball swept.
+    phi(x0, r), the ball part's ground state, further subsets) per ball.
 
     The family of a ball is the ball, its quarter and half sub-balls, three
     super-level sets of the ground state, three random subsets and the
@@ -904,8 +888,7 @@ def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b:
     witness: dict[str, Any] = {}
     series = []
     trivial = 0
-    for x0, r, ball, ground, extra in swept:
-        phival = phi(scale, x0, r)
+    for x0, r, ball, phival, ground, extra in swept:
         damping = _damping(scale, phival)
         members, ground = ball.member_idx, np.abs(ground)
         subsets = [members] + [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
@@ -940,20 +923,18 @@ def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b:
     return report
 
 
-def nash_witness_constant(scale: ScaleField, ball: BallQuery, nu: float, b: float,
-                          f_on_D: np.ndarray, part: SpectralForm) -> float:
-    """Witness constant of the ball Nash display for one test function on
-    ``ball``, a ball of the space of ``scale``, its energy from ``part``, the
-    Dirichlet part on the ball."""
-    phival = phi(scale, ball.center, ball.radius)
-    damping = _damping(scale, phival)
-    w = scale.space.weights[ball.member_idx]
-    energy = part.energy(f_on_D)
-    l1, l2sq = float(np.abs(f_on_D) @ w), float(f_on_D**2 @ w)
-    denom = phival * (energy + l2sq / phival) * l1 ** (2 * nu)
-    if denom == 0:
-        return 0.0
-    return l2sq ** (1 + nu) * ball.volume**nu * damping**b / denom
+def nash_witness_constants(ball: BallQuery, phival: float, damping: float, nu: float,
+                           b: float, fs, part: SpectralForm) -> list[float]:
+    """Witness constant of the ball Nash display for each test function in
+    ``fs`` on ``ball``, given phi(x0, r) and the damping of the ball, their
+    energies from one call of ``part``, the Dirichlet part on the ball."""
+    w = part.weights
+    out = []
+    for f, energy in zip(fs, part.energy(np.reshape(fs, (-1, w.size)))):
+        l1, l2sq = float(np.abs(f) @ w), float(f**2 @ w)
+        denom = phival * (float(energy) + l2sq / phival) * l1 ** (2 * nu)
+        out.append(0.0 if denom == 0 else l2sq ** (1 + nu) * ball.volume**nu * damping**b / denom)
+    return out
 
 
 def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_sample,
@@ -979,12 +960,12 @@ def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_
                    for frac in (0.25, 0.5, 1.0)]
         family += [(f"sign{k}", rng.choice([-1.0, 1.0], size=D.size)) for k in range(3)]
         w = space.weights[D]
-        for name, f in family:
-            norm = math.sqrt(float(f**2 @ w))
-            if norm == 0:
-                continue
-            f = f / norm
-            c = nash_witness_constant(scale, ball, nu, b, f, part)
+        named = [(name, f / norm) for name, f in family
+                 if (norm := math.sqrt(float(f**2 @ w))) != 0]
+        phival = phi(scale, x0, r)
+        witnesses = nash_witness_constants(ball, phival, _damping(scale, phival), nu, b,
+                                           [f for _, f in named], part)
+        for (name, _), c in zip(named, witnesses):
             series.append({"x0": x0, "r": r, "family": name, "C": c})
             if c > best:
                 best = c
@@ -1031,11 +1012,13 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
     space = _space_shared_with(form, scale)
     _require_finite(nu=nu, b=b, Cprime=Cprime)
 
-    # (x0, r) -> (ball, its largest Nash witness, [(asserted subset, its lambda_1)])
-    per_ball: dict[tuple[int, float], tuple[BallQuery, float, list]] = {}
+    # (x0, r) -> (ball, phi, damping, its largest Nash witness, [(asserted D, lambda_1(D))])
+    per_ball: dict[tuple[int, float], tuple[BallQuery, float, float, float, list]] = {}
     swept = []                  # the GFK sweep's balls, each with its ground state
     for x0, r in ball_sample:
         ball = space.ball(x0, r)
+        phival = phi(scale, x0, r)
+        damping = _damping(scale, phival)
         D_ball = ball.member_idx
         part = part_on(form, D_ball)
         base = [part.psi[:, k] for k in range(min(2, D_ball.size))]
@@ -1055,15 +1038,15 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
             grounds.append(g)
             asserted.append((D, float(sub_part.eigvals[0])))
         asserted.append((D_ball, float(part.eigvals[0])))
-        nash = max(nash_witness_constant(scale, ball, nu, b, f, part) for f in base + grounds)
-        per_ball[(x0, r)] = (ball, nash, asserted)
-        swept.append((x0, r, ball, part.psi[:, 0], [*subs.values(), *(
+        nash = max(nash_witness_constants(ball, phival, damping, nu, b, base + grounds, part))
+        per_ball[(x0, r)] = (ball, phival, damping, nash, asserted)
+        swept.append((x0, r, ball, phival, part.psi[:, 0], [*subs.values(), *(
             s for g in grounds if (s := _superlevel_subset(space, D_ball, g)) is not None)]))
 
     # the ball parts solved above; GFK reads no delta
     c_g = _fk_sweep(form, scale, "GFK", nu, b, Cprime, 0.5, swept, rng).best_constant
 
-    c_n = max([0.0] + [nash for _, nash, _ in per_ball.values()])
+    c_n = max([0.0] + [nash for *_, nash, _ in per_ball.values()])
 
     if c_g is None or c_g <= 0 or c_n <= 0:
         return ConditionReport(condition="fk_nash_consistency",
@@ -1076,9 +1059,7 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
     forward_margin = float(forward_bound - c_n)
 
     backward_margin = math.inf
-    for ball, _, asserted in per_ball.values():
-        phival = phi(scale, ball.center, ball.radius)
-        damping = _damping(scale, phival)
+    for ball, phival, damping, _, asserted in per_ball.values():
         for D, lam in asserted:
             mu_D = float(space.weights[D].sum())
             rhs = (damping**b * (ball.volume / mu_D) ** nu - c_n) / c_n

@@ -264,6 +264,23 @@ def _tail_masses(kernel: JumpKernel, radii, q: float = 1.0) -> np.ndarray:
     return tails
 
 
+def energy_density(kernel: JumpKernel, fs) -> np.ndarray:
+    """The energy density Gamma(f)(x) = sum_y (f(x) - f(y))^2 j(x,y) mu(y),
+    a sum of nonnegative terms whose mu-integral is the energy of f, of each
+    row f of the 2-D ``fs``; one kernel block per row chunk serves every f."""
+    space = kernel.space
+    fs = np.asarray(fs, dtype=float)
+    if fs.ndim != 2 or fs.shape[1] != space.n_points:
+        raise ParameterError(f"fs must hold one function of {space.n_points} entries per row")
+    atoms, w = np.arange(space.n_points), space.weights
+    out = np.empty_like(fs)
+    for rows in space._row_chunks():
+        j = kernel.block(rows, atoms)
+        for k, f in enumerate(fs):
+            out[k, rows] = ((f[rows, None] - f[None, :]) ** 2 * j * w[None, :]).sum(axis=1)
+    return out
+
+
 def _first_max(vals: np.ndarray, ids: np.ndarray) -> tuple[float, int | None]:
     """Largest positive entry and the first id attaining it; (0.0, None) if none."""
     vals = np.where(vals > 0, vals, 0.0)

@@ -555,7 +555,8 @@ def test_kernel_level_checks_assemble_no_form(tmp_path, monkeypatch):
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(cli.form_mod, "assemble", counting_assemble)
-    checks = [{"name": name, "mode": "pass"} for name in ("vd_fit", "tj_check", "ij_check")]
+    checks = [{"name": name, "mode": "pass"} for name in
+              ("vd_fit", "tj_check", "ij_check", "cs_check", "capacity_check")]
     cfg = {"space": {"kind": "cantor", "xi": 1 / 3, "n": 2, "level": 5},
            "scale": {"kind": "constant", "beta": 0.8, "T0": 1.0},
            "kernel": {"kind": "cantor_axis"}, "checks": checks}
@@ -565,6 +566,20 @@ def test_kernel_level_checks_assemble_no_form(tmp_path, monkeypatch):
     path = write_config(tmp_path, {**cfg, "checks": checks + [{"name": "due_check"}]})
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in cli.CHECKS.items()
+                                         if e.get("needs_form", True) is False))
+def test_a_check_that_needs_no_form_runs_without_one(name):
+    # every check declared "needs_form": False runs from a ctx with no form;
+    # the kernel has a density, which tjq_check needs
+    space = hklab.build_cantor_product(1 / 3, 2, 3)
+    scale = hklab.constant_field(space, 0.8, T0=1.0)
+    ctx = {"space": space, "scale": scale, "kernel": hklab.build_uniform_kernel(space),
+           "form": None, "rng": np.random.default_rng(0)}
+    entry = cli.CHECKS[name]
+    report = entry["fn"](ctx, cli._resolve_params(entry["params"], {}, ctx))
+    assert isinstance(report, ConditionReport) and report.series
 
 
 @pytest.mark.parametrize("edit,path", [
@@ -652,6 +667,23 @@ def test_undeclared_key_or_non_finite_number_exits_2_at_its_path(tmp_path, capsy
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2 and f"config schema violation at {path}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("path,check,reason", [
+    ("space.level", None, "invalid value 'x'"),
+    ("checks[0]", {"name": "lre_check", "params": {"kappa": "x"}}, "kappa must be a number"),
+    ("checks[0]", {"name": "fk_family_check", "params": {"delta": 0}},
+     "fk_family_check cannot run here: delta must be positive for FK")],
+    ids=["section_field", "check_param", "check_refusal"])
+def test_a_schema_violation_names_its_path_once(tmp_path, capsys, path, check, reason):
+    # the message holds the path, and main printed it once more before it
+    cfg = _set(copy.deepcopy(CANTOR_CFG), "space.level", "x") if check is None else \
+        dict(CANTOR_CFG, checks=[check])
+    config = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config schema violation at {path}: {reason}")
+    assert err.count(path) == 1
 
 
 @pytest.mark.parametrize("kernel,field", [

@@ -175,7 +175,7 @@ def test_desk_scale_conditions_all_finite():
 
     tj = hk.tj_check(kern, field, grid)
     assert math.isfinite(tj.best_constant) and tj.best_constant > 0
-    cs = hk.cs_check(form, field, balls)
+    cs = hk.cs_check(kern, field, balls)
     assert math.isfinite(cs.best_constant)
     n_desk = sp.meta["n_axes"]
     wfk = hk.fk_family_check(form, field, "WFK", 1.0 / (n_desk * cfg.alpha_xi), 1.0,

@@ -259,30 +259,25 @@ def test_lre_skips_empty_quarter_ball():
 
 def test_cs_check_edge_cases(cantor6):
     space, scale, kern = cantor6
-    form = hk.assemble(kern)
-    zero = hk.build_zero_kernel(space)
-    zform = hk.assemble(zero)
-    rep = hk.cs_check(zform, scale, [(0, 0.4)])
+    rep = hk.cs_check(hk.build_zero_kernel(space), scale, [(0, 0.4)])
     assert rep.best_constant == 0.0
     # cutoff identically 1: plateau covers the space
-    rep_one = hk.cs_check(form, scale, [(0, 4.0)])
+    rep_one = hk.cs_check(kern, scale, [(0, 4.0)])
     assert rep_one.best_constant == 0.0
-    rep_real = hk.cs_check(form, scale, [(0, 0.25), (9, 0.5)])
+    rep_real = hk.cs_check(kern, scale, [(0, 0.25), (9, 0.5)])
     assert math.isfinite(rep_real.best_constant) and rep_real.best_constant > 0
 
 
 def test_capacity_check_cases(two_point, cantor6):
-    space2, kern2, form2 = two_point
+    space2, kern2, _ = two_point
     field2 = hk.constant_field(space2, 1.0)
-    rep = hk.capacity_check(form2, field2, [(0, 3.0)])
+    rep = hk.capacity_check(kern2, field2, [(0, 3.0)])
     assert rep.best_constant == pytest.approx(0.0, abs=1e-14)   # cutoff constant 1
 
     space, scale, kern = cantor6
-    zform = hk.assemble(hk.build_zero_kernel(space))
-    assert hk.capacity_check(zform, scale,
+    assert hk.capacity_check(hk.build_zero_kernel(space), scale,
                              [(0, 0.3)]).best_constant == 0.0
-    form = hk.assemble(kern)
-    rep6 = hk.capacity_check(form, scale, [(0, 0.25), (13, 0.25)])
+    rep6 = hk.capacity_check(kern, scale, [(0, 0.25), (13, 0.25)])
     assert math.isfinite(rep6.best_constant) and rep6.best_constant > 0
 
 
@@ -291,20 +286,13 @@ def test_checks_that_measure_nothing_do_not_pass(cantor6):
     space, scale, kern = cantor6
     form = hk.assemble(kern)
     times = [0.1, 0.5]
-    reports = [hk.cs_check(form, scale, []),
-               hk.capacity_check(form, scale, []),
+    reports = [hk.cs_check(kern, scale, []),
+               hk.capacity_check(kern, scale, []),
                hk.te_check(form, scale, 1.0, [], times),
                hk.due_check(form, scale, 1.0, times, k=0.05,
                             rng=np.random.default_rng(0))]
     for rep in reports:
         assert rep.series == [] and rep.passed is False and rep.notes, rep.condition
-
-
-def test_capacity_refuses_a_dirichlet_part(cantor6):
-    space, scale, kern = cantor6
-    part = hk.part_on(hk.assemble(kern), space.ball(0, 0.4).member_idx)
-    with pytest.raises(ParameterError, match="full-space"):
-        hk.capacity_check(part, scale, [(0, 0.25)])
 
 
 def test_capacity_stable_across_levels():
@@ -313,8 +301,7 @@ def test_capacity_stable_across_levels():
         sp = hk.build_cantor_product(1 / 3, 1, lvl)
         field = hk.constant_field(sp, 0.8, T0=1.0)
         kern = hk.build_cantor_axis_kernel(field)
-        form = hk.assemble(kern)
-        rep = hk.capacity_check(form, field, [(0, 0.25)])
+        rep = hk.capacity_check(kern, field, [(0, 0.25)])
         vals.append(rep.best_constant)
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.25
 
@@ -360,14 +347,17 @@ def test_fk_family_check_refuses_an_unknown_variant_before_it_sweeps(cantor6, sa
 @pytest.mark.parametrize("T0", [1.0, math.inf])
 @pytest.mark.parametrize("delta", [0.0, -1.0])
 def test_fk_and_wfk_refuse_a_nonpositive_delta_at_every_horizon(T0, delta):
-    # with T0 = inf they used to skip the radius cap and pass without a word
+    # refused by name before the sweep, an empty sample too; with T0 = inf
+    # they used to skip the radius cap and pass without a word, and then to
+    # fail in phi_inverse, which did not name delta
     space = hk.build_cantor_product(1 / 3, 1, 5)
     scale = hk.constant_field(space, 0.8, T0=T0)
     form = hk.assemble(hk.build_cantor_axis_kernel(scale))
     for variant in ("FK", "WFK"):
-        with pytest.raises(ParameterError, match="phi_inverse needs t > 0"):
-            hk.fk_family_check(form, scale, variant, 0.5, 1.0, 1.0, delta, [(0, 0.25)],
-                               np.random.default_rng(0))
+        for sample in ([(0, 0.25)], []):
+            with pytest.raises(ParameterError, match=f"delta must be positive for {variant}"):
+                hk.fk_family_check(form, scale, variant, 0.5, 1.0, 1.0, delta, sample,
+                                   np.random.default_rng(0))
     # GFK reads no delta
     rep = hk.fk_family_check(form, scale, "GFK", 0.5, 1.0, 1.0, delta, [(0, 0.25)],
                              np.random.default_rng(0))
@@ -404,7 +394,7 @@ def test_nash_single_atom_closed_form(cantor6):
     l1 = math.sqrt(space.weights[y])
     expected = (1.0 * space.volume(x0, r) ** nu * damping
                 / (phival * (part.energy(f) + 1.0 / phival) * l1 ** (2 * nu)))
-    got = hk.form.nash_witness_constant(scale, space.ball(x0, r), nu, 1.0, f, part)
+    got, = hk.form.nash_witness_constants(space.ball(x0, r), phival, damping, nu, 1.0, [f], part)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -450,6 +440,27 @@ def test_fk_nash_consistency_reuses_its_parts(monkeypatch):
     # and 24 when the GFK sweep re-solved each ball part for its ground state
     assert len(calls) == 22
     assert len({np.asarray(D).tobytes() for D in calls}) == 22
+
+
+@pytest.mark.parametrize("check", ["nash_check", "fk_nash_consistency", "fk_family_check"])
+def test_nash_and_fk_sweeps_compute_phi_once_per_ball(monkeypatch, check):
+    # the Nash witness computed phi(x0, r) and the damping for each test
+    # function, and the backward chain and the GFK sweep each once more per
+    # ball: 155 phi calls for the 12 balls of the benchmark sweep
+    sp = hk.build_cantor_product(1 / 3, 2, 3)
+    field = hk.constant_field(sp, 0.8, T0=1.0)
+    form = hk.assemble(hk.build_cantor_axis_kernel(field))
+    balls = hk.sample_balls(sp, 4, hk.dyadic_radius_grid(sp)[-3:], np.random.default_rng(0))
+    phi, calls = hk.form.phi, []
+    monkeypatch.setattr(hk.form, "phi", lambda *args: calls.append(args) or phi(*args))
+    rng = np.random.default_rng(3)
+    rep = {"nash_check": lambda: hk.nash_check(form, field, 1.2, 1.0, balls, rng),
+           "fk_nash_consistency": lambda: hk.fk_nash_consistency(
+               form, field, 1.2, 1.0, 1.0, balls, rng),
+           "fk_family_check": lambda: hk.fk_family_check(
+               form, field, "GFK", 1.2, 1.0, 1.0, 0.5, balls, rng)}[check]()
+    assert rep.passed
+    assert sorted(args[1:] for args in calls) == sorted(balls)
 
 
 def test_fk_passes_where_due_confirmed():
@@ -1165,7 +1176,8 @@ def test_part_energy_equals_part_on_energy(cantor6):
         damping = min(1.0, scale.T0 / phival)
         expected = (l2sq ** 2.2 * v**1.2 * damping
                     / (phival * (energy + l2sq / phival) * l1 ** 2.4))
-        got = hk.form.nash_witness_constant(scale, space.ball(x0, r), 1.2, 1.0, f, part)
+        got, = hk.form.nash_witness_constants(space.ball(x0, r), phival, damping, 1.2, 1.0,
+                                              [f], part)
         assert got == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ParameterError):
         _part_generator(form, [-1, 0])
@@ -1267,10 +1279,11 @@ def test_jmat_nonzeros_counts_the_symmetric_kernel(seed, chunk_budget):
 
 
 def test_full_form_energy_is_exact_on_near_constant_functions():
-    # E ignores constants, L1 being 0, and the full form subtracts each
-    # function's mu-mean before it forms L f: a constant has energy exactly
-    # 0, and a function 1e-9 from one keeps its relative accuracy against
-    # the double sum over pairs, where L f alone cancelled to 100 times it
+    # the full form integrates the energy density, a sum of nonnegative
+    # terms whose differences f(x) - f(y) are exact for f near a constant:
+    # a constant has energy exactly 0, and a function 1e-9 from one keeps its
+    # relative accuracy against the double sum over pairs, where L f alone
+    # cancelled to 100 times it
     space = hk.build_cantor_product(1 / 3, 2, 4)
     kern = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0))
     form = hk.assemble(kern)
@@ -1305,7 +1318,6 @@ def test_a_part_on_every_atom_is_refused_where_the_full_form_is_needed():
     assert part.is_part and not form.is_part
     balls = [(0, 0.5)]
     for refused in (lambda: hk.part_on(part, [0, 1, 2]),
-                    lambda: hk.capacity_check(part, scale, balls),
                     lambda: hk.te_check(part, scale, 1.0, balls, [0.1]),
                     lambda: hk.due_check(part, scale, 1.0, [0.1],
                                          np.random.default_rng(0))):
@@ -1327,14 +1339,39 @@ def test_full_form_energy_is_chunked_L(chunk_budget):
     assert _same_bits(part.energy(gs), [part.energy(g) for g in gs])
 
 
+@pytest.mark.parametrize("r", [0.5, 0.25])
+def test_full_form_energy_of_a_cutoff_is_exact(r):
+    # the mu-integral of the energy density, against the exactly rounded sum
+    # of the N^2 pair terms; through L f, less the mu-mean, the energy was
+    # 2.8e-14 (r = 0.5) and 6.4e-14 (r = 0.25) off on this 256-atom set
+    space = hk.build_cantor_product(1 / 3, 1, 8)
+    kern = hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0))
+    cut = space.ball(0, r).cutoff()
+    terms = (cut[:, None] - cut[None, :]) ** 2 * kern.matrix() * np.outer(space.weights,
+                                                                            space.weights)
+    want = math.fsum(terms.ravel())
+    assert abs(hk.assemble(kern).energy(cut) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
+def test_capacity_energy_is_the_full_form_energy(chunk_budget, case):
+    # one formula: the check, which reads no form, and the form agree bit for bit
+    space, kern, _ = _generator_case(case)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    form = hk.assemble(kern)
+    sample = [(x0, r) for x0 in (0, 5) for r in (0.2, 0.6)]
+    rep = hk.capacity_check(kern, scale, sample)
+    for (x0, r), row in zip(sample, rep.series):
+        assert _same_bits(row["energy"], form.energy(space.ball(x0, r).cutoff()))
+
+
 @pytest.mark.parametrize("case", ["custom", "cantor", "rounding"])
 def test_cs_check_reads_the_kernel_in_row_chunks(chunk_budget, case):
     # the dense formula on the oracle matrix, bit for bit, for every cutoff
     space, kern, _ = _generator_case(case)
     scale = hk.constant_field(space, 0.8, T0=1.0)
-    form = hk.assemble(kern)
     sample = [(x0, r) for x0 in (0, 5) for r in (0.2, 0.6)]
-    rep = hk.cs_check(form, scale, sample)
+    rep = hk.cs_check(kern, scale, sample)
     jmat, w = kern.matrix(), space.weights
     for (x0, r), row in zip(sample, rep.series):
         cut = np.clip(1.0 - (space.dist_from(x0) - r / 2.0) / (r / 4.0), 0.0, 1.0)

@@ -426,6 +426,21 @@ def test_tail_mass_all_matches_per_point(seed, chunk_budget):
         assert np.allclose(_tail_masses(kern, [r])[0], want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_energy_density_is_the_dense_pair_sum_of_each_row(seed, chunk_budget):
+    # bit for bit, whatever the chunks; its mu-integral is the energy
+    space, _, kern = random_setup(seed)
+    jmat, w = kern.matrix(), space.weights
+    fs = np.random.default_rng(seed).normal(size=(3, space.n_points))
+    for f, gamma in zip(fs, hk.kernel.energy_density(kern, fs)):
+        want = ((f[:, None] - f[None, :]) ** 2 * jmat * w[None, :]).sum(axis=1)
+        assert gamma.tobytes() == want.tobytes()
+    assert hk.kernel.energy_density(kern, fs[:0]).shape == (0, space.n_points)
+    for refused in (fs[0], fs[:, 1:], fs[None]):
+        with pytest.raises(ParameterError, match="one function of"):
+            hk.kernel.energy_density(kern, refused)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_ij_matches_per_atom_loop(seed, chunk_budget):
     space, scale, kern = random_setup(seed)

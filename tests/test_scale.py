@@ -450,8 +450,8 @@ _MIXED_CALLS = {
                                                    2.0, [0.25]),   # a kernel with a density
     "ij_check": lambda k, f, s, rng: hk.ij_check(k, s, 0.0, [(0.25, 0.5)]),
     "lre_check": lambda k, f, s, rng: hk.lre_check(f, s, 1.0, _BALLS),
-    "cs_check": lambda k, f, s, rng: hk.cs_check(f, s, _BALLS),
-    "capacity_check": lambda k, f, s, rng: hk.capacity_check(f, s, _BALLS),
+    "cs_check": lambda k, f, s, rng: hk.cs_check(k, s, _BALLS),
+    "capacity_check": lambda k, f, s, rng: hk.capacity_check(k, s, _BALLS),
     "fk_family_check": lambda k, f, s, rng: hk.fk_family_check(
         f, s, "FK", 0.5, 1.0, 1.0, 0.5, _BALLS, rng),
     "nash_check": lambda k, f, s, rng: hk.nash_check(f, s, 0.5, 1.0, _BALLS, rng),
