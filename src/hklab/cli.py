@@ -664,7 +664,7 @@ def counterexample_report(epsilon: float, level: int, axes: int,
                    "beta2": config.beta2, "gamma": config.gamma, "nu": config.nu,
                    "desk_axes": axes, "level": level},
         "exponents": exponents,
-        "condition_reports": {k: v.to_dict() for k, v in reports.items()},
+        "condition_reports": reports,                 # converted once, by canonical_json
         "diagnostic_series": diagnostic,
     }
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,18 @@
-"""Shared exception types."""
+"""Shared exception types, and the finiteness guard on numeric parameters."""
+
+import math
 
 
 class ParameterError(ValueError):
     """A builder or checker was called with an out-of-range parameter."""
+
+
+def _require_finite(**params: float | None) -> None:
+    """Refuse a NaN or an infinite parameter, which no comparison would
+    catch; None, an optional parameter left unset, passes."""
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite")
 
 
 class PointCapExceeded(RuntimeError):

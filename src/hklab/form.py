@@ -28,6 +28,9 @@ cuts one full form's jumps at rho: its near form, far kernel and far tail.
 A full form's energy is the mu-integral of the kernel's ``energy_density``,
 which ``cs_check`` and ``capacity_check`` read from a kernel, with no form.
 
+The ball checkers take their best from :func:`hklab.report.best_of`, and
+``cs_check`` the atom of each ball from :func:`hklab.report.extremum`.
+
 Only this module reads a form's ``S``, ``eigvals`` and ``psi``; the other
 checkers ask a :class:`SpectralForm` for entries, for its ``basis``, which
 streams the kernel in row panels, and this module for parts.
@@ -37,13 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ParameterError, PointCapExceeded
+from .errors import ParameterError, PointCapExceeded, _require_finite
 from .kernel import JumpKernel, energy_density, truncate
-from .report import ConditionReport
+from .report import ConditionReport, best_of, extremum
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids, _chunked
 
@@ -603,9 +606,12 @@ def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
 def lambda1(form: SpectralForm, D) -> float:
     """Bottom eigenvalue of the Dirichlet part on D (the Rayleigh-quotient infimum).
 
-    A domain that :func:`part_on` has solved is looked up, not solved again.
+    A domain that :func:`part_on` has solved is looked up, not solved again
+    and not checked again: only a checked 1-D domain of this form is a key.
+    Any other domain is checked once, by :func:`part_on`.
     """
-    lam = form._lambda1.get(_checked_domain(form, D).tobytes())
+    D = np.asarray(D, dtype=int)
+    lam = form._lambda1.get(D.tobytes()) if D.ndim == 1 else None
     return lam if lam is not None else float(part_on(form, D).eigvals[0])
 
 
@@ -702,14 +708,15 @@ def sample_balls(space: FiniteMMSpace, n_centers: int, radii: Iterable[float],
 
 def _quarter_balls(scale: ScaleField, ball_sample):
     """The sampled balls with phi(x0, r) < T0 and a nonempty quarter ball,
-    as (x0, r, ball record), and how many had an empty one."""
+    as (x0, r, phi(x0, r), ball record), and how many had an empty one."""
     balls, skipped = [], 0
     for x0, r in ball_sample:
-        if phi(scale, x0, r) >= scale.T0:
+        phival = phi(scale, x0, r)
+        if phival >= scale.T0:
             continue
         ball = scale.space.ball(x0, r)
         if ball.quarter.any():
-            balls.append((x0, r, ball))
+            balls.append((x0, r, phival, ball))
         else:
             skipped += 1
     return balls, skipped
@@ -730,27 +737,21 @@ def lre_check(form: SpectralForm, scale: ScaleField, kappa: float,
     _space_shared_with(form, scale)
     if not kappa > 0:
         raise ParameterError("kappa must be positive")
-    worst = math.inf
-    witness: dict[str, Any] = {}
     series = []
     balls, skipped = _quarter_balls(scale, ball_sample)
-    for x0, r, ball in balls:
+    for x0, r, phival, ball in balls:
         part = part_on(form, ball.member_idx)
-        phival = phi(scale, x0, r)
         u = part.resolvent(kappa / phival, np.ones(ball.member_idx.size))
-        c1 = float(u[ball.quarter].min() / phival)
-        series.append({"x0": x0, "r": r, "c1": c1})
-        if c1 < worst:
-            worst = c1
-            witness = {"x0": x0, "r": r}
+        series.append({"x0": x0, "r": r, "c1": float(u[ball.quarter].min() / phival)})
+    worst, witness = best_of(series, "c1", ("x0", "r"), lowest=True)
     report = ConditionReport(condition="lre", params={"kappa": kappa},
-                             best_constant=(None if worst is math.inf else worst),
+                             best_constant=(None if worst == math.inf else worst),
                              witness=witness, series=series)
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
     if form.jmat_nonzeros == 0:
         report.note("degenerate zero kernel: the resolvent is the constant 1/lambda")
-    report.passed = bool(series) and worst > 0
+    report.passed = bool(witness) and worst > 0
     return report
 
 
@@ -765,17 +766,14 @@ def cs_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> ConditionRep
     ball_sample = list(ball_sample)
     atoms = np.arange(space.n_points)
     cuts = np.reshape([space.ball(x0, r).cutoff() for x0, r in ball_sample], (-1, space.n_points))
-    best = 0.0
-    witness: dict[str, Any] = {}
     series = []
     for (x0, r), energy in zip(ball_sample, energy_density(kernel, cuts)):
         R, ramp = r / 2.0, r / 4.0
         vals = energy * phi(scale, atoms, ramp)
-        x = int(np.argmax(vals))
-        series.append({"x0": x0, "R": R, "r": ramp, "c": float(vals[x]), "x": x})
-        if vals[x] > best:
-            best = float(vals[x])
-            witness = {"x0": x0, "R": R, "r": ramp, "x": x}
+        x = extremum(vals)
+        series.append({"x0": x0, "R": R, "r": ramp, "x": x,
+                       "c": 0.0 if x is None else float(vals[x])})
+    best, witness = best_of(series, "c", ("x0", "R", "r", "x"))
     return ConditionReport(condition="cs", params={}, best_constant=best,
                            witness=witness, passed=bool(series) and math.isfinite(best),
                            notes=[] if series else ["no ball was sampled"], series=series)
@@ -789,16 +787,12 @@ def capacity_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> Condit
     balls = [space.ball(x0, r) for x0, r in ball_sample]
     gammas = energy_density(kernel, np.reshape([ball.cutoff() for ball in balls],
                                                (-1, space.n_points)))
-    best = 0.0
-    witness: dict[str, Any] = {}
     series = []
     for (x0, r), ball, gamma in zip(ball_sample, balls, gammas):
         e = float(gamma @ space.weights)
-        c = float(e * phi(scale, x0, r) / ball.volume)
-        series.append({"x0": x0, "r": r, "C": c, "energy": e})
-        if c > best:
-            best = c
-            witness = {"x0": x0, "r": r}
+        series.append({"x0": x0, "r": r, "C": float(e * phi(scale, x0, r) / ball.volume),
+                       "energy": e})
+    best, witness = best_of(series, "C", ("x0", "r"))
     return ConditionReport(condition="capacity", params={}, best_constant=best,
                            witness=witness, passed=bool(series) and math.isfinite(best),
                            notes=[] if series else ["no ball was sampled"], series=series)
@@ -818,13 +812,6 @@ def _quantile(values: np.ndarray, q: float) -> float:
     a, b = float(ranked[lo]), float(ranked[lo + 1])
     gamma = index - lo
     return b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
-
-
-def _require_finite(**params: float) -> None:
-    """Refuse a NaN or an infinite parameter, which no comparison would catch."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite")
 
 
 def _damping(scale: ScaleField, phival: float) -> float:
@@ -884,8 +871,6 @@ def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b:
     is not solved again.
     """
     space = form.space
-    best = math.inf
-    witness: dict[str, Any] = {}
     series = []
     trivial = 0
     for x0, r, ball, phival, ground, extra in swept:
@@ -896,8 +881,9 @@ def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b:
         subsets += [rng.choice(members, size=max(1, int(round(dens * members.size))),
                                replace=False) for dens in (0.25, 0.5, 0.75)]
         # sorted, without repeats or empty sets, in order of first appearance
-        uniq = dict.fromkeys(tuple(sorted(int(i) for i in s)) for s in subsets + extra)
-        for D in (np.asarray(key, dtype=int) for key in uniq if key):
+        uniq = {D.tobytes(): D for D in (np.sort(np.asarray(s, dtype=int))
+                                         for s in subsets + extra) if D.size}
+        for D in uniq.values():
             mu_D = float(space.weights[D].sum())
             ratio_pow = (ball.volume / mu_D) ** nu
             bracket = _fk_bracket(variant, ratio_pow, damping, b, Cprime)
@@ -905,21 +891,18 @@ def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b:
                 trivial += 1
                 continue
             lam = lambda1(form, D)
-            c = lam * phival / bracket
             series.append({"x0": x0, "r": r, "size_D": int(D.size),
-                           "lambda1": lam, "C": c})
-            if c < best:
-                best = c
-                witness = {"x0": x0, "r": r, "size_D": int(D.size), "lambda1": lam}
+                           "lambda1": lam, "C": lam * phival / bracket})
+    best, witness = best_of(series, "C", ("x0", "r", "size_D", "lambda1"), lowest=True)
     report = ConditionReport(
         condition=f"fk_{variant.lower()}",
         params={"variant": variant, "nu": nu, "b": b, "Cprime": Cprime,
                 "delta": delta, "subset_strategy": "mixed"},
-        best_constant=(None if best is math.inf else best),
+        best_constant=(None if best == math.inf else best),
         witness=witness, series=series)
     if trivial:
         report.note(f"{trivial} subsets satisfied the display trivially (bracket <= 0)")
-    report.passed = bool(series) and best > 0
+    report.passed = bool(witness) and best > 0
     return report
 
 
@@ -948,8 +931,6 @@ def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_
     """
     space = _space_shared_with(form, scale)
     _require_finite(nu=nu, b=b)
-    best = 0.0
-    witness: dict[str, Any] = {}
     series = []
     for x0, r in ball_sample:
         ball = space.ball(x0, r)
@@ -965,11 +946,9 @@ def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_
         phival = phi(scale, x0, r)
         witnesses = nash_witness_constants(ball, phival, _damping(scale, phival), nu, b,
                                            [f for _, f in named], part)
-        for (name, _), c in zip(named, witnesses):
-            series.append({"x0": x0, "r": r, "family": name, "C": c})
-            if c > best:
-                best = c
-                witness = {"x0": x0, "r": r, "family": name}
+        series += [{"x0": x0, "r": r, "family": name, "C": c}
+                   for (name, _), c in zip(named, witnesses)]
+    best, witness = best_of(series, "C", ("x0", "r", "family"))
     return ConditionReport(condition="nash",
                            params={"nu": nu, "b": b, "family": "mixed"},
                            best_constant=best, witness=witness,

@@ -3,7 +3,9 @@
 A :class:`JumpKernel` stores a symmetric atom-to-atom intensity ``j(x, y)``
 so that the pair mass between atoms is ``j(x,y) * mu(x) * mu(y)``.  Kernels
 are evaluated lazily through a vectorized block function, so tail sums over
-small balls work on spaces too large for a dense matrix.
+small balls work on spaces too large for a dense matrix.  The tail checks
+report per radius, or (r, R) pair, the atom of :func:`hklab.report.extremum`,
+and take their best from :func:`hklab.report.best_of`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError
-from .report import ConditionReport
+from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError, _require_finite
+from .report import ConditionReport, best_of, extremum
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, FiniteMMSpace
 
@@ -281,32 +283,22 @@ def energy_density(kernel: JumpKernel, fs) -> np.ndarray:
     return out
 
 
-def _first_max(vals: np.ndarray, ids: np.ndarray) -> tuple[float, int | None]:
-    """Largest positive entry and the first id attaining it; (0.0, None) if none."""
-    vals = np.where(vals > 0, vals, 0.0)
-    if vals.size == 0 or vals.max() == 0.0:
-        return 0.0, None
-    k = int(np.argmax(vals))
-    return float(vals[k]), int(ids[k])
-
-
 def tj_check(kernel: JumpKernel, scale: ScaleField, radius_grid,
              threshold: float | None = None) -> ConditionReport:
     """Best constant C = max over (x, r) of phi(x,r) * tail_mass(x, r)."""
     space = _space_shared_with(kernel, scale)
+    _require_finite(threshold=threshold)
     radii = np.asarray(radius_grid, dtype=float)
     if np.any(radii <= 0) or np.any(radii > space.diameter):
         raise ParameterError("radius grid must lie in (0, diameter]")
-    best = 0.0
-    witness: dict[str, Any] = {"x": None, "r": None}
     series = []
     for r, tails in zip(radii, _tail_masses(kernel, radii)):
         vals = tails * phi(scale, np.arange(space.n_points), float(r))
-        x = int(np.argmax(vals))
-        series.append({"r": float(r), "C_at_r": float(vals[x]), "x": x})
-        if vals[x] > best:
-            best = float(vals[x])
-            witness = {"x": x, "r": float(r), "tail_mass": float(tails[x])}
+        x = extremum(vals)
+        series.append({"r": float(r), "x": x,
+                       "C_at_r": 0.0 if x is None else float(vals[x]),
+                       "tail_mass": None if x is None else float(tails[x])})
+    best, witness = best_of(series, "C_at_r", ("x", "r", "tail_mass"))
     passed = None if threshold is None else bool(best <= threshold)
     return ConditionReport(condition="tj", params={"radii": radii.tolist(),
                                                    "threshold": threshold},
@@ -325,6 +317,7 @@ def tjq_check(kernel: JumpKernel, scale: ScaleField, q: float, radius_grid,
     to hold for them.
     """
     space = _space_shared_with(kernel, scale)
+    _require_finite(q=q, threshold=threshold)
     if q < 1:
         raise ParameterError("q must be at least 1")
     if kernel.support_pattern != "full":
@@ -335,17 +328,13 @@ def tjq_check(kernel: JumpKernel, scale: ScaleField, q: float, radius_grid,
     if np.any(radii <= 0) or np.any(radii > space.diameter):
         raise ParameterError("radius grid must lie in (0, diameter]")
     all_idx = np.arange(space.n_points)
-    best = 0.0
-    witness: dict[str, Any] = {}
     series = []
     for r, tails in zip(radii, _tail_masses(kernel, radii, q)):
         c = (tails ** (1.0 / q) * space.volumes_at(float(r)) ** ((q - 1.0) / q)
              * phi(scale, all_idx, float(r)))
-        worst_at_r, arg = _first_max(c, all_idx)
-        series.append({"r": float(r), "C_at_r": worst_at_r, "x": arg})
-        if worst_at_r > best:
-            best = worst_at_r
-            witness = {"x": arg, "r": float(r)}
+        x = extremum(c)
+        series.append({"r": float(r), "C_at_r": 0.0 if x is None else float(c[x]), "x": x})
+    best, witness = best_of(series, "C_at_r", ("x", "r"))
     passed = None if threshold is None else bool(best <= threshold)
     return ConditionReport(condition="tjq", params={"q": q, "radii": radii.tolist()},
                            best_constant=best, witness=witness, passed=passed,
@@ -363,6 +352,7 @@ def ij_check(kernel: JumpKernel, scale: ScaleField, gamma: float, rR_pairs) -> C
     against log(R/r).
     """
     space = _space_shared_with(kernel, scale)
+    _require_finite(gamma=gamma)
     pairs = [(float(r), float(R)) for r, R in rR_pairs]
     if any(r <= 0 or r > R for r, R in pairs):
         raise ParameterError("need 0 < r <= R for every pair")
@@ -377,20 +367,18 @@ def ij_check(kernel: JumpKernel, scale: ScaleField, gamma: float, rR_pairs) -> C
         for p, (r, _) in enumerate(pairs):
             r1 = inner[p][rows, None]
             q_vals[p, rows] = np.where((d >= r1) & (d < 2 * r1), vals, 0.0) @ dens[r]
-    best = 0.0
-    witness: dict[str, Any] = {}
     series = []
     fit_pts: dict[float, float] = {}
     for (r, big_r), q_row in zip(pairs, q_vals):
-        q_max, arg = _first_max(q_row * big_r * np.sqrt(vols[r]), all_idx)
+        q = q_row * big_r * np.sqrt(vols[r])
+        x = extremum(q)
+        q_max = 0.0 if x is None else float(q[x])
         ratio = big_r / r
-        series.append({"r": r, "R": big_r, "Q_max": q_max, "x": arg})
+        series.append({"r": r, "R": big_r, "Q_max": q_max, "x": x,
+                       "C": q_max * (r / big_r) ** gamma})
         if q_max > 0:
             fit_pts[ratio] = max(fit_pts.get(ratio, 0.0), q_max)
-        c_val = q_max * (r / big_r) ** gamma
-        if c_val > best:
-            best = c_val
-            witness = {"x": arg, "r": r, "R": big_r}
+    best, witness = best_of(series, "C", ("x", "r", "R"))
     if len(fit_pts) >= 2:
         xs_fit = np.log(sorted(fit_pts))
         ys_fit = np.log([fit_pts[k] for k in sorted(fit_pts)])

@@ -4,6 +4,9 @@ Every checker returns a :class:`ConditionReport`: the named inequality, the
 parameters it ran with, the best fitted constant, the worst witness, and a
 verdict.  ``passed`` is ``None`` for diagnostic-mode checks, which never fail
 a run.
+
+Every sweep takes its best constant and witness from :func:`best_of`, and
+each atom it reports in a row from :func:`extremum`, the one tie rule.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Sequence
+
+import numpy as np
+
+_TIE_RTOL = 1e-12           # entries this close, relative, to the extremum tie with it
 
 
 @dataclass
@@ -37,19 +44,10 @@ class ConditionReport:
         self.notes.append(msg)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "condition": self.condition,
-            "params": _jsonable(self.params),
-            "best_constant": _jsonable(self.best_constant),
-            "witness": _jsonable(self.witness),
-            "pass": self.passed,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-            "series": _jsonable(self.series),
-        }
+        return _jsonable(self)
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        return canonical_json(self)
 
     def to_csv(self) -> str:
         """One row per witness in ``series``; header from the union of keys."""
@@ -75,7 +73,13 @@ def _csv_cell(value: Any) -> str:
 
 
 def _jsonable(value: Any) -> Any:
-    """Make numpy scalars/arrays and infinities JSON-safe, deterministically."""
+    """Make reports, numpy scalars/arrays and infinities JSON-safe,
+    deterministically, in one pass."""
+    if isinstance(value, ConditionReport):
+        value = {"condition": value.condition, "params": value.params,
+                 "best_constant": value.best_constant, "witness": value.witness,
+                 "pass": value.passed, "verdict": value.verdict, "notes": value.notes,
+                 "series": value.series}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -100,3 +104,31 @@ def canonical_json(obj: Any) -> str:
 
 def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
+
+
+def extremum(values: Sequence[float | None] | np.ndarray, lowest: bool = False) -> int | None:
+    """The first index whose value ties with the largest (``lowest``: the
+    smallest) candidate within ``_TIE_RTOL`` relative; None without one.
+
+    Candidates are the values above 0, or with ``lowest`` below inf; NaN and
+    None are never one.  An infinite extremum ties only with itself.
+    """
+    vals = np.asarray(values, dtype=float)
+    candidate = vals < np.inf if lowest else vals > 0
+    if not candidate.any():
+        return None
+    top = vals[candidate].min() if lowest else vals[candidate].max()
+    slack = 0.0 if math.isinf(top) else _TIE_RTOL * abs(top)    # inf - inf is NaN
+    return int(np.argmax(vals <= top + slack if lowest else vals >= top - slack))
+
+
+def best_of(series: Sequence[dict[str, Any]], key: str, keys: Iterable[str],
+            lowest: bool = False) -> tuple[float, dict[str, Any]]:
+    """The best constant and witness of a sweep: the ``key`` of the
+    :func:`extremum` row of ``series`` and that row's ``keys``, so every field
+    is read at the witness; (0.0, {}), or (inf, {}) with ``lowest``, when no
+    row is a candidate."""
+    i = extremum([row[key] for row in series], lowest)
+    if i is None:
+        return (math.inf if lowest else 0.0), {}
+    return series[i][key], {k: series[i][k] for k in keys}

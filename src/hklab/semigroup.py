@@ -19,6 +19,9 @@ where p_kill is the kernel of the near part plus the killing potential
 p_kill by the (larger) truncated kernel and dropping the killing correction
 yields the two provable comparison bounds checked here.
 
+The sweeps take their best from :func:`hklab.report.best_of`; ``due_check``
+its atom per time and ``se_check`` its a0 from :func:`hklab.report.extremum`.
+
 The truncation checks take one :class:`hklab.form.Truncation`, built by
 ``Truncation(form, rho)``: the full form, its near form, its far kernel
 j_far and its tail, all cut from one form at one rho, so no check can be
@@ -28,14 +31,13 @@ handed pieces of two different cuts.  Each report records rho.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
 from .errors import ParameterError
 from .form import (SpectralForm, Truncation, _checked_times, _interchange_integral,
                    _quarter_balls, default_time_grid, part_on)
-from .report import ConditionReport
+from .report import ConditionReport, best_of, extremum
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 
 _SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
@@ -116,8 +118,7 @@ def se_check(form: SpectralForm, scale: ScaleField, ball_sample,
     fracs = np.linspace(1.0 / _SE_TIMES_PER_A0, 1.0, _SE_TIMES_PER_A0)
     floors = []                 # per usable ball, its quarter-ball floor for each a0
     balls, skipped = _quarter_balls(scale, ball_sample)
-    for x0, r, ball in balls:
-        phival = phi(scale, x0, r)
+    for x0, r, phival, ball in balls:
         horizons = [a0 * phival for a0 in a0_grid]
         surv = survival(part_on(form, ball.member_idx),
                         [frac * horizon for horizon in horizons for frac in fracs])
@@ -129,7 +130,8 @@ def se_check(form: SpectralForm, scale: ScaleField, ball_sample,
     if not usable:
         return ConditionReport(condition="se", params={"a0_grid": list(a0_grid)},
                                passed=False, notes=["no usable balls"], series=curve)
-    best_row = max(usable, key=lambda row: row["a0"] * row["eps0"])
+    # with no positive a0 eps0 the check fails, and the first a0 stands for the curve
+    best_row = usable[extremum([row["a0"] * row["eps0"] for row in usable]) or 0]
     report = ConditionReport(condition="se", params={"a0_grid": list(a0_grid)},
                              best_constant=best_row["eps0"],
                              witness={"a0": best_row["a0"], "eps0": best_row["eps0"]},
@@ -166,16 +168,10 @@ def te_check(form: SpectralForm, scale: ScaleField, T0: float, ball_sample,
         outside.append(ball.dist >= r)
     outside = np.array(outside, dtype=float).reshape(len(balls), space.n_points).T
     hits = form.apply_semigroup(times, outside)
-    best = 0.0
-    witness: dict[str, Any] = {}
-    series = []
-    for k, (x0, r, quarter, denom) in enumerate(balls):
-        for t, hit in zip(times.tolist(), hits[:, :, k]):
-            c = float(hit[quarter].max()) * denom / t
-            series.append({"x0": x0, "r": r, "t": t, "C": c})
-            if c > best:
-                best = c
-                witness = {"x0": x0, "r": r, "t": t}
+    series = [{"x0": x0, "r": r, "t": t, "C": float(hit[quarter].max()) * denom / t}
+              for k, (x0, r, quarter, denom) in enumerate(balls)
+              for t, hit in zip(times.tolist(), hits[:, :, k])]
+    best, witness = best_of(series, "C", ("x0", "r", "t"))
     report = ConditionReport(condition="te", params={"T0": T0},
                              best_constant=best, witness=witness,
                              passed=bool(series) and math.isfinite(best), series=series,
@@ -185,24 +181,14 @@ def te_check(form: SpectralForm, scale: ScaleField, T0: float, ball_sample,
     return report
 
 
-def _first_near_max(vals: np.ndarray) -> int:
-    """The smallest index whose value is within 1e-12 relative of the maximum.
-
-    Mirror atoms of a Cantor product tie in exact arithmetic, and
-    ``np.argmax`` would let rounding choose among them.
-    """
-    top = vals.max()
-    return int(np.argmax(vals >= top - 1e-12 * abs(top)))
-
-
 def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
               rng: np.random.Generator, k: float = 1.0) -> ConditionReport:
     """On-diagonal constant C = max of p(t,x,x) V(x, phi^-1(x,t)) for t < k T0.
 
     Also verifies the off-diagonal square-root-product bound
     p(t,x,y) <= sqrt(p(t,x,x) p(t,y,y)) on sampled triples (an inner-product
-    inequality, exact up to rounding).  The atom reported at each time is the
-    smallest id within 1e-12 relative of that time's maximum.
+    inequality, exact up to rounding).  The atom reported at each time is
+    the :func:`hklab.report.extremum` of that time's values.
     """
     space = _space_shared_with(form, scale)
     if form.is_part:
@@ -210,8 +196,6 @@ def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
     if not (T0 > 0 and k > 0):
         raise ParameterError("T0 and k must be positive (may be inf)")
     n = space.n_points
-    best = 0.0
-    witness: dict[str, Any] = {}
     series = []
     cs_resid = 0.0
     for t in _checked_times(time_grid).tolist():
@@ -223,17 +207,15 @@ def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
             raise ParameterError(f"time {t!r} is too small: phi^-1(x, t) underflows to 0")
         vols = space.volumes_at(radii)
         vals = diag * vols
-        x = _first_near_max(vals)
+        x = extremum(vals)                     # p(t, x, x) >= 1 / mu(X) > 0
         series.append({"t": t, "C_at_t": float(vals[x]), "x": x,
                        "p_diag": float(diag[x]), "due_bound": float(1.0 / vols[x]),
                        "ratio": float(vals[x])})
-        if vals[x] > best:
-            best = float(vals[x])
-            witness = {"x": x, "t": t}
         xs = rng.integers(0, n, size=min(_DUE_PAIR_SAMPLE, n * n))
         ys = rng.integers(0, n, size=xs.size)
         cs_resid = max(cs_resid, float((form.heat_kernel_entries(t, xs, ys)
                                         - np.sqrt(np.maximum(diag[xs] * diag[ys], 0.0))).max()))
+    best, witness = best_of(series, "C_at_t", ("x", "t"))
     report = ConditionReport(condition="due", params={"T0": T0, "k": k},
                              best_constant=best,
                              witness={**witness, "sqrt_product_residual": cs_resid},
@@ -407,25 +389,23 @@ def se_from_lre_chain(form: SpectralForm, scale: ScaleField, kappa: float,
     _space_shared_with(form, scale)
     if not kappa > 0:
         raise ParameterError("kappa must be positive")
-    worst = math.inf
     series = []
     balls, skipped = _quarter_balls(scale, ball_sample)
-    for x0, r, ball in balls:
+    for x0, r, phival, ball in balls:
         part = part_on(form, ball.member_idx)
-        lam = kappa / phi(scale, x0, r)
-        u = part.resolvent(lam, np.ones(ball.member_idx.size))
+        u = part.resolvent(kappa / phival, np.ones(ball.member_idx.size))
         u_min = float(u[ball.quarter].min())
         u_max = float(u.max())
         times = [frac * u_min / 2.0 for frac in _SE_FROM_LRE_T_FRACS]
-        for t, surv in zip(times, survival(part, times)):
-            margin = float(surv[ball.quarter].min() - (u_min - t) / u_max)
-            series.append({"x0": x0, "r": r, "t": t, "margin": margin})
-            worst = min(worst, margin)
+        series += [{"x0": x0, "r": r, "t": t,
+                    "margin": float(surv[ball.quarter].min() - (u_min - t) / u_max)}
+                   for t, surv in zip(times, survival(part, times))]
+    worst = best_of(series, "margin", (), lowest=True)[0]
+    worst = None if worst == math.inf else worst
     report = ConditionReport(
         condition="se_from_lre", params={"kappa": kappa},
-        best_constant=(None if worst is math.inf else worst),
-        witness={"worst_margin": (None if worst is math.inf else worst)},
-        passed=bool(series) and worst >= -1e-9, series=series)
+        best_constant=worst, witness={"worst_margin": worst},
+        passed=worst is not None and worst >= -1e-9, series=series)
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
     return report

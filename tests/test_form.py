@@ -504,6 +504,38 @@ def test_lambda1_reads_the_parts_part_on_solved(cantor6, monkeypatch):
         hk.lambda1(part, D)
 
 
+def test_each_part_checks_its_domain_once(monkeypatch, cantor6):
+    # lambda1 checked a domain, then part_on checked it again on a miss:
+    # 377 checks for 208 parts on the 256-atom sweep
+    space, scale, kern = cantor6
+    form = hk.assemble(kern)
+    checked = []
+    check = hk.form._checked_domain
+    monkeypatch.setattr(hk.form, "_checked_domain",
+                        lambda f, D: checked.append(1) or check(f, D))
+    D = space.ball(3, 0.3).member_idx
+    lam = hk.lambda1(form, D)
+    assert len(checked) == 1 and list(form._lambda1) == [D.tobytes()]
+    assert hk.lambda1(form, list(D)) == lam and len(checked) == 1     # a key needs no check
+    parts = []
+    part_on = hk.form.part_on
+    monkeypatch.setattr(hk.form, "part_on", lambda f, D: parts.append(1) or part_on(f, D))
+    checked.clear()
+    hk.fk_family_check(form, scale, "FK", 0.5, 1.0, 1.0, 0.5,
+                       hk.sample_balls(space, 4, [0.2, 0.4], np.random.default_rng(0)),
+                       np.random.default_rng(1))
+    assert len(checked) == len(parts) > 0
+
+
+def test_quarter_balls_carry_phi_of_their_ball(cantor6):
+    space, scale, _ = cantor6
+    sample = [(0, 0.01), (3, 0.3), (40, 0.6), (7, 2.0)]
+    balls, skipped = hk.form._quarter_balls(scale, sample)      # phi(7, 2) is above T0
+    assert skipped == 0 and [(x0, r) for x0, r, *_ in balls] == sample[:3]
+    for x0, r, phival, ball in balls:
+        assert _same_bits(phival, hk.phi(scale, x0, r)) and ball.center == x0
+
+
 def test_part_empty_domain_rejected(two_point):
     _, _, form = two_point
     with pytest.raises(ParameterError):

@@ -206,6 +206,24 @@ def test_ij_zero_kernel(cantor6):
     assert rep.best_constant == 0.0
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda k, s, g: hk.tjq_check(k, s, math.nan, g), "q"),
+    (lambda k, s, g: hk.tjq_check(k, s, math.inf, g), "q"),
+    (lambda k, s, g: hk.tjq_check(k, s, 2.0, g, threshold=math.nan), "threshold"),
+    (lambda k, s, g: hk.tj_check(k, s, g, threshold=math.nan), "threshold"),
+    (lambda k, s, g: hk.ij_check(k, s, math.nan, [(g[0], g[-1])]), "gamma"),
+    (lambda k, s, g: hk.ij_check(k, s, math.inf, [(g[0], g[-1])]), "gamma")],
+    ids=["tjq-q-nan", "tjq-q-inf", "tjq-threshold", "tj-threshold", "ij-gamma-nan",
+         "ij-gamma-inf"])
+def test_kernel_checks_refuse_non_finite_parameters(call, name):
+    # a NaN q or gamma swept to best 0.0 and witness {}, and a NaN threshold
+    # failed the verdict, without a word
+    sp = hk.build_grid(1, 16)
+    field = hk.constant_field(sp, 1.0)
+    with pytest.raises(ParameterError, match=f"^{name} must be finite$"):
+        call(hk.build_stable_like_kernel(field), field, hk.dyadic_radius_grid(sp))
+
+
 def test_symmetry_exhaustive_small_spaces():
     for seed in range(3):
         space, _, kern = random_setup(seed, max_points=400)

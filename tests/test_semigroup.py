@@ -502,20 +502,66 @@ def test_due_plotdata_columns(cantor6):
         assert {"t", "p_diag", "due_bound", "ratio"} <= set(row)
 
 
-def test_due_witness_is_the_smallest_atom_of_a_tie():
-    # mirror atoms of the Cantor product tie in exact arithmetic; the
-    # reported atom must not depend on how p(t, x, x) was rounded
-    space = hk.build_cantor_product(1 / 3, 2, 4)
-    scale = hk.constant_field(space, 0.8, T0=1.0)
-    form = hk.assemble(hk.build_cantor_axis_kernel(scale))
+def _due_tie_rows(space, scale, kern):
+    form = hk.assemble(kern)
     rep = hk.due_check(form, scale, 1.0, default_time_grid(form), np.random.default_rng(0))
     ids = np.arange(space.n_points)
+    return rep, [np.diag(form.heat_kernel(row["t"]))
+                 * space.volumes_at(hk.phi_inverse(scale, ids, row["t"])) for row in rep.series]
+
+
+def _tj_tie_rows(space, scale, kern):
+    rep = hk.tj_check(kern, scale, hk.dyadic_radius_grid(space))
+    jmat, d = kern.matrix(), space.pairwise()
+    return rep, [np.where(d >= row["r"], jmat, 0.0) @ space.weights
+                 * hk.phi(scale, np.arange(space.n_points), row["r"]) for row in rep.series]
+
+
+def _cs_tie_rows(space, scale, kern):
+    # balls whose cutoff energy ties on mirror atoms; at (51, 1.5) np.argmax
+    # took atom 240, the last of its 24-atom tie
+    balls = [(34, 1.5), (51, 1.5), (102, 1.0), (136, 1.0)]
+    rep = hk.cs_check(kern, scale, balls)
+    jmat, w = kern.matrix(), space.weights
+    rows = []
+    for x0, r in balls:
+        cut = space.ball(x0, r).cutoff()
+        energy = ((cut[:, None] - cut[None, :]) ** 2 * jmat * w[None, :]).sum(axis=1)
+        rows.append(energy * hk.phi(scale, np.arange(space.n_points), r / 4.0))
+    return rep, rows
+
+
+def _ij_tie_rows(space, scale, kern):
+    grid = hk.dyadic_radius_grid(space)
+    rep = hk.ij_check(kern, scale, 0.5, [(r, R) for r in grid for R in grid if r <= R])
+    jmat, d, ids = kern.matrix(), space.pairwise(), np.arange(space.n_points)
+    rows = []
     for row in rep.series:
-        t = row["t"]
-        vals = np.diag(form.heat_kernel(t)) * space.volumes_at(hk.phi_inverse(scale, ids, t))
+        inner = hk.phi_inverse(scale, ids, row["R"])[:, None]
+        vol = space.volumes_at(hk.phi_inverse(scale, ids, row["r"]))
+        annulus = np.where((d >= inner) & (d < 2 * inner), jmat, 0.0)
+        rows.append(annulus @ (space.weights / np.sqrt(vol)) * row["R"] * np.sqrt(vol))
+    return rep, rows
+
+
+# each check's rows, from the dense kernel or heat kernel, and its value key
+_TIE_ROWS = {"due_check": (_due_tie_rows, "C_at_t"), "tj_check": (_tj_tie_rows, "C_at_r"),
+             "cs_check": (_cs_tie_rows, "c"), "ij_check": (_ij_tie_rows, "C")}
+
+
+@pytest.mark.parametrize("check", sorted(_TIE_ROWS))
+def test_due_witness_is_the_smallest_atom_of_a_tie(check):
+    # mirror atoms of the Cantor product tie in exact arithmetic; the
+    # reported atom must not depend on how its value was rounded.  At
+    # r = 1/16 np.argmax made atom 180 the tj_check witness, of {68, 75, 180, 187}
+    space = hk.build_cantor_product(1 / 3, 2, 4)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    rows_of, key = _TIE_ROWS[check]
+    rep, rows = rows_of(space, scale, hk.build_cantor_axis_kernel(scale))
+    for row, vals in zip(rep.series, rows, strict=True):
         ties = np.flatnonzero(vals >= vals.max() * (1 - 1e-12))
         assert ties.size > 1 and row["x"] == ties[0]
-    assert rep.witness["x"] == max(rep.series, key=lambda row: row["C_at_t"])["x"]
+    assert rep.witness["x"] == max(rep.series, key=lambda row: row[key])["x"]
 
 
 def test_conservativeness_modes(cantor6):
