@@ -39,6 +39,7 @@ streams the kernel in row panels, and this module for parts.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterError, PointCapExceeded, _require_finite
 from .kernel import JumpKernel, energy_density, truncate
-from .report import ConditionReport, best_of, extremum
+from .report import ConditionReport, best_of, extremum, finite_sweep
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids, _chunked
 
@@ -71,7 +72,8 @@ class SpectralForm:
     ascending.  ``jmat_nonzeros`` counts the off-diagonal nonzeros of the
     symmetric kernel, found while assembling.  ``_lambda1`` maps the bytes
     of each domain a part was solved on to the part's lambda_1; a part
-    starts with an empty one and never fills it.
+    starts with an empty one and never fills it.  ``_outer`` is the domain
+    and generator that :func:`_inside` names while its block runs, else None.
 
     Every spectral operation goes through the six members of ``basis``: a
     :class:`_HalfSpectrum` for a full form that commutes with the central
@@ -92,6 +94,8 @@ class SpectralForm:
     jmat_nonzeros: int
     S: np.ndarray | None = field(default=None, repr=False)
     _lambda1: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
+    _outer: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
+                                                          repr=False)
 
     @property
     def space(self) -> FiniteMMSpace:
@@ -242,17 +246,40 @@ def _symmetric_generator(kernel: JumpKernel) -> tuple[np.ndarray, np.ndarray, in
             raise ParameterError("kernel must be symmetric: J differs from its transpose")
         j = sym[part]                                        # the chunk's rows of J
         nonzeros += int(np.count_nonzero(j))
-        on_diag = (np.arange(rows.size), rows)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            row = j * -2.0                                   # the chunk's rows of L
-            row *= w[None, :]
-            row[on_diag] = 0.0
-            diag[part] = -row.sum(axis=1)
+            diag[part] = _generator_diagonal(j, rows, w)
             j[...] = _generator_block(j, sqrt_w[rows], sqrt_w)
-        j[on_diag] = diag[part]
+        j[np.arange(rows.size), rows] = diag[part]
         if not np.isfinite(j).all():                         # the diagonal is in it
             raise ParameterError("kernel too large: its generator overflows a float")
     return sym, diag, nonzeros
+
+
+def _generator_diagonal(j: np.ndarray, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The diagonal of L = -2 J W at the atoms ``rows`` from their rows ``j``
+    of J: minus the off-diagonal row sums of L, 2 sum_y j(x,y) mu(y)."""
+    row = j * -2.0                                       # the chunk's rows of L
+    row *= w[None, :]
+    row[np.arange(rows.size), rows] = 0.0
+    return -row.sum(axis=1)
+
+
+def row_sum_residual(form: SpectralForm) -> float:
+    """max_x |diag[x] - 2 sum_y j(x,y) mu(y)| / max |diag| (the absolute
+    max when the diagonal is 0) of a full form: its generator diagonal
+    against the kernel it reads, in one pass over kernel row chunks, summed
+    as ``assemble`` sums them, so an untouched form reads exactly 0."""
+    if form.is_part:
+        raise ParameterError("the row sums tie the full form's diagonal to its kernel")
+    space = form.space
+    atoms = np.arange(space.n_points)
+    worst = 0.0
+    for rows in space._row_chunks():
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf
+            sums = _generator_diagonal(form.kernel.block(rows, atoms), rows, space.weights)
+        worst = max(worst, float(np.abs(form.diag[rows] - sums).max()))
+    top = float(np.abs(form.diag).max())
+    return worst / top if top > 0 else worst
 
 
 def _reflection_pairs(space: FiniteMMSpace) -> tuple[np.ndarray, np.ndarray] | None:
@@ -595,12 +622,41 @@ def _checked_domain(form: SpectralForm, D) -> np.ndarray:
 
 def _part_generator(form: SpectralForm, D) -> tuple[np.ndarray, np.ndarray]:
     """The checked domain ``D`` and the principal submatrix S_D of the symmetric
-    generator, from the D x D kernel block and the generator diagonal."""
+    generator: off its diagonal sliced from the generator that :func:`_inside`
+    names when D lies in its domain, else from the D x D kernel block, the
+    same closed form of the same kernel entries, bit for bit; on it, the
+    generator diagonal."""
     D = _checked_domain(form, D)
-    sqrt_w = np.sqrt(form.space.weights[D])
-    SD = _generator_block(form.kernel.block(D, D), sqrt_w, sqrt_w)
+    at = None if form._outer is None else _positions(form._outer[0], D)
+    if at is None:
+        sqrt_w = np.sqrt(form.space.weights[D])
+        SD = _generator_block(form.kernel.block(D, D), sqrt_w, sqrt_w)
+    else:
+        SD = form._outer[1][np.ix_(at, at)]
     np.fill_diagonal(SD, form.diag[D])
     return D, SD
+
+
+def _positions(domain: np.ndarray, D: np.ndarray) -> np.ndarray | None:
+    """The positions in ``domain`` of the atoms ``D``; None unless each is in it."""
+    order = np.argsort(domain)
+    at = order[np.minimum(np.searchsorted(domain, D, sorter=order), domain.size - 1)]
+    return at if np.array_equal(domain[at], D) else None
+
+
+@contextmanager
+def _inside(form: SpectralForm, domain: np.ndarray, S: np.ndarray):
+    """In the block, a part of ``form`` on a domain that lies in ``domain``
+    slices its generator from ``S``, the ``S`` of the part of ``form`` on
+    ``domain``, and reads no kernel block.  Never the ``S`` of a part of
+    another form: a near form's part holds other jumps."""
+    if S.shape != (domain.size, domain.size):
+        raise ParameterError("S must be the generator of a part on the domain")
+    outer, form._outer = form._outer, (domain, S)
+    try:
+        yield
+    finally:
+        form._outer = outer
 
 
 def lambda1(form: SpectralForm, D) -> float:
@@ -771,12 +827,13 @@ def cs_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> ConditionRep
         R, ramp = r / 2.0, r / 4.0
         vals = energy * phi(scale, atoms, ramp)
         x = extremum(vals)
-        series.append({"x0": x0, "R": R, "r": ramp, "x": x,
-                       "c": 0.0 if x is None else float(vals[x])})
+        # extremum passes NaN over: a row with one has no sup
+        c = math.nan if np.isnan(vals).any() else 0.0 if x is None else float(vals[x])
+        series.append({"x0": x0, "R": R, "r": ramp, "x": x, "c": c})
     best, witness = best_of(series, "c", ("x0", "R", "r", "x"))
-    return ConditionReport(condition="cs", params={}, best_constant=best,
-                           witness=witness, passed=bool(series) and math.isfinite(best),
-                           notes=[] if series else ["no ball was sampled"], series=series)
+    return finite_sweep(ConditionReport(condition="cs", params={}, best_constant=best,
+                                        witness=witness, series=series,
+                                        notes=[] if series else ["no ball was sampled"]), "c")
 
 
 def capacity_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> ConditionReport:
@@ -793,9 +850,9 @@ def capacity_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> Condit
         series.append({"x0": x0, "r": r, "C": float(e * phi(scale, x0, r) / ball.volume),
                        "energy": e})
     best, witness = best_of(series, "C", ("x0", "r"))
-    return ConditionReport(condition="capacity", params={}, best_constant=best,
-                           witness=witness, passed=bool(series) and math.isfinite(best),
-                           notes=[] if series else ["no ball was sampled"], series=series)
+    return finite_sweep(ConditionReport(condition="capacity", params={}, best_constant=best,
+                                        witness=witness, series=series,
+                                        notes=[] if series else ["no ball was sampled"]), "C")
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -854,7 +911,8 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
             if variant != "GFK" and r >= phi_inverse(scale, x0, delta * scale.T0):
                 continue
             ball = space.ball(x0, r)
-            yield x0, r, ball, phi(scale, x0, r), part_on(form, ball.member_idx).psi[:, 0], []
+            part = part_on(form, ball.member_idx)
+            yield x0, r, ball, phi(scale, x0, r), part.psi[:, 0], part.S, []
 
     return _fk_sweep(form, scale, variant, nu, b, Cprime, delta, swept(), rng)
 
@@ -862,18 +920,20 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
 def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b: float,
               Cprime: float, delta: float, swept, rng: np.random.Generator) -> ConditionReport:
     """The report of :func:`fk_family_check` over ``swept``: (x0, r, its ball,
-    phi(x0, r), the ball part's ground state, further subsets) per ball.
+    phi(x0, r), the ball part's ground state and ``S``, further subsets) per
+    ball.
 
     The family of a ball is the ball, its quarter and half sub-balls, three
     super-level sets of the ground state, three random subsets and the
     further subsets; a subset that repeats one of its ball is swept once.
     lambda_1 comes from :func:`lambda1`, so a subset some part was solved on
-    is not solved again.
+    is not solved again, and any other subset's generator is sliced from the
+    ball's part.
     """
     space = form.space
     series = []
     trivial = 0
-    for x0, r, ball, phival, ground, extra in swept:
+    for x0, r, ball, phival, ground, S, extra in swept:
         damping = _damping(scale, phival)
         members, ground = ball.member_idx, np.abs(ground)
         subsets = [members] + [ball.within(ball.radius * frac) for frac in (0.25, 0.5)]
@@ -883,16 +943,17 @@ def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b:
         # sorted, without repeats or empty sets, in order of first appearance
         uniq = {D.tobytes(): D for D in (np.sort(np.asarray(s, dtype=int))
                                          for s in subsets + extra) if D.size}
-        for D in uniq.values():
-            mu_D = float(space.weights[D].sum())
-            ratio_pow = (ball.volume / mu_D) ** nu
-            bracket = _fk_bracket(variant, ratio_pow, damping, b, Cprime)
-            if bracket <= 0:
-                trivial += 1
-                continue
-            lam = lambda1(form, D)
-            series.append({"x0": x0, "r": r, "size_D": int(D.size),
-                           "lambda1": lam, "C": lam * phival / bracket})
+        with _inside(form, members, S):
+            for D in uniq.values():
+                mu_D = float(space.weights[D].sum())
+                ratio_pow = (ball.volume / mu_D) ** nu
+                bracket = _fk_bracket(variant, ratio_pow, damping, b, Cprime)
+                if bracket <= 0:
+                    trivial += 1
+                    continue
+                lam = lambda1(form, D)
+                series.append({"x0": x0, "r": r, "size_D": int(D.size),
+                               "lambda1": lam, "C": lam * phival / bracket})
     best, witness = best_of(series, "C", ("x0", "r", "size_D", "lambda1"), lowest=True)
     report = ConditionReport(
         condition=f"fk_{variant.lower()}",
@@ -993,7 +1054,7 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
 
     # (x0, r) -> (ball, phi, damping, its largest Nash witness, [(asserted D, lambda_1(D))])
     per_ball: dict[tuple[int, float], tuple[BallQuery, float, float, float, list]] = {}
-    swept = []                  # the GFK sweep's balls, each with its ground state
+    swept = []                  # the GFK sweep's balls, each with its part's ground state and S
     for x0, r in ball_sample:
         ball = space.ball(x0, r)
         phival = phi(scale, x0, r)
@@ -1010,16 +1071,18 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
         subs.pop(D_ball.tobytes(), None)
         # ground states of the asserted subsets, extended by zero to the ball
         grounds, asserted = [], []
-        for D in subs.values():
-            sub_part = part_on(form, D)
-            g = np.zeros(D_ball.size)
-            g[np.searchsorted(D_ball, D)] = sub_part.psi[:, 0]
-            grounds.append(g)
-            asserted.append((D, float(sub_part.eigvals[0])))
+        with _inside(form, D_ball, part.S):
+            for D in subs.values():
+                sub_part = part_on(form, D)
+                g = np.zeros(D_ball.size)
+                g[np.searchsorted(D_ball, D)] = sub_part.psi[:, 0]
+                grounds.append(g)
+                asserted.append((D, float(sub_part.eigvals[0])))
         asserted.append((D_ball, float(part.eigvals[0])))
         nash = max(nash_witness_constants(ball, phival, damping, nu, b, base + grounds, part))
         per_ball[(x0, r)] = (ball, phival, damping, nash, asserted)
-        swept.append((x0, r, ball, phival, part.psi[:, 0], [*subs.values(), *(
+        # a copy: a view of psi would keep the part's eigenvectors alive
+        swept.append((x0, r, ball, phival, part.psi[:, 0].copy(), part.S, [*subs.values(), *(
             s for g in grounds if (s := _superlevel_subset(space, D_ball, g)) is not None)]))
 
     # the ball parts solved above; GFK reads no delta

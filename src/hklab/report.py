@@ -12,7 +12,6 @@ each atom it reports in a row from :func:`extremum`, the one tie rule.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -103,7 +102,21 @@ def canonical_json(obj: Any) -> str:
 
 
 def config_hash(config: dict) -> str:
+    import hashlib      # here, not at the top: it loads OpenSSL, which no check reads
+
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
+
+
+def finite_sweep(report: ConditionReport, key: str) -> ConditionReport:
+    """``report``, passed iff it has a row and every row's ``key`` is finite,
+    with a note counting the rows that are not: :func:`extremum` passes NaN
+    over, so the best constant of a sweep that is NaN everywhere is that of
+    a zero one."""
+    bad = sum(not math.isfinite(row[key]) for row in report.series)
+    report.passed = bool(report.series) and not bad
+    if bad:
+        report.note(f"{bad} of {len(report.series)} rows have a non-finite {key}")
+    return report
 
 
 def extremum(values: Sequence[float | None] | np.ndarray, lowest: bool = False) -> int | None:

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .form import (SpectralForm, Truncation, _checked_times, _interchange_integral,
-                   _quarter_balls, default_time_grid, part_on)
-from .report import ConditionReport, best_of, extremum
+                   _quarter_balls, default_time_grid, part_on, row_sum_residual)
+from .report import ConditionReport, best_of, extremum, finite_sweep
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 
 _SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
@@ -45,6 +45,10 @@ _DUE_PAIR_SAMPLE = 64                    # off-diagonal pairs per time in due_ch
 _SE_FROM_LRE_T_FRACS = (0.25, 0.5, 1.0)  # se_from_lre times, in halves of the resolvent minimum
 _CONSERVATION_TOL = 1e-9                 # pass tolerance of conservativeness_check
 _MEYER_TOL = 1e-6                        # pass tolerance of each meyer_check comparison
+# An untouched form's row sums equal its diagonal exactly, being summed as
+# assemble sums them; the slack is for a block function that rounds an entry
+# differently when it is read again, which leaves the form right.
+_ROW_SUM_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +56,8 @@ _MEYER_TOL = 1e-6                        # pass tolerance of each meyer_check co
 # ---------------------------------------------------------------------------
 
 def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> ConditionReport:
-    """Symmetry, sub-Markov/stochasticity, semigroup property, nonnegativity, t=0.
+    """Symmetry, sub-Markov/stochasticity, semigroup property, nonnegativity,
+    t=0, and on a full form the row sums of its generator.
 
     Each residual is a max over all x, y and the times:
     |p(t,x,y) - p(t,y,x)|, the mass defect |sum_y p(t,x,y) mu(y) - 1| (its
@@ -61,6 +66,12 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
     (``form.basis``) one row panel at a time, p(t)[atoms] for the atoms the
     panel covers: p[:, atoms] comes from a second product, and p(t/2) W
     p(t/2) is formed through the basis, so no N x N array is held.
+
+    The series row of a full form also holds ``row_sum``, the
+    :func:`hklab.form.row_sum_residual` of its diagonal against its kernel,
+    which the verdict reads too; that of a part none, since a part's
+    diagonal also counts the jumps that leave it, and a killed part's the
+    far tail.  The witness keeps the five kernel residuals.
     """
     w = form.weights
     basis = form.basis
@@ -84,7 +95,9 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
             worst("chapman_kolmogorov", np.abs(p - basis.composed(panel, t / 2.0)).max())
     defect = mass - 1.0
     worst("mass", (defect if form.is_part else np.abs(defect)).max(initial=0.0))
-    ok = (residuals["symmetry"] <= 1e-10
+    row = residuals if form.is_part else {**residuals, "row_sum": row_sum_residual(form)}
+    ok = (row.get("row_sum", 0.0) <= _ROW_SUM_TOL
+          and residuals["symmetry"] <= 1e-10
           and residuals["mass"] <= 1e-10
           and residuals["chapman_kolmogorov"] <= 1e-8
           and residuals["negativity"] <= 1e-10
@@ -93,7 +106,7 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
                            params={"times": times},
                            best_constant=residuals["chapman_kolmogorov"],
                            witness=residuals, passed=ok,
-                           series=[residuals])
+                           series=[row])
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +185,10 @@ def te_check(form: SpectralForm, scale: ScaleField, T0: float, ball_sample,
               for k, (x0, r, quarter, denom) in enumerate(balls)
               for t, hit in zip(times.tolist(), hits[:, :, k])]
     best, witness = best_of(series, "C", ("x0", "r", "t"))
-    report = ConditionReport(condition="te", params={"T0": T0},
-                             best_constant=best, witness=witness,
-                             passed=bool(series) and math.isfinite(best), series=series,
-                             notes=[] if series else ["no usable ball, or no time"])
+    report = finite_sweep(ConditionReport(condition="te", params={"T0": T0},
+                                          best_constant=best, witness=witness, series=series,
+                                          notes=[] if series else ["no usable ball, or no time"]),
+                          "C")
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
     return report

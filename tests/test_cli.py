@@ -418,6 +418,27 @@ def test_runs_load_no_numpy_ma(tmp_path, argv):
     assert res.stdout.splitlines()[-1] == "0 False", res.stderr
 
 
+def test_the_form_is_assembled_before_numpy_random_and_hashlib_load(tmp_path):
+    # numpy.random imports secrets and hmac, which load OpenSSL's _hashlib;
+    # both were resident through the eigensolve when the run made its
+    # generator first, and report.py imported hashlib at the top.  A fresh
+    # interpreter: pytest has loaded both
+    code = ("import sys\n"
+            "from hklab import cli, form\n"
+            "assemble, loaded = form.assemble, []\n"
+            "def assemble_and_look(kernel):\n"
+            "    out = assemble(kernel)\n"
+            "    loaded.append([m for m in ('numpy.random', '_hashlib') if m in sys.modules])\n"
+            "    return out\n"
+            "form.assemble = assemble_and_look\n"
+            "print(cli.main(sys.argv[1:]), loaded[0])")
+    config = write_config(tmp_path, CANTOR_CFG)
+    res = subprocess.run([sys.executable, "-c", code, "run", "--config", str(config),
+                          "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, env=child_env(), timeout=120)
+    assert res.stdout.splitlines()[-1] == "0 []", res.stderr
+
+
 def test_counterexample_report_at_epsilon_1e14(tmp_path):
     # the order-gap identity is checked relative to 1 + eps
     assert cli.main(["counterexample", "report", "--epsilon", "1e14", "--levels", "2",

@@ -281,6 +281,20 @@ def test_capacity_check_cases(two_point, cantor6):
     assert math.isfinite(rep6.best_constant) and rep6.best_constant > 0
 
 
+def test_a_nan_sweep_fails_and_a_zero_one_passes():
+    # the extremum passes NaN over, so a NaN kernel gave best 0.0, witness {}
+    # and a pass; a zero kernel's rows are all 0.0, which is finite
+    space = hk.build_cantor_product(1 / 3, 1, 3)
+    scale = hk.constant_field(space, 0.8, T0=1.0)
+    nan = hk.JumpKernel(space, lambda rows, cols: np.full((rows.size, cols.size), np.nan))
+    for check, key in ((hk.cs_check, "c"), (hk.capacity_check, "C")):
+        rep = check(nan, scale, [(0, 0.5)])
+        assert rep.passed is False and rep.notes == [f"1 of 1 rows have a non-finite {key}"]
+        assert math.isnan(rep.series[0][key])
+        zero = check(hk.build_zero_kernel(space), scale, [(0, 0.5)])
+        assert zero.passed is True and zero.best_constant == 0.0 and zero.notes == []
+
+
 def test_checks_that_measure_nothing_do_not_pass(cantor6):
     # no ball, or no time below k T0: an empty series, a note, and no pass
     space, scale, kern = cantor6
@@ -502,6 +516,36 @@ def test_lambda1_reads_the_parts_part_on_solved(cantor6, monkeypatch):
         hk.lambda1(form, [D])
     with pytest.raises(ParameterError):
         hk.lambda1(part, D)
+
+
+def test_subset_parts_are_sliced_from_their_ball_part(monkeypatch):
+    # S_D sliced from the ball part's S equals the one read from the kernel
+    # bit for bit, whatever the order of D, and reads no kernel block; its
+    # lambda_1 lands in the full form's memo
+    space = hk.build_cantor_product(1 / 3, 2, 3)
+    form = hk.assemble(hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0)))
+    ball = space.ball(0, 0.5).member_idx
+    part = hk.part_on(form, ball)
+    rng = np.random.default_rng(0)
+    subsets = [np.sort(rng.choice(ball, size=k, replace=False)) for k in (1, 3, ball.size // 2)]
+    subsets.append(rng.permutation(ball)[: ball.size - 1])
+    read = [_part_generator(form, D)[1] for D in subsets]
+    blocks, block = [], hk.JumpKernel.block
+    monkeypatch.setattr(hk.JumpKernel, "block",
+                        lambda self, rows, cols: blocks.append(1) or block(self, rows, cols))
+    with hk.form._inside(form, ball, part.S):
+        sliced = [hk.part_on(form, D) for D in subsets]
+    assert blocks == [] and form._outer is None
+    for D, S, sub in zip(subsets, read, sliced):
+        assert _same_bits(sub.S, S)
+        assert form._lambda1[D.tobytes()] == sub.eigvals[0]
+    # a domain outside the part is read from the kernel
+    with hk.form._inside(form, ball, part.S):
+        outside = hk.part_on(form, [0, space.n_points - 1])
+    assert blocks == [1] and _same_bits(outside.S, _part_generator(form, [0, 63])[1])
+    with pytest.raises(ParameterError, match="generator of a part on the domain"):
+        with hk.form._inside(form, ball[1:], part.S):
+            pass
 
 
 def test_each_part_checks_its_domain_once(monkeypatch, cantor6):

@@ -69,10 +69,12 @@ _TABLE = {
     "split_form_even_eigenvalue_1": (_SWEEP, _scale_even_eigenvalue,
                                      ["heat_kernel_invariants"]),
     "unsplit_form_eigenvalue_1": (_counterexample_config(), _scale_eigenvalue, []),
-    "split_form_diag_5": (_SWEEP, _scale_diag_5, []),
-    "unsplit_form_diag_5": (_counterexample_config(), _scale_diag_5, []),
-    "split_form_jump_5_6": (_SWEEP, _cut_jump_5_6, []),
-    "unsplit_form_jump_5_6": (_counterexample_config(), _cut_jump_5_6, []),
+    "split_form_diag_5": (_SWEEP, _scale_diag_5, ["heat_kernel_invariants"]),
+    "unsplit_form_diag_5": (_counterexample_config(), _scale_diag_5,
+                            ["heat_kernel_invariants"]),
+    "split_form_jump_5_6": (_SWEEP, _cut_jump_5_6, ["heat_kernel_invariants"]),
+    "unsplit_form_jump_5_6": (_counterexample_config(), _cut_jump_5_6,
+                              ["heat_kernel_invariants"]),
     "split_form_weight_5": (_SWEEP, _scale_weight_5,
                             ["conservativeness_check", "heat_kernel_invariants"]),
     "unsplit_form_weight_5": (_counterexample_config(), _scale_weight_5,

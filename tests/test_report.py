@@ -7,7 +7,7 @@ import pytest
 
 import hklab as hk
 import hklab.report as report_mod
-from hklab.report import ConditionReport, best_of, canonical_json, extremum
+from hklab.report import ConditionReport, best_of, canonical_json, extremum, finite_sweep
 
 
 def test_extremum_takes_the_first_index_of_a_tie():
@@ -161,3 +161,12 @@ def test_no_module_but_report_picks_an_extremum():
     found = {f"{path.name}:{owner}" for path in sorted(package.glob("*.py"))
              if path.name != "report.py" for owner in _extremum_picks(path.read_text())}
     assert found == _EXTREMUM_EXCEPTIONS
+
+
+@pytest.mark.parametrize("values,passed,notes", [
+    ([0.0, 0.0], True, []), ([math.nan, 1.0], False, ["1 of 2 rows have a non-finite C"]),
+    ([math.inf], False, ["1 of 1 rows have a non-finite C"]), ([], False, [])])
+def test_a_sweep_passes_only_when_every_row_is_finite(values, passed, notes):
+    # best_of passes NaN over: a sweep that is NaN everywhere is best 0.0, witness {}
+    rep = finite_sweep(ConditionReport("x", series=[{"C": v} for v in values]), "C")
+    assert rep.passed is passed and rep.notes == notes

@@ -94,6 +94,25 @@ def test_invariant_suite_on_assembled_forms():
 
 
 
+def test_row_sums_tie_the_diagonal_to_the_kernel():
+    # summed as assemble sums them, an untouched form's row sums equal its
+    # diagonal exactly; a diagonal entry 1% off no kernel residual could see
+    space = hk.build_cantor_product(1 / 3, 2, 4)
+    form = hk.assemble(hk.build_cantor_axis_kernel(hk.constant_field(space, 0.8, T0=1.0)))
+    rep = hk.heat_kernel_invariants(form)
+    assert rep.passed and rep.series[0]["row_sum"] == 0.0 and "row_sum" not in rep.witness
+    diag = form.diag.copy()
+    form.diag[5] *= 1.01
+    rep = hk.heat_kernel_invariants(form)
+    assert rep.passed is False
+    assert rep.series[0]["row_sum"] == pytest.approx(
+        abs(form.diag[5] - diag[5]) / np.abs(form.diag).max(), rel=1e-12)
+    part = hk.part_on(form, space.ball(0, 0.5).member_idx)
+    assert "row_sum" not in hk.heat_kernel_invariants(part).series[0]
+    with pytest.raises(ParameterError, match="full form"):
+        hk.form.row_sum_residual(part)
+
+
 def _invariants_oracle(form, times=(0.01, 0.1, 1.0, 10.0)):
     # the five residuals from whole kernels laid out from psi, as the check
     # computed them when it held them
