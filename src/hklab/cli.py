@@ -32,7 +32,7 @@ from . import scale as scale_mod
 from . import semigroup as semi_mod
 from . import space as space_mod
 from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError
-from .report import ConditionReport, canonical_json, config_hash
+from .report import ConditionReport, canonical_json, config_hash, gate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -372,7 +372,7 @@ def _run_quasi_metric(ctx, p):
     return ConditionReport(condition="quasi_metric",
                            params={"beta_star": p["beta_star"]},
                            best_constant=comp, witness={"comparability": comp},
-                           passed=math.isfinite(comp),
+                           gates=[gate("comparability", comp, "<", math.inf)],
                            series=[{"comparability": comp}])
 
 
@@ -381,15 +381,13 @@ def _run_vd_fit(ctx, p):
     return ConditionReport(condition="vd_fit", params={},
                            best_constant=alpha_hat,
                            witness={"alpha_hat": alpha_hat, "max_ratio": ratio},
-                           passed=None, series=[{"alpha_hat": alpha_hat,
-                                                 "max_ratio": ratio}])
+                           series=[{"alpha_hat": alpha_hat, "max_ratio": ratio}])
 
 
 def _run_rvd_fit(ctx, p):
     alpha0 = space_mod.fit_rvd_exponent(ctx["space"], p["radius_grid"])
     return ConditionReport(condition="rvd_fit", params={}, best_constant=alpha0,
-                           witness={"alpha0_hat": alpha0}, passed=None,
-                           series=[{"alpha0_hat": alpha0}])
+                           witness={"alpha0_hat": alpha0}, series=[{"alpha0_hat": alpha0}])
 
 
 def _truncation(ctx, p):
@@ -625,7 +623,7 @@ def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) 
             (out_dir / "plotdata_due.csv").write_text("\n".join(rows) + "\n")
         summary_checks.append({"name": name, "mode": mode, "verdict": report.verdict,
                                "best_constant": report.best_constant,
-                               "witness": report.witness})
+                               "witness": report.witness, "gates": report.gates})
         if mode == "pass" and report.passed is False:
             all_pass = False
     summary = {"config_hash": config_hash(cfg), "seed": seed,

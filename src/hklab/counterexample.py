@@ -275,7 +275,7 @@ def cross_jump_exponent_fit(kernel: JumpKernel, radii, eta: float = 0.5) -> Cond
     if keep.sum() < 2:
         return ConditionReport(condition="cross_jump_exponent",
                                params={"eta": eta, "radii": radii.tolist()},
-                               passed=None, notes=["not enough nonzero masses"],
+                               notes=["not enough nonzero masses"],
                                series=[{"r": float(r), "mass": float(m)}
                                        for r, m in zip(radii, masses)])
     slope = float(np.polyfit(np.log(radii[keep]), np.log(masses[keep]), 1)[0])
@@ -285,6 +285,5 @@ def cross_jump_exponent_fit(kernel: JumpKernel, radii, eta: float = 0.5) -> Cond
         best_constant=slope,
         witness={"fitted_exponent": slope, "expected_exponent": expected,
                  "relative_error": abs(slope - expected) / expected},
-        passed=None,
         series=[{"r": float(r), "mass": float(m)} for r, m in zip(radii, masses)],
     )

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterError, PointCapExceeded, _require_finite
 from .kernel import JumpKernel, energy_density, truncate
-from .report import ConditionReport, best_of, extremum, finite_sweep
+from .report import MARGIN_TOL, ConditionReport, best_of, extremum, gate, gate_rows
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids, _chunked
 
@@ -800,14 +800,14 @@ def lre_check(form: SpectralForm, scale: ScaleField, kappa: float,
         u = part.resolvent(kappa / phival, np.ones(ball.member_idx.size))
         series.append({"x0": x0, "r": r, "c1": float(u[ball.quarter].min() / phival)})
     worst, witness = best_of(series, "c1", ("x0", "r"), lowest=True)
+    worst = None if worst == math.inf else worst       # inf: no candidate row, no witness
     report = ConditionReport(condition="lre", params={"kappa": kappa},
-                             best_constant=(None if worst == math.inf else worst),
-                             witness=witness, series=series)
+                             best_constant=worst, witness=witness,
+                             gates=[gate("c1", worst, ">", 0.0)], series=series)
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
     if form.jmat_nonzeros == 0:
         report.note("degenerate zero kernel: the resolvent is the constant 1/lambda")
-    report.passed = bool(witness) and worst > 0
     return report
 
 
@@ -831,9 +831,9 @@ def cs_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> ConditionRep
         c = math.nan if np.isnan(vals).any() else 0.0 if x is None else float(vals[x])
         series.append({"x0": x0, "R": R, "r": ramp, "x": x, "c": c})
     best, witness = best_of(series, "c", ("x0", "R", "r", "x"))
-    return finite_sweep(ConditionReport(condition="cs", params={}, best_constant=best,
-                                        witness=witness, series=series,
-                                        notes=[] if series else ["no ball was sampled"]), "c")
+    return gate_rows(ConditionReport(condition="cs", params={}, best_constant=best,
+                                     witness=witness, series=series,
+                                     notes=[] if series else ["no ball was sampled"]), "c")
 
 
 def capacity_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> ConditionReport:
@@ -850,9 +850,9 @@ def capacity_check(kernel: JumpKernel, scale: ScaleField, ball_sample) -> Condit
         series.append({"x0": x0, "r": r, "C": float(e * phi(scale, x0, r) / ball.volume),
                        "energy": e})
     best, witness = best_of(series, "C", ("x0", "r"))
-    return finite_sweep(ConditionReport(condition="capacity", params={}, best_constant=best,
-                                        witness=witness, series=series,
-                                        notes=[] if series else ["no ball was sampled"]), "C")
+    return gate_rows(ConditionReport(condition="capacity", params={}, best_constant=best,
+                                     witness=witness, series=series,
+                                     notes=[] if series else ["no ball was sampled"]), "C")
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -955,15 +955,14 @@ def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b:
                 series.append({"x0": x0, "r": r, "size_D": int(D.size),
                                "lambda1": lam, "C": lam * phival / bracket})
     best, witness = best_of(series, "C", ("x0", "r", "size_D", "lambda1"), lowest=True)
+    best = None if best == math.inf else best          # inf: no candidate row, no witness
     report = ConditionReport(
         condition=f"fk_{variant.lower()}",
         params={"variant": variant, "nu": nu, "b": b, "Cprime": Cprime,
                 "delta": delta, "subset_strategy": "mixed"},
-        best_constant=(None if best == math.inf else best),
-        witness=witness, series=series)
+        best_constant=best, witness=witness, gates=[gate("C", best, ">", 0.0)], series=series)
     if trivial:
         report.note(f"{trivial} subsets satisfied the display trivially (bracket <= 0)")
-    report.passed = bool(witness) and best > 0
     return report
 
 
@@ -1012,8 +1011,8 @@ def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_
     best, witness = best_of(series, "C", ("x0", "r", "family"))
     return ConditionReport(condition="nash",
                            params={"nu": nu, "b": b, "family": "mixed"},
-                           best_constant=best, witness=witness,
-                           passed=math.isfinite(best) and best > 0, series=series)
+                           best_constant=best, witness=witness, series=series,
+                           gates=[gate("C", best, ">", 0.0), gate("finite C", best, "<", math.inf)])
 
 
 def _superlevel_subset(space: FiniteMMSpace, D: np.ndarray, f: np.ndarray) -> np.ndarray | None:
@@ -1090,11 +1089,11 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
 
     c_n = max([0.0] + [nash for *_, nash, _ in per_ball.values()])
 
-    if c_g is None or c_g <= 0 or c_n <= 0:
+    gates = [gate("C_gfk", c_g, ">", 0.0), gate("C_nash", c_n, ">", 0.0)]
+    if not all(g["holds"] for g in gates):
         return ConditionReport(condition="fk_nash_consistency",
                                params={"nu": nu, "b": b, "Cprime": Cprime},
-                               witness={"C_gfk": c_g, "C_nash": c_n},
-                               passed=False,
+                               witness={"C_gfk": c_g, "C_nash": c_n}, gates=gates,
                                notes=["degenerate sweep; no usable constants"])
 
     forward_bound = 4.0**nu * max(2.0 / c_g, Cprime)
@@ -1107,7 +1106,6 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
             rhs = (damping**b * (ball.volume / mu_D) ** nu - c_n) / c_n
             backward_margin = min(backward_margin, float(lam * phival - rhs))
 
-    passed = forward_margin >= -1e-9 and backward_margin >= -1e-9
     return ConditionReport(
         condition="fk_nash_consistency",
         params={"nu": nu, "b": b, "Cprime": Cprime},
@@ -1115,7 +1113,8 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
         witness={"C_gfk": c_g, "C_nash": c_n,
                  "forward_margin": forward_margin,
                  "backward_margin": backward_margin},
-        passed=passed,
+        gates=gates + [gate("forward_margin", forward_margin, ">=", -MARGIN_TOL),
+                       gate("backward_margin", backward_margin, ">=", -MARGIN_TOL)],
         series=[{"C_gfk": c_g, "C_nash": c_n,
                  "forward_margin": forward_margin,
                  "backward_margin": backward_margin}],

@@ -16,7 +16,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError, _require_finite
-from .report import ConditionReport, best_of, extremum
+from .report import ConditionReport, best_of, extremum, gate
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, FiniteMMSpace
 
@@ -183,9 +183,9 @@ def build_stable_like_kernel(scale: ScaleField, lower_constant: float = 1.0) -> 
     arithmetic averaging, with |x-y| in whole grid steps, so that atoms at the
     same distance tie however their coordinates round.  Each block counts
     the atoms in the open ball of k steps around x in closed form from the
-    lattice indices of x, and reads phi from one row of steps per distinct
-    order, so no table of N rows is kept.  Step 0, the diagonal, is a
-    division by zero, which ``JumpKernel.block`` zeroes.
+    lattice indices of x, and takes phi as one power per entry, so no table
+    of N rows is kept.  Step 0, the diagonal, is a division by zero, which
+    ``JumpKernel.block`` zeroes.
     """
     space = scale.space
     if space.meta.get("kind") != "grid":
@@ -193,19 +193,22 @@ def build_stable_like_kernel(scale: ScaleField, lower_constant: float = 1.0) -> 
     per_unit = space.meta["side"] - 1                  # grid steps in a unit of length
     lattice = np.rint(space.coords * per_unit).astype(np.int64)
     cumw = np.concatenate([[0.0], np.cumsum(space.weights)])
-    # no step exceeds one unit of length, where phi(x, r) = r^beta(x).  A
-    # power per distinct order, not scale.phi: numpy takes a scalar exponent
-    # 0.5 or 2 as sqrt or square, the bits that stable_like_reference pins,
-    # and the array power of phi differs from them in the last place
-    orders, order_of = np.unique(scale.beta_values, return_inverse=True)
-    phi_steps = np.stack([(np.arange(per_unit + 1) / per_unit) ** b for b in orders])
+    beta = scale.beta_values
 
     def one_sided(ids, k):
         count = np.ones(k.shape, dtype=np.int64)
         for i in lattice[ids].transpose(2, 0, 1):
             count *= np.minimum(i + k - 1, per_unit) - np.maximum(i - k + 1, 0) + 1
+        # no step exceeds one unit of length, where phi(x, r) = r^beta(x).
+        # numpy takes a scalar order 0.5 or 2 as sqrt or square, the bits
+        # that stable_like_reference pins; at every other order its array
+        # power is its scalar one
+        steps = k / per_unit
+        order = beta[ids]
+        phi_k = np.where(order == 0.5, np.sqrt(steps),
+                         np.where(order == 2.0, np.square(steps), steps ** order))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return lower_constant / (cumw[count] * phi_steps[order_of[ids], k])
+            return lower_constant / (cumw[count] * phi_k)
 
     def block_fn(rows, cols):
         k = np.rint(space.dist_block(rows, cols) * per_unit).astype(np.intp)
@@ -299,11 +302,11 @@ def tj_check(kernel: JumpKernel, scale: ScaleField, radius_grid,
                        "C_at_r": 0.0 if x is None else float(vals[x]),
                        "tail_mass": None if x is None else float(tails[x])})
     best, witness = best_of(series, "C_at_r", ("x", "r", "tail_mass"))
-    passed = None if threshold is None else bool(best <= threshold)
     return ConditionReport(condition="tj", params={"radii": radii.tolist(),
                                                    "threshold": threshold},
-                           best_constant=best, witness=witness, passed=passed,
-                           series=series)
+                           best_constant=best, witness=witness, series=series,
+                           gates=[] if threshold is None else [gate("C_at_r", best, "<=",
+                                                                    threshold)])
 
 
 def tjq_check(kernel: JumpKernel, scale: ScaleField, q: float, radius_grid,
@@ -335,10 +338,10 @@ def tjq_check(kernel: JumpKernel, scale: ScaleField, q: float, radius_grid,
         x = extremum(c)
         series.append({"r": float(r), "C_at_r": 0.0 if x is None else float(c[x]), "x": x})
     best, witness = best_of(series, "C_at_r", ("x", "r"))
-    passed = None if threshold is None else bool(best <= threshold)
     return ConditionReport(condition="tjq", params={"q": q, "radii": radii.tolist()},
-                           best_constant=best, witness=witness, passed=passed,
-                           series=series)
+                           best_constant=best, witness=witness, series=series,
+                           gates=[] if threshold is None else [gate("C_at_r", best, "<=",
+                                                                    threshold)])
 
 
 def ij_check(kernel: JumpKernel, scale: ScaleField, gamma: float, rR_pairs) -> ConditionReport:
@@ -393,7 +396,6 @@ def ij_check(kernel: JumpKernel, scale: ScaleField, gamma: float, rR_pairs) -> C
         params={"gamma": gamma, "pairs": pairs},
         best_constant=best,
         witness={**witness, "gamma_hat": gamma_hat, "fit_slope": raw_slope},
-        passed=None,
         series=series,
     )
 

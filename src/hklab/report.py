@@ -1,9 +1,10 @@
 """Condition reports and their JSON/CSV serialization.
 
 Every checker returns a :class:`ConditionReport`: the named inequality, the
-parameters it ran with, the best fitted constant, the worst witness, and a
-verdict.  ``passed`` is ``None`` for diagnostic-mode checks, which never fail
-a run.
+parameters it ran with, the best fitted constant, the worst witness, and the
+gates of its verdict, each one comparison made by :func:`gate`.  The verdict
+is read from the gates alone: a report without one is a diagnostic, whose
+``passed`` is ``None``, and any other passes iff every gate holds.
 
 Every sweep takes its best constant and witness from :func:`best_of`, and
 each atom it reports in a row from :func:`extremum`, the one tie rule.
@@ -15,12 +16,23 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 _TIE_RTOL = 1e-12           # entries this close, relative, to the extremum tie with it
+# how far below 0 rounding may take the margin of an inequality that holds exactly
+MARGIN_TOL = 1e-9
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def gate(name: str, value: Any, op: str, bound: float) -> dict[str, Any]:
+    """One comparison of a verdict, ``value op bound``, and whether it holds;
+    a None or NaN value never does."""
+    holds = value is not None and _OPS[op](value, bound)      # NaN compares False
+    return {"name": name, "value": value, "op": op, "bound": bound, "holds": bool(holds)}
 
 
 @dataclass
@@ -29,9 +41,14 @@ class ConditionReport:
     params: dict[str, Any] = field(default_factory=dict)
     best_constant: float | None = None
     witness: dict[str, Any] = field(default_factory=dict)
-    passed: bool | None = None
+    gates: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     series: list[dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool | None:
+        """None without a gate (a diagnostic), else whether every gate holds."""
+        return all(g["holds"] for g in self.gates) if self.gates else None
 
     @property
     def verdict(self) -> str:
@@ -77,8 +94,8 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, ConditionReport):
         value = {"condition": value.condition, "params": value.params,
                  "best_constant": value.best_constant, "witness": value.witness,
-                 "pass": value.passed, "verdict": value.verdict, "notes": value.notes,
-                 "series": value.series}
+                 "gates": value.gates, "pass": value.passed, "verdict": value.verdict,
+                 "notes": value.notes, "series": value.series}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -107,15 +124,16 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def finite_sweep(report: ConditionReport, key: str) -> ConditionReport:
-    """``report``, passed iff it has a row and every row's ``key`` is finite,
-    with a note counting the rows that are not: :func:`extremum` passes NaN
-    over, so the best constant of a sweep that is NaN everywhere is that of
-    a zero one."""
-    bad = sum(not math.isfinite(row[key]) for row in report.series)
-    report.passed = bool(report.series) and not bad
-    if bad:
-        report.note(f"{bad} of {len(report.series)} rows have a non-finite {key}")
+def gate_rows(report: ConditionReport, key: str) -> ConditionReport:
+    """``report`` with the gates "rows", that it has a row, and "finite
+    rows", that every row's ``key`` is finite, and a note counting the rows
+    that are not: :func:`extremum` passes NaN over, so the best constant of a
+    sweep that is NaN everywhere is that of a zero one."""
+    rows = len(report.series)
+    finite = sum(math.isfinite(row[key]) for row in report.series)
+    report.gates += [gate("rows", rows, ">", 0), gate("finite rows", finite, ">=", rows)]
+    if finite < rows:
+        report.note(f"{rows - finite} of {rows} rows have a non-finite {key}")
     return report
 
 

@@ -17,11 +17,12 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError
-from .report import ConditionReport
+from .report import ConditionReport, gate
 from .space import FiniteMMSpace
 
 QUASI_METRIC_POINT_CAP = 512
 _AXIOM_PAIR_SAMPLE = 512                # points whose pairs verify_scale_axioms scans
+_LIPSCHITZ_TOL = 1e-9                   # how far a 1-Lipschitz field's |beta(x)-beta(y)| may pass d
 
 
 @dataclass
@@ -226,17 +227,17 @@ def verify_scale_axioms(scale: ScaleField, radius_grid,
         params={"beta1": scale.beta1, "beta2": scale.beta2, "radii": radii.tolist()},
         best_constant=c1,
         witness={"C1": c1, "C2": c2, "C_offpoint": c_off, **c1_witness},
+        gates=[gate(key, c, "<", math.inf)
+               for key, c in (("C1", c1), ("C2", c2), ("C_offpoint", c_off))],
         series=[{"C1": c1, "C2": c2, "C_offpoint": c_off,
                  "r": c2_witness.get("r"), "R": c2_witness.get("R")}],
     )
-    ok = all(map(math.isfinite, (c1, c2, c_off)))
     if scale.lipschitz:
         gap = max(0.0, float(np.max(chunk_gap)))
         report.witness["lipschitz_excess"] = gap
-        if gap > 1e-9:
-            ok = False
+        report.gates.append(gate("lipschitz_excess", gap, "<=", _LIPSCHITZ_TOL))
+        if not report.gates[-1]["holds"]:
             report.note("declared 1-Lipschitz field violates |beta(x)-beta(y)| <= d(x,y)")
-    report.passed = ok
     return report
 
 

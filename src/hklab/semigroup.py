@@ -37,18 +37,23 @@ import numpy as np
 from .errors import ParameterError
 from .form import (SpectralForm, Truncation, _checked_times, _interchange_integral,
                    _quarter_balls, default_time_grid, part_on, row_sum_residual)
-from .report import ConditionReport, best_of, extremum, finite_sweep
+from .report import MARGIN_TOL, ConditionReport, best_of, extremum, gate, gate_rows
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 
 _SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
 _DUE_PAIR_SAMPLE = 64                    # off-diagonal pairs per time in due_check
 _SE_FROM_LRE_T_FRACS = (0.25, 0.5, 1.0)  # se_from_lre times, in halves of the resolvent minimum
+# The bound of each gate of heat_kernel_invariants but t0_identity, whose is
+# _T0_RTOL times the largest 1/mu(x).  An untouched form's row sums equal its
+# diagonal exactly, being summed as assemble sums them; the slack of row_sum
+# is for a block function that rounds an entry differently when it is read
+# again, which leaves the form right.
+_INVARIANT_TOL = {"symmetry": 1e-10, "mass": 1e-10, "chapman_kolmogorov": 1e-8,
+                  "negativity": 1e-10, "row_sum": 1e-12}
+_T0_RTOL = 1e-8
+_SQRT_PRODUCT_TOL = 1e-10                # due_check's off-diagonal bound, exact up to rounding
 _CONSERVATION_TOL = 1e-9                 # pass tolerance of conservativeness_check
 _MEYER_TOL = 1e-6                        # pass tolerance of each meyer_check comparison
-# An untouched form's row sums equal its diagonal exactly, being summed as
-# assemble sums them; the slack is for a block function that rounds an entry
-# differently when it is read again, which leaves the form right.
-_ROW_SUM_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +101,12 @@ def heat_kernel_invariants(form: SpectralForm, times=(0.01, 0.1, 1.0, 10.0)) -> 
     defect = mass - 1.0
     worst("mass", (defect if form.is_part else np.abs(defect)).max(initial=0.0))
     row = residuals if form.is_part else {**residuals, "row_sum": row_sum_residual(form)}
-    ok = (row.get("row_sum", 0.0) <= _ROW_SUM_TOL
-          and residuals["symmetry"] <= 1e-10
-          and residuals["mass"] <= 1e-10
-          and residuals["chapman_kolmogorov"] <= 1e-8
-          and residuals["negativity"] <= 1e-10
-          and residuals["t0_identity"] <= 1e-8 * float((1.0 / w).max()))
+    bounds = {**_INVARIANT_TOL, "t0_identity": _T0_RTOL * float((1.0 / w).max())}
     return ConditionReport(condition="heat_kernel_invariants",
                            params={"times": times},
                            best_constant=residuals["chapman_kolmogorov"],
-                           witness=residuals, passed=ok,
-                           series=[row])
+                           witness=residuals, series=[row],
+                           gates=[gate(key, row[key], "<=", bounds[key]) for key in row])
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +142,14 @@ def se_check(form: SpectralForm, scale: ScaleField, ball_sample,
     usable = [row for row in curve if row["eps0"] is not None]
     if not usable:
         return ConditionReport(condition="se", params={"a0_grid": list(a0_grid)},
-                               passed=False, notes=["no usable balls"], series=curve)
+                               gates=[gate("eps0", None, ">", 0.0)],
+                               notes=["no usable balls"], series=curve)
     # with no positive a0 eps0 the check fails, and the first a0 stands for the curve
     best_row = usable[extremum([row["a0"] * row["eps0"] for row in usable]) or 0]
     report = ConditionReport(condition="se", params={"a0_grid": list(a0_grid)},
                              best_constant=best_row["eps0"],
                              witness={"a0": best_row["a0"], "eps0": best_row["eps0"]},
-                             passed=best_row["eps0"] > 0, series=curve)
+                             gates=[gate("eps0", best_row["eps0"], ">", 0.0)], series=curve)
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
     return report
@@ -185,10 +186,10 @@ def te_check(form: SpectralForm, scale: ScaleField, T0: float, ball_sample,
               for k, (x0, r, quarter, denom) in enumerate(balls)
               for t, hit in zip(times.tolist(), hits[:, :, k])]
     best, witness = best_of(series, "C", ("x0", "r", "t"))
-    report = finite_sweep(ConditionReport(condition="te", params={"T0": T0},
-                                          best_constant=best, witness=witness, series=series,
-                                          notes=[] if series else ["no usable ball, or no time"]),
-                          "C")
+    report = gate_rows(ConditionReport(condition="te", params={"T0": T0},
+                                       best_constant=best, witness=witness, series=series,
+                                       notes=[] if series else ["no usable ball, or no time"]),
+                       "C")
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
     return report
@@ -232,7 +233,10 @@ def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
     report = ConditionReport(condition="due", params={"T0": T0, "k": k},
                              best_constant=best,
                              witness={**witness, "sqrt_product_residual": cs_resid},
-                             passed=bool(series) and math.isfinite(best) and cs_resid <= 1e-10,
+                             gates=[gate("rows", len(series), ">", 0),
+                                    gate("finite C_at_t", best, "<", math.inf),
+                                    gate("sqrt_product_residual", cs_resid, "<=",
+                                         _SQRT_PRODUCT_TOL)],
                              notes=[] if series else ["no time of the grid lies below k T0"],
                              series=series)
     return report
@@ -245,9 +249,9 @@ def conservativeness_check(form: SpectralForm, time_grid=(0.01, 0.1, 1.0, 10.0)
     worst = float(np.abs(survival(form, time_grid) - 1.0).max(initial=0.0))
     report = ConditionReport(condition="conservativeness", params={},
                              best_constant=worst, witness={"max_defect": worst},
-                             passed=worst <= _CONSERVATION_TOL,
+                             gates=[gate("max_defect", worst, "<=", _CONSERVATION_TOL)],
                              series=[{"max_defect": worst}])
-    if form.is_part and worst > _CONSERVATION_TOL:
+    if form.is_part and not report.passed:
         report.note("mass loss is expected: this is a Dirichlet part with killing")
     return report
 
@@ -269,7 +273,7 @@ def truncation_l2_check(trunc: Truncation) -> ConditionReport:
         condition="truncation_l2", params={"rho": trunc.rho},
         best_constant=sup_eig,
         witness={"sup_eigenvalue": sup_eig, "bound": bound, "margin": margin},
-        passed=margin >= -1e-9,
+        gates=[gate("margin", margin, ">=", -MARGIN_TOL)],
         series=[{"sup_eigenvalue": sup_eig, "bound": bound, "margin": margin}],
     )
 
@@ -316,13 +320,15 @@ def truncation_semigroup_check(trunc: Truncation, f, time_grid,
             margin = 2.0 * t * fmax * tail_gap - diff
             series.append({"t": t, "nested_diff": diff, "margin": margin})
             nested_margin = min(nested_margin, margin)
-    passed = worst_margin >= -1e-9 and (nested_margin is None or nested_margin >= -1e-9)
+    gates = [gate("worst_margin", worst_margin, ">=", -MARGIN_TOL)]
+    if wider is not None:
+        gates.append(gate("nested_margin", nested_margin, ">=", -MARGIN_TOL))
     return ConditionReport(
         condition="truncation_semigroup", params={"f_max": fmax, "rho": trunc.rho},
         best_constant=worst_margin,
         witness={"worst_margin": worst_margin, "nested_margin": nested_margin,
                  "far_tail": tail},
-        passed=passed, series=series)
+        gates=gates, series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +372,6 @@ def meyer_check(trunc: Truncation, D, t: float) -> ConditionReport:
     upper1_margin = float((p_near_t + i_near - p_t).min())
     lower1_margin = float((p_t - i_near).min())
 
-    passed = bool(upper_margin >= -_MEYER_TOL
-                  and lower_margin >= -_MEYER_TOL
-                  and identity_resid <= _MEYER_TOL)
     return ConditionReport(
         condition="meyer",
         params={"t": t, "rho": trunc.rho, "tol": _MEYER_TOL},
@@ -376,7 +379,9 @@ def meyer_check(trunc: Truncation, D, t: float) -> ConditionReport:
         witness={"upper_margin": upper_margin, "lower_margin": lower_margin,
                  "identity_residual": identity_resid,
                  "upper1_margin": upper1_margin, "lower1_margin": lower1_margin},
-        passed=passed,
+        gates=[gate("upper_margin", upper_margin, ">=", -_MEYER_TOL),
+               gate("lower_margin", lower_margin, ">=", -_MEYER_TOL),
+               gate("identity_residual", identity_resid, "<=", _MEYER_TOL)],
         series=[{"t": t, "upper_margin": upper_margin, "lower_margin": lower_margin,
                  "identity_residual": identity_resid,
                  "upper1_margin": upper1_margin, "lower1_margin": lower1_margin}],
@@ -418,7 +423,7 @@ def se_from_lre_chain(form: SpectralForm, scale: ScaleField, kappa: float,
     report = ConditionReport(
         condition="se_from_lre", params={"kappa": kappa},
         best_constant=worst, witness={"worst_margin": worst},
-        passed=worst is not None and worst >= -1e-9, series=series)
+        gates=[gate("worst_margin", worst, ">=", -MARGIN_TOL)], series=series)
     if skipped:
         report.note(f"skipped {skipped} balls with empty quarter ball")
     return report

@@ -777,6 +777,39 @@ def test_a_huge_kernel_fails_only_the_survival_floor(tmp_path):
     assert failed == ["se_check"]                      # its survival floor is 0
 
 
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["sweep_256", "spectral_2048", "counterexample_256"])
+def test_gates_agree_with_the_benchmark_reference_and_its_limits(tmp_path, workload):
+    # the benchmark's limits restate the gates' bounds as an independent
+    # guard: neither may move alone
+    ref = json.loads((BENCH_DIR / "reference" / f"{workload}.json").read_text())
+    if workload == "counterexample_256":
+        assert cli.counterexample_report(4.0, 4, 2, tmp_path) == ref["expected_exit"]
+        bundle = json.loads((tmp_path / "counterexample_report.json").read_text())
+        reports = bundle["condition_reports"].items()
+        verdicts = {"due_violation_diagnostic": bundle["diagnostic_series"]["verdict"]}
+        case = {k: v for k, v in ref["cases"]["fixed"].items() if k != "exponents"}  # no verdict
+    else:
+        cfg = json.loads((BENCH_DIR / "workloads" / f"{workload}.json").read_text())
+        code = cli.run_config({**cfg, "output": {"formats": ["json"]}}, tmp_path, seed=0)
+        assert code == ref["expected_exit"]
+        reports = [(c["name"], c) for c in json.loads((tmp_path / "summary.json").read_text())
+                   ["checks"]]
+        verdicts, case = {}, ref["cases"]["0"]
+    verdicts.update((name, rep["verdict"]) for name, rep in reports)
+    assert verdicts == {name: want["verdict"] for name, want in case.items()}
+    gates = {name: {g["name"]: (g["op"], g["bound"]) for g in rep["gates"]}
+             for name, rep in reports}
+    for name, limits in ref["limits"].items():
+        for key, (op, bound, *flags) in limits.items():
+            if key in gates[name]:
+                assert gates[name][key] == (op, bound), (name, key)
+            else:
+                assert "optional" in flags, f"{name}: no gate {key}"
+
+
 @pytest.mark.parametrize("T0", ["inf", None, math.inf, 2.5])
 def test_scale_T0_takes_inf_null_or_a_positive_number(tmp_path, T0):
     config = write_config(tmp_path, _set(copy.deepcopy(TWO_POINT_CFG), "scale.T0", T0))

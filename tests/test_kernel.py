@@ -347,18 +347,23 @@ def test_stable_like_matches_the_dense_builder(chunk_budget, d, side, field, low
 def test_stable_like_build_holds_no_table_of_n_rows():
     # a 1-D grid, where side = N; tracemalloc sees numpy's arrays.  The
     # build kept an N x side table of the one-sided values (32 MB here, and
-    # 128 MB at 4096 atoms); the lattice indices, the orders and one phi row
-    # per distinct order are a few arrays of N entries
+    # 128 MB at 4096 atoms), and then one phi row of side steps per distinct
+    # order, as many rows again under a two-anchor field, whose orders ramp
+    # from one plateau to the other; the lattice indices and the orders are a
+    # few arrays of N entries
     sp = hk.build_grid(1, 2048)
-    scale = hk.field_from_table(sp, np.resize([0.7, 1.1, 1.6], sp.n_points), 0.5, 2.0)
-    tracemalloc.start()
-    try:
-        kern = hk.build_stable_like_kernel(scale, 1.3)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 16 * sp.n_points * 8
-    assert kern.j(0, 5) > kern.j(0, 6) > 0
+    fields = [hk.field_from_table(sp, np.resize([0.7, 1.1, 1.6], sp.n_points), 0.5, 2.0),
+              hk.field_from_balls(sp, [(0, 0.1, 0.6), (sp.n_points - 1, 0.1, 1.9)], 0.5, 2.0)]
+    assert np.unique(fields[1].beta_values).size > sp.n_points // 2
+    for scale in fields:
+        tracemalloc.start()
+        try:
+            kern = hk.build_stable_like_kernel(scale, 1.3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * sp.n_points * 8
+        assert kern.j(0, 5) > kern.j(0, 6) > 0
 
 
 def _lattice_with_euclidean_metric(side):

@@ -4,8 +4,9 @@ Each row plants one defect in the full form right after ``assemble``: in its
 spectrum, its diagonal, its kernel or the weights of its space.  It then runs
 every check of the ``sweep_256`` workload through ``cli.run_config``, the
 diagnostic ones too, so that the checks draw from the run's generator as in
-the workload; the table pins which pass-mode checks fail.  A change that
-blinds a check to a defect, or makes one see it, changes a row.
+the workload; the table pins which pass-mode checks fail, and the gates each
+one fails by, as ``summary.json`` names them.  A change that blinds a check
+or a gate to a defect, or makes one see it, changes a row.
 """
 
 import json
@@ -64,22 +65,24 @@ def _scale_weight_5(form):
     form.space.weights[5] *= 1.01
 
 
-# (config, defect, the pass-mode checks that fail)
+_ROW_SUM = {"heat_kernel_invariants": ["row_sum"]}
+# (config, defect, each pass-mode check that fails, in run order, with the
+# gates it fails by)
 _TABLE = {
     "split_form_even_eigenvalue_1": (_SWEEP, _scale_even_eigenvalue,
-                                     ["heat_kernel_invariants"]),
-    "unsplit_form_eigenvalue_1": (_counterexample_config(), _scale_eigenvalue, []),
-    "split_form_diag_5": (_SWEEP, _scale_diag_5, ["heat_kernel_invariants"]),
-    "unsplit_form_diag_5": (_counterexample_config(), _scale_diag_5,
-                            ["heat_kernel_invariants"]),
-    "split_form_jump_5_6": (_SWEEP, _cut_jump_5_6, ["heat_kernel_invariants"]),
-    "unsplit_form_jump_5_6": (_counterexample_config(), _cut_jump_5_6,
-                              ["heat_kernel_invariants"]),
-    "split_form_weight_5": (_SWEEP, _scale_weight_5,
-                            ["conservativeness_check", "heat_kernel_invariants"]),
-    "unsplit_form_weight_5": (_counterexample_config(), _scale_weight_5,
-                              ["conservativeness_check", "heat_kernel_invariants",
-                               "truncation_semigroup_check"]),
+                                     {"heat_kernel_invariants": ["negativity"]}),
+    "unsplit_form_eigenvalue_1": (_counterexample_config(), _scale_eigenvalue, {}),
+    "split_form_diag_5": (_SWEEP, _scale_diag_5, _ROW_SUM),
+    "unsplit_form_diag_5": (_counterexample_config(), _scale_diag_5, _ROW_SUM),
+    "split_form_jump_5_6": (_SWEEP, _cut_jump_5_6, _ROW_SUM),
+    "unsplit_form_jump_5_6": (_counterexample_config(), _cut_jump_5_6, _ROW_SUM),
+    "split_form_weight_5": (_SWEEP, _scale_weight_5, {
+        "conservativeness_check": ["max_defect"],
+        "heat_kernel_invariants": ["mass", "t0_identity", "row_sum"]}),
+    "unsplit_form_weight_5": (_counterexample_config(), _scale_weight_5, {
+        "conservativeness_check": ["max_defect"],
+        "heat_kernel_invariants": ["mass", "chapman_kolmogorov", "t0_identity", "row_sum"],
+        "truncation_semigroup_check": ["worst_margin"]}),
 }
 
 
@@ -101,6 +104,7 @@ def test_pass_mode_checks_that_see_a_defect(row, monkeypatch, tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     modes = [check["mode"] for check in cfg["checks"]]
     assert [check["mode"] for check in summary["checks"]] == modes
-    assert [check["name"] for check in summary["checks"]
-            if check["mode"] == "pass" and check["verdict"] == "fail"] == failing
+    assert [(check["name"], [g["name"] for g in check["gates"] if not g["holds"]])
+            for check in summary["checks"]
+            if check["mode"] == "pass" and check["verdict"] == "fail"] == list(failing.items())
     assert code == (cli.EXIT_FAIL if failing else cli.EXIT_OK)

@@ -7,7 +7,7 @@ import pytest
 
 import hklab as hk
 import hklab.report as report_mod
-from hklab.report import ConditionReport, best_of, canonical_json, extremum, finite_sweep
+from hklab.report import ConditionReport, best_of, canonical_json, extremum, gate, gate_rows
 
 
 def test_extremum_takes_the_first_index_of_a_tie():
@@ -103,7 +103,7 @@ def test_every_sweep_witness_is_a_projection_of_its_first_best_row(product64, na
 def test_a_report_is_converted_once_for_its_json(monkeypatch):
     rep = ConditionReport("tj", params={"radii": np.array([0.25, 0.5])},
                           best_constant=np.float64(1.5),
-                          witness={"x": np.int64(3), "r": 0.25}, passed=None,
+                          witness={"x": np.int64(3), "r": 0.25},
                           notes=["a"], series=[{"r": 0.25, "C": math.inf},
                                                {"r": 0.5, "C": np.float64(1.5)}])
     calls = []
@@ -168,5 +168,70 @@ def test_no_module_but_report_picks_an_extremum():
     ([math.inf], False, ["1 of 1 rows have a non-finite C"]), ([], False, [])])
 def test_a_sweep_passes_only_when_every_row_is_finite(values, passed, notes):
     # best_of passes NaN over: a sweep that is NaN everywhere is best 0.0, witness {}
-    rep = finite_sweep(ConditionReport("x", series=[{"C": v} for v in values]), "C")
+    rep = gate_rows(ConditionReport("x", series=[{"C": v} for v in values]), "C")
     assert rep.passed is passed and rep.notes == notes
+    finite = sum(map(math.isfinite, values))
+    assert rep.gates == [gate("rows", len(values), ">", 0),
+                         gate("finite rows", finite, ">=", len(values))]
+    assert [g["holds"] for g in rep.gates] == [bool(values), finite == len(values)]
+
+
+def test_a_verdict_is_every_gate_holding():
+    assert ConditionReport("x").passed is None                    # no gate: a diagnostic
+    assert ConditionReport("x").verdict == "diagnostic"
+    assert gate("m", -1e-10, ">=", -1e-9) == {"name": "m", "value": -1e-10, "op": ">=",
+                                              "bound": -1e-9, "holds": True}
+    assert [gate("m", v, op, 1.0)["holds"] for op in ("<", "<=", ">", ">=")
+            for v in (0.5, 1.0, 2.0)] == [True, False, False, True, True, False,
+                                          False, False, True, False, True, True]
+    for value in (math.nan, None):                                # never holds
+        assert not any(gate("m", value, op, 0.0)["holds"] for op in ("<", "<=", ">", ">="))
+    assert not gate("C", math.inf, "<", math.inf)["holds"]        # the finiteness gate
+    holds, fails = gate("a", 0.0, "<=", 1.0), gate("b", 2.0, "<=", 1.0)
+    assert ConditionReport("x", gates=[holds]).verdict == "pass"
+    assert ConditionReport("x", gates=[holds, fails]).verdict == "fail"
+    as_dict = ConditionReport("x", gates=[gate("c", math.nan, "<=", 1.0)]).to_dict()
+    assert as_dict["gates"] == [{"name": "c", "value": "nan", "op": "<=", "bound": 1.0,
+                                 "holds": False}] and as_dict["pass"] is False
+    with pytest.raises(AttributeError):
+        ConditionReport("x").passed = True                        # read from the gates only
+
+
+def _verdict_sites(source: str) -> set[str]:
+    """The outermost function (or ``<module>``) of each ``passed=`` keyword
+    of a call and each assignment to an attribute named ``passed`` in
+    ``source``."""
+    found = set()
+
+    def visit(node, owner):
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        if (isinstance(node, ast.Call) and any(kw.arg == "passed" for kw in node.keywords)) or any(
+                isinstance(t, ast.Attribute) and t.attr == "passed"
+                for target in targets for t in ast.walk(target)):
+            found.add(owner or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_verdict_site_detector_sees_every_form():
+    source = ("def f(R):\n    return R(condition='x', passed=True)\n"
+              "def g(rep):\n    rep.passed = False\n"
+              "def h(rep):\n    rep.passed &= False\n"
+              "def k(rep, other):\n    other.x, rep.passed = 1, True\n"
+              "def m(rep):\n    passed = rep.passed\n    return passed, dict(passed=passed)\n"
+              "REP.passed: bool = True\n")
+    assert _verdict_sites(source) == {"f", "g", "h", "k", "m", "<module>"}
+    assert _verdict_sites("def ok(rep):\n    passed = rep.passed\n    return passed\n") == set()
+
+
+def test_no_module_but_report_decides_a_verdict():
+    package = pathlib.Path(hk.__file__).parent
+    found = {f"{path.name}:{owner}" for path in sorted(package.glob("*.py"))
+             if path.name != "report.py" for owner in _verdict_sites(path.read_text())}
+    assert found == set()

@@ -414,9 +414,9 @@ def test_order_power_detector_sees_direct_and_bound_orders():
 
 # functions outside scale.py whose ``**`` reads an order, and why they may
 _ORDER_POWER_EXCEPTIONS = {
-    # a power per distinct order with a scalar exponent, which numpy takes as
-    # sqrt or square for the orders 0.5 and 2: stable_like_reference pins
-    # those bits, and phi's array power differs from them in the last place
+    # a power per block entry that takes the orders 0.5 and 2 as sqrt and
+    # square, as numpy's scalar power does: stable_like_reference pins those
+    # bits, and phi's array power differs from them in the last place
     "kernel.py:build_stable_like_kernel",
     # raises a time, not a radius, to the profile rate n' alpha / beta1 of
     # the counterexample's own config
