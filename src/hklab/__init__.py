@@ -83,6 +83,7 @@ from .space import (
     fit_vd_exponent,
     metric_axioms_ok,
 )
+from .stream import Stream
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

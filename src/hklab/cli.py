@@ -33,6 +33,7 @@ from . import semigroup as semi_mod
 from . import space as space_mod
 from .errors import ParameterError, PointCapExceeded, UnsupportedKernelError
 from .report import ConditionReport, canonical_json, config_hash, gate
+from .stream import Stream
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -121,7 +122,7 @@ def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
                            _field(cfg, "metric_matrix", "space", _float_array)))
         d = space.metric_matrix
         if d is not None and not (np.all(np.diag(d) == 0) and np.array_equal(d, d.T)
-                                  and space_mod.metric_axioms_ok(space, np.random.default_rng(0))):
+                                  and space_mod.metric_axioms_ok(space, Stream(0))):
             raise SchemaError("space.metric_matrix", "not a metric: needs a zero diagonal, "
                                                      "symmetry and the triangle inequality")
         return space
@@ -589,10 +590,7 @@ def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) 
     kern = _build("kernel", build_kernel, cfg["kernel"], scale)
     form = (_build("kernel", form_mod.assemble, kern)
             if any(CHECKS[c["name"]].get("needs_form", True) for c in cfg["checks"]) else None)
-    # numpy.random, and OpenSSL's _hashlib through secrets and hmac, load only
-    # now, so neither is resident during the eigensolve; the seed is checked above
-    ctx = {"space": space, "scale": scale, "kernel": kern, "form": form,
-           "rng": np.random.default_rng(seed)}
+    ctx = {"space": space, "scale": scale, "kernel": kern, "form": form, "rng": Stream(seed)}
 
     output = cfg.get("output", {})
     out_dir = out_dir or Path(output.get("dir", "hk_out"))
@@ -651,7 +649,7 @@ def counterexample_report(epsilon: float, level: int, axes: int,
     field = cx.build_counterexample_field(config, space)
     kern = kernel_mod.build_cantor_axis_kernel(field)
     form = form_mod.assemble(kern)
-    rng = np.random.default_rng(0)
+    rng = Stream(0)
 
     grid = space_mod.dyadic_radius_grid(space)
     balls = form_mod.sample_balls(space, 3, grid[-2:], rng)

@@ -50,6 +50,7 @@ from .kernel import JumpKernel, energy_density, truncate
 from .report import MARGIN_TOL, ConditionReport, best_of, extremum, gate, gate_rows
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
 from .space import DENSE_MATRIX_CAP, BallQuery, FiniteMMSpace, _checked_ids, _chunked
+from .stream import Stream
 
 
 def _checked_times(t) -> np.ndarray:
@@ -756,7 +757,9 @@ def _interchange_integral(part_a: SpectralForm, part_b: SpectralForm,
 # ---------------------------------------------------------------------------
 
 def sample_balls(space: FiniteMMSpace, n_centers: int, radii: Iterable[float],
-                 rng: np.random.Generator) -> list[tuple[int, float]]:
+                 rng: Stream) -> list[tuple[int, float]]:
+    """Every radius in ``radii`` around ``n_centers`` distinct atoms drawn from
+    ``rng`` (all atoms when there are fewer)."""
     centers = rng.choice(space.n_points, size=min(n_centers, space.n_points),
                          replace=False)
     return [(int(c), float(r)) for c in centers for r in radii]
@@ -887,7 +890,7 @@ def _fk_bracket(variant: str, ratio_pow: float, damping: float, b: float,
 
 def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
                     nu: float, b: float, Cprime: float, delta: float,
-                    ball_sample, rng: np.random.Generator) -> ConditionReport:
+                    ball_sample, rng: Stream) -> ConditionReport:
     """Faber-Krahn family sweep.
 
     For each sampled ball B(x0, r) and subset D of its family, the
@@ -897,7 +900,7 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
     every sample.  Subsets whose bracket is nonpositive satisfy the display
     trivially and are skipped.  Reports never claim more than the sampled
     family.  FK and WFK skip radii r >= phi^-1(x0, delta * T0), infinite
-    when T0 is, and refuse delta <= 0.
+    when T0 is, and refuse delta <= 0.  ``rng`` draws the random subsets.
     """
     space = _space_shared_with(form, scale)
     if variant not in ("FK", "WFK", "GFK"):
@@ -918,14 +921,15 @@ def fk_family_check(form: SpectralForm, scale: ScaleField, variant: str,
 
 
 def _fk_sweep(form: SpectralForm, scale: ScaleField, variant: str, nu: float, b: float,
-              Cprime: float, delta: float, swept, rng: np.random.Generator) -> ConditionReport:
+              Cprime: float, delta: float, swept, rng: Stream) -> ConditionReport:
     """The report of :func:`fk_family_check` over ``swept``: (x0, r, its ball,
     phi(x0, r), the ball part's ground state and ``S``, further subsets) per
     ball.
 
     The family of a ball is the ball, its quarter and half sub-balls, three
-    super-level sets of the ground state, three random subsets and the
-    further subsets; a subset that repeats one of its ball is swept once.
+    super-level sets of the ground state, three random subsets drawn from
+    ``rng`` and the further subsets; a subset that repeats one of its ball is
+    swept once.
     lambda_1 comes from :func:`lambda1`, so a subset some part was solved on
     is not solved again, and any other subset's generator is sliced from the
     ball's part.
@@ -981,13 +985,14 @@ def nash_witness_constants(ball: BallQuery, phival: float, damping: float, nu: f
 
 
 def nash_check(form: SpectralForm, scale: ScaleField, nu: float, b: float, ball_sample,
-               rng: np.random.Generator) -> ConditionReport:
+               rng: Stream) -> ConditionReport:
     """Ball Nash-inequality sweep over a documented test family.
 
     The family per ball: low Dirichlet eigenfunctions of the ball part,
-    indicators of sub-balls, and random sign vectors, all L2-normalized and
-    supported in the ball.  The reported best constant is the largest
-    witness, i.e. the smallest C for which the display holds on the family.
+    indicators of sub-balls, and random sign vectors drawn from ``rng``, all
+    L2-normalized and supported in the ball.  The reported best constant is
+    the largest witness, i.e. the smallest C for which the display holds on
+    the family.
     """
     space = _space_shared_with(form, scale)
     _require_finite(nu=nu, b=b)
@@ -1029,7 +1034,7 @@ def _superlevel_subset(space: FiniteMMSpace, D: np.ndarray, f: np.ndarray) -> np
 
 
 def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: float,
-                        Cprime: float, ball_sample, rng: np.random.Generator) -> ConditionReport:
+                        Cprime: float, ball_sample, rng: Stream) -> ConditionReport:
     """Two-way consistency between the eigenvalue sweep and the Nash sweep.
 
     Forward: with the eigenvalue constant C_G measured over a subset family
@@ -1046,7 +1051,8 @@ def fk_nash_consistency(form: SpectralForm, scale: ScaleField, nu: float, b: flo
 
     Both chains are exact on a finite space: Markov's inequality, the normal
     contraction, and Cauchy-Schwarz are the only steps besides the measured
-    sweeps, so both margins must be nonnegative up to rounding.
+    sweeps, so both margins must be nonnegative up to rounding.  ``rng``
+    draws each ball's sign vector, then the GFK sweep's random subsets.
     """
     space = _space_shared_with(form, scale)
     _require_finite(nu=nu, b=b, Cprime=Cprime)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParameterError
 from .report import ConditionReport, gate
 from .space import FiniteMMSpace
+from .stream import Stream
 
 QUASI_METRIC_POINT_CAP = 512
 _AXIOM_PAIR_SAMPLE = 512                # points whose pairs verify_scale_axioms scans
@@ -145,7 +146,7 @@ def field_from_balls(space: FiniteMMSpace, anchors, beta1: float, beta2: float,
 # ---------------------------------------------------------------------------
 
 def verify_scale_axioms(scale: ScaleField, radius_grid,
-                        rng: np.random.Generator) -> ConditionReport:
+                        rng: Stream) -> ConditionReport:
     """Best constants for the scale-function axioms on a radius grid.
 
     Reports C1 = max over pairs (x, y) and grid radii r >= d(x,y) of
@@ -153,7 +154,9 @@ def verify_scale_axioms(scale: ScaleField, radius_grid,
     exponent bound (R/r)^beta1 / C2 <= phi(x,R)/phi(x,r) <= C2 (R/r)^beta2
     hold on the grid; and the off-point variant constant that controls
     phi(y,R)/phi(x,r) by ((R + d(x,y))/r)^beta2.  A declared 1-Lipschitz
-    field is scanned and a violation fails the verdict.
+    field is scanned and a violation fails the verdict.  Above
+    ``_AXIOM_PAIR_SAMPLE`` atoms the pairs are those of that many distinct
+    atoms drawn from ``rng``; at or below it ``rng`` is not read.
     """
     space = scale.space
     radii = np.asarray(radius_grid, dtype=float)

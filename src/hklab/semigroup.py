@@ -39,6 +39,7 @@ from .form import (SpectralForm, Truncation, _checked_times, _interchange_integr
                    _quarter_balls, default_time_grid, part_on, row_sum_residual)
 from .report import MARGIN_TOL, ConditionReport, best_of, extremum, gate, gate_rows
 from .scale import ScaleField, _space_shared_with, phi, phi_inverse
+from .stream import Stream
 
 _SE_TIMES_PER_A0 = 3                     # se_check times per a0, evenly spaced up to a0 * phi
 _DUE_PAIR_SAMPLE = 64                    # off-diagonal pairs per time in due_check
@@ -196,13 +197,14 @@ def te_check(form: SpectralForm, scale: ScaleField, T0: float, ball_sample,
 
 
 def due_check(form: SpectralForm, scale: ScaleField, T0: float, time_grid,
-              rng: np.random.Generator, k: float = 1.0) -> ConditionReport:
+              rng: Stream, k: float = 1.0) -> ConditionReport:
     """On-diagonal constant C = max of p(t,x,x) V(x, phi^-1(x,t)) for t < k T0.
 
     Also verifies the off-diagonal square-root-product bound
-    p(t,x,y) <= sqrt(p(t,x,x) p(t,y,y)) on sampled triples (an inner-product
-    inequality, exact up to rounding).  The atom reported at each time is
-    the :func:`hklab.report.extremum` of that time's values.
+    p(t,x,y) <= sqrt(p(t,x,x) p(t,y,y)) on pairs drawn from ``rng`` at each
+    time (an inner-product inequality, exact up to rounding).  The atom
+    reported at each time is the :func:`hklab.report.extremum` of that time's
+    values.
     """
     space = _space_shared_with(form, scale)
     if form.is_part:

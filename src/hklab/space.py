@@ -27,6 +27,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError, PointCapExceeded
+from .stream import Stream
 
 DEFAULT_POINT_CAP = 4096
 
@@ -453,10 +454,11 @@ def dyadic_radius_grid(space: FiniteMMSpace) -> np.ndarray:
 _METRIC_TOL = 1e-12
 
 
-def metric_axioms_ok(space: FiniteMMSpace, rng: np.random.Generator,
+def metric_axioms_ok(space: FiniteMMSpace, rng: Stream,
                      n_samples: int = 200_000) -> bool:
-    """Exhaustive triangle/symmetry scan for <= 200 points, triples drawn from
-    ``rng`` above, each comparison within ``_METRIC_TOL``."""
+    """Exhaustive triangle/symmetry scan for <= 200 points, ``n_samples``
+    triples drawn from ``rng`` above (one bulk ``integers`` draw), each
+    comparison within ``_METRIC_TOL``."""
     n = space.n_points
     if n <= 200:
         d = space.pairwise()

@@ -116,6 +116,12 @@ def chunk_budget(request, monkeypatch):
 
 
 @pytest.fixture
+def rng():
+    """The stream a run at seed 0 hands its checkers."""
+    return hk.Stream(0)
+
+
+@pytest.fixture
 def two_point():
     space = hk.build_two_point()
     kern = hk.build_uniform_kernel(space)

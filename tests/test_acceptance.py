@@ -142,7 +142,7 @@ def test_criterion_07_meyer_comparison():
 
 
 def test_criterion_08_fk_nash_two_way_consistency():
-    rng = np.random.default_rng(8)
+    rng = hk.Stream(8)
     configs = []
     sp = hk.build_cantor_product(1 / 3, 1, 5)
     configs.append((sp, hk.constant_field(sp, 0.8, T0=1.0), "cantor"))
@@ -168,7 +168,7 @@ def test_criterion_08_fk_nash_two_way_consistency():
 
 
 def test_criterion_09_survival_from_resolvent_chain():
-    rng = np.random.default_rng(9)
+    rng = hk.Stream(9)
     for seed in (1, 4):
         space, field, kern = random_setup(seed)
         form = hk.assemble(kern)

@@ -418,22 +418,33 @@ def test_runs_load_no_numpy_ma(tmp_path, argv):
     assert res.stdout.splitlines()[-1] == "0 False", res.stderr
 
 
-def test_the_form_is_assembled_before_numpy_random_and_hashlib_load(tmp_path):
-    # numpy.random imports secrets and hmac, which load OpenSSL's _hashlib;
-    # both were resident through the eigensolve when the run made its
-    # generator first, and report.py imported hashlib at the top.  A fresh
-    # interpreter: pytest has loaded both
-    code = ("import sys\n"
-            "from hklab import cli, form\n"
-            "assemble, loaded = form.assemble, []\n"
-            "def assemble_and_look(kernel):\n"
-            "    out = assemble(kernel)\n"
-            "    loaded.append([m for m in ('numpy.random', '_hashlib') if m in sys.modules])\n"
-            "    return out\n"
-            "form.assemble = assemble_and_look\n"
-            "print(cli.main(sys.argv[1:]), loaded[0])")
-    config = write_config(tmp_path, CANTOR_CFG)
-    res = subprocess.run([sys.executable, "-c", code, "run", "--config", str(config),
+WORKLOAD_DIR = CONFIG_DIR.parent / "perfbench" / "workloads"
+
+
+def custom_metric_config(n):
+    """n atoms on a line under their metric matrix: above 200 atoms the
+    metric check draws its triples"""
+    x = np.arange(n, dtype=float) / n
+    return dict(CANTOR_CFG, space=custom_space(np.abs(x[:, None] - x[None, :]).tolist(),
+                                               [(v,) for v in x]))
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["run", "--config", str(WORKLOAD_DIR / "sweep_256.json")],
+    lambda tmp: ["run", "--config", str(WORKLOAD_DIR / "spectral_2048.json")],
+    lambda tmp: ["run", "--config", str(CONFIG_DIR / "two_point_smoke.json")],
+    lambda tmp: ["run", "--config", str(write_config(tmp, custom_metric_config(201)))],
+    lambda tmp: ["counterexample", "report", "--epsilon", "4", "--levels", "4", "--axes", "2"]],
+    ids=["sweep_256", "spectral_2048", "two_point_smoke", "custom_metric_201", "counterexample"])
+def test_runs_load_neither_numpy_random_nor_openssl(tmp_path, argv):
+    # numpy.random imports secrets and hmac, which load OpenSSL's _hashlib,
+    # and hashlib loads it too: the draws come from hklab's Stream and the
+    # config hash is computed in Python.  A fresh interpreter: pytest has
+    # loaded all of them
+    code = ("import sys; from hklab import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, [m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib', "
+            "'hashlib') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code, *argv(tmp_path),
                           "--out", str(tmp_path / "o")],
                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert res.stdout.splitlines()[-1] == "0 []", res.stderr
@@ -597,7 +608,7 @@ def test_a_check_that_needs_no_form_runs_without_one(name):
     space = hklab.build_cantor_product(1 / 3, 2, 3)
     scale = hklab.constant_field(space, 0.8, T0=1.0)
     ctx = {"space": space, "scale": scale, "kernel": hklab.build_uniform_kernel(space),
-           "form": None, "rng": np.random.default_rng(0)}
+           "form": None, "rng": hklab.Stream(0)}
     entry = cli.CHECKS[name]
     report = entry["fn"](ctx, cli._resolve_params(entry["params"], {}, ctx))
     assert isinstance(report, ConditionReport) and report.series

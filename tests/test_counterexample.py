@@ -169,7 +169,7 @@ def test_desk_scale_conditions_all_finite():
     field = hk.build_counterexample_field(cfg, sp)
     kern = hk.build_cantor_axis_kernel(field)
     form = hk.assemble(kern)
-    rng = np.random.default_rng(0)
+    rng = hk.Stream(0)
     grid = hk.dyadic_radius_grid(sp)
     balls = hk.sample_balls(sp, 2, grid[-2:], rng)
 

@@ -304,7 +304,7 @@ def test_checks_that_measure_nothing_do_not_pass(cantor6):
                hk.capacity_check(kern, scale, []),
                hk.te_check(form, scale, 1.0, [], times),
                hk.due_check(form, scale, 1.0, times, k=0.05,
-                            rng=np.random.default_rng(0))]
+                            rng=hk.Stream(0))]
     for rep in reports:
         assert rep.series == [] and rep.passed is False and rep.notes, rep.condition
 
@@ -325,7 +325,7 @@ def test_fk_ball_itself_reduces_to_lambda_phi(cantor6):
     form = hk.assemble(kern)
     x0, r = 0, 0.25
     rep = hk.fk_family_check(form, scale, "FK", 0.5, 1.0, 1.0, 0.5,
-                             [(x0, r)], np.random.default_rng(0))
+                             [(x0, r)], hk.Stream(0))
     ball = space.ball(x0, r)
     direct = hk.lambda1(form, ball.member_idx) * hk.phi(scale, x0, r)
     whole_rows = [row for row in rep.series if row["size_D"] == ball.member_idx.size]
@@ -337,7 +337,7 @@ def test_fk_two_point_closed_form(two_point):
     field = hk.constant_field(space, 1.0)
     nu = 0.7
     rep = hk.fk_family_check(form, field, "FK", nu, 1.0, 1.0, 0.5, [(0, 2.0)],
-                             np.random.default_rng(0))
+                             hk.Stream(0))
     # subset {atom 0} inside the whole-space ball: lambda1 = 1, V/mu(D) = 2
     expected = 1.0 * hk.phi(field, 0, 2.0) / 2.0**nu
     singles = [row["C"] for row in rep.series if row["size_D"] == 1]
@@ -355,7 +355,7 @@ def test_fk_family_check_refuses_an_unknown_variant_before_it_sweeps(cantor6, sa
     form = hk.assemble(kern)
     with pytest.raises(ParameterError, match="unknown variant 'wfk'"):
         hk.fk_family_check(form, scale, "wfk", 0.5, 1.0, 1.0, 0.5, sample,
-                           np.random.default_rng(0))
+                           hk.Stream(0))
 
 
 @pytest.mark.parametrize("T0", [1.0, math.inf])
@@ -371,10 +371,10 @@ def test_fk_and_wfk_refuse_a_nonpositive_delta_at_every_horizon(T0, delta):
         for sample in ([(0, 0.25)], []):
             with pytest.raises(ParameterError, match=f"delta must be positive for {variant}"):
                 hk.fk_family_check(form, scale, variant, 0.5, 1.0, 1.0, delta, sample,
-                                   np.random.default_rng(0))
+                                   hk.Stream(0))
     # GFK reads no delta
     rep = hk.fk_family_check(form, scale, "GFK", 0.5, 1.0, 1.0, delta, [(0, 0.25)],
-                             np.random.default_rng(0))
+                             hk.Stream(0))
     assert rep.passed and math.isfinite(rep.best_constant)
 
 
@@ -385,7 +385,7 @@ def test_gfk_with_derived_exponent_finite(cantor6):
     alpha_hat, _ = hk.fit_vd_exponent(space, radii)
     nu = scale.beta1 / alpha_hat
     b = (1 + nu) * alpha_hat / scale.beta1
-    rng = np.random.default_rng(0)
+    rng = hk.Stream(0)
     balls = hk.sample_balls(space, 3, [0.2, 0.45], rng)
     rep = hk.fk_family_check(form, scale, "GFK", nu, b, 1.0, 0.5, balls,
                              rng=rng)
@@ -416,12 +416,12 @@ def test_nash_zero_kernel_finite():
     sp = hk.build_grid(1, 12)
     field = hk.constant_field(sp, 1.0, T0=1.0)
     form = hk.assemble(hk.build_zero_kernel(sp))
-    rep = hk.nash_check(form, field, 0.5, 1.0, [(0, 0.6)], np.random.default_rng(0))
+    rep = hk.nash_check(form, field, 0.5, 1.0, [(0, 0.6)], hk.Stream(0))
     assert math.isfinite(rep.best_constant) and rep.best_constant > 0
 
 
 def test_fk_nash_consistency_two_configs():
-    rng = np.random.default_rng(11)
+    rng = hk.Stream(11)
     for build in (lambda: hk.build_cantor_product(1 / 3, 1, 5),
                   lambda: hk.build_grid(1, 24)):
         sp = build()
@@ -447,7 +447,7 @@ def test_fk_nash_consistency_reuses_its_parts(monkeypatch):
     monkeypatch.setattr(hk.form, "part_on", lambda f, D: calls.append(D) or part_on(f, D))
     rep = hk.fk_nash_consistency(form, field, nu=0.6, b=1.0, Cprime=1.0,
                                  ball_sample=[(0, 0.25), (27, 0.5)],
-                                 rng=np.random.default_rng(3))
+                                 rng=hk.Stream(3))
     assert rep.passed
     # 43 when the backward chain re-solved 8 parts, 35 when the GFK sweep
     # re-solved 9, 26 when a super-level set equal to the ball re-solved it
@@ -464,10 +464,10 @@ def test_nash_and_fk_sweeps_compute_phi_once_per_ball(monkeypatch, check):
     sp = hk.build_cantor_product(1 / 3, 2, 3)
     field = hk.constant_field(sp, 0.8, T0=1.0)
     form = hk.assemble(hk.build_cantor_axis_kernel(field))
-    balls = hk.sample_balls(sp, 4, hk.dyadic_radius_grid(sp)[-3:], np.random.default_rng(0))
+    balls = hk.sample_balls(sp, 4, hk.dyadic_radius_grid(sp)[-3:], hk.Stream(0))
     phi, calls = hk.form.phi, []
     monkeypatch.setattr(hk.form, "phi", lambda *args: calls.append(args) or phi(*args))
-    rng = np.random.default_rng(3)
+    rng = hk.Stream(3)
     rep = {"nash_check": lambda: hk.nash_check(form, field, 1.2, 1.0, balls, rng),
            "fk_nash_consistency": lambda: hk.fk_nash_consistency(
                form, field, 1.2, 1.0, 1.0, balls, rng),
@@ -483,11 +483,11 @@ def test_fk_passes_where_due_confirmed():
     field = hk.constant_field(sp, 1.0, T0=1.0)
     kern = hk.build_stable_like_kernel(field)
     form = hk.assemble(kern)
-    due = hk.due_check(form, field, 1.0, [0.01, 0.05, 0.2], np.random.default_rng(0))
+    due = hk.due_check(form, field, 1.0, [0.01, 0.05, 0.2], hk.Stream(0))
     assert math.isfinite(due.best_constant)
     radii = np.sort(2.0 ** -np.arange(2, 6, dtype=float))
     alpha_hat, _ = hk.fit_vd_exponent(sp, radii)
-    rng = np.random.default_rng(2)
+    rng = hk.Stream(2)
     rep = hk.fk_family_check(form, field, "FK", field.beta1 / alpha_hat, 1.0, 1.0, 0.5,
                              hk.sample_balls(sp, 3, [0.2, 0.4], rng), rng=rng)
     assert rep.passed and rep.best_constant > 0
@@ -566,8 +566,8 @@ def test_each_part_checks_its_domain_once(monkeypatch, cantor6):
     monkeypatch.setattr(hk.form, "part_on", lambda f, D: parts.append(1) or part_on(f, D))
     checked.clear()
     hk.fk_family_check(form, scale, "FK", 0.5, 1.0, 1.0, 0.5,
-                       hk.sample_balls(space, 4, [0.2, 0.4], np.random.default_rng(0)),
-                       np.random.default_rng(1))
+                       hk.sample_balls(space, 4, [0.2, 0.4], hk.Stream(0)),
+                       hk.Stream(1))
     assert len(checked) == len(parts) > 0
 
 
@@ -1135,8 +1135,8 @@ def test_checks_on_a_split_form_allocate_no_square_array():
     form = hk.assemble(hk.build_cantor_axis_kernel(scale))
     times = hk.form.default_time_grid(form)
     balls = hk.sample_balls(space, 8, hk.dyadic_radius_grid(space)[-3:],
-                            np.random.default_rng(0))
-    rng = np.random.default_rng(0)
+                            hk.Stream(0))
+    rng = hk.Stream(0)
     square = space.n_points**2 * 8
     tracemalloc.start()
     try:
@@ -1396,7 +1396,7 @@ def test_a_part_on_every_atom_is_refused_where_the_full_form_is_needed():
     for refused in (lambda: hk.part_on(part, [0, 1, 2]),
                     lambda: hk.te_check(part, scale, 1.0, balls, [0.1]),
                     lambda: hk.due_check(part, scale, 1.0, [0.1],
-                                         np.random.default_rng(0))):
+                                         hk.Stream(0))):
         with pytest.raises(ParameterError, match="full-space"):
             refused()
 

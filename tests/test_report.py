@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import pathlib
 
@@ -87,9 +88,9 @@ def product64():
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEPS))
-def test_every_sweep_witness_is_a_projection_of_its_first_best_row(product64, name):
+def test_every_sweep_witness_is_a_projection_of_its_first_best_row(product64, name, rng):
     call, key, keys, lowest = _SWEEPS[name]
-    rep = call(*product64, np.random.default_rng(0))
+    rep = call(*product64, rng)
     best = rep.best_constant
     assert rep.series and math.isfinite(best) and (lowest or best > 0)
     first = next(row for row in rep.series if abs(row[key] - best) <= 1e-12 * abs(best))
@@ -235,3 +236,27 @@ def test_no_module_but_report_decides_a_verdict():
     found = {f"{path.name}:{owner}" for path in sorted(package.glob("*.py"))
              if path.name != "report.py" for owner in _verdict_sites(path.read_text())}
     assert found == set()
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+COMMITTED_CONFIGS = sorted([*(REPO / "configs").glob("*.json"),
+                            *(REPO / "perfbench" / "workloads").glob("*.json")])
+
+
+@pytest.mark.parametrize("path", COMMITTED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_config_hash_is_sha256_of_the_canonical_json(path):
+    import hashlib      # the oracle; the package computes SHA-256 itself
+
+    cfg = json.loads(path.read_text())
+    want = hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
+    assert report_mod.config_hash(cfg) == want
+
+
+def test_sha256_crosses_every_padding_boundary():
+    # lengths 0-130 cross the one- and two-block paddings at 55/56, 63/64 and
+    # 119/120 bytes
+    import hashlib
+
+    for n in range(131):
+        data = bytes((7 * i + n) % 256 for i in range(n))
+        assert report_mod._sha256(data) == hashlib.sha256(data).hexdigest(), n

@@ -93,30 +93,30 @@ def test_phi_and_its_inverse_broadcast_atoms_against_radii():
     assert type(hk.phi(field, 3, 0.3)) is float and type(hk.phi_inverse(field, 3, 0.3)) is float
 
 
-def test_scale_axioms_constant_field():
+def test_scale_axioms_constant_field(rng):
     sp = hk.build_cantor_product(1 / 3, 1, 5)
     field = hk.constant_field(sp, 0.8)
-    rep = hk.verify_scale_axioms(field, hk.dyadic_radius_grid(sp), np.random.default_rng(0))
+    rep = hk.verify_scale_axioms(field, hk.dyadic_radius_grid(sp), rng)
     assert rep.passed
     assert rep.witness["C1"] == pytest.approx(1.0, abs=1e-12)
     assert rep.witness["C2"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scale_axioms_counterexample_field():
+def test_scale_axioms_counterexample_field(rng):
     cfg = hk.synthesize_config(0.5, level=5)
     sp = hk.build_cantor_product(cfg.xi, 2, 3)
     field = hk.build_counterexample_field(cfg, sp)
-    rep = hk.verify_scale_axioms(field, hk.dyadic_radius_grid(sp), np.random.default_rng(0))
+    rep = hk.verify_scale_axioms(field, hk.dyadic_radius_grid(sp), rng)
     assert rep.passed
     assert math.isfinite(rep.witness["C1"])
     assert rep.witness["C1"] >= 1.0
 
 
-def test_scale_axioms_flags_lipschitz_violation():
+def test_scale_axioms_flags_lipschitz_violation(rng):
     sp = hk.build_two_point()
     field = hk.field_from_table(sp, [0.5, 1.9], beta1=0.5, beta2=1.9,
                                 lipschitz=True)    # jump 1.4 over distance 1
-    rep = hk.verify_scale_axioms(field, [0.5, 1.0], np.random.default_rng(0))
+    rep = hk.verify_scale_axioms(field, [0.5, 1.0], rng)
     assert rep.passed is False
     assert rep.witness["lipschitz_excess"] > 0
 
@@ -186,7 +186,7 @@ def _axiom_case(case):
 def test_streamed_scale_axioms_equal_the_unstreamed_scan(case):
     sp, field = _axiom_case(case)
     radii = hk.dyadic_radius_grid(sp)
-    rep = hk.verify_scale_axioms(field, radii, rng=np.random.default_rng(0))
+    rep = hk.verify_scale_axioms(field, radii, rng=hk.Stream(0))
     c1, witness, series, passed = unstreamed_scale_axioms(field, sp, radii,
                                                           np.random.default_rng(0))
     assert canonical_json([rep.best_constant, rep.witness, rep.series, rep.passed]) == \
@@ -201,7 +201,7 @@ def test_scale_axioms_allocate_under_two_square_pair_arrays():
     # ratio and bound matrices (4.0 square arrays)
     sp, field = _axiom_case("tied_product")
     radii = hk.dyadic_radius_grid(sp)
-    rng = np.random.default_rng(0)
+    rng = hk.Stream(0)
     square = sp.n_points**2 * 8
     tracemalloc.start()
     try:
@@ -470,7 +470,7 @@ def test_a_form_or_kernel_with_an_order_field_of_another_space_is_refused(name):
     # ...) on a 256-atom product and the 16 x 16 grid reported 2.0036, a pass,
     # and tj_check 2.857; an equal space built twice is another space too
     a, kernel_on_a, form_on_a, scale_on_b = _mixed_spaces()
-    rng = np.random.default_rng(0)
+    rng = hk.Stream(0)
     for scale in (scale_on_b, hk.constant_field(hk.build_cantor_product(1 / 3, 2, 3), 0.8)):
         with pytest.raises(ParameterError, match="built on different spaces"):
             _MIXED_CALLS[name](kernel_on_a, form_on_a, scale, rng)
@@ -512,7 +512,7 @@ def test_a_nan_parameter_is_refused(name):
     a, _, form_on_a, _ = _mixed_spaces()
     with pytest.raises(ParameterError, match="must be"):
         _NAN_CALLS[name](form_on_a, hk.constant_field(a, 0.8, T0=1.0),
-                         np.random.default_rng(0))
+                         hk.Stream(0))
 
 
 def test_a_form_reads_its_space_from_its_kernel():

@@ -278,7 +278,7 @@ def test_spectral_operations_read_only_the_basis_protocol(case):
     balls = [(0, 0.25), (5, 0.5)]
     checks = [hk.heat_kernel_invariants, hk.conservativeness_check]
     if case != "part":                                 # these two refuse a part
-        checks += [lambda g: hk.due_check(g, scale, 1.0, times, np.random.default_rng(0)),
+        checks += [lambda g: hk.due_check(g, scale, 1.0, times, hk.Stream(0)),
                    lambda g: hk.te_check(g, scale, 1.0, balls, times)]
     for check in checks:
         assert check(bare).to_json() == check(form).to_json()
@@ -305,7 +305,7 @@ _TIME_ENTRY_POINTS = {
         form, times=[0.1, t]),
     "te_check": lambda form, scale, t: hk.te_check(form, scale, 1.0, [(0, 0.25)], [0.1, t]),
     "due_check": lambda form, scale, t: hk.due_check(form, scale, 1.0, [0.1, t],
-                                                     np.random.default_rng(0)),
+                                                     hk.Stream(0)),
     "truncation_semigroup_check": lambda form, scale, t: hk.truncation_semigroup_check(
         hk.Truncation(form, 0.25), np.ones(form.domain.size), [0.1, t]),
 }
@@ -406,7 +406,7 @@ def test_dirichlet_domination(cantor6):
 def test_se_check_floor_positive(cantor6):
     space, scale, kern = cantor6
     form = hk.assemble(kern)
-    rng = np.random.default_rng(0)
+    rng = hk.Stream(0)
     rep = hk.se_check(form, scale, hk.sample_balls(space, 3, [0.25, 0.45], rng))
     assert rep.passed and rep.best_constant > 0
     assert all(row["eps0"] is None or 0 <= row["eps0"] <= 1 for row in rep.series)
@@ -465,7 +465,7 @@ def _te_per_ball(form, space, scale, T0, ball_sample, time_grid):
 def test_te_batched_matches_per_ball_reference(seed):
     space, scale, kern = random_setup(seed)
     form = hk.assemble(kern)
-    rng = np.random.default_rng(seed)
+    rng = hk.Stream(seed)
     balls = hk.sample_balls(space, 4, [0.05, 0.2, 0.6], rng)
     times = list(default_time_grid(form))
     rep = hk.te_check(form, scale, 1.0, balls, times)
@@ -501,29 +501,29 @@ def test_apply_semigroup_columns_and_vectors():
     assert form.apply_semigroup([], F).shape == (0, *F.shape)
 
 
-def test_due_two_point_bounded(two_point):
+def test_due_two_point_bounded(two_point, rng):
     space, _, form = two_point
     field = hk.constant_field(space, 1.0)
     for t in (0.1, 0.5, 0.9):
         p = form.heat_kernel(t)
         v = space.volume(0, 1.5)
         assert p[0, 0] * v <= 2.0 + 1e-12
-    rep = hk.due_check(form, field, 1.0, [0.1, 0.5, 0.9], np.random.default_rng(0))
+    rep = hk.due_check(form, field, 1.0, [0.1, 0.5, 0.9], rng)
     assert rep.passed
     assert rep.witness["sqrt_product_residual"] <= 1e-10
 
 
-def test_due_plotdata_columns(cantor6):
+def test_due_plotdata_columns(cantor6, rng):
     space, scale, kern = cantor6
     form = hk.assemble(kern)
-    rep = hk.due_check(form, scale, 1.0, [0.02, 0.1, 0.5], np.random.default_rng(0))
+    rep = hk.due_check(form, scale, 1.0, [0.02, 0.1, 0.5], rng)
     for row in rep.series:
         assert {"t", "p_diag", "due_bound", "ratio"} <= set(row)
 
 
 def _due_tie_rows(space, scale, kern):
     form = hk.assemble(kern)
-    rep = hk.due_check(form, scale, 1.0, default_time_grid(form), np.random.default_rng(0))
+    rep = hk.due_check(form, scale, 1.0, default_time_grid(form), hk.Stream(0))
     ids = np.arange(space.n_points)
     return rep, [np.diag(form.heat_kernel(row["t"]))
                  * space.volumes_at(hk.phi_inverse(scale, ids, row["t"])) for row in rep.series]
@@ -770,7 +770,7 @@ def test_meyer_interchange_matches_van_loan_block_exponential():
 def test_se_from_lre_chain_margins(cantor6):
     space, scale, kern = cantor6
     form = hk.assemble(kern)
-    rng = np.random.default_rng(4)
+    rng = hk.Stream(4)
     balls = hk.sample_balls(space, 3, [0.2, 0.45], rng)
     rep = hk.se_from_lre_chain(form, scale, 1.0, balls)
     assert rep.passed
@@ -827,7 +827,7 @@ def cantor_2x3():
     kern = hk.build_cantor_axis_kernel(scale)
     form = hk.assemble(kern)
     balls = hk.sample_balls(space, 4, hk.dyadic_radius_grid(space)[-3:],
-                            np.random.default_rng(3))
+                            hk.Stream(3))
     return space, scale, kern, form, balls
 
 
