@@ -122,7 +122,7 @@ def build_space(cfg: dict) -> space_mod.FiniteMMSpace:
                            _field(cfg, "metric_matrix", "space", _float_array)))
         d = space.metric_matrix
         if d is not None and not (np.all(np.diag(d) == 0) and np.array_equal(d, d.T)
-                                  and space_mod.metric_axioms_ok(space, Stream(0))):
+                                  and space_mod.metric_axioms_ok(space)):
             raise SchemaError("space.metric_matrix", "not a metric: needs a zero diagonal, "
                                                      "symmetry and the triangle inequality")
         return space
@@ -581,10 +581,24 @@ def _build(path: str, build, *args):
         raise SchemaError(path, str(exc)) from exc
 
 
+def _not_a_directory(out_dir: Path) -> str | None:
+    """Why ``out_dir`` cannot be made or written into as a directory: it, or a
+    directory above it, is something else; None when nothing is in the way."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            return f"{str(out_dir)!r} is not a directory: {str(path)!r} is a file"
+    return None
+
+
 def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) -> int:
     """Run ``cfg``; ``out_dir`` defaults to the config's output.dir, else hk_out."""
     set_params = _validate_config(cfg)
     seed = _convert(_seed, cfg.get("seed", 0) if seed is None else seed, "seed")
+    output = cfg.get("output", {})
+    out_field = "--out" if out_dir else "output.dir"
+    out_dir = out_dir or Path(output.get("dir", "hk_out"))
+    if problem := _not_a_directory(out_dir):
+        raise SchemaError(out_field, problem)
     space = _build("space", build_space, cfg["space"])
     scale = _build("scale", build_scale, cfg["scale"], space)
     kern = _build("kernel", build_kernel, cfg["kernel"], scale)
@@ -592,8 +606,6 @@ def run_config(cfg: dict, out_dir: Path | None = None, seed: int | None = None) 
             if any(CHECKS[c["name"]].get("needs_form", True) for c in cfg["checks"]) else None)
     ctx = {"space": space, "scale": scale, "kernel": kern, "form": form, "rng": Stream(seed)}
 
-    output = cfg.get("output", {})
-    out_dir = out_dir or Path(output.get("dir", "hk_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     formats = output.get("formats", ["json", "csv"])
     summary_checks = []
@@ -638,6 +650,8 @@ def counterexample_report(epsilon: float, level: int, axes: int,
         raise ParameterError(f"--levels must be in 2..16, got {level}")
     if axes < 1:
         raise ParameterError(f"--axes must be at least 1, got {axes}")
+    if problem := _not_a_directory(out_dir):
+        raise ParameterError(f"--out {problem}")
     config = cx.synthesize_config(epsilon, xi=None, level=level)
     exponents = cx.exponent_report(config)
 
@@ -668,7 +682,9 @@ def counterexample_report(epsilon: float, level: int, axes: int,
         "config": {"epsilon": config.epsilon, "xi": str(config.xi), "n": config.n,
                    "alpha_xi": config.alpha_xi, "beta1": config.beta1,
                    "beta2": config.beta2, "gamma": config.gamma, "nu": config.nu,
-                   "desk_axes": axes, "level": level},
+                   "desk_axes": axes, "level": level,
+                   "field_notes": {key: field.meta[key] for key in ("regime", "plateau_clamped")
+                                   if key in field.meta}},
         "exponents": exponents,
         "condition_reports": reports,                 # converted once, by canonical_json
         "diagnostic_series": diagnostic,
@@ -714,8 +730,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg_path = Path(args.config)
             try:
-                cfg = json.loads(cfg_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError, RecursionError) as exc:    # not UTF-8, nor JSON
                 print(f"config error: {exc}", file=sys.stderr)
                 return EXIT_SCHEMA
             return run_config(cfg, Path(args.out) if args.out else None, seed=args.seed)

@@ -13,6 +13,7 @@ each atom it reports in a row from :func:`extremum`, the one tie rule.
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -119,49 +120,16 @@ def canonical_json(obj: Any) -> str:
 
 
 def config_hash(config: dict) -> str:
-    """The SHA-256 hex digest of the config's canonical JSON."""
-    return _sha256(canonical_json(config).encode("utf-8"))
-
-
-def _icbrt(n: int) -> int:
-    x = round(n ** (1 / 3))
-    while x**3 > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
-
-
-# SHA-256's constants (FIPS 180-4, 4.2.2 and 5.3.3): the first 32 bits of the
-# fractional parts of the cube roots of the first 64 primes, and of the square
-# roots of the first 8
-_PRIMES = [p for p in range(2, 312) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-_SHA_K = [_icbrt(p << 96) & 0xFFFFFFFF for p in _PRIMES]
-_SHA_H = [math.isqrt(p << 64) & 0xFFFFFFFF for p in _PRIMES[:8]]
-
-
-def _sha256(data: bytes) -> str:
-    """SHA-256 of ``data`` as hex, in Python: ``hashlib`` loads OpenSSL."""
-    def rotr(x, n):
-        return (x >> n | x << (32 - n)) & 0xFFFFFFFF
-
-    h = list(_SHA_H)
-    data += b"\x80" + bytes((55 - len(data)) % 64) + (8 * len(data)).to_bytes(8, "big")
-    for block in range(0, len(data), 64):
-        w = [int.from_bytes(data[i:i + 4], "big") for i in range(block, block + 64, 4)]
-        for i in range(16, 64):
-            s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ w[i - 15] >> 3
-            s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ w[i - 2] >> 10
-            w.append((w[i - 16] + s0 + w[i - 7] + s1) & 0xFFFFFFFF)
-        a, b, c, d, e, f, g, k = h
-        for i in range(64):
-            t1 = (k + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e & f ^ ~e & g)
-                  + _SHA_K[i] + w[i])
-            t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a & b ^ a & c ^ b & c)
-            e, f, g, k = (d + t1) & 0xFFFFFFFF, e, f, g      # d before it shifts
-            a, b, c, d = (t1 + t2) & 0xFFFFFFFF, a, b, c
-        h = [(x + y) & 0xFFFFFFFF for x, y in zip(h, (a, b, c, d, e, f, g, k))]
-    return "".join(f"{x:08x}" for x in h)
+    """The SHA-256 hex digest of the config's canonical JSON, from CPython's
+    built-in module, which loads no OpenSSL; ``hashlib`` only without it."""
+    try:
+        from _sha2 import sha256                # 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            sha256 = importlib.import_module("hashlib").sha256
+    return sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
 def gate_rows(report: ConditionReport, key: str) -> ConditionReport:

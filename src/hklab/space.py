@@ -27,7 +27,6 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError, PointCapExceeded
-from .stream import Stream
 
 DEFAULT_POINT_CAP = 4096
 
@@ -450,19 +449,25 @@ def dyadic_radius_grid(space: FiniteMMSpace) -> np.ndarray:
 # Metric-axiom scan
 # ---------------------------------------------------------------------------
 
-# Absolute slack of every comparison in the metric-axiom scan.
+# Absolute slack of every comparison in the metric-axiom scan, and the
+# triples it takes above 200 atoms: the first points t = 1, 2, ... of Roberts'
+# R3 lattice, frac(t g^-m) for m = 1, 2, 3, with g > 1 the root of g^4 = g + 1.
+# Not the plastic number (g^3 = g + 1): its three powers are rationally
+# dependent, so its triples lie on planes and can pass over an atom.
 _METRIC_TOL = 1e-12
+_METRIC_TRIPLES = 200_000
+_R3 = tuple(1.2207440846057596 ** -m for m in (1, 2, 3))
 
 
-def metric_axioms_ok(space: FiniteMMSpace, rng: Stream,
-                     n_samples: int = 200_000) -> bool:
-    """Exhaustive triangle/symmetry scan for <= 200 points, ``n_samples``
-    triples drawn from ``rng`` above (one bulk ``integers`` draw), each
-    comparison within ``_METRIC_TOL``."""
+def metric_axioms_ok(space: FiniteMMSpace) -> bool:
+    """Symmetry, a zero diagonal, nonnegativity and the triangle inequality,
+    each within ``_METRIC_TOL``: on every triple up to 200 atoms, and above
+    on the (i, j, k) = floor(N frac(t g^-m)) of the R3 lattice, in
+    ``_chunked`` pieces.  It draws nothing, so every run gives one verdict."""
     n = space.n_points
     if n <= 200:
         d = space.pairwise()
-        if not np.allclose(d, d.T, atol=_METRIC_TOL):
+        if not np.all(np.abs(d - d.T) <= _METRIC_TOL):
             return False
         if np.any(np.abs(np.diag(d)) > _METRIC_TOL) or np.any(d < -_METRIC_TOL):
             return False
@@ -470,8 +475,11 @@ def metric_axioms_ok(space: FiniteMMSpace, rng: Stream,
             if np.any(d > d[:, [k]] + d[[k], :] + _METRIC_TOL):
                 return False
         return True
-    i, j, k = rng.integers(0, n, size=(n_samples, 3)).T
-    dij, djk, dik = space._dist_pairs(i, j), space._dist_pairs(j, k), space._dist_pairs(i, k)
-    broken = dik > dij + djk + _METRIC_TOL
-    broken |= np.abs(dij - space._dist_pairs(j, i)) > _METRIC_TOL
-    return not broken.any()
+    for t in _chunked(range(1, _METRIC_TRIPLES + 1), 3):
+        lattice = np.multiply.outer(np.arange(t.start, t.stop), _R3) % 1.0
+        i, j, k = (n * lattice).astype(np.int64).T
+        dij = space._dist_pairs(i, j)
+        if (np.any(space._dist_pairs(i, k) > dij + space._dist_pairs(j, k) + _METRIC_TOL)
+                or np.any(np.abs(dij - space._dist_pairs(j, i)) > _METRIC_TOL)):
+            return False
+    return True

@@ -13,7 +13,6 @@ load OpenSSL.  Any other call form is refused with a ``ParameterError``.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
@@ -36,14 +35,6 @@ _POOL = 4
 # above this population once k exceeds population // _TAIL_DIVISOR
 _TAIL_POPULATION = 10_000
 _TAIL_DIVISOR = 50
-
-# below this many 64-bit outputs a Python loop is quicker than a block fill;
-# a block fill jumps ahead _BLOCK states at a time, and a bulk draw takes
-# _CHUNK words at a time, so it holds a few arrays of that size beside its output
-_BULK = 256
-_BLOCK = 1 << 13
-_CHUNK = 1 << 17
-
 
 def _seed_state(seed: int) -> tuple[int, int]:
     """PCG64's (state, increment) after ``PCG64(SeedSequence(seed))``."""
@@ -90,47 +81,6 @@ def _xsl_rr(state: int) -> int:
     return (x >> rot | x << (64 - rot)) & _M64
 
 
-# 128-bit arithmetic on arrays of numbers mod 2**128, as (high, low) uint64 limbs
-
-def _mul(hi, lo, y: int):
-    """(hi, lo) * y mod 2**128, for a Python int y."""
-    y_lo, y_hi = y & _M64, y >> 64
-    x0, x1 = lo & _M32, lo >> 32
-    y0, y1 = np.uint64(y_lo & _M32), np.uint64(y_lo >> 32)
-    t = x0 * y0
-    u = x1 * y0 + (t >> 32)
-    v = x0 * y1 + (u & _M32)
-    carry = x1 * y1 + (u >> 32) + (v >> 32)         # the high half of lo * y_lo
-    return carry + hi * np.uint64(y_lo) + lo * np.uint64(y_hi), lo * np.uint64(y_lo)
-
-
-def _add(hi, lo, y_hi, y_lo):
-    low = lo + y_lo
-    return hi + y_hi + (low < lo).astype(np.uint64), low
-
-
-@functools.cache
-def _jump_tables():
-    """(a^k, sum of a^i for i < k) for k = 1.._BLOCK, as read-only limbs: the
-    state k steps on from s is a^k s + (sum of a^i) inc.  Built by doubling
-    on the first block fill, and kept (256 kB): a shorter fill reads a prefix."""
-    size = _BLOCK
-    a_hi, a_lo, c_hi, c_lo = tables = tuple(np.empty(size, dtype=np.uint64) for _ in range(4))
-    a_hi[0], a_lo[0], c_hi[0], c_lo[0] = _MULT >> 64, _MULT & _M64, 0, 1
-    a_m, c_m, m = _MULT, 1, 1                         # a^m and its sum, m filled
-    while m < size:
-        k = min(m, size - m)
-        a_hi[m:m + k], a_lo[m:m + k] = _mul(a_hi[:k], a_lo[:k], a_m)
-        c_hi[m:m + k], c_lo[m:m + k] = _add(*_mul(c_hi[:k], c_lo[:k], a_m),
-                                            np.uint64(c_m >> 64), np.uint64(c_m & _M64))
-        c_m = (c_m + a_m * c_m) & _M128
-        a_m = a_m * a_m & _M128
-        m += k
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 class Stream:
     """``np.random.default_rng(seed)``'s draws for the call forms the checks
     use; ``seed`` is a whole number >= 0 of any size."""
@@ -153,56 +103,11 @@ class Stream:
         self._half = out >> 32
         return out & _M32
 
-    def _raw(self, count: int) -> np.ndarray:
-        """The next ``count`` 64-bit outputs."""
-        if count < _BULK:
-            return np.array([self._next64() for _ in range(count)], dtype=np.uint64)
-        size = min(_BLOCK, 1 << (count - 1).bit_length())
-        a_hi, a_lo, c_hi, c_lo = (table[:size] for table in _jump_tables())
-        d_hi, d_lo = _mul(c_hi, c_lo, self._inc)
-        out = np.empty(count, dtype=np.uint64)
-        for start in range(0, count, size):
-            hi, lo = _add(*_mul(a_hi, a_lo, self._state), d_hi, d_lo)
-            take = min(size, count - start)
-            x, rot = hi ^ lo, hi >> 58
-            out[start:start + take] = (x >> rot | x << ((64 - rot) & 63))[:take]
-            self._state = int(hi[take - 1]) << 64 | int(lo[take - 1])
-        return out
-
-    def _words(self, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit words, as uint64."""
-        out = np.empty(count, dtype=np.uint64)
-        first = 0
-        if count and self._half is not None:
-            out[0], self._half, first = self._half, None, 1
-        need = count - first
-        raw = self._raw((need + 1) // 2)
-        out[first:] = np.stack((raw & _M32, raw >> 32), axis=1).ravel()[:need]
-        if need % 2:
-            self._half = int(raw[-1] >> 32)
-        return out
-
-    def _lemire(self, top: int, count: int) -> np.ndarray:
-        """``count`` int64 draws in [0, top], by the rule of :meth:`_bounded`:
-        each word w is kept when the low half of w (top + 1) reaches
-        (2**32 - top - 1) mod (top + 1), and the next word is taken when it
-        does not."""
-        out = np.zeros(count, dtype=np.int64)
-        excl = top + 1
-        threshold = (_M32 - top) % excl
-        got = 0
-        while top and got < count:
-            m = self._words(min(count - got, _CHUNK)) * np.uint64(excl)
-            kept = m[(m & _M32) >= threshold] >> 32
-            out[got:got + kept.size] = kept
-            got += kept.size
-        return out
-
     def _bounded(self, top: int) -> int:
         """A draw in [0, top] by Lemire's method, as numpy's
         ``random_bounded_uint64`` makes it for a range below 2**32: the high
         half of w (top + 1) for the first word w whose low half reaches the
-        threshold.  Floyd's algorithm and both shuffles draw with it."""
+        threshold.  Every draw of the stream is made with it."""
         if top == 0:
             return 0
         excl = top + 1
@@ -225,9 +130,9 @@ class Stream:
         shape = (operator.index(size),) if np.ndim(size) == 0 else tuple(map(operator.index, size))
         if any(d < 0 for d in shape):
             raise ParameterError(f"negative size {shape}")
-        values = self._lemire(high - low - 1, math.prod(shape))
-        values += low
-        return values.reshape(shape)
+        top = high - low - 1
+        values = np.array([self._bounded(top) for _ in range(math.prod(shape))], dtype=np.int64)
+        return (values + low).reshape(shape)
 
     def choice(self, a, size: int, replace: bool = True, p=None) -> np.ndarray:
         """``size`` draws from the population ``a``: ``range(a)`` for a whole

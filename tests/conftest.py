@@ -115,6 +115,18 @@ def chunk_budget(request, monkeypatch):
     return request.param
 
 
+def custom_metric_config(n):
+    """A run of one check on n atoms on a line under their metric matrix:
+    above 200 atoms the metric check of ``build_space`` scans a fixed lattice
+    of triples, not every one."""
+    x = np.arange(n, dtype=float) / n
+    return {"space": {"kind": "custom", "coords": [[v] for v in x], "weights": [1.0 / n] * n,
+                      "metric_matrix": np.abs(x[:, None] - x[None, :]).tolist()},
+            "scale": {"kind": "constant", "beta": 0.8, "T0": 1.0},
+            "kernel": {"kind": "uniform", "value": 1.0},
+            "checks": [{"name": "conservativeness_check", "mode": "pass"}]}
+
+
 @pytest.fixture
 def rng():
     """The stream a run at seed 0 hands its checkers."""

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hklab
+from conftest import custom_metric_config
 from hklab import cli
 from hklab.report import ConditionReport
 
@@ -73,6 +74,32 @@ def test_run_unknown_check_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "checks[0].name" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                         ids=["not_utf8", "nested_past_the_recursion_limit"])
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+@pytest.mark.parametrize("via", ["--out", "output.dir"])
+def test_run_refuses_an_output_dir_that_is_a_file(tmp_path, capsys, via, under):
+    # before anything is built, naming the field that set the directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" / "o" if under else blocker
+    cfg = dict(SMOKE_CONFIG, output={"dir": str(out)}) if via == "output.dir" else SMOKE_CONFIG
+    argv = ["run", "--config", str(write_config(tmp_path, cfg))]
+    argv += ["--out", str(out)] if via == "--out" else []
+    with mock.patch.object(cli, "build_space", side_effect=AssertionError("built")):
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"at {via}: {str(out)!r} is not a directory: {str(blocker)!r} is a file" in err
 
 
 def test_run_missing_section_exit_2(tmp_path, capsys):
@@ -232,8 +259,25 @@ def test_counterexample_report_bundle(tmp_path):
                            "diagnostic_series"}
     assert bundle["exponents"]["gap"] > 0
     assert "not desk-reproducible" in bundle["diagnostic_series"]["regime_note"]
+    # two axes where the configuration needs 32, and beta2 - beta1 above the
+    # 1/2 that a 1-Lipschitz bridge between the corner balls can climb
+    notes = bundle["config"]["field_notes"]
+    assert set(notes) == {"regime", "plateau_clamped"}
+    assert "fewer axes" in notes["regime"] and "cannot reach beta2" in notes["plateau_clamped"]
     profile = (tmp_path / "cx" / "counterexample_profile.csv").read_text()
     assert profile.splitlines()[0] == "t,p,r"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+def test_counterexample_report_refuses_an_output_dir_that_is_a_file(tmp_path, capsys, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "cx" if under else blocker
+    with mock.patch.object(cli.cx, "synthesize_config", side_effect=AssertionError("built")):
+        assert cli.main(["counterexample", "report", "--epsilon", "4", "--levels", "3",
+                         "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {str(out)!r} is not a directory: {str(blocker)!r} is a file" in err
 
 
 @pytest.mark.parametrize("args,code,message", [
@@ -421,14 +465,6 @@ def test_runs_load_no_numpy_ma(tmp_path, argv):
 WORKLOAD_DIR = CONFIG_DIR.parent / "perfbench" / "workloads"
 
 
-def custom_metric_config(n):
-    """n atoms on a line under their metric matrix: above 200 atoms the
-    metric check draws its triples"""
-    x = np.arange(n, dtype=float) / n
-    return dict(CANTOR_CFG, space=custom_space(np.abs(x[:, None] - x[None, :]).tolist(),
-                                               [(v,) for v in x]))
-
-
 @pytest.mark.parametrize("argv", [
     lambda tmp: ["run", "--config", str(WORKLOAD_DIR / "sweep_256.json")],
     lambda tmp: ["run", "--config", str(WORKLOAD_DIR / "spectral_2048.json")],
@@ -439,8 +475,8 @@ def custom_metric_config(n):
 def test_runs_load_neither_numpy_random_nor_openssl(tmp_path, argv):
     # numpy.random imports secrets and hmac, which load OpenSSL's _hashlib,
     # and hashlib loads it too: the draws come from hklab's Stream and the
-    # config hash is computed in Python.  A fresh interpreter: pytest has
-    # loaded all of them
+    # config hash from CPython's built-in SHA-256.  A fresh interpreter:
+    # pytest has loaded all of them
     code = ("import sys; from hklab import cli; code = cli.main(sys.argv[1:]); "
             "print(code, [m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib', "
             "'hashlib') if m in sys.modules])")

@@ -2,12 +2,14 @@ import ast
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 import hklab as hk
 import hklab.report as report_mod
+from conftest import custom_metric_config
 from hklab.report import ConditionReport, best_of, canonical_json, extremum, gate, gate_rows
 
 
@@ -243,20 +245,30 @@ COMMITTED_CONFIGS = sorted([*(REPO / "configs").glob("*.json"),
                             *(REPO / "perfbench" / "workloads").glob("*.json")])
 
 
+def hashlib_digest(cfg):
+    import hashlib      # the oracle; the package hashes with CPython's built-in SHA-256
+
+    return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("path", COMMITTED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_config_hash_is_sha256_of_the_canonical_json(path):
-    import hashlib      # the oracle; the package computes SHA-256 itself
-
     cfg = json.loads(path.read_text())
-    want = hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
-    assert report_mod.config_hash(cfg) == want
+    assert report_mod.config_hash(cfg) == hashlib_digest(cfg)
 
 
-def test_sha256_crosses_every_padding_boundary():
-    # lengths 0-130 cross the one- and two-block paddings at 55/56, 63/64 and
-    # 119/120 bytes
-    import hashlib
+def test_config_hash_of_a_custom_metric_config():
+    # 201 atoms: about 800 KB of canonical JSON, which grows as the square of the atoms
+    cfg = custom_metric_config(201)
+    assert len(canonical_json(cfg)) > 790_000
+    assert report_mod.config_hash(cfg) == hashlib_digest(cfg)
 
-    for n in range(131):
-        data = bytes((7 * i + n) % 256 for i in range(n))
-        assert report_mod._sha256(data) == hashlib.sha256(data).hexdigest(), n
+
+def test_config_hash_falls_back_on_hashlib_without_a_built_in_sha256(monkeypatch):
+    # a None entry in sys.modules makes its import fail
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    with pytest.raises(ImportError):
+        import _sha256  # noqa: F401
+    cfg = json.loads(COMMITTED_CONFIGS[0].read_text())
+    assert report_mod.config_hash(cfg) == hashlib_digest(cfg)

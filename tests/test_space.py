@@ -143,7 +143,7 @@ def test_metric_axioms_all_builders():
                hk.build_cantor_product(1 / 3, 1, 5),
                hk.build_cantor_product(1 / 2, 2, 3)):
         assert sp.n_points <= 200
-        assert hk.metric_axioms_ok(sp, hk.Stream(0))
+        assert hk.metric_axioms_ok(sp)
 
 
 def test_cantor_self_similar_volumes_exact():
@@ -202,7 +202,7 @@ def test_explicit_metric_space():
     m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     sp = hk.build_custom(np.zeros((3, 1)), np.full(3, 1 / 3), metric_matrix=m)
     assert sp.dist(0, 2) == 2.0
-    assert hk.metric_axioms_ok(sp, hk.Stream(0))
+    assert hk.metric_axioms_ok(sp)
     assert sp.metric_kind == "explicit"
 
 
@@ -339,37 +339,90 @@ def test_build_custom_rejects_coincident_atoms():
             hk.build_custom(coords, weights)
 
 
-def triple_scan_loop(space, rng, n_samples, tol=1e-12):
-    # the per-triple scan the vectorized pass replaced, with its own metric
+R3_ROOT = 1.2207440846057596      # the real root > 1 of g^4 = g + 1
+
+
+def lattice_scan_loop(space, n_triples=200_000, tol=1e-12):
+    # the scan triple by triple, with its own lattice and its own metric
+    alphas = [R3_ROOT ** -m for m in (1, 2, 3)]
+    n = space.n_points
+
     def dist(i, k):
         if space.metric_kind == "explicit":
-            return float(space.metric_matrix[i, k])
+            return space.metric_matrix.item(i, k)
         return float(np.max(np.abs(space.coords[i] - space.coords[k])))
-    for i, j, k in rng.integers(0, space.n_points, size=(n_samples, 3)):
+    for t in range(1, n_triples + 1):
+        i, j, k = (int(n * ((t * a) % 1.0)) for a in alphas)
         dij, djk, dik = dist(i, j), dist(j, k), dist(i, k)
         if dik > dij + djk + tol or abs(dij - dist(j, i)) > tol:
             return False
     return True
 
 
-def test_sampled_metric_scan_matches_triple_loop():
+def product_256():
     cantor = hk.build_cantor_product(1 / 3, 2, 4)
     assert cantor.n_points == 256
-    d = cantor.pairwise()
-    hub = d.copy()                          # atom 3 within 1e-3 of every atom
-    hub[3, :] = hub[:, 3] = 1e-3
-    hub[3, 3] = 0.0
-    lopsided = d + np.triu(np.full(d.shape, 1e-6), k=1)
-    cases = [(cantor, 20_000, True), (explicit_copy(cantor), 20_000, True),
-             (hk.build_custom(cantor.coords, cantor.weights, metric_matrix=hub),
-              200_000, False),
-             (hk.build_custom(cantor.coords, cantor.weights, metric_matrix=lopsided),
-              200_000, False)]
-    for sp, n_samples, verdict in cases:
-        for seed in range(2):
-            loop = triple_scan_loop(sp, np.random.default_rng(seed), n_samples)
-            assert loop is verdict
-            assert hk.metric_axioms_ok(sp, hk.Stream(seed), n_samples) is loop
+    return cantor, cantor.pairwise()
+
+
+def under(space, m):
+    return hk.build_custom(space.coords, space.weights, metric_matrix=m)
+
+
+def with_hub(d, h):
+    """``d`` with atom ``h`` within 1e-3 of every atom: the triangle
+    inequality breaks only in the triples whose middle atom it is."""
+    hub = d.copy()
+    hub[h, :] = hub[:, h] = 1e-3
+    hub[h, h] = 0.0
+    return hub
+
+
+def lopsided(d):
+    return d + np.triu(np.full(d.shape, 1e-6), k=1)
+
+
+def test_lattice_metric_scan_matches_triple_loop():
+    cantor, d = product_256()
+    cases = [(cantor, m) for m in (d, with_hub(d, 3), lopsided(d))]
+    # one pair of 1000 points in the plane a little asymmetric: the 200000
+    # triples meet about a third of the pairs, so the verdict hangs on which
+    points = np.random.default_rng(5).random((1000, 2))
+    plane = hk.build_custom(points, np.full(1000, 1e-3))
+    euclid = np.sqrt(((points[:, None] - points[None]) ** 2).sum(-1))
+    for a, b in [(0, 1), (7, 8), (10, 400), (100, 200)]:
+        m = euclid.copy()
+        m[a, b] *= 1 - 1e-9
+        cases.append((plane, m))
+    verdicts = []
+    for space, m in cases:
+        sp = under(space, m)
+        verdicts.append(hk.metric_axioms_ok(sp))
+        assert verdicts[-1] is lattice_scan_loop(sp)
+    assert verdicts == [True, False, False, True, False, True, False]
+
+
+def test_lattice_metric_scan_catches_a_hub_at_every_atom():
+    cantor, d = product_256()
+    for h in range(cantor.n_points):
+        assert not hk.metric_axioms_ok(under(cantor, with_hub(d, h))), h
+    assert not hk.metric_axioms_ok(under(cantor, lopsided(d)))
+
+
+def test_lattice_metric_scan_passes_a_metric():
+    cantor, d = product_256()
+    assert hk.metric_axioms_ok(cantor)
+    assert hk.metric_axioms_ok(under(cantor, d))
+
+
+def test_exhaustive_metric_scan_holds_symmetry_to_the_absolute_tolerance():
+    # an rtol would let a relative asymmetry of 5e-6 through
+    m = np.array([[0.0, 1.0, 2.0], [1.0 + 5e-6, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    sp = hk.build_custom(np.zeros((3, 1)), np.full(3, 1 / 3), metric_matrix=m)
+    assert not hk.metric_axioms_ok(sp)
+    m[1, 0] = 1.0 + 1e-13
+    assert hk.metric_axioms_ok(hk.build_custom(np.zeros((3, 1)), np.full(3, 1 / 3),
+                                               metric_matrix=m))
 
 
 @pytest.mark.parametrize("seed", range(5))
